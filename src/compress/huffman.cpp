@@ -209,15 +209,26 @@ Result<Bytes> HuffmanDecode(ByteSpan input) {
   for (int s = 0; s < 256; ++s) {
     if (lengths[s]) ++count[lengths[s]];
   }
-  uint32_t code = 0, index = 0;
+  uint64_t code = 0;
+  uint32_t index = 0;
   for (int l = 1; l <= kMaxCodeLen; ++l) {
-    first_code[l] = code;
+    // Kraft: the length-l codes must fit in the 2^l code space. An
+    // over-subscribed table yields canonical codes wider than their
+    // length, which would index past the LUT below.
+    if (code + count[l] > (uint64_t{1} << l)) {
+      return Status::Corruption("huffman: over-subscribed code lengths");
+    }
+    first_code[l] = static_cast<uint32_t>(code);
     first_index[l] = index;
     code = (code + count[l]) << 1;
     index += count[l];
   }
 
   POCS_ASSIGN_OR_RETURN(ByteSpan payload, in.ReadSpan(in.remaining()));
+  // Every symbol costs at least one bit.
+  if (orig_size > uint64_t{8} * payload.size()) {
+    return Status::Corruption("huffman: size exceeds payload");
+  }
 
   // Fast path: a 2^kLutBits lookup table decodes any code of length ≤
   // kLutBits in one probe; longer codes fall back to canonical scanning.
@@ -240,8 +251,10 @@ Result<Bytes> HuffmanDecode(ByteSpan input) {
     }
   }
 
-  Bytes out;
-  out.reserve(orig_size);
+  // Sized once (orig_size is bounded by the payload above) and filled by
+  // index: with push_back, GCC 12 compiled this loop about 2x slower.
+  Bytes out(orig_size);
+  size_t produced = 0;
   const uint8_t* data = payload.data();
   const size_t nbytes = payload.size();
   uint64_t acc = 0;    // bit accumulator, MSB-first
@@ -250,7 +263,7 @@ Result<Bytes> HuffmanDecode(ByteSpan input) {
   const uint64_t total_bits = nbytes * 8;
   uint64_t consumed_bits = 0;
 
-  while (out.size() < orig_size) {
+  while (produced < orig_size) {
     // Refill so the accumulator holds at least kMaxCodeLen bits (or all
     // that remain).
     while (acc_bits <= 56 && byte_pos < nbytes) {
@@ -269,7 +282,7 @@ Result<Bytes> HuffmanDecode(ByteSpan input) {
     const LutEntry entry = lut[window];
     if (entry.length != 0 && entry.length <= acc_bits &&
         consumed_bits + entry.length <= total_bits) {
-      out.push_back(entry.symbol);
+      out[produced++] = entry.symbol;
       acc_bits -= entry.length;
       consumed_bits += entry.length;
       continue;
@@ -306,7 +319,7 @@ Result<Bytes> HuffmanDecode(ByteSpan input) {
       }
     }
     if (sym < 0) return Status::Corruption("huffman: invalid code");
-    out.push_back(static_cast<uint8_t>(sym));
+    out[produced++] = static_cast<uint8_t>(sym);
   }
   return out;
 }

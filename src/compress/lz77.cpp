@@ -170,6 +170,18 @@ void AppendMatch(Bytes* out, uint64_t offset, uint64_t mlen) {
   for (uint64_t i = 0; i < mlen; ++i) dst[i] = lag[i];
 }
 
+// Up-front output reservation. The frame's declared size is untrusted until
+// the stream has decoded to it, so the reservation is capped by a multiple
+// of the input; a frame that expands further (long runs) still decodes, by
+// ordinary vector growth, and the per-sequence checks stop growth past
+// `expected_size`.
+size_t ReserveBound(uint64_t expected_size, size_t input_size) {
+  constexpr uint64_t kMaxRatio = 64;
+  constexpr uint64_t kSlack = 64 << 10;
+  return static_cast<size_t>(
+      std::min<uint64_t>(expected_size, input_size * kMaxRatio + kSlack));
+}
+
 }  // namespace
 
 Bytes Lz77Compress(ByteSpan input, const Lz77Params& params) {
@@ -227,7 +239,7 @@ Result<Bytes> Lz77DecompressSplit(ByteSpan input, size_t expected_size,
   BufferReader literals(streams[3]);
 
   Bytes out;
-  out.reserve(expected_size);
+  out.reserve(ReserveBound(expected_size, input.size()));
   for (uint64_t s = 0; s < n_seq; ++s) {
     POCS_ASSIGN_OR_RETURN(uint64_t lit_len, litlens.ReadVarint());
     if (out.size() + lit_len > expected_size) {
@@ -259,7 +271,7 @@ Result<Bytes> Lz77DecompressSplit(ByteSpan input, size_t expected_size,
 Result<Bytes> Lz77Decompress(ByteSpan input, size_t expected_size,
                              const Lz77Params& params) {
   Bytes out;
-  out.reserve(expected_size);
+  out.reserve(ReserveBound(expected_size, input.size()));
   BufferReader in(input);
   while (true) {
     POCS_ASSIGN_OR_RETURN(uint64_t lit_len, in.ReadVarint());

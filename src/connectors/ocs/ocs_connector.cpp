@@ -57,26 +57,6 @@ double SchemaRowWidth(const columnar::Schema& schema) {
   return width;
 }
 
-// pocs-lint: begin partial-agg-whitelist
-// Aggregate kinds the connector will push to storage in partial form.
-// Every kind listed here MUST have a matching engine-side merge in
-// engine::FinalAggSpecs (src/engine/two_phase.cpp) — a partial whose
-// merge is missing would silently return per-split rows as if they were
-// global aggregates. Enforced by pocs_lint's partial-agg-merge-sync rule.
-bool PartialAggSupported(substrait::AggFunc func) {
-  switch (func) {
-    case substrait::AggFunc::kSum:
-    case substrait::AggFunc::kMin:
-    case substrait::AggFunc::kMax:
-    case substrait::AggFunc::kAvg:
-    case substrait::AggFunc::kCount:
-    case substrait::AggFunc::kCountStar:
-      return true;
-  }
-  return false;
-}
-// pocs-lint: end partial-agg-whitelist
-
 // Mirrors every OfferPushdown outcome into the registry (the runtime
 // counters behind the EventListener's per-query pushdown stats).
 bool RecordPushdownDecision(bool accepted) {
@@ -317,15 +297,6 @@ Result<bool> OcsConnector::OfferPushdown(
         incapable_reason = "aggregation pushdown disabled";
         break;
       }
-      for (const auto& agg : op.aggregates) {
-        if (!PartialAggSupported(agg.func)) {
-          capable = false;
-          incapable_reason = "aggregate " + std::string(AggFuncName(agg.func)) +
-                             " has no storage-side partial form";
-          break;
-        }
-      }
-      if (!capable) break;
       selectivity = analyzer.EstimateAggregationSelectivity(
           op.group_keys, *spec->output_schema, rows);
       break;

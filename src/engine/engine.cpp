@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <unordered_map>
 
 #include "columnar/kernels.h"
@@ -10,10 +11,8 @@
 #include "engine/analyzer.h"
 #include "engine/optimizer.h"
 #include "engine/two_phase.h"
-#include "exec/hash_aggregator.h"
-#include "exec/sorter.h"
+#include "exec/plan_executor.h"
 #include "sql/parser.h"
-#include "substrait/eval.h"
 
 namespace pocs::engine {
 
@@ -21,7 +20,6 @@ using columnar::RecordBatchPtr;
 using columnar::SchemaPtr;
 using columnar::Table;
 using connector::PageSourceStats;
-using substrait::Expression;
 
 QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
   pool_ = std::make_unique<ThreadPool>(config_.worker_threads);
@@ -47,23 +45,8 @@ void QueryEngine::AddEventListener(
 
 namespace {
 
-struct SplitOutput {
-  std::shared_ptr<Table> data;
-  PageSourceStats stats;
-  double compute_seconds = 0;  // residual compute-side work, measured
-  Status status;
-};
-
-Result<RecordBatchPtr> ApplyProjectNode(const PlanNode& node,
-                                        const columnar::RecordBatch& batch) {
-  std::vector<columnar::ColumnPtr> cols;
-  for (const Expression& e : node.expressions) {
-    POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
-                          substrait::Evaluate(e, batch));
-    cols.push_back(std::move(col));
-  }
-  return columnar::MakeBatch(node.output_schema, std::move(cols));
-}
+using substrait::Rel;
+using substrait::RelKind;
 
 // Releases an admission slot on every exit path of Execute.
 struct TicketReleaser {
@@ -73,77 +56,106 @@ struct TicketReleaser {
   }
 };
 
-// One merge-stage node applied to the whole intermediate table. Shared by
-// the linear pipeline and the join path.
-Result<std::shared_ptr<Table>> ApplyMergeNode(const PlanNode& node,
-                                              std::shared_ptr<Table> current) {
+// ---- plan → Rel compilation -------------------------------------------------
+// The engine runs its share of a plan through exec::ExecuteRel, the
+// executor storage and the connector fallback use: the per-split residual
+// and the merge stage are Rel chains whose Read leaf is bound to a split's
+// pages or to the per-split outputs.
+
+std::unique_ptr<Rel> MakeRel(RelKind kind, std::unique_ptr<Rel> input) {
+  auto rel = std::make_unique<Rel>();
+  rel->kind = kind;
+  rel->input = std::move(input);
+  return rel;
+}
+
+std::unique_ptr<Rel> ReadRel(SchemaPtr schema) {
+  auto rel = MakeRel(RelKind::kRead, nullptr);
+  rel->base_schema = std::move(schema);
+  return rel;
+}
+
+std::unique_ptr<Rel> AggregateRel(std::unique_ptr<Rel> input,
+                                  std::vector<int> group_keys,
+                                  std::vector<substrait::AggregateSpec> aggs,
+                                  substrait::AggPhase phase) {
+  auto rel = MakeRel(RelKind::kAggregate, std::move(input));
+  rel->group_keys = std::move(group_keys);
+  rel->aggregates = std::move(aggs);
+  rel->agg_phase = phase;
+  return rel;
+}
+
+// Appends one residual plan node on top of `input`. A top-N becomes
+// Sort + Fetch, which the executor fuses into a bounded accumulator.
+Result<std::unique_ptr<Rel>> AppendNode(std::unique_ptr<Rel> input,
+                                        const PlanNode& node) {
   switch (node.kind) {
+    case NodeKind::kFilter: {
+      auto rel = MakeRel(RelKind::kFilter, std::move(input));
+      rel->predicate = node.predicate;
+      return rel;
+    }
+    case NodeKind::kProject: {
+      auto rel = MakeRel(RelKind::kProject, std::move(input));
+      rel->expressions = node.expressions;
+      rel->output_names = node.output_names;
+      return rel;
+    }
     case NodeKind::kSort: {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
-                            exec::SortTable(*current, node.sort_fields));
-      current = std::make_shared<Table>(sorted->schema());
-      current->AppendBatch(std::move(sorted));
-      return current;
+      auto rel = MakeRel(RelKind::kSort, std::move(input));
+      rel->sort_fields = node.sort_fields;
+      return rel;
     }
     case NodeKind::kTopN: {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
-                            exec::SortTable(*current, node.sort_fields));
-      columnar::SelectionVector head;
-      for (uint32_t r = 0;
-           r < std::min<uint64_t>(sorted->num_rows(), node.limit); ++r) {
-        head.push_back(r);
-      }
-      RecordBatchPtr top = columnar::TakeBatch(*sorted, head);
-      current = std::make_shared<Table>(top->schema());
-      current->AppendBatch(std::move(top));
-      return current;
+      auto sort = MakeRel(RelKind::kSort, std::move(input));
+      sort->sort_fields = node.sort_fields;
+      auto fetch = MakeRel(RelKind::kFetch, std::move(sort));
+      fetch->count = node.limit;
+      return fetch;
     }
-    case NodeKind::kLimit:
-      return exec::FetchTable(*current, 0, node.limit);
-    case NodeKind::kProject: {
-      auto next = std::make_shared<Table>(node.output_schema);
-      for (const auto& batch : current->batches()) {
-        POCS_ASSIGN_OR_RETURN(RecordBatchPtr projected,
-                              ApplyProjectNode(node, *batch));
-        next->AppendBatch(std::move(projected));
-      }
-      return next;
-    }
-    case NodeKind::kFilter: {
-      auto next = std::make_shared<Table>(current->schema());
-      for (const auto& batch : current->batches()) {
-        POCS_ASSIGN_OR_RETURN(RecordBatchPtr filtered,
-                              substrait::FilterBatch(node.predicate, *batch));
-        if (filtered->num_rows() > 0) next->AppendBatch(std::move(filtered));
-      }
-      return next;
+    case NodeKind::kLimit: {
+      auto fetch = MakeRel(RelKind::kFetch, std::move(input));
+      fetch->count = node.limit;
+      return fetch;
     }
     default:
-      return Status::Internal("unexpected merge-stage node");
+      return Status::Internal("unexpected " +
+                              std::string(NodeKindName(node.kind)) +
+                              " node in the residual plan");
   }
 }
 
-// Final-phase aggregation + finalize projection (AVG = sum/count) into a
-// one-batch table with the aggregation node's output schema.
-Result<std::shared_ptr<Table>> FinalizeAggTable(
-    const PlanNode& agg_node, exec::HashAggregator* final_agg) {
-  POCS_ASSIGN_OR_RETURN(RecordBatchPtr final_batch, final_agg->Finish());
-  std::vector<Expression> finalize_exprs;
-  std::vector<std::string> finalize_names;
-  FinalizeProjection(agg_node.aggregates, agg_node.group_keys.size(),
-                     *final_batch->schema(), &finalize_exprs, &finalize_names);
-  std::vector<columnar::ColumnPtr> cols;
-  for (const Expression& e : finalize_exprs) {
-    POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
-                          substrait::Evaluate(e, *final_batch));
-    cols.push_back(std::move(col));
-  }
-  RecordBatchPtr finalized =
-      columnar::MakeBatch(agg_node.output_schema, std::move(cols));
-  auto out = std::make_shared<Table>(finalized->schema());
-  out->AppendBatch(std::move(finalized));
-  return out;
+// Final phase of a split aggregation, grouped by `keys`, over partials
+// whose first `n_partial_keys` columns are keys and whose partial
+// aggregates follow; then the projection recovering the original
+// aggregates (AVG = sum / count).
+Result<std::unique_ptr<Rel>> AppendFinalAggregation(std::unique_ptr<Rel> input,
+                                                    const PlanNode& agg,
+                                                    std::vector<int> keys,
+                                                    size_t n_partial_keys) {
+  const size_t n_keys = keys.size();
+  auto final_agg =
+      AggregateRel(std::move(input), std::move(keys),
+                   FinalAggSpecs(agg.aggregates, n_partial_keys),
+                   substrait::AggPhase::kFinal);
+  POCS_ASSIGN_OR_RETURN(SchemaPtr final_schema,
+                        substrait::OutputSchema(*final_agg));
+  auto finalize = MakeRel(RelKind::kProject, std::move(final_agg));
+  FinalizeProjection(agg.aggregates, n_keys, *final_schema,
+                     &finalize->expressions, &finalize->output_names);
+  return finalize;
 }
+
+// Bottom→top chain of a plan: [scan, ..., root].
+std::vector<PlanNode*> Chain(PlanNode* root) {
+  std::vector<PlanNode*> chain;
+  for (PlanNode* n = root; n; n = n->input.get()) chain.push_back(n);
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
+// ---- the join probe ---------------------------------------------------------
 
 // Sign-extended 64-bit join key for one row; false when the value is null
 // (never joins) or the column has no integer join-key form.
@@ -162,183 +174,301 @@ bool JoinKeyAt(const columnar::Column& col, size_t row, int64_t* out) {
   }
 }
 
-// Folds one page source's stats into the query metrics and the simulated
-// scan-stage totals (join path; the parallel linear path does the same
-// inline so it can also account per-split residual compute).
-void FoldSourceStats(const PageSourceStats& s, QueryMetrics* m,
-                     SplitStageTotals* t) {
-  t->bytes_moved += s.bytes_received + s.bytes_sent;
-  t->messages += 2;  // request + response per split
-  t->storage_compute_seconds += s.storage_compute_seconds;
-  t->media_read_seconds += s.media_read_seconds;
-  t->compute_seconds += s.decode_seconds;
-  m->bytes_from_storage += s.bytes_received;
-  m->bytes_to_storage += s.bytes_sent;
-  m->rows_from_storage += s.rows_received;
-  m->rows_scanned += s.rows_scanned;
-  m->ir_generation += s.ir_generation_seconds;
-  m->storage_compute_seconds += s.storage_compute_seconds;
-  m->row_groups_total += s.row_groups_total;
-  m->row_groups_skipped += s.row_groups_skipped;
-  m->retries += s.dispatch_retries;
-  m->fallbacks += s.fallbacks;
-  m->failed_splits += s.failed_dispatches;
-  m->row_groups_lazy_skipped += s.row_groups_lazy_skipped;
-  m->row_groups_hint_skipped += s.row_groups_hint_skipped;
-  m->cache_hits += s.cache_hits;
-  m->cache_misses += s.cache_misses;
-  m->cache_bytes_saved += s.cache_bytes_saved;
-  m->bytes_refetched_on_retry += s.bytes_refetched_on_retry;
-  m->bloom_rows_pruned += s.bloom_rows_pruned;
-  m->rows_dict_filtered += s.rows_dict_filtered;
-  m->rows_late_materialized += s.rows_late_materialized;
-}
+// The join's build side: the dimension rows with an exact hash index over
+// their join keys. Every probing source of the query shares it and sums
+// its work here.
+struct JoinProbe {
+  RecordBatchPtr build_rows;
+  std::unordered_map<int64_t, std::vector<uint32_t>> index;
+  int key_column = -1;  // the join key's column in the probed batches
+  SchemaPtr schema;     // the probed columns, then the build columns
 
-// Runs one scan chain (TableScan + residual Filters) sequentially across
-// its splits and collects every surviving row. Used for the join's build
-// (dimension) side, which is small by assumption.
-Result<std::shared_ptr<Table>> RunScanChain(PlanNode* scan,
-                                            const std::vector<PlanNode*>& stream,
-                                            connector::Connector& conn,
-                                            QueryMetrics* metrics,
-                                            SplitStageTotals* totals,
-                                            double* residual) {
-  POCS_ASSIGN_OR_RETURN(connector::SplitPlan split_plan,
-                        conn.GetSplits(scan->table, scan->scan_spec));
-  metrics->splits += split_plan.splits.size();
-  metrics->splits_planned += split_plan.splits_planned;
-  metrics->splits_pruned += split_plan.splits_pruned;
-  metrics->metadata_cache_hits += split_plan.metadata_cache_hits;
-  metrics->metadata_cache_misses += split_plan.metadata_cache_misses;
-  metrics->metadata_cache_stale += split_plan.metadata_cache_stale;
-  metrics->metadata_cache_errors += split_plan.metadata_cache_errors;
-  totals->splits += split_plan.splits.size();
+  std::atomic<uint64_t> rows_in{0};
+  std::atomic<uint64_t> rows_out{0};
+  std::atomic<double> seconds{0};  // excludes the probed sources' Next()
+};
 
-  SchemaPtr out_schema = stream.empty() ? scan->scan_spec.output_schema
-                                        : stream.back()->output_schema;
-  if (!out_schema) out_schema = scan->output_schema;
-  auto out = std::make_shared<Table>(out_schema);
-  for (const connector::Split& split : split_plan.splits) {
-    POCS_ASSIGN_OR_RETURN(
-        std::unique_ptr<connector::PageSource> source,
-        conn.CreatePageSource(scan->table, split, scan->scan_spec));
+// The join's exact-index probe as a BatchSource decorator (the pattern
+// exec::BloomFilterSource uses): each inner batch is matched against the
+// build index — dropping bloom false positives and non-matching keys —
+// and every match becomes one output row: the probed row's columns, then
+// the matched build row's.
+class JoinProbeSource final : public exec::BatchSource {
+ public:
+  JoinProbeSource(std::unique_ptr<exec::BatchSource> inner, JoinProbe& probe)
+      : inner_(std::move(inner)), probe_(probe) {}
+
+  SchemaPtr schema() const override { return probe_.schema; }
+
+  Result<RecordBatchPtr> Next() override {
     while (true) {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, source->Next());
-      if (!batch) break;
-      Stopwatch batch_timer;
-      for (PlanNode* node : stream) {
-        if (node->kind != NodeKind::kFilter) {
-          return Status::Internal("unexpected node in join build subplan");
+      POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, inner_->Next());
+      if (!batch) return batch;
+      Stopwatch timer;
+      const columnar::Column& keys = *batch->column(probe_.key_column);
+      columnar::SelectionVector sel;        // matching probed rows
+      columnar::SelectionVector build_sel;  // their build rows, in step
+      for (size_t r = 0; r < batch->num_rows(); ++r) {
+        int64_t key;
+        if (!JoinKeyAt(keys, r, &key)) continue;
+        auto it = probe_.index.find(key);
+        if (it == probe_.index.end()) continue;
+        for (uint32_t build_row : it->second) {
+          sel.push_back(static_cast<uint32_t>(r));
+          build_sel.push_back(build_row);
         }
-        POCS_ASSIGN_OR_RETURN(batch,
-                              substrait::FilterBatch(node->predicate, *batch));
-        if (batch->num_rows() == 0) break;
       }
-      if (batch->num_rows() > 0) out->AppendBatch(batch);
-      *residual += batch_timer.ElapsedSeconds();
+      RecordBatchPtr joined;
+      if (!sel.empty()) {
+        std::vector<columnar::ColumnPtr> cols =
+            columnar::TakeBatch(*batch, sel)->columns();
+        for (const columnar::ColumnPtr& col : probe_.build_rows->columns()) {
+          cols.push_back(columnar::Take(*col, build_sel));
+        }
+        joined = columnar::MakeBatch(probe_.schema, std::move(cols));
+      }
+      probe_.rows_in += batch->num_rows();
+      probe_.rows_out += sel.size();
+      probe_.seconds += timer.ElapsedSeconds();
+      if (joined) return joined;
     }
-    FoldSourceStats(source->stats(), metrics, totals);
   }
-  return out;
+
+ private:
+  std::unique_ptr<exec::BatchSource> inner_;
+  JoinProbe& probe_;
+};
+
+// `inner` behind the join probe, when there is one.
+std::unique_ptr<exec::BatchSource> Probed(
+    std::unique_ptr<exec::BatchSource> inner, JoinProbe* probe) {
+  if (!probe) return inner;
+  return std::make_unique<JoinProbeSource>(std::move(inner), *probe);
 }
+
+// ---- the split runner -------------------------------------------------------
+
+// One split's connector pages as an executor source. The page source
+// stays owned by the runner, which folds its stats after the run.
+class PageBatchSource final : public exec::BatchSource {
+ public:
+  explicit PageBatchSource(connector::PageSource* pages) : pages_(pages) {}
+  SchemaPtr schema() const override { return pages_->schema(); }
+  Result<RecordBatchPtr> Next() override { return pages_->Next(); }
+
+ private:
+  connector::PageSource* pages_;
+};
+
+// Runs every scan of a query — the linear plan's, and both sides of a
+// join — and keeps the books they fold into.
+struct SplitRunner {
+  SplitRunner(connector::Connector& c, ThreadPool& p, const EngineConfig& cfg,
+              QueryMetrics* m)
+      : conn(c), pool(p), config(cfg), metrics(m) {}
+
+  connector::Connector& conn;
+  ThreadPool& pool;
+  const EngineConfig& config;
+  QueryMetrics* metrics;
+
+  SplitStageTotals totals;      // the modelled scan stage, all scans
+  double residual_seconds = 0;  // engine compute outside the merge stage
+
+  // Plans `scan`'s splits and runs `residual` over each split's pages —
+  // behind `probe_side` when given — on the pool under the per-query
+  // in-flight cap. Returns the outputs in split order.
+  Result<std::shared_ptr<Table>> Run(const PlanNode& scan, const Rel& residual,
+                                     JoinProbe* probe_side) {
+    POCS_ASSIGN_OR_RETURN(SchemaPtr out_schema,
+                          substrait::OutputSchema(residual));
+    // Runs after pushdown negotiation, so the connector can prune splits
+    // against the accepted predicates (stats-based, zero data RPCs) and
+    // pin pushed blooms to each object's current version.
+    POCS_ASSIGN_OR_RETURN(connector::SplitPlan plan,
+                          conn.GetSplits(scan.table, scan.scan_spec));
+    metrics->splits += plan.splits.size();
+    metrics->splits_planned += plan.splits_planned;
+    metrics->splits_pruned += plan.splits_pruned;
+    metrics->metadata_cache_hits += plan.metadata_cache_hits;
+    metrics->metadata_cache_misses += plan.metadata_cache_misses;
+    metrics->metadata_cache_stale += plan.metadata_cache_stale;
+    metrics->metadata_cache_errors += plan.metadata_cache_errors;
+    totals.splits += plan.splits.size();
+
+    std::vector<SplitRun> runs(plan.splits.size());
+    SplitThrottle throttle(config.max_inflight_splits);
+    auto run_split = [&](size_t s) {
+      // Backpressure: at most max_inflight_splits of this query's splits
+      // hold a worker (and a storage dispatch) at once. Acquired inside
+      // the task body, so a blocked acquire always implies other permits
+      // are held by running workers — progress is guaranteed.
+      SplitThrottle::Permit permit = throttle.Acquire();
+      runs[s].status =
+          RunSplit(scan, plan.splits[s], residual, probe_side, &runs[s]);
+    };
+    if (pool.num_threads() > 1) {
+      pool.ParallelFor(runs.size(), run_split);
+    } else {
+      // One worker would run them one by one while this thread waits;
+      // running them here keeps a split's pages in this thread's
+      // allocator arena (handing them over cost a join ~7k page faults).
+      for (size_t s = 0; s < runs.size(); ++s) run_split(s);
+    }
+
+    auto out = std::make_shared<Table>(out_schema);
+    for (const SplitRun& run : runs) {
+      POCS_RETURN_NOT_OK(run.status);
+      const PageSourceStats& s = run.stats;
+      totals.bytes_moved += s.bytes_received + s.bytes_sent;
+      totals.messages += 2;  // request + response per split
+      totals.storage_compute_seconds += s.storage_compute_seconds;
+      totals.media_read_seconds += s.media_read_seconds;
+      metrics->bytes_from_storage += s.bytes_received;
+      metrics->bytes_to_storage += s.bytes_sent;
+      metrics->rows_from_storage += s.rows_received;
+      metrics->rows_scanned += s.rows_scanned;
+      metrics->ir_generation += s.ir_generation_seconds;
+      metrics->storage_compute_seconds += s.storage_compute_seconds;
+      metrics->row_groups_total += s.row_groups_total;
+      metrics->row_groups_skipped += s.row_groups_skipped;
+      metrics->retries += s.dispatch_retries;
+      metrics->fallbacks += s.fallbacks;
+      metrics->failed_splits += s.failed_dispatches;
+      metrics->row_groups_lazy_skipped += s.row_groups_lazy_skipped;
+      metrics->row_groups_hint_skipped += s.row_groups_hint_skipped;
+      metrics->cache_hits += s.cache_hits;
+      metrics->cache_misses += s.cache_misses;
+      metrics->cache_bytes_saved += s.cache_bytes_saved;
+      metrics->bytes_refetched_on_retry += s.bytes_refetched_on_retry;
+      metrics->bloom_rows_pruned += s.bloom_rows_pruned;
+      metrics->rows_dict_filtered += s.rows_dict_filtered;
+      metrics->rows_late_materialized += s.rows_late_materialized;
+      // Compute-side residual work: operators as measured, plus the page
+      // source's result decode. Time spent inside the page source
+      // otherwise is the modelled scan stage's, so never counted.
+      residual_seconds += run.compute_seconds + s.decode_seconds;
+      for (const RecordBatchPtr& batch : run.data->batches()) {
+        out->AppendBatch(batch);
+      }
+    }
+    return out;
+  }
+
+ private:
+  struct SplitRun {
+    std::shared_ptr<Table> data;
+    PageSourceStats stats;
+    double compute_seconds = 0;
+    Status status;
+  };
+
+  Status RunSplit(const PlanNode& scan, const connector::Split& split,
+                  const Rel& residual, JoinProbe* probe_side, SplitRun* run) {
+    POCS_ASSIGN_OR_RETURN(
+        std::unique_ptr<connector::PageSource> pages,
+        conn.CreatePageSource(scan.table, split, scan.scan_spec));
+    auto source =
+        [&](const Rel&) -> Result<std::unique_ptr<exec::BatchSource>> {
+      return Probed(std::make_unique<PageBatchSource>(pages.get()), probe_side);
+    };
+    exec::ExecStats exec_stats;
+    POCS_ASSIGN_OR_RETURN(run->data,
+                          exec::ExecuteRel(residual, source, &exec_stats));
+    for (const exec::OperatorCounters& oc : exec_stats.operators) {
+      run->compute_seconds += oc.seconds;
+    }
+    run->stats = pages->stats();
+    return Status::OK();
+  }
+};
 
 // Deterministic seed of pushed join-key blooms ("pocsjoin"): plans — and
 // therefore plan fingerprints and replay — are identical across runs.
 constexpr uint64_t kJoinBloomSeed = 0x706f63736a6f696eULL;
 
-// Executes a plan containing a kJoin node (DESIGN.md §14):
-//   1. run the build (dimension) side and collect it in memory;
-//   2. build an exact hash index plus a seeded bloom filter over the
-//      build keys and offer the bloom to the fact-side connector, so
-//      storage drops non-matching rows before any bytes move;
-//   3. when the node directly above the join is an aggregation whose
-//      arguments are fact-side and the dim keys are unique, offer the
-//      partial phase to storage grouped by {fact keys ∪ join key} —
-//      dim-referenced group keys are recovered from the matched dim row
-//      at probe time (functionally dependent on the unique join key);
-//   4. scan the fact side, probe the exact index (dropping bloom false
-//      positives), and merge partials / aggregate / collect;
-//   5. apply the remaining merge-stage nodes.
+// How a join runs in the shared per-split + merge shape.
+struct JoinStages {
+  JoinProbe probe;
+  // Phase-split aggregation: each split computes partials grouped by
+  // `partial_keys` (fact-schema indices, join key included) and the merge
+  // probes them. Otherwise the probe sits on every split's pages.
+  bool probe_in_merge = false;
+  std::vector<int> partial_keys;
+  std::vector<int> final_keys;  // the merge's group keys, after the probe
+};
+
+// Prepares a plan's join (DESIGN.md §14):
+//   1. negotiate the build (dimension) side's pushdown, scan it through
+//      the split runner and index its join keys exactly;
+//   2. offer a seeded bloom over the build keys to the fact-side
+//      connector, so storage drops non-matching rows before bytes move;
+//   3. when the aggregation directly above the join has fact-side
+//      arguments, no residual sits between it and the scan, and the build
+//      keys are unique, split it into phases: the per-split partial
+//      (offered to storage) groups by {fact keys ∪ join key}, and the
+//      merge probes the partials, recovering dim-referenced group keys
+//      from the matched build row (functionally dependent on the key);
+//   4. otherwise every split probes its pages and runs the residual over
+//      the joined rows.
 // Rejected or faulted pushdowns degrade transparently: the connector's
-// fallback re-runs the identical pushed plan engine-side, so this path
-// never sees the difference.
-Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
-                                                connector::Connector& conn,
-                                                const EngineConfig& config,
-                                                QueryMetrics* metrics,
-                                                double* residual_out) {
-  // Bottom→top probe-side chain: [scan, fact filters..., join, above...].
-  std::vector<PlanNode*> chain;
-  for (PlanNode* n = root.get(); n; n = n->input.get()) chain.push_back(n);
-  std::reverse(chain.begin(), chain.end());
-  if (chain.empty() || chain[0]->kind != NodeKind::kTableScan) {
-    return Status::Internal("join plan lost its scan");
-  }
-  PlanNode* scan = chain[0];
-  size_t join_idx = 0;
-  for (size_t i = 0; i < chain.size(); ++i) {
-    if (chain[i]->kind == NodeKind::kJoin) join_idx = i;
-  }
-  PlanNode* join = chain[join_idx];
-  std::vector<PlanNode*> fact_stream(chain.begin() + 1,
-                                     chain.begin() + join_idx);
-  for (PlanNode* node : fact_stream) {
-    if (node->kind != NodeKind::kFilter) {
-      return Status::Internal("unexpected node below join");
-    }
-  }
+// fallback re-runs the identical pushed plan engine-side, and a rejected
+// partial phase is run per split by the engine with the same operator
+// tree, so every path agrees bit-for-bit.
+Status PrepareJoin(PlanNode* join, PlanNode* scan, PlanNode* agg,
+                   bool residual_empty, SplitRunner* runner,
+                   JoinStages* out) {
+  QueryMetrics* metrics = runner->metrics;
+  connector::Connector& conn = runner->conn;
+  JoinProbe& probe = out->probe;
 
-  SplitStageTotals totals;
-  double residual = 0;
-
-  // ---- build side: negotiate pushdown, scan, collect the dim table --------
+  // ---- build side -----------------------------------------------------------
   POCS_ASSIGN_OR_RETURN(LocalOptimizerResult build_local,
                         RunConnectorOptimizer(join->build, conn));
   join->build = build_local.plan;
-  for (const auto& d : build_local.decisions) {
-    metrics->pushdown_decisions.push_back(d);
-  }
-  std::vector<PlanNode*> bchain;
-  for (PlanNode* n = join->build.get(); n; n = n->input.get()) {
-    bchain.push_back(n);
-  }
-  std::reverse(bchain.begin(), bchain.end());
+  metrics->pushdown_decisions.insert(metrics->pushdown_decisions.end(),
+                                     build_local.decisions.begin(),
+                                     build_local.decisions.end());
+  std::vector<PlanNode*> bchain = Chain(join->build.get());
   if (bchain.empty() || bchain[0]->kind != NodeKind::kTableScan) {
     return Status::Internal("join build subplan lost its scan");
   }
-  std::vector<PlanNode*> build_stream(bchain.begin() + 1, bchain.end());
-  POCS_ASSIGN_OR_RETURN(
-      std::shared_ptr<Table> dim_table,
-      RunScanChain(bchain[0], build_stream, conn, metrics, &totals, &residual));
-  RecordBatchPtr dim_batch = dim_table->Combine();
+  std::unique_ptr<Rel> build_residual =
+      ReadRel(bchain[0]->scan_spec.output_schema);
+  for (size_t i = 1; i < bchain.size(); ++i) {
+    if (bchain[i]->kind != NodeKind::kFilter) {
+      return Status::Internal("unexpected node in join build subplan");
+    }
+    POCS_ASSIGN_OR_RETURN(build_residual,
+                          AppendNode(std::move(build_residual), *bchain[i]));
+  }
+  POCS_ASSIGN_OR_RETURN(std::shared_ptr<Table> dim_table,
+                        runner->Run(*bchain[0], *build_residual, nullptr));
+  probe.build_rows = dim_table->Combine();
 
   // ---- exact hash index + bloom over the build join keys -------------------
   Stopwatch build_timer;
-  const columnar::Column& build_col = *dim_batch->column(join->build_key);
-  std::unordered_map<int64_t, std::vector<uint32_t>> dim_index;
-  for (size_t r = 0; r < dim_batch->num_rows(); ++r) {
+  const columnar::Column& build_col =
+      *probe.build_rows->column(join->build_key);
+  bool keys_unique = true;
+  for (size_t r = 0; r < probe.build_rows->num_rows(); ++r) {
     int64_t key;
     if (!JoinKeyAt(build_col, r, &key)) continue;  // null never joins
-    dim_index[key].push_back(static_cast<uint32_t>(r));
+    std::vector<uint32_t>& rows = probe.index[key];
+    rows.push_back(static_cast<uint32_t>(r));
+    keys_unique = keys_unique && rows.size() == 1;
   }
-  bool keys_unique = true;
-  for (const auto& [key, rows] : dim_index) {
-    if (rows.size() > 1) {
-      keys_unique = false;
-      break;
-    }
-  }
+  const double bits_per_key = runner->config.join_bloom_bits_per_key;
   const uint64_t bloom_bits = std::max<uint64_t>(
-      64, static_cast<uint64_t>(config.join_bloom_bits_per_key *
-                                std::max<double>(dim_index.size(), 1.0)));
+      64, static_cast<uint64_t>(
+              bits_per_key * std::max<double>(probe.index.size(), 1.0)));
   const uint32_t bloom_hashes = std::clamp<uint32_t>(
-      static_cast<uint32_t>(config.join_bloom_bits_per_key * 0.693 + 0.5), 1,
-      16);
+      static_cast<uint32_t>(bits_per_key * 0.693 + 0.5), 1, 16);
   BloomFilter bloom(bloom_bits, bloom_hashes, kJoinBloomSeed);
-  for (const auto& [key, rows] : dim_index) {
+  for (const auto& [key, rows] : probe.index) {
     bloom.Add(static_cast<uint64_t>(key));
   }
-  residual += build_timer.ElapsedSeconds();
+  runner->residual_seconds += build_timer.ElapsedSeconds();
 
   // ---- offer the bloom to the fact-side connector --------------------------
   connector::ScanSpec& spec = scan->scan_spec;
@@ -358,319 +488,83 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
     op.bloom_hashes = bloom.num_hashes();
     op.bloom_seed = bloom.seed();
     op.bloom_column = bloom_col;
-    op.bloom_key_count = dim_index.size();
+    op.bloom_key_count = probe.index.size();
     connector::PushdownDecision decision;
     decision.kind = op.kind;
-    POCS_ASSIGN_OR_RETURN(bool bloom_accepted,
-                          conn.OfferPushdown(scan->table, op, &spec, &decision));
+    POCS_RETURN_NOT_OK(
+        conn.OfferPushdown(scan->table, op, &spec, &decision).status());
     metrics->pushdown_decisions.push_back(decision);
-    (void)bloom_accepted;
   }
-
-  // ---- post-join pipeline classification ------------------------------------
-  std::vector<PlanNode*> post_stream;  // mixed filters above the join
-  size_t idx = join_idx + 1;
-  while (idx < chain.size() &&
-         (chain[idx]->kind == NodeKind::kFilter ||
-          (chain[idx]->kind == NodeKind::kProject &&
-           !chain[idx]->identity_project))) {
-    post_stream.push_back(chain[idx]);
-    ++idx;
-  }
-  PlanNode* agg_node =
-      (idx < chain.size() && chain[idx]->kind == NodeKind::kAggregation)
-          ? chain[idx]
-          : nullptr;
-  const size_t merge_from = agg_node ? idx + 1 : idx;
-
-  // ---- early-aggregation offer ----------------------------------------------
-  const int n_fact = static_cast<int>(scan->output_schema->num_fields());
-  bool storage_agg = false;
-  bool two_phase = false;  // per-split partial + engine merge (either side)
-  std::vector<int> storage_keys;  // fact-schema indices pushed as group keys
-  int probe_pos = -1;             // join-key position within storage_keys
-  if (agg_node && post_stream.empty() && fact_stream.empty() && keys_unique) {
-    bool eligible = true;
-    for (const auto& aspec : agg_node->aggregates) {
-      if (aspec.func == substrait::AggFunc::kCountStar) continue;
-      if (aspec.argument.kind != substrait::ExprKind::kFieldRef ||
-          aspec.argument.field_index >= n_fact) {
-        eligible = false;  // dim-side or computed argument: keep engine-side
-      }
-    }
-    if (eligible) {
-      two_phase = true;
-      for (int k : agg_node->group_keys) {
-        if (k >= n_fact) continue;  // dim keys recovered at probe time
-        if (k == join->probe_key) {
-          probe_pos = static_cast<int>(storage_keys.size());
-        }
-        storage_keys.push_back(k);
-      }
-      if (probe_pos < 0) {
-        probe_pos = static_cast<int>(storage_keys.size());
-        storage_keys.push_back(join->probe_key);
-      }
-      connector::PushedOperator op;
-      op.kind = connector::PushedOperator::Kind::kPartialAggregation;
-      op.group_keys = storage_keys;
-      op.aggregates = PartialAggSpecs(agg_node->aggregates);
-      connector::PushdownDecision decision;
-      decision.kind = op.kind;
-      POCS_ASSIGN_OR_RETURN(
-          storage_agg, conn.OfferPushdown(scan->table, op, &spec, &decision));
-      metrics->pushdown_decisions.push_back(decision);
-    }
-  }
-
-  // ---- fact-side scan, probe, and accumulation ------------------------------
-  // Split generation runs after both offers so the connector pins the
-  // bloom to each split object's current version.
-  POCS_ASSIGN_OR_RETURN(connector::SplitPlan fact_plan,
-                        conn.GetSplits(scan->table, spec));
-  metrics->splits += fact_plan.splits.size();
-  metrics->splits_planned += fact_plan.splits_planned;
-  metrics->splits_pruned += fact_plan.splits_pruned;
-  metrics->metadata_cache_hits += fact_plan.metadata_cache_hits;
-  metrics->metadata_cache_misses += fact_plan.metadata_cache_misses;
-  metrics->metadata_cache_stale += fact_plan.metadata_cache_stale;
-  metrics->metadata_cache_errors += fact_plan.metadata_cache_errors;
-  totals.splits += fact_plan.splits.size();
 
   const columnar::Schema& combined = *join->output_schema;
-  const size_t n_dim = combined.num_fields() - static_cast<size_t>(n_fact);
-  if (dim_batch->num_columns() != n_dim) {
+  const int n_fact = static_cast<int>(scan->output_schema->num_fields());
+  if (probe.build_rows->num_columns() + static_cast<size_t>(n_fact) !=
+      combined.num_fields()) {
     return Status::Internal("join build schema mismatch");
   }
 
-  std::unique_ptr<exec::HashAggregator> final_agg;   // storage partials
-  std::unique_ptr<exec::HashAggregator> partial_agg;  // engine-side partial
-  std::shared_ptr<Table> collected;                  // no aggregation
-  // Per user group key: gather from the partial batch (fact keys) or
-  // from the matched dim row (dim-referenced keys).
-  struct KeySource {
-    bool from_partial = false;
-    int index = -1;
-  };
-  std::vector<KeySource> key_sources;
-  SchemaPtr aug_schema;  // user group keys + storage partial columns
-  SchemaPtr joined_schema = post_stream.empty()
-                                ? join->output_schema
-                                : post_stream.back()->output_schema;
-  SchemaPtr partial_schema_ptr;  // storage_keys then partial agg columns
-  if (two_phase) {
-    // When storage rejects the offer the engine runs the IDENTICAL
-    // per-split partial phase itself (same decomposition, same row
-    // order), so accepted and rejected plans evaluate the same
-    // floating-point operation tree and agree bit-for-bit.
-    partial_schema_ptr =
-        storage_agg ? spec.output_schema
-                    : PartialOutputSchema(*spec.output_schema, storage_keys,
-                                          agg_node->aggregates);
-    const columnar::Schema& partial_schema = *partial_schema_ptr;
-    std::vector<columnar::Field> aug_fields;
-    for (int k : agg_node->group_keys) {
-      aug_fields.push_back(combined.field(k));
-      if (k < n_fact) {
-        KeySource src{true, -1};
-        for (size_t i = 0; i < storage_keys.size(); ++i) {
-          if (storage_keys[i] == k) src.index = static_cast<int>(i);
-        }
-        key_sources.push_back(src);
-      } else {
-        key_sources.push_back({false, k - n_fact});
-      }
+  // ---- early-aggregation offer ----------------------------------------------
+  bool two_phase = agg && residual_empty && keys_unique;
+  for (size_t a = 0; two_phase && a < agg->aggregates.size(); ++a) {
+    const substrait::AggregateSpec& aspec = agg->aggregates[a];
+    if (aspec.func == substrait::AggFunc::kCountStar) continue;
+    if (aspec.argument.kind != substrait::ExprKind::kFieldRef ||
+        aspec.argument.field_index >= n_fact) {
+      two_phase = false;  // dim-side or computed argument: keep engine-side
     }
-    for (size_t j = storage_keys.size(); j < partial_schema.num_fields(); ++j) {
-      aug_fields.push_back(partial_schema.field(j));
-    }
-    aug_schema = columnar::MakeSchema(std::move(aug_fields));
-    const size_t n_user_keys = agg_node->group_keys.size();
-    std::vector<int> iota_keys(n_user_keys);
-    for (size_t k = 0; k < n_user_keys; ++k) iota_keys[k] = static_cast<int>(k);
-    final_agg = std::make_unique<exec::HashAggregator>(
-        aug_schema, std::move(iota_keys),
-        FinalAggSpecs(agg_node->aggregates, n_user_keys));
-  } else if (agg_node) {
-    partial_agg = std::make_unique<exec::HashAggregator>(
-        joined_schema, agg_node->group_keys,
-        PartialAggSpecs(agg_node->aggregates));
-  } else {
-    collected = std::make_shared<Table>(joined_schema);
   }
-
-  uint64_t probe_rows_in = 0;
-  uint64_t probe_rows_out = 0;
-  Stopwatch probe_timer_total;
-  // Probe one batch of partial rows (keyed by storage_keys) against the
-  // exact dim index — dropping bloom false positives — augment with the
-  // dim-referenced group keys, and feed the final merge.
-  auto merge_partials = [&](const columnar::RecordBatch& batch) -> Status {
-    probe_rows_in += batch.num_rows();
-    const columnar::Column& key_col = *batch.column(probe_pos);
-    columnar::SelectionVector sel;
-    columnar::SelectionVector dim_sel;
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      int64_t key;
-      if (!JoinKeyAt(key_col, r, &key)) continue;
-      auto it = dim_index.find(key);
-      if (it == dim_index.end()) continue;
-      sel.push_back(static_cast<uint32_t>(r));
-      dim_sel.push_back(it->second.front());  // keys are unique
-    }
-    if (sel.empty()) return Status::OK();
-    std::vector<columnar::ColumnPtr> cols;
-    for (const KeySource& src : key_sources) {
-      cols.push_back(src.from_partial
-                         ? columnar::Take(*batch.column(src.index), sel)
-                         : columnar::Take(*dim_batch->column(src.index),
-                                          dim_sel));
-    }
-    for (size_t j = storage_keys.size(); j < batch.num_columns(); ++j) {
-      cols.push_back(columnar::Take(*batch.column(j), sel));
-    }
-    RecordBatchPtr aug = columnar::MakeBatch(aug_schema, std::move(cols));
-    POCS_RETURN_NOT_OK(final_agg->Consume(*aug));
-    metrics->partial_agg_merges += sel.size();
-    probe_rows_out += sel.size();
+  if (!two_phase) {
+    // The probe sits on every split's pages: joined rows are the fact
+    // columns, then the dim columns.
+    probe.key_column = join->probe_key;
+    probe.schema = join->output_schema;
     return Status::OK();
+  }
+
+  std::vector<int>& storage_keys = out->partial_keys;
+  for (int k : agg->group_keys) {
+    if (k < n_fact) storage_keys.push_back(k);  // dim keys: from the probe
+  }
+  auto position = [&](int k) {
+    return static_cast<int>(
+        std::find(storage_keys.begin(), storage_keys.end(), k) -
+        storage_keys.begin());
   };
-  for (const connector::Split& split : fact_plan.splits) {
-    POCS_ASSIGN_OR_RETURN(
-        std::unique_ptr<connector::PageSource> source,
-        conn.CreatePageSource(scan->table, split, spec));
-    // Rejected offer: the engine computes the same per-split partial
-    // phase storage would have run, from the raw fact rows.
-    std::unique_ptr<exec::HashAggregator> split_agg;
-    if (two_phase && !storage_agg) {
-      split_agg = std::make_unique<exec::HashAggregator>(
-          spec.output_schema, storage_keys,
-          PartialAggSpecs(agg_node->aggregates));
-    }
-    while (true) {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, source->Next());
-      if (!batch) break;
-      Stopwatch batch_timer;
-      if (storage_agg) {
-        // Batch rows are storage partials keyed by storage_keys.
-        POCS_RETURN_NOT_OK(merge_partials(*batch));
-      } else if (split_agg) {
-        POCS_RETURN_NOT_OK(split_agg->Consume(*batch));
-      } else {
-        // Raw fact rows: residual filters, probe, gather, post-join work.
-        for (PlanNode* node : fact_stream) {
-          POCS_ASSIGN_OR_RETURN(
-              batch, substrait::FilterBatch(node->predicate, *batch));
-          if (batch->num_rows() == 0) break;
-        }
-        if (batch->num_rows() == 0) {
-          residual += batch_timer.ElapsedSeconds();
-          continue;
-        }
-        probe_rows_in += batch->num_rows();
-        const columnar::Column& probe_col = *batch->column(join->probe_key);
-        columnar::SelectionVector sel;
-        columnar::SelectionVector dim_sel;
-        for (size_t r = 0; r < batch->num_rows(); ++r) {
-          int64_t key;
-          if (!JoinKeyAt(probe_col, r, &key)) continue;
-          auto it = dim_index.find(key);
-          if (it == dim_index.end()) continue;
-          for (uint32_t dim_row : it->second) {
-            sel.push_back(static_cast<uint32_t>(r));
-            dim_sel.push_back(dim_row);
-          }
-        }
-        if (!sel.empty()) {
-          RecordBatchPtr fact_part = columnar::TakeBatch(*batch, sel);
-          std::vector<columnar::ColumnPtr> cols(fact_part->columns());
-          for (size_t j = 0; j < n_dim; ++j) {
-            cols.push_back(columnar::Take(*dim_batch->column(j), dim_sel));
-          }
-          RecordBatchPtr joined =
-              columnar::MakeBatch(join->output_schema, std::move(cols));
-          for (PlanNode* node : post_stream) {
-            if (node->kind == NodeKind::kFilter) {
-              POCS_ASSIGN_OR_RETURN(
-                  joined, substrait::FilterBatch(node->predicate, *joined));
-            } else {
-              POCS_ASSIGN_OR_RETURN(joined, ApplyProjectNode(*node, *joined));
-            }
-            if (joined->num_rows() == 0) break;
-          }
-          if (joined->num_rows() > 0) {
-            probe_rows_out += joined->num_rows();
-            if (partial_agg) {
-              POCS_RETURN_NOT_OK(partial_agg->Consume(*joined));
-            } else {
-              collected->AppendBatch(joined);
-            }
-          }
-        }
-      }
-      residual += batch_timer.ElapsedSeconds();
-    }
-    if (split_agg) {
-      Stopwatch finish_timer;
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr partials, split_agg->Finish());
-      POCS_RETURN_NOT_OK(merge_partials(*partials));
-      residual += finish_timer.ElapsedSeconds();
-    }
-    FoldSourceStats(source->stats(), metrics, &totals);
+  probe.key_column = position(join->probe_key);
+  if (probe.key_column == static_cast<int>(storage_keys.size())) {
+    storage_keys.push_back(join->probe_key);
   }
-  metrics->operator_timings.push_back({"join.probe",
-                                       probe_timer_total.ElapsedSeconds(),
-                                       probe_rows_in, probe_rows_out});
+  // The partials' schema, taken before an accepted offer rewrites the
+  // scan's to the same.
+  const SchemaPtr partial_schema =
+      PartialOutputSchema(*spec.output_schema, storage_keys, agg->aggregates);
+  connector::PushedOperator op;
+  op.kind = connector::PushedOperator::Kind::kPartialAggregation;
+  op.group_keys = storage_keys;
+  op.aggregates = PartialAggSpecs(agg->aggregates);
+  connector::PushdownDecision decision;
+  decision.kind = op.kind;
+  POCS_ASSIGN_OR_RETURN(bool accepted,
+                        conn.OfferPushdown(scan->table, op, &spec, &decision));
+  metrics->pushdown_decisions.push_back(decision);
+  // As for a pushed single-table aggregation: storage returns partials.
+  if (accepted) agg->agg_step = AggregationStep::kFinal;
+  out->probe_in_merge = true;
 
-  // ---- simulated scan-stage time (both sides' splits) -----------------------
-  {
-    SplitStageTotals transfer_only = totals;
-    transfer_only.compute_seconds = 0;
-    metrics->pushdown_and_transfer =
-        SplitStageSeconds(transfer_only, config.time_model);
+  // The merge probes the partials — joined rows are the partial columns,
+  // then the dim columns — and the final aggregation groups them by the
+  // user's keys: a fact key where the partials carry it, a dim key from
+  // the matched build row.
+  const int n_partial = static_cast<int>(partial_schema->num_fields());
+  for (int k : agg->group_keys) {
+    out->final_keys.push_back(k < n_fact ? position(k)
+                                         : n_partial + (k - n_fact));
   }
-  metrics->operator_timings.push_back(
-      {"plan_analysis", metrics->logical_plan_analysis, 0, 0});
-  metrics->operator_timings.push_back(
-      {"ir_generation", metrics->ir_generation, 0, 0});
-  metrics->operator_timings.push_back({"scan_transfer",
-                                       metrics->pushdown_and_transfer,
-                                       metrics->rows_scanned,
-                                       metrics->rows_from_storage});
-
-  // ---- merge stage -----------------------------------------------------------
-  Stopwatch merge_timer;
-  std::shared_ptr<Table> current;
-  if (two_phase) {
-    POCS_ASSIGN_OR_RETURN(current, FinalizeAggTable(*agg_node, final_agg.get()));
-  } else if (agg_node) {
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr partial_batch, partial_agg->Finish());
-    const size_t n_user_keys = agg_node->group_keys.size();
-    std::vector<int> iota_keys(n_user_keys);
-    for (size_t k = 0; k < n_user_keys; ++k) iota_keys[k] = static_cast<int>(k);
-    exec::HashAggregator merge_agg(
-        partial_agg->output_schema(), std::move(iota_keys),
-        FinalAggSpecs(agg_node->aggregates, n_user_keys));
-    POCS_RETURN_NOT_OK(merge_agg.Consume(*partial_batch));
-    POCS_ASSIGN_OR_RETURN(current, FinalizeAggTable(*agg_node, &merge_agg));
-  } else {
-    current = collected;
-  }
-  for (size_t i = merge_from; i < chain.size(); ++i) {
-    PlanNode* node = chain[i];
-    Stopwatch node_timer;
-    const uint64_t node_rows_in = current->num_rows();
-    POCS_ASSIGN_OR_RETURN(current, ApplyMergeNode(*node, std::move(current)));
-    metrics->operator_timings.push_back(
-        {"merge." + std::string(NodeKindName(node->kind)),
-         node_timer.ElapsedSeconds(), node_rows_in, current->num_rows()});
-  }
-  metrics->post_scan_execution += residual + merge_timer.ElapsedSeconds();
-  metrics->operator_timings.push_back(
-      {"post_scan", metrics->post_scan_execution, metrics->rows_from_storage,
-       current->num_rows()});
-  *residual_out = residual;
-  return current;
+  std::vector<columnar::Field> fields = partial_schema->fields();
+  fields.insert(fields.end(), combined.fields().begin() + n_fact,
+                combined.fields().end());
+  probe.schema = columnar::MakeSchema(std::move(fields));
+  return Status::OK();
 }
 
 }  // namespace
@@ -726,286 +620,70 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
                         RunConnectorOptimizer(plan, *conn));
   plan = local.plan;
   metrics.pushdown_decisions = local.decisions;
-  result.optimized_plan = PlanChainToString(*plan);
   metrics.logical_plan_analysis = plan_timer.ElapsedSeconds();
 
-  // Shared epilogue of both execution paths: derive the per-kind pushdown
-  // counters from the decision log, close the simulated-time books, and
-  // notify listeners.
-  auto finish = [&](const std::shared_ptr<Table>& current,
-                    double residual_compute) {
-    result.table = current->Combine();
-    for (const auto& d : metrics.pushdown_decisions) {
-      if (d.kind == connector::PushedOperator::Kind::kPartialAggregation) {
-        if (d.accepted) {
-          ++metrics.partial_agg_accepted;
-        } else {
-          ++metrics.partial_agg_rejected;
-        }
-      } else if (d.kind == connector::PushedOperator::Kind::kJoinKeyBloom &&
-                 d.accepted) {
-        ++metrics.bloom_pushed;
-      }
-    }
-    metrics.others += std::max(
-        0.0, total_timer.ElapsedSeconds() -
-                 (metrics.logical_plan_analysis + metrics.ir_generation +
-                  residual_compute + metrics.storage_compute_seconds +
-                  metrics.others));
-    metrics.total = metrics.others + metrics.logical_plan_analysis +
-                    metrics.ir_generation + metrics.pushdown_and_transfer +
-                    metrics.post_scan_execution;
-
-    if (listeners_.empty()) return;
-    connector::QueryEvent event;
-    event.query_id = "q" + std::to_string(next_query_id_++);
-    event.connector_id = catalog;
-    event.decisions = metrics.pushdown_decisions;
-
-    connector::QueryStats& qs = event.stats;
-    qs.tenant = options.tenant;
-    qs.queue_wait_seconds = metrics.admission_queue_seconds;
-    qs.wall_seconds = total_timer.ElapsedSeconds();
-    qs.simulated_seconds = metrics.total;
-    qs.result_rows = result.table ? result.table->num_rows() : 0;
-    qs.rows_scanned = metrics.rows_scanned;
-    qs.rows_returned = metrics.rows_from_storage;
-    qs.bytes_from_storage = metrics.bytes_from_storage;
-    qs.bytes_to_storage = metrics.bytes_to_storage;
-    qs.splits = metrics.splits;
-    qs.splits_planned = metrics.splits_planned;
-    qs.splits_pruned = metrics.splits_pruned;
-    qs.metadata_cache_hits = metrics.metadata_cache_hits;
-    qs.metadata_cache_misses = metrics.metadata_cache_misses;
-    qs.metadata_cache_stale = metrics.metadata_cache_stale;
-    qs.metadata_cache_errors = metrics.metadata_cache_errors;
-    qs.row_groups_total = metrics.row_groups_total;
-    qs.row_groups_skipped = metrics.row_groups_skipped;
-    qs.retries = metrics.retries;
-    qs.fallbacks = metrics.fallbacks;
-    qs.failed_splits = metrics.failed_splits;
-    qs.row_groups_lazy_skipped = metrics.row_groups_lazy_skipped;
-    qs.row_groups_hint_skipped = metrics.row_groups_hint_skipped;
-    qs.cache_hits = metrics.cache_hits;
-    qs.cache_misses = metrics.cache_misses;
-    qs.cache_bytes_saved = metrics.cache_bytes_saved;
-    qs.bytes_refetched_on_retry = metrics.bytes_refetched_on_retry;
-    qs.partial_agg_accepted = metrics.partial_agg_accepted;
-    qs.partial_agg_rejected = metrics.partial_agg_rejected;
-    qs.bloom_pushed = metrics.bloom_pushed;
-    qs.bloom_rows_pruned = metrics.bloom_rows_pruned;
-    qs.partial_agg_merges = metrics.partial_agg_merges;
-    qs.rows_dict_filtered = metrics.rows_dict_filtered;
-    qs.rows_late_materialized = metrics.rows_late_materialized;
-    for (const auto& d : metrics.pushdown_decisions) {
-      ++qs.pushdown_offered;
-      if (d.accepted) {
-        ++qs.pushdown_accepted;
-      } else {
-        ++qs.pushdown_rejected;
-      }
-    }
-    qs.operator_timings = metrics.operator_timings;
-
-    // Legacy flat fields, mirrored from stats.
-    event.bytes_from_storage = qs.bytes_from_storage;
-    event.rows_from_storage = qs.rows_returned;
-    event.execution_seconds = qs.simulated_seconds;
-    for (const auto& listener : listeners_) listener->QueryCompleted(event);
-  };
-
-  // ---- join path (DESIGN.md §14) -------------------------------------------
-  PlanNode* join_node = nullptr;
-  for (PlanNode* n = plan.get(); n; n = n->input.get()) {
-    if (n->kind == NodeKind::kJoin) join_node = n;
-  }
-  if (join_node) {
-    double join_residual = 0;
-    POCS_ASSIGN_OR_RETURN(
-        std::shared_ptr<Table> joined,
-        ExecuteJoinChain(plan, *conn, config_, &metrics, &join_residual));
-    result.optimized_plan = PlanChainToString(*plan);  // includes late offers
-    finish(joined, join_residual);
-    return result;
-  }
-
   // ---- classify the executable chain ---------------------------------------
-  std::vector<PlanNode*> chain;
-  for (PlanNode* n = plan.get(); n; n = n->input.get()) chain.push_back(n);
-  std::reverse(chain.begin(), chain.end());
+  //   scan → residual (filters, projects; either side of a join)
+  //        → aggregation? → merge-stage nodes
+  std::vector<PlanNode*> chain = Chain(plan.get());
   if (chain.empty() || chain[0]->kind != NodeKind::kTableScan) {
     return Status::Internal("optimized plan lost its scan");
   }
   PlanNode* scan = chain[0];
-
+  PlanNode* join = nullptr;
+  std::vector<PlanNode*> residual_nodes;
   size_t idx = 1;
-  std::vector<PlanNode*> stream_nodes;  // per-split filters/projects
-  while (idx < chain.size() &&
-         (chain[idx]->kind == NodeKind::kFilter ||
-          (chain[idx]->kind == NodeKind::kProject &&
-           !chain[idx]->identity_project))) {
-    stream_nodes.push_back(chain[idx]);
-    ++idx;
+  for (; idx < chain.size(); ++idx) {
+    PlanNode* node = chain[idx];
+    if (node->kind == NodeKind::kJoin && !join) {
+      join = node;
+    } else if (node->kind == NodeKind::kFilter ||
+               (node->kind == NodeKind::kProject && !node->identity_project)) {
+      residual_nodes.push_back(node);
+    } else {
+      break;
+    }
   }
-  PlanNode* agg_node = nullptr;
+  PlanNode* agg = nullptr;
   if (idx < chain.size() && chain[idx]->kind == NodeKind::kAggregation) {
-    agg_node = chain[idx];
-    ++idx;
+    agg = chain[idx++];
   }
-  const size_t merge_from = idx;  // merge-side nodes: chain[idx..)
 
-  // Schema flowing into the per-split accumulation.
-  SchemaPtr stream_schema = stream_nodes.empty()
-                                ? scan->scan_spec.output_schema
-                                : stream_nodes.back()->output_schema;
-  if (!stream_schema) stream_schema = scan->output_schema;
-
-  // ---- split generation ------------------------------------------------------
-  // Runs after pushdown negotiation so the connector can prune splits
-  // against the accepted predicates (stats-based, zero data RPCs).
-  POCS_ASSIGN_OR_RETURN(connector::SplitPlan split_plan,
-                        conn->GetSplits(table, scan->scan_spec));
-  std::vector<connector::Split> splits = std::move(split_plan.splits);
-  metrics.splits = splits.size();
-  metrics.splits_planned = split_plan.splits_planned;
-  metrics.splits_pruned = split_plan.splits_pruned;
-  metrics.metadata_cache_hits = split_plan.metadata_cache_hits;
-  metrics.metadata_cache_misses = split_plan.metadata_cache_misses;
-  metrics.metadata_cache_stale = split_plan.metadata_cache_stale;
-  metrics.metadata_cache_errors = split_plan.metadata_cache_errors;
-
-  // ---- per-split execution (parallel, real work) -----------------------------
-  std::vector<SplitOutput> outputs(splits.size());
-  const connector::ScanSpec& spec = scan->scan_spec;
-  const bool partial_agg_here =
-      agg_node && agg_node->agg_step == AggregationStep::kSingle;
-
-  SplitThrottle throttle(config_.max_inflight_splits);
-  pool_->ParallelFor(splits.size(), [&](size_t s) {
-    SplitOutput& out = outputs[s];
-    // Backpressure: at most max_inflight_splits of this query's splits
-    // hold a worker (and a storage dispatch) at once. Acquired inside
-    // the task body, so a blocked acquire always implies other permits
-    // are held by running workers — progress is guaranteed.
-    SplitThrottle::Permit permit = throttle.Acquire();
-    auto source_or = conn->CreatePageSource(table, splits[s], spec);
-    if (!source_or.ok()) {
-      out.status = source_or.status();
-      return;
-    }
-    auto source = std::move(source_or).value();
-    Stopwatch compute_timer;
-    double compute = 0;
-
-    std::unique_ptr<exec::HashAggregator> partial;
-    if (partial_agg_here) {
-      partial = std::make_unique<exec::HashAggregator>(
-          stream_schema, agg_node->group_keys,
-          PartialAggSpecs(agg_node->aggregates));
-    }
-    auto collected = std::make_shared<Table>(
-        partial ? partial->output_schema() : stream_schema);
-
-    while (true) {
-      auto batch_or = source->Next();
-      if (!batch_or.ok()) {
-        out.status = batch_or.status();
-        return;
-      }
-      RecordBatchPtr batch = std::move(batch_or).value();
-      if (!batch) break;
-      compute_timer.Restart();
-      for (PlanNode* node : stream_nodes) {
-        if (node->kind == NodeKind::kFilter) {
-          auto filtered = substrait::FilterBatch(node->predicate, *batch);
-          if (!filtered.ok()) {
-            out.status = filtered.status();
-            return;
-          }
-          batch = *filtered;
-        } else {
-          auto projected = ApplyProjectNode(*node, *batch);
-          if (!projected.ok()) {
-            out.status = projected.status();
-            return;
-          }
-          batch = *projected;
-        }
-        if (batch->num_rows() == 0) break;
-      }
-      if (batch->num_rows() > 0) {
-        if (partial) {
-          Status st = partial->Consume(*batch);
-          if (!st.ok()) {
-            out.status = st;
-            return;
-          }
-        } else {
-          collected->AppendBatch(batch);
-        }
-      }
-      compute += compute_timer.ElapsedSeconds();
-    }
-    if (partial) {
-      compute_timer.Restart();
-      auto final_batch = partial->Finish();
-      if (!final_batch.ok()) {
-        out.status = final_batch.status();
-        return;
-      }
-      collected->AppendBatch(*final_batch);
-      compute += compute_timer.ElapsedSeconds();
-    }
-    out.data = collected;
-    out.stats = source->stats();
-    out.compute_seconds = compute;
-  });
-
-  SplitStageTotals totals;
-  double residual_compute = 0;
-  for (SplitOutput& out : outputs) {
-    POCS_RETURN_NOT_OK(out.status);
-    totals.bytes_moved += out.stats.bytes_received + out.stats.bytes_sent;
-    totals.messages += 2;  // request + response per split
-    totals.storage_compute_seconds += out.stats.storage_compute_seconds;
-    totals.media_read_seconds += out.stats.media_read_seconds;
-    totals.compute_seconds += out.compute_seconds + out.stats.decode_seconds;
-    metrics.bytes_from_storage += out.stats.bytes_received;
-    metrics.bytes_to_storage += out.stats.bytes_sent;
-    metrics.rows_from_storage += out.stats.rows_received;
-    metrics.rows_scanned += out.stats.rows_scanned;
-    metrics.ir_generation += out.stats.ir_generation_seconds;
-    metrics.storage_compute_seconds += out.stats.storage_compute_seconds;
-    metrics.row_groups_total += out.stats.row_groups_total;
-    metrics.row_groups_skipped += out.stats.row_groups_skipped;
-    metrics.retries += out.stats.dispatch_retries;
-    metrics.fallbacks += out.stats.fallbacks;
-    metrics.failed_splits += out.stats.failed_dispatches;
-    metrics.row_groups_lazy_skipped += out.stats.row_groups_lazy_skipped;
-    metrics.row_groups_hint_skipped += out.stats.row_groups_hint_skipped;
-    metrics.cache_hits += out.stats.cache_hits;
-    metrics.cache_misses += out.stats.cache_misses;
-    metrics.cache_bytes_saved += out.stats.cache_bytes_saved;
-    metrics.bytes_refetched_on_retry += out.stats.bytes_refetched_on_retry;
-    metrics.bloom_rows_pruned += out.stats.bloom_rows_pruned;
-    metrics.rows_dict_filtered += out.stats.rows_dict_filtered;
-    metrics.rows_late_materialized += out.stats.rows_late_materialized;
-    residual_compute += out.compute_seconds + out.stats.decode_seconds;
+  SplitRunner runner(*conn, *pool_, config_, &metrics);
+  JoinStages join_stages;
+  if (join) {
+    POCS_RETURN_NOT_OK(PrepareJoin(join, scan, agg, residual_nodes.empty(),
+                                   &runner, &join_stages));
   }
-  totals.splits = splits.size();
+  JoinProbe* split_probe =
+      join && !join_stages.probe_in_merge ? &join_stages.probe : nullptr;
+  JoinProbe* merge_probe =
+      join_stages.probe_in_merge ? &join_stages.probe : nullptr;
+
+  // ---- per-split execution (parallel, real work) ----------------------------
+  // Residual filters/projects, then the partial phase of an aggregation
+  // the engine splits itself. Fact-side filters below a join run above
+  // the probe: fact columns keep their indices in the joined schema.
+  std::unique_ptr<Rel> residual = ReadRel(
+      split_probe ? split_probe->schema : scan->scan_spec.output_schema);
+  for (PlanNode* node : residual_nodes) {
+    POCS_ASSIGN_OR_RETURN(residual, AppendNode(std::move(residual), *node));
+  }
+  if (agg && agg->agg_step == AggregationStep::kSingle) {
+    residual = AggregateRel(
+        std::move(residual),
+        merge_probe ? join_stages.partial_keys : agg->group_keys,
+        PartialAggSpecs(agg->aggregates), substrait::AggPhase::kPartial);
+  }
+  POCS_ASSIGN_OR_RETURN(std::shared_ptr<Table> partials,
+                        runner.Run(*scan, *residual, split_probe));
+  result.optimized_plan = PlanChainToString(*plan);  // includes join offers
 
   // Simulated stage times (DESIGN.md §4): transfer/storage roofline for the
-  // scan stage; compute-side work accounted under post-scan execution.
-  {
-    SplitStageTotals transfer_only = totals;
-    transfer_only.compute_seconds = 0;
-    metrics.pushdown_and_transfer =
-        SplitStageSeconds(transfer_only, config_.time_model);
-    metrics.post_scan_execution +=
-        residual_compute /
-        static_cast<double>(std::max<size_t>(config_.worker_threads, 1));
-  }
-
+  // scan stage (both sides of a join); compute-side work accounted under
+  // post-scan execution.
+  metrics.pushdown_and_transfer =
+      SplitStageSeconds(runner.totals, config_.time_model);
   metrics.operator_timings.push_back(
       {"plan_analysis", metrics.logical_plan_analysis, 0, 0});
   metrics.operator_timings.push_back(
@@ -1015,78 +693,146 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
                                       metrics.rows_scanned,
                                       metrics.rows_from_storage});
 
-  // ---- merge stage (single-threaded, real work) ------------------------------
+  // ---- merge stage (single-threaded, real work) -----------------------------
+  std::unique_ptr<Rel> merge =
+      ReadRel(merge_probe ? merge_probe->schema : partials->schema());
+  if (agg) {
+    // Per-split partials lead with the group keys; partials the merge
+    // probes are laid out by PrepareJoin.
+    std::vector<int> keys(agg->group_keys.size());
+    std::iota(keys.begin(), keys.end(), 0);
+    const size_t n_partial_keys =
+        merge_probe ? join_stages.partial_keys.size() : keys.size();
+    POCS_ASSIGN_OR_RETURN(
+        merge, AppendFinalAggregation(
+                   std::move(merge), *agg,
+                   merge_probe ? join_stages.final_keys : keys,
+                   n_partial_keys));
+  }
+  for (size_t i = idx; i < chain.size(); ++i) {  // merge-stage nodes
+    POCS_ASSIGN_OR_RETURN(merge, AppendNode(std::move(merge), *chain[i]));
+  }
   Stopwatch merge_timer;
-  SchemaPtr merged_schema =
-      outputs.empty()
-          ? (partial_agg_here || (agg_node && agg_node->agg_step ==
-                                                  AggregationStep::kFinal)
-                 ? PartialOutputSchema(*stream_schema, agg_node->group_keys,
-                                       agg_node->aggregates)
-                 : stream_schema)
-          : outputs[0].data->schema();
-  auto merged = std::make_shared<Table>(merged_schema);
-  for (SplitOutput& out : outputs) {
-    for (const auto& batch : out.data->batches()) merged->AppendBatch(batch);
+  auto merge_source =
+      [&](const Rel&) -> Result<std::unique_ptr<exec::BatchSource>> {
+    return Probed(std::make_unique<exec::TableSource>(partials), merge_probe);
+  };
+  exec::ExecStats merge_stats;
+  POCS_ASSIGN_OR_RETURN(std::shared_ptr<Table> current,
+                        exec::ExecuteRel(*merge, merge_source, &merge_stats));
+  // The probe is residual work wherever it runs: on every split, or here
+  // over a phase split's partials.
+  const JoinProbe& probe = join_stages.probe;
+  const double merge_seconds =
+      merge_timer.ElapsedSeconds() - (merge_probe ? probe.seconds.load() : 0.0);
+  runner.residual_seconds += probe.seconds;
+  if (agg && (agg->agg_step == AggregationStep::kFinal || merge_probe)) {
+    // Inputs are partials storage (or the engine's phase split) computed.
+    metrics.partial_agg_merges +=
+        merge_stats.ForKind(RelKind::kAggregate).rows_in;
   }
+  metrics.post_scan_execution =
+      runner.residual_seconds /
+          static_cast<double>(std::max<size_t>(config_.worker_threads, 1)) +
+      merge_seconds;
 
-  std::shared_ptr<Table> current = merged;
-  if (agg_node) {
-    Stopwatch agg_timer;
-    const uint64_t agg_rows_in = current->num_rows();
-    if (agg_node->agg_step == AggregationStep::kFinal) {
-      // Inputs are storage-computed partials; count the merge volume.
-      metrics.partial_agg_merges += agg_rows_in;
-    }
-    const size_t n_keys = agg_node->group_keys.size();
-    exec::HashAggregator final_agg(
-        current->schema(),
-        [&] {
-          std::vector<int> keys(n_keys);
-          for (size_t k = 0; k < n_keys; ++k) keys[k] = static_cast<int>(k);
-          return keys;
-        }(),
-        FinalAggSpecs(agg_node->aggregates, n_keys));
-    for (const auto& batch : current->batches()) {
-      POCS_RETURN_NOT_OK(final_agg.Consume(*batch));
-    }
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr final_batch, final_agg.Finish());
-    // Finalize: recover original aggregate outputs (AVG = sum/count).
-    std::vector<Expression> finalize_exprs;
-    std::vector<std::string> finalize_names;
-    FinalizeProjection(agg_node->aggregates, n_keys,
-                       *final_batch->schema(), &finalize_exprs,
-                       &finalize_names);
-    std::vector<columnar::ColumnPtr> cols;
-    for (const Expression& e : finalize_exprs) {
-      POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
-                            substrait::Evaluate(e, *final_batch));
-      cols.push_back(std::move(col));
-    }
-    RecordBatchPtr finalized =
-        columnar::MakeBatch(agg_node->output_schema, std::move(cols));
-    current = std::make_shared<Table>(finalized->schema());
-    current->AppendBatch(std::move(finalized));
-    metrics.operator_timings.push_back({"merge.Aggregation",
-                                        agg_timer.ElapsedSeconds(),
-                                        agg_rows_in, current->num_rows()});
-  }
-
-  for (size_t i = merge_from; i < chain.size(); ++i) {
-    PlanNode* node = chain[i];
-    Stopwatch node_timer;
-    const uint64_t node_rows_in = current->num_rows();
-    POCS_ASSIGN_OR_RETURN(current, ApplyMergeNode(*node, std::move(current)));
+  for (size_t k = 1; k < exec::ExecStats::kNumRelKinds; ++k) {
+    const exec::OperatorCounters& oc = merge_stats.operators[k];
+    if (oc.invocations == 0 && oc.rows_in == 0 && oc.rows_out == 0) continue;
     metrics.operator_timings.push_back(
-        {"merge." + std::string(NodeKindName(node->kind)),
-         node_timer.ElapsedSeconds(), node_rows_in, current->num_rows()});
+        {"merge." + std::string(substrait::RelKindName(
+                        static_cast<RelKind>(k))),
+         oc.seconds, oc.rows_in, oc.rows_out});
   }
-  metrics.post_scan_execution += merge_timer.ElapsedSeconds();
+  if (join) {
+    metrics.operator_timings.push_back(
+        {"join.probe", probe.seconds, probe.rows_in, probe.rows_out});
+  }
   metrics.operator_timings.push_back(
       {"post_scan", metrics.post_scan_execution, metrics.rows_from_storage,
        current->num_rows()});
 
-  finish(current, residual_compute);
+  // ---- epilogue ------------------------------------------------------------
+  // Derive the per-kind pushdown counters from the decision log, close
+  // the simulated-time books, and notify listeners.
+  result.table = current->Combine();
+  for (const auto& d : metrics.pushdown_decisions) {
+    if (d.kind == connector::PushedOperator::Kind::kPartialAggregation) {
+      if (d.accepted) {
+        ++metrics.partial_agg_accepted;
+      } else {
+        ++metrics.partial_agg_rejected;
+      }
+    } else if (d.kind == connector::PushedOperator::Kind::kJoinKeyBloom &&
+               d.accepted) {
+      ++metrics.bloom_pushed;
+    }
+  }
+  metrics.others += std::max(
+      0.0, total_timer.ElapsedSeconds() -
+               (metrics.logical_plan_analysis + metrics.ir_generation +
+                runner.residual_seconds + metrics.storage_compute_seconds +
+                metrics.others));
+  metrics.total = metrics.others + metrics.logical_plan_analysis +
+                  metrics.ir_generation + metrics.pushdown_and_transfer +
+                  metrics.post_scan_execution;
+
+  if (listeners_.empty()) return result;
+  connector::QueryEvent event;
+  event.query_id = "q" + std::to_string(next_query_id_++);
+  event.connector_id = catalog;
+  event.decisions = metrics.pushdown_decisions;
+
+  connector::QueryStats& qs = event.stats;
+  qs.tenant = options.tenant;
+  qs.queue_wait_seconds = metrics.admission_queue_seconds;
+  qs.wall_seconds = total_timer.ElapsedSeconds();
+  qs.simulated_seconds = metrics.total;
+  qs.result_rows = result.table ? result.table->num_rows() : 0;
+  qs.rows_scanned = metrics.rows_scanned;
+  qs.rows_returned = metrics.rows_from_storage;
+  qs.bytes_from_storage = metrics.bytes_from_storage;
+  qs.bytes_to_storage = metrics.bytes_to_storage;
+  qs.splits = metrics.splits;
+  qs.splits_planned = metrics.splits_planned;
+  qs.splits_pruned = metrics.splits_pruned;
+  qs.metadata_cache_hits = metrics.metadata_cache_hits;
+  qs.metadata_cache_misses = metrics.metadata_cache_misses;
+  qs.metadata_cache_stale = metrics.metadata_cache_stale;
+  qs.metadata_cache_errors = metrics.metadata_cache_errors;
+  qs.row_groups_total = metrics.row_groups_total;
+  qs.row_groups_skipped = metrics.row_groups_skipped;
+  qs.retries = metrics.retries;
+  qs.fallbacks = metrics.fallbacks;
+  qs.failed_splits = metrics.failed_splits;
+  qs.row_groups_lazy_skipped = metrics.row_groups_lazy_skipped;
+  qs.row_groups_hint_skipped = metrics.row_groups_hint_skipped;
+  qs.cache_hits = metrics.cache_hits;
+  qs.cache_misses = metrics.cache_misses;
+  qs.cache_bytes_saved = metrics.cache_bytes_saved;
+  qs.bytes_refetched_on_retry = metrics.bytes_refetched_on_retry;
+  qs.partial_agg_accepted = metrics.partial_agg_accepted;
+  qs.partial_agg_rejected = metrics.partial_agg_rejected;
+  qs.bloom_pushed = metrics.bloom_pushed;
+  qs.bloom_rows_pruned = metrics.bloom_rows_pruned;
+  qs.partial_agg_merges = metrics.partial_agg_merges;
+  qs.rows_dict_filtered = metrics.rows_dict_filtered;
+  qs.rows_late_materialized = metrics.rows_late_materialized;
+  for (const auto& d : metrics.pushdown_decisions) {
+    ++qs.pushdown_offered;
+    if (d.accepted) {
+      ++qs.pushdown_accepted;
+    } else {
+      ++qs.pushdown_rejected;
+    }
+  }
+  qs.operator_timings = metrics.operator_timings;
+
+  // Legacy flat fields, mirrored from stats.
+  event.bytes_from_storage = qs.bytes_from_storage;
+  event.rows_from_storage = qs.rows_returned;
+  event.execution_seconds = qs.simulated_seconds;
+  for (const auto& listener : listeners_) listener->QueryCompleted(event);
   return result;
 }
 

@@ -66,6 +66,9 @@ std::vector<AggregateSpec> FinalAggSpecs(
       final_specs.push_back(std::move(spec));
       ++col;
     };
+    // No `default`: -Wswitch (in -Wall; an error under POCS_WERROR)
+    // rejects an AggFunc without a merge case, so no aggregate kind can
+    // be split into phases whose per-split partials are never merged.
     switch (agg.func) {
       case AggFunc::kAvg:
         merge(AggFunc::kSum, partial[col - n_keys].OutputType(),

@@ -160,6 +160,40 @@ TEST(HuffmanTest, TruncatedStreamIsCorruption) {
   EXPECT_FALSE(dec.ok());
 }
 
+// A stream whose own orig_size declares 2^62 bytes: every symbol costs at
+// least one bit, so the size is rejected before any output is reserved.
+TEST(HuffmanTest, HugeOrigSizeIsCorruption) {
+  std::mt19937 rng(4);
+  Bytes input(5000);
+  for (auto& b : input) b = static_cast<uint8_t>(rng() % 8);
+  Bytes enc = HuffmanEncode(ByteSpan(input.data(), input.size()));
+  BufferReader in(enc.data(), enc.size());
+  ASSERT_EQ(*in.ReadU8(), 1);  // Huffman-coded, not the raw fallback
+  ASSERT_TRUE(in.ReadVarint().ok());
+  BufferWriter forged;
+  forged.WriteU8(1);
+  forged.WriteVarint(uint64_t{1} << 62);
+  forged.WriteBytes(*in.ReadSpan(in.remaining()));
+  Bytes bytes = std::move(forged).Take();
+  auto dec = HuffmanDecode(ByteSpan(bytes.data(), bytes.size()));
+  ASSERT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption) << dec.status();
+}
+
+// 256 codes of length 1 violate Kraft's inequality: canonical assignment
+// would hand out codes wider than their length and overrun the decode LUT.
+TEST(HuffmanTest, OverSubscribedLengthsAreCorruption) {
+  BufferWriter forged;
+  forged.WriteU8(1);
+  forged.WriteVarint(100);
+  for (int s = 0; s < 256; ++s) forged.WriteU8(1);
+  for (int i = 0; i < 100; ++i) forged.WriteU8(0x5a);
+  Bytes bytes = std::move(forged).Take();
+  auto dec = HuffmanDecode(ByteSpan(bytes.data(), bytes.size()));
+  ASSERT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption) << dec.status();
+}
+
 TEST(CodecTest, NamesRoundtrip) {
   for (CodecType t : {CodecType::kNone, CodecType::kFastLz,
                       CodecType::kDeflateLite, CodecType::kZsLite}) {
@@ -201,6 +235,31 @@ INSTANTIATE_TEST_SUITE_P(
                                          CodecType::kDeflateLite,
                                          CodecType::kZsLite),
                        ::testing::Values(0, 1, 2, 3, 4)));
+
+// A frame whose size varint declares 2^62 bytes decodes its real stream,
+// then fails the size check; the output reservation is bounded by the
+// input, not by the declared size.
+class HugeDeclaredSize : public ::testing::TestWithParam<CodecType> {};
+
+TEST_P(HugeDeclaredSize, IsCorruption) {
+  const Codec& codec = GetCodec(GetParam());
+  Bytes input = MakeRepetitive(5000);
+  Bytes comp = codec.Compress(ByteSpan(input.data(), input.size()));
+  BufferReader in(comp.data(), comp.size());
+  ASSERT_EQ(*in.ReadVarint(), input.size());
+  BufferWriter forged;
+  forged.WriteVarint(uint64_t{1} << 62);
+  forged.WriteBytes(*in.ReadSpan(in.remaining()));
+  Bytes bytes = std::move(forged).Take();
+  auto out = codec.Decompress(ByteSpan(bytes.data(), bytes.size()));
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption) << out.status();
+}
+
+INSTANTIATE_TEST_SUITE_P(LzCodecs, HugeDeclaredSize,
+                         ::testing::Values(CodecType::kFastLz,
+                                           CodecType::kDeflateLite,
+                                           CodecType::kZsLite));
 
 TEST(CodecTest, RatioOrderingOnScientificData) {
   // The Fig. 6 reproduction depends on this ordering (see DESIGN.md).

@@ -1,4 +1,4 @@
-// The `pushdown` CI tier (ctest -L pushdown): end-to-end coverage of the
+// The `pushdown` test tier (ctest -L pushdown): end-to-end coverage of the
 // two-phase aggregation split and the join-key bloom semi-join reduction
 // (DESIGN.md §14).
 //
@@ -14,9 +14,13 @@
 //     storage (no false pruning against rewritten data),
 //   * a dead in-storage executor degrades to the engine-side fallback
 //     with identical rows,
+//   * the other join shapes — no aggregate, a conjunct over both tables,
+//     a dim-side aggregate argument, a fact-side OR — agree across the
+//     pushed, engine-only and no-pushdown paths,
 //   * the whole pipeline is a pure function of config + seed (replay).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +35,8 @@ namespace {
 
 using columnar::TypeKind;
 
-std::string Canonicalize(const columnar::RecordBatch& batch) {
+std::string Canonicalize(const columnar::RecordBatch& batch,
+                         bool order_sensitive = false) {
   std::vector<std::string> rows;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     std::string row;
@@ -50,7 +55,7 @@ std::string Canonicalize(const columnar::RecordBatch& batch) {
     }
     rows.push_back(std::move(row));
   }
-  std::sort(rows.begin(), rows.end());
+  if (!order_sensitive) std::sort(rows.begin(), rows.end());
   std::string out;
   for (const auto& row : rows) {
     out += row;
@@ -299,6 +304,82 @@ TEST(JoinPushdownTest, DeterministicReplay) {
   EXPECT_EQ(ra->metrics.partial_agg_merges, rb->metrics.partial_agg_merges);
   EXPECT_EQ(ra->optimized_plan, rb->optimized_plan);
 }
+
+// Join shapes beyond TpchJoinQuery's phase-split aggregate. Each runs
+// through the pushed ("ocs"), engine-only ("ocs_engine") and no-pushdown
+// ("hive_raw") paths, which must agree bit-for-bit.
+struct JoinShape {
+  const char* name;
+  const char* sql;
+  bool order_sensitive;
+};
+
+// Test listings print the shape's name, not its pointer bytes.
+void PrintTo(const JoinShape& shape, std::ostream* os) { *os << shape.name; }
+
+const JoinShape kJoinShapes[] = {
+    // No aggregation: every joined row reaches an engine-side top-N.
+    {"TopNOverJoin",
+     "SELECT orderkey, linenumber, extendedprice, s_nationkey, s_acctbal "
+     "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+     "WHERE s_nationkey < 3 "
+     "ORDER BY extendedprice DESC, orderkey, linenumber LIMIT 25",
+     true},
+    // A conjunct over both tables lands above the join, under the
+    // aggregate, so no path can split the aggregation into phases.
+    {"MixedConjunctUnderAggregate",
+     "SELECT s_nationkey, SUM(extendedprice) AS revenue, COUNT(*) AS n "
+     "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+     "WHERE quantity * 100.0 > s_acctbal GROUP BY s_nationkey",
+     false},
+    // A dim-side aggregate argument cannot be phase-split either.
+    {"DimArgumentAggregate",
+     "SELECT s_nationkey, AVG(s_acctbal) AS bal, MAX(extendedprice) AS top, "
+     "COUNT(*) AS n FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+     "GROUP BY s_nationkey",
+     false},
+    // A fact-side OR: ocs pushes it and splits the aggregation into
+    // phases, hive_raw cannot push it and aggregates the joined rows. The
+    // aggregates are order-independent (quantity is integer-valued), so
+    // the two operation trees must still agree exactly.
+    {"FactOrFilter",
+     "SELECT s_nationkey, SUM(quantity) AS q, AVG(quantity) AS avg_q, "
+     "MIN(extendedprice) AS lo, COUNT(*) AS n "
+     "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+     "WHERE quantity < 5.0 OR discount > 0.09 GROUP BY s_nationkey",
+     false},
+};
+
+class JoinShapeEquivalence : public ::testing::TestWithParam<JoinShape> {
+ protected:
+  static void SetUpTestSuite() {
+    fixture = std::make_unique<JoinBedFixture>();
+  }
+  static void TearDownTestSuite() { fixture.reset(); }
+  static std::unique_ptr<JoinBedFixture> fixture;
+};
+
+std::unique_ptr<JoinBedFixture> JoinShapeEquivalence::fixture;
+
+TEST_P(JoinShapeEquivalence, AllPathsAgree) {
+  const JoinShape& shape = GetParam();
+  std::map<std::string, std::string> canon;
+  for (const char* catalog : {"hive_raw", "ocs_engine", "ocs"}) {
+    auto result = fixture->bed->Run(shape.sql, catalog);
+    ASSERT_TRUE(result.ok()) << catalog << ": " << result.status() << "\n"
+                             << shape.sql;
+    ASSERT_GT(result->table->num_rows(), 0u) << catalog << "\n" << shape.sql;
+    canon[catalog] = Canonicalize(*result->table, shape.order_sensitive);
+  }
+  EXPECT_EQ(canon["ocs_engine"], canon["hive_raw"]) << shape.sql;
+  EXPECT_EQ(canon["ocs"], canon["hive_raw"]) << shape.sql;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JoinShapes, JoinShapeEquivalence, ::testing::ValuesIn(kJoinShapes),
+    [](const ::testing::TestParamInfo<JoinShape>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pocs

@@ -1,4 +1,4 @@
-// The `pruning` CI tier (ctest -L pruning): end-to-end coverage of
+// The `pruning` test tier (ctest -L pruning): end-to-end coverage of
 // statistics-driven split pruning with the coordinator-side metadata
 // cache (DESIGN.md §13).
 //

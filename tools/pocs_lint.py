@@ -55,16 +55,6 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      Suppress with the allow comment where per-row access
                      is genuinely required (e.g. key equality probes on
                      hash collisions).
-  partial-agg-merge-sync
-                     Cross-file: every aggregate kind inside the
-                     `// pocs-lint: begin/end partial-agg-whitelist`
-                     markers of the OCS connector (the kinds it pushes
-                     to storage in partial form) must have a matching
-                     `case AggFunc::k...` in engine::FinalAggSpecs
-                     (src/engine/two_phase.cpp). A whitelisted partial
-                     without an engine-side merge would silently return
-                     per-split rows as if they were global aggregates
-                     (DESIGN.md §14).
 
 Modes:
   pocs_lint.py --root <repo>                 lint src/ tests/ bench/ examples/
@@ -567,112 +557,6 @@ def check_row_loop_in_hot_path(stripped, rel_path, report):
                    "(columnar/kernels.h) or typed spans instead")
 
 
-PARTIAL_AGG_WHITELIST_FILE = "src/connectors/ocs/ocs_connector.cpp"
-PARTIAL_AGG_MERGE_FILE = "src/engine/two_phase.cpp"
-PARTIAL_AGG_BEGIN = "pocs-lint: begin partial-agg-whitelist"
-PARTIAL_AGG_END = "pocs-lint: end partial-agg-whitelist"
-AGG_CASE_RE = re.compile(r"\bcase\s+(?:\w+::)*AggFunc::(k\w+)\s*:")
-
-
-def check_partial_agg_merge_sync(root):
-    """partial-agg-merge-sync: every aggregate kind the OCS connector
-    whitelists for storage-side partial execution must have a merge case
-    in engine::FinalAggSpecs. Cross-file, so it runs once per lint
-    invocation rather than per file. Quiet when the connector file is
-    absent (throwaway test roots)."""
-    findings = []
-    wl_rel = PARTIAL_AGG_WHITELIST_FILE.replace("/", os.sep)
-    wl_path = os.path.join(root, wl_rel)
-    if not os.path.isfile(wl_path):
-        return findings
-    with open(wl_path, encoding="utf-8") as f:
-        wl_lines = f.read().splitlines()
-
-    begin = end = None
-    for i, line in enumerate(wl_lines):
-        if PARTIAL_AGG_BEGIN in line and begin is None:
-            begin = i
-        elif PARTIAL_AGG_END in line and end is None:
-            end = i
-    if begin is None or end is None or end <= begin:
-        findings.append(Finding(
-            wl_rel, 1, "partial-agg-merge-sync",
-            f"missing or malformed '{PARTIAL_AGG_BEGIN}' / "
-            f"'{PARTIAL_AGG_END}' markers — the storage partial-agg "
-            "whitelist must stay lintable"))
-        return findings
-
-    whitelist = []  # (line_no, kind)
-    for i in range(begin + 1, end):
-        for m in AGG_CASE_RE.finditer(wl_lines[i]):
-            whitelist.append((i + 1, m.group(1)))
-    if not whitelist:
-        findings.append(Finding(
-            wl_rel, begin + 1, "partial-agg-merge-sync",
-            "whitelist markers enclose no 'case AggFunc::k...:' labels"))
-        return findings
-
-    merge_rel = PARTIAL_AGG_MERGE_FILE.replace("/", os.sep)
-    merge_path = os.path.join(root, merge_rel)
-    if not os.path.isfile(merge_path):
-        findings.append(Finding(
-            wl_rel, begin + 1, "partial-agg-merge-sync",
-            f"{PARTIAL_AGG_MERGE_FILE} not found — cannot verify the "
-            "engine-side merges for the storage partial-agg whitelist"))
-        return findings
-    with open(merge_path, encoding="utf-8") as f:
-        merge_text = f.read()
-
-    # Scope the merge cases to the FinalAggSpecs definition body.
-    defn = re.search(r"\bFinalAggSpecs\s*\(", merge_text)
-    body_cases = set()
-    if defn:
-        i, depth = defn.end() - 1, 0
-        while i < len(merge_text):
-            if merge_text[i] == "(":
-                depth += 1
-            elif merge_text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        j = i + 1
-        while j < len(merge_text) and merge_text[j] not in "{;":
-            j += 1
-        if j < len(merge_text) and merge_text[j] == "{":
-            k, depth = j, 0
-            while k < len(merge_text):
-                if merge_text[k] == "{":
-                    depth += 1
-                elif merge_text[k] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k += 1
-            for m in AGG_CASE_RE.finditer(merge_text, j, k):
-                body_cases.add(m.group(1))
-    if not body_cases:
-        findings.append(Finding(
-            wl_rel, begin + 1, "partial-agg-merge-sync",
-            f"no FinalAggSpecs switch cases found in "
-            f"{PARTIAL_AGG_MERGE_FILE} — cannot verify the storage "
-            "partial-agg whitelist"))
-        return findings
-
-    for line_no, kind in whitelist:
-        if kind in body_cases:
-            continue
-        if line_allows(wl_lines[line_no - 1], "partial-agg-merge-sync"):
-            continue
-        findings.append(Finding(
-            wl_rel, line_no, "partial-agg-merge-sync",
-            f"AggFunc::{kind} is whitelisted for storage-side partial "
-            f"aggregation but has no merge case in FinalAggSpecs "
-            f"({PARTIAL_AGG_MERGE_FILE}) — the engine would treat "
-            "per-split partials as final results"))
-    return findings
-
-
 def run_nodiscard_check(root):
     """Compile-fail check: discarding Status/Result must not compile warning-
     free. Returns a list of error strings (empty = pass)."""
@@ -876,8 +760,6 @@ def main():
         except (OSError, UnicodeDecodeError) as e:
             print(f"pocs_lint: cannot read {rel}: {e}", file=sys.stderr)
             return 2
-
-    findings += check_partial_agg_merge_sync(root)
 
     for f in findings:
         print(f)

@@ -469,89 +469,6 @@ class RowLoopInHotPathTest(LintRunner):
         self.assertEqual(result.stdout.count("row-loop-in-hot-path"), 1)
 
 
-class PartialAggMergeSyncTest(LintRunner):
-    """partial-agg-merge-sync: the connector's storage partial-agg
-    whitelist must stay in lockstep with engine::FinalAggSpecs."""
-
-    WHITELIST = ("// pocs-lint: begin partial-agg-whitelist\n"
-                 "bool PartialAggSupported(substrait::AggFunc func) {\n"
-                 "  switch (func) {\n"
-                 "    case substrait::AggFunc::kSum:\n"
-                 "    case substrait::AggFunc::kAvg:\n"
-                 "      return true;\n"
-                 "  }\n"
-                 "  return false;\n"
-                 "}\n"
-                 "// pocs-lint: end partial-agg-whitelist\n")
-
-    MERGES = ("std::vector<AggregateSpec> FinalAggSpecs(\n"
-              "    const std::vector<AggregateSpec>& aggregates, size_t n) {\n"
-              "  for (const AggregateSpec& agg : aggregates) {\n"
-              "    switch (agg.func) {\n"
-              "      case AggFunc::kSum:\n"
-              "        break;\n"
-              "      case AggFunc::kAvg:\n"
-              "        break;\n"
-              "    }\n"
-              "  }\n"
-              "  return {};\n"
-              "}\n")
-
-    def test_matching_whitelist_and_merges_are_clean(self):
-        self.write("src/connectors/ocs/ocs_connector.cpp", self.WHITELIST)
-        self.write("src/engine/two_phase.cpp", self.MERGES)
-        self.assert_clean(self.run_lint())
-
-    def test_whitelisted_kind_without_merge_fires(self):
-        extended = self.WHITELIST.replace(
-            "    case substrait::AggFunc::kAvg:\n",
-            "    case substrait::AggFunc::kAvg:\n"
-            "    case substrait::AggFunc::kStddev:\n")
-        self.write("src/connectors/ocs/ocs_connector.cpp", extended)
-        self.write("src/engine/two_phase.cpp", self.MERGES)
-        result = self.run_lint()
-        self.assert_finding(result, "partial-agg-merge-sync",
-                            "ocs_connector.cpp")
-        self.assertIn("kStddev", result.stdout)
-
-    def test_extra_merge_case_is_clean(self):
-        # The merge side may cover more kinds than the whitelist (e.g.
-        # engine-only aggregations); only the reverse direction is a bug.
-        extended = self.MERGES.replace(
-            "      case AggFunc::kAvg:\n",
-            "      case AggFunc::kAvg:\n"
-            "      case AggFunc::kCount:\n")
-        self.write("src/connectors/ocs/ocs_connector.cpp", self.WHITELIST)
-        self.write("src/engine/two_phase.cpp", extended)
-        self.assert_clean(self.run_lint())
-
-    def test_missing_markers_fire(self):
-        self.write("src/connectors/ocs/ocs_connector.cpp",
-                   "bool PartialAggSupported(substrait::AggFunc func) {\n"
-                   "  return false;\n"
-                   "}\n")
-        self.write("src/engine/two_phase.cpp", self.MERGES)
-        self.assert_finding(self.run_lint(), "partial-agg-merge-sync")
-
-    def test_missing_merge_file_fires(self):
-        self.write("src/connectors/ocs/ocs_connector.cpp", self.WHITELIST)
-        self.assert_finding(self.run_lint(), "partial-agg-merge-sync")
-
-    def test_root_without_connector_is_quiet(self):
-        self.write("src/a.cpp", "int x = 0;\n")
-        self.assert_clean(self.run_lint())
-
-    def test_suppression_is_honored(self):
-        extended = self.WHITELIST.replace(
-            "    case substrait::AggFunc::kAvg:\n",
-            "    case substrait::AggFunc::kAvg:\n"
-            "    case substrait::AggFunc::kStddev:"
-            "  // pocs-lint: allow(partial-agg-merge-sync)\n")
-        self.write("src/connectors/ocs/ocs_connector.cpp", extended)
-        self.write("src/engine/two_phase.cpp", self.MERGES)
-        self.assert_clean(self.run_lint())
-
-
 class RepoIsCleanTest(unittest.TestCase):
     def test_real_repo_has_no_findings(self):
         result = subprocess.run(
