@@ -6,8 +6,9 @@
 // dimension filter + fact scan + group-by — with and without the
 // join-key bloom / storage-side partial aggregation, a dictionary-string
 // filter exercising code-domain predicate evaluation plus late
-// materialization, and `micro_kernels` naive-vs-vectorized kernel
-// comparisons) and emits one
+// materialization, `micro_kernels` naive-vs-vectorized kernel
+// comparisons, and each LZ codec's frame size, decoded-output hash and
+// decode time) and emits one
 // schema-versioned JSON report — BENCH_PR10.json by default — that
 // tools/check_bench.py diffs against a committed baseline.
 //
@@ -22,8 +23,10 @@
 #include "bench/fig5_common.h"
 #include "bench/report.h"
 #include "columnar/kernels.h"
+#include "common/hash.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "compress/codec.h"
 #include "format/encoding.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
@@ -650,6 +653,61 @@ int main(int argc, char** argv) {
 #endif
     if (sink == 0xdeadbeef) std::printf("sink %llu\n",
                                         (unsigned long long)sink);
+  }
+
+  // --- codecs: pin each LZ codec's frame bytes and decoded output ---------
+  // One seeded column-shaped payload (float-widened doubles from a random
+  // walk, near-sequential int64 ids, small dictionary codes) through each
+  // LZ codec. The compressed size pins the encoder, the decoded hash pins
+  // the decoder; the timing tracks decode speed.
+  {
+    const size_t n = args.smoke ? (1u << 13) : (1u << 16);
+    std::mt19937_64 rng(args.SeedOr(20261017));
+    Bytes payload;
+    auto append = [&payload](const auto& value) {
+      const auto* p = reinterpret_cast<const uint8_t*>(&value);
+      payload.insert(payload.end(), p, p + sizeof(value));
+    };
+    double level = 0.5;
+    for (size_t i = 0; i < n; ++i) {
+      level += (static_cast<int64_t>(rng() % 2001) - 1000) * 1e-6;
+      append(static_cast<double>(static_cast<float>(level)));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      append(static_cast<int64_t>(1000000 + 2 * i + rng() % 2));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      payload.push_back(static_cast<uint8_t>(rng() % 5));
+    }
+    for (compress::CodecType type :
+         {compress::CodecType::kFastLz, compress::CodecType::kDeflateLite,
+          compress::CodecType::kZsLite}) {
+      const compress::Codec& codec = compress::GetCodec(type);
+      const std::string prefix =
+          "codecs." + std::string(compress::CodecName(type));
+      const Bytes frame = codec.Compress(payload);
+      Result<Bytes> decoded = codec.Decompress(frame);
+      if (!decoded.ok() || *decoded != payload) {
+        std::fprintf(stderr, "bench_report: %s does not round-trip: %s\n",
+                     prefix.c_str(),
+                     decoded.ok() ? "wrong bytes"
+                                  : decoded.status().ToString().c_str());
+        return 1;
+      }
+      const uint64_t hash = HashBytes(decoded->data(), decoded->size());
+      uint64_t sink = 0;
+      const double seconds = BestSeconds(5, &sink, [&] {
+        const Result<Bytes> out = codec.Decompress(frame);
+        return out.ok() ? out->size() : 0;
+      });
+      report.AddExact(prefix + ".compressed_bytes",
+                      static_cast<double>(frame.size()), "bytes");
+      report.AddExact(prefix + ".decoded_hash",
+                      static_cast<uint32_t>(hash ^ (hash >> 32)));
+      report.AddTiming(prefix + ".decompress_seconds", seconds);
+      std::printf("%-28s %11zu bytes %9.1f MB/s decode\n", prefix.c_str(),
+                  frame.size(), payload.size() / seconds / 1e6);
+    }
   }
 
   // --- Process-wide registry rollup --------------------------------------

@@ -109,17 +109,20 @@ class SplitLzCodec final : public Codec {
   Result<Bytes> Decompress(ByteSpan input) const override {
     BufferReader in(input);
     POCS_ASSIGN_OR_RETURN(uint64_t orig, in.ReadVarint());
-    POCS_ASSIGN_OR_RETURN(uint64_t n_seq, in.ReadVarint());
-    BufferWriter split;
-    split.WriteVarint(n_seq);
-    for (int s = 0; s < 4; ++s) {
+    Lz77SplitStreams split;
+    POCS_ASSIGN_OR_RETURN(split.n_seq, in.ReadVarint());
+    Bytes streams[4];
+    for (Bytes& stream : streams) {
       POCS_ASSIGN_OR_RETURN(uint64_t coded_len, in.ReadVarint());
       POCS_ASSIGN_OR_RETURN(ByteSpan coded, in.ReadSpan(coded_len));
-      POCS_ASSIGN_OR_RETURN(Bytes stream, HuffmanDecode(coded));
-      split.WriteVarint(stream.size());
-      split.WriteBytes(stream.data(), stream.size());
+      POCS_ASSIGN_OR_RETURN(stream, HuffmanDecode(coded));
     }
-    return Lz77DecompressSplit(split.span(), orig, params_);
+    if (!in.exhausted()) return Status::Corruption("zs-lite: trailing bytes");
+    split.litlens = streams[0];
+    split.matchlens = streams[1];
+    split.offsets = streams[2];
+    split.literals = streams[3];
+    return Lz77DecompressSplit(split, orig, params_);
   }
 
  private:

@@ -6,8 +6,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/check.h"
-
 namespace pocs::compress {
 
 namespace {
@@ -129,23 +127,6 @@ class BitWriter {
   int bits_ = 0;
 };
 
-class BitReader {
- public:
-  explicit BitReader(ByteSpan data) : data_(data) {}
-  // Read one bit; returns -1 past end.
-  int ReadBit() {
-    size_t byte = pos_ >> 3;
-    if (byte >= data_.size()) return -1;
-    int bit = (data_[byte] >> (7 - (pos_ & 7))) & 1;
-    ++pos_;
-    return bit;
-  }
-
- private:
-  ByteSpan data_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 Bytes HuffmanEncode(ByteSpan input) {
@@ -177,149 +158,180 @@ Bytes HuffmanEncode(ByteSpan input) {
   return std::move(out).Take();
 }
 
-Result<Bytes> HuffmanDecode(ByteSpan input) {
-  BufferReader in(input);
-  POCS_ASSIGN_OR_RETURN(uint8_t flag, in.ReadU8());
-  POCS_ASSIGN_OR_RETURN(uint64_t orig_size, in.ReadVarint());
-  if (flag == kFlagRaw) {
-    POCS_ASSIGN_OR_RETURN(ByteSpan raw, in.ReadSpan(orig_size));
-    return Bytes(raw.begin(), raw.end());
-  }
-  if (flag != kFlagHuffman) return Status::Corruption("huffman: bad flag");
+namespace {
 
-  std::array<uint8_t, 256> lengths{};
-  POCS_RETURN_NOT_OK(in.ReadBytes(lengths.data(), 256));
+// Decoding tables for one coded stream, built in O(256 + 2^kLutBits).
+// Canonical codes of one length are consecutive integers, so a code of
+// length l decodes as symbols[first_index[l] + (code - first_code[l])].
+// Codes of length <= kLutBits also resolve in one probe of `lut`.
+constexpr int kLutBits = 12;
+
+struct DecodeTables {
+  // (symbol << 8) | length for every kLutBits-bit window that starts
+  // with a code of length <= kLutBits; 0 where a longer code or none
+  // starts.
+  std::array<uint16_t, size_t{1} << kLutBits> lut{};
+  std::array<uint32_t, kMaxCodeLen + 1> first_code{};
+  std::array<uint32_t, kMaxCodeLen + 1> count{};
+  std::array<uint32_t, kMaxCodeLen + 1> first_index{};
+  std::array<uint8_t, 256> symbols{};  // ordered by (length, symbol)
+  int max_len = 0;
+};
+
+Status BuildDecodeTables(ByteSpan lengths, DecodeTables* t) {
   for (uint8_t len : lengths) {
     if (len > kMaxCodeLen) return Status::Corruption("huffman: bad length");
+    ++t->count[len];
   }
-  // Canonical decoding tables: first code and first symbol index per length.
-  std::vector<int> sorted_symbols;
-  for (int l = 1; l <= kMaxCodeLen; ++l) {
-    for (int s = 0; s < 256; ++s) {
-      if (lengths[s] == l) sorted_symbols.push_back(s);
-    }
-  }
-  if (sorted_symbols.empty()) {
-    if (orig_size != 0) return Status::Corruption("huffman: no codes");
-    return Bytes{};
-  }
-  std::array<uint32_t, kMaxCodeLen + 2> first_code{};
-  std::array<uint32_t, kMaxCodeLen + 2> first_index{};
-  std::array<uint32_t, kMaxCodeLen + 1> count{};
-  for (int s = 0; s < 256; ++s) {
-    if (lengths[s]) ++count[lengths[s]];
-  }
+  t->count[0] = 0;
   uint64_t code = 0;
   uint32_t index = 0;
   for (int l = 1; l <= kMaxCodeLen; ++l) {
     // Kraft: the length-l codes must fit in the 2^l code space. An
     // over-subscribed table yields canonical codes wider than their
     // length, which would index past the LUT below.
-    if (code + count[l] > (uint64_t{1} << l)) {
+    if (code + t->count[l] > (uint64_t{1} << l)) {
       return Status::Corruption("huffman: over-subscribed code lengths");
     }
-    first_code[l] = static_cast<uint32_t>(code);
-    first_index[l] = index;
-    code = (code + count[l]) << 1;
-    index += count[l];
+    t->first_code[l] = static_cast<uint32_t>(code);
+    t->first_index[l] = index;
+    if (t->count[l] != 0) t->max_len = l;
+    code = (code + t->count[l]) << 1;
+    index += t->count[l];
   }
+  // Counting sort by length; ties stay in symbol order.
+  std::array<uint32_t, kMaxCodeLen + 1> next = t->first_index;
+  for (int s = 0; s < 256; ++s) {
+    if (lengths[s] != 0) {
+      t->symbols[next[lengths[s]]++] = static_cast<uint8_t>(s);
+    }
+  }
+  // Left-aligned to kLutBits, the canonical codes of length <= kLutBits
+  // tile a prefix of the window space in (length, symbol) order.
+  size_t fill = 0;
+  for (int l = 1; l <= std::min(t->max_len, kLutBits); ++l) {
+    const size_t span = size_t{1} << (kLutBits - l);
+    for (uint32_t i = 0; i < t->count[l]; ++i) {
+      const auto entry =
+          static_cast<uint16_t>(t->symbols[t->first_index[l] + i] << 8 | l);
+      std::fill_n(t->lut.begin() + fill, span, entry);
+      fill += span;
+    }
+  }
+  return Status::OK();
+}
 
+// Resolves a code longer than kLutBits at the top of the left-aligned
+// window `w`, of which the top `valid` bits are stream bits. Returns the
+// code length, or 0 if no code of at most `valid` bits starts the window.
+inline int DecodeLong(const DecodeTables& t, uint64_t w, uint32_t valid,
+                      uint8_t* symbol) {
+  const int max_len = std::min(t.max_len, static_cast<int>(valid));
+  for (int l = kLutBits + 1; l <= max_len; ++l) {
+    const uint32_t offset =
+        static_cast<uint32_t>(w >> (64 - l)) - t.first_code[l];
+    if (offset < t.count[l]) {
+      *symbol = t.symbols[t.first_index[l] + offset];
+      return l;
+    }
+  }
+  return 0;
+}
+
+inline uint64_t LoadBE64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return __builtin_bswap64(v);  // host is little-endian (see buffer.h)
+}
+
+}  // namespace
+
+Result<Bytes> HuffmanDecode(ByteSpan input) {
+  BufferReader in(input);
+  POCS_ASSIGN_OR_RETURN(uint8_t flag, in.ReadU8());
+  POCS_ASSIGN_OR_RETURN(uint64_t orig_size, in.ReadVarint());
+  if (flag == kFlagRaw) {
+    POCS_ASSIGN_OR_RETURN(ByteSpan raw, in.ReadSpan(orig_size));
+    if (!in.exhausted()) return Status::Corruption("huffman: trailing bytes");
+    return Bytes(raw.begin(), raw.end());
+  }
+  if (flag != kFlagHuffman) return Status::Corruption("huffman: bad flag");
+
+  POCS_ASSIGN_OR_RETURN(ByteSpan lengths, in.ReadSpan(256));
+  DecodeTables t;
+  POCS_RETURN_NOT_OK(BuildDecodeTables(lengths, &t));
+  if (t.max_len == 0 && orig_size != 0) {
+    return Status::Corruption("huffman: no codes");
+  }
   POCS_ASSIGN_OR_RETURN(ByteSpan payload, in.ReadSpan(in.remaining()));
   // Every symbol costs at least one bit.
   if (orig_size > uint64_t{8} * payload.size()) {
     return Status::Corruption("huffman: size exceeds payload");
   }
 
-  // Fast path: a 2^kLutBits lookup table decodes any code of length ≤
-  // kLutBits in one probe; longer codes fall back to canonical scanning.
-  constexpr int kLutBits = 12;
-  struct LutEntry {
-    uint8_t symbol = 0;
-    uint8_t length = 0;  // 0 = not decodable via LUT
-  };
-  std::vector<LutEntry> lut(size_t{1} << kLutBits);
-  {
-    std::array<uint32_t, 256> codes{};
-    AssignCanonicalCodes(lengths, &codes);
-    for (int s = 0; s < 256; ++s) {
-      if (lengths[s] == 0 || lengths[s] > kLutBits) continue;
-      uint32_t base = codes[s] << (kLutBits - lengths[s]);
-      uint32_t fills = 1u << (kLutBits - lengths[s]);
-      for (uint32_t f = 0; f < fills; ++f) {
-        lut[base + f] = {static_cast<uint8_t>(s), lengths[s]};
-      }
+  // Sized once (orig_size is bounded by the payload above) and filled by
+  // index.
+  Bytes out(orig_size);
+  uint8_t* dst = out.data();
+  size_t produced = 0;
+  const uint8_t* const data = payload.data();
+  const uint8_t* const end = data + payload.size();
+  // The next `bits` stream bits sit at the top of `window`; the stream
+  // bits that follow start at byte `p`. Bits below them are zero or are
+  // already the bits of `p` onward, so a refill may OR them in again.
+  const uint8_t* p = data;
+  uint64_t window = 0;
+  uint32_t bits = 0;
+
+  // Word loop: one 64-bit load tops the window up to at least 56 bits,
+  // enough for four LUT probes (<= 48 bits) or one code longer than the
+  // LUT (<= 32 bits), resolved in place. The load's address does not
+  // depend on the probes, so the refill stays off the decode's critical
+  // path.
+  while (produced + 4 <= orig_size && end - p >= 8) {
+    window |= LoadBE64(p) >> bits;
+    p += (63 - bits) >> 3;
+    bits |= 56;
+    int probes = 0;
+    for (; probes < 4; ++probes) {
+      const uint16_t entry = t.lut[window >> (64 - kLutBits)];
+      if (entry == 0) break;
+      dst[produced++] = static_cast<uint8_t>(entry >> 8);
+      window <<= entry & 63;
+      bits -= entry & 63;
+    }
+    if (probes == 0) {
+      const int len = DecodeLong(t, window, bits, dst + produced);
+      if (len == 0) return Status::Corruption("huffman: invalid code");
+      ++produced;
+      window <<= len;
+      bits -= static_cast<uint32_t>(len);
     }
   }
-
-  // Sized once (orig_size is bounded by the payload above) and filled by
-  // index: with push_back, GCC 12 compiled this loop about 2x slower.
-  Bytes out(orig_size);
-  size_t produced = 0;
-  const uint8_t* data = payload.data();
-  const size_t nbytes = payload.size();
-  uint64_t acc = 0;    // bit accumulator, MSB-first
-  int acc_bits = 0;
-  size_t byte_pos = 0;
-  const uint64_t total_bits = nbytes * 8;
-  uint64_t consumed_bits = 0;
-
+  // Tail: the last few symbols, and all within the final 8 input bytes,
+  // refilled one byte at a time.
   while (produced < orig_size) {
-    // Refill so the accumulator holds at least kMaxCodeLen bits (or all
-    // that remain).
-    while (acc_bits <= 56 && byte_pos < nbytes) {
-      acc = (acc << 8) | data[byte_pos++];
-      acc_bits += 8;
+    for (; bits <= 56 && p < end; bits += 8) {
+      window |= static_cast<uint64_t>(*p++) << (56 - bits);
     }
-    if (consumed_bits >= total_bits) {
-      return Status::Corruption("huffman: truncated stream");
+    const uint16_t entry = t.lut[window >> (64 - kLutBits)];
+    int len = entry & 63;
+    if (entry != 0) {
+      dst[produced] = static_cast<uint8_t>(entry >> 8);
+    } else {
+      len = DecodeLong(t, window, bits, dst + produced);
     }
-    uint32_t window =
-        acc_bits >= kLutBits
-            ? static_cast<uint32_t>((acc >> (acc_bits - kLutBits)) &
-                                    ((1u << kLutBits) - 1))
-            : static_cast<uint32_t>((acc << (kLutBits - acc_bits)) &
-                                    ((1u << kLutBits) - 1));
-    const LutEntry entry = lut[window];
-    if (entry.length != 0 && entry.length <= acc_bits &&
-        consumed_bits + entry.length <= total_bits) {
-      out[produced++] = entry.symbol;
-      acc_bits -= entry.length;
-      consumed_bits += entry.length;
-      continue;
+    if (len == 0 || static_cast<uint32_t>(len) > bits) {
+      return Status::Corruption("huffman: truncated or invalid code");
     }
-    // Slow path: scan lengths beyond the LUT (or near end of stream).
-    uint32_t c = 0;
-    int len = 0;
-    int sym = -1;
-    while (len < kMaxCodeLen) {
-      if (acc_bits == 0) {
-        if (byte_pos < nbytes) {
-          acc = (acc << 8) | data[byte_pos++];
-          acc_bits += 8;
-        } else {
-          return Status::Corruption("huffman: truncated stream");
-        }
-      }
-      if (consumed_bits >= total_bits) {
-        return Status::Corruption("huffman: truncated stream");
-      }
-      uint32_t bit =
-          static_cast<uint32_t>((acc >> (acc_bits - 1)) & 1);
-      --acc_bits;
-      ++consumed_bits;
-      c = (c << 1) | bit;
-      ++len;
-      uint32_t offset = c - first_code[len];
-      if (c >= first_code[len] && offset < count[len]) {
-        // first_index/count are built from the same lengths histogram, so
-        // the index is in range for any count-passing code.
-        POCS_DCHECK_LT(first_index[len] + offset, sorted_symbols.size());
-        sym = sorted_symbols[first_index[len] + offset];
-        break;
-      }
-    }
-    if (sym < 0) return Status::Corruption("huffman: invalid code");
-    out[produced++] = static_cast<uint8_t>(sym);
+    ++produced;
+    window <<= len;
+    bits -= static_cast<uint32_t>(len);
+  }
+  // The stream ends at its last code, padded to a byte with zero bits.
+  const uint64_t pad = static_cast<uint64_t>(end - p) * 8 + bits;
+  if (pad >= 8 || (pad > 0 && (end[-1] & ((1u << pad) - 1)) != 0)) {
+    return Status::Corruption("huffman: trailing bits");
   }
   return out;
 }

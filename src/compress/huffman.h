@@ -12,7 +12,9 @@ namespace pocs::compress {
 // Encode `input`; self-framing (flag byte + optional lengths table).
 Bytes HuffmanEncode(ByteSpan input);
 
-// Decode a block produced by HuffmanEncode.
+// Decode a block produced by HuffmanEncode. The block must end with its
+// stream: a raw block at its last byte, a coded one within its last byte,
+// padded with zero bits.
 Result<Bytes> HuffmanDecode(ByteSpan input);
 
 }  // namespace pocs::compress

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
-
-#include "common/check.h"
 
 namespace pocs::compress {
 
@@ -149,39 +148,6 @@ std::vector<Sequence> ParseSequences(ByteSpan input, const Lz77Params& params) {
   return seqs;
 }
 
-// Copy a back-reference onto the tail of `out`. Non-overlapping matches
-// use one bulk copy; overlapping ones (RLE-style) replicate the period.
-// Callers must have validated offset/mlen against the stream (Status on
-// corrupt input); the DCHECKs pin that contract in debug builds.
-void AppendMatch(Bytes* out, uint64_t offset, uint64_t mlen) {
-  POCS_DCHECK_GT(offset, 0u);
-  POCS_DCHECK_LE(offset, out->size());
-  const size_t old_size = out->size();
-  out->resize(old_size + mlen);
-  uint8_t* dst = out->data() + old_size;
-  const uint8_t* src = out->data() + old_size - offset;
-  if (offset >= mlen) {
-    std::memcpy(dst, src, mlen);
-    return;
-  }
-  // Overlapping (RLE-style): each byte may source from bytes just
-  // written, which is the LZ77 semantic — byte loop required.
-  const uint8_t* lag = dst - offset;
-  for (uint64_t i = 0; i < mlen; ++i) dst[i] = lag[i];
-}
-
-// Up-front output reservation. The frame's declared size is untrusted until
-// the stream has decoded to it, so the reservation is capped by a multiple
-// of the input; a frame that expands further (long runs) still decodes, by
-// ordinary vector growth, and the per-sequence checks stop growth past
-// `expected_size`.
-size_t ReserveBound(uint64_t expected_size, size_t input_size) {
-  constexpr uint64_t kMaxRatio = 64;
-  constexpr uint64_t kSlack = 64 << 10;
-  return static_cast<size_t>(
-      std::min<uint64_t>(expected_size, input_size * kMaxRatio + kSlack));
-}
-
 }  // namespace
 
 Bytes Lz77Compress(ByteSpan input, const Lz77Params& params) {
@@ -223,83 +189,183 @@ Bytes Lz77CompressSplit(ByteSpan input, const Lz77Params& params) {
   return std::move(out).Take();
 }
 
-Result<Bytes> Lz77DecompressSplit(ByteSpan input, size_t expected_size,
-                                  const Lz77Params& params) {
-  BufferReader in(input);
-  POCS_ASSIGN_OR_RETURN(uint64_t n_seq, in.ReadVarint());
-  ByteSpan streams[4];
-  for (auto& stream : streams) {
-    POCS_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
-    POCS_ASSIGN_OR_RETURN(stream, in.ReadSpan(len));
-  }
-  if (!in.exhausted()) return Status::Corruption("lz77-split: trailing bytes");
-  BufferReader litlens(streams[0]);
-  BufferReader matchlens(streams[1]);
-  BufferReader offsets(streams[2]);
-  BufferReader literals(streams[3]);
+namespace {
 
-  Bytes out;
-  out.reserve(ReserveBound(expected_size, input.size()));
-  for (uint64_t s = 0; s < n_seq; ++s) {
-    POCS_ASSIGN_OR_RETURN(uint64_t lit_len, litlens.ReadVarint());
-    if (out.size() + lit_len > expected_size) {
-      return Status::Corruption("lz77-split: literal overflow");
-    }
-    POCS_ASSIGN_OR_RETURN(ByteSpan lits, literals.ReadSpan(lit_len));
-    out.insert(out.end(), lits.begin(), lits.end());
-    POCS_ASSIGN_OR_RETURN(uint64_t mlen_enc, matchlens.ReadVarint());
-    if (mlen_enc == 0) {
-      if (s + 1 != n_seq) return Status::Corruption("lz77-split: early end");
-      break;
-    }
-    uint64_t mlen = mlen_enc + params.min_match - 1;
-    POCS_ASSIGN_OR_RETURN(uint64_t offset, offsets.ReadVarint());
-    if (offset == 0 || offset > out.size()) {
-      return Status::Corruption("lz77-split: bad offset");
-    }
-    if (out.size() + mlen > expected_size) {
-      return Status::Corruption("lz77-split: match overflow");
-    }
-    AppendMatch(&out, offset, mlen);
-  }
-  if (out.size() != expected_size) {
-    return Status::Corruption("lz77-split: size mismatch");
-  }
-  return out;
+// Up-front output size. The frame's declared size is untrusted until the
+// stream has decoded to it, so the first allocation is capped by a
+// multiple of the input; a frame that expands further (long runs) still
+// decodes, by doubling, and the per-sequence checks stop growth past
+// `expected_size`.
+size_t ReserveBound(uint64_t expected_size, size_t input_size) {
+  constexpr uint64_t kMaxRatio = 64;
+  constexpr uint64_t kSlack = 64 << 10;
+  return static_cast<size_t>(
+      std::min<uint64_t>(expected_size, input_size * kMaxRatio + kSlack));
 }
 
-Result<Bytes> Lz77Decompress(ByteSpan input, size_t expected_size,
-                             const Lz77Params& params) {
-  Bytes out;
-  out.reserve(ReserveBound(expected_size, input.size()));
-  BufferReader in(input);
-  while (true) {
-    POCS_ASSIGN_OR_RETURN(uint64_t lit_len, in.ReadVarint());
-    if (lit_len > in.remaining() || out.size() + lit_len > expected_size) {
+struct Cursor {
+  const uint8_t* p;
+  const uint8_t* end;
+
+  explicit Cursor(ByteSpan span)
+      : p(span.data()), end(span.data() + span.size()) {}
+  size_t remaining() const { return static_cast<size_t>(end - p); }
+
+  // LEB128 with BufferReader::ReadVarint's limits: at most ten bytes.
+  bool ReadVarint(uint64_t* v) {
+    if (p != end && *p < 0x80) {
+      *v = *p++;
+      return true;
+    }
+    uint64_t result = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (p == end) return false;
+      const uint8_t b = *p++;
+      result |= static_cast<uint64_t>(b & 0x7F) << shift;
+      if (!(b & 0x80)) {
+        *v = result;
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+// Where each sequence field is read from. The split layout has four
+// streams; the interleaved layout points all four at one cursor, whose
+// bytes then follow the read order lit_len, literals, match_len, offset.
+struct SequenceSource {
+  Cursor* litlens;
+  Cursor* matchlens;
+  Cursor* offsets;
+  Cursor* literals;
+};
+
+constexpr size_t kWideCopy = 16;
+
+// Grows `out` to hold at least `needed` bytes (<= expected_size) by
+// doubling, never past expected_size.
+void Grow(Bytes* out, size_t needed, size_t expected_size) {
+  const size_t doubled =
+      out->size() > expected_size / 2 ? expected_size : 2 * out->size();
+  out->resize(std::max(doubled, needed));
+}
+
+// The sequence executor shared by both layouts. It runs `n_seq`
+// sequences, or until a terminator when n_seq is unset, and requires
+// every cursor to end exhausted and the output to reach expected_size.
+// Each sequence is one literal memcpy and one match copy into an output
+// sized once, growing only past ReserveBound.
+Result<Bytes> ExecuteSequences(const SequenceSource& in,
+                               std::optional<uint64_t> n_seq,
+                               size_t expected_size, size_t input_size,
+                               uint32_t min_match) {
+  Bytes out(ReserveBound(expected_size, input_size));
+  uint8_t* base = out.data();
+  size_t size = out.size();
+  size_t pos = 0;
+
+  for (uint64_t s = 0; !n_seq || s < *n_seq; ++s) {
+    uint64_t lit_len = 0;
+    if (!in.litlens->ReadVarint(&lit_len)) {
+      return Status::Corruption("lz77: truncated literal length");
+    }
+    if (lit_len > in.literals->remaining() || lit_len > expected_size - pos) {
       return Status::Corruption("lz77: literal run overflows output");
     }
-    POCS_ASSIGN_OR_RETURN(ByteSpan lits, in.ReadSpan(lit_len));
-    out.insert(out.end(), lits.begin(), lits.end());
+    if (lit_len != 0) {
+      if (lit_len > size - pos) {
+        Grow(&out, pos + lit_len, expected_size);
+        base = out.data();
+        size = out.size();
+      }
+      // A short run copies one fixed-width block when both sides have the
+      // room; the bytes written past the run are rewritten by what follows.
+      if (lit_len <= kWideCopy && in.literals->remaining() >= kWideCopy &&
+          size - pos >= kWideCopy) {
+        std::memcpy(base + pos, in.literals->p, kWideCopy);
+      } else {
+        std::memcpy(base + pos, in.literals->p, lit_len);
+      }
+      in.literals->p += lit_len;
+      pos += lit_len;
+    }
 
-    POCS_ASSIGN_OR_RETURN(uint64_t mlen_enc, in.ReadVarint());
+    uint64_t mlen_enc = 0;
+    if (!in.matchlens->ReadVarint(&mlen_enc)) {
+      return Status::Corruption("lz77: truncated match length");
+    }
     if (mlen_enc == 0) {
-      if (in.exhausted() && out.size() == expected_size) break;
-      if (out.size() != expected_size || !in.exhausted()) {
-        return Status::Corruption("lz77: stream/size mismatch at terminator");
+      if (n_seq && s + 1 != *n_seq) {
+        return Status::Corruption("lz77: early terminator");
       }
       break;
     }
-    uint64_t mlen = mlen_enc + params.min_match - 1;
-    POCS_ASSIGN_OR_RETURN(uint64_t offset, in.ReadVarint());
-    if (offset == 0 || offset > out.size()) {
+    uint64_t offset = 0;
+    if (!in.offsets->ReadVarint(&offset)) {
+      return Status::Corruption("lz77: truncated offset");
+    }
+    if (offset == 0 || offset > pos) {
       return Status::Corruption("lz77: bad match offset");
     }
-    if (out.size() + mlen > expected_size) {
+    // mlen = mlen_enc + min_match - 1, compared without overflow.
+    if (mlen_enc > expected_size - pos ||
+        expected_size - pos - mlen_enc < min_match - 1) {
       return Status::Corruption("lz77: match overflows output");
     }
-    AppendMatch(&out, offset, mlen);
+    const size_t mlen = mlen_enc + min_match - 1;
+    if (mlen > size - pos) {
+      Grow(&out, pos + mlen, expected_size);
+      base = out.data();
+      size = out.size();
+    }
+    uint8_t* dst = base + pos;
+    const uint8_t* src = dst - offset;
+    if (offset >= kWideCopy && size - pos - mlen >= kWideCopy - 1) {
+      // Blocks of one width never overlap themselves at this offset.
+      for (size_t i = 0; i < mlen; i += kWideCopy) {
+        std::memcpy(dst + i, src + i, kWideCopy);
+      }
+    } else {
+      // Each copy reads from the match source up to the bytes written so
+      // far; that distance is a whole number of periods, so an overlapping
+      // (RLE-style) match takes log2(mlen / offset) copies.
+      for (size_t done = 0; done < mlen;) {
+        const size_t n = std::min<size_t>(mlen - done, offset + done);
+        std::memcpy(dst + done, src, n);
+        done += n;
+      }
+    }
+    pos += mlen;
   }
+  for (const Cursor* c : {in.litlens, in.matchlens, in.offsets, in.literals}) {
+    if (c->remaining() != 0) return Status::Corruption("lz77: trailing bytes");
+  }
+  if (pos != expected_size) return Status::Corruption("lz77: size mismatch");
   return out;
+}
+
+}  // namespace
+
+Result<Bytes> Lz77Decompress(ByteSpan input, size_t expected_size,
+                             const Lz77Params& params) {
+  Cursor stream(input);
+  return ExecuteSequences({&stream, &stream, &stream, &stream}, std::nullopt,
+                          expected_size, input.size(), params.min_match);
+}
+
+Result<Bytes> Lz77DecompressSplit(const Lz77SplitStreams& streams,
+                                  size_t expected_size,
+                                  const Lz77Params& params) {
+  Cursor litlens(streams.litlens);
+  Cursor matchlens(streams.matchlens);
+  Cursor offsets(streams.offsets);
+  Cursor literals(streams.literals);
+  const size_t input_size = streams.litlens.size() + streams.matchlens.size() +
+                            streams.offsets.size() + streams.literals.size();
+  return ExecuteSequences({&litlens, &matchlens, &offsets, &literals},
+                          streams.n_seq, expected_size, input_size,
+                          params.min_match);
 }
 
 }  // namespace pocs::compress

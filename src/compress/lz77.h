@@ -24,7 +24,8 @@ struct Lz77Params {
 Bytes Lz77Compress(ByteSpan input, const Lz77Params& params);
 
 // Decompress a sequence stream; `expected_size` bounds the output and is
-// validated (corrupt streams yield Corruption, never overflow).
+// validated (corrupt streams yield Corruption, never overflow). The stream
+// must end at its terminator.
 Result<Bytes> Lz77Decompress(ByteSpan input, size_t expected_size,
                              const Lz77Params& params);
 
@@ -35,7 +36,21 @@ Result<Bytes> Lz77Decompress(ByteSpan input, size_t expected_size,
 //   n_seq:varint  4 × (stream_len:varint stream_bytes)
 // in the order litlens, matchlens, offsets, literals.
 Bytes Lz77CompressSplit(ByteSpan input, const Lz77Params& params);
-Result<Bytes> Lz77DecompressSplit(ByteSpan input, size_t expected_size,
+
+// The split layout's sequence count and streams, once the caller has
+// unframed (and entropy-decoded) them.
+struct Lz77SplitStreams {
+  uint64_t n_seq = 0;
+  ByteSpan litlens;
+  ByteSpan matchlens;
+  ByteSpan offsets;
+  ByteSpan literals;
+};
+
+// Runs the n_seq sequences; only the last may be the terminator, and every
+// stream must be consumed exactly.
+Result<Bytes> Lz77DecompressSplit(const Lz77SplitStreams& streams,
+                                  size_t expected_size,
                                   const Lz77Params& params);
 
 }  // namespace pocs::compress

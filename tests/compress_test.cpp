@@ -1,8 +1,13 @@
 // Tests for the compression stack: LZ77 core, Huffman stage, and the three
-// composed codecs. Includes property sweeps over data distributions and
-// corruption injection.
+// composed codecs. Includes property sweeps over data distributions,
+// corruption injection, and a differential sweep of seeded mutants against
+// a compact bit-serial reference decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <optional>
 #include <random>
 
 #include "compress/codec.h"
@@ -282,6 +287,451 @@ TEST(CodecTest, CorruptPayloadDetected) {
   auto out = codec.Decompress(ByteSpan(comp.data(), comp.size()));
   EXPECT_FALSE(out.ok());
 }
+
+
+// Appending bytes to a complete frame is Corruption for every codec: the
+// raw Huffman block ends at its declared size, a coded one within its last
+// byte, and the LZ layouts at their last sequence.
+class TrailingBytes : public ::testing::TestWithParam<CodecType> {};
+
+TEST_P(TrailingBytes, AreCorruption) {
+  const Codec& codec = GetCodec(GetParam());
+  for (const Bytes& input : {MakeRepetitive(5000), MakeScientific(1000)}) {
+    const Bytes comp = codec.Compress(ByteSpan(input.data(), input.size()));
+    ASSERT_TRUE(codec.Decompress(comp).ok());
+    for (size_t extra : {1, 2}) {
+      for (uint8_t value : {uint8_t{0x00}, uint8_t{0xA5}}) {
+        Bytes forged = comp;
+        forged.insert(forged.end(), extra, value);
+        auto out = codec.Decompress(forged);
+        ASSERT_FALSE(out.ok()) << CodecName(GetParam()) << " +" << extra;
+        EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCodecs, TrailingBytes,
+                         ::testing::Values(CodecType::kNone,
+                                           CodecType::kFastLz,
+                                           CodecType::kDeflateLite,
+                                           CodecType::kZsLite));
+
+// --- Reference decoder ---------------------------------------------------
+// Bit-serial canonical Huffman and a byte-loop LZ77 over BufferReader, with
+// the trailing-bytes rule. nullopt stands for Corruption.
+
+std::optional<Bytes> RefHuffman(ByteSpan input) {
+  BufferReader in(input);
+  auto flag = in.ReadU8();
+  auto n = flag.ok() ? in.ReadVarint() : Result<uint64_t>(flag.status());
+  if (!n.ok()) return std::nullopt;
+  if (*flag == 0) {
+    auto raw = in.ReadSpan(*n);
+    if (!raw.ok() || !in.exhausted()) return std::nullopt;
+    return Bytes(raw->begin(), raw->end());
+  }
+  auto lengths = in.ReadSpan(256);
+  if (*flag != 1 || !lengths.ok()) return std::nullopt;
+  std::vector<int> sorted;  // by (length, symbol)
+  uint64_t first_code[33] = {}, first_index[33] = {}, count[33] = {};
+  uint64_t code = 0;
+  for (uint64_t l = 1; l <= 32; ++l) {
+    first_index[l] = sorted.size();
+    for (int sym = 0; sym < 256; ++sym) {
+      if ((*lengths)[sym] == l) sorted.push_back(sym);
+    }
+    count[l] = sorted.size() - first_index[l];
+    if (code + count[l] > (uint64_t{1} << l)) return std::nullopt;
+    first_code[l] = code;
+    code = (code + count[l]) << 1;
+  }
+  for (uint8_t len : *lengths) {
+    if (len > 32) return std::nullopt;
+  }
+  if (sorted.empty() && *n != 0) return std::nullopt;
+  const ByteSpan bits = input.subspan(in.position());
+  if (*n > 8 * bits.size()) return std::nullopt;
+  auto bit_at = [&](size_t i) { return (bits[i >> 3] >> (7 - (i & 7))) & 1; };
+  size_t pos = 0;
+  Bytes out;
+  while (out.size() < *n) {
+    uint64_t c = 0;
+    int sym = -1;
+    for (int l = 1; l <= 32 && sym < 0; ++l) {
+      if (pos == 8 * bits.size()) return std::nullopt;
+      c = c << 1 | bit_at(pos++);
+      if (c >= first_code[l] && c - first_code[l] < count[l]) {
+        sym = sorted[first_index[l] + (c - first_code[l])];
+      }
+    }
+    if (sym < 0) return std::nullopt;
+    out.push_back(static_cast<uint8_t>(sym));
+  }
+  if (8 * bits.size() - pos >= 8) return std::nullopt;
+  for (; pos < 8 * bits.size(); ++pos) {
+    if (bit_at(pos)) return std::nullopt;
+  }
+  return out;
+}
+
+// Appends the match (offset, encoded length) one byte at a time.
+bool RefMatch(Bytes* out, Result<uint64_t> offset, uint64_t mlen_enc,
+              uint64_t expected, uint64_t min_match) {
+  if (!offset.ok() || *offset == 0 || *offset > out->size()) return false;
+  const uint64_t room = expected - out->size();
+  if (room < min_match - 1 || mlen_enc > room - (min_match - 1)) return false;
+  for (uint64_t i = 0; i < mlen_enc + min_match - 1; ++i) {
+    out->push_back((*out)[out->size() - *offset]);
+  }
+  return true;
+}
+
+bool RefLiterals(Bytes* out, Result<uint64_t> lit_len, BufferReader* literals,
+                 uint64_t expected) {
+  if (!lit_len.ok() || *lit_len > expected - out->size()) return false;
+  auto lits = literals->ReadSpan(*lit_len);
+  if (!lits.ok()) return false;
+  out->insert(out->end(), lits->begin(), lits->end());
+  return true;
+}
+
+std::optional<Bytes> RefLz77(ByteSpan input, uint64_t expected,
+                             uint64_t min_match) {
+  BufferReader in(input);
+  Bytes out;
+  while (true) {
+    if (!RefLiterals(&out, in.ReadVarint(), &in, expected)) return std::nullopt;
+    auto mlen = in.ReadVarint();
+    if (!mlen.ok()) return std::nullopt;
+    if (*mlen == 0) break;
+    if (!RefMatch(&out, in.ReadVarint(), *mlen, expected, min_match)) {
+      return std::nullopt;
+    }
+  }
+  if (!in.exhausted() || out.size() != expected) return std::nullopt;
+  return out;
+}
+
+std::optional<Bytes> RefSplit(ByteSpan input, uint64_t expected,
+                              uint64_t min_match) {
+  BufferReader in(input);
+  auto n_seq = in.ReadVarint();
+  if (!n_seq.ok()) return std::nullopt;
+  Bytes streams[4];
+  for (Bytes& stream : streams) {
+    auto len = in.ReadVarint();
+    auto coded = len.ok() ? in.ReadSpan(*len) : Result<ByteSpan>(len.status());
+    if (!coded.ok()) return std::nullopt;
+    auto decoded = RefHuffman(*coded);
+    if (!decoded) return std::nullopt;
+    stream = std::move(*decoded);
+  }
+  if (!in.exhausted()) return std::nullopt;
+  BufferReader litlens(streams[0]), matchlens(streams[1]);
+  BufferReader offsets(streams[2]), literals(streams[3]);
+  Bytes out;
+  for (uint64_t s = 0; s < *n_seq; ++s) {
+    if (!RefLiterals(&out, litlens.ReadVarint(), &literals, expected)) {
+      return std::nullopt;
+    }
+    auto mlen = matchlens.ReadVarint();
+    if (!mlen.ok()) return std::nullopt;
+    if (*mlen == 0) {
+      if (s + 1 != *n_seq) return std::nullopt;
+      break;
+    }
+    if (!RefMatch(&out, offsets.ReadVarint(), *mlen, expected, min_match)) {
+      return std::nullopt;
+    }
+  }
+  if (!litlens.exhausted() || !matchlens.exhausted() || !offsets.exhausted() ||
+      !literals.exhausted() || out.size() != expected) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+std::optional<Bytes> RefDecompress(CodecType type, ByteSpan frame) {
+  constexpr uint64_t kMinMatch = 4;  // every LZ codec's Lz77Params
+  BufferReader in(frame);
+  auto orig = in.ReadVarint();
+  if (!orig.ok()) return std::nullopt;
+  const ByteSpan payload = frame.subspan(in.position());
+  switch (type) {
+    case CodecType::kFastLz:
+      return RefLz77(payload, *orig, kMinMatch);
+    case CodecType::kDeflateLite: {
+      auto lz = RefHuffman(payload);
+      if (!lz) return std::nullopt;
+      return RefLz77(*lz, *orig, kMinMatch);
+    }
+    case CodecType::kZsLite:
+      return RefSplit(payload, *orig, kMinMatch);
+    case CodecType::kNone:
+      break;
+  }
+  return std::nullopt;
+}
+
+// Column-shaped payloads: uniform doubles, int64 ids, small dictionary
+// codes and one long run.
+std::vector<Bytes> ColumnPayloads(uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  Bytes doubles, ids, codes, run(3000, 0x41);
+  for (int i = 0; i < 400; ++i) {
+    const double v = static_cast<double>(rng() >> 11) * 0x1.0p-53;
+    const auto* p = reinterpret_cast<const uint8_t*>(&v);
+    doubles.insert(doubles.end(), p, p + 8);
+  }
+  for (int64_t i = 0; i < 400; ++i) {
+    const int64_t id = 1000000 + 3 * i + static_cast<int64_t>(rng() % 3);
+    const auto* p = reinterpret_cast<const uint8_t*>(&id);
+    ids.insert(ids.end(), p, p + 8);
+  }
+  for (int i = 0; i < 3000; ++i) {
+    codes.push_back(static_cast<uint8_t>(rng() % 16 < 12 ? rng() % 3 : rng() % 7));
+  }
+  return {doubles, ids, codes, run};
+}
+
+// Every mutant (bit flip, byte overwrite, truncation, insertion) of a valid
+// frame must get the reference decoder's answer from Codec::Decompress: the
+// same OK-or-Corruption verdict and, when OK, the same bytes.
+TEST(DifferentialSweep, MutantsAgreeWithReferenceDecoder) {
+  constexpr int kMutantsPerFrame = 900;
+  std::mt19937 rng(20261017);
+  size_t mutants = 0, accepted = 0, disagreements = 0;
+  for (CodecType type : {CodecType::kFastLz, CodecType::kDeflateLite,
+                         CodecType::kZsLite}) {
+    const Codec& codec = GetCodec(type);
+    for (const Bytes& payload : ColumnPayloads(7)) {
+      const Bytes frame = codec.Compress(payload);
+      auto ref = RefDecompress(type, frame);
+      ASSERT_TRUE(ref.has_value()) << CodecName(type);
+      ASSERT_EQ(*ref, payload) << CodecName(type);
+      for (int m = 0; m < kMutantsPerFrame; ++m) {
+        Bytes mutant = frame;
+        const size_t at = rng() % mutant.size();
+        switch (m % 4) {
+          case 0: mutant[at] ^= static_cast<uint8_t>(1u << (rng() % 8)); break;
+          case 1: mutant[at] = static_cast<uint8_t>(rng()); break;
+          case 2: mutant.resize(at); break;
+          case 3:
+            mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
+                          static_cast<uint8_t>(rng()));
+            break;
+        }
+        ++mutants;
+        auto got = codec.Decompress(mutant);
+        auto want = RefDecompress(type, mutant);
+        if (got.ok()) ++accepted;
+        const bool agree = got.ok() ? want.has_value() && *got == *want
+                                    : !want.has_value() &&
+                                          got.status().code() ==
+                                              StatusCode::kCorruption;
+        if (!agree) {
+          ++disagreements;
+          ADD_FAILURE() << CodecName(type) << " mutant kind " << m % 4
+                        << " at " << at << ": decoder "
+                        << (got.ok() ? "OK" : got.status().ToString())
+                        << ", reference " << (want ? "OK" : "Corruption");
+          if (disagreements > 5) return;
+        }
+      }
+    }
+  }
+  EXPECT_GE(mutants, 10000u);
+  EXPECT_GT(accepted, 0u) << "no mutant decoded; the sweep checks no bytes";
+  EXPECT_EQ(disagreements, 0u);
+}
+
+// --- Fast-path edge cases ------------------------------------------------
+
+// A coded Huffman frame for `symbols` under the given code lengths, written
+// independently of HuffmanEncode (which stores short inputs raw).
+Bytes CodedHuffmanFrame(const std::array<uint8_t, 256>& lengths,
+                        const Bytes& symbols) {
+  std::array<uint64_t, 256> codes{};
+  uint64_t code = 0;
+  for (int l = 1; l <= 32; ++l) {
+    for (int s = 0; s < 256; ++s) {
+      if (lengths[s] == l) codes[s] = code++;
+    }
+    code <<= 1;
+  }
+  BufferWriter out;
+  out.WriteU8(1);
+  out.WriteVarint(symbols.size());
+  out.WriteBytes(lengths.data(), lengths.size());
+  uint64_t acc = 0;
+  int nbits = 0;
+  for (uint8_t s : symbols) {
+    for (int b = lengths[s] - 1; b >= 0; --b) {
+      acc = acc << 1 | ((codes[s] >> b) & 1);
+      if (++nbits == 8) {
+        out.WriteU8(static_cast<uint8_t>(acc));
+        acc = 0;
+        nbits = 0;
+      }
+    }
+  }
+  if (nbits > 0) out.WriteU8(static_cast<uint8_t>(acc << (8 - nbits)));
+  return std::move(out).Take();
+}
+
+// Fibonacci-weighted frequencies give the encoder codes far longer than
+// the decoder's 12-bit lookup table.
+TEST(HuffmanTest, CodesLongerThanLookupTable) {
+  Bytes input;
+  uint64_t a = 1, b = 1;
+  for (int s = 0; s < 22; ++s) {
+    input.insert(input.end(), a, static_cast<uint8_t>(s));
+    const uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  std::shuffle(input.begin(), input.end(), std::mt19937(5));
+  const Bytes enc = HuffmanEncode(input);
+  ASSERT_EQ(enc[0], 1) << "expected a coded block";
+  BufferReader in(enc);
+  ASSERT_TRUE(in.ReadU8().ok());
+  ASSERT_TRUE(in.ReadVarint().ok());
+  auto lengths = in.ReadSpan(256);
+  ASSERT_TRUE(lengths.ok());
+  EXPECT_GT(*std::max_element(lengths->begin(), lengths->end()), 12);
+  auto dec = HuffmanDecode(enc);
+  ASSERT_TRUE(dec.ok()) << dec.status();
+  EXPECT_EQ(*dec, input);
+  // Every truncation cuts a code or the padding short.
+  for (size_t cut = enc.size() - 40; cut < enc.size(); ++cut) {
+    EXPECT_FALSE(HuffmanDecode(ByteSpan(enc.data(), cut)).ok()) << cut;
+  }
+}
+
+// Streams of 1-70 symbols: every code of the short ones, and the last
+// codes of the longer ones, decode from the final 8 input bytes. Lengths
+// 1..31 cover codes far past the lookup table; all-8 lengths keep the
+// word loop busy up to the tail.
+TEST(HuffmanTest, ShortStreamsDecodeInTheTail) {
+  std::array<uint8_t, 256> deep{}, flat{};
+  for (int s = 0; s < 31; ++s) deep[s] = static_cast<uint8_t>(s + 1);
+  deep[31] = 31;
+  flat.fill(8);
+  std::mt19937 rng(70);
+  for (const auto& [lengths, alphabet] :
+       {std::pair{deep, 32}, std::pair{flat, 256}}) {
+    for (size_t n = 1; n <= 70; ++n) {
+      Bytes symbols(n);
+      for (auto& s : symbols) s = static_cast<uint8_t>(rng() % alphabet);
+      const Bytes frame = CodedHuffmanFrame(lengths, symbols);
+      auto dec = HuffmanDecode(frame);
+      ASSERT_TRUE(dec.ok()) << "n=" << n << ": " << dec.status();
+      EXPECT_EQ(*dec, symbols) << "n=" << n;
+      EXPECT_EQ(RefHuffman(frame), symbols) << "n=" << n;
+      // One more byte is trailing junk, and a set padding bit is too.
+      Bytes longer = frame;
+      longer.push_back(0);
+      EXPECT_FALSE(HuffmanDecode(longer).ok()) << "n=" << n;
+      size_t code_bits = 0;
+      for (uint8_t s : symbols) code_bits += lengths[s];
+      if (code_bits % 8 != 0) {
+        Bytes padded = frame;
+        padded.back() |= 1;
+        EXPECT_FALSE(HuffmanDecode(padded).ok()) << "n=" << n;
+      }
+    }
+  }
+}
+
+// Hand-built sequences whose match overlaps its own output: a period of
+// `offset` bytes repeated for `run` more, followed by a literal and a
+// distant match, in both the interleaved and the split layout.
+TEST(Lz77Test, OverlappingMatchesReplicateThePeriod) {
+  const Lz77Params params;  // min_match 4
+  std::mt19937 rng(16);
+  for (uint64_t offset = 1; offset <= 17; ++offset) {
+    for (uint64_t run : {offset + 1, 2 * offset + 3, 3 * offset, uint64_t{100},
+                         uint64_t{1000}}) {
+      if (run < params.min_match) continue;
+      Bytes expected(offset);
+      for (auto& b : expected) b = static_cast<uint8_t>(rng());
+      for (uint64_t i = 0; i < run; ++i) {
+        expected.push_back(expected[expected.size() - offset]);
+      }
+      expected.push_back(0x7E);
+      for (int i = 0; i < 20; ++i) expected.push_back(expected[i]);
+
+      BufferWriter litlens, matchlens, offsets, literals, stream;
+      auto sequence = [&](ByteSpan lits, uint64_t mlen, uint64_t off) {
+        litlens.WriteVarint(lits.size());
+        literals.WriteBytes(lits);
+        stream.WriteVarint(lits.size());
+        stream.WriteBytes(lits);
+        const uint64_t enc = mlen == 0 ? 0 : mlen - params.min_match + 1;
+        matchlens.WriteVarint(enc);
+        stream.WriteVarint(enc);
+        if (mlen == 0) return;
+        offsets.WriteVarint(off);
+        stream.WriteVarint(off);
+      };
+      const ByteSpan all(expected);
+      sequence(all.first(offset), run, offset);
+      sequence(all.subspan(offset + run, 1), 20, offset + run + 1);
+      sequence({}, 0, 0);
+
+      auto out = Lz77Decompress(stream.span(), expected.size(), params);
+      ASSERT_TRUE(out.ok()) << offset << "/" << run << ": " << out.status();
+      EXPECT_EQ(*out, expected) << offset << "/" << run;
+      auto split = Lz77DecompressSplit(
+          {3, litlens.span(), matchlens.span(), offsets.span(),
+           literals.span()},
+          expected.size(), params);
+      ASSERT_TRUE(split.ok()) << offset << "/" << run << ": " << split.status();
+      EXPECT_EQ(*split, expected) << offset << "/" << run;
+    }
+  }
+}
+
+// A match length near 2^64 must not wrap the output-size arithmetic.
+TEST(Lz77Test, HugeMatchLengthIsCorruption) {
+  const Lz77Params params;
+  for (uint64_t mlen_enc : {~uint64_t{0}, ~uint64_t{0} - 2, ~uint64_t{0} - 3,
+                            uint64_t{1} << 63}) {
+    BufferWriter stream;
+    stream.WriteVarint(4);
+    stream.WriteBytes("abcd", 4);
+    stream.WriteVarint(mlen_enc);
+    stream.WriteVarint(1);
+    stream.WriteVarint(0);
+    stream.WriteVarint(0);
+    for (size_t expected : {size_t{4}, size_t{6}, size_t{64}}) {
+      auto out = Lz77Decompress(stream.span(), expected, params);
+      ASSERT_FALSE(out.ok()) << mlen_enc << " -> " << expected;
+      EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+    }
+  }
+}
+
+// A legitimate frame may expand past the up-front reservation
+// (64 x input + 64 KiB); the output then grows until the declared size.
+class PastReservationCap : public ::testing::TestWithParam<CodecType> {};
+
+TEST_P(PastReservationCap, LongRunDecodes) {
+  const Codec& codec = GetCodec(GetParam());
+  Bytes input = MakeRandom(100, 3);
+  input.resize(input.size() + (size_t{1} << 21), 0x5A);
+  const Bytes comp = codec.Compress(input);
+  ASSERT_GT(input.size(), 64 * comp.size() + (64 << 10));
+  auto out = codec.Decompress(comp);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*out, input);
+}
+
+INSTANTIATE_TEST_SUITE_P(LzCodecs, PastReservationCap,
+                         ::testing::Values(CodecType::kFastLz,
+                                           CodecType::kDeflateLite,
+                                           CodecType::kZsLite));
 
 }  // namespace
 }  // namespace pocs::compress
