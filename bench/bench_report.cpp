@@ -458,7 +458,8 @@ int main(int argc, char** argv) {
     const engine::QueryMetrics& m = result->metrics;
     report.AddTiming("breakdown.logical_plan_analysis_seconds",
                      m.logical_plan_analysis);
-    report.AddTiming("breakdown.ir_generation_seconds", m.ir_generation);
+    report.AddTiming("breakdown.ir_generation_seconds",
+                     m.ir_generation_seconds);
     report.AddTiming("breakdown.pushdown_and_transfer_seconds",
                      m.pushdown_and_transfer);
     report.AddTiming("breakdown.post_scan_execution_seconds",

@@ -33,7 +33,7 @@ void RunComparison(workloads::Testbed& testbed, const char* title,
     const auto& m = result->metrics;
     std::printf("%-10s %16.1f %14llu %14.4f  %s\n", catalog,
                 m.bytes_from_storage / 1024.0,
-                static_cast<unsigned long long>(m.rows_from_storage), m.total,
+                static_cast<unsigned long long>(m.rows_returned), m.total,
                 result->optimized_plan.c_str());
   }
   std::printf("\n");

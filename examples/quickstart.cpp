@@ -60,10 +60,10 @@ int main() {
   const auto& m = result->metrics;
   std::printf("data movement : %.1f KB from storage (%llu rows)\n",
               m.bytes_from_storage / 1024.0,
-              static_cast<unsigned long long>(m.rows_from_storage));
+              static_cast<unsigned long long>(m.rows_returned));
   std::printf("simulated time: %.4f s (plan %.4f, IR %.4f, pushdown+transfer "
               "%.4f, post-scan %.4f)\n",
-              m.total, m.logical_plan_analysis, m.ir_generation,
+              m.total, m.logical_plan_analysis, m.ir_generation_seconds,
               m.pushdown_and_transfer, m.post_scan_execution);
   std::printf("pushdown      : ");
   for (const auto& d : m.pushdown_decisions) {

@@ -50,7 +50,7 @@ int main() {
     double seconds;
   } rows[] = {
       {"Logical Plan Analysis", m.logical_plan_analysis},
-      {"Substrait IR Generation", m.ir_generation},
+      {"Substrait IR Generation", m.ir_generation_seconds},
       {"Pushdown & Result Transfer", m.pushdown_and_transfer},
       {"Presto Execution (Post-Scan)", m.post_scan_execution},
       {"Others", m.others},

@@ -4,104 +4,22 @@
 
 namespace pocs::connector {
 
-void QueryStatsCollector::Accumulate(const QueryEvent& event, Totals* t) {
-  const QueryStats& s = event.stats;
-  t->queries += 1;
-  t->result_rows += s.result_rows;
-  t->rows_scanned += s.rows_scanned;
-  t->rows_returned += s.rows_returned;
-  t->bytes_from_storage += s.bytes_from_storage;
-  t->bytes_to_storage += s.bytes_to_storage;
-  t->splits += s.splits;
-  t->splits_planned += s.splits_planned;
-  t->splits_pruned += s.splits_pruned;
-  t->metadata_cache_hits += s.metadata_cache_hits;
-  t->metadata_cache_misses += s.metadata_cache_misses;
-  t->metadata_cache_stale += s.metadata_cache_stale;
-  t->metadata_cache_errors += s.metadata_cache_errors;
-  t->row_groups_total += s.row_groups_total;
-  t->row_groups_skipped += s.row_groups_skipped;
-  t->pushdown_offered += s.pushdown_offered;
-  t->pushdown_accepted += s.pushdown_accepted;
-  t->pushdown_rejected += s.pushdown_rejected;
-  t->retries += s.retries;
-  t->fallbacks += s.fallbacks;
-  t->failed_splits += s.failed_splits;
-  t->row_groups_lazy_skipped += s.row_groups_lazy_skipped;
-  t->row_groups_hint_skipped += s.row_groups_hint_skipped;
-  t->cache_hits += s.cache_hits;
-  t->cache_misses += s.cache_misses;
-  t->cache_bytes_saved += s.cache_bytes_saved;
-  t->bytes_refetched_on_retry += s.bytes_refetched_on_retry;
-  t->partial_agg_accepted += s.partial_agg_accepted;
-  t->partial_agg_rejected += s.partial_agg_rejected;
-  t->bloom_pushed += s.bloom_pushed;
-  t->bloom_rows_pruned += s.bloom_rows_pruned;
-  t->partial_agg_merges += s.partial_agg_merges;
-  t->rows_dict_filtered += s.rows_dict_filtered;
-  t->rows_late_materialized += s.rows_late_materialized;
-  t->wall_seconds += s.wall_seconds;
-  t->simulated_seconds += s.simulated_seconds;
-  t->queue_wait_seconds += s.queue_wait_seconds;
-}
-
 void QueryStatsCollector::QueryCompleted(const QueryEvent& event) {
   {
     MutexLock lock(mu_);
-    Accumulate(event, &totals_);
-    Accumulate(event, &by_connector_[event.connector_id]);
+    for (Totals* t : {&totals_, &by_connector_[event.connector_id]}) {
+      ++t->queries;
+      *t += event.stats;
+    }
     last_ = event.stats;
   }
 
   auto& registry = metrics::Registry::Default();
   static auto& queries = registry.GetCounter("engine.queries");
-  static auto& rows_scanned = registry.GetCounter("engine.rows_scanned");
-  static auto& rows_returned = registry.GetCounter("engine.rows_returned");
-  static auto& bytes_from = registry.GetCounter("engine.bytes_from_storage");
-  static auto& bytes_to = registry.GetCounter("engine.bytes_to_storage");
-  static auto& accepted = registry.GetCounter("engine.pushdown_accepted");
-  static auto& rejected = registry.GetCounter("engine.pushdown_rejected");
-  static auto& splits_planned = registry.GetCounter("engine.splits_planned");
-  static auto& splits_pruned = registry.GetCounter("engine.splits_pruned");
-  static auto& retries = registry.GetCounter("engine.retries");
-  static auto& fallbacks = registry.GetCounter("engine.fallbacks");
-  static auto& failed_splits = registry.GetCounter("engine.failed_splits");
-  static auto& cache_hits = registry.GetCounter("engine.cache_hits");
-  static auto& cache_saved = registry.GetCounter("engine.cache_bytes_saved");
-  static auto& refetched =
-      registry.GetCounter("engine.bytes_refetched_on_retry");
-  static auto& pagg_accepted = registry.GetCounter("engine.partial_agg_accepted");
-  static auto& pagg_rejected = registry.GetCounter("engine.partial_agg_rejected");
-  static auto& bloom_pushed = registry.GetCounter("engine.bloom_pushed");
-  static auto& bloom_pruned = registry.GetCounter("engine.bloom_rows_pruned");
-  static auto& pagg_merges = registry.GetCounter("engine.partial_agg_merges");
-  static auto& dict_filtered =
-      registry.GetCounter("engine.rows_dict_filtered");
-  static auto& late_mat =
-      registry.GetCounter("engine.rows_late_materialized");
   static auto& wall = registry.GetHistogram("engine.query_wall_seconds");
+  static const CounterExporter<QueryCounters> exporter("engine");
   queries.Increment();
-  rows_scanned.Add(event.stats.rows_scanned);
-  rows_returned.Add(event.stats.rows_returned);
-  bytes_from.Add(event.stats.bytes_from_storage);
-  bytes_to.Add(event.stats.bytes_to_storage);
-  accepted.Add(event.stats.pushdown_accepted);
-  rejected.Add(event.stats.pushdown_rejected);
-  splits_planned.Add(event.stats.splits_planned);
-  splits_pruned.Add(event.stats.splits_pruned);
-  retries.Add(event.stats.retries);
-  fallbacks.Add(event.stats.fallbacks);
-  failed_splits.Add(event.stats.failed_splits);
-  cache_hits.Add(event.stats.cache_hits);
-  cache_saved.Add(event.stats.cache_bytes_saved);
-  refetched.Add(event.stats.bytes_refetched_on_retry);
-  pagg_accepted.Add(event.stats.partial_agg_accepted);
-  pagg_rejected.Add(event.stats.partial_agg_rejected);
-  bloom_pushed.Add(event.stats.bloom_pushed);
-  bloom_pruned.Add(event.stats.bloom_rows_pruned);
-  pagg_merges.Add(event.stats.partial_agg_merges);
-  dict_filtered.Add(event.stats.rows_dict_filtered);
-  late_mat.Add(event.stats.rows_late_materialized);
+  exporter.Add(event.stats);
   wall.Record(event.stats.wall_seconds);
 }
 

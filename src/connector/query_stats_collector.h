@@ -1,8 +1,9 @@
 // EventListener that aggregates QueryStats across queries — the
 // engine-side sink behind the paper's "Pushdown Monitoring" telemetry.
 // Totals are kept overall and per connector id, and every completion is
-// mirrored into the process metrics registry, so bench reports and
-// dashboards see engine-level counters without touching the engine.
+// mirrored into the process metrics registry as engine.<counter>, so
+// bench reports and dashboards see engine-level counters without
+// touching the engine.
 //
 // Thread-safe: QueryCompleted may fire from any thread.
 #pragma once
@@ -17,48 +18,10 @@ namespace pocs::connector {
 
 class QueryStatsCollector final : public EventListener {
  public:
-  struct Totals {
+  // Every QueryStats counter summed over completed queries.
+  struct Totals : QueryCounters {
     uint64_t queries = 0;
-    uint64_t result_rows = 0;
-    uint64_t rows_scanned = 0;
-    uint64_t rows_returned = 0;
-    uint64_t bytes_from_storage = 0;
-    uint64_t bytes_to_storage = 0;
-    uint64_t splits = 0;
-    uint64_t splits_planned = 0;
-    uint64_t splits_pruned = 0;
-    uint64_t metadata_cache_hits = 0;
-    uint64_t metadata_cache_misses = 0;
-    uint64_t metadata_cache_stale = 0;
-    uint64_t metadata_cache_errors = 0;
-    uint64_t row_groups_total = 0;
-    uint64_t row_groups_skipped = 0;
-    uint64_t pushdown_offered = 0;
-    uint64_t pushdown_accepted = 0;
-    uint64_t pushdown_rejected = 0;
-    uint64_t retries = 0;
-    uint64_t fallbacks = 0;
-    uint64_t failed_splits = 0;
-    uint64_t row_groups_lazy_skipped = 0;
-    uint64_t row_groups_hint_skipped = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_bytes_saved = 0;
-    uint64_t bytes_refetched_on_retry = 0;
-    uint64_t partial_agg_accepted = 0;
-    uint64_t partial_agg_rejected = 0;
-    uint64_t bloom_pushed = 0;
-    uint64_t bloom_rows_pruned = 0;
-    uint64_t partial_agg_merges = 0;
-    uint64_t rows_dict_filtered = 0;
-    uint64_t rows_late_materialized = 0;
-    double wall_seconds = 0;
-    double simulated_seconds = 0;
-    double queue_wait_seconds = 0;  // admission-queue wait, summed
 
-    uint64_t bytes_moved() const {
-      return bytes_from_storage + bytes_to_storage;
-    }
     double pushdown_accept_rate() const {
       return pushdown_offered == 0
                  ? 0.0
@@ -76,8 +39,6 @@ class QueryStatsCollector final : public EventListener {
   QueryStats last() const;
 
  private:
-  static void Accumulate(const QueryEvent& event, Totals* t);
-
   mutable Mutex mu_;
   Totals totals_ POCS_GUARDED_BY(mu_);
   std::map<std::string, Totals> by_connector_ POCS_GUARDED_BY(mu_);

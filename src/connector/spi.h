@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "columnar/batch.h"
+#include "common/counters.h"
 #include "metastore/metastore.h"
 #include "substrait/expr.h"
 #include "substrait/rel.h"
@@ -118,57 +119,11 @@ struct ScanSpec {
   }
 };
 
-// Per-source transfer/compute accounting the engine folds into the
-// query's simulated timing (DESIGN.md §4).
-struct PageSourceStats {
-  uint64_t bytes_received = 0;        // data movement storage → compute
-  uint64_t bytes_sent = 0;            // request/plan bytes compute → storage
-  uint64_t rows_received = 0;
-  uint64_t rows_scanned = 0;          // rows touched at/near storage
-  uint64_t row_groups_total = 0;      // chunks considered by the scan
-  uint64_t row_groups_skipped = 0;    // pruned via min/max statistics
-  double transfer_seconds = 0;        // modelled network time
-  double storage_compute_seconds = 0; // reported by storage, cpu-scaled
-  double media_read_seconds = 0;      // modelled storage-media read time
-  double ir_generation_seconds = 0;   // plan/SQL→IR translation (connector)
-  double decode_seconds = 0;          // result → page conversion at compute
-
-  // -- degradation accounting (fault-injection PR) --------------------------
-  uint64_t dispatch_retries = 0;   // rpc attempts beyond the first
-  uint64_t failed_dispatches = 0;  // pushdown dispatches that exhausted retries
-  uint64_t fallbacks = 0;          // splits recovered via the engine-side scan
-
-  // -- caching accounting (multi-level cache PR) -----------------------------
-  // Row groups skipped by the lazy-column fast path (predicate columns
-  // decoded first, conjuncts matched zero rows).
-  uint64_t row_groups_lazy_skipped = 0;
-  // Row groups storage skipped on the split's planner hint (stats-based
-  // pruning at plan time; only applied when the hint version matched).
-  uint64_t row_groups_hint_skipped = 0;
-  // Hits/misses across both cache levels this split touched: the storage
-  // node's decoded row-group cache and the connector's split-result cache.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  // Bytes a cache hit avoided moving: media bytes for row-group-cache
-  // hits, network payload bytes for split-result-cache hits.
-  uint64_t cache_bytes_saved = 0;
-  // Payload bytes of data calls that only succeeded after at least one
-  // retry — the re-sent traffic partial-result retention tries to shrink.
-  uint64_t bytes_refetched_on_retry = 0;
-
-  // -- pushdown accounting (join/partial-agg PR) ----------------------------
-  // Rows the pushed join-key bloom filter dropped before they could cross
-  // the network (storage-side scan or the engine-side fallback scan).
-  uint64_t bloom_rows_pruned = 0;
-
-  // -- vectorized-scan accounting (SIMD/late-materialization PR) ------------
-  // Rows the storage scan rejected in the dictionary code domain — the
-  // predicate ran against distinct values, never the row's string bytes.
-  uint64_t rows_dict_filtered = 0;
-  // Rows whose string values were decoded from a dictionary page under a
-  // selection (only predicate/bloom survivors materialize).
-  uint64_t rows_late_materialized = 0;
-};
+// One split's counters (common/counters.h): what storage reported for
+// its plan plus what the connector counted around the call. The engine
+// folds them into the query's QueryStats with `+=` and its simulated
+// timing (DESIGN.md §4).
+struct PageSourceStats : SplitCounters {};
 
 // Streams pages (record batches) for one split, with pushed operators
 // already applied by whatever the connector talks to.
@@ -243,77 +198,24 @@ struct OperatorTiming {
   uint64_t rows_out = 0;
 };
 
-// Populated runtime statistics attached to every query-completion event —
-// the counterpart of Presto's QueryStatistics, and the numbers behind the
-// paper's Table 3 (stage breakdown) and Fig. 5 (bytes moved).
-struct QueryStats {
-  // Resource group the query ran under ("default" when admission is off)
-  // and the admission-queue wait it paid before execution began.
+// The one per-query record: returned as engine::QueryResult::metrics and
+// carried as QueryEvent::stats — the counterpart of Presto's
+// QueryStatistics, and the numbers behind the paper's Table 3 (stage
+// breakdown) and Fig. 5 (bytes moved). The counters are the sums of every
+// split's PageSourceStats plus the engine's own (common/counters.h).
+struct QueryStats : QueryCounters {
+  // Resource group the query ran under ("default" when admission is off).
   std::string tenant = "default";
-  double queue_wait_seconds = 0;
-  double wall_seconds = 0;       // measured coordinator wall time
-  double simulated_seconds = 0;  // modelled end-to-end (DESIGN.md §4)
-  uint64_t result_rows = 0;
-  uint64_t rows_scanned = 0;     // touched at/near storage, all splits
-  uint64_t rows_returned = 0;    // crossed storage → compute
-  uint64_t bytes_from_storage = 0;
-  uint64_t bytes_to_storage = 0;
-  uint64_t splits = 0;
-  // Split planning: candidates considered vs dropped by stats-based
-  // pruning (splits = splits_planned - splits_pruned), and how the
-  // planner's metadata cache fared (see SplitPlan).
-  uint64_t splits_planned = 0;
-  uint64_t splits_pruned = 0;
-  uint64_t metadata_cache_hits = 0;
-  uint64_t metadata_cache_misses = 0;
-  uint64_t metadata_cache_stale = 0;
-  uint64_t metadata_cache_errors = 0;
-  uint64_t row_groups_total = 0;
-  uint64_t row_groups_skipped = 0;
-  uint64_t pushdown_offered = 0;
-  uint64_t pushdown_accepted = 0;
-  uint64_t pushdown_rejected = 0;
-  // Degradation: how hard the query had to fight for its rows.
-  uint64_t retries = 0;        // rpc attempts beyond the first, all splits
-  uint64_t fallbacks = 0;      // splits recovered via the engine-side scan
-  uint64_t failed_splits = 0;  // splits whose pushdown dispatch was rejected
-  // Caching: multi-level cache effectiveness, summed across splits (see
-  // PageSourceStats for the per-field definitions).
-  uint64_t row_groups_lazy_skipped = 0;
-  uint64_t row_groups_hint_skipped = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_bytes_saved = 0;
-  uint64_t bytes_refetched_on_retry = 0;
-  // Join/partial-aggregation pushdown (DESIGN.md §14): phase-split
-  // aggregations offered to storage and how they fared, bloom semi-join
-  // filters attached to pushed scans, rows those blooms dropped before
-  // crossing the network, and engine-side merges of storage partials.
-  uint64_t partial_agg_accepted = 0;
-  uint64_t partial_agg_rejected = 0;
-  uint64_t bloom_pushed = 0;
-  uint64_t bloom_rows_pruned = 0;
-  uint64_t partial_agg_merges = 0;
-  // Vectorized-scan accounting (DESIGN.md §15), summed across splits:
-  // rows rejected in the dictionary code domain, and rows whose string
-  // values were late-materialized under a selection.
-  uint64_t rows_dict_filtered = 0;
-  uint64_t rows_late_materialized = 0;
+  // Every operator offered to a connector, in negotiation order.
+  std::vector<PushdownDecision> pushdown_decisions;
   std::vector<OperatorTiming> operator_timings;
-
-  uint64_t bytes_moved() const { return bytes_from_storage + bytes_to_storage; }
 };
 
 // Runtime query events (Presto's EventListener).
 struct QueryEvent {
   std::string query_id;
   std::string connector_id;
-  std::vector<PushdownDecision> decisions;
   QueryStats stats;
-  // Legacy aliases of stats fields, kept for existing listeners.
-  uint64_t bytes_from_storage = 0;
-  uint64_t rows_from_storage = 0;
-  double execution_seconds = 0;
 };
 
 class EventListener {

@@ -217,7 +217,7 @@ class SelectFallbackPageSource final : public connector::PageSource {
     if (input != nullptr) batch = columnar::TakeBatch(*batch, sel);
     if (!result_columns_.empty()) batch = batch->Project(result_columns_);
     stats_.decode_seconds += decode.ElapsedSeconds();
-    stats_.rows_received += batch->num_rows();
+    stats_.rows_returned += batch->num_rows();
     return batch;
   }
   const PageSourceStats& stats() const override { return stats_; }
@@ -253,7 +253,7 @@ class RawGetPageSource final : public connector::PageSource {
     POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
                           reader_->ReadRowGroup(group_++, columns_));
     stats_.decode_seconds += decode.ElapsedSeconds();
-    stats_.rows_received += batch->num_rows();
+    stats_.rows_returned += batch->num_rows();
     // Raw GET ships everything; every decoded row was "scanned" — at the
     // compute node, which is exactly the baseline's problem.
     stats_.rows_scanned += batch->num_rows();
@@ -321,7 +321,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
       POCS_ASSIGN_OR_RETURN(
           Bytes object,
           client_.Get(split.bucket, split.object, &info, config_.call));
-      stats.dispatch_retries = info.retries;
+      info.AddTo(&stats);
       {
         auto& reg = metrics::Registry::Default();
         static auto& gets = reg.GetCounter("connector.hive.raw_gets");
@@ -329,9 +329,6 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
         gets.Increment();
         bytes.Add(info.bytes_received);
       }
-      stats.bytes_received = info.bytes_received;
-      stats.bytes_sent = info.bytes_sent;
-      stats.transfer_seconds = info.transfer_seconds;
       // The GET reads the whole object off the storage node's media.
       stats.media_read_seconds =
           static_cast<double>(object.size()) / config_.media_read_bandwidth;
@@ -368,11 +365,8 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
   Result<objectstore::SelectResponse> select_or =
       client_.Select(request, &info, config_.call);
   if (!select_or.ok()) {
-    stats.bytes_received = info.bytes_received;
-    stats.bytes_sent = info.bytes_sent;
-    stats.transfer_seconds = info.transfer_seconds;
-    stats.dispatch_retries = info.retries;
-    stats.failed_dispatches = 1;
+    info.AddTo(&stats);
+    stats.failed_splits = 1;
     {
       auto& reg = metrics::Registry::Default();
       static auto& failed = reg.GetCounter("connector.hive.failed_selects");
@@ -388,10 +382,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
         Bytes object,
         client_.Get(split.bucket, split.object, &get_info,
                     config_.fallback_call));
-    stats.bytes_received += get_info.bytes_received;
-    stats.bytes_sent += get_info.bytes_sent;
-    stats.transfer_seconds += get_info.transfer_seconds;
-    stats.dispatch_retries += get_info.retries;
+    get_info.AddTo(&stats);
     stats.media_read_seconds +=
         static_cast<double>(object.size()) / config_.media_read_bandwidth;
     stats.fallbacks = 1;
@@ -418,16 +409,13 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
   stats.row_groups_total = response.stats.groups_total;
   stats.row_groups_skipped = response.stats.groups_skipped;
   stats.rows_scanned = response.stats.rows_scanned;
-  stats.bytes_received = info.bytes_received;
-  stats.bytes_sent = info.bytes_sent;
-  stats.transfer_seconds = info.transfer_seconds;
-  stats.dispatch_retries = info.retries;
+  info.AddTo(&stats);
 
   Stopwatch decode;
   POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
                         objectstore::ParseSelectCsv(response.csv, projected));
   stats.decode_seconds = decode.ElapsedSeconds();
-  stats.rows_received = batch->num_rows();
+  stats.rows_returned = batch->num_rows();
 
   {
     auto& reg = metrics::Registry::Default();
@@ -436,8 +424,8 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     static auto& rows = reg.GetCounter("connector.hive.rows_received");
     static auto& csv = reg.GetHistogram("connector.hive.csv_decode_seconds");
     selects.Increment();
-    bytes.Add(stats.bytes_received);
-    rows.Add(stats.rows_received);
+    bytes.Add(stats.bytes_from_storage);
+    rows.Add(stats.rows_returned);
     csv.Record(stats.decode_seconds);
   }
   return std::unique_ptr<connector::PageSource>(

@@ -411,7 +411,7 @@ class OcsPageSource final : public connector::PageSource {
 Result<std::unique_ptr<connector::PageSource>> MakePageSource(
     const connector::ScanSpec& spec, std::shared_ptr<columnar::Table> decoded,
     PageSourceStats stats) {
-  stats.rows_received = decoded->num_rows();
+  stats.rows_returned = decoded->num_rows();
   {
     auto& reg = metrics::Registry::Default();
     static auto& splits = reg.GetCounter("connector.ocs.splits");
@@ -423,9 +423,9 @@ Result<std::unique_ptr<connector::PageSource>> MakePageSource(
     static auto& ir = reg.GetHistogram("connector.ocs.ir_gen_seconds");
     static auto& decode = reg.GetHistogram("connector.ocs.decode_seconds");
     splits.Increment();
-    bytes_rx.Add(stats.bytes_received);
-    bytes_tx.Add(stats.bytes_sent);
-    rows.Add(stats.rows_received);
+    bytes_rx.Add(stats.bytes_from_storage);
+    bytes_tx.Add(stats.bytes_to_storage);
+    rows.Add(stats.rows_returned);
     refetched.Add(stats.bytes_refetched_on_retry);
     ir.Record(stats.ir_generation_seconds);
     decode.Record(stats.decode_seconds);
@@ -492,12 +492,6 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
   objectstore::StorageClient store(client_.channel());
   const std::string object_id = split.bucket + "/" + split.object;
   const uint64_t chunk = config_.dispatch.fallback_chunk_bytes;
-  auto account = [stats](const objectstore::TransferInfo& info) {
-    stats->bytes_received += info.bytes_received;
-    stats->bytes_sent += info.bytes_sent;
-    stats->dispatch_retries += info.retries;
-    stats->transfer_seconds += info.transfer_seconds;
-  };
 
   Bytes object;
   uint64_t fetched_bytes = 0;  // bytes that crossed the network this call
@@ -508,7 +502,7 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
     POCS_ASSIGN_OR_RETURN(object,
                           store.Get(split.bucket, split.object, &info,
                                     config_.dispatch.fallback_call));
-    account(info);
+    info.AddTo(stats);
     fetched_bytes = object.size();
     if (info.retries > 0) stats->bytes_refetched_on_retry += info.bytes_received;
     if (split_result_cache_ || PlanHasBloom(plan)) {
@@ -517,7 +511,7 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
       objectstore::TransferInfo stat_info;
       auto ostat = store.Stat(split.bucket, split.object, &stat_info,
                               config_.dispatch.fallback_call);
-      account(stat_info);
+      stat_info.AddTo(stats);
       if (ostat.ok()) *object_version = ostat->version;
     }
   } else {
@@ -530,7 +524,7 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
     POCS_ASSIGN_OR_RETURN(objectstore::ObjectStat ostat,
                           store.Stat(split.bucket, split.object, &stat_info,
                                      config_.dispatch.fallback_call));
-    account(stat_info);
+    stat_info.AddTo(stats);
     *object_version = ostat.version;
     object.resize(ostat.size);
     for (uint64_t offset = 0; offset < ostat.size; offset += chunk) {
@@ -548,7 +542,7 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
       objectstore::TransferInfo range_info;
       auto range = store.GetRange(split.bucket, split.object, offset, len,
                                   &range_info, config_.dispatch.fallback_call);
-      account(range_info);
+      range_info.AddTo(stats);
       if (!range.ok()) {
         // Ranges already received stay cached for the next attempt.
         return range.status();
@@ -645,10 +639,7 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
       objectstore::StorageClient store(client_.channel());
       auto ostat = store.Stat(split.bucket, split.object, &stat_info,
                               config_.dispatch.call);
-      stats.bytes_received += stat_info.bytes_received;
-      stats.bytes_sent += stat_info.bytes_sent;
-      stats.dispatch_retries += stat_info.retries;
-      stats.transfer_seconds += stat_info.transfer_seconds;
+      stat_info.AddTo(&stats);
       if (ostat.ok() && ostat->version == cached->version) {
         stats.cache_hits += 1;
         stats.cache_bytes_saved += cached->bytes_received;
@@ -678,10 +669,7 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
 
   objectstore::TransferInfo info;
   auto dispatch = client_.ExecutePlan(plan, &info, config_.dispatch.call);
-  stats.bytes_received += info.bytes_received;
-  stats.bytes_sent += info.bytes_sent;
-  stats.dispatch_retries += info.retries;
-  stats.transfer_seconds += info.transfer_seconds;
+  info.AddTo(&stats);
   lease.AddBytes(info.bytes_received);
 
   Status dispatch_status;
@@ -704,21 +692,9 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
           std::to_string(storage_seconds) + "s, deadline " +
           std::to_string(config_.dispatch.storage_deadline_seconds) + "s");
     } else {
-      stats.storage_compute_seconds = result.stats.storage_compute_seconds;
-      stats.media_read_seconds = result.stats.media_read_seconds;
-      stats.row_groups_total = result.stats.row_groups_total;
-      stats.row_groups_skipped = result.stats.row_groups_skipped;
-      stats.row_groups_lazy_skipped = result.stats.row_groups_lazy_skipped;
-      stats.row_groups_hint_skipped = result.stats.row_groups_hint_skipped;
-      stats.bloom_rows_pruned = result.stats.bloom_rows_pruned;
-      stats.rows_dict_filtered = result.stats.rows_dict_filtered;
-      stats.rows_late_materialized = result.stats.rows_late_materialized;
-      stats.rows_scanned = result.stats.rows_scanned;
-      // Level-1 (storage-side row-group cache) accounting rides back on
-      // the result; fold it into this split's stats.
-      stats.cache_hits += result.stats.cache_hits;
-      stats.cache_misses += result.stats.cache_misses;
-      stats.cache_bytes_saved += result.stats.cache_bytes_saved;
+      // Storage's counters ride back on the result, the level-1
+      // (row-group cache) hits and misses among them.
+      stats += result.stats;
       object_version = result.stats.object_version;
       data_bytes_received = info.bytes_received;
       if (info.retries > 0) {
@@ -737,7 +713,7 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
     static auto& failed = reg.GetCounter("connector.ocs.failed_dispatches");
     static auto& fallbacks = reg.GetCounter("connector.ocs.fallbacks");
     failed.Increment();
-    stats.failed_dispatches = 1;
+    stats.failed_splits = 1;
     if (history_) {
       history_->RecordOffloadRejection(
           id_, split.bucket + "/" + split.object, dispatch_status);
@@ -746,10 +722,10 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
         !rpc::IsRetryable(dispatch_status)) {
       return dispatch_status;
     }
-    const uint64_t bytes_before_fallback = stats.bytes_received;
+    const uint64_t bytes_before_fallback = stats.bytes_from_storage;
     POCS_ASSIGN_OR_RETURN(decoded,
                           ExecuteFallback(plan, split, &stats, &object_version));
-    data_bytes_received = stats.bytes_received - bytes_before_fallback;
+    data_bytes_received = stats.bytes_from_storage - bytes_before_fallback;
     stats.fallbacks = 1;
     fallbacks.Increment();
   }

@@ -13,12 +13,12 @@ void PushdownHistory::Recompute() {
   per_kind_.clear();
   total_bytes_ = 0;
   for (const auto& event : events_) {
-    for (const auto& decision : event.decisions) {
+    for (const auto& decision : event.stats.pushdown_decisions) {
       PushdownKindStats& stats = per_kind_[decision.kind];
       ++stats.offered;
       if (decision.accepted) ++stats.accepted;
     }
-    total_bytes_ += static_cast<double>(event.bytes_from_storage);
+    total_bytes_ += static_cast<double>(event.stats.bytes_from_storage);
   }
 }
 

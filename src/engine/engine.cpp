@@ -20,6 +20,7 @@ using columnar::RecordBatchPtr;
 using columnar::SchemaPtr;
 using columnar::Table;
 using connector::PageSourceStats;
+using connector::QueryStats;
 
 QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
   pool_ = std::make_unique<ThreadPool>(config_.worker_threads);
@@ -264,13 +265,13 @@ class PageBatchSource final : public exec::BatchSource {
 // join — and keeps the books they fold into.
 struct SplitRunner {
   SplitRunner(connector::Connector& c, ThreadPool& p, const EngineConfig& cfg,
-              QueryMetrics* m)
+              QueryStats* m)
       : conn(c), pool(p), config(cfg), metrics(m) {}
 
   connector::Connector& conn;
   ThreadPool& pool;
   const EngineConfig& config;
-  QueryMetrics* metrics;
+  QueryStats* metrics;
 
   SplitStageTotals totals;      // the modelled scan stage, all scans
   double residual_seconds = 0;  // engine compute outside the merge stage
@@ -320,30 +321,11 @@ struct SplitRunner {
     for (const SplitRun& run : runs) {
       POCS_RETURN_NOT_OK(run.status);
       const PageSourceStats& s = run.stats;
-      totals.bytes_moved += s.bytes_received + s.bytes_sent;
+      totals.bytes_moved += s.bytes_moved();
       totals.messages += 2;  // request + response per split
       totals.storage_compute_seconds += s.storage_compute_seconds;
       totals.media_read_seconds += s.media_read_seconds;
-      metrics->bytes_from_storage += s.bytes_received;
-      metrics->bytes_to_storage += s.bytes_sent;
-      metrics->rows_from_storage += s.rows_received;
-      metrics->rows_scanned += s.rows_scanned;
-      metrics->ir_generation += s.ir_generation_seconds;
-      metrics->storage_compute_seconds += s.storage_compute_seconds;
-      metrics->row_groups_total += s.row_groups_total;
-      metrics->row_groups_skipped += s.row_groups_skipped;
-      metrics->retries += s.dispatch_retries;
-      metrics->fallbacks += s.fallbacks;
-      metrics->failed_splits += s.failed_dispatches;
-      metrics->row_groups_lazy_skipped += s.row_groups_lazy_skipped;
-      metrics->row_groups_hint_skipped += s.row_groups_hint_skipped;
-      metrics->cache_hits += s.cache_hits;
-      metrics->cache_misses += s.cache_misses;
-      metrics->cache_bytes_saved += s.cache_bytes_saved;
-      metrics->bytes_refetched_on_retry += s.bytes_refetched_on_retry;
-      metrics->bloom_rows_pruned += s.bloom_rows_pruned;
-      metrics->rows_dict_filtered += s.rows_dict_filtered;
-      metrics->rows_late_materialized += s.rows_late_materialized;
+      *metrics += s;
       // Compute-side residual work: operators as measured, plus the page
       // source's result decode. Time spent inside the page source
       // otherwise is the modelled scan stage's, so never counted.
@@ -418,7 +400,7 @@ struct JoinStages {
 Status PrepareJoin(PlanNode* join, PlanNode* scan, PlanNode* agg,
                    bool residual_empty, SplitRunner* runner,
                    JoinStages* out) {
-  QueryMetrics* metrics = runner->metrics;
+  QueryStats* metrics = runner->metrics;
   connector::Connector& conn = runner->conn;
   JoinProbe& probe = out->probe;
 
@@ -587,7 +569,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
 
   Stopwatch total_timer;
   QueryResult result;
-  QueryMetrics& metrics = result.metrics;
+  QueryStats& metrics = result.metrics;
   if (ticket) metrics.admission_queue_seconds = ticket->queue_wait_seconds();
 
   connector::Connector* conn = GetConnector(catalog);
@@ -687,11 +669,11 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
   metrics.operator_timings.push_back(
       {"plan_analysis", metrics.logical_plan_analysis, 0, 0});
   metrics.operator_timings.push_back(
-      {"ir_generation", metrics.ir_generation, 0, 0});
+      {"ir_generation", metrics.ir_generation_seconds, 0, 0});
   metrics.operator_timings.push_back({"scan_transfer",
                                       metrics.pushdown_and_transfer,
                                       metrics.rows_scanned,
-                                      metrics.rows_from_storage});
+                                      metrics.rows_returned});
 
   // ---- merge stage (single-threaded, real work) -----------------------------
   std::unique_ptr<Rel> merge =
@@ -749,20 +731,21 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
         {"join.probe", probe.seconds, probe.rows_in, probe.rows_out});
   }
   metrics.operator_timings.push_back(
-      {"post_scan", metrics.post_scan_execution, metrics.rows_from_storage,
+      {"post_scan", metrics.post_scan_execution, metrics.rows_returned,
        current->num_rows()});
 
   // ---- epilogue ------------------------------------------------------------
-  // Derive the per-kind pushdown counters from the decision log, close
-  // the simulated-time books, and notify listeners.
+  // Derive the pushdown counters from the decision log, close the
+  // simulated-time books, and notify listeners with the same record.
   result.table = current->Combine();
+  metrics.tenant = options.tenant;
+  metrics.result_rows = result.table ? result.table->num_rows() : 0;
   for (const auto& d : metrics.pushdown_decisions) {
+    ++metrics.pushdown_offered;
+    ++(d.accepted ? metrics.pushdown_accepted : metrics.pushdown_rejected);
     if (d.kind == connector::PushedOperator::Kind::kPartialAggregation) {
-      if (d.accepted) {
-        ++metrics.partial_agg_accepted;
-      } else {
-        ++metrics.partial_agg_rejected;
-      }
+      ++(d.accepted ? metrics.partial_agg_accepted
+                    : metrics.partial_agg_rejected);
     } else if (d.kind == connector::PushedOperator::Kind::kJoinKeyBloom &&
                d.accepted) {
       ++metrics.bloom_pushed;
@@ -770,68 +753,19 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
   }
   metrics.others += std::max(
       0.0, total_timer.ElapsedSeconds() -
-               (metrics.logical_plan_analysis + metrics.ir_generation +
+               (metrics.logical_plan_analysis + metrics.ir_generation_seconds +
                 runner.residual_seconds + metrics.storage_compute_seconds +
                 metrics.others));
   metrics.total = metrics.others + metrics.logical_plan_analysis +
-                  metrics.ir_generation + metrics.pushdown_and_transfer +
-                  metrics.post_scan_execution;
+                  metrics.ir_generation_seconds +
+                  metrics.pushdown_and_transfer + metrics.post_scan_execution;
+  metrics.wall_seconds = total_timer.ElapsedSeconds();
 
   if (listeners_.empty()) return result;
   connector::QueryEvent event;
   event.query_id = "q" + std::to_string(next_query_id_++);
   event.connector_id = catalog;
-  event.decisions = metrics.pushdown_decisions;
-
-  connector::QueryStats& qs = event.stats;
-  qs.tenant = options.tenant;
-  qs.queue_wait_seconds = metrics.admission_queue_seconds;
-  qs.wall_seconds = total_timer.ElapsedSeconds();
-  qs.simulated_seconds = metrics.total;
-  qs.result_rows = result.table ? result.table->num_rows() : 0;
-  qs.rows_scanned = metrics.rows_scanned;
-  qs.rows_returned = metrics.rows_from_storage;
-  qs.bytes_from_storage = metrics.bytes_from_storage;
-  qs.bytes_to_storage = metrics.bytes_to_storage;
-  qs.splits = metrics.splits;
-  qs.splits_planned = metrics.splits_planned;
-  qs.splits_pruned = metrics.splits_pruned;
-  qs.metadata_cache_hits = metrics.metadata_cache_hits;
-  qs.metadata_cache_misses = metrics.metadata_cache_misses;
-  qs.metadata_cache_stale = metrics.metadata_cache_stale;
-  qs.metadata_cache_errors = metrics.metadata_cache_errors;
-  qs.row_groups_total = metrics.row_groups_total;
-  qs.row_groups_skipped = metrics.row_groups_skipped;
-  qs.retries = metrics.retries;
-  qs.fallbacks = metrics.fallbacks;
-  qs.failed_splits = metrics.failed_splits;
-  qs.row_groups_lazy_skipped = metrics.row_groups_lazy_skipped;
-  qs.row_groups_hint_skipped = metrics.row_groups_hint_skipped;
-  qs.cache_hits = metrics.cache_hits;
-  qs.cache_misses = metrics.cache_misses;
-  qs.cache_bytes_saved = metrics.cache_bytes_saved;
-  qs.bytes_refetched_on_retry = metrics.bytes_refetched_on_retry;
-  qs.partial_agg_accepted = metrics.partial_agg_accepted;
-  qs.partial_agg_rejected = metrics.partial_agg_rejected;
-  qs.bloom_pushed = metrics.bloom_pushed;
-  qs.bloom_rows_pruned = metrics.bloom_rows_pruned;
-  qs.partial_agg_merges = metrics.partial_agg_merges;
-  qs.rows_dict_filtered = metrics.rows_dict_filtered;
-  qs.rows_late_materialized = metrics.rows_late_materialized;
-  for (const auto& d : metrics.pushdown_decisions) {
-    ++qs.pushdown_offered;
-    if (d.accepted) {
-      ++qs.pushdown_accepted;
-    } else {
-      ++qs.pushdown_rejected;
-    }
-  }
-  qs.operator_timings = metrics.operator_timings;
-
-  // Legacy flat fields, mirrored from stats.
-  event.bytes_from_storage = qs.bytes_from_storage;
-  event.rows_from_storage = qs.rows_returned;
-  event.execution_seconds = qs.simulated_seconds;
+  event.stats = metrics;
   for (const auto& listener : listeners_) listener->QueryCompleted(event);
   return result;
 }

@@ -52,71 +52,14 @@ struct QueryOptions {
   std::shared_ptr<AdmissionTicket> ticket;
 };
 
-struct QueryMetrics {
-  // -- Table 3 stage breakdown (seconds) -----------------------------------
-  double logical_plan_analysis = 0;   // analyze + optimize + pushdown select
-  double ir_generation = 0;           // plan → Substrait-IR translation
-  double pushdown_and_transfer = 0;   // simulated scan-stage time
-  double post_scan_execution = 0;     // residual + merge compute (measured)
-  double others = 0;                  // parse, setup, result assembly
-  double total = 0;                   // simulated end-to-end
-  double admission_queue_seconds = 0;  // enqueue → grant wait (wall)
-
-  // -- data movement (exact, model-free) ------------------------------------
-  uint64_t bytes_from_storage = 0;
-  uint64_t bytes_to_storage = 0;
-  uint64_t rows_from_storage = 0;
-  uint64_t rows_scanned = 0;  // rows touched at/near storage, all splits
-
-  // -- auxiliary -------------------------------------------------------------
-  double storage_compute_seconds = 0;  // Σ scaled in-storage execution
-  uint64_t splits = 0;
-  // Split planning: candidates vs stats-pruned (splits = planned −
-  // pruned), and the planner metadata cache's outcome counts
-  // (definitions in connector::SplitPlan).
-  uint64_t splits_planned = 0;
-  uint64_t splits_pruned = 0;
-  uint64_t metadata_cache_hits = 0;
-  uint64_t metadata_cache_misses = 0;
-  uint64_t metadata_cache_stale = 0;
-  uint64_t metadata_cache_errors = 0;
-  uint64_t row_groups_total = 0;    // chunks considered across splits
-  uint64_t row_groups_skipped = 0;  // pruned via min/max statistics
-  // Degradation accounting: retries spent dispatching to storage, splits
-  // whose pushdown was rejected, and splits recovered engine-side.
-  uint64_t retries = 0;
-  uint64_t fallbacks = 0;
-  uint64_t failed_splits = 0;
-  // Multi-level cache accounting, summed across splits (definitions in
-  // connector::PageSourceStats).
-  uint64_t row_groups_lazy_skipped = 0;
-  uint64_t row_groups_hint_skipped = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_bytes_saved = 0;
-  uint64_t bytes_refetched_on_retry = 0;
-  // Pushdown-pipeline accounting (DESIGN.md §14): partial-aggregation
-  // offers by outcome, join-key blooms attached to the pushed plan, rows
-  // storage pruned with them, and partial rows merged engine-side.
-  uint64_t partial_agg_accepted = 0;
-  uint64_t partial_agg_rejected = 0;
-  uint64_t bloom_pushed = 0;
-  uint64_t bloom_rows_pruned = 0;
-  uint64_t partial_agg_merges = 0;
-  // Vectorized-scan accounting (DESIGN.md §15): rows rejected in the
-  // dictionary code domain, and rows late-materialized under a selection.
-  uint64_t rows_dict_filtered = 0;
-  uint64_t rows_late_materialized = 0;
-  std::vector<connector::PushdownDecision> pushdown_decisions;
-
-  // Stage/operator breakdown with row flow; see
-  // connector::QueryStats::operator_timings for the naming scheme.
-  std::vector<connector::OperatorTiming> operator_timings;
-};
+// Older name of the per-query record; perfbench and other callers use it.
+using QueryMetrics = connector::QueryStats;
 
 struct QueryResult {
   columnar::RecordBatchPtr table;  // combined result
-  QueryMetrics metrics;
+  // The query's one stats record; listeners receive the same one as
+  // QueryEvent::stats.
+  connector::QueryStats metrics;
   std::string logical_plan;    // before connector optimization
   std::string optimized_plan;  // after pushdown rewriting
 };

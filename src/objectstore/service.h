@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "common/counters.h"
 #include "objectstore/describe.h"
 #include "objectstore/object_store.h"
 #include "objectstore/select.h"
@@ -25,6 +26,14 @@ struct TransferInfo {
   uint64_t bytes_received = 0;
   uint64_t retries = 0;  // rpc attempts beyond the first
   double transfer_seconds = 0;
+
+  // Charges this call's traffic to a split's counters.
+  void AddTo(SplitCounters* split) const {
+    split->bytes_from_storage += bytes_received;
+    split->bytes_to_storage += bytes_sent;
+    split->retries += retries;
+    split->transfer_seconds += transfer_seconds;
+  }
 };
 
 class StorageClient {

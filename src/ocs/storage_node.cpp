@@ -1,7 +1,9 @@
 #include "ocs/storage_node.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "columnar/ipc.h"
@@ -496,34 +498,10 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   {
     auto& reg = metrics::Registry::Default();
     static auto& plans = reg.GetCounter("storage.plans_executed");
-    static auto& rows_scanned = reg.GetCounter("storage.rows_scanned");
-    static auto& rows_output = reg.GetCounter("storage.rows_output");
-    static auto& media_bytes = reg.GetCounter("storage.object_bytes_read");
-    static auto& groups_skipped =
-        reg.GetCounter("storage.row_groups_skipped");
-    static auto& groups_lazy_skipped =
-        reg.GetCounter("storage.row_groups_lazy_skipped");
-    static auto& groups_hint_skipped =
-        reg.GetCounter("storage.row_groups_hint_skipped");
-    static auto& cache_saved_bytes =
-        reg.GetCounter("storage.cache_bytes_saved");
-    static auto& bloom_pruned = reg.GetCounter("storage.bloom_rows_pruned");
-    static auto& dict_filtered =
-        reg.GetCounter("storage.rows_dict_filtered");
-    static auto& late_mat =
-        reg.GetCounter("storage.rows_late_materialized");
     static auto& compute = reg.GetHistogram("storage.compute_seconds");
+    static const CounterExporter<StorageCounters> exporter("storage");
     plans.Increment();
-    bloom_pruned.Add(result.stats.bloom_rows_pruned);
-    dict_filtered.Add(result.stats.rows_dict_filtered);
-    late_mat.Add(result.stats.rows_late_materialized);
-    rows_scanned.Add(result.stats.rows_scanned);
-    rows_output.Add(result.stats.rows_output);
-    media_bytes.Add(result.stats.object_bytes_read);
-    groups_skipped.Add(result.stats.row_groups_skipped);
-    groups_lazy_skipped.Add(result.stats.row_groups_lazy_skipped);
-    groups_hint_skipped.Add(result.stats.row_groups_hint_skipped);
-    cache_saved_bytes.Add(result.stats.cache_bytes_saved);
+    exporter.Add(result.stats);
     compute.Record(result.stats.storage_compute_seconds);
   }
   return result;
@@ -567,52 +545,54 @@ Status StorageNode::WarmObjectCache(const std::string& bucket,
 }
 
 void EncodeOcsResult(const OcsResult& result, BufferWriter* out) {
-  out->WriteVarint(result.stats.rows_scanned);
-  out->WriteVarint(result.stats.rows_output);
-  out->WriteVarint(result.stats.object_bytes_read);
-  out->WriteVarint(result.stats.row_groups_total);
-  out->WriteVarint(result.stats.row_groups_skipped);
-  out->WriteVarint(result.stats.row_groups_lazy_skipped);
-  out->WriteVarint(result.stats.row_groups_hint_skipped);
-  out->WriteVarint(result.stats.cache_hits);
-  out->WriteVarint(result.stats.cache_misses);
-  out->WriteVarint(result.stats.cache_bytes_saved);
-  out->WriteVarint(result.stats.bloom_rows_pruned);
-  out->WriteVarint(result.stats.rows_dict_filtered);
-  out->WriteVarint(result.stats.rows_late_materialized);
+  ForEachCounter(result.stats, [out](std::string_view, const auto& value) {
+    if constexpr (kIsCount<decltype(value)>) out->WriteVarint(value);
+  });
   out->WriteVarint(result.stats.object_version);
-  out->WriteLE<double>(result.stats.storage_compute_seconds);
-  out->WriteLE<double>(result.stats.media_read_seconds);
-  out->WriteLE<double>(result.stats.exec_delay_seconds);
+  ForEachCounter(result.stats, [out](std::string_view, const auto& value) {
+    if constexpr (!kIsCount<decltype(value)>) out->WriteLE<double>(value);
+  });
   out->WriteVarint(result.arrow_ipc.size());
   out->WriteBytes(result.arrow_ipc.data(), result.arrow_ipc.size());
 }
 
 Result<OcsResult> DecodeOcsResult(BufferReader* in) {
   OcsResult result;
-  POCS_ASSIGN_OR_RETURN(result.stats.rows_scanned, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.rows_output, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.object_bytes_read, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.row_groups_total, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.row_groups_skipped, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.row_groups_lazy_skipped,
-                        in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.row_groups_hint_skipped,
-                        in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.cache_hits, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.cache_misses, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.cache_bytes_saved, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.bloom_rows_pruned, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.rows_dict_filtered, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.rows_late_materialized,
-                        in->ReadVarint());
+  // Reads the counts (varints) or the seconds (doubles) in list order.
+  auto read = [&](bool counts) {
+    Status status;
+    ForEachCounter(result.stats, [&](std::string_view name, auto& value) {
+      if (!status.ok() || kIsCount<decltype(value)> != counts) return;
+      if constexpr (kIsCount<decltype(value)>) {
+        Result<uint64_t> count = in->ReadVarint();
+        status = count.status();
+        if (count.ok()) value = *count;
+      } else {
+        Result<double> seconds = in->ReadLE<double>();
+        status = seconds.status();
+        if (!seconds.ok()) return;
+        value = *seconds;
+        // The slow-node check and the modelled query time take these at
+        // face value: NaN or a negative figure would slip past the
+        // storage deadline and poison the query's total.
+        if (!std::isfinite(value) || value < 0) {
+          status = Status::Corruption("ocs: result reports " +
+                                      std::string(name) + " = " +
+                                      std::to_string(value));
+        }
+      }
+    });
+    return status;
+  };
+  POCS_RETURN_NOT_OK(read(/*counts=*/true));
   POCS_ASSIGN_OR_RETURN(result.stats.object_version, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(result.stats.storage_compute_seconds,
-                        in->ReadLE<double>());
-  POCS_ASSIGN_OR_RETURN(result.stats.media_read_seconds, in->ReadLE<double>());
-  POCS_ASSIGN_OR_RETURN(result.stats.exec_delay_seconds, in->ReadLE<double>());
+  POCS_RETURN_NOT_OK(read(/*counts=*/false));
   POCS_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
   POCS_ASSIGN_OR_RETURN(ByteSpan ipc, in->ReadSpan(n));
+  if (!in->exhausted()) {
+    return Status::Corruption("ocs: " + std::to_string(in->remaining()) +
+                              " bytes after the result payload");
+  }
   result.arrow_ipc.assign(ipc.begin(), ipc.end());
   return result;
 }

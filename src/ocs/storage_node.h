@@ -20,6 +20,7 @@
 #include <string>
 
 #include "columnar/column.h"
+#include "common/counters.h"
 #include "common/hash.h"
 #include "common/lru_cache.h"
 #include "common/thread_pool.h"
@@ -62,48 +63,11 @@ struct StorageNodeFaults {
   std::atomic<double> exec_delay_seconds{0};
 };
 
-struct OcsExecStats {
-  uint64_t rows_scanned = 0;
-  uint64_t rows_output = 0;
-  uint64_t object_bytes_read = 0;      // storage-media bytes touched
-  uint64_t row_groups_total = 0;
-  uint64_t row_groups_skipped = 0;     // pruned via chunk statistics
-  // Row groups whose pruning predicates, evaluated against the decoded
-  // predicate columns, matched zero rows — remaining columns were never
-  // materialized (the lazy-column fast path).
-  uint64_t row_groups_lazy_skipped = 0;
-  // Row groups skipped on the coordinator's row-group hint (stats-based
-  // pruning at plan time, DESIGN.md §13). Only counted when the hint's
-  // version matched the object — a stale hint is ignored wholesale.
-  uint64_t row_groups_hint_skipped = 0;
-  // Decoded row-group cache accounting for this plan.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_bytes_saved = 0;      // media bytes avoided by hits
-  // Rows dropped by the pushed join-key bloom filter before leaving the
-  // node (DESIGN.md §14). Only counted when the filter's version pin
-  // matched the object — a stale bloom is ignored wholesale, like a
-  // stale row-group hint.
-  uint64_t bloom_rows_pruned = 0;
-  // Rows rejected by predicate evaluation in the dictionary code domain
-  // (DESIGN.md §15): the predicate was tested once per distinct value and
-  // these rows' code bytes failed the match table — their string values
-  // were never decoded.
-  uint64_t rows_dict_filtered = 0;
-  // Rows whose string values were materialized from a dictionary page
-  // under a selection (only predicate/bloom survivors decode; the rest
-  // of the page stays encoded).
-  uint64_t rows_late_materialized = 0;
-  // Version of the object this plan scanned (0 if unknown) — the
-  // connector's split-result cache keys on it.
+// One storage plan's counters (common/counters.h), plus the version of
+// the object it scanned (0 if unknown) — the connector's split-result
+// cache keys on it.
+struct OcsExecStats : StorageCounters {
   uint64_t object_version = 0;
-  double storage_compute_seconds = 0;  // already cpu_slowdown-scaled
-  double media_read_seconds = 0;       // modelled SSD read time
-  // Injected slow-node delay (StorageNodeFaults::exec_delay_seconds at
-  // execution time). Pure model time — no wall clock — so the
-  // connector's slow-node detector can police media + delay without
-  // tripping on sanitizer-inflated *measured* compute time.
-  double exec_delay_seconds = 0;
 };
 
 struct OcsResult {
@@ -181,7 +145,9 @@ class StorageNode {
 };
 
 // Wire helpers for OcsResult (shared with the frontend, which forwards
-// responses verbatim).
+// responses verbatim). The counters travel in their POCS_STORAGE_COUNTERS
+// order, untagged. Decoding rejects seconds that are negative or not
+// finite, and bytes after the IPC payload, as Corruption.
 void EncodeOcsResult(const OcsResult& result, BufferWriter* out);
 Result<OcsResult> DecodeOcsResult(BufferReader* in);
 

@@ -51,7 +51,7 @@ std::string TpchSelectiveQuery(const std::string& table = "lineitem",
 // stores it dictionary-encoded: the storage node evaluates the string
 // conjunct in the code domain and late-materializes only the surviving
 // rows' string bytes (DESIGN.md §15). Drives the `dict.*` bench section
-// and its rows_dict_filtered / rows_late_materialized gates.
+// and its dictionary-filter and late-materialization gates.
 std::string TpchDictFilterQuery(const std::string& table = "lineitem");
 
 // supplier dimension table for the multi-table workload (DESIGN.md §14).

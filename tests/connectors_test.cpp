@@ -376,8 +376,8 @@ connector::QueryEvent Event(bool accepted, uint64_t bytes) {
   connector::PushdownDecision d;
   d.kind = PushedOperator::Kind::kPartialAggregation;
   d.accepted = accepted;
-  event.decisions = {d};
-  event.bytes_from_storage = bytes;
+  event.stats.pushdown_decisions = {d};
+  event.stats.bytes_from_storage = bytes;
   return event;
 }
 

@@ -148,7 +148,7 @@ TEST_F(EquivalenceFixture, LimitOnlyPushdown) {
   EXPECT_NE(result->optimized_plan.find("pushed:limit"), std::string::npos)
       << result->optimized_plan;
   // Each of the 3 splits returns at most 17 rows.
-  EXPECT_LE(result->metrics.rows_from_storage, 3u * 17u);
+  EXPECT_LE(result->metrics.rows_returned, 3u * 17u);
 }
 
 TEST_F(EquivalenceFixture, LimitAfterFilterPushdown) {
@@ -307,7 +307,7 @@ TEST_F(EquivalenceFixture, CsvRowFormatCostsMoreThanArrow) {
   auto csv = testbed->Run(sql, "hive");
   auto arrow = testbed->Run(sql, "ocs_filter_only");
   ASSERT_TRUE(csv.ok() && arrow.ok());
-  EXPECT_EQ(csv->metrics.rows_from_storage, arrow->metrics.rows_from_storage);
+  EXPECT_EQ(csv->metrics.rows_returned, arrow->metrics.rows_returned);
   EXPECT_GT(csv->metrics.bytes_from_storage,
             arrow->metrics.bytes_from_storage)
       << "row-format results must be bulkier than columnar ones";

@@ -163,17 +163,17 @@ TEST_F(TestbedFixture, TpchQ1FilterBarelyReducesMovement) {
   auto hive = testbed->Run(TpchQ1(), "hive");
   auto ocs = testbed->Run(TpchQ1(), "ocs");
   ASSERT_TRUE(hive.ok() && ocs.ok());
-  EXPECT_GT(hive->metrics.rows_from_storage,
+  EXPECT_GT(hive->metrics.rows_returned,
             testbed->metastore().GetTable("default", "lineitem")->row_count *
                 95 / 100);
-  EXPECT_LE(ocs->metrics.rows_from_storage, 4u * 3u);  // ≤ groups × splits
+  EXPECT_LE(ocs->metrics.rows_returned, 4u * 3u);  // ≤ groups × splits
 }
 
 TEST_F(TestbedFixture, OcsAggregationPushdownReturnsPartials) {
   auto result = testbed->Run(DeepWaterQuery(), "ocs");
   ASSERT_TRUE(result.ok());
   // 4 splits × 1 group (timestep constant per file) = 4 partial rows.
-  EXPECT_EQ(result->metrics.rows_from_storage, 4u);
+  EXPECT_EQ(result->metrics.rows_returned, 4u);
   EXPECT_GT(result->metrics.storage_compute_seconds, 0.0);
 }
 
@@ -217,13 +217,13 @@ TEST_F(TestbedFixture, Table3StyleBreakdownIsPopulated) {
   ASSERT_TRUE(result.ok());
   const auto& m = result->metrics;
   EXPECT_GT(m.logical_plan_analysis, 0.0);
-  EXPECT_GT(m.ir_generation, 0.0);
+  EXPECT_GT(m.ir_generation_seconds, 0.0);
   EXPECT_GT(m.pushdown_and_transfer, 0.0);
   EXPECT_GT(m.total, 0.0);
-  EXPECT_GE(m.total, m.logical_plan_analysis + m.ir_generation);
+  EXPECT_GE(m.total, m.logical_plan_analysis + m.ir_generation_seconds);
   // The paper's Table 3: plan analysis + IR generation < 2% of total...
   // at test scale we only assert they are a minority share.
-  EXPECT_LT(m.logical_plan_analysis + m.ir_generation, m.total);
+  EXPECT_LT(m.logical_plan_analysis + m.ir_generation_seconds, m.total);
 }
 
 TEST_F(TestbedFixture, PruningCountersSurfaceInMetrics) {
@@ -257,11 +257,11 @@ TEST_F(TestbedFixture, TpchQ6SelectiveFilterRegime) {
   // ≈ 2% of rows.
   uint64_t total =
       testbed->metastore().GetTable("default", "lineitem")->row_count;
-  uint64_t kept = results.by_catalog["hive"].metrics.rows_from_storage;
+  uint64_t kept = results.by_catalog["hive"].metrics.rows_returned;
   EXPECT_LT(kept, total / 20);
   EXPECT_GT(kept, total / 200);
   // Full pushdown: one partial row per split.
-  EXPECT_EQ(results.by_catalog["ocs"].metrics.rows_from_storage, 3u);
+  EXPECT_EQ(results.by_catalog["ocs"].metrics.rows_returned, 3u);
 }
 
 // Non-paper query shapes through the full stack.

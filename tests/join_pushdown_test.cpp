@@ -299,7 +299,7 @@ TEST(JoinPushdownTest, DeterministicReplay) {
   ASSERT_TRUE(rb.ok()) << rb.status();
   EXPECT_EQ(Canonicalize(*ra->table), Canonicalize(*rb->table));
   EXPECT_EQ(ra->metrics.bytes_from_storage, rb->metrics.bytes_from_storage);
-  EXPECT_EQ(ra->metrics.rows_from_storage, rb->metrics.rows_from_storage);
+  EXPECT_EQ(ra->metrics.rows_returned, rb->metrics.rows_returned);
   EXPECT_EQ(ra->metrics.bloom_rows_pruned, rb->metrics.bloom_rows_pruned);
   EXPECT_EQ(ra->metrics.partial_agg_merges, rb->metrics.partial_agg_merges);
   EXPECT_EQ(ra->optimized_plan, rb->optimized_plan);

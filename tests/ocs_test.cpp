@@ -5,7 +5,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "common/counters.h"
 #include "format/parquet_lite.h"
 #include "metastore/metastore.h"
 #include "ocs/client.h"
@@ -199,38 +204,122 @@ TEST(StorageNodeTest, SchemaMismatchRejected) {
   EXPECT_FALSE(node.ExecutePlan(plan).ok());
 }
 
-TEST(OcsResultWireTest, EncodeDecode) {
+// Every storage counter set to a distinct value through the list: count
+// i is 2^(5i) + i (varints of 1 to 9 bytes), seconds j is 0.125(j+1) + j.
+OcsResult DistinctResult() {
   OcsResult result;
-  result.stats.rows_scanned = 100;
-  result.stats.rows_output = 5;
-  result.stats.object_bytes_read = 4096;
-  result.stats.row_groups_total = 10;
-  result.stats.row_groups_skipped = 8;
-  result.stats.row_groups_lazy_skipped = 1;
-  result.stats.cache_hits = 3;
-  result.stats.cache_misses = 2;
-  result.stats.cache_bytes_saved = 2048;
-  result.stats.rows_dict_filtered = 42;
-  result.stats.rows_late_materialized = 17;
-  result.stats.object_version = 7;
-  result.stats.storage_compute_seconds = 0.125;
-  result.arrow_ipc = {1, 2, 3};
+  uint64_t count = 0;
+  double second = 0;
+  ForEachCounter(result.stats, [&](std::string_view, auto& value) {
+    if constexpr (kIsCount<decltype(value)>) {
+      value = (uint64_t{1} << (5 * count)) + count;
+      ++count;
+    } else {
+      value = 0.125 * (second + 1) + second;
+      ++second;
+    }
+  });
+  result.stats.object_version = 0x1234;
+  result.arrow_ipc = {0xA, 0xB, 0xC};
+  return result;
+}
+
+// The storage counters of `stats`, in list order: (counts, seconds).
+std::pair<std::vector<uint64_t>, std::vector<double>> Values(
+    const OcsExecStats& stats) {
+  std::pair<std::vector<uint64_t>, std::vector<double>> values;
+  ForEachCounter(stats, [&](std::string_view, const auto& value) {
+    if constexpr (kIsCount<decltype(value)>) {
+      values.first.push_back(value);
+    } else {
+      values.second.push_back(value);
+    }
+  });
+  return values;
+}
+
+Bytes Encode(const OcsResult& result) {
   BufferWriter w;
   EncodeOcsResult(result, &w);
-  BufferReader r(w.span());
-  auto rt = DecodeOcsResult(&r);
-  ASSERT_TRUE(rt.ok());
-  EXPECT_EQ(rt->stats.rows_scanned, 100u);
-  EXPECT_EQ(rt->stats.row_groups_skipped, 8u);
-  EXPECT_EQ(rt->stats.row_groups_lazy_skipped, 1u);
-  EXPECT_EQ(rt->stats.cache_hits, 3u);
-  EXPECT_EQ(rt->stats.cache_misses, 2u);
-  EXPECT_EQ(rt->stats.cache_bytes_saved, 2048u);
-  EXPECT_EQ(rt->stats.rows_dict_filtered, 42u);
-  EXPECT_EQ(rt->stats.rows_late_materialized, 17u);
-  EXPECT_EQ(rt->stats.object_version, 7u);
-  EXPECT_DOUBLE_EQ(rt->stats.storage_compute_seconds, 0.125);
-  EXPECT_EQ(rt->arrow_ipc, (Bytes{1, 2, 3}));
+  return std::move(w).Take();
+}
+
+Result<OcsResult> Decode(const Bytes& frame) {
+  BufferReader r(frame.data(), frame.size());
+  return DecodeOcsResult(&r);
+}
+
+// The frame layout is pinned byte for byte: the counts as varints in
+// POCS_STORAGE_COUNTERS order, the object version, the seconds as
+// little-endian doubles, then the length-prefixed IPC payload. Compute and
+// storage nodes must agree on these bytes, so a change here (a new storage
+// counter included) has to be deliberate.
+TEST(OcsResultWireTest, EncodeDecode) {
+  const OcsResult result = DistinctResult();
+  const std::string golden(
+      "\x01\x21\x82\x08\x83\x80\x02\x84\x80\x40\x85\x80\x80\x10\x86\x80\x80"
+      "\x80\x04\x87\x80\x80\x80\x80\x01\x88\x80\x80\x80\x80\x20\x89\x80\x80"
+      "\x80\x80\x80\x08\x8a\x80\x80\x80\x80\x80\x80\x02\x8b\x80\x80\x80\x80"
+      "\x80\x80\x40\x8c\x80\x80\x80\x80\x80\x80\x80\x10\xb4\x24\x00\x00\x00"
+      "\x00\x00\x00\xc0\x3f\x00\x00\x00\x00\x00\x00\xf4\x3f\x00\x00\x00\x00"
+      "\x00\x00\x03\x40\x03\x0a\x0b\x0c",
+      93);
+  const Bytes frame = Encode(result);
+  EXPECT_EQ(std::string(frame.begin(), frame.end()), golden);
+
+  auto rt = Decode(frame);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  EXPECT_EQ(Values(rt->stats), Values(result.stats));
+  EXPECT_EQ(rt->stats.object_version, 0x1234u);
+  EXPECT_EQ(rt->arrow_ipc, result.arrow_ipc);
+}
+
+TEST(OcsResultWireTest, EveryStrictPrefixFailsToDecode) {
+  const Bytes frame = Encode(DistinctResult());
+  for (size_t n = 0; n < frame.size(); ++n) {
+    const Bytes prefix(frame.begin(), frame.begin() + n);
+    auto decoded = Decode(prefix);
+    EXPECT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
+  }
+}
+
+TEST(OcsResultWireTest, TrailingBytesAreCorruption) {
+  Bytes frame = Encode(DistinctResult());
+  frame.push_back(0);
+  auto decoded = Decode(frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+// Storage-reported seconds feed the slow-node check and the modelled
+// query time; NaN compares false against any deadline, so a NaN,
+// infinite or negative figure must be rejected at the wire.
+TEST(OcsResultWireTest, NonFiniteOrNegativeSecondsAreCorruption) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -100.0, -0.5};
+  const OcsExecStats names;
+  std::vector<std::string> checked;
+  ForEachCounter(names, [&](std::string_view name, const auto& value) {
+    if constexpr (!kIsCount<decltype(value)>) checked.emplace_back(name);
+  });
+  EXPECT_EQ(checked, (std::vector<std::string>{"storage_compute_seconds",
+                                               "media_read_seconds",
+                                               "exec_delay_seconds"}));
+  for (const std::string& field : checked) {
+    for (double bad : bad_values) {
+      OcsResult result = DistinctResult();
+      ForEachCounter(result.stats, [&](std::string_view name, auto& value) {
+        if constexpr (!kIsCount<decltype(value)>) {
+          if (name == field) value = bad;
+        }
+      });
+      auto decoded = Decode(Encode(result));
+      ASSERT_FALSE(decoded.ok()) << field << " = " << bad;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << field << " = " << bad;
+    }
+  }
 }
 
 // ---- cluster --------------------------------------------------------------
@@ -289,6 +378,23 @@ TEST_F(ClusterFixture, ExecutePlanRoutesThroughFrontend) {
   EXPECT_GT(compute_frontend.bytes, 0u);
   // Frontend→storage forwarding doubles internal traffic.
   EXPECT_GT(total.bytes, compute_frontend.bytes);
+}
+
+// The probe behind the wire check: a node whose injected delay is NaN or
+// negative used to slip past the connector's slow-node deadline. The
+// client now refuses the response instead of trusting it.
+TEST_F(ClusterFixture, GarbageStorageSecondsAreRejectedByTheClient) {
+  for (double delay : {std::numeric_limits<double>::quiet_NaN(), -100.0}) {
+    for (size_t i = 0; i < cluster->num_storage_nodes(); ++i) {
+      cluster->mutable_storage_node(i).faults().exec_delay_seconds = delay;
+    }
+    Plan plan;
+    plan.root = ReadSim();
+    plan.root->object = "f0";
+    auto result = client->ExecutePlan(plan);
+    ASSERT_FALSE(result.ok()) << "delay " << delay;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST_F(ClusterFixture, AggregationPushdownMovesAlmostNothing) {
