@@ -29,39 +29,17 @@ std::string_view CompareOpName(CompareOp op) {
   return "?";
 }
 
-namespace {
-
-// The comparison op is a template parameter so the hot loops compile to
-// a single branch-free compare per element instead of a per-row switch.
-template <CompareOp Op, typename T>
-inline bool OpTest(T v, T lit) {
-  if constexpr (Op == CompareOp::kEq) return v == lit;
-  if constexpr (Op == CompareOp::kNe) return v != lit;
-  if constexpr (Op == CompareOp::kLt) return v < lit;
-  if constexpr (Op == CompareOp::kLe) return v <= lit;
-  if constexpr (Op == CompareOp::kGt) return v > lit;
-  if constexpr (Op == CompareOp::kGe) return v >= lit;
-  return false;
-}
-
-template <typename F>
-size_t WithOp(CompareOp op, F&& f) {
+CompareOp MirrorCompareOp(CompareOp op) {
   switch (op) {
-    case CompareOp::kEq:
-      return f(std::integral_constant<CompareOp, CompareOp::kEq>{});
-    case CompareOp::kNe:
-      return f(std::integral_constant<CompareOp, CompareOp::kNe>{});
-    case CompareOp::kLt:
-      return f(std::integral_constant<CompareOp, CompareOp::kLt>{});
-    case CompareOp::kLe:
-      return f(std::integral_constant<CompareOp, CompareOp::kLe>{});
-    case CompareOp::kGt:
-      return f(std::integral_constant<CompareOp, CompareOp::kGt>{});
-    case CompareOp::kGe:
-      return f(std::integral_constant<CompareOp, CompareOp::kGe>{});
+    case CompareOp::kLt: return CompareOp::kGt;
+    case CompareOp::kLe: return CompareOp::kGe;
+    case CompareOp::kGt: return CompareOp::kLt;
+    case CompareOp::kGe: return CompareOp::kLe;
+    default: return op;
   }
-  return 0;
 }
+
+namespace {
 
 // Branch-free compress-store: unconditionally write the candidate index,
 // advance the output cursor only when the predicate holds. `valid` is
@@ -74,13 +52,13 @@ size_t CompareDense(const V* vals, const uint8_t* valid, uint32_t n, T lit,
   if (valid == nullptr) {
     for (uint32_t i = 0; i < n; ++i) {
       out[k] = i;
-      k += static_cast<size_t>(OpTest<Op>(static_cast<T>(vals[i]), lit));
+      k += static_cast<size_t>(CompareHolds<Op>(static_cast<T>(vals[i]), lit));
     }
   } else {
     for (uint32_t i = 0; i < n; ++i) {
       out[k] = i;
       k += static_cast<size_t>((valid[i] != 0) &
-                               OpTest<Op>(static_cast<T>(vals[i]), lit));
+                               CompareHolds<Op>(static_cast<T>(vals[i]), lit));
     }
   }
   return k;
@@ -94,14 +72,14 @@ size_t CompareSelected(const V* vals, const uint8_t* valid,
     for (size_t j = 0; j < m; ++j) {
       const uint32_t i = sel[j];
       out[k] = i;
-      k += static_cast<size_t>(OpTest<Op>(static_cast<T>(vals[i]), lit));
+      k += static_cast<size_t>(CompareHolds<Op>(static_cast<T>(vals[i]), lit));
     }
   } else {
     for (size_t j = 0; j < m; ++j) {
       const uint32_t i = sel[j];
       out[k] = i;
       k += static_cast<size_t>((valid[i] != 0) &
-                               OpTest<Op>(static_cast<T>(vals[i]), lit));
+                               CompareHolds<Op>(static_cast<T>(vals[i]), lit));
     }
   }
   return k;
@@ -111,7 +89,7 @@ template <typename T, typename V>
 size_t CompareTyped(const V* vals, const uint8_t* valid, size_t n,
                     CompareOp op, T lit, const SelectionVector* input,
                     uint32_t* out) {
-  return WithOp(op, [&](auto opc) {
+  return WithCompareOp(op, [&](auto opc) {
     constexpr CompareOp kOp = decltype(opc)::value;
     if (input != nullptr) {
       return CompareSelected<kOp, T>(vals, valid, input->data(),
@@ -122,31 +100,24 @@ size_t CompareTyped(const V* vals, const uint8_t* valid, size_t n,
   });
 }
 
-inline std::string_view StringAt(const int32_t* offsets, const char* chars,
-                                 uint32_t i) {
-  return {chars + offsets[i],
-          static_cast<size_t>(offsets[i + 1] - offsets[i])};
-}
-
 template <CompareOp Op>
 size_t CompareStrings(const Column& col, std::string_view lit,
                       const SelectionVector* input, uint32_t* out) {
-  const int32_t* offsets = col.offsets().data();
-  const char* chars = col.chars().data();
+  const StringSpan strings(col);
   const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
   size_t k = 0;
   if (input != nullptr) {
     for (uint32_t i : *input) {
       if (valid != nullptr && valid[i] == 0) continue;
       out[k] = i;
-      k += static_cast<size_t>(OpTest<Op>(StringAt(offsets, chars, i), lit));
+      k += static_cast<size_t>(CompareHolds<Op>(strings[i], lit));
     }
   } else {
     const uint32_t n = static_cast<uint32_t>(col.length());
     for (uint32_t i = 0; i < n; ++i) {
       if (valid != nullptr && valid[i] == 0) continue;
       out[k] = i;
-      k += static_cast<size_t>(OpTest<Op>(StringAt(offsets, chars, i), lit));
+      k += static_cast<size_t>(CompareHolds<Op>(strings[i], lit));
     }
   }
   return k;
@@ -217,27 +188,33 @@ SelectionVector CompareScalar(const Column& col, CompareOp op,
   if (literal.is_null()) return out;  // comparisons with NULL match nothing
   out.resize(input ? input->size() : col.length());
   const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
+  const size_t n = col.length();
+  auto numeric = [&](const auto* vals) {
+    if (ComparesAsDouble(col.type(), literal.type())) {
+      return CompareTyped<double>(vals, valid, n, op, literal.AsDouble(),
+                                  input, out.data());
+    }
+    return CompareTyped<int64_t>(vals, valid, n, op, literal.AsInt64(), input,
+                                 out.data());
+  };
   size_t k = 0;
   switch (col.type()) {
     case TypeKind::kBool:
-      k = CompareTyped<int>(col.bool_data().data(), valid, col.length(), op,
-                            literal.bool_value() ? 1 : 0, input, out.data());
+      k = numeric(col.bool_data().data());
       break;
     case TypeKind::kInt32:
     case TypeKind::kDate32:
-      k = CompareTyped<int64_t>(col.i32_data().data(), valid, col.length(),
-                                op, literal.AsInt64(), input, out.data());
+      k = numeric(col.i32_data().data());
       break;
     case TypeKind::kInt64:
-      k = CompareTyped<int64_t>(col.i64_data().data(), valid, col.length(),
-                                op, literal.AsInt64(), input, out.data());
+      k = numeric(col.i64_data().data());
       break;
     case TypeKind::kFloat64:
-      k = CompareTyped<double>(col.f64_data().data(), valid, col.length(), op,
+      k = CompareTyped<double>(col.f64_data().data(), valid, n, op,
                                literal.AsDouble(), input, out.data());
       break;
     case TypeKind::kString:
-      k = WithOp(op, [&](auto opc) {
+      k = WithCompareOp(op, [&](auto opc) {
         return CompareStrings<decltype(opc)::value>(
             col, literal.string_value(), input, out.data());
       });
@@ -251,36 +228,47 @@ SelectionVector Between(const Column& col, const Datum& lo, const Datum& hi,
                         const SelectionVector* input) {
   SelectionVector out;
   if (lo.is_null() || hi.is_null()) return out;  // NULL bound matches nothing
+  const bool lo_double = ComparesAsDouble(col.type(), lo.type());
+  if (col.type() != TypeKind::kString &&
+      lo_double != ComparesAsDouble(col.type(), hi.type())) {
+    // The bounds compare in different domains (an integer column against
+    // 1 and 2.5): two chained passes keep each bound's own rule.
+    const SelectionVector ge = CompareScalar(col, CompareOp::kGe, lo, input);
+    return CompareScalar(col, CompareOp::kLe, hi, &ge);
+  }
   out.resize(input ? input->size() : col.length());
   const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
+  const size_t n = col.length();
+  auto numeric = [&](const auto* vals) {
+    if (lo_double) {
+      return BetweenTyped<double>(vals, valid, n, lo.AsDouble(), hi.AsDouble(),
+                                  input, out.data());
+    }
+    return BetweenTyped<int64_t>(vals, valid, n, lo.AsInt64(), hi.AsInt64(),
+                                 input, out.data());
+  };
   size_t k = 0;
   switch (col.type()) {
     case TypeKind::kBool:
-      k = BetweenTyped<int>(col.bool_data().data(), valid, col.length(),
-                            lo.bool_value() ? 1 : 0, hi.bool_value() ? 1 : 0,
-                            input, out.data());
+      k = numeric(col.bool_data().data());
       break;
     case TypeKind::kInt32:
     case TypeKind::kDate32:
-      k = BetweenTyped<int64_t>(col.i32_data().data(), valid, col.length(),
-                                lo.AsInt64(), hi.AsInt64(), input, out.data());
+      k = numeric(col.i32_data().data());
       break;
     case TypeKind::kInt64:
-      k = BetweenTyped<int64_t>(col.i64_data().data(), valid, col.length(),
-                                lo.AsInt64(), hi.AsInt64(), input, out.data());
+      k = numeric(col.i64_data().data());
       break;
     case TypeKind::kFloat64:
-      k = BetweenTyped<double>(col.f64_data().data(), valid, col.length(),
-                               lo.AsDouble(), hi.AsDouble(), input,
-                               out.data());
+      k = BetweenTyped<double>(col.f64_data().data(), valid, n, lo.AsDouble(),
+                               hi.AsDouble(), input, out.data());
       break;
     case TypeKind::kString: {
-      const int32_t* offsets = col.offsets().data();
-      const char* chars = col.chars().data();
+      const StringSpan strings(col);
       const std::string_view vlo = lo.string_value();
       const std::string_view vhi = hi.string_value();
       auto one = [&](uint32_t i) {
-        const std::string_view v = StringAt(offsets, chars, i);
+        const std::string_view v = strings[i];
         out[k] = i;
         k += static_cast<size_t>((v >= vlo) & (v <= vhi));
       };
@@ -447,21 +435,15 @@ void HashRows(const std::vector<ColumnPtr>& keys, std::vector<uint64_t>* out) {
                       [](double v) { return HashValue(v); });
         break;
       case TypeKind::kString: {
-        const int32_t* offsets = col.offsets().data();
-        const char* chars = col.chars().data();
+        const StringSpan strings(col);
         if (valid == nullptr) {
           for (size_t i = 0; i < n; ++i) {
-            h[i] = HashCombine(
-                h[i],
-                HashString(StringAt(offsets, chars, static_cast<uint32_t>(i))));
+            h[i] = HashCombine(h[i], HashString(strings[i]));
           }
         } else {
           for (size_t i = 0; i < n; ++i) {
             h[i] = HashCombine(
-                h[i], valid[i] == 0
-                          ? kNullHash
-                          : HashString(StringAt(offsets, chars,
-                                                static_cast<uint32_t>(i))));
+                h[i], valid[i] == 0 ? kNullHash : HashString(strings[i]));
           }
         }
         break;

@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "columnar/batch.h"
@@ -35,17 +37,103 @@ enum class CompareOp : uint8_t {
 };
 
 std::string_view CompareOpName(CompareOp op);
+// The op that holds for (b, a) exactly when `op` holds for (a, b):
+// `lit < x` is `x > lit`.
+CompareOp MirrorCompareOp(CompareOp op);
+
+// `a <op> b` with the op fixed at compile time, so a loop over it is one
+// branch-free compare per element. Doubles follow IEEE: NaN satisfies
+// only `<>`.
+template <CompareOp Op, typename T>
+inline bool CompareHolds(const T& a, const T& b) {
+  if constexpr (Op == CompareOp::kEq) return a == b;
+  if constexpr (Op == CompareOp::kNe) return a != b;
+  if constexpr (Op == CompareOp::kLt) return a < b;
+  if constexpr (Op == CompareOp::kLe) return a <= b;
+  if constexpr (Op == CompareOp::kGt) return a > b;
+  if constexpr (Op == CompareOp::kGe) return a >= b;
+  return false;
+}
+
+// Calls f(std::integral_constant<CompareOp, op>{}): turns a runtime op
+// into the compile-time parameter of CompareHolds.
+template <typename F>
+decltype(auto) WithCompareOp(CompareOp op, F&& f) {
+  switch (op) {
+    case CompareOp::kEq:
+      return f(std::integral_constant<CompareOp, CompareOp::kEq>{});
+    case CompareOp::kNe:
+      return f(std::integral_constant<CompareOp, CompareOp::kNe>{});
+    case CompareOp::kLt:
+      return f(std::integral_constant<CompareOp, CompareOp::kLt>{});
+    case CompareOp::kLe:
+      return f(std::integral_constant<CompareOp, CompareOp::kLe>{});
+    case CompareOp::kGt:
+      return f(std::integral_constant<CompareOp, CompareOp::kGt>{});
+    case CompareOp::kGe:
+      break;
+  }
+  return f(std::integral_constant<CompareOp, CompareOp::kGe>{});
+}
+
+// Typed read view of a column's value buffer, widened to T on load, and a
+// scalar broadcast to every row. Kernels template their inner loops on
+// these element views, so one loop body serves every operand shape.
+template <typename T, typename V>
+struct ValueSpan {
+  const V* values;
+  T operator[](size_t i) const { return static_cast<T>(values[i]); }
+};
+
+template <typename T>
+struct Splat {
+  T value;
+  T operator[](size_t) const { return value; }
+};
+
+struct StringSpan {
+  const int32_t* offsets;
+  const char* chars;
+  explicit StringSpan(const Column& col)
+      : offsets(col.offsets().data()), chars(col.chars().data()) {}
+  std::string_view operator[](size_t i) const {
+    return {chars + offsets[i],
+            static_cast<size_t>(offsets[i + 1] - offsets[i])};
+  }
+};
+
+// Integer arithmetic that wraps in two's complement instead of
+// overflowing into undefined behaviour.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapNeg(int64_t a) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(a));
+}
 
 using SelectionVector = std::vector<uint32_t>;
 
 // Rows of `col` (restricted to `input` if non-null) where
-// `col[i] <op> literal` holds. Null values never match.
+// `col[i] <op> literal` holds. Null values never match. Numeric values
+// compare under ComparesAsDouble's rule (columnar/types.h), so an integer
+// column against 2.5 compares as double.
 SelectionVector CompareScalar(const Column& col, CompareOp op,
                               const Datum& literal,
                               const SelectionVector* input = nullptr);
 
-// Rows where lo <= col[i] <= hi (BETWEEN). Fused single pass: both
-// bounds are tested in one traversal, no intermediate selection.
+// Rows where lo <= col[i] <= hi (BETWEEN), each bound compared under the
+// same rule as CompareScalar. Fused single pass when both bounds compare
+// in the same domain: both tested in one traversal, no intermediate
+// selection.
 SelectionVector Between(const Column& col, const Datum& lo, const Datum& hi,
                         const SelectionVector* input = nullptr);
 

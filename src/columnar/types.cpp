@@ -92,8 +92,11 @@ int Datum::Compare(const Datum& other) const {
                ? -1
                : (string_value() == other.string_value() ? 0 : 1);
   }
-  // Numeric cross-type comparison via double is exact enough here because
-  // all integer domains in this repo fit in 53 bits.
+  if (!ComparesAsDouble(type_, other.type_)) {
+    const int64_t a = AsInt64();
+    const int64_t b = other.AsInt64();
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
   double a = AsDouble();
   double b = other.AsDouble();
   if (a < b) return -1;
@@ -134,12 +137,13 @@ int32_t DaysFromCivil(int y, int m, int d) {
   return era * 146097 + static_cast<int>(doe) - 719468;
 }
 
-void CivilFromDays(int32_t z, int* year, int* month, int* day) {
-  z += 719468;
-  const int era = (z >= 0 ? z : z - 146096) / 146097;
+void CivilFromDays(int32_t days, int* year, int* month, int* day) {
+  // 64-bit so the extreme int32 day counts do not overflow the shift.
+  const int64_t z = static_cast<int64_t>(days) + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
   const unsigned doe = static_cast<unsigned>(z - era * 146097);
   const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
-  const int y = static_cast<int>(yoe) + era * 400;
+  const int y = static_cast<int>(static_cast<int64_t>(yoe) + era * 400);
   const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
   const unsigned mp = (5 * doy + 2) / 153;
   const unsigned d = doy - (153 * mp + 2) / 5 + 1;

@@ -26,6 +26,14 @@ enum class TypeKind : uint8_t {
 
 std::string_view TypeName(TypeKind kind);
 bool IsNumeric(TypeKind kind);
+
+// The one comparison rule for numeric values, shared by the evaluator, the
+// scalar kernels, S3 Select, the Hive fallback and stats pruning: two
+// integer operands (bool, int32, date32, int64) compare as int64; anything
+// involving float64 compares as double.
+inline bool ComparesAsDouble(TypeKind a, TypeKind b) {
+  return a == TypeKind::kFloat64 || b == TypeKind::kFloat64;
+}
 // Fixed byte width of a value; 0 for variable-width (kString).
 size_t TypeWidth(TypeKind kind);
 

@@ -1,5 +1,9 @@
 #include "exec/hash_aggregator.h"
 
+#include <algorithm>
+#include <string_view>
+#include <type_traits>
+
 #include "columnar/kernels.h"
 #include "substrait/eval.h"
 #include "substrait/rel.h"
@@ -8,7 +12,6 @@ namespace pocs::exec {
 
 using columnar::Column;
 using columnar::ColumnPtr;
-using columnar::Datum;
 using columnar::Field;
 using columnar::MakeColumn;
 using columnar::MakeSchema;
@@ -17,6 +20,105 @@ using columnar::RecordBatchPtr;
 using columnar::TypeKind;
 using substrait::AggFunc;
 using substrait::AggregateSpec;
+
+namespace {
+
+constexpr size_t kInitialSlots = 64;
+
+// A bool column's bytes read as 0/1.
+template <typename T>
+struct BoolSpan {
+  const uint8_t* values;
+  T operator[](size_t i) const { return static_cast<T>(values[i] != 0); }
+};
+
+// Calls f with a typed view of a non-string argument column read as T.
+// T = int64_t serves integer SUMs and integer/bool MIN/MAX; T = double
+// serves float SUM and AVG, where a string argument reads as 0, as
+// Column::AsDouble reads it.
+template <typename T, typename F>
+void VisitValues(const Column& col, F&& f) {
+  switch (col.type()) {
+    case TypeKind::kBool:
+      f(BoolSpan<T>{col.bool_data().data()});
+      return;
+    case TypeKind::kInt32:
+    case TypeKind::kDate32:
+      f(columnar::ValueSpan<T, int32_t>{col.i32_data().data()});
+      return;
+    case TypeKind::kInt64:
+      f(columnar::ValueSpan<T, int64_t>{col.i64_data().data()});
+      return;
+    case TypeKind::kFloat64:
+    case TypeKind::kString:
+      if constexpr (std::is_same_v<T, double>) {
+        if (col.type() == TypeKind::kString) {
+          f(columnar::Splat<T>{0.0});
+        } else {
+          f(columnar::ValueSpan<T, double>{col.f64_data().data()});
+        }
+      }
+      return;
+  }
+}
+
+// Calls f(group, value) for every live row whose argument is not NULL, in
+// row order: `groups[j]` is the group of the j-th live row, which is row
+// `sel[j]` (row j without a selection).
+template <typename View, typename F>
+void ForEachLive(View values, const uint8_t* valid, const uint32_t* sel,
+                 const uint32_t* groups, size_t live, F&& f) {
+  if (sel == nullptr) {
+    if (valid == nullptr) {
+      for (size_t j = 0; j < live; ++j) f(groups[j], values[j]);
+    } else {
+      for (size_t j = 0; j < live; ++j) {
+        if (valid[j] != 0) f(groups[j], values[j]);
+      }
+    }
+  } else if (valid == nullptr) {
+    for (size_t j = 0; j < live; ++j) f(groups[j], values[sel[j]]);
+  } else {
+    for (size_t j = 0; j < live; ++j) {
+      const uint32_t row = sel[j];
+      if (valid[row] != 0) f(groups[j], values[row]);
+    }
+  }
+}
+
+// Running MIN (kMin) or MAX per group: the first non-NULL value, then each
+// value that compares strictly better (so NaN never replaces, and a
+// leading NaN stays). `count` doubles as the has-a-value flag.
+template <bool kMin, typename View, typename Best>
+void FoldExtremes(View values, const uint8_t* valid, const uint32_t* sel,
+                  const uint32_t* groups, size_t live, int64_t* count,
+                  Best* best) {
+  ForEachLive(values, valid, sel, groups, live, [&](uint32_t g, auto v) {
+    if (count[g]++ == 0 || (kMin ? v < best[g] : best[g] < v)) best[g] = v;
+  });
+}
+
+enum class Store { kNone, kI64, kF64, kStr };
+
+// Which Accumulator vector an aggregate keeps its running value in.
+Store StoreFor(const AggregateSpec& agg) {
+  switch (agg.func) {
+    case AggFunc::kCount:
+    case AggFunc::kCountStar:
+      return Store::kNone;
+    case AggFunc::kSum:
+      return agg.OutputType() == TypeKind::kInt64 ? Store::kI64 : Store::kF64;
+    case AggFunc::kAvg:
+      return Store::kF64;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      break;
+  }
+  if (agg.argument.type == TypeKind::kString) return Store::kStr;
+  return agg.argument.type == TypeKind::kFloat64 ? Store::kF64 : Store::kI64;
+}
+
+}  // namespace
 
 HashAggregator::HashAggregator(columnar::SchemaPtr input_schema,
                                std::vector<int> group_keys,
@@ -33,12 +135,18 @@ HashAggregator::HashAggregator(columnar::SchemaPtr input_schema,
     fields.push_back({agg.output_name, agg.OutputType()});
   }
   output_schema_ = MakeSchema(std::move(fields));
+  accumulators_.resize(aggregates_.size());
 }
 
-Result<uint32_t> HashAggregator::GroupFor(
-    const std::vector<ColumnPtr>& keys, size_t row, uint64_t hash) {
-  std::vector<uint32_t>& bucket = groups_[hash];
-  for (uint32_t group : bucket) {
+uint32_t HashAggregator::GroupFor(const std::vector<ColumnPtr>& keys,
+                                  size_t row, uint64_t hash) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  for (;; i = (i + 1) & mask) {
+    const Slot slot = slots_[i];
+    if (slot.group == kEmptySlot) break;
+    if (slot.hash != hash) continue;
+    const uint32_t group = slot.group;
     bool equal = true;
     for (size_t k = 0; k < keys.size(); ++k) {
       const Column& stored = *key_store_[k];
@@ -83,20 +191,41 @@ Result<uint32_t> HashAggregator::GroupFor(
     }
     if (equal) return group;
   }
-  // New group.
+  // New group, numbered in first-appearance order, in the free slot the
+  // probe stopped at.
   const uint32_t group = static_cast<uint32_t>(group_count_++);
-  bucket.push_back(group);
+  slots_[i] = Slot{hash, group};
   for (size_t k = 0; k < keys.size(); ++k) {
     key_store_[k]->AppendFrom(*keys[k], row);
   }
-  states_.resize(group_count_ * aggregates_.size());
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    states_[group * aggregates_.size() + a].extreme =
-        Datum::Null(aggregates_[a].func == AggFunc::kCountStar
-                        ? TypeKind::kInt64
-                        : aggregates_[a].argument.type);
-  }
+  if (2 * group_count_ > slots_.size()) Rehash(2 * slots_.size());
   return group;
+}
+
+void HashAggregator::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{0, kEmptySlot});
+  const size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.group == kEmptySlot) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].group != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void HashAggregator::GrowAccumulators() {
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    Accumulator& acc = accumulators_[a];
+    if (acc.count.size() == group_count_) continue;
+    acc.count.resize(group_count_, 0);
+    switch (StoreFor(aggregates_[a])) {
+      case Store::kNone: break;
+      case Store::kI64: acc.i64.resize(group_count_, 0); break;
+      case Store::kF64: acc.f64.resize(group_count_, 0.0); break;
+      case Store::kStr: acc.str.resize(group_count_); break;
+    }
+  }
 }
 
 Status HashAggregator::Consume(const RecordBatch& batch) {
@@ -112,66 +241,106 @@ Status HashAggregator::Consume(const RecordBatch& batch,
   // Evaluate aggregate arguments once per batch (vectorized).
   std::vector<ColumnPtr> arg_cols(aggregates_.size());
   for (size_t a = 0; a < aggregates_.size(); ++a) {
-    if (aggregates_[a].func == AggFunc::kCountStar) continue;
+    const AggregateSpec& agg = aggregates_[a];
+    if (agg.func == AggFunc::kCountStar) continue;
     POCS_ASSIGN_OR_RETURN(arg_cols[a],
-                          substrait::Evaluate(aggregates_[a].argument, batch));
-  }
-
-  std::vector<ColumnPtr> keys;
-  for (int k : group_keys_) keys.push_back(batch.column(k));
-  std::vector<uint64_t> hashes;
-  if (!keys.empty()) {
-    columnar::HashRows(keys, &hashes);
-  } else {
-    hashes.assign(n, 0);  // global aggregate: single group
-  }
-
-  const size_t n_aggs = aggregates_.size();
-  const size_t live = sel != nullptr ? sel->size() : n;
-  for (size_t j = 0; j < live; ++j) {
-    const size_t row = sel != nullptr ? (*sel)[j] : j;
-    POCS_ASSIGN_OR_RETURN(uint32_t group, GroupFor(keys, row, hashes[row]));
-    for (size_t a = 0; a < n_aggs; ++a) {
-      AggState& state = states_[group * n_aggs + a];
-      const AggregateSpec& agg = aggregates_[a];
-      if (agg.func == AggFunc::kCountStar) {
-        ++state.count;
-        continue;
-      }
-      const Column& arg = *arg_cols[a];
-      if (arg.IsNull(row)) continue;
-      switch (agg.func) {
-        case AggFunc::kCount:
-          ++state.count;
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          ++state.count;
-          state.sum += arg.AsDouble(row);
-          if (arg.type() != TypeKind::kFloat64) {
-            state.isum += arg.GetDatum(row).AsInt64();
-          }
-          break;
-        case AggFunc::kMin: {
-          Datum v = arg.GetDatum(row);
-          if (state.extreme.is_null() || v.Compare(state.extreme) < 0) {
-            state.extreme = std::move(v);
-          }
-          break;
-        }
-        case AggFunc::kMax: {
-          Datum v = arg.GetDatum(row);
-          if (state.extreme.is_null() || v.Compare(state.extreme) > 0) {
-            state.extreme = std::move(v);
-          }
-          break;
-        }
-        case AggFunc::kCountStar:
-          break;  // handled above
-      }
+                          substrait::Evaluate(agg.argument, batch));
+    if (arg_cols[a]->type() != agg.argument.type) {
+      return Status::InvalidArgument(
+          std::string(substrait::AggFuncName(agg.func)) +
+          ": argument evaluated to " +
+          std::string(columnar::TypeName(arg_cols[a]->type())) +
+          ", declared " + std::string(columnar::TypeName(agg.argument.type)));
     }
   }
+
+  // Pass 1: the group id of every live row.
+  const size_t live = sel != nullptr ? sel->size() : n;
+  group_ids_.resize(live);
+  if (group_keys_.empty()) {
+    group_count_ = 1;  // global aggregate: single group
+    std::fill(group_ids_.begin(), group_ids_.end(), 0);
+  } else {
+    std::vector<ColumnPtr> keys;
+    for (int k : group_keys_) keys.push_back(batch.column(k));
+    columnar::HashRows(keys, &hashes_);
+    if (slots_.empty()) slots_.assign(kInitialSlots, Slot{0, kEmptySlot});
+    for (size_t j = 0; j < live; ++j) {
+      const size_t row = sel != nullptr ? (*sel)[j] : j;
+      group_ids_[j] = GroupFor(keys, row, hashes_[row]);
+    }
+  }
+  GrowAccumulators();
+
+  // Pass 2: one typed update loop per aggregate.
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    Update(aggregates_[a], arg_cols[a].get(), sel, &accumulators_[a]);
+  }
   return Status::OK();
+}
+
+void HashAggregator::Update(const AggregateSpec& agg, const Column* arg,
+                            const columnar::SelectionVector* sel,
+                            Accumulator* acc) const {
+  const uint32_t* groups = group_ids_.data();
+  const size_t live = group_ids_.size();
+  int64_t* count = acc->count.data();
+  if (agg.func == AggFunc::kCountStar) {
+    for (size_t j = 0; j < live; ++j) ++count[groups[j]];
+    return;
+  }
+  const uint8_t* valid = arg->has_nulls() ? arg->validity().data() : nullptr;
+  const uint32_t* rows = sel != nullptr ? sel->data() : nullptr;
+  switch (StoreFor(agg)) {
+    case Store::kNone:  // COUNT(expr): non-null rows
+      ForEachLive(columnar::Splat<int64_t>{0}, valid, rows, groups, live,
+                  [&](uint32_t g, int64_t) { ++count[g]; });
+      return;
+    case Store::kI64: {
+      int64_t* value = acc->i64.data();
+      VisitValues<int64_t>(*arg, [&](auto values) {
+        if (agg.func == AggFunc::kSum) {
+          ForEachLive(values, valid, rows, groups, live,
+                      [&](uint32_t g, int64_t v) {
+                        ++count[g];
+                        value[g] = columnar::WrapAdd(value[g], v);
+                      });
+        } else if (agg.func == AggFunc::kMin) {
+          FoldExtremes<true>(values, valid, rows, groups, live, count, value);
+        } else {
+          FoldExtremes<false>(values, valid, rows, groups, live, count, value);
+        }
+      });
+      return;
+    }
+    case Store::kF64: {
+      double* value = acc->f64.data();
+      VisitValues<double>(*arg, [&](auto values) {
+        if (agg.func == AggFunc::kSum || agg.func == AggFunc::kAvg) {
+          ForEachLive(values, valid, rows, groups, live,
+                      [&](uint32_t g, double v) {
+                        ++count[g];
+                        value[g] += v;
+                      });
+        } else if (agg.func == AggFunc::kMin) {
+          FoldExtremes<true>(values, valid, rows, groups, live, count, value);
+        } else {
+          FoldExtremes<false>(values, valid, rows, groups, live, count, value);
+        }
+      });
+      return;
+    }
+    case Store::kStr: {
+      const columnar::StringSpan values(*arg);
+      std::string* best = acc->str.data();
+      if (agg.func == AggFunc::kMin) {
+        FoldExtremes<true>(values, valid, rows, groups, live, count, best);
+      } else {
+        FoldExtremes<false>(values, valid, rows, groups, live, count, best);
+      }
+      return;
+    }
+  }
 }
 
 Result<RecordBatchPtr> HashAggregator::Finish() {
@@ -179,52 +348,39 @@ Result<RecordBatchPtr> HashAggregator::Finish() {
   finished_ = true;
 
   // SQL semantics: a global aggregate (no GROUP BY) over zero rows still
-  // produces one row.
+  // produces one row (COUNT = 0, other aggregates NULL).
   if (group_keys_.empty() && group_count_ == 0) {
-    states_.resize(aggregates_.size());
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      states_[a].extreme = Datum::Null(
-          aggregates_[a].func == AggFunc::kCountStar
-              ? TypeKind::kInt64
-              : aggregates_[a].argument.type);
-    }
     group_count_ = 1;
+    GrowAccumulators();
   }
 
   std::vector<ColumnPtr> out;
   for (auto& key_col : key_store_) out.push_back(key_col);
 
-  const size_t n_aggs = aggregates_.size();
-  for (size_t a = 0; a < n_aggs; ++a) {
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
     const AggregateSpec& agg = aggregates_[a];
-    auto col = MakeColumn(agg.OutputType());
+    const Accumulator& acc = accumulators_[a];
+    const TypeKind type = agg.OutputType();
+    auto col = MakeColumn(type);
+    col->Reserve(group_count_);
     for (size_t g = 0; g < group_count_; ++g) {
-      const AggState& state = states_[g * n_aggs + a];
-      switch (agg.func) {
-        case AggFunc::kCount:
-        case AggFunc::kCountStar:
-          col->AppendInt64(state.count);
-          break;
-        case AggFunc::kSum:
-          if (state.count == 0) {
-            col->AppendNull();
-          } else if (agg.OutputType() == TypeKind::kInt64) {
-            col->AppendInt64(state.isum);
-          } else {
-            col->AppendFloat64(state.sum);
-          }
-          break;
-        case AggFunc::kAvg:
-          if (state.count == 0) {
-            col->AppendNull();
-          } else {
-            col->AppendFloat64(state.sum / static_cast<double>(state.count));
-          }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          col->AppendDatum(state.extreme);
-          break;
+      const int64_t count = acc.count[g];
+      if (agg.func == AggFunc::kCount || agg.func == AggFunc::kCountStar) {
+        col->AppendInt64(count);
+      } else if (count == 0) {
+        col->AppendNull();
+      } else if (agg.func == AggFunc::kAvg) {
+        col->AppendFloat64(acc.f64[g] / static_cast<double>(count));
+      } else if (type == TypeKind::kString) {
+        col->AppendString(acc.str[g]);
+      } else if (type == TypeKind::kFloat64) {
+        col->AppendFloat64(acc.f64[g]);
+      } else if (type == TypeKind::kInt64) {
+        col->AppendInt64(acc.i64[g]);
+      } else if (type == TypeKind::kBool) {
+        col->AppendBool(acc.i64[g] != 0);
+      } else {
+        col->AppendInt32(static_cast<int32_t>(acc.i64[g]));
       }
     }
     out.push_back(std::move(col));

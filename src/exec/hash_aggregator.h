@@ -4,8 +4,9 @@
 // batch of keys + aggregate results.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "columnar/batch.h"
@@ -22,10 +23,11 @@ class HashAggregator {
 
   Status Consume(const columnar::RecordBatch& batch);
   // Selection-aware variant: accumulate only the rows in `sel` (every
-  // row when null). Key hashing and aggregate arguments are still
-  // evaluated vectorized over the whole batch; only selected rows are
-  // read, so placeholder rows under late materialization (DESIGN.md §15)
-  // never reach an accumulator.
+  // row when null). Aggregate arguments are evaluated and keys hashed over
+  // the whole batch; then one pass assigns each selected row its group id
+  // and one typed loop per aggregate folds the selected rows in, in row
+  // order (so float sums are reproducible). Placeholder rows under late
+  // materialization (DESIGN.md §15) never reach an accumulator.
   Status Consume(const columnar::RecordBatch& batch,
                  const columnar::SelectionVector* sel);
 
@@ -39,16 +41,35 @@ class HashAggregator {
   Result<columnar::RecordBatchPtr> Finish();
 
  private:
-  struct AggState {
-    double sum = 0;
-    int64_t isum = 0;
-    int64_t count = 0;  // non-null inputs (rows for CountStar)
-    columnar::Datum extreme;  // running min/max
+  // One aggregate's running state, indexed by group id. `count` is always
+  // kept (non-null inputs; rows for COUNT(*)); the other vectors are sized
+  // only for the aggregates that use them: i64 for SUM over integers and
+  // MIN/MAX over integers or bools, f64 for SUM over float64, AVG and
+  // MIN/MAX over float64, str for MIN/MAX over strings.
+  struct Accumulator {
+    std::vector<int64_t> count;
+    std::vector<int64_t> i64;
+    std::vector<double> f64;
+    std::vector<std::string> str;
   };
 
+  // Slot of the group-id table; group == kEmptySlot marks a free slot.
+  struct Slot {
+    uint64_t hash;
+    uint32_t group;
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
   // Index of the group for key-row `row` of `keys`, creating it if new.
-  Result<uint32_t> GroupFor(const std::vector<columnar::ColumnPtr>& keys,
-                            size_t row, uint64_t hash);
+  uint32_t GroupFor(const std::vector<columnar::ColumnPtr>& keys, size_t row,
+                    uint64_t hash);
+  // Re-inserts every group into a table of `capacity` slots.
+  void Rehash(size_t capacity);
+  // Sizes every accumulator to group_count_ (new groups start empty).
+  void GrowAccumulators();
+  // Folds the live rows of one aggregate's argument into its accumulator.
+  void Update(const substrait::AggregateSpec& agg, const columnar::Column* arg,
+              const columnar::SelectionVector* sel, Accumulator* acc) const;
 
   columnar::SchemaPtr input_schema_;
   std::vector<int> group_keys_;
@@ -57,9 +78,13 @@ class HashAggregator {
 
   // Accumulated distinct key tuples, one builder column per key.
   std::vector<std::shared_ptr<columnar::Column>> key_store_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> groups_;  // hash→ids
-  // states_[group * n_aggs + agg]
-  std::vector<AggState> states_;
+  // Open-addressing table from a HashRows hash to a group id: linear
+  // probing, power-of-two capacity, at most half full.
+  std::vector<Slot> slots_;
+  std::vector<Accumulator> accumulators_;  // one per aggregate
+  // Per-batch scratch: row hashes, and the group id of each live row.
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> group_ids_;
   size_t group_count_ = 0;
   bool finished_ = false;
 };

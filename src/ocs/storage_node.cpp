@@ -16,6 +16,7 @@
 #include "format/parquet_lite.h"
 #include "objectstore/select.h"
 #include "objectstore/service.h"
+#include "substrait/eval.h"
 
 namespace pocs::ocs {
 
@@ -57,27 +58,10 @@ void CollectPruningTerms(const Expression& expr,
       static_cast<size_t>(field->field_index) >= scan_schema.num_fields()) {
     return;
   }
-  columnar::CompareOp op;
-  switch (expr.func) {
-    case ScalarFunc::kEq: op = columnar::CompareOp::kEq; break;
-    case ScalarFunc::kNe: op = columnar::CompareOp::kNe; break;
-    case ScalarFunc::kLt: op = columnar::CompareOp::kLt; break;
-    case ScalarFunc::kLe: op = columnar::CompareOp::kLe; break;
-    case ScalarFunc::kGt: op = columnar::CompareOp::kGt; break;
-    case ScalarFunc::kGe: op = columnar::CompareOp::kGe; break;
-    default: return;
-  }
-  if (flipped) {
-    // literal <op> field  ≡  field <flipped-op> literal
-    switch (op) {
-      case columnar::CompareOp::kLt: op = columnar::CompareOp::kGt; break;
-      case columnar::CompareOp::kLe: op = columnar::CompareOp::kGe; break;
-      case columnar::CompareOp::kGt: op = columnar::CompareOp::kLt; break;
-      case columnar::CompareOp::kGe: op = columnar::CompareOp::kLe; break;
-      default: break;
-    }
-  }
-  out->push_back({scan_schema.field(field->field_index).name, op,
+  // literal <op> field  ≡  field <mirrored-op> literal
+  const columnar::CompareOp op = substrait::ToCompareOp(expr.func);
+  out->push_back({scan_schema.field(field->field_index).name,
+                  flipped ? columnar::MirrorCompareOp(op) : op,
                   literal->literal});
 }
 

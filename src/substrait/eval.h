@@ -12,12 +12,23 @@
 
 namespace pocs::substrait {
 
+// The CompareOp of a comparison function (IsComparison(func)).
+columnar::CompareOp ToCompareOp(ScalarFunc func);
+
 // Evaluate `expr` against every row of `input`; the result column has
 // expr.type and input.num_rows() entries.
 //
 // Semantics: arithmetic and comparisons propagate nulls (any null operand
-// -> null result); integer division/modulo by zero -> null; AND/OR use
-// three-valued Kleene logic; NOT(null) = null.
+// -> null result); integer arithmetic wraps in two's complement, and
+// division/modulo by zero -> null, as does INT64_MIN / -1 (x % -1 is 0);
+// two integer operands compare as int64 and anything involving float64
+// as double (IEEE: NaN satisfies only <>); AND/OR use three-valued Kleene
+// logic; NOT(null) = null; IS NULL is never null. Operand types must be
+// ones CheckCallTypes admits, else InvalidArgument.
+//
+// Every call runs one typed-span kernel over the batch (DESIGN.md §15). A
+// literal, or a subtree made only of literals, folds once per call into a
+// scalar operand instead of becoming a column.
 Result<columnar::ColumnPtr> Evaluate(const Expression& expr,
                                      const columnar::RecordBatch& input);
 
@@ -32,7 +43,11 @@ Result<columnar::SelectionVector> FilterSelection(
 
 // Selection-aware variant: the result is the subset of `input_sel`
 // (every row of the batch when null) where `predicate` is TRUE. The
-// predicate is evaluated vectorized over the whole batch; rows outside
+// conjuncts of the predicate's AND spine narrow the selection in turn: a
+// field–literal comparison runs columnar::CompareScalar (a `>=`/`<=` pair
+// on one field, columnar::Between) over only the rows still selected;
+// any other conjunct (OR, NOT, IS NULL, column–column comparison) is
+// evaluated into a mask over the batch and intersected. Rows outside
 // `input_sel` never appear in the output, so batches carrying
 // unmaterialized placeholder rows (DESIGN.md §15) stay correct.
 Result<columnar::SelectionVector> FilterSelection(

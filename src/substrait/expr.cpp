@@ -59,6 +59,56 @@ bool IsLogical(ScalarFunc func) {
          func == ScalarFunc::kNot;
 }
 
+bool IsUnary(ScalarFunc func) {
+  return func == ScalarFunc::kNot || func == ScalarFunc::kNegate ||
+         func == ScalarFunc::kIsNull;
+}
+
+Status CheckCallTypes(ScalarFunc func, columnar::TypeKind result,
+                      columnar::TypeKind a, columnar::TypeKind b) {
+  using columnar::IsNumeric;
+  using columnar::TypeKind;
+  auto bad = [&](std::string_view what) {
+    std::string msg(ScalarFuncName(func));
+    msg += ": ";
+    msg += what;
+    msg += " (";
+    msg += columnar::TypeName(a);
+    if (!IsUnary(func)) {
+      msg += ", ";
+      msg += columnar::TypeName(b);
+    }
+    msg += " -> ";
+    msg += columnar::TypeName(result);
+    msg += ")";
+    return Status::InvalidArgument(msg);
+  };
+  if (IsComparison(func)) {
+    const bool strings = a == TypeKind::kString && b == TypeKind::kString;
+    if (!strings && !(IsNumeric(a) && IsNumeric(b))) {
+      return bad("needs two strings or two numerics");
+    }
+  } else if (IsArithmetic(func)) {
+    const bool unary = func == ScalarFunc::kNegate;
+    if (!IsNumeric(a) || (!unary && !IsNumeric(b)) || !IsNumeric(result)) {
+      return bad("needs numerics");
+    }
+    const bool float_operand =
+        a == TypeKind::kFloat64 || (!unary && b == TypeKind::kFloat64);
+    if (float_operand && result != TypeKind::kFloat64) {
+      return bad("a float64 operand needs a float64 result");
+    }
+    return Status::OK();
+  } else if (IsLogical(func)) {
+    if (a != TypeKind::kBool ||
+        (func != ScalarFunc::kNot && b != TypeKind::kBool)) {
+      return bad("needs bools");
+    }
+  }
+  if (result != TypeKind::kBool) return bad("result must be bool");
+  return Status::OK();
+}
+
 columnar::TypeKind Expression::PromoteNumeric(columnar::TypeKind a,
                                               columnar::TypeKind b) {
   using columnar::TypeKind;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "columnar/types.h"
+#include "common/status.h"
 
 namespace pocs::substrait {
 
@@ -41,6 +42,21 @@ std::string_view ScalarFuncName(ScalarFunc func);
 bool IsComparison(ScalarFunc func);
 bool IsArithmetic(ScalarFunc func);
 bool IsLogical(ScalarFunc func);
+// True for the one-argument functions: NOT, negate and IS NULL.
+bool IsUnary(ScalarFunc func);
+
+// InvalidArgument unless the evaluator's kernels define `func` over
+// operands of types `a` (and `b`, ignored for unary functions) with
+// result type `result`:
+//   * comparison: two strings, or two numerics; result bool;
+//   * arithmetic and negate: numerics; the result is numeric, and
+//     float64 when an operand is;
+//   * AND, OR, NOT: bools; IS NULL: any operand; result bool.
+// Plan validation checks declared types with it and the evaluator checks
+// the operands it actually gets, so an ill-typed plan is an error, never
+// a read of the wrong value buffer.
+Status CheckCallTypes(ScalarFunc func, columnar::TypeKind result,
+                      columnar::TypeKind a, columnar::TypeKind b);
 
 struct Expression {
   ExprKind kind = ExprKind::kLiteral;

@@ -33,8 +33,9 @@ std::string_view AggPhaseName(AggPhase phase) {
 
 namespace {
 
-// Checks that every field reference in expr is valid against the schema
-// and that the recorded result types are consistent.
+// Checks that every field reference in expr is valid against the schema,
+// that the recorded result types are consistent, and that every call's
+// operand types are ones the evaluator's kernels define.
 Status CheckExpression(const Expression& expr, const Schema& input) {
   switch (expr.kind) {
     case ExprKind::kFieldRef:
@@ -59,21 +60,14 @@ Status CheckExpression(const Expression& expr, const Schema& input) {
       for (const Expression& arg : expr.args) {
         POCS_RETURN_NOT_OK(CheckExpression(arg, input));
       }
-      const size_t arity =
-          (expr.func == ScalarFunc::kNot || expr.func == ScalarFunc::kNegate ||
-           expr.func == ScalarFunc::kIsNull)
-              ? 1
-              : 2;
+      const size_t arity = IsUnary(expr.func) ? 1 : 2;
       if (expr.args.size() != arity) {
         return Status::InvalidArgument(
             std::string(ScalarFuncName(expr.func)) + " expects " +
             std::to_string(arity) + " args");
       }
-      if ((IsComparison(expr.func) || IsLogical(expr.func)) &&
-          expr.type != TypeKind::kBool) {
-        return Status::InvalidArgument("comparison/logical must be bool");
-      }
-      return Status::OK();
+      return CheckCallTypes(expr.func, expr.type, expr.args[0].type,
+                            expr.args[arity - 1].type);
     }
   }
   return Status::Internal("unknown expr kind");

@@ -118,6 +118,10 @@ const QueryCase kQueries[] = {
      "HAVING n > 7", false},
     {"SELECT vertex_id, AVG(e) AS m FROM laghos GROUP BY vertex_id "
      "HAVING m > 500.0 ORDER BY m DESC LIMIT 5", true},
+    // an integer column against a fractional literal compares as double
+    // on every path (never as vertex_id < 2)
+    {"SELECT COUNT(*) AS n, SUM(e) AS s FROM laghos WHERE vertex_id < 2.5",
+     false},
 };
 
 class PushdownEquivalence

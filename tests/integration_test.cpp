@@ -274,6 +274,20 @@ TEST_F(TestbedFixture, GlobalAggregateNoGroupBy) {
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 1u);
 }
 
+// INT64_MIN / -1 overflows: the evaluator answers NULL (as for / 0)
+// instead of trapping, on every access path.
+TEST_F(TestbedFixture, OverflowingIntegerDivisionIsNull) {
+  auto results = RunAllPaths(
+      testbed.get(),
+      "SELECT MIN((orderkey - orderkey - 9223372036854775807 - 1) / -1) "
+      "AS m FROM lineitem");
+  ASSERT_EQ(results.by_catalog.size(), 3u);
+  for (const auto& [catalog, result] : results.by_catalog) {
+    ASSERT_EQ(result.table->num_rows(), 1u) << catalog;
+    EXPECT_TRUE(result.table->column(0)->IsNull(0)) << catalog;
+  }
+}
+
 TEST_F(TestbedFixture, PlainSelectionQuery) {
   auto results = RunAllPaths(
       testbed.get(),

@@ -7,12 +7,17 @@
 // label (run with `ctest -L kernels`, also under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "columnar/kernels.h"
 #include "common/bloom.h"
+#include "exec/hash_aggregator.h"
 #include "exec/plan_executor.h"
 #include "format/encoding.h"
 #include "format/parquet_lite.h"
@@ -20,6 +25,7 @@
 #include "ocs/client.h"
 #include "ocs/storage_node.h"
 #include "substrait/eval.h"
+#include "substrait/rel.h"
 
 namespace pocs::columnar {
 namespace {
@@ -44,9 +50,15 @@ int Cmp3(T a, T b) {
   return a < b ? -1 : (a > b ? 1 : 0);
 }
 
-// Three-way compare of row i against the literal, with the same numeric
-// promotion the typed kernels use (bool/int32/date32 widen to int64).
+// Three-way compare of row i against the literal under the one numeric
+// rule (ComparesAsDouble): two integers (bool/int32/date32/int64) compare
+// as int64, anything involving float64 as double — never an integer
+// column against a truncated float literal.
 int NaiveCmp(const Column& col, size_t i, const Datum& lit) {
+  if (col.type() != TypeKind::kString &&
+      ComparesAsDouble(col.type(), lit.type())) {
+    return Cmp3<double>(col.GetDatum(i).AsDouble(), lit.AsDouble());
+  }
   switch (col.type()) {
     case TypeKind::kBool:
       return Cmp3<int64_t>(col.GetBool(i) ? 1 : 0, lit.AsInt64());
@@ -207,6 +219,41 @@ TEST(CompareScalarTest, RandomizedEquivalence) {
       }
     }
   }
+}
+
+// Literals of the other numeric domain: integer columns against float64
+// literals (2.5 must not truncate to 2) and float64 columns against
+// integer literals, for CompareScalar and for Between with mixed bounds.
+TEST(CompareScalarTest, CrossDomainLiteralsFollowOneRule) {
+  std::mt19937_64 rng(0x2A5);
+  std::uniform_int_distribution<int64_t> ints(-50, 50);
+  for (TypeKind type : {TypeKind::kBool, TypeKind::kInt32, TypeKind::kDate32,
+                        TypeKind::kInt64, TypeKind::kFloat64}) {
+    ColumnPtr col = RandomColumn(type, 263, 0.2, &rng);
+    const SelectionVector some = RandomSelection(col->length(), 0.5, &rng);
+    for (int trial = 0; trial < 8; ++trial) {
+      const Datum lit = type == TypeKind::kFloat64
+                            ? Datum::Int64(ints(rng))
+                            : Datum::Float64(ints(rng) * 0.25 + 0.5);
+      for (CompareOp op : kAllOps) {
+        EXPECT_EQ(CompareScalar(*col, op, lit, nullptr),
+                  NaiveCompare(*col, op, lit, nullptr));
+        EXPECT_EQ(CompareScalar(*col, op, lit, &some),
+                  NaiveCompare(*col, op, lit, &some));
+      }
+      const Datum same = RandomLiteral(type, &rng);
+      EXPECT_EQ(Between(*col, lit, same, &some),
+                NaiveBetween(*col, lit, same, &some));
+      EXPECT_EQ(Between(*col, same, lit, nullptr),
+                NaiveBetween(*col, same, lit, nullptr));
+    }
+  }
+  auto col = MakeColumn(TypeKind::kInt64);
+  for (int64_t v : {1, 2, 3}) col->AppendInt64(v);
+  EXPECT_EQ(CompareScalar(*col, CompareOp::kLt, Datum::Float64(2.5)),
+            (SelectionVector{0, 1}));
+  EXPECT_EQ(Between(*col, Datum::Int64(2), Datum::Float64(2.5)),
+            (SelectionVector{1}));
 }
 
 TEST(CompareScalarTest, AllAndNoneMatch) {
@@ -639,6 +686,555 @@ TEST(StorageNodeDictTest, StringPredicateUsesCodeDomain) {
                 ocs::RowGroupCacheKey{"d/f0", result->stats.object_version,
                                       0, 3}),
             nullptr);
+}
+
+// ---- differential tests: typed-span evaluator and aggregator ---------------
+//
+// Seeded random, well-typed expression trees over a nullable batch holding
+// every column type run through substrait::Evaluate and FilterSelection and
+// through a row-at-a-time reference of the evaluator's semantics kept
+// here; HashAggregator is checked against a per-row reference the same
+// way. Values include zero divisors, -1 and INT64_MIN (integer overflow),
+// NaN, -0.0 and infinities; literals sit on either side and whole
+// subtrees can be literal-only; selections are absent, partial or empty.
+
+using substrait::AggFunc;
+using substrait::AggregateSpec;
+using substrait::Expression;
+using substrait::ExprKind;
+using substrait::ScalarFunc;
+
+enum DiffCol { kColB = 0, kColI32, kColD32, kColI64, kColF64, kColS };
+
+constexpr TypeKind kDiffTypes[] = {TypeKind::kBool,  TypeKind::kInt32,
+                                   TypeKind::kDate32, TypeKind::kInt64,
+                                   TypeKind::kFloat64, TypeKind::kString};
+
+SchemaPtr DiffSchema() {
+  return MakeSchema({{"b", TypeKind::kBool},
+                     {"i32", TypeKind::kInt32},
+                     {"d32", TypeKind::kDate32},
+                     {"i64", TypeKind::kInt64},
+                     {"f64", TypeKind::kFloat64},
+                     {"s", TypeKind::kString}});
+}
+
+// A value of `type` from a small domain (so groups repeat and divisors hit
+// zero) plus the special values, NULL with probability null_prob.
+Datum DiffValue(TypeKind type, double null_prob, std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  if (unit(*rng) < null_prob) return Datum::Null(type);
+  std::uniform_int_distribution<int> small(-4, 4);
+  const bool special = unit(*rng) < 0.12;
+  switch (type) {
+    case TypeKind::kBool:
+      return Datum::Bool(small(*rng) > 0);
+    case TypeKind::kInt32:
+    case TypeKind::kDate32: {
+      constexpr int32_t kEdges[] = {std::numeric_limits<int32_t>::min(),
+                                    std::numeric_limits<int32_t>::max(), -1};
+      const int32_t v =
+          special ? kEdges[(small(*rng) + 4) % 3] : small(*rng);
+      return type == TypeKind::kInt32 ? Datum::Int32(v) : Datum::Date32(v);
+    }
+    case TypeKind::kInt64: {
+      constexpr int64_t kEdges[] = {std::numeric_limits<int64_t>::min(),
+                                    std::numeric_limits<int64_t>::max(), -1};
+      return Datum::Int64(special ? kEdges[(small(*rng) + 4) % 3]
+                                  : small(*rng));
+    }
+    case TypeKind::kFloat64: {
+      constexpr double kEdges[] = {std::numeric_limits<double>::quiet_NaN(),
+                                   -0.0, 0.0,
+                                   std::numeric_limits<double>::infinity(),
+                                   -std::numeric_limits<double>::infinity()};
+      return Datum::Float64(special ? kEdges[(small(*rng) + 4) % 5]
+                                    : small(*rng) * 0.5);
+    }
+    case TypeKind::kString: {
+      constexpr const char* kWords[] = {"", "a", "ab", "b", "c"};
+      return Datum::String(kWords[(small(*rng) + 4) % 5]);
+    }
+  }
+  return Datum::Null(type);
+}
+
+RecordBatchPtr DiffBatch(size_t rows, std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<ColumnPtr> cols;
+  for (TypeKind type : kDiffTypes) {
+    const double null_prob = unit(*rng) < 0.5 ? 0.0 : 0.2;
+    auto col = MakeColumn(type);
+    for (size_t r = 0; r < rows; ++r) {
+      col->AppendDatum(DiffValue(type, null_prob, rng));
+    }
+    cols.push_back(std::move(col));
+  }
+  return MakeBatch(DiffSchema(), std::move(cols));
+}
+
+// Random expression trees whose declared types CheckCallTypes accepts.
+class ExprGen {
+ public:
+  explicit ExprGen(std::mt19937_64* rng) : rng_(rng) {}
+
+  Expression Numeric(int depth) {
+    switch (depth <= 0 ? Pick(2) : Pick(5)) {
+      case 0: {
+        constexpr DiffCol kNumeric[] = {kColI32, kColD32, kColI64, kColF64};
+        const DiffCol c = kNumeric[Pick(4)];
+        return Expression::FieldRef(c, kDiffTypes[c]);
+      }
+      case 1: {
+        constexpr TypeKind kTypes[] = {TypeKind::kInt32, TypeKind::kDate32,
+                                       TypeKind::kInt64, TypeKind::kFloat64};
+        return Expression::Literal(DiffValue(kTypes[Pick(4)], 0.08, rng_));
+      }
+      case 2:
+      case 3: {
+        Expression l = Numeric(depth - 1);
+        Expression r = Numeric(depth - 1);
+        const auto func = static_cast<ScalarFunc>(Pick(5));  // + - * / %
+        TypeKind out = l.type == TypeKind::kFloat64 ||
+                               r.type == TypeKind::kFloat64
+                           ? TypeKind::kFloat64
+                           : TypeKind::kInt64;
+        if (out == TypeKind::kInt64 && Pick(6) == 0) {
+          // Integer operands into a float64 result (double math) or a
+          // date32 result (int32 truncation), as date arithmetic makes.
+          out = Pick(2) == 0 ? TypeKind::kFloat64 : TypeKind::kDate32;
+        }
+        return Expression::Call(func, {std::move(l), std::move(r)}, out);
+      }
+      default: {
+        Expression a = Numeric(depth - 1);
+        const TypeKind out = a.type == TypeKind::kFloat64 ? TypeKind::kFloat64
+                                                          : TypeKind::kInt64;
+        return Expression::Call(ScalarFunc::kNegate, {std::move(a)}, out);
+      }
+    }
+  }
+
+  Expression String() {
+    if (Pick(2) == 0) return Expression::FieldRef(kColS, TypeKind::kString);
+    return Expression::Literal(DiffValue(TypeKind::kString, 0.08, rng_));
+  }
+
+  Expression Bool(int depth) {
+    switch (depth <= 0 ? Pick(4) : Pick(10)) {
+      case 0:
+        return Expression::FieldRef(kColB, TypeKind::kBool);
+      case 1:
+        return Expression::Literal(DiffValue(TypeKind::kBool, 0.2, rng_));
+      case 2:
+      case 3:
+      case 4: {
+        const auto func = static_cast<ScalarFunc>(
+            static_cast<int>(ScalarFunc::kEq) + Pick(6));
+        if (Pick(4) == 0) {
+          return Expression::Call(func, {String(), String()},
+                                  TypeKind::kBool);
+        }
+        const int d = Pick(3) == 0 ? depth - 1 : 0;
+        return Expression::Call(func, {Numeric(d), Numeric(0)},
+                                TypeKind::kBool);
+      }
+      case 5:
+      case 6: {
+        // A range on one field, BETWEEN's desugaring, sometimes flipped.
+        constexpr DiffCol kCols[] = {kColI32, kColD32, kColI64, kColF64,
+                                     kColS};
+        const DiffCol c = kCols[Pick(5)];
+        auto bound = [&] {
+          TypeKind type = kDiffTypes[c];
+          if (c != kColS && Pick(3) == 0) {
+            type = Pick(2) == 0 ? TypeKind::kFloat64 : TypeKind::kInt64;
+          }
+          return Expression::Literal(DiffValue(type, 0.05, rng_));
+        };
+        Expression field = Expression::FieldRef(c, kDiffTypes[c]);
+        Expression ge = Expression::Call(ScalarFunc::kGe, {field, bound()},
+                                         TypeKind::kBool);
+        Expression le = Pick(4) == 0
+                            ? Expression::Call(ScalarFunc::kGe,
+                                               {bound(), field},
+                                               TypeKind::kBool)
+                            : Expression::Call(ScalarFunc::kLe,
+                                               {field, bound()},
+                                               TypeKind::kBool);
+        return Expression::Call(ScalarFunc::kAnd,
+                                {std::move(ge), std::move(le)},
+                                TypeKind::kBool);
+      }
+      case 7:
+        return Expression::Call(Pick(3) == 0 ? ScalarFunc::kOr
+                                             : ScalarFunc::kAnd,
+                                {Bool(depth - 1), Bool(depth - 1)},
+                                TypeKind::kBool);
+      case 8:
+        return Expression::Call(ScalarFunc::kNot, {Bool(depth - 1)},
+                                TypeKind::kBool);
+      default: {
+        Expression arg = Pick(3) == 0   ? String()
+                         : Pick(2) == 0 ? Bool(depth - 1)
+                                        : Numeric(depth - 1);
+        return Expression::Call(ScalarFunc::kIsNull, {std::move(arg)},
+                                TypeKind::kBool);
+      }
+    }
+  }
+
+ private:
+  int Pick(int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(*rng_);
+  }
+
+  std::mt19937_64* rng_;
+};
+
+bool RefIsInteger(TypeKind t) {
+  return t == TypeKind::kInt32 || t == TypeKind::kInt64 ||
+         t == TypeKind::kDate32;
+}
+
+Datum RefInteger(TypeKind type, int64_t v) {
+  if (type == TypeKind::kInt64) return Datum::Int64(v);
+  const auto narrow = static_cast<int32_t>(v);
+  return type == TypeKind::kDate32 ? Datum::Date32(narrow)
+                                   : Datum::Int32(narrow);
+}
+
+template <typename T>
+bool RefCompare(ScalarFunc func, T a, T b) {
+  switch (func) {
+    case ScalarFunc::kEq: return a == b;
+    case ScalarFunc::kNe: return a != b;
+    case ScalarFunc::kLt: return a < b;
+    case ScalarFunc::kLe: return a <= b;
+    case ScalarFunc::kGt: return a > b;
+    default: return a >= b;
+  }
+}
+
+// The evaluator's semantics, one row at a time: null propagation, Kleene
+// AND/OR, NOT(null) = null, IS NULL never null; integer math (wrapping,
+// / 0 and INT64_MIN / -1 are NULL, % -1 is 0) when the result is not
+// float64 and both operands are integers, double math otherwise (/ 0 is
+// NULL); two integers compare as int64, anything with float64 as IEEE
+// double.
+Datum RefEval(const Expression& e, const RecordBatch& batch, size_t row) {
+  if (e.kind == ExprKind::kFieldRef) {
+    return batch.column(e.field_index)->GetDatum(row);
+  }
+  if (e.kind == ExprKind::kLiteral) return e.literal;
+  const Datum a = RefEval(e.args[0], batch, row);
+  switch (e.func) {
+    case ScalarFunc::kIsNull:
+      return Datum::Bool(a.is_null());
+    case ScalarFunc::kNot:
+      return a.is_null() ? Datum::Null(TypeKind::kBool)
+                         : Datum::Bool(!a.bool_value());
+    case ScalarFunc::kNegate:
+      if (a.is_null()) return Datum::Null(e.type);
+      if (e.type == TypeKind::kFloat64) return Datum::Float64(-a.AsDouble());
+      return RefInteger(e.type, static_cast<int64_t>(
+                                    0 - static_cast<uint64_t>(a.AsInt64())));
+    default:
+      break;
+  }
+  const Datum b = RefEval(e.args[1], batch, row);
+  if (e.func == ScalarFunc::kAnd || e.func == ScalarFunc::kOr) {
+    const bool is_and = e.func == ScalarFunc::kAnd;
+    const bool decides = is_and ? false : true;
+    if ((!a.is_null() && a.bool_value() == decides) ||
+        (!b.is_null() && b.bool_value() == decides)) {
+      return Datum::Bool(decides);
+    }
+    if (a.is_null() || b.is_null()) return Datum::Null(TypeKind::kBool);
+    return Datum::Bool(!decides);
+  }
+  if (substrait::IsComparison(e.func)) {
+    if (a.is_null() || b.is_null()) return Datum::Null(TypeKind::kBool);
+    if (a.type() == TypeKind::kString) {
+      return Datum::Bool(RefCompare<std::string_view>(
+          e.func, a.string_value(), b.string_value()));
+    }
+    if (ComparesAsDouble(a.type(), b.type())) {
+      return Datum::Bool(RefCompare(e.func, a.AsDouble(), b.AsDouble()));
+    }
+    return Datum::Bool(RefCompare(e.func, a.AsInt64(), b.AsInt64()));
+  }
+  if (a.is_null() || b.is_null()) return Datum::Null(e.type);
+  if (e.type != TypeKind::kFloat64 && RefIsInteger(a.type()) &&
+      RefIsInteger(b.type())) {
+    const int64_t x = a.AsInt64();
+    const int64_t y = b.AsInt64();
+    const auto ux = static_cast<uint64_t>(x);
+    const auto uy = static_cast<uint64_t>(y);
+    switch (e.func) {
+      case ScalarFunc::kAdd:
+        return RefInteger(e.type, static_cast<int64_t>(ux + uy));
+      case ScalarFunc::kSubtract:
+        return RefInteger(e.type, static_cast<int64_t>(ux - uy));
+      case ScalarFunc::kMultiply:
+        return RefInteger(e.type, static_cast<int64_t>(ux * uy));
+      case ScalarFunc::kDivide:
+        if (y == 0 || (y == -1 && x == std::numeric_limits<int64_t>::min())) {
+          return Datum::Null(e.type);
+        }
+        return RefInteger(e.type, x / y);
+      default:
+        if (y == 0) return Datum::Null(e.type);
+        return RefInteger(e.type, y == -1 ? 0 : x % y);
+    }
+  }
+  const double x = a.AsDouble();
+  const double y = b.AsDouble();
+  switch (e.func) {
+    case ScalarFunc::kAdd: return Datum::Float64(x + y);
+    case ScalarFunc::kSubtract: return Datum::Float64(x - y);
+    case ScalarFunc::kMultiply: return Datum::Float64(x * y);
+    case ScalarFunc::kDivide:
+      return y == 0 ? Datum::Null(e.type) : Datum::Float64(x / y);
+    default:
+      return y == 0 ? Datum::Null(e.type) : Datum::Float64(std::fmod(x, y));
+  }
+}
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Cell `row` of `col` equals `want`; doubles bit for bit.
+::testing::AssertionResult SameCell(const Column& col, size_t row,
+                                    const Datum& want) {
+  if (col.IsNull(row) != want.is_null()) {
+    return ::testing::AssertionFailure()
+           << "row " << row << ": null " << col.IsNull(row) << " vs "
+           << want.ToString();
+  }
+  if (want.is_null()) return ::testing::AssertionSuccess();
+  bool same = false;
+  switch (col.type()) {
+    case TypeKind::kBool: same = col.GetBool(row) == want.bool_value(); break;
+    case TypeKind::kInt32:
+    case TypeKind::kDate32: same = col.GetInt32(row) == want.AsInt64(); break;
+    case TypeKind::kInt64: same = col.GetInt64(row) == want.int64_value(); break;
+    case TypeKind::kFloat64:
+      same = DoubleBits(col.GetFloat64(row)) ==
+             DoubleBits(want.float64_value());
+      break;
+    case TypeKind::kString:
+      same = col.GetString(row) == want.string_value();
+      break;
+  }
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "row " << row << ": got "
+                                       << col.GetDatum(row).ToString()
+                                       << ", want " << want.ToString();
+}
+
+substrait::Rel FilterOver(const Expression& predicate) {
+  substrait::Rel filter;
+  filter.kind = substrait::RelKind::kFilter;
+  filter.input = std::make_unique<substrait::Rel>();
+  filter.input->kind = substrait::RelKind::kRead;
+  filter.input->base_schema = DiffSchema();
+  filter.predicate = predicate;
+  return filter;
+}
+
+TEST(EvaluatorDifferentialTest, KernelsMatchRowAtATimeReference) {
+  std::mt19937_64 rng(0xD1FF);
+  ExprGen gen(&rng);
+  constexpr int kCases = 2400;
+  constexpr size_t kRows = 48;
+  RecordBatchPtr batch;
+  int predicates = 0;
+  for (int c = 0; c < kCases; ++c) {
+    if (c % 16 == 0) batch = DiffBatch(kRows, &rng);
+    const int shape = static_cast<int>(rng() % 8);
+    const Expression expr = shape < 5   ? gen.Bool(3)
+                            : shape < 7 ? gen.Numeric(3)
+                                        : gen.String();
+    SCOPED_TRACE("case " + std::to_string(c) + ": " +
+                 expr.ToString(batch->schema().get()));
+    auto col = substrait::Evaluate(expr, *batch);
+    ASSERT_TRUE(col.ok()) << col.status();
+    ASSERT_EQ((*col)->type(), expr.type);
+    ASSERT_EQ((*col)->length(), kRows);
+    for (size_t r = 0; r < kRows; ++r) {
+      ASSERT_TRUE(SameCell(**col, r, RefEval(expr, *batch, r)));
+    }
+    if (expr.type != TypeKind::kBool) continue;
+    ++predicates;
+    // Plan validation admits every generated predicate.
+    ASSERT_TRUE(substrait::OutputSchema(FilterOver(expr)).ok());
+    const SelectionVector partial = RandomSelection(kRows, 0.5, &rng);
+    const SelectionVector empty;
+    for (const SelectionVector* sel : {static_cast<const SelectionVector*>(
+                                           nullptr),
+                                       &partial, &empty}) {
+      SelectionVector want;
+      for (uint32_t r = 0; r < kRows; ++r) {
+        if (sel != nullptr &&
+            !std::binary_search(sel->begin(), sel->end(), r)) {
+          continue;
+        }
+        const Datum v = RefEval(expr, *batch, r);
+        if (!v.is_null() && v.bool_value()) want.push_back(r);
+      }
+      auto got = substrait::FilterSelection(expr, *batch, sel);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_EQ(*got, want);
+    }
+  }
+  EXPECT_GT(predicates, kCases / 2);
+}
+
+// Per-row reference of HashAggregator: groups in first-appearance order
+// (NULL keys equal each other, float keys equal when their bits are and
+// they are not NaN, as hashing then == makes them), SUM/AVG accumulating
+// doubles in row order with a wrapping integer SUM beside it, MIN/MAX by
+// Datum::Compare.
+struct RefAggregate {
+  struct State {
+    int64_t count = 0;
+    double sum = 0;
+    uint64_t isum = 0;
+    Datum extreme;
+  };
+  std::vector<std::vector<Datum>> keys;
+  std::vector<std::vector<State>> states;
+};
+
+bool RefKeyEqual(const Datum& a, const Datum& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type() == TypeKind::kFloat64) {
+    return !std::isnan(a.float64_value()) &&
+           DoubleBits(a.float64_value()) == DoubleBits(b.float64_value());
+  }
+  return a.Compare(b) == 0;
+}
+
+TEST(AggregatorDifferentialTest, MatchesPerRowReference) {
+  std::mt19937_64 rng(0xA66);
+  auto pick = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  constexpr DiffCol kKeyCols[] = {kColB, kColI32, kColD32, kColI64, kColF64,
+                                  kColS};
+  constexpr DiffCol kNumeric[] = {kColI32, kColD32, kColI64, kColF64};
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<int> keys;
+    for (int k = pick(3); k > 0; --k) keys.push_back(kKeyCols[pick(6)]);
+    std::vector<AggregateSpec> specs;
+    for (int a = 1 + pick(4); a > 0; --a) {
+      AggregateSpec spec;
+      spec.func = static_cast<AggFunc>(pick(6));
+      const bool numeric =
+          spec.func == AggFunc::kSum || spec.func == AggFunc::kAvg;
+      const DiffCol c = numeric ? kNumeric[pick(4)] : kKeyCols[pick(6)];
+      spec.argument = Expression::FieldRef(c, kDiffTypes[c]);
+      spec.output_name = "a" + std::to_string(specs.size());
+      specs.push_back(std::move(spec));
+    }
+    exec::HashAggregator agg(DiffSchema(), keys, specs);
+    RefAggregate ref;
+    const int batches = pick(4);
+    for (int b = 0; b < batches; ++b) {
+      RecordBatchPtr batch = DiffBatch(40, &rng);
+      const int shape = pick(3);
+      const SelectionVector sel =
+          RandomSelection(40, shape == 0 ? 0.0 : 0.6, &rng);
+      ASSERT_TRUE(agg.Consume(*batch, shape == 2 ? nullptr : &sel).ok());
+      for (uint32_t row = 0; row < 40; ++row) {
+        if (shape != 2 && !std::binary_search(sel.begin(), sel.end(), row)) {
+          continue;
+        }
+        std::vector<Datum> key;
+        for (int k : keys) key.push_back(batch->column(k)->GetDatum(row));
+        size_t g = 0;
+        while (g < ref.keys.size()) {
+          bool equal = true;
+          for (size_t k = 0; k < key.size(); ++k) {
+            equal = equal && RefKeyEqual(ref.keys[g][k], key[k]);
+          }
+          if (equal) break;
+          ++g;
+        }
+        if (g == ref.keys.size()) {
+          ref.keys.push_back(key);
+          ref.states.emplace_back(specs.size());
+        }
+        for (size_t a = 0; a < specs.size(); ++a) {
+          RefAggregate::State& st = ref.states[g][a];
+          if (specs[a].func == AggFunc::kCountStar) {
+            ++st.count;
+            continue;
+          }
+          const Datum v = batch->column(specs[a].argument.field_index)
+                              ->GetDatum(row);
+          if (v.is_null()) continue;
+          ++st.count;
+          const AggFunc func = specs[a].func;
+          if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+            st.sum += v.AsDouble();
+            st.isum += static_cast<uint64_t>(v.AsInt64());
+          } else if (func == AggFunc::kMin || func == AggFunc::kMax) {
+            const int sign = func == AggFunc::kMin ? -1 : 1;
+            if (st.extreme.is_null() || v.Compare(st.extreme) * sign > 0) {
+              st.extreme = v;
+            }
+          }
+        }
+      }
+    }
+    if (keys.empty() && ref.keys.empty()) {
+      ref.keys.emplace_back();
+      ref.states.emplace_back(specs.size());
+    }
+    auto out = agg.Finish();
+    ASSERT_TRUE(out.ok()) << out.status();
+    const RecordBatch& got = **out;
+    ASSERT_EQ(got.num_rows(), ref.keys.size());
+    for (size_t g = 0; g < ref.keys.size(); ++g) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        ASSERT_TRUE(SameCell(*got.column(k), g, ref.keys[g][k]));
+      }
+      for (size_t a = 0; a < specs.size(); ++a) {
+        const RefAggregate::State& st = ref.states[g][a];
+        const TypeKind type = specs[a].OutputType();
+        Datum want;
+        switch (specs[a].func) {
+          case AggFunc::kCount:
+          case AggFunc::kCountStar:
+            want = Datum::Int64(st.count);
+            break;
+          case AggFunc::kSum:
+            want = st.count == 0 ? Datum::Null(type)
+                   : type == TypeKind::kInt64
+                       ? Datum::Int64(static_cast<int64_t>(st.isum))
+                       : Datum::Float64(st.sum);
+            break;
+          case AggFunc::kAvg:
+            want = st.count == 0
+                       ? Datum::Null(type)
+                       : Datum::Float64(st.sum / static_cast<double>(st.count));
+            break;
+          case AggFunc::kMin:
+          case AggFunc::kMax:
+            want = st.extreme.is_null() ? Datum::Null(type) : st.extreme;
+            break;
+        }
+        ASSERT_TRUE(SameCell(*got.column(keys.size() + a), g, want))
+            << substrait::AggFuncName(specs[a].func) << " group " << g;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -119,6 +119,83 @@ TEST(RelTest, FilterRequiresBoolPredicate) {
   EXPECT_TRUE(OutputSchema(*filter).ok());
 }
 
+// A call whose operand types the evaluator's kernels do not define:
+// validation rejects it with InvalidArgument, and evaluating it anyway is
+// an InvalidArgument too, never a read of the wrong value buffer.
+void ExpectRejected(const Expression& expr) {
+  SCOPED_TRACE(expr.ToString());
+  auto project = std::make_unique<Rel>();
+  project->kind = RelKind::kProject;
+  project->input = MakeRead();
+  project->expressions = {expr};
+  project->output_names = {"e"};
+  auto schema = OutputSchema(*project);
+  ASSERT_FALSE(schema.ok());
+  EXPECT_EQ(schema.status().code(), StatusCode::kInvalidArgument);
+  auto batch = ScanBatch();
+  auto col = Evaluate(expr, *batch);
+  ASSERT_FALSE(col.ok());
+  EXPECT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+  if (expr.type == TypeKind::kBool) {
+    auto sel = FilterSelection(expr, *batch);
+    ASSERT_FALSE(sel.ok());
+    EXPECT_EQ(sel.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+Expression N() { return Expression::FieldRef(1, TypeKind::kInt64); }
+Expression S() { return Expression::FieldRef(2, TypeKind::kString); }
+Expression XGt1() {
+  return Expression::Call(ScalarFunc::kGt,
+                          {Expression::FieldRef(0, TypeKind::kFloat64),
+                           Expression::Literal(Datum::Float64(1.0))},
+                          TypeKind::kBool);
+}
+
+TEST(RelTest, RejectsStringComparedWithNumber) {
+  // `flag = 7`: a string field against an int64 literal.
+  ExpectRejected(Expression::Call(
+      ScalarFunc::kEq, {S(), Expression::Literal(Datum::Int64(7))},
+      TypeKind::kBool));
+  ExpectRejected(Expression::Call(
+      ScalarFunc::kLt, {N(), Expression::Literal(Datum::String("a"))},
+      TypeKind::kBool));
+}
+
+TEST(RelTest, RejectsBoolComparedWithNumber) {
+  ExpectRejected(Expression::Call(
+      ScalarFunc::kEq, {XGt1(), Expression::Literal(Datum::Int64(1))},
+      TypeKind::kBool));
+}
+
+TEST(RelTest, RejectsArithmeticOverNonNumerics) {
+  ExpectRejected(Expression::Call(
+      ScalarFunc::kAdd, {S(), Expression::Literal(Datum::Int64(1))},
+      TypeKind::kInt64));
+  ExpectRejected(Expression::Call(
+      ScalarFunc::kMultiply, {XGt1(), Expression::Literal(Datum::Int64(2))},
+      TypeKind::kInt64));
+}
+
+TEST(RelTest, RejectsNegateOfNonNumeric) {
+  ExpectRejected(
+      Expression::Call(ScalarFunc::kNegate, {S()}, TypeKind::kInt64));
+}
+
+TEST(RelTest, RejectsIntegerResultOverFloatOperand) {
+  ExpectRejected(Expression::Call(
+      ScalarFunc::kAdd, {Expression::FieldRef(0, TypeKind::kFloat64), N()},
+      TypeKind::kInt64));
+}
+
+TEST(RelTest, RejectsLogicalOverNonBools) {
+  ExpectRejected(
+      Expression::Call(ScalarFunc::kAnd, {N(), XGt1()}, TypeKind::kBool));
+  ExpectRejected(
+      Expression::Call(ScalarFunc::kOr, {XGt1(), S()}, TypeKind::kBool));
+  ExpectRejected(Expression::Call(ScalarFunc::kNot, {N()}, TypeKind::kBool));
+}
+
 TEST(RelTest, AggregateOutputSchema) {
   auto agg = std::make_unique<Rel>();
   agg->kind = RelKind::kAggregate;

@@ -45,13 +45,14 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      there silently re-moves the bytes pruning exists
                      to avoid (DESIGN.md §13).
   row-loop-in-hot-path
-                     A per-row typed accessor (Get{Bool,Int32,Int64,
-                     Float64,String}) called inside a for/while body in a
-                     hot-path TU (src/exec/*.cpp, src/ocs/*.cpp). Row
-                     loops over virtual per-element getters are exactly
-                     what the vectorized kernels (columnar/kernels.h,
-                     DESIGN.md §15) replace: batch operators should go
-                     through CompareScalar/Take/HashRows or typed spans.
+                     A per-row accessor (Get{Bool,Int32,Int64,Float64,
+                     String,Datum}, AsDouble) called inside a for/while
+                     body in a hot-path TU (src/exec/*.cpp,
+                     src/ocs/*.cpp, src/substrait/eval.cpp). Row loops
+                     over per-element getters are exactly what the
+                     vectorized kernels (columnar/kernels.h, DESIGN.md
+                     §15) replace: batch operators should go through
+                     CompareScalar/Take/HashRows or typed spans.
                      Suppress with the allow comment where per-row access
                      is genuinely required (e.g. key equality probes on
                      hash collisions).
@@ -497,13 +498,15 @@ def check_planning_data_rpc(stripped, rel_path, report):
                    "source")
 
 
-# TUs on the batch-execution hot path: the engine's operators and the
-# storage node's embedded engine. Headers are exempt (inline helpers like
-# Column::GetInt64 itself live there), as are tests/benches (naive
-# reference loops are the point there).
-HOT_PATH_FILE_RE = re.compile(r"^src/(?:exec|ocs)/[^/]+\.(?:cpp|cc)$")
+# TUs on the batch-execution hot path: the engine's operators, the
+# storage node's embedded engine and the expression evaluator. Headers are
+# exempt (inline helpers like Column::GetInt64 itself live there), as are
+# tests/benches (naive reference loops are the point there).
+HOT_PATH_FILE_RE = re.compile(
+    r"^src/(?:(?:exec|ocs)/[^/]+\.(?:cpp|cc)|substrait/eval\.cpp)$")
 ROW_GET_RE = re.compile(
-    r"(?:\.|->)\s*(Get(?:Bool|Int32|Int64|Float64|String))\s*\(")
+    r"(?:\.|->)\s*(Get(?:Bool|Int32|Int64|Float64|String|Datum)|AsDouble)"
+    r"\s*\(")
 
 
 def check_row_loop_in_hot_path(stripped, rel_path, report):

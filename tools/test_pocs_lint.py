@@ -374,8 +374,9 @@ class PlanningDataRpcTest(LintRunner):
 
 
 class RowLoopInHotPathTest(LintRunner):
-    """row-loop-in-hot-path: per-row Get*() loops in src/exec/ and
-    src/ocs/ TUs must use the vectorized kernels instead."""
+    """row-loop-in-hot-path: per-row Get*()/AsDouble() loops in src/exec/
+    and src/ocs/ TUs and in the evaluator must use the vectorized kernels
+    instead."""
 
     def test_get_in_for_body_in_exec_fires(self):
         self.write("src/exec/op.cpp",
@@ -406,6 +407,46 @@ class RowLoopInHotPathTest(LintRunner):
                    "    sum += c.GetFloat64(i);\n"
                    "}\n")
         self.assert_finding(self.run_lint(), "row-loop-in-hot-path")
+
+    def test_get_in_loop_in_evaluator_fires(self):
+        self.write("src/substrait/eval.cpp",
+                   "void f(const Column& c) {\n"
+                   "  for (size_t i = 0; i < c.length(); ++i) {\n"
+                   "    Use(c.GetBool(i));\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
+                            "eval.cpp")
+
+    def test_other_substrait_file_is_clean(self):
+        # Only the evaluator is on the hot path; plan validation and the
+        # serializer walk trees, not rows.
+        self.write("src/substrait/rel.cpp",
+                   "void f(const Column& c) {\n"
+                   "  for (size_t i = 0; i < c.length(); ++i) {\n"
+                   "    Use(c.GetBool(i));\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_clean(self.run_lint())
+
+    def test_as_double_in_loop_fires(self):
+        self.write("src/exec/agg.cpp",
+                   "void f(const Column& arg) {\n"
+                   "  for (size_t row = 0; row < n; ++row)\n"
+                   "    sum += arg.AsDouble(row);\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
+                            "AsDouble")
+
+    def test_get_datum_in_loop_fires(self):
+        self.write("src/substrait/eval.cpp",
+                   "void f(const ColumnPtr& arg) {\n"
+                   "  for (size_t i = 0; i < arg->length(); ++i) {\n"
+                   "    out->AppendInt64(-arg->GetDatum(i).AsInt64());\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
+                            "GetDatum")
 
     def test_header_is_not_covered(self):
         # Headers carry declarations and inline accessors; the rule is
