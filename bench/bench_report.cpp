@@ -23,6 +23,7 @@
 #include "bench/fig5_common.h"
 #include "bench/report.h"
 #include "columnar/kernels.h"
+#include "common/checksum.h"
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
@@ -530,10 +531,10 @@ int main(int argc, char** argv) {
   // --- micro_kernels: vectorized kernels vs the pre-PR scalar loops ------
   // Seeded data, best-of-N wall time per variant. Per-variant seconds
   // and the naive/kernel speedup are recorded as timings (the 11x
-  // baseline tolerance absorbs machine variance); the DESIGN.md §15
-  // floors (≥2x int64 filter, ≥3x dictionary-string filter) are enforced
-  // here in optimized builds so a kernel regression fails the bench run
-  // itself, not just the baseline diff.
+  // baseline tolerance absorbs machine variance); the speedup floors
+  // (DESIGN.md §15: ≥2x int64 filter, ≥3x dictionary-string filter;
+  // §16: ≥4x checksum) are enforced here in optimized builds so a kernel
+  // regression fails the bench run itself, not just the baseline diff.
   {
     const size_t n = args.smoke ? (1u << 19) : (1u << 21);
     const int reps = 5;
@@ -563,6 +564,9 @@ int main(int argc, char** argv) {
       const char* name;
       double naive_seconds;
       double kernel_seconds;
+      double floor;  // minimum naive/kernel speedup; 0 = none
+      size_t items;  // per pass, in millions of `unit`
+      const char* unit;
     };
     std::vector<MicroResult> micro;
 
@@ -577,7 +581,7 @@ int main(int argc, char** argv) {
                                        int_lit)
             .size();
       });
-      micro.push_back({"int64_filter", naive, kernel});
+      micro.push_back({"int64_filter", naive, kernel, 2.0, n, "Mrows/s"});
     }
 
     // Dictionary-string filter: per-row string compares over the decoded
@@ -598,7 +602,7 @@ int main(int argc, char** argv) {
             columnar::Datum::String("R"));
         return format::FilterDictCodes(**dict, match).size();
       });
-      micro.push_back({"dict_string_filter", naive, kernel});
+      micro.push_back({"dict_string_filter", naive, kernel, 3.0, n, "Mrows/s"});
     }
 
     // String gather: per-row AppendFrom vs bulk offset/char gather.
@@ -611,7 +615,21 @@ int main(int argc, char** argv) {
       const double kernel = BestSeconds(reps, &sink, [&] {
         return columnar::Take(*strs, sel)->length();
       });
-      micro.push_back({"take_string", naive, kernel});
+      micro.push_back({"take_string", naive, kernel, 0.0, n, "Mrows/s"});
+    }
+
+    // Integrity checksum: the serial HashBytes that IPC streams and
+    // Parquet-lite pages were hashed with vs the 4-lane Checksum64 that
+    // replaced it, over a buffer the size of a large filtered result.
+    {
+      Bytes buffer(2600000);
+      for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng());
+      const double naive = BestSeconds(reps, &sink, [&] {
+        return HashBytes(buffer.data(), buffer.size());
+      });
+      const double kernel =
+          BestSeconds(reps, &sink, [&] { return Checksum64(buffer); });
+      micro.push_back({"checksum", naive, kernel, 4.0, buffer.size(), "MB/s"});
     }
 
     // Row hashing has no pre-PR per-row counterpart to race (the old
@@ -634,24 +652,17 @@ int main(int argc, char** argv) {
       report.AddTiming(prefix + ".naive_seconds", m.naive_seconds);
       report.AddTiming(prefix + ".kernel_seconds", m.kernel_seconds);
       report.AddTiming(prefix + ".speedup", speedup);
-      std::printf("%-28s %11.1f Mrows/s naive %9.1f Mrows/s kernel "
-                  "(%.1fx)\n",
-                  prefix.c_str(), n / m.naive_seconds / 1e6,
-                  n / m.kernel_seconds / 1e6, speedup);
+      std::printf("%-28s %11.1f %s naive %9.1f %s kernel (%.1fx)\n",
+                  prefix.c_str(), m.items / m.naive_seconds / 1e6, m.unit,
+                  m.items / m.kernel_seconds / 1e6, m.unit, speedup);
+      if (!POCS_BENCH_SANITIZED && speedup < m.floor) {
+        std::fprintf(stderr,
+                     "bench_report: %s speedup %.2fx is below its %.0fx "
+                     "floor\n",
+                     prefix.c_str(), speedup, m.floor);
+        return 1;
+      }
     }
-#if !POCS_BENCH_SANITIZED
-    const double int64_speedup = micro[0].naive_seconds /
-                                 micro[0].kernel_seconds;
-    const double dict_speedup = micro[1].naive_seconds /
-                                micro[1].kernel_seconds;
-    if (int64_speedup < 2.0 || dict_speedup < 3.0) {
-      std::fprintf(stderr,
-                   "bench_report: kernel speedups below the §15 floors "
-                   "(int64 %.2fx < 2x or dict %.2fx < 3x)\n",
-                   int64_speedup, dict_speedup);
-      return 1;
-    }
-#endif
     if (sink == 0xdeadbeef) std::printf("sink %llu\n",
                                         (unsigned long long)sink);
   }

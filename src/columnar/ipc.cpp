@@ -1,12 +1,8 @@
 #include "columnar/ipc.h"
 
-#include "common/hash.h"
+#include "common/checksum.h"
 
 namespace pocs::columnar::ipc {
-
-namespace {
-
-constexpr uint32_t kMagic = 0x41524F57;  // 'AROW'
 
 void WriteColumn(const Column& col, BufferWriter* out) {
   out->WriteVarint(col.null_count());
@@ -39,6 +35,14 @@ Result<ColumnPtr> ReadColumn(TypeKind type, size_t nrows, BufferReader* in) {
   auto col = std::make_shared<Column>(type);
   POCS_ASSIGN_OR_RETURN(uint64_t null_count, in->ReadVarint());
   if (null_count > nrows) return Status::Corruption("null_count > nrows");
+  // Every row owns fixed-width bytes that must already be in the buffer
+  // (its value or string offset, plus a validity byte when there are
+  // nulls): a crafted row count fails here instead of in a resize.
+  const size_t row_bytes = (type == TypeKind::kString ? 4 : TypeWidth(type)) +
+                           (null_count > 0 ? 1 : 0);
+  if (nrows > in->remaining() / row_bytes) {
+    return Status::Corruption("row count exceeds column bytes");
+  }
   if (null_count > 0) {
     col->mutable_validity().resize(nrows);
     POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_validity().data(), nrows));
@@ -87,6 +91,10 @@ Result<ColumnPtr> ReadColumn(TypeKind type, size_t nrows, BufferReader* in) {
   return ColumnPtr(col);
 }
 
+namespace {
+
+constexpr uint32_t kMagic = 0x41524F57;  // 'AROW'
+
 void WriteBatchBody(const RecordBatch& batch, BufferWriter* out) {
   out->WriteVarint(batch.num_rows());
   for (size_t c = 0; c < batch.num_columns(); ++c) {
@@ -108,8 +116,7 @@ Result<RecordBatchPtr> ReadBatchBody(const SchemaPtr& schema,
 }
 
 Bytes Finish(BufferWriter&& out) {
-  uint64_t h = HashBytes(out.data().data(), out.size());
-  out.WriteLE<uint64_t>(h);
+  out.WriteLE<uint64_t>(Checksum64(out.span()));
   return std::move(out).Take();
 }
 
@@ -117,8 +124,8 @@ Result<BufferReader> OpenStream(ByteSpan data) {
   if (data.size() < 12) return Status::Corruption("IPC stream too short");
   uint64_t stored;
   std::memcpy(&stored, data.data() + data.size() - 8, 8);
-  if (HashBytes(data.data(), data.size() - 8) != stored) {
-    return Status::Corruption("IPC integrity hash mismatch");
+  if (Checksum64(data.first(data.size() - 8)) != stored) {
+    return Status::Corruption("IPC checksum mismatch");
   }
   BufferReader in(data.subspan(0, data.size() - 8));
   POCS_ASSIGN_OR_RETURN(uint32_t magic, in.ReadLE<uint32_t>());

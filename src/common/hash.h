@@ -1,7 +1,12 @@
-// Non-cryptographic hashing used by hash aggregation, dictionary encoding,
-// and the object store's integrity checksums. A 64-bit mix based on
-// the splitmix64/xxhash finalizer family: fast, well-distributed, stable
-// across platforms (we serialize checksums to disk formats).
+// Non-cryptographic hashing for keys and fingerprints: hash aggregation
+// and join keys, bloom filters, statistics NDV tracking, cache keys, plan
+// fingerprints and RPC flow ids. A 64-bit mix based on the
+// splitmix64/xxhash finalizer family: well-distributed and stable across
+// platforms. Its values are pinned — plan fingerprints, the fault plan's
+// content-keyed flow ids and the bench baseline's codecs.*.decoded_hash
+// all depend on them — so it stays as it is. HashBytes chains every word
+// through one dependent multiply sequence; integrity checks over stored
+// and shipped bytes use the 4-lane Checksum64 (common/checksum.h).
 #pragma once
 
 #include <cstddef>

@@ -8,7 +8,6 @@ namespace pocs::format {
 
 using columnar::Column;
 using columnar::ColumnPtr;
-using columnar::MakeBatch;
 using columnar::MakeColumn;
 using columnar::TypeKind;
 
@@ -41,14 +40,10 @@ std::optional<Bytes> DictionaryEncodeString(const Column& col) {
 }
 
 Bytes EncodePage(const Column& col, const columnar::Field& field) {
-  // Plain form: IPC batch of the single column.
-  auto field_schema = columnar::MakeSchema({field});
-  auto shared = std::make_shared<Column>(col);
-  Bytes ipc = columnar::ipc::SerializeBatch(
-      *MakeBatch(field_schema, {std::move(shared)}));
-  BufferWriter plain(ipc.size() + 1);
+  POCS_DCHECK(col.type() == field.type);
+  BufferWriter plain(col.ByteSize() + 16);
   plain.WriteU8(static_cast<uint8_t>(PageEncoding::kPlain));
-  plain.WriteBytes(ipc.data(), ipc.size());
+  columnar::ipc::WriteColumn(col, &plain);
   Bytes plain_bytes = std::move(plain).Take();
 
   if (auto dictionary = DictionaryEncodeString(col);
@@ -84,9 +79,14 @@ Result<std::optional<DictionaryPage>> DecodeDictionaryPage(
     return Status::Corruption("page: dictionary row count mismatch");
   }
   POCS_ASSIGN_OR_RETURN(uint64_t null_count, in.ReadVarint());
+  if (null_count > n_rows) return Status::Corruption("page: bad nulls");
+  // The row count comes from the footer; check the page holds that many
+  // code (and validity) bytes before allocating them.
+  if (n_rows > in.remaining() / (null_count > 0 ? 2 : 1)) {
+    return Status::Corruption("page: row count exceeds page bytes");
+  }
   page.null_count = null_count;
   if (null_count > 0) {
-    if (null_count > n_rows) return Status::Corruption("page: bad nulls");
     page.validity.resize(n_rows);
     POCS_RETURN_NOT_OK(in.ReadBytes(page.validity.data(), n_rows));
   }
@@ -224,16 +224,11 @@ Result<ColumnPtr> DecodePage(ByteSpan payload, const columnar::Field& field,
   BufferReader in(payload);
   POCS_ASSIGN_OR_RETURN(uint8_t enc, in.ReadU8());
   if (enc == static_cast<uint8_t>(PageEncoding::kPlain)) {
-    POCS_ASSIGN_OR_RETURN(ByteSpan ipc, in.ReadSpan(in.remaining()));
-    POCS_ASSIGN_OR_RETURN(columnar::RecordBatchPtr batch,
-                          columnar::ipc::DeserializeBatch(ipc));
-    if (batch->num_columns() != 1 || batch->num_rows() != expected_rows) {
-      return Status::Corruption("page: plain shape mismatch");
-    }
-    if (batch->column(0)->type() != field.type) {
-      return Status::Corruption("page: plain type mismatch");
-    }
-    return batch->column(0);
+    POCS_ASSIGN_OR_RETURN(ColumnPtr column,
+                          columnar::ipc::ReadColumn(field.type, expected_rows,
+                                                    &in));
+    if (!in.exhausted()) return Status::Corruption("page: trailing bytes");
+    return column;
   }
   POCS_ASSIGN_OR_RETURN(std::optional<DictionaryPage> page,
                         DecodeDictionaryPage(payload, field, expected_rows));

@@ -1,11 +1,18 @@
 // Data-page encodings for Parquet-lite chunks. Mirrors Parquet's two
 // workhorse encodings:
-//   kPlain      — the column's IPC serialization as-is;
+//   kPlain      — the raw column body: null count, validity and values
+//                 (offsets + chars for strings), written and read by the
+//                 IPC stream's own ipc::WriteColumn/ReadColumn pair;
 //   kDictionary — low-cardinality string columns stored as a distinct-
 //                 value dictionary plus one code byte per row (chosen
 //                 automatically when it is smaller).
 // The encoding byte leads the (pre-compression) chunk payload, so codecs
 // compress the encoded form — dictionary + codec compose, as in Parquet.
+// Pages carry no magic or checksum of their own, and a plain page no row
+// count: the footer supplies the row count and guards each compressed
+// chunk with a checksum (format/parquet_lite.h). Decoders reject a row
+// count the page bytes cannot hold before allocating, and reject
+// trailing bytes.
 #pragma once
 
 #include <optional>

@@ -2,6 +2,7 @@
 
 #include "columnar/ipc.h"
 #include "common/check.h"
+#include "common/checksum.h"
 #include "format/encoding.h"
 
 namespace pocs::format {
@@ -77,6 +78,7 @@ Status FileWriter::FlushGroup() {
     ChunkMeta chunk;
     chunk.offset = out_.size();
     chunk.length = compressed.size();
+    chunk.checksum = Checksum64(compressed);
     chunk.stats = chunk_stats.stats();
     out_.WriteBytes(compressed.data(), compressed.size());
     group.chunks.push_back(std::move(chunk));
@@ -107,10 +109,12 @@ Result<Bytes> FileWriter::Finish() {
     for (const ChunkMeta& chunk : g.chunks) {
       out_.WriteVarint(chunk.offset);
       out_.WriteVarint(chunk.length);
+      out_.WriteLE<uint64_t>(chunk.checksum);
       chunk.stats.Serialize(&out_);
     }
   }
   for (const ColumnStats& s : meta_.column_stats) s.Serialize(&out_);
+  out_.WriteLE<uint64_t>(Checksum64(out_.span().subspan(footer_start)));
   out_.WriteLE<uint32_t>(static_cast<uint32_t>(out_.size() - footer_start));
   out_.WriteLE<uint32_t>(kParquetLiteMagic);
   return std::move(out_).Take();
@@ -127,10 +131,17 @@ Result<FileMeta> ReadFooter(ByteSpan file) {
   }
   // footer_len is attacker-controlled; the widened compare avoids the
   // uint32 overflow a crafted footer_len near UINT32_MAX would cause.
-  if (uint64_t{footer_len} + 8 > file.size()) {
+  if (footer_len < 8 || uint64_t{footer_len} + 8 > file.size()) {
     return Status::Corruption("parquet-lite: bad footer length");
   }
-  BufferReader in(file.subspan(file.size() - 8 - footer_len, footer_len));
+  const ByteSpan footer =
+      file.subspan(file.size() - 8 - footer_len, footer_len - 8);
+  uint64_t stored;
+  std::memcpy(&stored, footer.data() + footer.size(), 8);
+  if (Checksum64(footer) != stored) {
+    return Status::Corruption("parquet-lite: footer checksum mismatch");
+  }
+  BufferReader in(footer);
 
   FileMeta meta;
   POCS_ASSIGN_OR_RETURN(meta.schema, columnar::ipc::ReadSchema(&in));
@@ -148,6 +159,7 @@ Result<FileMeta> ReadFooter(ByteSpan file) {
       ChunkMeta chunk;
       POCS_ASSIGN_OR_RETURN(chunk.offset, in.ReadVarint());
       POCS_ASSIGN_OR_RETURN(chunk.length, in.ReadVarint());
+      POCS_ASSIGN_OR_RETURN(chunk.checksum, in.ReadLE<uint64_t>());
       // Overflow-safe bounds check on untrusted offsets.
       if (chunk.offset > file.size() ||
           chunk.length > file.size() - chunk.offset) {
@@ -162,17 +174,37 @@ Result<FileMeta> ReadFooter(ByteSpan file) {
     POCS_ASSIGN_OR_RETURN(ColumnStats s, ColumnStats::Deserialize(&in));
     meta.column_stats.push_back(std::move(s));
   }
+  if (!in.exhausted()) return Status::Corruption("parquet-lite: trailing footer bytes");
   return meta;
 }
 
-Result<std::shared_ptr<FileReader>> FileReader::Open(Bytes file) {
-  POCS_ASSIGN_OR_RETURN(FileMeta meta,
-                        ReadFooter(ByteSpan(file.data(), file.size())));
+Result<std::shared_ptr<FileReader>> FileReader::Open(
+    std::shared_ptr<const Bytes> file) {
+  POCS_CHECK(file != nullptr);
+  POCS_ASSIGN_OR_RETURN(FileMeta meta, ReadFooter(*file));
   // Private constructor (callers must go through Open), so make_shared
   // is unavailable.
   // NOLINTNEXTLINE(cppcoreguidelines-owning-memory) pocs-lint: allow(naked-new)
   auto* reader = new FileReader(std::move(file), std::move(meta));
   return std::shared_ptr<FileReader>(reader);
+}
+
+Result<std::shared_ptr<FileReader>> FileReader::Open(Bytes file) {
+  return Open(std::make_shared<const Bytes>(std::move(file)));
+}
+
+Result<ByteSpan> FileReader::ChunkData(size_t group, int column) const {
+  // ReadFooter guarantees one chunk per schema field per row group and
+  // validated each chunk's byte range against the file.
+  const RowGroupMeta& g = meta_.row_groups[group];
+  POCS_DCHECK_LT(static_cast<size_t>(column), g.chunks.size());
+  const ChunkMeta& chunk = g.chunks[column];
+  POCS_DCHECK_LE(chunk.offset + chunk.length, file_->size());
+  const ByteSpan raw(file_->data() + chunk.offset, chunk.length);
+  if (Checksum64(raw) != chunk.checksum) {
+    return Status::Corruption("parquet-lite: chunk checksum mismatch");
+  }
+  return raw;
 }
 
 Result<RecordBatchPtr> FileReader::ReadRowGroup(
@@ -195,12 +227,7 @@ Result<RecordBatchPtr> FileReader::ReadRowGroup(
     if (c < 0 || static_cast<size_t>(c) >= meta_.schema->num_fields()) {
       return Status::InvalidArgument("bad column index");
     }
-    // ReadFooter guarantees one chunk per schema field per row group and
-    // validated each chunk's byte range against the file.
-    POCS_DCHECK_LT(static_cast<size_t>(c), g.chunks.size());
-    const ChunkMeta& chunk = g.chunks[c];
-    POCS_DCHECK_LE(chunk.offset + chunk.length, file_.size());
-    ByteSpan raw(file_.data() + chunk.offset, chunk.length);
+    POCS_ASSIGN_OR_RETURN(ByteSpan raw, ChunkData(group, c));
     POCS_ASSIGN_OR_RETURN(Bytes payload, codec.Decompress(raw));
     POCS_ASSIGN_OR_RETURN(
         ColumnPtr column,
@@ -244,11 +271,7 @@ Result<Bytes> FileReader::ReadChunkPage(size_t group, int column) const {
       static_cast<size_t>(column) >= meta_.schema->num_fields()) {
     return Status::InvalidArgument("bad column index");
   }
-  const RowGroupMeta& g = meta_.row_groups[group];
-  POCS_DCHECK_LT(static_cast<size_t>(column), g.chunks.size());
-  const ChunkMeta& chunk = g.chunks[column];
-  POCS_DCHECK_LE(chunk.offset + chunk.length, file_.size());
-  ByteSpan raw(file_.data() + chunk.offset, chunk.length);
+  POCS_ASSIGN_OR_RETURN(ByteSpan raw, ChunkData(group, column));
   return compress::GetCodec(meta_.codec).Decompress(raw);
 }
 

@@ -6,14 +6,24 @@
 // self-describing footer. Files are byte buffers — the object store is
 // the only persistence layer, as in the paper's S3/OCS setup.
 //
-// Layout:
-//   file   := magic(u32 'PQL1') chunk_data... footer footer_len(u32)
-//             magic(u32 'PQL1')
-//   chunk  := codec-compressed single-column IPC batch
-//   footer := schema  codec:u8  n_groups:varint
-//             group*  { n_rows:varint  chunk* { offset:varint len:varint
-//                                               stats } }
-//             file-level stats per column
+// Layout (v2, all little-endian, varint = LEB128):
+//   file    := magic(u32 'PQL2') chunk* footer footer_len(u32)
+//              magic(u32 'PQL2')
+//   chunk   := one codec-compressed page (format/encoding.h)
+//   footer  := schema codec:u8 num_rows:varint n_groups:varint
+//              group* file-level stats per column
+//              checksum:u64 over every footer byte before it
+//   group   := n_rows:varint chunk_meta*       (one per schema field)
+//   chunk_meta := offset:varint length:varint checksum:u64 stats
+// footer_len counts the footer including its checksum.
+//
+// Integrity: each chunk's bytes are covered by its Checksum64
+// (common/checksum.h), verified when the chunk is read from the file,
+// before decompression; the footer's bytes by the footer's own, verified
+// by ReadFooter (so at Open). The magics and footer_len are checked by
+// value: a wrong footer_len frames the wrong bytes as the footer, which
+// fails its checksum. Decoded columns served from a cache are not
+// re-verified.
 #pragma once
 
 #include <memory>
@@ -25,7 +35,7 @@
 
 namespace pocs::format {
 
-constexpr uint32_t kParquetLiteMagic = 0x314C5150;  // 'PQL1'
+constexpr uint32_t kParquetLiteMagic = 0x324C5150;  // 'PQL2'
 
 struct WriterOptions {
   compress::CodecType codec = compress::CodecType::kNone;
@@ -35,6 +45,7 @@ struct WriterOptions {
 struct ChunkMeta {
   uint64_t offset = 0;  // absolute file offset of the compressed chunk
   uint64_t length = 0;  // compressed byte length
+  uint64_t checksum = 0;  // Checksum64 of the compressed bytes
   ColumnStats stats;
 };
 
@@ -78,6 +89,12 @@ class FileWriter {
 // query needs (the paper's §2.2 selective-retrieval property).
 class FileReader {
  public:
+  // Opens a reader over immutable shared file bytes (an object store's
+  // ObjectData) without copying them. The reader holds the bytes, so it
+  // keeps reading the version it opened even if the object is replaced.
+  static Result<std::shared_ptr<FileReader>> Open(
+      std::shared_ptr<const Bytes> file);
+  // For callers that own the file's bytes (a fetched object).
   static Result<std::shared_ptr<FileReader>> Open(Bytes file);
 
   const FileMeta& meta() const { return meta_; }
@@ -104,14 +121,18 @@ class FileReader {
   Result<Bytes> ReadChunkPage(size_t group, int column) const;
 
  private:
-  FileReader(Bytes file, FileMeta meta)
+  FileReader(std::shared_ptr<const Bytes> file, FileMeta meta)
       : file_(std::move(file)), meta_(std::move(meta)) {}
 
-  Bytes file_;
+  // The compressed bytes of one chunk, verified against its checksum.
+  Result<ByteSpan> ChunkData(size_t group, int column) const;
+
+  std::shared_ptr<const Bytes> file_;
   FileMeta meta_;
 };
 
-// Parse only the footer of a file (cheap metadata access for planners).
+// Parse only the footer of a file (cheap metadata access for planners),
+// after verifying the footer checksum.
 Result<FileMeta> ReadFooter(ByteSpan file);
 
 }  // namespace pocs::format

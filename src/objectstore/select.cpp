@@ -118,7 +118,7 @@ Result<SelectResponse> ExecuteSelect(const ObjectStore& store,
                                      const SelectRequest& request) {
   POCS_ASSIGN_OR_RETURN(ObjectData object,
                         store.Get(request.bucket, request.key));
-  POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object));
+  POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(object));
   const auto& schema = reader->schema();
 
   // Resolve projected columns (empty = all).

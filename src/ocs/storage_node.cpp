@@ -429,7 +429,7 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
        &result](const Rel& r) -> Result<std::unique_ptr<exec::BatchSource>> {
     POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
                           store_->GetVersioned(r.bucket, r.object));
-    POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object.data));
+    POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(object.data));
     if (!reader->schema()->Equals(*r.base_schema)) {
       return Status::InvalidArgument("ocs: plan schema != object schema");
     }
@@ -498,7 +498,7 @@ Status StorageNode::WarmObjectCache(const std::string& bucket,
   POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
                         store_->GetVersioned(bucket, key));
   POCS_ASSIGN_OR_RETURN(auto reader_owned,
-                        format::FileReader::Open(*object.data));
+                        format::FileReader::Open(object.data));
   std::shared_ptr<format::FileReader> reader = std::move(reader_owned);
   const std::string object_id = bucket + "/" + key;
   const size_t num_fields = reader->schema()->num_fields();

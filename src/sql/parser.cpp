@@ -1,6 +1,8 @@
 #include "sql/parser.h"
 
 #include <charconv>
+#include <optional>
+#include <string_view>
 
 #include "columnar/types.h"
 #include "sql/lexer.h"
@@ -8,6 +10,18 @@
 namespace pocs::sql {
 
 namespace {
+
+// A whole numeric token, or nullopt when it is malformed or out of range.
+// std::from_chars never throws, unlike std::stoll/std::stod, so a bad
+// literal is an InvalidArgument instead of an uncaught exception.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [p, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return value;
+}
 
 // Expression grammar (precedence climbing):
 //   or_expr     := and_expr (OR and_expr)*
@@ -96,7 +110,8 @@ class Parser {
       if (Peek().kind != TokenKind::kInteger) {
         return Error("LIMIT expects an integer");
       }
-      query.limit = std::stoll(Peek().text);
+      query.limit = ParseNumber<int64_t>(Peek().text);
+      if (!query.limit) return Error("LIMIT out of range");
       Advance();
     }
     AcceptOperator(";");
@@ -339,20 +354,20 @@ class Parser {
     switch (token.kind) {
       case TokenKind::kInteger: {
         e->kind = AstExprKind::kIntLiteral;
-        int64_t v = 0;
-        auto [p, ec] =
-            std::from_chars(token.text.data(),
-                            token.text.data() + token.text.size(), v);
-        if (ec != std::errc()) return Error("bad integer literal");
-        e->int_value = v;
+        std::optional<int64_t> v = ParseNumber<int64_t>(token.text);
+        if (!v) return Error("bad integer literal");
+        e->int_value = *v;
         Advance();
         return e;
       }
-      case TokenKind::kFloat:
+      case TokenKind::kFloat: {
         e->kind = AstExprKind::kFloatLiteral;
-        e->float_value = std::stod(token.text);
+        std::optional<double> v = ParseNumber<double>(token.text);
+        if (!v) return Error("bad float literal '" + token.raw + "'");
+        e->float_value = *v;
         Advance();
         return e;
+      }
       case TokenKind::kString:
         e->kind = AstExprKind::kStringLiteral;
         e->str_value = token.text;
@@ -384,11 +399,12 @@ class Parser {
         // INTERVAL '90' DAY
         if (token.text == "interval" && Peek(1).kind == TokenKind::kString) {
           Advance();
-          int64_t days = std::stoll(Peek().text);
+          std::optional<int64_t> days = ParseNumber<int64_t>(Peek().text);
+          if (!days) return Error("bad INTERVAL day count");
           Advance();
           POCS_RETURN_NOT_OK(ExpectKeyword("day"));
           e->kind = AstExprKind::kIntervalLiteral;
-          e->int_value = days;
+          e->int_value = *days;
           return e;
         }
         std::string name = token.text;

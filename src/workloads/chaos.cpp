@@ -66,13 +66,15 @@ Result<TestbedConfig> MakeChaosTestbedConfig(const ChaosConfig& config) {
     // In-storage execution is dead (ApplyChaos crashes every exec engine)
     // and the compute↔frontend link drops 20% of messages: every split
     // degrades to the *chunked* fallback, where an rpc-level retry
-    // re-requests one lost 32 KiB range instead of the whole object —
-    // bytes_refetched_on_retry stays well below the bytes moved. The
-    // split-result cache serves repeat scans after a metadata-only
+    // re-requests one lost 16 KiB range instead of the whole object —
+    // bytes_refetched_on_retry stays well below the bytes moved. Drops
+    // are keyed on request content, so small ranges (many requests per
+    // object) make some retries near-certain under every pinned seed.
+    // The split-result cache serves repeat scans after a metadata-only
     // revalidation.
     d.call.max_attempts = 1;  // exec is gone; extra attempts are waste
     d.fallback_call.max_attempts = 6;
-    d.fallback_chunk_bytes = 32 << 10;
+    d.fallback_chunk_bytes = 16 << 10;
     bed.ocs_connector.split_result_cache_bytes = 64ull << 20;
   } else if (config.profile == "stats-drop") {
     // Split pruning is armed (metadata cache on) but ApplyChaos takes the

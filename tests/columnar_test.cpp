@@ -9,6 +9,7 @@
 #include "columnar/ipc.h"
 #include "columnar/kernels.h"
 #include "columnar/types.h"
+#include "common/checksum.h"
 
 namespace pocs::columnar {
 namespace {
@@ -386,6 +387,31 @@ TEST(IpcTest, BitflipDetected) {
   auto result = ipc::DeserializeBatch(ByteSpan(data.data(), data.size()));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+// A stream whose batch declares 2^40 rows but carries none, under a valid
+// checksum: Corruption before any buffer is sized to the row count.
+TEST(IpcTest, DeclaredRowCountBeyondBytesIsCorruption) {
+  for (TypeKind type : {TypeKind::kBool, TypeKind::kInt32, TypeKind::kInt64,
+                        TypeKind::kFloat64, TypeKind::kString,
+                        TypeKind::kDate32}) {
+    for (uint64_t null_count : {uint64_t{0}, uint64_t{1}}) {
+      BufferWriter out;
+      out.WriteLE<uint32_t>(0x41524F57);  // 'AROW'
+      ipc::WriteSchema(*MakeSchema({{"v", type}}), &out);
+      out.WriteVarint(1);                   // batches
+      out.WriteVarint(uint64_t{1} << 40);   // rows
+      out.WriteVarint(null_count);
+      out.WriteLE<uint64_t>(Checksum64(out.span()));
+      if (type == TypeKind::kInt64 && null_count == 0) {
+        EXPECT_EQ(out.size(), 25u);
+      }
+      auto result = ipc::DeserializeTable(out.span());
+      ASSERT_FALSE(result.ok()) << TypeName(type);
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+          << TypeName(type);
+    }
+  }
 }
 
 TEST(IpcTest, SchemaOnlyRoundtrip) {

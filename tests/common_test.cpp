@@ -1,5 +1,5 @@
 // Unit tests for the common module: Status/Result, buffers, varints,
-// hashing, thread pool, annotated mutexes.
+// hashing, the integrity checksum, thread pool, annotated mutexes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/buffer.h"
+#include "common/checksum.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -184,6 +185,45 @@ TEST(HashTest, LowCollisionOnSequentialInts) {
   for (int64_t i = 0; i < 10000; ++i) hashes.push_back(HashValue(i));
   std::sort(hashes.begin(), hashes.end());
   EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+}
+
+// Checksum64 values are stored in Parquet-lite files and IPC trailers:
+// a change here is a format change.
+TEST(ChecksumTest, PinnedValues) {
+  Bytes bytes;
+  EXPECT_EQ(Checksum64(bytes), 0xef46db3751d8e999ULL);
+  for (int i = 0; i < 100; ++i) bytes.push_back(static_cast<uint8_t>(i));
+  EXPECT_EQ(Checksum64(ByteSpan(bytes).first(7)), 0x14cc643f630c72d2ULL);
+  EXPECT_EQ(Checksum64(bytes), 0xf10cb9048253e806ULL);
+}
+
+// Every one-byte change is detected, in the 32-byte stripes and in each
+// tail fold (8-byte words, the 4-byte word, single bytes).
+TEST(ChecksumTest, DetectsEveryOneByteChange) {
+  std::mt19937_64 rng(7);
+  Bytes bytes(200);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
+  for (size_t n = 1; n <= bytes.size(); ++n) {
+    const ByteSpan span(bytes.data(), n);
+    const uint64_t clean = Checksum64(span);
+    for (size_t i = 0; i < n; ++i) {
+      for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+        bytes[i] ^= mask;
+        ASSERT_NE(Checksum64(span), clean) << "n=" << n << " i=" << i;
+        bytes[i] ^= mask;
+      }
+    }
+  }
+}
+
+TEST(ChecksumTest, LengthMatters) {
+  const Bytes zeros(96, 0);
+  std::vector<uint64_t> sums;
+  for (size_t n = 0; n <= zeros.size(); ++n) {
+    sums.push_back(Checksum64(ByteSpan(zeros.data(), n)));
+  }
+  std::sort(sums.begin(), sums.end());
+  EXPECT_EQ(std::adjacent_find(sums.begin(), sums.end()), sums.end());
 }
 
 TEST(ThreadPoolTest, ExecutesSubmittedTasks) {

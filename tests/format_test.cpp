@@ -271,12 +271,42 @@ TEST(ParquetLiteTest, CorruptChunkDetectedOnRead) {
   ASSERT_TRUE(file.ok());
   Bytes bad = *file;
   bad[20] ^= 0xFF;  // inside the first chunk's payload
+  // The footer is intact, so Open succeeds; the chunk checksum fails the
+  // read before the codec sees the bytes.
   auto reader = FileReader::Open(bad);
-  // Footer still parses (corruption is in data), but reading fails.
-  if (reader.ok()) {
-    auto batch = (*reader)->ReadRowGroup(0);
-    EXPECT_FALSE(batch.ok());
-  }
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto batch = (*reader)->ReadRowGroup(0);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kCorruption);
+}
+
+// Dictionary pages are guarded by their chunk checksum on both read
+// paths: the materializing one and the code-domain page read.
+TEST(ParquetLiteTest, CorruptDictionaryChunkDetectedOnRead) {
+  auto schema = MakeSchema({{"flag", TypeKind::kString}});
+  auto col = MakeColumn(TypeKind::kString);
+  for (int i = 0; i < 1000; ++i) col->AppendString(i % 3 ? "A" : "R");
+  FileWriter writer(schema, {});
+  ASSERT_TRUE(writer.WriteBatch(*MakeBatch(schema, {col})).ok());
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok());
+  auto clean = FileReader::Open(*file);
+  ASSERT_TRUE(clean.ok());
+  auto page = (*clean)->ReadChunkPage(0, 0);
+  ASSERT_TRUE(page.ok());
+  ASSERT_EQ((*page)[0], static_cast<uint8_t>(PageEncoding::kDictionary));
+
+  const ChunkMeta& chunk = (*clean)->meta().row_groups[0].chunks[0];
+  Bytes bad = *file;
+  bad[chunk.offset + chunk.length - 1] ^= 0x01;  // one code byte
+  auto reader = FileReader::Open(bad);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto batch = (*reader)->ReadRowGroup(0);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kCorruption);
+  auto bad_page = (*reader)->ReadChunkPage(0, 0);
+  ASSERT_FALSE(bad_page.ok());
+  EXPECT_EQ(bad_page.status().code(), StatusCode::kCorruption);
 }
 
 TEST(EncodingTest, DictionaryEncodesLowCardinalityStrings) {
@@ -354,6 +384,52 @@ TEST(EncodingTest, CorruptDictionaryPagesRejected) {
   Bytes bad = *dict;
   bad[bad.size() - 1] = 250;
   EXPECT_FALSE(DecodePage(ByteSpan(bad.data(), bad.size()), field, 100).ok());
+}
+
+// Row counts come from the footer, which a crafted file controls: a count
+// the page bytes cannot hold is Corruption before any allocation.
+TEST(EncodingTest, DeclaredRowCountBeyondPageBytesIsCorruption) {
+  const size_t rows = size_t{1} << 40;
+  const Bytes plain = {static_cast<uint8_t>(PageEncoding::kPlain), 0};
+  for (TypeKind type : {TypeKind::kBool, TypeKind::kInt32, TypeKind::kInt64,
+                        TypeKind::kFloat64, TypeKind::kString}) {
+    auto col = DecodePage(plain, {"v", type}, rows);
+    ASSERT_FALSE(col.ok());
+    EXPECT_EQ(col.status().code(), StatusCode::kCorruption);
+  }
+  for (uint64_t null_count : {uint64_t{0}, uint64_t{1}}) {
+    BufferWriter dict;
+    dict.WriteU8(static_cast<uint8_t>(PageEncoding::kDictionary));
+    dict.WriteVarint(1);
+    dict.WriteString("x");
+    dict.WriteVarint(rows);
+    dict.WriteVarint(null_count);
+    const Field field{"s", TypeKind::kString};
+    auto page = DecodeDictionaryPage(dict.span(), field, rows);
+    ASSERT_FALSE(page.ok());
+    EXPECT_EQ(page.status().code(), StatusCode::kCorruption);
+    auto col = DecodePage(dict.span(), field, rows);
+    ASSERT_FALSE(col.ok());
+    EXPECT_EQ(col.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(EncodingTest, PlainPageIsRawColumnBody) {
+  auto col = MakeColumn(TypeKind::kInt64);
+  for (int i = 0; i < 100; ++i) col->AppendInt64(i);
+  const Field field{"n", TypeKind::kInt64};
+  Bytes page = EncodePage(*col, field);
+  // Encoding byte, a one-byte zero null count, then the raw values.
+  ASSERT_EQ(page.size(), 1u + 1u + 100u * 8u);
+  auto decoded = DecodePage(page, field, 100);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ((*decoded)->GetInt64(99), 99);
+  // Fewer rows than the page holds leaves trailing bytes.
+  auto short_read = DecodePage(page, field, 99);
+  ASSERT_FALSE(short_read.ok());
+  EXPECT_EQ(short_read.status().code(), StatusCode::kCorruption);
+  page.push_back(0);
+  EXPECT_FALSE(DecodePage(page, field, 100).ok());
 }
 
 TEST(EncodingTest, DictionaryShrinksTpchStyleFiles) {

@@ -95,6 +95,22 @@ void PutTestObject(ObjectStore* store) {
   ASSERT_TRUE(store->Put("data", "obj", *file).ok());
 }
 
+// The reader shares the store's bytes instead of copying them, and keeps
+// reading the version it opened after a Put replaces the object.
+TEST(ObjectStoreTest, ReaderSharesAndPinsTheVersionItOpened) {
+  ObjectStore store;
+  PutTestObject(&store);
+  auto data = store.Get("data", "obj");
+  ASSERT_TRUE(data.ok());
+  auto reader = format::FileReader::Open(*data);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_TRUE(store.Put("data", "obj", Bytes{1, 2, 3}).ok());
+  EXPECT_EQ(data->use_count(), 2);  // this test's handle and the reader's
+  auto table = (*reader)->ReadAll();
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->num_rows(), 200u);
+}
+
 TEST(SelectTest, FilterAndProject) {
   ObjectStore store;
   PutTestObject(&store);

@@ -170,6 +170,21 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("SELECT a FROM t GROUP a").ok());
 }
 
+// Numeric literals that overflow or do not parse are InvalidArgument,
+// never an exception escaping ParseQuery.
+TEST(ParserTest, BadNumbersAreInvalidArgument) {
+  for (const char* sql :
+       {"SELECT a FROM t WHERE d > DATE '1998-12-01' - INTERVAL 'x' DAY",
+        "SELECT a FROM t WHERE d > DATE '1998-12-01' - "
+        "INTERVAL '99999999999999999999' DAY",
+        "SELECT a FROM t LIMIT 99999999999999999999",
+        "SELECT a FROM t WHERE x < 1e999"}) {
+    auto query = ParseQuery(sql);
+    ASSERT_FALSE(query.ok()) << sql;
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+}
+
 TEST(ParserTest, PaperQueriesParse) {
   auto laghos = ParseQuery(workloads::LaghosQuery());
   ASSERT_TRUE(laghos.ok()) << laghos.status();

@@ -56,6 +56,13 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      Suppress with the allow comment where per-row access
                      is genuinely required (e.g. key equality probes on
                      hash collisions).
+  throwing-conversion
+                     std::sto{i,l,ll,ul,ull,f,d,ld} or std::ato{i,l,ll,f}
+                     in src/. Library code returns Status: the sto*
+                     family throws on malformed or out-of-range text (an
+                     uncaught exception aborts the process) and ato*
+                     silently returns garbage. Parse numbers with
+                     std::from_chars and report a Status instead.
 
 Modes:
   pocs_lint.py --root <repo>                 lint src/ tests/ bench/ examples/
@@ -330,6 +337,7 @@ def lint_file(path, rel_path, status_names, findings):
     check_unannotated_members(stripped, report)
     check_planning_data_rpc(stripped, rel_path, report)
     check_row_loop_in_hot_path(stripped, rel_path, report)
+    check_throwing_conversion(stripped, rel_path, report)
 
     # ---- ignored-status (needs statement joining) --------------------------
     joined = stripped
@@ -496,6 +504,22 @@ def check_planning_data_rpc(stripped, rel_path, report):
                    "planning is metadata-only — use Stat/DescribeObject/"
                    "LocateObject, or move the data access to the page "
                    "source")
+
+
+THROWING_CONVERSION_RE = re.compile(
+    r"\bstd\s*::\s*(sto(?:i|l|ll|ul|ull|f|d|ld)|ato(?:i|l|ll|f))\s*\(")
+
+
+def check_throwing_conversion(stripped, rel_path, report):
+    """throwing-conversion: flag std::sto*/std::ato* number parsing in
+    src/; library code parses with std::from_chars and returns Status."""
+    if not rel_path.replace(os.sep, "/").startswith("src/"):
+        return
+    for m in THROWING_CONVERSION_RE.finditer(stripped):
+        line_no = 1 + stripped.count("\n", 0, m.start())
+        report(line_no, "throwing-conversion",
+               f"std::{m.group(1)}() throws or silently misparses; use "
+               "std::from_chars and return a Status")
 
 
 # TUs on the batch-execution hot path: the engine's operators, the

@@ -510,6 +510,51 @@ class RowLoopInHotPathTest(LintRunner):
         self.assertEqual(result.stdout.count("row-loop-in-hot-path"), 1)
 
 
+class ThrowingConversionTest(LintRunner):
+    """throwing-conversion: std::sto*/std::ato* in src/ must become
+    std::from_chars with a Status on failure."""
+
+    def test_stoll_in_src_fires(self):
+        self.write("src/sql/parser.cpp",
+                   "int64_t Limit(const std::string& s) {\n"
+                   "  return std::stoll(s);\n"
+                   "}\n")
+        result = self.run_lint()
+        self.assert_finding(result, "throwing-conversion", "parser.cpp:2")
+
+    def test_stod_and_atoi_fire(self):
+        self.write("src/a.cpp",
+                   "double F(const std::string& s) { return std::stod(s); }\n"
+                   "int G(const char* s) { return std::atoi(s); }\n")
+        result = self.run_lint()
+        self.assert_finding(result, "throwing-conversion")
+        self.assertEqual(result.stdout.count("throwing-conversion"), 2)
+
+    def test_from_chars_is_clean(self):
+        self.write("src/a.cpp",
+                   "bool F(std::string_view s, int64_t* v) {\n"
+                   "  auto [p, ec] = std::from_chars(s.data(),\n"
+                   "                                 s.data() + s.size(), *v);\n"
+                   "  return ec == std::errc();\n"
+                   "}\n")
+        self.assert_clean(self.run_lint())
+
+    def test_outside_src_and_in_comments_is_clean(self):
+        self.write("src/a.cpp", "// std::stoll(s) would throw here\n")
+        self.write("bench/report.h",
+                   "#pragma once\n"
+                   "long Seed(const char* v) { return std::atol(v); }\n")
+        self.assert_clean(self.run_lint())
+
+    def test_suppression_is_honored(self):
+        self.write("src/a.cpp",
+                   "int F(const std::string& s) {\n"
+                   "  return std::stoi(s);  "
+                   "// pocs-lint: allow(throwing-conversion)\n"
+                   "}\n")
+        self.assert_clean(self.run_lint())
+
+
 class RepoIsCleanTest(unittest.TestCase):
     def test_real_repo_has_no_findings(self):
         result = subprocess.run(
