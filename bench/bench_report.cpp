@@ -1,26 +1,48 @@
-// Unified bench driver for CI: runs a curated subset of the paper's
-// experiments (Fig. 5 progressive pushdown on TPC-H Q1 and Laghos, the
-// Table 3 stage breakdown, an S3-Select-path query, a warm-cache repeat
-// scan through the connector split-result cache, a selective scan
-// through the split-pruning metadata cache, and the multi-table join —
-// dimension filter + fact scan + group-by — with and without the
-// join-key bloom / storage-side partial aggregation, a dictionary-string
-// filter exercising code-domain predicate evaluation plus late
-// materialization, `micro_kernels` naive-vs-vectorized kernel
-// comparisons, and each LZ codec's frame size, decoded-output hash and
-// decode time) and emits one
-// schema-versioned JSON report — BENCH_PR10.json by default — that
-// tools/check_bench.py diffs against a committed baseline.
+// bench_report: the one program that regenerates the paper's tables,
+// figures and ablations (DESIGN.md §3 maps each to its section) together
+// with the CI metrics around them, as one schema-versioned JSON report —
+// BENCH_PR10.json by default — that tools/check_bench.py diffs against a
+// committed baseline. Sections, in order:
+//   Fig. 5(c)  TPC-H Q1 progressive pushdown and its Table 2 row
+//              (selectivity and logical plan), the S3-Select path, the
+//              multi-table join with and without the join-key bloom and
+//              storage-side partial aggregation, the dictionary-string
+//              filter, and the pushdown-threshold ablation;
+//   Fig. 5(a)  Laghos progressive pushdown and its Table 2 row, a warm
+//              repeat through the split-result cache and a selective
+//              scan the metadata cache prunes;
+//   Fig. 5(b)  Deep Water progressive pushdown and its Table 2 row,
+//   + Fig. 6   inside Fig. 6's loop over the four codecs (filter-only
+//              against full pushdown);
+//   Table 3    the stage breakdown of one query on one Laghos file;
+//   ablations  storage-node scale-out and row-group size;
+// then the concurrent multi-tenant workload, the micro_kernels
+// naive-vs-vectorized comparisons, and each LZ codec's frame size,
+// decoded-output hash and decode time.
+//
+// Every step starts cold: the storage nodes' row-group caches are
+// cleared before it, and each step runs through its own catalog, so
+// connector caches start empty. A step named `*_warm` repeats the step
+// before it without the clear. The run exits 1 when a check fails: a
+// cold step that hits a cache, Fig. 5 bytes that do not fall as
+// operators are added, a Fig. 6 codec that does not shrink the data or
+// whose full pushdown does not move less, a pushed plan whose answer
+// differs from its engine-side reference, a kernel below its speedup
+// floor. Time shapes (time falls per step, projection slows Deep Water
+// and Q1, all-operator beats filter-only) are printed, not asserted,
+// until the modelled clock is deterministic; only the Table 3 overhead
+// and the full-scale warm-repeat speedup are clock checks.
 //
 // `--smoke` shrinks every dataset to CI size (seconds, not minutes);
-// the default seeds are the workloads' fixed ones, so two runs of the
-// same binary on the same tree produce identical "exact" metrics.
+// without it each dataset has its workload config's default size times
+// `--scale`. The default seeds are the workloads' fixed ones, so two runs
+// of the same binary on the same tree produce identical "exact" metrics.
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "bench/fig5_common.h"
 #include "bench/report.h"
 #include "columnar/kernels.h"
 #include "common/checksum.h"
@@ -31,12 +53,14 @@
 #include "format/encoding.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
+#include "workloads/deepwater.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
 #include "workloads/tpch.h"
 
-// Sanitizer instrumentation skews the naive-vs-kernel ratios, so the
-// micro_kernels speedup floors are enforced only in plain builds.
+// Sanitizer instrumentation skews measured time, so the micro_kernels
+// speedup floors and the Table 3 overhead bound are enforced only in
+// plain builds.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define POCS_BENCH_SANITIZED 1
 #elif defined(__has_feature)
@@ -52,31 +76,21 @@ using namespace pocs;
 
 namespace {
 
-// Order-insensitive 32-bit result fingerprint: rows canonicalized
-// (%.9g doubles), sorted, FNV-1a hashed and folded. Used to assert the
-// pushed join plan returns exactly the engine-only plan's answer.
+// Checks that failed so far; each prints why, and the run exits 1.
+int failed_checks = 0;
+
+void Check(bool ok, const std::string& what) {
+  if (ok) return;
+  std::fprintf(stderr, "bench_report: FAIL: %s\n", what.c_str());
+  ++failed_checks;
+}
+
+// Order-insensitive 32-bit result fingerprint: canonical rows (%.9g
+// doubles), sorted, FNV-1a hashed and folded. Used to assert a pushed
+// plan returns exactly its engine-side reference's answer.
 uint32_t ResultFingerprint(const columnar::RecordBatch& batch) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == columnar::TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
   uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::string& row : rows) {
+  for (const std::string& row : workloads::CanonicalRows(batch)) {
     for (char ch : row) {
       h ^= static_cast<unsigned char>(ch);
       h *= 0x100000001b3ull;
@@ -155,12 +169,95 @@ double BestSeconds(int reps, uint64_t* sink, Fn&& fn) {
   return best;
 }
 
-// Runs one catalog and appends the per-query metrics under `prefix.`.
-// Returns false (after printing the error) when the query fails.
-bool RunAndRecord(workloads::Testbed& testbed, const std::string& sql,
-                  const std::string& catalog, const std::string& prefix,
-                  bench::BenchReport* report,
-                  engine::QueryResult* out = nullptr) {
+// --- datasets and steps -------------------------------------------------
+
+// A workload config at this run's size and seed: the config's own file
+// count and rows times --scale, or at most 2 files of 1/16 the rows at
+// --smoke.
+template <typename Config>
+Config Sized(Config config, const bench::BenchArgs& args) {
+  config.seed = args.SeedOr(config.seed);
+  if (args.smoke) {
+    config.num_files = std::min<size_t>(config.num_files, 2);
+    config.rows_per_file /= 16;
+  } else {
+    config.rows_per_file *= args.scale;
+  }
+  return config;
+}
+
+// Generates `config`'s dataset and ingests it; false (after printing the
+// error) on failure.
+template <typename Config>
+bool Ingest(workloads::Testbed& testbed, const Config& config,
+            Result<workloads::GeneratedDataset> (*generate)(const Config&)) {
+  auto data = generate(config);
+  const Status status =
+      data.ok() ? testbed.Ingest(std::move(*data)) : data.status();
+  if (!status.ok()) {
+    std::fprintf(stderr, "bench_report: ingest failed: %s\n",
+                 status.ToString().c_str());
+  }
+  return status.ok();
+}
+
+// Filter pushdown only: the conventional path every figure compares
+// against.
+connectors::OcsConnectorConfig FilterOnly() {
+  connectors::OcsConnectorConfig config;
+  config.pushdown_projection = false;
+  config.pushdown_aggregation = false;
+  config.pushdown_topn = false;
+  return config;
+}
+
+struct Step {
+  std::string slug;     // metric path segment, e.g. "no_pushdown"
+  std::string catalog;  // engine catalog the step runs through
+};
+
+// One catalog per cumulative pushdown configuration of a Fig. 5
+// sequence: no pushdown, +filter, +projection (when `with_project`),
+// +aggregation, +topn (when `with_topn`).
+std::vector<Step> ProgressiveSteps(workloads::Testbed& testbed,
+                                   bool with_project, bool with_topn) {
+  std::vector<Step> steps = {{"no_pushdown", "hive_raw"}};
+  connectors::OcsConnectorConfig config = FilterOnly();
+  testbed.RegisterOcsCatalog("ocs_filter", config);
+  steps.push_back({"filter", "ocs_filter"});
+  if (with_project) {
+    config.pushdown_projection = true;
+    testbed.RegisterOcsCatalog("ocs_project", config);
+    steps.push_back({"projection", "ocs_project"});
+  }
+  config.pushdown_aggregation = true;
+  testbed.RegisterOcsCatalog("ocs_agg", config);
+  steps.push_back({"aggregation", "ocs_agg"});
+  if (with_topn) {
+    config.pushdown_topn = true;
+    testbed.RegisterOcsCatalog("ocs_topn", config);
+    steps.push_back({"topn", "ocs_topn"});
+  }
+  return steps;
+}
+
+void ClearStorageCaches(workloads::Testbed& testbed) {
+  for (size_t i = 0; i < testbed.cluster().num_storage_nodes(); ++i) {
+    const auto& cache = testbed.cluster().storage_node(i).rowgroup_cache();
+    if (cache) cache->Clear();
+  }
+}
+
+// Runs one step and appends its per-query metrics under `prefix.`. The
+// step starts cold and must hit no cache, unless `prefix` ends in
+// "_warm": a warm step repeats the step before it on the caches that
+// step filled. Returns false (after printing the error) when the query
+// fails.
+bool RunStep(workloads::Testbed& testbed, const std::string& sql,
+             const std::string& catalog, const std::string& prefix,
+             bench::BenchReport* report, engine::QueryResult* out = nullptr) {
+  const bool warm = prefix.ends_with("_warm");
+  if (!warm) ClearStorageCaches(testbed);
   auto result = testbed.Run(sql, catalog);
   if (!result.ok()) {
     std::fprintf(stderr, "bench_report: %s via %s failed: %s\n", sql.c_str(),
@@ -196,22 +293,83 @@ bool RunAndRecord(workloads::Testbed& testbed, const std::string& sql,
   report->AddExact(prefix + ".pushdown.partial_agg_merges",
                    static_cast<double>(m.partial_agg_merges), "rows");
   report->AddTiming(prefix + ".sim_seconds", m.total);
-  std::printf("%-28s %14.4f s %12.1f KB moved\n", prefix.c_str(), m.total,
+  std::printf("%-38s %10.4f s %12.1f KB moved\n", prefix.c_str(), m.total,
               m.bytes_from_storage / 1024.0);
+  Check(warm || m.cache_hits == 0,
+        prefix + " is a cold step but hit a cache " +
+            std::to_string(m.cache_hits) + " times");
   if (out) *out = std::move(*result);
   return true;
 }
 
-bool RunProgressive(workloads::Testbed& testbed, const std::string& sql,
-                    const std::vector<bench::Fig5Step>& steps,
-                    const std::string& dataset, bench::BenchReport* report) {
-  for (const bench::Fig5Step& step : steps) {
-    if (!RunAndRecord(testbed, sql, step.catalog,
-                      dataset + "." + bench::StepSlug(step.label), report)) {
-      return false;
+// Runs a Fig. 5 sequence under `dataset.<step>`. Returns every step's
+// result, or none when a query fails.
+std::vector<engine::QueryResult> RunProgressive(
+    workloads::Testbed& testbed, const std::string& sql,
+    const std::vector<Step>& steps, const std::string& dataset,
+    bench::BenchReport* report) {
+  std::vector<engine::QueryResult> results(steps.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (!RunStep(testbed, sql, steps[i].catalog,
+                 dataset + "." + steps[i].slug, report, &results[i])) {
+      return {};
     }
   }
-  return true;
+  return results;
+}
+
+// Fig. 5's shapes. Asserted: each added operator moves fewer bytes than
+// the step below it, except a projection, which reduces no rows and so
+// moves no fewer bytes than +filter (Deep Water exactly as many, Q1
+// more). Printed only: the time ratios against the paper's.
+void Fig5Shapes(const std::string& dataset, const std::vector<Step>& steps,
+                const std::vector<engine::QueryResult>& results,
+                double paper_speedup, double paper_projection_pct) {
+  const engine::QueryMetrics* below = &results[0].metrics;
+  const engine::QueryMetrics* filter = nullptr;
+  for (size_t i = 1; i < steps.size(); ++i) {
+    const engine::QueryMetrics& m = results[i].metrics;
+    const std::string step = dataset + "." + steps[i].slug;
+    if (steps[i].slug == "projection") {
+      Check(m.bytes_from_storage >= below->bytes_from_storage,
+            step + " moved " + std::to_string(m.bytes_from_storage) +
+                " bytes, fewer than +filter's " +
+                std::to_string(below->bytes_from_storage));
+      std::printf("  time: +projection vs +filter %+.1f%% (paper %+.0f%%)\n",
+                  100.0 * (m.total / below->total - 1.0),
+                  paper_projection_pct);
+      continue;
+    }
+    Check(m.bytes_from_storage < below->bytes_from_storage,
+          step + " moved " + std::to_string(m.bytes_from_storage) +
+              " bytes, not fewer than the step below's " +
+              std::to_string(below->bytes_from_storage));
+    if (steps[i].slug == "filter") filter = &m;
+    below = &m;
+  }
+  const engine::QueryMetrics& full = results.back().metrics;
+  std::printf("  time: full vs filter-only %.2fx faster (paper %.2fx); "
+              "%.2f%% less data moved\n",
+              filter->total / full.total, paper_speedup,
+              100.0 * (1.0 - static_cast<double>(full.bytes_from_storage) /
+                                 filter->bytes_from_storage));
+}
+
+// Table 2's row for one dataset, from its full-pushdown step: rows in
+// and out, selectivity (result bytes / stored bytes) and logical plan.
+// Absolute selectivities differ from the paper's (scaled data) but sit in
+// the same "tiny result over a huge input" regime, and the plan chains
+// match.
+void PrintTable2Row(workloads::Testbed& testbed, const std::string& table,
+                    const engine::QueryResult& full, double paper_pct) {
+  auto info = testbed.metastore().GetTable("default", table);
+  if (!info.ok()) return;
+  std::printf("Table 2: rows_in=%llu rows_out=%zu selectivity=%.7f%% "
+              "(paper %.7f%%)\n  plan: %s\n\n",
+              static_cast<unsigned long long>(info->row_count),
+              full.table->num_rows(),
+              100.0 * full.table->ByteSize() / info->total_bytes, paper_pct,
+              full.logical_plan.c_str());
 }
 
 // Query-completion totals the EventListener collected for this testbed.
@@ -232,39 +390,48 @@ void RecordCollectorTotals(workloads::Testbed& testbed,
                    static_cast<double>(totals.pushdown_rejected));
 }
 
+// A metric path segment for a threshold: 0.05 → "0_05", -1 → "m1".
+std::string ThresholdSlug(double threshold) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", threshold);
+  std::string slug;
+  for (const char* c = buf; *c; ++c) {
+    slug += *c == '.' ? '_' : (*c == '-' ? 'm' : *c);
+  }
+  return slug;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   if (args.json_path.empty()) args.json_path = "BENCH_PR10.json";
-  const size_t rows_per_file =
-      (args.smoke ? (1 << 12) : (1 << 16)) * args.scale;
 
   Stopwatch wall;
   bench::BenchReport report("bench_report", args);
 
   // --- Fig. 5(c): TPC-H Q1 progressive pushdown --------------------------
+  // Paper: +filter 1.22x over none with a 1% movement cut (Q1's filter
+  // keeps ~99% of rows), +projection 55% slower, full pushdown 4.07x
+  // faster than filter-only.
   {
+    std::printf("=== Fig. 5(c): TPC-H Q1 progressive pushdown ===\n");
     workloads::Testbed testbed;
-    workloads::TpchConfig config;
-    config.seed = args.SeedOr(config.seed);
-    config.num_files = args.smoke ? 2 : 4;
-    config.rows_per_file = rows_per_file;
-    auto data = workloads::GenerateLineitem(config);
-    if (!data.ok() || !testbed.Ingest(std::move(*data)).ok()) {
-      std::fprintf(stderr, "bench_report: tpch ingest failed\n");
+    if (!Ingest(testbed, Sized(workloads::TpchConfig{}, args),
+                workloads::GenerateLineitem)) {
       return 1;
     }
-    auto steps = bench::ProgressiveSteps(testbed, /*with_project=*/true,
-                                         /*with_topn=*/false);
-    if (!RunProgressive(testbed, workloads::TpchQ1(), steps, "tpch",
-                        &report)) {
-      return 1;
-    }
+    const auto steps = ProgressiveSteps(testbed, /*with_project=*/true,
+                                        /*with_topn=*/false);
+    const auto results =
+        RunProgressive(testbed, workloads::TpchQ1(), steps, "tpch", &report);
+    if (results.empty()) return 1;
+    Fig5Shapes("tpch", steps, results, 4.07, 55);
+    PrintTable2Row(testbed, "lineitem", results.back(), 0.0000667);
     // S3-Select path on the same data: covers the Hive connector's
-    // Select request/CSV decode machinery in the smoke run.
-    if (!RunAndRecord(testbed, workloads::TpchQ1(), "hive", "tpch.s3select",
-                      &report)) {
+    // Select request/CSV decode machinery.
+    if (!RunStep(testbed, workloads::TpchQ1(), "hive", "tpch.s3select",
+                 &report)) {
       return 1;
     }
 
@@ -273,139 +440,144 @@ int main(int argc, char** argv) {
     // and aggregation pushdown (engine-side single plan), "ocs" takes
     // both. The pushed run must return the identical answer while moving
     // strictly fewer bytes (DESIGN.md §14).
-    {
-      auto dim = workloads::GenerateSupplier(workloads::SupplierConfig{});
-      if (!dim.ok() || !testbed.Ingest(std::move(*dim)).ok()) {
-        std::fprintf(stderr, "bench_report: supplier ingest failed\n");
-        return 1;
-      }
-      connectors::OcsConnectorConfig engine_only;
-      engine_only.pushdown_aggregation = false;
-      engine_only.pushdown_join_bloom = false;
-      testbed.RegisterOcsCatalog("ocs_join_engine", engine_only);
-      const std::string join_sql = workloads::TpchJoinQuery();
-      engine::QueryResult ref;
-      engine::QueryResult pushed;
-      if (!RunAndRecord(testbed, join_sql, "ocs_join_engine", "tpch.join",
-                        &report, &ref) ||
-          !RunAndRecord(testbed, join_sql, "ocs", "tpch.join_pushdown",
-                        &report, &pushed)) {
-        return 1;
-      }
-      const uint32_t ref_fp = ResultFingerprint(*ref.table);
-      const uint32_t pushed_fp = ResultFingerprint(*pushed.table);
-      report.AddExact("tpch.join.result_fingerprint",
-                      static_cast<double>(ref_fp));
-      report.AddExact("tpch.join_pushdown.result_fingerprint",
-                      static_cast<double>(pushed_fp));
-      if (pushed_fp != ref_fp) {
-        std::fprintf(stderr,
-                     "bench_report: pushed join answer diverged from the "
-                     "engine-only plan (%u vs %u)\n",
-                     pushed_fp, ref_fp);
-        return 1;
-      }
-      if (pushed.metrics.bytes_from_storage >= ref.metrics.bytes_from_storage) {
-        std::fprintf(stderr,
-                     "bench_report: pushed join moved %llu bytes, engine-only "
-                     "moved %llu — pushdown must move strictly fewer\n",
-                     static_cast<unsigned long long>(
-                         pushed.metrics.bytes_from_storage),
-                     static_cast<unsigned long long>(
-                         ref.metrics.bytes_from_storage));
-        return 1;
-      }
-    }
-    RecordCollectorTotals(testbed, "tpch.listener", &report);
-  }
-
-  // --- Dictionary code-domain filter + late materialization --------------
-  // The same string-predicate scan twice on a fresh testbed: "ocs"
-  // pushes the filter first — on a cold row-group cache the storage node
-  // sees the encoded returnflag pages, evaluates the string conjunct in
-  // the dictionary code domain, and materializes only the surviving
-  // rows' strings (DESIGN.md §15) — then "ocs_scan_engine" disables
-  // filter pushdown so full pages decode and the engine filters. The
-  // pushed run must return the identical answer; its rows_dict_filtered /
-  // rows_late_materialized counters feed the CI nonzero gates. The
-  // testbed is fresh because a warm row-group cache legitimately
-  // short-circuits the dict path (a cached chunk is already decoded).
-  {
-    workloads::Testbed testbed;
-    workloads::TpchConfig config;
-    config.seed = args.SeedOr(config.seed);
-    config.num_files = args.smoke ? 2 : 4;
-    config.rows_per_file = rows_per_file;
-    auto data = workloads::GenerateLineitem(config);
-    if (!data.ok() || !testbed.Ingest(std::move(*data)).ok()) {
-      std::fprintf(stderr, "bench_report: dict tpch ingest failed\n");
+    if (!Ingest(testbed, workloads::SupplierConfig{},
+                workloads::GenerateSupplier)) {
       return 1;
     }
+    connectors::OcsConnectorConfig engine_only;
+    engine_only.pushdown_aggregation = false;
+    engine_only.pushdown_join_bloom = false;
+    testbed.RegisterOcsCatalog("ocs_join_engine", engine_only);
+    const std::string join_sql = workloads::TpchJoinQuery();
+    engine::QueryResult ref;
+    engine::QueryResult pushed;
+    if (!RunStep(testbed, join_sql, "ocs_join_engine", "tpch.join", &report,
+                 &ref) ||
+        !RunStep(testbed, join_sql, "ocs", "tpch.join_pushdown", &report,
+                 &pushed)) {
+      return 1;
+    }
+    uint32_t ref_fp = ResultFingerprint(*ref.table);
+    uint32_t pushed_fp = ResultFingerprint(*pushed.table);
+    report.AddExact("tpch.join.result_fingerprint", ref_fp);
+    report.AddExact("tpch.join_pushdown.result_fingerprint", pushed_fp);
+    Check(pushed_fp == ref_fp,
+          "pushed join answer diverged from the engine-only plan (" +
+              std::to_string(pushed_fp) + " vs " + std::to_string(ref_fp) +
+              ")");
+    Check(pushed.metrics.bytes_from_storage < ref.metrics.bytes_from_storage,
+          "pushed join moved " +
+              std::to_string(pushed.metrics.bytes_from_storage) +
+              " bytes, engine-only " +
+              std::to_string(ref.metrics.bytes_from_storage) +
+              " — pushdown must move strictly fewer");
+    RecordCollectorTotals(testbed, "tpch.listener", &report);
+
+    // --- Dictionary code-domain filter + late materialization ------------
+    // The same string-predicate scan twice: "ocs" pushes the filter — on
+    // a cold row-group cache the storage node sees the encoded
+    // returnflag pages, evaluates the string conjunct in the dictionary
+    // code domain, and materializes only the surviving rows' strings
+    // (DESIGN.md §15) — then "ocs_scan_engine" disables filter pushdown
+    // so full pages decode and the engine filters. The pushed run must
+    // return the identical answer; its rows_dict_filtered /
+    // rows_late_materialized counters feed the CI nonzero gates.
     connectors::OcsConnectorConfig scan_engine;
     scan_engine.pushdown_filter = false;
     scan_engine.pushdown_projection = false;
     scan_engine.pushdown_aggregation = false;
     testbed.RegisterOcsCatalog("ocs_scan_engine", scan_engine);
     const std::string dict_sql = workloads::TpchDictFilterQuery();
-    engine::QueryResult ref;
-    engine::QueryResult pushed;
-    if (!RunAndRecord(testbed, dict_sql, "ocs", "dict.pushed", &report,
-                      &pushed) ||
-        !RunAndRecord(testbed, dict_sql, "ocs_scan_engine",
-                      "dict.scan_engine", &report, &ref)) {
+    if (!RunStep(testbed, dict_sql, "ocs", "dict.pushed", &report, &pushed) ||
+        !RunStep(testbed, dict_sql, "ocs_scan_engine", "dict.scan_engine",
+                 &report, &ref)) {
       return 1;
     }
-    const uint32_t ref_fp = ResultFingerprint(*ref.table);
-    const uint32_t pushed_fp = ResultFingerprint(*pushed.table);
-    report.AddExact("dict.scan_engine.result_fingerprint",
-                    static_cast<double>(ref_fp));
-    report.AddExact("dict.pushed.result_fingerprint",
-                    static_cast<double>(pushed_fp));
-    if (pushed_fp != ref_fp) {
-      std::fprintf(stderr,
-                   "bench_report: dict-filtered answer diverged from the "
-                   "engine-side plan (%u vs %u)\n",
-                   pushed_fp, ref_fp);
-      return 1;
-    }
-    if (pushed.metrics.rows_dict_filtered == 0 ||
-        pushed.metrics.rows_late_materialized == 0) {
-      std::fprintf(stderr,
-                   "bench_report: pushed dict scan reported "
-                   "rows_dict_filtered=%llu rows_late_materialized=%llu — "
-                   "both must be nonzero\n",
-                   static_cast<unsigned long long>(
-                       pushed.metrics.rows_dict_filtered),
-                   static_cast<unsigned long long>(
-                       pushed.metrics.rows_late_materialized));
-      return 1;
-    }
+    ref_fp = ResultFingerprint(*ref.table);
+    pushed_fp = ResultFingerprint(*pushed.table);
+    report.AddExact("dict.scan_engine.result_fingerprint", ref_fp);
+    report.AddExact("dict.pushed.result_fingerprint", pushed_fp);
+    Check(pushed_fp == ref_fp,
+          "dict-filtered answer diverged from the engine-side plan (" +
+              std::to_string(pushed_fp) + " vs " + std::to_string(ref_fp) +
+              ")");
+    Check(pushed.metrics.rows_dict_filtered > 0 &&
+              pushed.metrics.rows_late_materialized > 0,
+          "pushed dict scan reported rows_dict_filtered=" +
+              std::to_string(pushed.metrics.rows_dict_filtered) +
+              " rows_late_materialized=" +
+              std::to_string(pushed.metrics.rows_late_materialized) +
+              " — both must be nonzero");
     report.AddExact("dict.pushed.rows_dict_filtered",
                     static_cast<double>(pushed.metrics.rows_dict_filtered),
                     "rows");
     report.AddExact(
         "dict.pushed.rows_late_materialized",
         static_cast<double>(pushed.metrics.rows_late_materialized), "rows");
+
+    // --- Ablation: the Selectivity Analyzer's two knobs ------------------
+    // (1) The pushdown threshold (min_reduction): raising it vetoes the
+    // operators whose estimated reduction falls short — first the
+    // row-widening expression projection of Fig. 5(c), then the rest.
+    std::printf("\n=== Ablation: pushdown threshold sweep (TPC-H Q1) ===\n");
+    for (double threshold : {-1.0, 0.0, 0.05, 0.5, 0.999}) {
+      connectors::OcsConnectorConfig config;
+      config.min_reduction = threshold;
+      const std::string slug = ThresholdSlug(threshold);
+      testbed.RegisterOcsCatalog("ocs_threshold_" + slug, config);
+      engine::QueryResult result;
+      const std::string prefix = "ablation.threshold." + slug;
+      if (!RunStep(testbed, workloads::TpchQ1(), "ocs_threshold_" + slug,
+                   prefix, &report, &result)) {
+        return 1;
+      }
+      std::string pushed_ops;
+      uint64_t accepted = 0;
+      for (const auto& d : result.metrics.pushdown_decisions) {
+        if (!d.accepted) continue;
+        ++accepted;
+        if (!pushed_ops.empty()) pushed_ops += ",";
+        pushed_ops += connector::PushedOperatorKindName(d.kind);
+      }
+      report.AddExact(prefix + ".pushdown.accepted",
+                      static_cast<double>(accepted));
+      std::printf("  threshold %-6g pushes %s\n", threshold,
+                  accepted ? pushed_ops.c_str() : "(none)");
+    }
+    // (2) The value-distribution assumption for range-filter selectivity.
+    auto info = testbed.metastore().GetTable("default", "lineitem");
+    const format::ColumnStats* shipdate =
+        info.ok() ? info->StatsFor("shipdate") : nullptr;
+    for (auto dist : {connectors::ValueDistribution::kNormal,
+                      connectors::ValueDistribution::kUniform}) {
+      if (!shipdate) break;
+      connectors::SelectivityAnalyzer analyzer(*info, {dist});
+      const double estimate = analyzer.ComparisonSelectivity(
+          *shipdate, substrait::ScalarFunc::kLe,
+          columnar::Datum::Date32(columnar::DaysFromCivil(1998, 9, 2)));
+      std::printf("  %-8s P(shipdate <= 1998-09-02) ~ %.4f (actual ~0.99)\n",
+                  dist == connectors::ValueDistribution::kNormal ? "normal"
+                                                                 : "uniform",
+                  estimate);
+    }
+    std::printf("\n");
   }
 
   // --- Fig. 5(a): Laghos progressive pushdown (incl. topN) ---------------
+  // Paper: full pushdown 2.25x faster than filter-only with a 99.99%
+  // movement cut.
   {
+    std::printf("=== Fig. 5(a): Laghos progressive pushdown ===\n");
     workloads::Testbed testbed;
-    workloads::LaghosConfig config;
-    config.seed = args.SeedOr(config.seed);
-    config.num_files = args.smoke ? 2 : 4;
-    config.rows_per_file = rows_per_file;
-    auto data = workloads::GenerateLaghos(config);
-    if (!data.ok() || !testbed.Ingest(std::move(*data)).ok()) {
-      std::fprintf(stderr, "bench_report: laghos ingest failed\n");
-      return 1;
-    }
-    auto steps = bench::ProgressiveSteps(testbed, /*with_project=*/false,
-                                         /*with_topn=*/true);
-    if (!RunProgressive(testbed, workloads::LaghosQuery(), steps, "laghos",
-                        &report)) {
-      return 1;
-    }
+    const auto config = Sized(workloads::LaghosConfig{}, args);
+    if (!Ingest(testbed, config, workloads::GenerateLaghos)) return 1;
+    const auto steps = ProgressiveSteps(testbed, /*with_project=*/false,
+                                        /*with_topn=*/true);
+    const auto results = RunProgressive(testbed, workloads::LaghosQuery(),
+                                        steps, "laghos", &report);
+    if (results.empty()) return 1;
+    Fig5Shapes("laghos", steps, results, 2.25, 0);
+    PrintTable2Row(testbed, "laghos", results.back(), 0.0023842);
     RecordCollectorTotals(testbed, "laghos.listener", &report);
 
     // --- Repeat scan through the split-result cache ----------------------
@@ -413,20 +585,31 @@ int main(int argc, char** argv) {
     // repeat revalidates object versions with metadata-only Stat calls
     // and replays the cached decoded splits — cache_hits covers every
     // split and cache_bytes_saved equals the cold run's data movement.
-    {
-      connectors::OcsConnectorConfig cached;
-      cached.pushdown_projection = false;
-      cached.pushdown_aggregation = false;
-      cached.pushdown_topn = false;
-      cached.split_result_cache_bytes = 64ull << 20;
-      testbed.RegisterOcsCatalog("ocs_cached", cached);
-      if (!RunAndRecord(testbed, workloads::LaghosQuery(), "ocs_cached",
-                        "laghos.cached_cold", &report) ||
-          !RunAndRecord(testbed, workloads::LaghosQuery(), "ocs_cached",
-                        "laghos.cached_warm", &report)) {
-        return 1;
-      }
+    // The repeat must return the cold rows to the last bit (DESIGN.md
+    // §10), and at full scale run at least 2x faster; at smoke size both
+    // runs take milliseconds and measured-compute noise swamps the ratio.
+    connectors::OcsConnectorConfig cached = FilterOnly();
+    cached.split_result_cache_bytes = 64ull << 20;
+    testbed.RegisterOcsCatalog("ocs_cached", cached);
+    engine::QueryResult cold;
+    engine::QueryResult warm;
+    if (!RunStep(testbed, workloads::LaghosQuery(), "ocs_cached",
+                 "laghos.cached_cold", &report, &cold) ||
+        !RunStep(testbed, workloads::LaghosQuery(), "ocs_cached",
+                 "laghos.cached_warm", &report, &warm)) {
+      return 1;
     }
+    const double speedup = cold.metrics.total / warm.metrics.total;
+    std::printf("  warm repeat: %.2fx faster, %.1f KB saved\n", speedup,
+                warm.metrics.cache_bytes_saved / 1024.0);
+    Check(workloads::CanonicalRows(*warm.table, false, 17) ==
+              workloads::CanonicalRows(*cold.table, false, 17),
+          "laghos.cached_warm rows differ from the cold run's");
+    Check(warm.metrics.cache_bytes_saved > 0,
+          "laghos.cached_warm saved no bytes through the cache");
+    Check(args.smoke || speedup >= 2.0,
+          "laghos.cached_warm only " + std::to_string(speedup) +
+              "x faster than cold (acceptance: >= 2x)");
 
     // --- Selective scan through the split-pruning metadata cache ---------
     // vertex ranges are disjoint per file, so a vertex_id prefix bound
@@ -434,39 +617,214 @@ int main(int argc, char** argv) {
     // pays one DescribeObject per object and prunes their splits before
     // any data RPC (splits_pruned > 0); the warm repeat revalidates each
     // descriptor with a metadata-only Stat (metadata_cache.hit > 0).
-    {
-      connectors::OcsConnectorConfig pruning;
-      pruning.metadata_cache_bytes = 8ull << 20;
-      testbed.RegisterOcsCatalog("ocs_pruned", pruning);
-      const size_t vertices_per_file =
-          config.rows_per_file / config.rows_per_vertex;
-      const std::string selective = workloads::LaghosSelectiveQuery(
-          "laghos", static_cast<int64_t>(vertices_per_file));
-      if (!RunAndRecord(testbed, selective, "ocs_pruned", "laghos.selective",
-                        &report) ||
-          !RunAndRecord(testbed, selective, "ocs_pruned",
-                        "laghos.selective_warm", &report)) {
+    connectors::OcsConnectorConfig pruning;
+    pruning.metadata_cache_bytes = 8ull << 20;
+    testbed.RegisterOcsCatalog("ocs_pruned", pruning);
+    const std::string selective = workloads::LaghosSelectiveQuery(
+        "laghos",
+        static_cast<int64_t>(config.rows_per_file / config.rows_per_vertex));
+    if (!RunStep(testbed, selective, "ocs_pruned", "laghos.selective",
+                 &report) ||
+        !RunStep(testbed, selective, "ocs_pruned", "laghos.selective_warm",
+                 &report)) {
+      return 1;
+    }
+    std::printf("\n");
+  }
+
+  // --- Fig. 5(b) Deep Water, inside Fig. 6's loop over the codecs --------
+  // Fig. 5(b) paper: +projection 7% slower (storage CPU is weaker and the
+  // projection reduces no bytes), full pushdown 1.32x faster than
+  // filter-only. Fig. 6 paper, filter-only / all-operator seconds: none
+  // 649.3 / 530.4 (1.22x), Snappy ~620 / ~452 (1.37x), GZip ~600 / ~432
+  // (1.39x), Zstd 451.7 / 331.6 (1.36x); compressed filter-only beats
+  // uncompressed all-operator. The codecs stand in as fastlz ≈ Snappy,
+  // deflate-lite ≈ GZip, zs-lite ≈ Zstd (DESIGN.md). Codec none runs all
+  // of Fig. 5(b)'s steps; the others run +filter and full pushdown.
+  {
+    std::printf("=== Fig. 5(b): Deep Water progressive pushdown ===\n");
+    struct Cell {
+      std::string codec;
+      uint64_t stored_bytes = 0;
+      double filter_seconds = 0;
+      double full_seconds = 0;
+    };
+    std::vector<Cell> cells;
+    for (compress::CodecType codec :
+         {compress::CodecType::kNone, compress::CodecType::kFastLz,
+          compress::CodecType::kDeflateLite, compress::CodecType::kZsLite}) {
+      const std::string name(compress::CodecName(codec));
+      workloads::Testbed testbed;
+      auto config = Sized(workloads::DeepWaterConfig{}, args);
+      config.codec = codec;
+      if (!Ingest(testbed, config, workloads::GenerateDeepWater)) return 1;
+      auto info = testbed.metastore().GetTable("default", "deepwater");
+      const uint64_t stored = info.ok() ? info->total_bytes : 0;
+      report.AddExact("fig6." + name + ".stored_bytes",
+                      static_cast<double>(stored), "bytes");
+      auto steps = ProgressiveSteps(testbed, /*with_project=*/true,
+                                    /*with_topn=*/false);
+      const bool fig5 = codec == compress::CodecType::kNone;
+      if (!fig5) steps = {steps[1], steps.back()};  // +filter, full
+      const std::string dataset = fig5 ? "deepwater" : "fig6." + name;
+      const auto results = RunProgressive(
+          testbed, workloads::DeepWaterQuery(), steps, dataset, &report);
+      if (results.empty()) return 1;
+      const engine::QueryMetrics& filter = results[fig5 ? 1 : 0].metrics;
+      const engine::QueryMetrics& full = results.back().metrics;
+      if (fig5) {
+        Fig5Shapes("deepwater", steps, results, 1.32, 7);
+        PrintTable2Row(testbed, "deepwater", results.back(), 0.0000032);
+        std::printf("=== Fig. 6: compression x pushdown (Deep Water) ===\n");
+      } else {
+        Check(full.bytes_from_storage < filter.bytes_from_storage,
+              dataset + ": full pushdown moved " +
+                  std::to_string(full.bytes_from_storage) +
+                  " bytes, not fewer than filter-only's " +
+                  std::to_string(filter.bytes_from_storage));
+        Check(stored < cells[0].stored_bytes,
+              dataset + " stores " + std::to_string(stored) +
+                  " bytes, not fewer than uncompressed " +
+                  std::to_string(cells[0].stored_bytes));
+      }
+      cells.push_back({name, stored, filter.total, full.total});
+    }
+    std::printf("\n%-14s %16s %17s %9s %13s\n", "codec", "filter-only (s)",
+                "all-operator (s)", "speedup", "stored (MB)");
+    for (const Cell& cell : cells) {
+      std::printf("%-14s %16.4f %17.4f %8.2fx %13.2f\n", cell.codec.c_str(),
+                  cell.filter_seconds, cell.full_seconds,
+                  cell.filter_seconds / cell.full_seconds,
+                  cell.stored_bytes / (1024.0 * 1024.0));
+    }
+    std::printf("zs-lite filter-only %.4f s vs uncompressed all-operator "
+                "%.4f s (paper: compressed filter-only is faster)\n\n",
+                cells.back().filter_seconds, cells[0].full_seconds);
+  }
+
+  // --- Table 3: single-query stage breakdown on one Laghos file ----------
+  // Paper: Logical Plan Analysis 0.06%, Substrait IR Generation 1.94%,
+  // Pushdown & Result Transfer 40.12%, Presto Execution (Post-Scan)
+  // 47.90%, Others 9.97%. The claim: the connector's own overhead (plan
+  // analysis + IR generation) stays under 2%. A warm-up run (excluded)
+  // pays first-query setup; the measured run then starts cold.
+  {
+    std::printf("=== Table 3: single-query execution-time breakdown ===\n");
+    workloads::Testbed testbed;
+    workloads::LaghosConfig config;
+    config.num_files = 1;  // the paper measures a single Parquet file
+    config.rows_per_file = 1 << 18;
+    if (!Ingest(testbed, Sized(config, args), workloads::GenerateLaghos)) {
+      return 1;
+    }
+    (void)testbed.Run(workloads::LaghosQuery(), "ocs");
+    engine::QueryResult result;
+    if (!RunStep(testbed, workloads::LaghosQuery(), "ocs", "breakdown",
+                 &report, &result)) {
+      return 1;
+    }
+    const engine::QueryMetrics& m = result.metrics;
+    const struct {
+      const char* stage;
+      const char* metric;
+      double seconds;
+      double paper_share;
+    } stages[] = {
+        {"Logical Plan Analysis", "logical_plan_analysis_seconds",
+         m.logical_plan_analysis, 0.06},
+        {"Substrait IR Generation", "ir_generation_seconds",
+         m.ir_generation_seconds, 1.94},
+        {"Pushdown & Result Transfer", "pushdown_and_transfer_seconds",
+         m.pushdown_and_transfer, 40.12},
+        {"Presto Execution (Post-Scan)", "post_scan_execution_seconds",
+         m.post_scan_execution, 47.90},
+        {"Others", nullptr, m.others, 9.97},
+    };
+    std::printf("%-30s %10s %9s %12s\n", "Execution Stage", "Time (ms)",
+                "Share", "paper share");
+    for (const auto& stage : stages) {
+      std::printf("%-30s %10.3f %8.2f%% %11.2f%%\n", stage.stage,
+                  stage.seconds * 1e3, 100.0 * stage.seconds / m.total,
+                  stage.paper_share);
+      if (stage.metric) {
+        report.AddTiming(std::string("breakdown.") + stage.metric,
+                         stage.seconds);
+      }
+    }
+    report.AddTiming("breakdown.total_seconds", m.total);
+    const double overhead_pct =
+        100.0 * (m.logical_plan_analysis + m.ir_generation_seconds) / m.total;
+    std::printf("connector overhead (plan analysis + IR generation): "
+                "%.2f%% (paper: under 2%%)\n\n",
+                overhead_pct);
+    Check(POCS_BENCH_SANITIZED || overhead_pct < 2.0,
+          "Table 3 connector overhead " + std::to_string(overhead_pct) +
+              "% is not under the paper's 2%");
+  }
+
+  // --- Ablation: OCS storage-node scale-out (Laghos) ---------------------
+  // The paper evaluates one storage node (§5.1); its frontend + N
+  // backends design exists to scale. Storage-side media and CPU grow
+  // with the nodes while the compute-side link stays fixed, so the
+  // filter-only path plateaus on transfer and full pushdown keeps
+  // scaling.
+  std::printf("=== Ablation: OCS storage-node scale-out (Laghos) ===\n");
+  for (size_t nodes : {size_t{1}, size_t{2}, size_t{4}}) {
+    workloads::TestbedConfig config;
+    config.cluster.num_storage_nodes = nodes;
+    workloads::Testbed testbed(config);
+    if (!Ingest(testbed, Sized(workloads::LaghosConfig{}, args),
+                workloads::GenerateLaghos)) {
+      return 1;
+    }
+    for (const char* catalog : {"hive", "ocs"}) {
+      if (!RunStep(testbed, workloads::LaghosQuery(), catalog,
+                   "ablation.scaleout.nodes" + std::to_string(nodes) + "." +
+                       catalog,
+                   &report)) {
         return 1;
       }
     }
-
-    // --- Table 3 stage breakdown on the last testbed ---------------------
-    auto result = testbed.Run(workloads::LaghosQuery(), "ocs");
-    if (!result.ok()) {
-      std::fprintf(stderr, "bench_report: breakdown query failed\n");
-      return 1;
-    }
-    const engine::QueryMetrics& m = result->metrics;
-    report.AddTiming("breakdown.logical_plan_analysis_seconds",
-                     m.logical_plan_analysis);
-    report.AddTiming("breakdown.ir_generation_seconds",
-                     m.ir_generation_seconds);
-    report.AddTiming("breakdown.pushdown_and_transfer_seconds",
-                     m.pushdown_and_transfer);
-    report.AddTiming("breakdown.post_scan_execution_seconds",
-                     m.post_scan_execution);
-    report.AddTiming("breakdown.total_seconds", m.total);
   }
+  std::printf("\n");
+
+  // --- Ablation: row-group size vs chunk pruning (Laghos) ----------------
+  // Chunk min/max statistics let storage skip row groups that cannot
+  // match a range predicate (§2.2). Smaller groups prune more precisely
+  // on a column that follows storage order (vertex_id) and change
+  // nothing on a uniform one (x). Groups are 1/16, 1/4 and all of a
+  // file's rows.
+  std::printf("=== Ablation: row-group size vs chunk pruning (Laghos) ===\n");
+  for (size_t groups_per_file : {size_t{16}, size_t{4}, size_t{1}}) {
+    workloads::Testbed testbed;
+    workloads::LaghosConfig config;
+    config.num_files = 4;
+    config = Sized(config, args);
+    config.rows_per_group = config.rows_per_file / groups_per_file;
+    if (!Ingest(testbed, config, workloads::GenerateLaghos)) return 1;
+    const struct {
+      const char* slug;
+      const char* sql;
+    } cases[] = {
+        {"sorted", "SELECT COUNT(*) AS n FROM laghos WHERE vertex_id < 200"},
+        {"uniform", "SELECT COUNT(*) AS n FROM laghos WHERE x < 0.5"},
+    };
+    for (const auto& c : cases) {
+      const std::string prefix = "ablation.rowgroups.per_file" +
+                                 std::to_string(groups_per_file) + "." +
+                                 c.slug;
+      engine::QueryResult result;
+      if (!RunStep(testbed, c.sql, "ocs", prefix, &report, &result)) return 1;
+      report.AddExact(prefix + ".row_groups_total",
+                      static_cast<double>(result.metrics.row_groups_total));
+      std::printf("  %llu of %llu row groups skipped\n",
+                  static_cast<unsigned long long>(
+                      result.metrics.row_groups_skipped),
+                  static_cast<unsigned long long>(
+                      result.metrics.row_groups_total));
+    }
+  }
+  std::printf("\n");
 
   // --- Concurrent multi-tenant workload (DESIGN.md §12) ------------------
   // N seeded queries across the three standard tenants, under admission
@@ -522,7 +880,7 @@ int main(int argc, char** argv) {
       report.AddTiming(prefix + ".p99_seconds", t.p99_seconds);
       report.AddTiming(prefix + ".queue_wait_p95_seconds",
                        t.queue_wait_p95_seconds);
-      std::printf("%-28s %14.4f s p95 %10llu admitted\n", prefix.c_str(),
+      std::printf("%-32s %10.4f s p95 %10llu admitted\n", prefix.c_str(),
                   t.p95_seconds,
                   static_cast<unsigned long long>(t.admitted));
     }
@@ -642,7 +1000,7 @@ int main(int argc, char** argv) {
         return hashes.empty() ? 0u : static_cast<uint32_t>(hashes[0]);
       });
       report.AddTiming("micro_kernels.hash_rows.kernel_seconds", s);
-      std::printf("micro_kernels.hash_rows      %11.1f Mrows/s\n",
+      std::printf("micro_kernels.hash_rows          %11.1f Mrows/s\n",
                   n / s / 1e6);
     }
 
@@ -652,16 +1010,12 @@ int main(int argc, char** argv) {
       report.AddTiming(prefix + ".naive_seconds", m.naive_seconds);
       report.AddTiming(prefix + ".kernel_seconds", m.kernel_seconds);
       report.AddTiming(prefix + ".speedup", speedup);
-      std::printf("%-28s %11.1f %s naive %9.1f %s kernel (%.1fx)\n",
+      std::printf("%-32s %11.1f %s naive %9.1f %s kernel (%.1fx)\n",
                   prefix.c_str(), m.items / m.naive_seconds / 1e6, m.unit,
                   m.items / m.kernel_seconds / 1e6, m.unit, speedup);
-      if (!POCS_BENCH_SANITIZED && speedup < m.floor) {
-        std::fprintf(stderr,
-                     "bench_report: %s speedup %.2fx is below its %.0fx "
-                     "floor\n",
-                     prefix.c_str(), speedup, m.floor);
-        return 1;
-      }
+      Check(POCS_BENCH_SANITIZED || speedup >= m.floor,
+            prefix + " speedup " + std::to_string(speedup) +
+                "x is below its floor of " + std::to_string(m.floor) + "x");
     }
     if (sink == 0xdeadbeef) std::printf("sink %llu\n",
                                         (unsigned long long)sink);
@@ -700,11 +1054,10 @@ int main(int argc, char** argv) {
       const Bytes frame = codec.Compress(payload);
       Result<Bytes> decoded = codec.Decompress(frame);
       if (!decoded.ok() || *decoded != payload) {
-        std::fprintf(stderr, "bench_report: %s does not round-trip: %s\n",
-                     prefix.c_str(),
-                     decoded.ok() ? "wrong bytes"
-                                  : decoded.status().ToString().c_str());
-        return 1;
+        Check(false, prefix + " does not round-trip: " +
+                         (decoded.ok() ? std::string("wrong bytes")
+                                       : decoded.status().ToString()));
+        continue;
       }
       const uint64_t hash = HashBytes(decoded->data(), decoded->size());
       uint64_t sink = 0;
@@ -717,7 +1070,7 @@ int main(int argc, char** argv) {
       report.AddExact(prefix + ".decoded_hash",
                       static_cast<uint32_t>(hash ^ (hash >> 32)));
       report.AddTiming(prefix + ".decompress_seconds", seconds);
-      std::printf("%-28s %11zu bytes %9.1f MB/s decode\n", prefix.c_str(),
+      std::printf("%-32s %11zu bytes %9.1f MB/s decode\n", prefix.c_str(),
                   frame.size(), payload.size() / seconds / 1e6);
     }
   }
@@ -745,5 +1098,9 @@ int main(int argc, char** argv) {
 
   report.AddTiming("driver.wall_seconds", wall.ElapsedSeconds());
   if (!report.WriteJson(args.json_path)) return 1;
+  if (failed_checks > 0) {
+    std::fprintf(stderr, "bench_report: %d check(s) failed\n", failed_checks);
+    return 1;
+  }
   return 0;
 }

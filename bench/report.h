@@ -1,6 +1,6 @@
-// Shared bench plumbing: a tiny CLI parser every bench binary uses
-// (`--seed`, `--scale`, `--smoke`, `--json`) and a schema-versioned JSON
-// report writer consumed by tools/check_bench.py.
+// Bench plumbing for bench_report: a tiny CLI parser (`--seed`,
+// `--scale`, `--smoke`, `--json`) and a schema-versioned JSON report
+// writer consumed by tools/check_bench.py.
 //
 // Determinism contract: benches never seed from the wall clock. Each
 // workload has a fixed default seed; `--seed` overrides it so a run can
@@ -12,6 +12,7 @@
 //              measured-compute component); compared loosely.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,19 +26,10 @@ namespace pocs::bench {
 // changes; tools/check_bench.py refuses to diff mismatched versions.
 inline constexpr int kReportSchemaVersion = 1;
 
-// Legacy env knob, kept as the default so existing wrappers still work;
-// `--scale` wins when both are given.
-inline size_t BenchScale() {
-  const char* env = std::getenv("POCS_BENCH_SCALE");
-  if (!env) return 1;
-  long v = std::atol(env);
-  return v < 1 ? 1 : static_cast<size_t>(v);
-}
-
 struct BenchArgs {
   uint64_t seed = 0;  // meaningful only when seed_set
   bool seed_set = false;
-  size_t scale = BenchScale();
+  size_t scale = 1;
   bool smoke = false;       // shrink the workload for CI perf-smoke runs
   std::string json_path;    // empty = no JSON report
 
@@ -52,12 +44,19 @@ inline void PrintBenchUsage(const char* argv0) {
       "usage: %s [options]\n"
       "  --seed N    RNG seed for data generation (default: fixed per\n"
       "              workload; never derived from the clock)\n"
-      "  --scale N   dataset scale multiplier (default: POCS_BENCH_SCALE\n"
-      "              env or 1)\n"
+      "  --scale N   dataset scale multiplier, at least 1 (default 1)\n"
       "  --smoke     shrink the workload to CI smoke size\n"
       "  --json P    write a schema-versioned JSON report to P\n"
       "  --help      show this message\n",
       argv0);
+}
+
+// True when all of `text` is one unsigned decimal number that fits `*out`.
+template <typename T>
+bool ParseWholeNumber(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 // Parses the shared flags. Exits on --help (0) or an unknown/malformed
@@ -73,6 +72,11 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
     return nullptr;
   };
+  auto fail = [&](const std::string& what) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], what.c_str());
+    PrintBenchUsage(argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
@@ -84,22 +88,24 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
       continue;
     }
     if (const char* v = value_of("--seed", i)) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!ParseWholeNumber(v, &args.seed)) {
+        fail("--seed needs a number, got '" + std::string(v) + "'");
+      }
       args.seed_set = true;
       continue;
     }
     if (const char* v = value_of("--scale", i)) {
-      long parsed = std::atol(v);
-      args.scale = parsed < 1 ? 1 : static_cast<size_t>(parsed);
+      if (!ParseWholeNumber(v, &args.scale) || args.scale < 1) {
+        fail("--scale needs a number of at least 1, got '" + std::string(v) +
+             "'");
+      }
       continue;
     }
     if (const char* v = value_of("--json", i)) {
       args.json_path = v;
       continue;
     }
-    std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
-    PrintBenchUsage(argv[0]);
-    std::exit(2);
+    fail("unknown argument '" + std::string(argv[i]) + "'");
   }
   return args;
 }
@@ -128,8 +134,6 @@ class BenchReport {
   void AddTiming(const std::string& name, double seconds) {
     metrics_.push_back({name, MetricClass::kTiming, seconds, "seconds"});
   }
-
-  size_t num_metrics() const { return metrics_.size(); }
 
   std::string ToJson() const {
     std::string out;
@@ -174,12 +178,6 @@ class BenchReport {
     }
     std::printf("wrote %zu metrics to %s\n", metrics_.size(), path.c_str());
     return true;
-  }
-
-  // Writes to args.json_path when set; no-op (success) otherwise.
-  bool MaybeWriteJson() const {
-    if (args_.json_path.empty()) return true;
-    return WriteJson(args_.json_path);
   }
 
  private:

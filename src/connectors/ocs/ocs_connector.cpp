@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -55,6 +56,43 @@ double SchemaRowWidth(const columnar::Schema& schema) {
     width += w == 0 ? 16.0 : static_cast<double>(w);
   }
   return width;
+}
+
+// True when a group key of the spec's pushed aggregation is a bare table
+// column whose values never span two objects (TableInfo::object_disjoint).
+// Splits are objects, so every group is then complete in one split, and a
+// per-split top-N or limit over the partial groups keeps exactly the
+// groups the final merge would. A computed key (a pushed projection's
+// expression) proves nothing.
+bool GroupsStayInOneSplit(const TableHandle& table, const ScanSpec& spec) {
+  // The table column behind each column of the pipeline (-1: computed).
+  std::vector<int> origin = spec.columns;
+  if (origin.empty()) {
+    origin.resize(table.info.schema->num_fields());
+    std::iota(origin.begin(), origin.end(), 0);
+  }
+  auto origin_of = [&origin](int index) {
+    return index >= 0 && static_cast<size_t>(index) < origin.size()
+               ? origin[index]
+               : -1;
+  };
+  for (const PushedOperator& op : spec.operators) {
+    if (op.kind == PushedOperator::Kind::kProject) {
+      std::vector<int> projected;
+      for (const substrait::Expression& e : op.expressions) {
+        projected.push_back(e.kind == substrait::ExprKind::kFieldRef
+                                ? origin_of(e.field_index)
+                                : -1);
+      }
+      origin = std::move(projected);
+    } else if (op.kind == PushedOperator::Kind::kPartialAggregation) {
+      return std::any_of(op.group_keys.begin(), op.group_keys.end(),
+                         [&](int k) {
+                           return table.info.ObjectDisjoint(origin_of(k));
+                         });
+    }
+  }
+  return false;
 }
 
 // Mirrors every OfferPushdown outcome into the registry (the runtime
@@ -307,10 +345,11 @@ Result<bool> OcsConnector::OfferPushdown(
         incapable_reason = "top-N/limit pushdown disabled";
         break;
       }
-      if (have_agg && !config_.assume_split_disjoint_groups) {
+      if (have_agg && !GroupsStayInOneSplit(table, *spec)) {
         capable = false;
         incapable_reason =
-            "top-N/limit above aggregation requires split-disjoint group keys";
+            "top-N/limit above aggregation requires a group key whose values "
+            "never span two objects";
         break;
       }
       selectivity = analyzer.EstimateTopNSelectivity(op.limit, rows);
@@ -718,10 +757,7 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
       history_->RecordOffloadRejection(
           id_, split.bucket + "/" + split.object, dispatch_status);
     }
-    if (!config_.dispatch.fallback_to_engine ||
-        !rpc::IsRetryable(dispatch_status)) {
-      return dispatch_status;
-    }
+    if (!rpc::IsRetryable(dispatch_status)) return dispatch_status;
     const uint64_t bytes_before_fallback = stats.bytes_from_storage;
     POCS_ASSIGN_OR_RETURN(decoded,
                           ExecuteFallback(plan, split, &stats, &object_version));

@@ -10,11 +10,11 @@
 // deserializes the Arrow columnar results into engine pages.
 //
 // Aggregations are pushed in their PARTIAL form and merged compute-side
-// (§3.4 step 2's "partially computed results"). A top-N above a pushed
-// aggregation is additionally bounded per split only when
-// `assume_split_disjoint_groups` is set — the correctness contract that
-// group keys do not span data objects, which holds for the paper's
-// spatially partitioned HPC datasets; see DESIGN.md.
+// (§3.4 step 2's "partially computed results"). A top-N or limit above a
+// pushed aggregation is additionally bounded per split only when a group
+// key is a bare table column whose values never span two data objects
+// (TableInfo::object_disjoint, computed at registration) — true of the
+// paper's spatially partitioned HPC datasets; see DESIGN.md.
 //
 // Concurrency: the connector itself holds no mutex — its only shared
 // mutable state is the split-result cache (a ShardedLruCache, internally
@@ -39,10 +39,11 @@
 namespace pocs::connectors {
 
 // How pushdown dispatches cope with storage-side failure: the rpc retry
-// budget for ExecutePlan, a deadline on the *storage-reported* time
-// (catches slow/degraded nodes the transport deadline cannot see), and
-// whether an exhausted dispatch falls back to the engine-side scan (raw
-// GET + local execution of the same plan) instead of failing the query.
+// budget for ExecutePlan and a deadline on the *storage-reported* time
+// (catches slow/degraded nodes the transport deadline cannot see). A
+// dispatch that exhausts them with a retryable error always falls back to
+// the engine-side scan (raw GET + local execution of the same plan)
+// instead of failing the query.
 struct OcsDispatchPolicy {
   rpc::CallOptions call{.max_attempts = 3};
   // Options for the fallback's raw GET. Kept separate from `call`: a
@@ -56,7 +57,6 @@ struct OcsDispatchPolicy {
   // while modelled time does not, and a detector on wall time turned
   // every debug-tsan run into a false slow-node trip.
   double storage_deadline_seconds = 0;
-  bool fallback_to_engine = true;
   // Media bandwidth modelled for the fallback's whole-object read
   // (matches StorageNodeConfig/HiveConnectorConfig defaults).
   double media_read_bandwidth = 80e6;
@@ -69,6 +69,10 @@ struct OcsDispatchPolicy {
   // legacy single-GET behaviour.
   uint64_t fallback_chunk_bytes = 0;
 };
+
+// Byte budget of the fallback range cache (partial-result retention;
+// only allocated when dispatch.fallback_chunk_bytes > 0).
+inline constexpr uint64_t kFallbackRangeCacheBytes = 32ull << 20;
 
 struct OcsConnectorConfig {
   OcsDispatchPolicy dispatch;
@@ -94,16 +98,11 @@ struct OcsConnectorConfig {
   // positives are re-filtered engine-side, and a stale version pin
   // disables the filter wholesale.
   bool pushdown_join_bloom = true;
-  // Correctness contract for partial top-N above a pushed aggregation.
-  bool assume_split_disjoint_groups = true;
   // Byte budget of the split-result cache (0 disables): decoded result
   // tables keyed by (object, Substrait plan fingerprint), validated
   // against the object's current version with a metadata-only Stat and
   // then served without any data RPC.
   uint64_t split_result_cache_bytes = 0;
-  // Byte budget of the fallback range cache (partial-result retention;
-  // only used when dispatch.fallback_chunk_bytes > 0).
-  uint64_t fallback_range_cache_bytes = 32ull << 20;
   // Byte budget of the split-planning metadata cache (0 disables): per-
   // object statistics descriptors fetched via the DescribeObject RPC and
   // revalidated against object versions. When enabled, GetSplits prunes
@@ -180,11 +179,10 @@ class OcsConnector final : public connector::Connector {
           .shards = 8,
           .metric_prefix = "ocs.splitresult_cache"});
     }
-    if (config_.dispatch.fallback_chunk_bytes > 0 &&
-        config_.fallback_range_cache_bytes > 0) {
+    if (config_.dispatch.fallback_chunk_bytes > 0) {
       fallback_range_cache_ =
           std::make_shared<FallbackRangeCache>(LruCacheConfig{
-              .byte_budget = config_.fallback_range_cache_bytes,
+              .byte_budget = kFallbackRangeCacheBytes,
               .shards = 8,
               .metric_prefix = "ocs.fallback_range_cache"});
     }

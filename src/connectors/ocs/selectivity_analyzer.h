@@ -10,7 +10,7 @@
 //   * top-N: LIMIT / input rows, exactly known.
 // The paper notes the normal-distribution assumption breaks on skewed
 // data; tests cover that failure mode, and the distribution is a config
-// knob (ablated in bench/ablation_selectivity).
+// knob (ablated in bench_report's Selectivity Analyzer ablation).
 #pragma once
 
 #include "connector/spi.h"

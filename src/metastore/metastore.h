@@ -29,6 +29,12 @@ struct TableInfo {
   uint64_t row_count = 0;
   uint64_t total_bytes = 0;  // on-storage (possibly compressed) footprint
   std::vector<format::ColumnStats> column_stats;  // one per schema field
+  // One per schema field (empty = unknown, all false): true when the
+  // objects' [min, max] ranges of the column are pairwise disjoint and at
+  // most one object holds nulls, so each value, null included, lives in
+  // exactly one object. Grouping on such a column keeps every group
+  // inside one split.
+  std::vector<bool> object_disjoint;
 
   // Stats for a column by name; nullptr if unknown.
   const format::ColumnStats* StatsFor(std::string_view column) const {
@@ -38,6 +44,11 @@ struct TableInfo {
       return nullptr;
     }
     return &column_stats[idx];
+  }
+
+  bool ObjectDisjoint(int field) const {
+    return field >= 0 && static_cast<size_t>(field) < object_disjoint.size() &&
+           object_disjoint[field];
   }
 };
 

@@ -13,11 +13,11 @@
 
 namespace pocs::workloads {
 
-// Order-independent hash of a result table: canonical row strings
-// (matching the chaos suite's rendering) hashed individually and summed,
-// so two runs whose splits merged in different orders still agree.
-uint64_t ResultRowFingerprint(const columnar::RecordBatch& batch) {
-  uint64_t fp = 0;
+std::vector<std::string> CanonicalRows(const columnar::RecordBatch& batch,
+                                       bool order_sensitive,
+                                       int float_digits) {
+  std::vector<std::string> rows;
+  rows.reserve(batch.num_rows());
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     std::string row;
     for (size_t c = 0; c < batch.num_columns(); ++c) {
@@ -27,12 +27,25 @@ uint64_t ResultRowFingerprint(const columnar::RecordBatch& batch) {
         row += "NULL";
       } else if (col.type() == columnar::TypeKind::kFloat64) {
         char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
+        std::snprintf(buf, sizeof(buf), "%.*g", float_digits,
+                      col.GetFloat64(r));
         row += buf;
       } else {
         row += col.GetDatum(r).ToString();
       }
     }
+    rows.push_back(std::move(row));
+  }
+  if (!order_sensitive) std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Canonical rows hashed individually and summed, so two runs whose splits
+// merged in different orders still agree (and the rows need no sort).
+uint64_t ResultRowFingerprint(const columnar::RecordBatch& batch) {
+  uint64_t fp = 0;
+  for (const std::string& row :
+       CanonicalRows(batch, /*order_sensitive=*/true)) {
     fp += HashString(row);  // wrap-around sum: order-independent
   }
   return fp;

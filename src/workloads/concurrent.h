@@ -107,6 +107,15 @@ struct ConcurrentWorkloadReport {
 Result<ConcurrentWorkloadReport> RunConcurrentWorkload(
     Testbed* bed, const ConcurrentWorkloadConfig& config);
 
+// One canonical string per result row: columns joined by '|', NULL as
+// "NULL", doubles at `float_digits` significant digits (9 by default, so
+// sums taken in a different order print alike) and everything else as
+// Datum::ToString. Rows are sorted unless `order_sensitive`. Every
+// cross-path comparison of query answers goes through this one rendering.
+std::vector<std::string> CanonicalRows(const columnar::RecordBatch& batch,
+                                       bool order_sensitive = false,
+                                       int float_digits = 9);
+
 // The driver's order-independent result-row hash (canonical row strings
 // hashed and summed) — exposed so tests can fingerprint a serial
 // reference run and compare it to QueryOutcome::row_fingerprint.

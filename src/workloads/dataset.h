@@ -17,7 +17,9 @@ struct GeneratedDataset {
   std::vector<std::pair<std::string, Bytes>> files;
 };
 
-// Accumulates per-file writes into a GeneratedDataset, merging statistics.
+// Accumulates per-file writes into a GeneratedDataset, merging statistics
+// and, at Finish(), marking the columns whose values never span two
+// objects (TableInfo::object_disjoint).
 class DatasetBuilder {
  public:
   DatasetBuilder(std::string schema_name, std::string table_name,
@@ -32,7 +34,8 @@ class DatasetBuilder {
 
  private:
   GeneratedDataset dataset_;
-  bool first_file_ = true;
+  // Each file's footer statistics, one vector per file.
+  std::vector<std::vector<format::ColumnStats>> file_stats_;
 };
 
 }  // namespace pocs::workloads

@@ -16,6 +16,7 @@
 #include "format/parquet_lite.h"
 #include "ocs/client.h"
 #include "ocs/storage_node.h"
+#include "workloads/concurrent.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
 
@@ -35,6 +36,7 @@ using substrait::Plan;
 using substrait::Rel;
 using substrait::RelKind;
 using substrait::ScalarFunc;
+using workloads::CanonicalRows;
 
 // ---- LRU primitive --------------------------------------------------------
 
@@ -325,34 +327,6 @@ TEST(RowGroupCacheTest, LazyColumnFastPathSkipsValueFreeGroups) {
 
 // ---- connector split-result cache ----------------------------------------
 
-std::string Canonicalize(const columnar::RecordBatch& batch) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
-
 workloads::LaghosConfig SmallLaghos(uint64_t seed = 20251116) {
   workloads::LaghosConfig config;
   config.num_files = 3;
@@ -388,7 +362,7 @@ TEST(SplitResultCacheTest, RepeatScanServedWithoutDataRpc) {
   EXPECT_EQ(warm->metrics.cache_hits, warm->metrics.splits);
   EXPECT_GT(warm->metrics.cache_bytes_saved, 0u);
   EXPECT_LT(warm->metrics.bytes_from_storage, cold->metrics.bytes_from_storage);
-  EXPECT_EQ(Canonicalize(*warm->table), Canonicalize(*cold->table));
+  EXPECT_EQ(CanonicalRows(*warm->table), CanonicalRows(*cold->table));
 }
 
 TEST(SplitResultCacheTest, PutOverwriteNeverServesStaleResult) {
@@ -411,10 +385,10 @@ TEST(SplitResultCacheTest, PutOverwriteNeverServesStaleResult) {
   // The stale cached results failed version validation: no hits, and the
   // answer matches the uncached catalog over the new data bit-for-bit.
   EXPECT_EQ(after->metrics.cache_hits, 0u);
-  EXPECT_NE(Canonicalize(*after->table), Canonicalize(*cold->table));
+  EXPECT_NE(CanonicalRows(*after->table), CanonicalRows(*cold->table));
   auto reference = fx.bed->Run(fx.sql, "ocs");
   ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(Canonicalize(*after->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*after->table), CanonicalRows(*reference->table));
 }
 
 }  // namespace

@@ -17,43 +17,16 @@
 #include <string>
 
 #include "workloads/chaos.h"
+#include "workloads/concurrent.h"
 
 namespace pocs::workloads {
 namespace {
 
 ChaosConfig g_chaos{.profile = "crash-storage", .seed = 1};
 
-std::string Canonicalize(const columnar::RecordBatch& batch) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == columnar::TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
-
 // Everything a replay must reproduce exactly.
 struct QueryFingerprint {
-  std::string rows;
+  std::vector<std::string> rows;
   uint64_t bytes_from_storage = 0;
   uint64_t bytes_to_storage = 0;
   uint64_t rows_scanned = 0;
@@ -81,7 +54,7 @@ Result<std::map<std::string, QueryFingerprint>> RunAll(Testbed* bed) {
   std::map<std::string, QueryFingerprint> out;
   for (const auto& [name, sql] : ChaosQueries()) {
     POCS_ASSIGN_OR_RETURN(engine::QueryResult result, bed->Run(sql, "ocs"));
-    out[name] = QueryFingerprint{Canonicalize(*result.table),
+    out[name] = QueryFingerprint{CanonicalRows(*result.table),
                                  result.metrics.bytes_from_storage,
                                  result.metrics.bytes_to_storage,
                                  result.metrics.rows_scanned,
@@ -181,7 +154,7 @@ TEST(ChaosMatrix, CachedRepeatScanServedFromCache) {
   auto warm = (*bed)->Run(sql, "ocs");
   ASSERT_TRUE(warm.ok()) << warm.status();
 
-  EXPECT_EQ(Canonicalize(*warm->table), Canonicalize(*cold->table));
+  EXPECT_EQ(CanonicalRows(*warm->table), CanonicalRows(*cold->table));
   EXPECT_GT(warm->metrics.cache_hits, 0u);
   EXPECT_GT(warm->metrics.cache_bytes_saved, 0u);
   EXPECT_LT(warm->metrics.bytes_from_storage,

@@ -10,40 +10,12 @@
 #include <map>
 #include <thread>
 
+#include "workloads/concurrent.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
 
 namespace pocs::workloads {
 namespace {
-
-std::string Canonicalize(const columnar::RecordBatch& batch,
-                         bool order_sensitive) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == columnar::TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  if (!order_sensitive) std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
 
 struct EquivalenceFixture : ::testing::Test {
   static void SetUpTestSuite() {
@@ -122,6 +94,10 @@ const QueryCase kQueries[] = {
     // on every path (never as vertex_id < 2)
     {"SELECT COUNT(*) AS n, SUM(e) AS s FROM laghos WHERE vertex_id < 2.5",
      false},
+    // top-N over groups that span objects: every object holds all five
+    // buckets, so storage must not bound each split's partial groups
+    {"SELECT vertex_id % 5 AS b, SUM(e) AS s FROM laghos "
+     "GROUP BY vertex_id % 5 ORDER BY s DESC LIMIT 2", true},
 };
 
 class PushdownEquivalence
@@ -130,12 +106,12 @@ class PushdownEquivalence
 
 TEST_P(PushdownEquivalence, AllPathsAgree) {
   const QueryCase& qc = kQueries[GetParam()];
-  std::map<std::string, std::string> canon;
+  std::map<std::string, std::vector<std::string>> canon;
   for (const char* catalog : {"hive_raw", "hive", "ocs"}) {
     auto result = testbed->Run(qc.sql, catalog);
     ASSERT_TRUE(result.ok()) << catalog << ": " << result.status() << "\n"
                              << qc.sql;
-    canon[catalog] = Canonicalize(*result->table, qc.order_sensitive);
+    canon[catalog] = CanonicalRows(*result->table, qc.order_sensitive);
   }
   EXPECT_EQ(canon["hive"], canon["hive_raw"]) << qc.sql;
   EXPECT_EQ(canon["ocs"], canon["hive_raw"]) << qc.sql;
@@ -232,8 +208,8 @@ TEST_F(EquivalenceFixture, StrictS3ModeFallsBackAndStaysCorrect) {
   auto reference = local.Run(
       "SELECT vertex_id, e FROM laghos WHERE x < 1.0", "hive_raw");
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(Canonicalize(*strict->table, false),
-            Canonicalize(*reference->table, false));
+  EXPECT_EQ(CanonicalRows(*strict->table, false),
+            CanonicalRows(*reference->table, false));
   // And strict mode moves more data than permissive Select mode would.
   EXPECT_EQ(strict->metrics.bytes_from_storage,
             reference->metrics.bytes_from_storage);
@@ -250,15 +226,15 @@ TEST_F(EquivalenceFixture, ConcurrentQueriesAreIsolated) {
       "SELECT MIN(x) AS lo, MAX(x) AS hi FROM laghos",
   };
   // Reference results, sequential.
-  std::vector<std::string> expected;
+  std::vector<std::vector<std::string>> expected;
   for (const char* sql : sqls) {
     auto r = testbed->Run(sql, "ocs");
     ASSERT_TRUE(r.ok());
-    expected.push_back(Canonicalize(*r->table, false));
+    expected.push_back(CanonicalRows(*r->table, false));
   }
   std::vector<std::thread> threads;
   std::vector<Status> statuses(16);
-  std::vector<std::string> got(16);
+  std::vector<std::vector<std::string>> got(16);
   for (int t = 0; t < 16; ++t) {
     threads.emplace_back([&, t] {
       // Note: Run() resets network counters; metrics races are expected
@@ -268,7 +244,7 @@ TEST_F(EquivalenceFixture, ConcurrentQueriesAreIsolated) {
         statuses[t] = r.status();
         return;
       }
-      got[t] = Canonicalize(*r->table, false);
+      got[t] = CanonicalRows(*r->table, false);
     });
   }
   for (auto& t : threads) t.join();
@@ -331,7 +307,7 @@ TEST_F(EquivalenceFixture, MultiStorageNodeClusterAgrees) {
   auto raw = local.Run(LaghosQuery("laghos", 20), "hive_raw");
   ASSERT_TRUE(ocs.ok()) << ocs.status();
   ASSERT_TRUE(raw.ok()) << raw.status();
-  EXPECT_EQ(Canonicalize(*ocs->table, true), Canonicalize(*raw->table, true));
+  EXPECT_EQ(CanonicalRows(*ocs->table, true), CanonicalRows(*raw->table, true));
   // Objects really are spread over multiple nodes.
   size_t populated = 0;
   for (size_t i = 0; i < local.cluster().num_storage_nodes(); ++i) {

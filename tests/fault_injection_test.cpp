@@ -12,40 +12,14 @@
 #include "netsim/fault_plan.h"
 #include "rpc/rpc.h"
 #include "workloads/chaos.h"
+#include "workloads/concurrent.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
 
 namespace pocs {
 namespace {
 
-std::string Canonicalize(const columnar::RecordBatch& batch) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == columnar::TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
-
+using workloads::CanonicalRows;
 // ---------------------------------------------------------------------------
 // rpc retry semantics
 // ---------------------------------------------------------------------------
@@ -178,7 +152,7 @@ TEST(FaultInjectionE2E, CrashedStorageExecFallsBackToEngineScan) {
   ASSERT_TRUE(degraded.ok()) << degraded.status();
 
   // Same rows, recovered entirely through the engine-side scan.
-  EXPECT_EQ(Canonicalize(*degraded->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*degraded->table), CanonicalRows(*reference->table));
   const auto& m = degraded->metrics;
   EXPECT_EQ(m.fallbacks, m.splits);
   EXPECT_EQ(m.failed_splits, m.splits);
@@ -225,7 +199,7 @@ TEST(FaultInjectionE2E, SlowStorageTripsConnectorDeadline) {
   }
   auto slow = bed.Run(sql, "ocs");
   ASSERT_TRUE(slow.ok()) << slow.status();
-  EXPECT_EQ(Canonicalize(*slow->table), Canonicalize(*fast->table));
+  EXPECT_EQ(CanonicalRows(*slow->table), CanonicalRows(*fast->table));
   EXPECT_EQ(slow->metrics.fallbacks, slow->metrics.splits);
 }
 
@@ -276,7 +250,7 @@ TEST(FaultInjectionE2E, HiveSelectFallsBackToRawGet) {
 
   auto degraded = bed.Run(sql, "hive");
   ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_EQ(Canonicalize(*degraded->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*degraded->table), CanonicalRows(*reference->table));
   EXPECT_EQ(degraded->metrics.fallbacks, degraded->metrics.splits);
   EXPECT_EQ(degraded->metrics.failed_splits, degraded->metrics.splits);
   EXPECT_GT(degraded->metrics.retries, 0u);
@@ -295,11 +269,11 @@ TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {
     auto result = bed->Run(workloads::LaghosQuery("laghos"), "ocs");
     EXPECT_TRUE(result.ok());
     struct Fingerprint {
-      std::string rows;
+      std::vector<std::string> rows;
       uint64_t bytes, retries, fallbacks, failed;
       bool operator==(const Fingerprint&) const = default;
     };
-    return Fingerprint{Canonicalize(*result->table),
+    return Fingerprint{CanonicalRows(*result->table),
                        result->metrics.bytes_from_storage,
                        result->metrics.retries,
                        result->metrics.fallbacks,

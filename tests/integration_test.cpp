@@ -8,6 +8,7 @@
 
 #include <map>
 
+#include "workloads/concurrent.h"
 #include "workloads/deepwater.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
@@ -18,37 +19,6 @@ namespace pocs::workloads {
 namespace {
 
 using engine::QueryResult;
-
-// Canonical text form of a result batch for cross-path comparison:
-// rows sorted lexicographically, doubles rounded to tolerate summation
-// order differences.
-std::string Canonicalize(const columnar::RecordBatch& batch) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == columnar::TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
 
 struct TestbedFixture : ::testing::Test {
   static void SetUpTestSuite() {
@@ -101,11 +71,11 @@ PathResults RunAllPaths(Testbed* testbed, const std::string& sql) {
 TEST_F(TestbedFixture, LaghosResultsAgreeAcrossPaths) {
   auto results = RunAllPaths(testbed.get(), LaghosQuery());
   ASSERT_EQ(results.by_catalog.size(), 3u);
-  const std::string reference =
-      Canonicalize(*results.by_catalog["hive_raw"].table);
+  const std::vector<std::string> reference =
+      CanonicalRows(*results.by_catalog["hive_raw"].table);
   EXPECT_FALSE(reference.empty());
-  EXPECT_EQ(Canonicalize(*results.by_catalog["hive"].table), reference);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["ocs"].table), reference);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["hive"].table), reference);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference);
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 100u);
 }
 
@@ -131,13 +101,54 @@ TEST_F(TestbedFixture, LaghosPushdownDecisions) {
             "TopN -> Project(identity)");
 }
 
+// A per-split top-N or limit above a partial aggregation is exact only
+// when no group spans two objects. Registration marks the columns whose
+// values stay in one object; grouping on anything else — linestatus and
+// suppkey occur in every lineitem object, each vertex_id % 5 bucket in
+// every laghos object — keeps the top-N at the engine.
+TEST_F(TestbedFixture, TopNAboveGroupsSpanningObjects) {
+  auto laghos = testbed->metastore().GetTable("default", "laghos");
+  auto lineitem = testbed->metastore().GetTable("default", "lineitem");
+  auto deepwater = testbed->metastore().GetTable("default", "deepwater");
+  ASSERT_TRUE(laghos.ok() && lineitem.ok() && deepwater.ok());
+  EXPECT_TRUE(laghos->ObjectDisjoint(laghos->schema->FieldIndex("vertex_id")));
+  EXPECT_FALSE(laghos->ObjectDisjoint(laghos->schema->FieldIndex("x")));
+  EXPECT_TRUE(
+      deepwater->ObjectDisjoint(deepwater->schema->FieldIndex("timestep")));
+  EXPECT_FALSE(
+      lineitem->ObjectDisjoint(lineitem->schema->FieldIndex("linestatus")));
+
+  for (const char* sql :
+       {"SELECT linestatus, SUM(extendedprice) AS s FROM lineitem "
+        "WHERE quantity < 10 GROUP BY linestatus ORDER BY s LIMIT 1",
+        "SELECT suppkey, SUM(quantity) AS q FROM lineitem GROUP BY suppkey "
+        "ORDER BY q DESC LIMIT 3",
+        "SELECT vertex_id % 5 AS b, SUM(e) AS s FROM laghos "
+        "GROUP BY vertex_id % 5 ORDER BY s DESC LIMIT 2"}) {
+    auto results = RunAllPaths(testbed.get(), sql);
+    ASSERT_EQ(results.by_catalog.size(), 3u) << sql;
+    const auto reference =
+        CanonicalRows(*results.by_catalog["hive_raw"].table);
+    EXPECT_EQ(CanonicalRows(*results.by_catalog["hive"].table), reference)
+        << sql;
+    EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference)
+        << sql;
+    const auto& decisions =
+        results.by_catalog["ocs"].metrics.pushdown_decisions;
+    ASSERT_FALSE(decisions.empty()) << sql;
+    EXPECT_EQ(decisions.back().kind,
+              connector::PushedOperator::Kind::kPartialTopN) << sql;
+    EXPECT_FALSE(decisions.back().accepted) << sql;
+  }
+}
+
 TEST_F(TestbedFixture, DeepWaterResultsAgreeAcrossPaths) {
   auto results = RunAllPaths(testbed.get(), DeepWaterQuery());
   ASSERT_EQ(results.by_catalog.size(), 3u);
-  const std::string reference =
-      Canonicalize(*results.by_catalog["hive_raw"].table);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["hive"].table), reference);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["ocs"].table), reference);
+  const std::vector<std::string> reference =
+      CanonicalRows(*results.by_catalog["hive_raw"].table);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["hive"].table), reference);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference);
   // One group per timestep file.
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 4u);
 }
@@ -145,10 +156,10 @@ TEST_F(TestbedFixture, DeepWaterResultsAgreeAcrossPaths) {
 TEST_F(TestbedFixture, TpchQ1ResultsAgreeAcrossPaths) {
   auto results = RunAllPaths(testbed.get(), TpchQ1());
   ASSERT_EQ(results.by_catalog.size(), 3u);
-  const std::string reference =
-      Canonicalize(*results.by_catalog["hive_raw"].table);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["hive"].table), reference);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["ocs"].table), reference);
+  const std::vector<std::string> reference =
+      CanonicalRows(*results.by_catalog["hive_raw"].table);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["hive"].table), reference);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference);
   // Q1 yields exactly 4 groups: (A,F), (N,F), (N,O), (R,F).
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 4u);
   // Sorted by returnflag, linestatus.
@@ -249,9 +260,9 @@ TEST_F(TestbedFixture, TpchQ6SelectiveFilterRegime) {
   // the global aggregate collapses to one row per split.
   auto results = RunAllPaths(testbed.get(), TpchQ6());
   ASSERT_EQ(results.by_catalog.size(), 3u);
-  auto reference = Canonicalize(*results.by_catalog["hive_raw"].table);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["hive"].table), reference);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["ocs"].table), reference);
+  auto reference = CanonicalRows(*results.by_catalog["hive_raw"].table);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["hive"].table), reference);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference);
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 1u);
   // Filter keeps ~1/6.5 (year) x ~0.27 (discount band) x ~0.47 (quantity)
   // ≈ 2% of rows.
@@ -269,8 +280,8 @@ TEST_F(TestbedFixture, GlobalAggregateNoGroupBy) {
   auto results = RunAllPaths(
       testbed.get(), "SELECT COUNT(*) AS n, AVG(e) AS m FROM laghos WHERE x < 2.0");
   ASSERT_EQ(results.by_catalog.size(), 3u);
-  auto reference = Canonicalize(*results.by_catalog["hive_raw"].table);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["ocs"].table), reference);
+  auto reference = CanonicalRows(*results.by_catalog["hive_raw"].table);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference);
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 1u);
 }
 
@@ -293,9 +304,9 @@ TEST_F(TestbedFixture, PlainSelectionQuery) {
       testbed.get(),
       "SELECT vertex_id, e FROM laghos WHERE e > 995 ORDER BY e DESC LIMIT 7");
   ASSERT_EQ(results.by_catalog.size(), 3u);
-  auto reference = Canonicalize(*results.by_catalog["hive_raw"].table);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["hive"].table), reference);
-  EXPECT_EQ(Canonicalize(*results.by_catalog["ocs"].table), reference);
+  auto reference = CanonicalRows(*results.by_catalog["hive_raw"].table);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["hive"].table), reference);
+  EXPECT_EQ(CanonicalRows(*results.by_catalog["ocs"].table), reference);
   EXPECT_EQ(results.by_catalog["ocs"].table->num_rows(), 7u);
 }
 
@@ -308,8 +319,8 @@ TEST_F(TestbedFixture, SortWithoutLimit) {
   const auto& table = *results.by_catalog["ocs"].table;
   ASSERT_EQ(table.num_rows(), 4u);
   EXPECT_EQ(table.column(0)->GetInt32(0), 3);  // descending timesteps
-  EXPECT_EQ(Canonicalize(table),
-            Canonicalize(*results.by_catalog["hive_raw"].table));
+  EXPECT_EQ(CanonicalRows(table),
+            CanonicalRows(*results.by_catalog["hive_raw"].table));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 
 #include "common/bloom.h"
 #include "connector/spi.h"
+#include "workloads/concurrent.h"
 #include "workloads/testbed.h"
 #include "workloads/tpch.h"
 
@@ -34,35 +35,7 @@ namespace pocs {
 namespace {
 
 using columnar::TypeKind;
-
-std::string Canonicalize(const columnar::RecordBatch& batch,
-                         bool order_sensitive = false) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  if (!order_sensitive) std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
+using workloads::CanonicalRows;
 
 workloads::TpchConfig SmallLineitem() {
   workloads::TpchConfig tpch;
@@ -119,7 +92,7 @@ TEST(JoinPushdownTest, PartialAggMergeMatchesSinglePhaseReference) {
 
   // Two-phase AVG/SUM/COUNT recombination must be bit-identical to the
   // single-phase plan (same doubles, same order after canonicalization).
-  EXPECT_EQ(Canonicalize(*pushed->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*pushed->table), CanonicalRows(*reference->table));
 
   // And the whole point: the pushed plan moves strictly fewer bytes.
   EXPECT_LT(pushed->metrics.bytes_from_storage,
@@ -128,7 +101,7 @@ TEST(JoinPushdownTest, PartialAggMergeMatchesSinglePhaseReference) {
   // The no-pushdown Hive path agrees too (engine join over raw GETs).
   auto raw = fx.bed->Run(sql, "hive_raw");
   ASSERT_TRUE(raw.ok()) << raw.status();
-  EXPECT_EQ(Canonicalize(*raw->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*raw->table), CanonicalRows(*reference->table));
 }
 
 // An empty build side is the degenerate case of both features: the bloom
@@ -146,7 +119,7 @@ TEST(JoinPushdownTest, EmptyBuildSideYieldsEmptyGroups) {
   auto pushed = fx.bed->Run(sql, "ocs");
   ASSERT_TRUE(pushed.ok()) << pushed.status();
   EXPECT_EQ(pushed->table->num_rows(), 0u);
-  EXPECT_EQ(Canonicalize(*pushed->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*pushed->table), CanonicalRows(*reference->table));
 }
 
 // Starve the bloom to ~1 bit per key: most non-matching fact rows become
@@ -164,7 +137,7 @@ TEST(JoinPushdownTest, BloomFalsePositivesFilteredEngineSide) {
   ASSERT_TRUE(pushed.ok()) << pushed.status();
 
   EXPECT_GE(pushed->metrics.bloom_pushed, 1u);
-  EXPECT_EQ(Canonicalize(*pushed->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*pushed->table), CanonicalRows(*reference->table));
 
   // A well-sized bloom on a fresh but otherwise identical bed prunes
   // strictly more rows than the starved one.
@@ -173,7 +146,7 @@ TEST(JoinPushdownTest, BloomFalsePositivesFilteredEngineSide) {
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_GT(good->metrics.bloom_rows_pruned,
             pushed->metrics.bloom_rows_pruned);
-  EXPECT_EQ(Canonicalize(*good->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*good->table), CanonicalRows(*reference->table));
 }
 
 // Version-pin discipline at the SPI level: a split whose bloom_version no
@@ -284,7 +257,7 @@ TEST(JoinPushdownTest, DeadStorageExecutorFallsBackWithIdenticalRows) {
   EXPECT_GT(degraded->metrics.fallbacks, 0u);
   // The fallback applies the same bloom (version-checked) engine-side.
   EXPECT_GT(degraded->metrics.bloom_rows_pruned, 0u);
-  EXPECT_EQ(Canonicalize(*degraded->table), Canonicalize(*healthy->table));
+  EXPECT_EQ(CanonicalRows(*degraded->table), CanonicalRows(*healthy->table));
 }
 
 // The pipeline is a pure function of config + data seed: two beds built
@@ -297,7 +270,7 @@ TEST(JoinPushdownTest, DeterministicReplay) {
   auto rb = b.bed->Run(sql, "ocs");
   ASSERT_TRUE(ra.ok()) << ra.status();
   ASSERT_TRUE(rb.ok()) << rb.status();
-  EXPECT_EQ(Canonicalize(*ra->table), Canonicalize(*rb->table));
+  EXPECT_EQ(CanonicalRows(*ra->table), CanonicalRows(*rb->table));
   EXPECT_EQ(ra->metrics.bytes_from_storage, rb->metrics.bytes_from_storage);
   EXPECT_EQ(ra->metrics.rows_returned, rb->metrics.rows_returned);
   EXPECT_EQ(ra->metrics.bloom_rows_pruned, rb->metrics.bloom_rows_pruned);
@@ -363,13 +336,13 @@ std::unique_ptr<JoinBedFixture> JoinShapeEquivalence::fixture;
 
 TEST_P(JoinShapeEquivalence, AllPathsAgree) {
   const JoinShape& shape = GetParam();
-  std::map<std::string, std::string> canon;
+  std::map<std::string, std::vector<std::string>> canon;
   for (const char* catalog : {"hive_raw", "ocs_engine", "ocs"}) {
     auto result = fixture->bed->Run(shape.sql, catalog);
     ASSERT_TRUE(result.ok()) << catalog << ": " << result.status() << "\n"
                              << shape.sql;
     ASSERT_GT(result->table->num_rows(), 0u) << catalog << "\n" << shape.sql;
-    canon[catalog] = Canonicalize(*result->table, shape.order_sensitive);
+    canon[catalog] = CanonicalRows(*result->table, shape.order_sensitive);
   }
   EXPECT_EQ(canon["ocs_engine"], canon["hive_raw"]) << shape.sql;
   EXPECT_EQ(canon["ocs"], canon["hive_raw"]) << shape.sql;

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "workloads/concurrent.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
 #include "workloads/tpch.h"
@@ -26,34 +27,7 @@ namespace pocs {
 namespace {
 
 using columnar::TypeKind;
-
-std::string Canonicalize(const columnar::RecordBatch& batch) {
-  std::vector<std::string> rows;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      if (c) row += "|";
-      const auto& col = *batch.column(c);
-      if (col.IsNull(r)) {
-        row += "NULL";
-      } else if (col.type() == TypeKind::kFloat64) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.9g", col.GetFloat64(r));
-        row += buf;
-      } else {
-        row += col.GetDatum(r).ToString();
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const auto& row : rows) {
-    out += row;
-    out += "\n";
-  }
-  return out;
-}
+using workloads::CanonicalRows;
 
 // 6 files × 4096 rows, 4 row groups per file. With rows_per_vertex = 32
 // each file covers 128 vertices ([f*128, (f+1)*128)) and each row group
@@ -115,7 +89,7 @@ TEST(SplitPruningTest, SelectiveQueryPrunesSplitsWithoutDataRpcs) {
   // a plan on a storage node.
   EXPECT_EQ(PlansExecuted() - plans_before, pruned->metrics.splits);
   // Pruning must be invisible in the answer.
-  EXPECT_EQ(Canonicalize(*pruned->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*pruned->table), CanonicalRows(*reference->table));
 
   // Warm cache: every descriptor revalidates via a metadata-only Stat.
   auto warm = fx.bed->Run(sql, "ocs_pruned");
@@ -123,7 +97,7 @@ TEST(SplitPruningTest, SelectiveQueryPrunesSplitsWithoutDataRpcs) {
   EXPECT_EQ(warm->metrics.metadata_cache_hits, 6u);
   EXPECT_EQ(warm->metrics.metadata_cache_misses, 0u);
   EXPECT_EQ(warm->metrics.splits_pruned, 4u);
-  EXPECT_EQ(Canonicalize(*warm->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*warm->table), CanonicalRows(*reference->table));
 }
 
 // A bound inside the first file: the surviving split carries a
@@ -144,7 +118,7 @@ TEST(SplitPruningTest, BoundarySplitCarriesRowGroupHint) {
   EXPECT_EQ(pruned->metrics.splits_pruned, 5u);
   EXPECT_EQ(pruned->metrics.splits, 1u);
   EXPECT_EQ(pruned->metrics.row_groups_hint_skipped, 3u);
-  EXPECT_EQ(Canonicalize(*pruned->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*pruned->table), CanonicalRows(*reference->table));
 }
 
 // Overwriting an object after its stats were cached must surface as a
@@ -179,7 +153,7 @@ TEST(SplitPruningTest, OverwriteInvalidatesCachedStats) {
   // Bit-identical to the unpruned catalog over the new data.
   auto reference = fx.bed->Run(sql, "ocs");
   ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(Canonicalize(*after->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*after->table), CanonicalRows(*reference->table));
 }
 
 // Stats service down: planning degrades to the unpruned path — every
@@ -199,14 +173,14 @@ TEST(SplitPruningTest, StatsRpcDownFallsBackToUnprunedPlanning) {
   EXPECT_EQ(degraded->metrics.metadata_cache_errors, 6u);
   EXPECT_EQ(degraded->metrics.splits_pruned, 0u);
   EXPECT_EQ(degraded->metrics.splits, 6u);
-  EXPECT_EQ(Canonicalize(*degraded->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*degraded->table), CanonicalRows(*reference->table));
 
   fx.bed->cluster().SetDescribeCrashed(false);
   auto healed = fx.bed->Run(sql, "ocs_pruned");
   ASSERT_TRUE(healed.ok()) << healed.status();
   EXPECT_EQ(healed->metrics.splits_pruned, 4u);
   EXPECT_EQ(healed->metrics.metadata_cache_errors, 0u);
-  EXPECT_EQ(Canonicalize(*healed->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*healed->table), CanonicalRows(*reference->table));
 }
 
 // The monotone-orderkey TPC-H shape: an orderkey prefix predicate prunes
@@ -235,7 +209,7 @@ TEST(SplitPruningTest, TpchOrderkeyPrefixPrunesTrailingFiles) {
   ASSERT_TRUE(fast.ok()) << fast.status();
   EXPECT_EQ(fast->metrics.splits_planned, 3u);
   EXPECT_GT(fast->metrics.splits_pruned, 0u);
-  EXPECT_EQ(Canonicalize(*fast->table), Canonicalize(*reference->table));
+  EXPECT_EQ(CanonicalRows(*fast->table), CanonicalRows(*reference->table));
 }
 
 }  // namespace
