@@ -38,9 +38,9 @@
 namespace pocs {
 
 struct LruCacheConfig {
-  uint64_t byte_budget = 0;   // 0 disables the cache entirely
+  uint64_t byte_budget = 0;     // 0 disables the cache entirely
   size_t shards = 8;
-  std::string metric_prefix;  // empty = no registry mirroring
+  std::string metric_prefix{};  // empty = no registry mirroring
 };
 
 template <typename Key, typename Value, typename KeyHash = std::hash<Key>>

@@ -36,7 +36,7 @@ struct Split {
   // scan all). Advisory: storage honors the hint only when
   // `stats_version` still matches the object, so stale statistics can
   // cost performance but never rows (DESIGN.md §13).
-  std::vector<uint32_t> row_groups;
+  std::vector<uint32_t> row_groups{};
   uint64_t stats_version = 0;  // object version the hint was computed from
   // Object version a pushed join-key bloom filter was pinned to at plan
   // time (0 = unknown). Storage applies the bloom only while the object

@@ -2,7 +2,9 @@
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "connectors/ocs/translator.h"
 #include "format/parquet_lite.h"
+#include "ocs/storage_node.h"
 
 namespace pocs::connectors {
 
@@ -13,61 +15,6 @@ using connector::PushedOperator;
 using connector::ScanSpec;
 using connector::Split;
 using connector::TableHandle;
-using substrait::Expression;
-using substrait::ExprKind;
-using substrait::ScalarFunc;
-
-bool DecomposeSelectPredicate(
-    const Expression& predicate, const columnar::Schema& schema,
-    std::vector<objectstore::SelectPredicate>* terms) {
-  if (predicate.kind != ExprKind::kCall) return false;
-  if (predicate.func == ScalarFunc::kAnd) {
-    return DecomposeSelectPredicate(predicate.args[0], schema, terms) &&
-           DecomposeSelectPredicate(predicate.args[1], schema, terms);
-  }
-  if (!substrait::IsComparison(predicate.func)) return false;
-  const Expression* field = nullptr;
-  const Expression* literal = nullptr;
-  bool flipped = false;
-  if (predicate.args[0].kind == ExprKind::kFieldRef &&
-      predicate.args[1].kind == ExprKind::kLiteral) {
-    field = &predicate.args[0];
-    literal = &predicate.args[1];
-  } else if (predicate.args[1].kind == ExprKind::kFieldRef &&
-             predicate.args[0].kind == ExprKind::kLiteral) {
-    field = &predicate.args[1];
-    literal = &predicate.args[0];
-    flipped = true;
-  } else {
-    return false;
-  }
-  if (field->field_index < 0 ||
-      static_cast<size_t>(field->field_index) >= schema.num_fields()) {
-    return false;
-  }
-  columnar::CompareOp op;
-  switch (predicate.func) {
-    case ScalarFunc::kEq: op = columnar::CompareOp::kEq; break;
-    case ScalarFunc::kNe: op = columnar::CompareOp::kNe; break;
-    case ScalarFunc::kLt: op = columnar::CompareOp::kLt; break;
-    case ScalarFunc::kLe: op = columnar::CompareOp::kLe; break;
-    case ScalarFunc::kGt: op = columnar::CompareOp::kGt; break;
-    case ScalarFunc::kGe: op = columnar::CompareOp::kGe; break;
-    default: return false;
-  }
-  if (flipped) {
-    switch (op) {
-      case columnar::CompareOp::kLt: op = columnar::CompareOp::kGt; break;
-      case columnar::CompareOp::kLe: op = columnar::CompareOp::kGe; break;
-      case columnar::CompareOp::kGt: op = columnar::CompareOp::kLt; break;
-      case columnar::CompareOp::kGe: op = columnar::CompareOp::kLe; break;
-      default: break;
-    }
-  }
-  terms->push_back(
-      {schema.field(field->field_index).name, op, literal->literal});
-  return true;
-}
 
 Result<TableHandle> HiveConnector::GetTableHandle(
     const std::string& schema_name, const std::string& table) {
@@ -127,7 +74,7 @@ Result<bool> HiveConnector::OfferPushdown(
     return RecordHivePushdownDecision(false);
   }
   std::vector<objectstore::SelectPredicate> terms;
-  if (!DecomposeSelectPredicate(op.predicate, *spec->output_schema, &terms)) {
+  if (!ocs::CollectPruningTerms(op.predicate, *spec->output_schema, &terms)) {
     decision->accepted = false;
     decision->reason = "predicate not expressible in the Select API";
     return RecordHivePushdownDecision(false);
@@ -153,7 +100,8 @@ Result<bool> HiveConnector::OfferPushdown(
 
 namespace {
 
-// Page source for the Select path: one CSV response per split.
+// Page source for the Select path: one batch per split, parsed from the
+// CSV response (or run by the Select→GET fallback).
 class SelectPageSource final : public connector::PageSource {
  public:
   SelectPageSource(SchemaPtr schema, RecordBatchPtr batch,
@@ -172,65 +120,6 @@ class SelectPageSource final : public connector::PageSource {
   SchemaPtr schema_;
   RecordBatchPtr batch_;
   PageSourceStats stats_;
-};
-
-// Page source for the Select→GET degradation path: whole object
-// downloaded, the accepted filter re-applied compute-side per row group
-// so the rows still honour the pushdown contract, then the result
-// projection.
-class SelectFallbackPageSource final : public connector::PageSource {
- public:
-  SelectFallbackPageSource(std::shared_ptr<format::FileReader> reader,
-                           std::vector<int> scan_columns,
-                           SchemaPtr scan_schema,
-                           std::vector<objectstore::SelectPredicate> predicates,
-                           std::vector<int> result_columns, SchemaPtr schema,
-                           PageSourceStats stats)
-      : reader_(std::move(reader)),
-        scan_columns_(std::move(scan_columns)),
-        scan_schema_(std::move(scan_schema)),
-        predicates_(std::move(predicates)),
-        result_columns_(std::move(result_columns)),
-        schema_(std::move(schema)),
-        stats_(stats) {}
-
-  SchemaPtr schema() const override { return schema_; }
-
-  Result<RecordBatchPtr> Next() override {
-    if (group_ >= reader_->num_row_groups()) return RecordBatchPtr{};
-    Stopwatch decode;
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
-                          reader_->ReadRowGroup(group_++, scan_columns_));
-    stats_.rows_scanned += batch->num_rows();
-    columnar::SelectionVector sel;
-    const columnar::SelectionVector* input = nullptr;
-    for (const objectstore::SelectPredicate& pred : predicates_) {
-      int idx = scan_schema_->FieldIndex(pred.column);
-      if (idx < 0) {
-        return Status::Internal("hive fallback: unknown filter column '" +
-                                pred.column + "'");
-      }
-      sel = columnar::CompareScalar(*batch->column(idx), pred.op,
-                                    pred.literal, input);
-      input = &sel;
-    }
-    if (input != nullptr) batch = columnar::TakeBatch(*batch, sel);
-    if (!result_columns_.empty()) batch = batch->Project(result_columns_);
-    stats_.decode_seconds += decode.ElapsedSeconds();
-    stats_.rows_returned += batch->num_rows();
-    return batch;
-  }
-  const PageSourceStats& stats() const override { return stats_; }
-
- private:
-  std::shared_ptr<format::FileReader> reader_;
-  std::vector<int> scan_columns_;
-  SchemaPtr scan_schema_;
-  std::vector<objectstore::SelectPredicate> predicates_;
-  std::vector<int> result_columns_;
-  SchemaPtr schema_;
-  PageSourceStats stats_;
-  size_t group_ = 0;
 };
 
 // Page source for the raw-GET path: whole object downloaded, decoded per
@@ -353,7 +242,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     }
     // Predicate field refs are relative to the scan schema (they may name
     // columns dropped from the result projection).
-    if (!DecomposeSelectPredicate(op.predicate, *scan_schema,
+    if (!ocs::CollectPruningTerms(op.predicate, *scan_schema,
                                   &request.predicates)) {
       return Status::Internal("hive: accepted filter not expressible");
     }
@@ -372,11 +261,10 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
       static auto& failed = reg.GetCounter("connector.hive.failed_selects");
       failed.Increment();
     }
-    if (!config_.fallback_to_raw_get || !rpc::IsRetryable(select_or.status())) {
-      return select_or.status();
-    }
-    // Degrade to a raw GET of the whole object; the accepted filter is
-    // re-applied compute-side by the page source so rows stay correct.
+    if (!rpc::IsRetryable(select_or.status())) return select_or.status();
+    // Degrade to a raw GET of the whole object and run the scan spec's
+    // plan (Read → Filter → Project) over it with the storage node's scan,
+    // so the rows still honour the pushdown contract.
     objectstore::TransferInfo get_info;
     POCS_ASSIGN_OR_RETURN(
         Bytes object,
@@ -391,12 +279,22 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
       static auto& fallbacks = reg.GetCounter("connector.hive.fallbacks");
       fallbacks.Increment();
     }
-    POCS_ASSIGN_OR_RETURN(auto reader,
-                          format::FileReader::Open(std::move(object)));
+    POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
+                          TranslateScanSpec(table, split, spec));
+    Stopwatch decode;
+    ocs::OcsExecStats scan;
+    POCS_ASSIGN_OR_RETURN(
+        auto result,
+        ocs::ExecuteOnObject(
+            plan, {std::make_shared<const Bytes>(std::move(object)), 0},
+            /*cache=*/nullptr, &scan));
+    scan.object_bytes_read = 0;  // charged by the GET above
+    stats += scan;
+    RecordBatchPtr batch = result->Combine();
+    stats.decode_seconds = decode.ElapsedSeconds();
+    stats.rows_returned = batch->num_rows();
     return std::unique_ptr<connector::PageSource>(
-        std::make_unique<SelectFallbackPageSource>(
-            std::move(reader), spec.columns, scan_schema, request.predicates,
-            spec.result_columns, projected, stats));
+        std::make_unique<SelectPageSource>(projected, std::move(batch), stats));
   }
   objectstore::SelectResponse response = std::move(*select_or);
   // The synchronous in-process Select call's wall time is storage-side

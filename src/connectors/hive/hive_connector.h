@@ -39,13 +39,12 @@ struct HiveConnectorConfig {
   bool s3_strict_types = false;
   // Retry budget / deadline for Select and GET dispatches.
   rpc::CallOptions call;
-  // Options for the degradation path's raw GET (kept separate: the raw
-  // object is much larger than a Select result, so a Select-sized
-  // deadline would starve it).
+  // Options for the degradation path's raw GET: a Select that exhausts
+  // its retries with a retryable error re-plans the split as a raw GET
+  // and runs the accepted filter compute-side. Kept separate from `call`:
+  // the raw object is much larger than a Select result, so a Select-sized
+  // deadline would starve it.
   rpc::CallOptions fallback_call;
-  // When a Select exhausts its retries with a retryable error, re-plan
-  // the split as a raw GET and apply the accepted filter compute-side.
-  bool fallback_to_raw_get = true;
 };
 
 class HiveConnector final : public connector::Connector {
@@ -88,11 +87,5 @@ class HiveConnector final : public connector::Connector {
   objectstore::StorageClient client_;
   HiveConnectorConfig config_;
 };
-
-// Decompose a predicate into conjunctive (column cmp literal) terms the
-// Select API can express. Returns false if any part is inexpressible.
-bool DecomposeSelectPredicate(
-    const substrait::Expression& predicate, const columnar::Schema& schema,
-    std::vector<objectstore::SelectPredicate>* terms);
 
 }  // namespace pocs::connectors

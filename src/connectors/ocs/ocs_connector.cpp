@@ -11,9 +11,8 @@
 #include "common/stopwatch.h"
 #include "connectors/ocs/sql_reconstruction.h"
 #include "connectors/ocs/translator.h"
-#include "exec/plan_executor.h"
-#include "format/parquet_lite.h"
 #include "objectstore/service.h"
+#include "ocs/storage_node.h"
 #include "substrait/serialize.h"
 
 namespace pocs::connectors {
@@ -422,7 +421,6 @@ Result<bool> OcsConnector::OfferPushdown(
   return RecordPushdownDecision(true);
 }
 
-
 namespace {
 
 class OcsPageSource final : public connector::PageSource {
@@ -481,12 +479,6 @@ Result<std::unique_ptr<connector::PageSource>> MakePageSource(
       std::make_unique<OcsPageSource>(schema, std::move(decoded), stats));
 }
 
-}  // namespace
-
-// BatchSource over a compute-side copy of the object (fallback path): no
-// row-group pruning — the whole object already crossed the network.
-namespace {
-
 // True when the plan's Read leaf carries a join-key bloom filter — the
 // fallback must then learn the object version to honour the pin.
 bool PlanHasBloom(const substrait::Plan& plan) {
@@ -498,27 +490,6 @@ bool PlanHasBloom(const substrait::Plan& plan) {
   return false;
 }
 
-class LocalObjectSource final : public exec::BatchSource {
- public:
-  LocalObjectSource(std::shared_ptr<format::FileReader> reader,
-                    std::vector<int> columns, SchemaPtr schema)
-      : reader_(std::move(reader)),
-        columns_(std::move(columns)),
-        schema_(std::move(schema)) {}
-
-  SchemaPtr schema() const override { return schema_; }
-  Result<RecordBatchPtr> Next() override {
-    if (group_ >= reader_->num_row_groups()) return RecordBatchPtr{};
-    return reader_->ReadRowGroup(group_++, columns_);
-  }
-
- private:
-  std::shared_ptr<format::FileReader> reader_;
-  std::vector<int> columns_;
-  SchemaPtr schema_;
-  size_t group_ = 0;
-};
-
 }  // namespace
 
 Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
@@ -526,8 +497,8 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
     PageSourceStats* stats, uint64_t* object_version) {
   // Fetch the raw object through the frontend — the plain object-store
   // methods survive an exec-engine crash — then run the *identical* plan
-  // with the local executor, so the result schema and rows match what the
-  // storage node would have returned.
+  // through the storage node's scan, so the result schema, rows and row
+  // counters match what the storage node would have returned.
   objectstore::StorageClient store(client_.channel());
   const std::string object_id = split.bucket + "/" + split.object;
   const uint64_t chunk = config_.dispatch.fallback_chunk_bytes;
@@ -611,37 +582,20 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
   stats->media_read_seconds +=
       static_cast<double>(fetched_bytes) / config_.dispatch.media_read_bandwidth;
 
+  // The storage node's own scan over the fetched bytes, without its
+  // row-group cache: same rows and row counters as a healthy dispatch. The
+  // transfer above already charged the media read, so the scan's
+  // object_bytes_read is dropped.
   Stopwatch exec_timer;
-  POCS_ASSIGN_OR_RETURN(auto reader_owned,
-                        format::FileReader::Open(std::move(object)));
-  std::shared_ptr<format::FileReader> reader = std::move(reader_owned);
-  stats->row_groups_total += reader->num_row_groups();
-
-  exec::ScanFactory factory =
-      [&reader, stats, version = *object_version](const substrait::Rel& r)
-      -> Result<std::unique_ptr<exec::BatchSource>> {
-    if (!reader->schema()->Equals(*r.base_schema)) {
-      return Status::InvalidArgument("ocs fallback: plan schema != object");
-    }
-    POCS_ASSIGN_OR_RETURN(SchemaPtr scan_schema, substrait::OutputSchema(r));
-    std::unique_ptr<exec::BatchSource> source =
-        std::make_unique<LocalObjectSource>(reader, r.read_columns,
-                                            std::move(scan_schema));
-    // Honour the pushed join-key bloom under the same version-pin rule as
-    // the storage node: applied only when the pin matches the bytes this
-    // fallback just fetched, skipped wholesale otherwise.
-    if (!r.bloom_words.empty() && r.bloom_version != 0 &&
-        r.bloom_version == version) {
-      source = std::make_unique<exec::BloomFilterSource>(
-          std::move(source), r.bloom_words, r.bloom_hashes, r.bloom_seed,
-          r.bloom_column, &stats->bloom_rows_pruned);
-    }
-    return source;
-  };
-  exec::ExecStats exec_stats;
-  POCS_ASSIGN_OR_RETURN(auto table,
-                        exec::ExecuteRel(*plan.root, factory, &exec_stats));
-  stats->rows_scanned += exec_stats.rows_scanned;
+  ocs::OcsExecStats scan;
+  POCS_ASSIGN_OR_RETURN(
+      auto table,
+      ocs::ExecuteOnObject(
+          plan, {std::make_shared<const Bytes>(std::move(object)),
+                 *object_version},
+          /*cache=*/nullptr, &scan));
+  scan.object_bytes_read = 0;
+  *stats += scan;
   // Fallback execution is compute-side work, like decode.
   stats->decode_seconds += exec_timer.ElapsedSeconds();
   return table;

@@ -42,8 +42,8 @@ namespace pocs::connectors {
 // budget for ExecutePlan and a deadline on the *storage-reported* time
 // (catches slow/degraded nodes the transport deadline cannot see). A
 // dispatch that exhausts them with a retryable error always falls back to
-// the engine-side scan (raw GET + local execution of the same plan)
-// instead of failing the query.
+// the engine-side scan (raw GET + the storage node's scan of the same
+// plan, run locally) instead of failing the query.
 struct OcsDispatchPolicy {
   rpc::CallOptions call{.max_attempts = 3};
   // Options for the fallback's raw GET. Kept separate from `call`: a
@@ -244,8 +244,9 @@ class OcsConnector final : public connector::Connector {
   // Engine-side degradation path: fetch the raw object through the
   // frontend (chunked when fallback_chunk_bytes > 0, with received ranges
   // retained across attempts in the range cache) and run the identical
-  // plan with the local executor. On success, `*object_version` is the
-  // version of the object that was read (0 when unknown).
+  // plan over it with ocs::ExecuteOnObject, the storage node's scan. On
+  // success, `*object_version` is the version of the object that was
+  // read (0 when unknown).
   Result<std::shared_ptr<columnar::Table>> ExecuteFallback(
       const substrait::Plan& plan, const connector::Split& split,
       connector::PageSourceStats* stats, uint64_t* object_version);

@@ -189,11 +189,10 @@ struct JoinProbe {
   std::atomic<double> seconds{0};  // excludes the probed sources' Next()
 };
 
-// The join's exact-index probe as a BatchSource decorator (the pattern
-// exec::BloomFilterSource uses): each inner batch is matched against the
-// build index — dropping bloom false positives and non-matching keys —
-// and every match becomes one output row: the probed row's columns, then
-// the matched build row's.
+// The join's exact-index probe as a BatchSource decorator: each inner
+// batch is matched against the build index — dropping bloom false
+// positives and non-matching keys — and every match becomes one output
+// row: the probed row's columns, then the matched build row's.
 class JoinProbeSource final : public exec::BatchSource {
  public:
   JoinProbeSource(std::unique_ptr<exec::BatchSource> inner, JoinProbe& probe)

@@ -1,6 +1,7 @@
 #include "engine/optimizer.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "engine/two_phase.h"
@@ -29,13 +30,129 @@ void RemapExpr(Expression* e, const std::vector<int>& old_to_new) {
   for (Expression& arg : e->args) RemapExpr(&arg, old_to_new);
 }
 
+// A scan's output narrowed to the columns the nodes above it read.
+struct NarrowedScan {
+  std::vector<int> columns;  // kept input columns, ascending
+  SchemaPtr schema;          // the kept columns' schema
+};
+
+// Narrow the columns flowing out of a scan whose output schema is
+// `schema` to those the nodes above it read. `above` lists those nodes
+// bottom → top. The walk takes consecutive filters, sorts, top-Ns and
+// limits, which pass the scan's schema through, then stops at the first
+// project or aggregation, which reads it last; any other node ends it.
+// When the walk reads fewer than all columns, its nodes' references are
+// remapped to the kept columns and the pass-through nodes take the
+// narrowed schema. Returns nullopt, changing nothing, when every column
+// is read, when none is and `keep_one` is false, or above a join: the
+// nodes there reference the combined (fact + dim) schema, so the remap
+// would corrupt them. The dimension table is small by contract and the
+// fact side's reduction comes from the pushed bloom filter instead. With
+// `keep_one`, a walk that reads no column (SELECT COUNT(*)) keeps the
+// narrowest so scans still produce row counts.
+std::optional<NarrowedScan> NarrowScanOutput(
+    const std::vector<PlanNode*>& above, const columnar::Schema& schema,
+    bool keep_one) {
+  for (const PlanNode* n : above) {
+    if (n->kind == NodeKind::kJoin) return std::nullopt;
+  }
+  std::set<int> used;
+  size_t boundary = 0;  // nodes passing the scan schema through
+  for (; boundary < above.size(); ++boundary) {
+    const PlanNode* n = above[boundary];
+    if (n->kind == NodeKind::kFilter) {
+      CollectExprColumns(n->predicate, &used);
+    } else if (n->kind == NodeKind::kSort || n->kind == NodeKind::kTopN) {
+      for (const auto& sf : n->sort_fields) used.insert(sf.field);
+    } else if (n->kind != NodeKind::kLimit) {
+      break;
+    }
+  }
+  PlanNode* last = boundary < above.size() ? above[boundary] : nullptr;
+  if (last && last->kind == NodeKind::kProject) {
+    for (const Expression& e : last->expressions) CollectExprColumns(e, &used);
+  } else if (last && last->kind == NodeKind::kAggregation) {
+    for (int k : last->group_keys) used.insert(k);
+    for (const auto& agg : last->aggregates) {
+      if (agg.func != substrait::AggFunc::kCountStar) {
+        CollectExprColumns(agg.argument, &used);
+      }
+    }
+  }
+
+  if (used.empty() && keep_one) {
+    int narrowest = 0;
+    size_t best = SIZE_MAX;
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      size_t width = columnar::TypeWidth(schema.field(c).type);
+      if (width == 0) width = 16;
+      if (width < best) {
+        best = width;
+        narrowest = static_cast<int>(c);
+      }
+    }
+    used.insert(narrowest);
+  }
+  if (used.empty() || used.size() >= schema.num_fields()) return std::nullopt;
+
+  NarrowedScan out;
+  out.columns.assign(used.begin(), used.end());
+  std::vector<int> old_to_new(schema.num_fields(), -1);
+  std::vector<Field> fields;
+  for (size_t c = 0; c < out.columns.size(); ++c) {
+    old_to_new[out.columns[c]] = static_cast<int>(c);
+    fields.push_back(schema.field(out.columns[c]));
+  }
+  out.schema = MakeSchema(std::move(fields));
+
+  for (size_t n = 0; n < boundary; ++n) {
+    PlanNode* node = above[n];
+    if (node->kind == NodeKind::kFilter) {
+      RemapExpr(&node->predicate, old_to_new);
+    } else if (node->kind == NodeKind::kSort ||
+               node->kind == NodeKind::kTopN) {
+      for (auto& sf : node->sort_fields) sf.field = old_to_new[sf.field];
+    }
+    node->output_schema = out.schema;
+  }
+  if (last && last->kind == NodeKind::kProject) {
+    for (Expression& e : last->expressions) RemapExpr(&e, old_to_new);
+  } else if (last && last->kind == NodeKind::kAggregation) {
+    for (int& k : last->group_keys) k = old_to_new[k];
+    for (auto& agg : last->aggregates) {
+      if (agg.func != substrait::AggFunc::kCountStar) {
+        RemapExpr(&agg.argument, old_to_new);
+      }
+    }
+  }
+  return out;
+}
+
+// After pushdown negotiation, trim the columns the pushed pipeline sends
+// back to what the residual plan actually uses. Only meaningful when the
+// absorbed pipeline preserves the scan schema (filter and/or raw-row
+// top-N); project/aggregation outputs are already exact.
+void TrimResultColumns(PlanNode* scan,
+                       const std::vector<PlanNode*>& residual_above_scan) {
+  connector::ScanSpec& spec = scan->scan_spec;
+  if (spec.operators.empty() || !spec.output_schema) return;
+  for (const auto& op : spec.operators) {
+    if (op.kind == connector::PushedOperator::Kind::kProject ||
+        op.kind == connector::PushedOperator::Kind::kPartialAggregation) {
+      return;  // output schema already minimal
+    }
+  }
+  std::optional<NarrowedScan> trimmed = NarrowScanOutput(
+      residual_above_scan, *spec.output_schema, /*keep_one=*/false);
+  if (!trimmed) return;
+  spec.result_columns = std::move(trimmed->columns);
+  spec.output_schema = trimmed->schema;
+  scan->output_schema = trimmed->schema;
+}
+
 }  // namespace
 
 Status PruneColumns(const PlanNodePtr& root) {
-  // Walk down to the scan, recording the nodes that reference the scan
-  // schema: consecutive filters above the scan, then the first
-  // schema-changing node (project or aggregation), or — in plans with
-  // neither — sort/topn/limit and the output project.
   std::vector<PlanNode*> chain;
   for (PlanNode* n = root.get(); n != nullptr; n = n->input.get()) {
     chain.push_back(n);
@@ -45,219 +162,15 @@ Status PruneColumns(const PlanNodePtr& root) {
     return Status::InvalidArgument("plan must start with a table scan");
   }
   PlanNode* scan = chain[0];
-  const SchemaPtr& table_schema = scan->table.info.schema;
-
-  // Join plans are left unpruned: the nodes above the join reference the
-  // combined (fact + dim) schema, so the scan-schema remap below would
-  // corrupt them. The dimension table is small by contract and the fact
-  // side's reduction comes from the pushed bloom filter instead.
-  for (PlanNode* n : chain) {
-    if (n->kind == NodeKind::kJoin) return Status::OK();
-  }
-
-  std::set<int> used;
-  size_t i = 1;
-  for (; i < chain.size(); ++i) {
-    PlanNode* n = chain[i];
-    if (n->kind == NodeKind::kFilter) {
-      CollectExprColumns(n->predicate, &used);
-      continue;
-    }
-    if (n->kind == NodeKind::kProject) {
-      for (const Expression& e : n->expressions) CollectExprColumns(e, &used);
-      break;
-    }
-    if (n->kind == NodeKind::kAggregation) {
-      for (int k : n->group_keys) used.insert(k);
-      for (const auto& agg : n->aggregates) {
-        if (agg.func != substrait::AggFunc::kCountStar) {
-          CollectExprColumns(agg.argument, &used);
-        }
-      }
-      break;
-    }
-    // Sort/TopN/Limit preserve the scan schema; record sort columns and
-    // keep walking to the output project.
-    if (n->kind == NodeKind::kSort || n->kind == NodeKind::kTopN) {
-      for (const auto& sf : n->sort_fields) used.insert(sf.field);
-      continue;
-    }
-    if (n->kind == NodeKind::kLimit) continue;
-    break;
-  }
-  const size_t boundary = i;  // first node NOT referencing the scan schema
-
-  if (used.empty()) {
-    // Degenerate (e.g. SELECT COUNT(*)): keep one narrow column so scans
-    // still produce row counts.
-    int narrowest = 0;
-    size_t best = SIZE_MAX;
-    for (size_t c = 0; c < table_schema->num_fields(); ++c) {
-      size_t width = columnar::TypeWidth(table_schema->field(c).type);
-      if (width == 0) width = 16;
-      if (width < best) {
-        best = width;
-        narrowest = static_cast<int>(c);
-      }
-    }
-    used.insert(narrowest);
-  }
-  if (used.size() == table_schema->num_fields()) return Status::OK();
-
-  // Build the pruned schema and the remap table.
-  std::vector<int> columns(used.begin(), used.end());
-  std::vector<int> old_to_new(table_schema->num_fields(), -1);
-  std::vector<Field> fields;
-  for (size_t n = 0; n < columns.size(); ++n) {
-    old_to_new[columns[n]] = static_cast<int>(n);
-    fields.push_back(table_schema->field(columns[n]));
-  }
-  SchemaPtr pruned = MakeSchema(std::move(fields));
-
-  scan->scan_spec.columns = columns;
-  scan->output_schema = pruned;
-
-  for (size_t n = 1; n < boundary; ++n) {
-    PlanNode* node = chain[n];
-    switch (node->kind) {
-      case NodeKind::kFilter:
-        RemapExpr(&node->predicate, old_to_new);
-        node->output_schema = pruned;
-        break;
-      case NodeKind::kSort:
-      case NodeKind::kTopN:
-        for (auto& sf : node->sort_fields) sf.field = old_to_new[sf.field];
-        node->output_schema = pruned;
-        break;
-      case NodeKind::kLimit:
-        node->output_schema = pruned;
-        break;
-      default:
-        break;
-    }
-  }
-  if (boundary < chain.size()) {
-    PlanNode* node = chain[boundary];
-    if (node->kind == NodeKind::kProject) {
-      for (Expression& e : node->expressions) RemapExpr(&e, old_to_new);
-    } else if (node->kind == NodeKind::kAggregation) {
-      for (int& k : node->group_keys) k = old_to_new[k];
-      for (auto& agg : node->aggregates) {
-        if (agg.func != substrait::AggFunc::kCountStar) {
-          RemapExpr(&agg.argument, old_to_new);
-        }
-      }
-    }
+  std::optional<NarrowedScan> pruned =
+      NarrowScanOutput({chain.begin() + 1, chain.end()},
+                       *scan->table.info.schema, /*keep_one=*/true);
+  if (pruned) {
+    scan->scan_spec.columns = std::move(pruned->columns);
+    scan->output_schema = pruned->schema;
   }
   return Status::OK();
 }
-
-namespace {
-
-// After pushdown negotiation, trim the columns the pushed pipeline sends
-// back to what the residual plan actually uses, remapping residual-node
-// references. Only meaningful when the absorbed pipeline preserves the
-// scan schema (filter and/or raw-row top-N); project/aggregation outputs
-// are already exact.
-void TrimResultColumns(const PlanNodePtr& scan,
-                       const std::vector<PlanNodePtr>& residual_above_scan) {
-  connector::ScanSpec& spec = scan->scan_spec;
-  if (spec.operators.empty()) return;
-  // Join plans keep every scan column: the probe key and the columns the
-  // post-join nodes reference all live above the kJoin boundary.
-  for (const auto& n : residual_above_scan) {
-    if (n->kind == NodeKind::kJoin) return;
-  }
-  for (const auto& op : spec.operators) {
-    if (op.kind == connector::PushedOperator::Kind::kProject ||
-        op.kind == connector::PushedOperator::Kind::kPartialAggregation) {
-      return;  // output schema already minimal
-    }
-  }
-  const columnar::SchemaPtr schema = spec.output_schema;
-  if (!schema) return;
-
-  // Collect the scan-schema columns the residual chain references, using
-  // the same boundary rule as PruneColumns.
-  std::set<int> used;
-  size_t i = 0;
-  for (; i < residual_above_scan.size(); ++i) {
-    PlanNode* n = residual_above_scan[i].get();
-    if (n->kind == NodeKind::kFilter) {
-      CollectExprColumns(n->predicate, &used);
-      continue;
-    }
-    if (n->kind == NodeKind::kProject) {
-      for (const Expression& e : n->expressions) CollectExprColumns(e, &used);
-      break;
-    }
-    if (n->kind == NodeKind::kAggregation) {
-      for (int k : n->group_keys) used.insert(k);
-      for (const auto& agg : n->aggregates) {
-        if (agg.func != substrait::AggFunc::kCountStar) {
-          CollectExprColumns(agg.argument, &used);
-        }
-      }
-      break;
-    }
-    if (n->kind == NodeKind::kSort || n->kind == NodeKind::kTopN) {
-      for (const auto& sf : n->sort_fields) used.insert(sf.field);
-      continue;
-    }
-    if (n->kind == NodeKind::kLimit) continue;
-    break;
-  }
-  const size_t boundary = i;
-  if (used.empty() || used.size() >= schema->num_fields()) return;
-
-  std::vector<int> keep(used.begin(), used.end());
-  std::vector<int> old_to_new(schema->num_fields(), -1);
-  std::vector<columnar::Field> fields;
-  for (size_t n = 0; n < keep.size(); ++n) {
-    old_to_new[keep[n]] = static_cast<int>(n);
-    fields.push_back(schema->field(keep[n]));
-  }
-  columnar::SchemaPtr trimmed = columnar::MakeSchema(std::move(fields));
-
-  spec.result_columns = keep;
-  spec.output_schema = trimmed;
-  scan->output_schema = trimmed;
-
-  for (size_t n = 0; n < boundary; ++n) {
-    PlanNode* node = residual_above_scan[n].get();
-    switch (node->kind) {
-      case NodeKind::kFilter:
-        RemapExpr(&node->predicate, old_to_new);
-        node->output_schema = trimmed;
-        break;
-      case NodeKind::kSort:
-      case NodeKind::kTopN:
-        for (auto& sf : node->sort_fields) sf.field = old_to_new[sf.field];
-        node->output_schema = trimmed;
-        break;
-      case NodeKind::kLimit:
-        node->output_schema = trimmed;
-        break;
-      default:
-        break;
-    }
-  }
-  if (boundary < residual_above_scan.size()) {
-    PlanNode* node = residual_above_scan[boundary].get();
-    if (node->kind == NodeKind::kProject) {
-      for (Expression& e : node->expressions) RemapExpr(&e, old_to_new);
-    } else if (node->kind == NodeKind::kAggregation) {
-      for (int& k : node->group_keys) k = old_to_new[k];
-      for (auto& agg : node->aggregates) {
-        if (agg.func != substrait::AggFunc::kCountStar) {
-          RemapExpr(&agg.argument, old_to_new);
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
 
 Result<LocalOptimizerResult> RunConnectorOptimizer(
     PlanNodePtr root, connector::Connector& connector) {
@@ -398,13 +311,13 @@ Result<LocalOptimizerResult> RunConnectorOptimizer(
 
   // Trim the returned columns to what the residual plan needs.
   {
-    std::vector<PlanNodePtr> residual;
-    for (PlanNodePtr n = result.plan; n && n->kind != NodeKind::kTableScan;
-         n = n->input) {
+    std::vector<PlanNode*> residual;
+    for (PlanNode* n = result.plan.get();
+         n && n->kind != NodeKind::kTableScan; n = n->input.get()) {
       residual.push_back(n);
     }
     std::reverse(residual.begin(), residual.end());
-    TrimResultColumns(scan, residual);
+    TrimResultColumns(scan.get(), residual);
   }
   return result;
 }

@@ -138,31 +138,6 @@ columnar::SelectionVector BloomSelectRows(const columnar::Column& col,
   return sel;
 }
 
-Result<SelectedBatch> BloomFilterSource::NextSelected() {
-  while (true) {
-    POCS_ASSIGN_OR_RETURN(columnar::RecordBatchPtr batch, inner_->Next());
-    if (!batch) return SelectedBatch{nullptr, std::nullopt};
-    if (bloom_column_ < 0 ||
-        static_cast<size_t>(bloom_column_) >= batch->num_columns()) {
-      return SelectedBatch{std::move(batch), std::nullopt};
-    }
-    columnar::SelectionVector sel =
-        BloomSelectRows(*batch->column(bloom_column_), bloom_);
-    if (sel.size() == batch->num_rows()) {
-      return SelectedBatch{std::move(batch), std::nullopt};
-    }
-    if (rows_pruned_) *rows_pruned_ += batch->num_rows() - sel.size();
-    if (sel.empty()) continue;  // whole batch pruned; pull the next one
-    return SelectedBatch{std::move(batch), std::move(sel)};
-  }
-}
-
-Result<columnar::RecordBatchPtr> BloomFilterSource::Next() {
-  POCS_ASSIGN_OR_RETURN(SelectedBatch sb, NextSelected());
-  if (!sb.batch || !sb.selection) return std::move(sb.batch);
-  return columnar::TakeBatch(*sb.batch, *sb.selection);
-}
-
 Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
                                           const ScanFactory& scan_factory,
                                           ExecStats* stats) {

@@ -85,41 +85,10 @@ Result<std::shared_ptr<columnar::Table>> ExecuteRel(
 // Rows of an integer key column that pass a bloom filter (nulls never
 // pass — an inner-join key of NULL matches nothing). Non-integer columns
 // keep every row: the safe direction, since bloom reduction is advisory.
-// Shared by the storage node's scan and the fallback decorator below so
-// both sides prune by the exact same rule.
+// The storage node's scan prunes with it, for pushed plans and fallbacks
+// alike.
 columnar::SelectionVector BloomSelectRows(const columnar::Column& col,
                                           const BloomFilter& bloom);
-
-// Decorator applying a pushed join-key bloom filter (Rel::bloom_* of the
-// wrapped scan's Read leaf) to every batch of an inner source. Used by
-// the engine-side fallback path so a faulted storage dispatch still
-// honours the semi-join reduction (DESIGN.md §14); the caller decides
-// whether the filter's version pin matches before wrapping. Rows dropped
-// are accumulated into *rows_pruned (caller-owned).
-class BloomFilterSource : public BatchSource {
- public:
-  BloomFilterSource(std::unique_ptr<BatchSource> inner,
-                    std::vector<uint64_t> bloom_words, uint32_t bloom_hashes,
-                    uint64_t bloom_seed, int bloom_column,
-                    uint64_t* rows_pruned)
-      : inner_(std::move(inner)),
-        bloom_(std::move(bloom_words), bloom_hashes, bloom_seed),
-        bloom_column_(bloom_column),
-        rows_pruned_(rows_pruned) {}
-
-  columnar::SchemaPtr schema() const override { return inner_->schema(); }
-  // Materializing variant (kept for direct callers).
-  Result<columnar::RecordBatchPtr> Next() override;
-  // Hands back the inner batch with the bloom survivors attached as a
-  // selection — no compaction; the executor consumes the selection.
-  Result<SelectedBatch> NextSelected() override;
-
- private:
-  std::unique_ptr<BatchSource> inner_;
-  BloomFilter bloom_;
-  int bloom_column_;
-  uint64_t* rows_pruned_;
-};
 
 // An in-memory BatchSource over an existing table (tests, reference runs).
 class TableSource : public BatchSource {

@@ -11,7 +11,6 @@
 #include "common/bloom.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/thread_annotations.h"
 #include "format/encoding.h"
 #include "format/parquet_lite.h"
 #include "objectstore/select.h"
@@ -28,17 +27,20 @@ using substrait::Rel;
 using substrait::RelKind;
 using substrait::ScalarFunc;
 
-void CollectPruningTerms(const Expression& expr,
+bool CollectPruningTerms(const Expression& expr,
                          const columnar::Schema& scan_schema,
                          std::vector<objectstore::SelectPredicate>* out) {
-  if (expr.kind != ExprKind::kCall) return;
+  if (expr.kind != ExprKind::kCall) return false;
   if (expr.func == ScalarFunc::kAnd) {
+    bool all = true;
     for (const Expression& arg : expr.args) {
-      CollectPruningTerms(arg, scan_schema, out);
+      all = CollectPruningTerms(arg, scan_schema, out) && all;
     }
-    return;
+    return all;
   }
-  if (!substrait::IsComparison(expr.func) || expr.args.size() != 2) return;
+  if (!substrait::IsComparison(expr.func) || expr.args.size() != 2) {
+    return false;
+  }
   const Expression* field = nullptr;
   const Expression* literal = nullptr;
   bool flipped = false;
@@ -52,17 +54,18 @@ void CollectPruningTerms(const Expression& expr,
     literal = &expr.args[0];
     flipped = true;
   } else {
-    return;
+    return false;
   }
   if (field->field_index < 0 ||
       static_cast<size_t>(field->field_index) >= scan_schema.num_fields()) {
-    return;
+    return false;
   }
   // literal <op> field  ≡  field <mirrored-op> literal
   const columnar::CompareOp op = substrait::ToCompareOp(expr.func);
   out->push_back({scan_schema.field(field->field_index).name,
                   flipped ? columnar::MirrorCompareOp(op) : op,
                   literal->literal});
+  return true;
 }
 
 namespace {
@@ -401,6 +404,59 @@ class ParquetObjectSource : public exec::BatchSource {
 
 }  // namespace
 
+Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
+    const substrait::Plan& plan, const objectstore::VersionedObject& object,
+    RowGroupCache* cache, OcsExecStats* stats) {
+  // A filter directly above the read leaf yields the pruning terms.
+  const Rel* above_read = nullptr;
+  for (const Rel* r = plan.root.get(); r->input; r = r->input.get()) {
+    above_read = r;
+  }
+  // The planner's row-group hint and the pushed bloom filter are each
+  // pinned to the object version they were computed from; bytes of
+  // another version, or of an unknown one (0), get neither. A dropped
+  // hint or bloom costs work, never rows: the stats check and the
+  // filter above still run, and the engine's exact join probe keeps a
+  // bloom-less answer correct.
+  auto pinned = [&object](uint64_t version) {
+    return object.version != 0 && version == object.version;
+  };
+
+  exec::ScanFactory factory =
+      [&](const Rel& r) -> Result<std::unique_ptr<exec::BatchSource>> {
+    POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(object.data));
+    if (!reader->schema()->Equals(*r.base_schema)) {
+      return Status::InvalidArgument("ocs: plan schema != object schema");
+    }
+    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr scan_schema,
+                          substrait::OutputSchema(r));
+    std::vector<objectstore::SelectPredicate> pruning;
+    if (above_read && above_read->kind == RelKind::kFilter) {
+      CollectPruningTerms(above_read->predicate, *scan_schema, &pruning);
+    }
+    std::vector<uint32_t> hint;
+    if (pinned(r.hint_version)) hint = r.row_group_hint;
+    std::unique_ptr<BloomFilter> bloom;
+    if (!r.bloom_words.empty() && pinned(r.bloom_version)) {
+      bloom = std::make_unique<BloomFilter>(r.bloom_words, r.bloom_hashes,
+                                            r.bloom_seed);
+    }
+    stats->row_groups_total += reader->num_row_groups();
+    stats->object_version = object.version;
+    return std::unique_ptr<exec::BatchSource>(std::make_unique<ParquetObjectSource>(
+        std::move(reader), r.read_columns, std::move(scan_schema),
+        std::move(pruning), std::move(hint), std::move(bloom), r.bloom_column,
+        stats, cache, r.bucket + "/" + r.object, object.version));
+  };
+
+  exec::ExecStats exec_stats;
+  POCS_ASSIGN_OR_RETURN(auto table,
+                        exec::ExecuteRel(*plan.root, factory, &exec_stats));
+  stats->rows_scanned += exec_stats.rows_scanned;
+  stats->rows_output += exec_stats.rows_output;
+  return table;
+}
+
 Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   if (faults_.exec_crashed.load(std::memory_order_relaxed)) {
     auto& reg = metrics::Registry::Default();
@@ -412,63 +468,16 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   Stopwatch timer;
   OcsResult result;
 
-  // Locate the read leaf and, if a filter sits directly above it, derive
-  // pruning terms against the scan schema.
   const Rel* read = plan.root.get();
-  const Rel* above_read = nullptr;
-  while (read->input) {
-    above_read = read;
-    read = read->input.get();
-  }
+  while (read->input) read = read->input.get();
   if (read->kind != RelKind::kRead) {
     return Status::InvalidArgument("ocs: plan must scan a named object");
   }
-
-  exec::ScanFactory factory =
-      [this, above_read,
-       &result](const Rel& r) -> Result<std::unique_ptr<exec::BatchSource>> {
-    POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
-                          store_->GetVersioned(r.bucket, r.object));
-    POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(object.data));
-    if (!reader->schema()->Equals(*r.base_schema)) {
-      return Status::InvalidArgument("ocs: plan schema != object schema");
-    }
-    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr scan_schema,
-                          substrait::OutputSchema(r));
-    std::vector<objectstore::SelectPredicate> pruning;
-    if (above_read && above_read->kind == RelKind::kFilter) {
-      CollectPruningTerms(above_read->predicate, *scan_schema, &pruning);
-    }
-    // Honor the planner's row-group hint only when it was computed from
-    // this exact object version; a hint from stale stats is discarded
-    // entirely (correctness never depends on the hint).
-    std::vector<uint32_t> hint;
-    if (!r.row_group_hint.empty() && r.hint_version == object.version) {
-      hint = r.row_group_hint;
-    }
-    // Same version-pin discipline for the pushed bloom filter: apply it
-    // only when it was built against this exact object version. A stale
-    // pin silently degrades to an unfiltered scan — the engine's exact
-    // probe keeps the answer correct either way.
-    std::unique_ptr<BloomFilter> bloom;
-    if (!r.bloom_words.empty() && r.bloom_version == object.version) {
-      bloom = std::make_unique<BloomFilter>(r.bloom_words, r.bloom_hashes,
-                                            r.bloom_seed);
-    }
-    result.stats.row_groups_total += reader->num_row_groups();
-    result.stats.object_version = object.version;
-    return std::unique_ptr<exec::BatchSource>(std::make_unique<ParquetObjectSource>(
-        std::move(reader), r.read_columns, std::move(scan_schema),
-        std::move(pruning), std::move(hint), std::move(bloom), r.bloom_column,
-        &result.stats, rowgroup_cache_.get(), r.bucket + "/" + r.object,
-        object.version));
-  };
-
-  exec::ExecStats exec_stats;
-  POCS_ASSIGN_OR_RETURN(auto table,
-                        exec::ExecuteRel(*plan.root, factory, &exec_stats));
-  result.stats.rows_scanned = exec_stats.rows_scanned;
-  result.stats.rows_output = exec_stats.rows_output;
+  POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
+                        store_->GetVersioned(read->bucket, read->object));
+  POCS_ASSIGN_OR_RETURN(
+      auto table,
+      ExecuteOnObject(plan, object, rowgroup_cache_.get(), &result.stats));
   result.arrow_ipc = columnar::ipc::SerializeTable(*table);
   result.stats.exec_delay_seconds =
       faults_.exec_delay_seconds.load(std::memory_order_relaxed);
@@ -489,43 +498,6 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
     compute.Record(result.stats.storage_compute_seconds);
   }
   return result;
-}
-
-Status StorageNode::WarmObjectCache(const std::string& bucket,
-                                    const std::string& key,
-                                    ThreadPool* pool) const {
-  if (!rowgroup_cache_) return Status::OK();
-  POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
-                        store_->GetVersioned(bucket, key));
-  POCS_ASSIGN_OR_RETURN(auto reader_owned,
-                        format::FileReader::Open(object.data));
-  std::shared_ptr<format::FileReader> reader = std::move(reader_owned);
-  const std::string object_id = bucket + "/" + key;
-  const size_t num_fields = reader->schema()->num_fields();
-  const size_t n = reader->num_row_groups() * num_fields;
-
-  Mutex error_mu;
-  Status first_error = Status::OK();
-  auto warm_one = [&](size_t i) {
-    const size_t g = i / num_fields;
-    const int c = static_cast<int>(i % num_fields);
-    auto batch = reader->ReadRowGroup(g, {c});
-    if (!batch.ok()) {
-      MutexLock lock(error_mu);
-      if (first_error.ok()) first_error = batch.status();
-      return;
-    }
-    ColumnPtr col = (*batch)->column(0);
-    rowgroup_cache_->Insert(
-        RowGroupCacheKey{object_id, object.version, g, c}, col,
-        col->ByteSize());
-  };
-  if (pool) {
-    pool->ParallelFor(n, warm_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) warm_one(i);
-  }
-  return first_error;
 }
 
 void EncodeOcsResult(const OcsResult& result, BufferWriter* out) {

@@ -23,7 +23,6 @@
 #include "common/counters.h"
 #include "common/hash.h"
 #include "common/lru_cache.h"
-#include "common/thread_pool.h"
 #include "exec/plan_executor.h"
 #include "objectstore/object_store.h"
 #include "objectstore/select.h"
@@ -117,13 +116,6 @@ class StorageNode {
   // Execute an IR plan whose Read targets an object on this node.
   Result<OcsResult> ExecutePlan(const substrait::Plan& plan) const;
 
-  // Decode every (row group, column) chunk of an object into the cache,
-  // fanning the row groups out over `pool` when given. No-op when the
-  // cache is disabled. Used to pre-warm a node before a latency-sensitive
-  // workload (and to exercise ParallelFor's chunked path).
-  Status WarmObjectCache(const std::string& bucket, const std::string& key,
-                         ThreadPool* pool = nullptr) const;
-
   // Register "ExecutePlan" (and the plain object-store methods) on an RPC
   // server living on this node.
   void RegisterService(rpc::Server* server) const;
@@ -151,12 +143,30 @@ class StorageNode {
 void EncodeOcsResult(const OcsResult& result, BufferWriter* out);
 Result<OcsResult> DecodeOcsResult(BufferReader* in);
 
+// Run a plan over one object's bytes with the storage node's scan: the
+// plan's Read leaf as a Parquet-lite source with stats pruning by the
+// filter directly above it, the code-domain filter, late materialization
+// and the pushed join-key bloom, under exec::ExecuteRel. The row-group
+// hint and the bloom apply only when their version pin equals
+// `object.version`; version 0 (unknown) applies neither. `cache` may be
+// null. Adds the plan's counts — rows, row groups, object_bytes_read,
+// cache outcomes, pruned rows — to `stats` and sets its object_version;
+// the seconds are the caller's. StorageNode::ExecutePlan and both
+// connectors' engine-side fallbacks run it, so a fallback returns the
+// rows and row counters the storage node would have (DESIGN.md §9.3).
+Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
+    const substrait::Plan& plan, const objectstore::VersionedObject& object,
+    RowGroupCache* cache, OcsExecStats* stats);
+
 // Collect conjunctive `field <cmp> literal` terms from a predicate, for
-// statistics-based pruning against `scan_schema`. Non-decomposable
-// sub-expressions are ignored (pruning stays conservative). Shared with
-// the coordinator-side split pruner so plan-time and storage-time
-// pruning evaluate the exact same terms (DESIGN.md §13).
-void CollectPruningTerms(const substrait::Expression& expr,
+// statistics-based pruning against `scan_schema`. Returns true when every
+// conjunct became a term, i.e. the terms state the whole predicate (the
+// S3 Select API's test for an expressible filter). A conjunct that is not
+// a term makes it return false, but the other conjuncts' terms are still
+// collected, so pruning on them stays conservative and keeps working.
+// Shared with the coordinator-side split pruner so plan-time and
+// storage-time pruning evaluate the exact same terms (DESIGN.md §13).
+bool CollectPruningTerms(const substrait::Expression& expr,
                          const columnar::Schema& scan_schema,
                          std::vector<objectstore::SelectPredicate>* out);
 

@@ -1,9 +1,9 @@
 // Tests for the multi-level caching layer (DESIGN.md §10): the sharded
 // byte-budgeted LRU primitive (including concurrent use — run under TSan
 // in CI), the storage node's decoded row-group cache (hit/miss/byte
-// accounting, PUT-overwrite invalidation, warmers, the lazy-column fast
-// path), and the connector's split-result cache (repeat scans served
-// without a data RPC, version validation against overwrites).
+// accounting, PUT-overwrite invalidation, the lazy-column fast path), and
+// the connector's split-result cache (repeat scans served without a data
+// RPC, version validation against overwrites).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/lru_cache.h"
-#include "common/thread_pool.h"
 #include "format/parquet_lite.h"
 #include "ocs/client.h"
 #include "ocs/storage_node.h"
@@ -284,20 +283,6 @@ TEST(RowGroupCacheTest, TinyBudgetNeverAdmitsButStaysCorrect) {
   EXPECT_EQ(warm->stats.cache_hits, 0u);
   EXPECT_EQ(warm->arrow_ipc, cold->arrow_ipc);
   EXPECT_EQ(fx.node->rowgroup_cache()->stats().entries, 0u);
-}
-
-TEST(RowGroupCacheTest, WarmObjectCachePrimesEverything) {
-  NodeFixture fx;
-  ThreadPool pool(4);
-  ASSERT_TRUE(fx.node->WarmObjectCache("sim", "f0", &pool).ok());
-  // 10 row groups x 3 columns decoded into the cache.
-  EXPECT_EQ(fx.node->rowgroup_cache()->stats().entries, 30u);
-
-  auto result = fx.node->ExecutePlan(FilterPlan(2.0, 3.0));
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->stats.cache_misses, 0u);
-  EXPECT_GT(result->stats.cache_hits, 0u);
-  EXPECT_EQ(result->stats.object_bytes_read, 0u);
 }
 
 TEST(RowGroupCacheTest, LazyColumnFastPathSkipsValueFreeGroups) {

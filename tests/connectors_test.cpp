@@ -1,8 +1,8 @@
-// Tests for the connectors: the Hive connector's Select-API predicate
-// decomposition and capability limits, the Presto-OCS connector's
-// Selectivity Analyzer (distribution assumptions, NDV-based aggregation
-// estimates, threshold behaviour), the ScanSpec→Substrait translator, and
-// the pushdown history monitor.
+// Tests for the connectors: the Select-API predicate decomposition
+// (ocs::CollectPruningTerms, shared with stats pruning) and capability
+// limits, the Presto-OCS connector's Selectivity Analyzer (distribution
+// assumptions, NDV-based aggregation estimates, threshold behaviour), the
+// ScanSpec→Substrait translator, and the pushdown history monitor.
 #include <gtest/gtest.h>
 
 #include "connectors/hive/hive_connector.h"
@@ -12,6 +12,7 @@
 #include "connectors/ocs/sql_reconstruction.h"
 #include "connectors/ocs/translator.h"
 #include "engine/two_phase.h"
+#include "ocs/storage_node.h"
 #include "sql/parser.h"
 #include "workloads/laghos.h"
 
@@ -46,7 +47,7 @@ TEST(HiveDecomposeTest, ConjunctiveComparisonsAccepted) {
        Cmp(ScalarFunc::kLe, 1, TypeKind::kFloat64, Datum::Float64(3.2))},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  ASSERT_TRUE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  ASSERT_TRUE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
   ASSERT_EQ(terms.size(), 2u);
   EXPECT_EQ(terms[0].column, "x");
   EXPECT_EQ(terms[0].op, columnar::CompareOp::kGe);
@@ -61,7 +62,7 @@ TEST(HiveDecomposeTest, FlippedLiteralSideNormalized) {
        Expression::FieldRef(0, TypeKind::kFloat64)},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  ASSERT_TRUE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  ASSERT_TRUE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
   EXPECT_EQ(terms[0].op, columnar::CompareOp::kGt);
 }
 
@@ -72,7 +73,7 @@ TEST(HiveDecomposeTest, DisjunctionRejected) {
        Cmp(ScalarFunc::kLt, 1, TypeKind::kFloat64, Datum::Float64(2))},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  EXPECT_FALSE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  EXPECT_FALSE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
 }
 
 TEST(HiveDecomposeTest, ArithmeticOperandRejected) {
@@ -86,7 +87,36 @@ TEST(HiveDecomposeTest, ArithmeticOperandRejected) {
        Expression::Literal(Datum::Float64(2))},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  EXPECT_FALSE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  EXPECT_FALSE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
+}
+
+TEST(HiveDecomposeTest, PartialConjunctionStillCollectsTerms) {
+  // x >= 0.8 AND (x + 1) > 2 AND y < 3.2: the middle conjunct is not a
+  // term, so the Select API cannot take the filter, but pruning still
+  // gets the other two.
+  auto pred = Expression::Call(
+      ScalarFunc::kAnd,
+      {Expression::Call(
+           ScalarFunc::kAnd,
+           {Cmp(ScalarFunc::kGe, 0, TypeKind::kFloat64, Datum::Float64(0.8)),
+            Expression::Call(
+                ScalarFunc::kGt,
+                {Expression::Call(ScalarFunc::kAdd,
+                                  {Expression::FieldRef(0, TypeKind::kFloat64),
+                                   Expression::Literal(Datum::Float64(1))},
+                                  TypeKind::kFloat64),
+                 Expression::Literal(Datum::Float64(2))},
+                TypeKind::kBool)},
+           TypeKind::kBool),
+       Cmp(ScalarFunc::kLt, 1, TypeKind::kFloat64, Datum::Float64(3.2))},
+      TypeKind::kBool);
+  std::vector<objectstore::SelectPredicate> terms;
+  EXPECT_FALSE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
+  ASSERT_EQ(terms.size(), 2u);
+  EXPECT_EQ(terms[0].column, "x");
+  EXPECT_EQ(terms[0].op, columnar::CompareOp::kGe);
+  EXPECT_EQ(terms[1].column, "y");
+  EXPECT_EQ(terms[1].op, columnar::CompareOp::kLt);
 }
 
 // ---- selectivity analyzer ---------------------------------------------------

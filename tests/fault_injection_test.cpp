@@ -1,9 +1,9 @@
 // Fault injection and graceful degradation: rpc retry/deadline/backoff
 // semantics, and the end-to-end recovery paths — a crashed storage exec
 // engine degrades to the engine-side scan (queries still answer
-// correctly, listeners see the fallbacks), a dead frontend propagates
-// cleanly, and a Hive Select that exhausts its retries re-plans as a raw
-// GET with the filter applied compute-side.
+// correctly with the same row counters, listeners see the fallbacks), a
+// dead frontend propagates cleanly, and a Hive Select that exhausts its
+// retries re-plans as a raw GET with the filter applied compute-side.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "workloads/concurrent.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
+#include "workloads/tpch.h"
 
 namespace pocs {
 namespace {
@@ -254,6 +255,69 @@ TEST(FaultInjectionE2E, HiveSelectFallsBackToRawGet) {
   EXPECT_EQ(degraded->metrics.fallbacks, degraded->metrics.splits);
   EXPECT_EQ(degraded->metrics.failed_splits, degraded->metrics.splits);
   EXPECT_GT(degraded->metrics.retries, 0u);
+}
+
+// The fallback runs the storage node's own scan over the fetched object,
+// so losing the exec engine moves the plan, not its answer: every query
+// returns the pushed run's rows and row counters — stats and lazy
+// pruning, the code-domain filter, late materialization and the join
+// bloom included. The row-group cache is off so both runs decode alike.
+TEST(FallbackParityTest, CrashedExecMatchesPushedRowsAndRowCounters) {
+  workloads::TestbedConfig config;
+  config.cluster.storage.rowgroup_cache_bytes = 0;
+  workloads::Testbed bed(config);
+  workloads::TpchConfig tpch;
+  tpch.num_files = 2;
+  tpch.rows_per_file = 8192;
+  tpch.rows_per_group = 2048;
+  auto fact = workloads::GenerateLineitem(tpch);
+  ASSERT_TRUE(fact.ok()) << fact.status();
+  ASSERT_TRUE(bed.Ingest(std::move(*fact)).ok());
+  auto dim = workloads::GenerateSupplier(workloads::SupplierConfig{});
+  ASSERT_TRUE(dim.ok()) << dim.status();
+  ASSERT_TRUE(bed.Ingest(std::move(*dim)).ok());
+
+  auto crash_exec = [&bed](bool crashed) {
+    for (size_t i = 0; i < bed.cluster().num_storage_nodes(); ++i) {
+      bed.cluster().mutable_storage_node(i).faults().exec_crashed.store(
+          crashed);
+    }
+  };
+  connector::QueryStats pushed_sum;
+  for (const std::string& sql :
+       {workloads::TpchQ1(), workloads::TpchSelectiveQuery(),
+        workloads::TpchDictFilterQuery(), workloads::TpchJoinQuery()}) {
+    SCOPED_TRACE(sql);
+    crash_exec(false);
+    auto pushed = bed.Run(sql, "ocs");
+    ASSERT_TRUE(pushed.ok()) << pushed.status();
+    crash_exec(true);
+    auto fallback = bed.Run(sql, "ocs");
+    ASSERT_TRUE(fallback.ok()) << fallback.status();
+
+    const auto& p = pushed->metrics;
+    const auto& f = fallback->metrics;
+    pushed_sum += p;
+    EXPECT_GT(p.rows_output, 0u);
+    EXPECT_EQ(p.fallbacks, 0u);
+    EXPECT_GT(f.splits, 0u);
+    EXPECT_EQ(f.fallbacks, f.splits);
+    EXPECT_EQ(CanonicalRows(*fallback->table), CanonicalRows(*pushed->table));
+    EXPECT_EQ(f.rows_scanned, p.rows_scanned);
+    EXPECT_EQ(f.rows_output, p.rows_output);
+    EXPECT_EQ(f.row_groups_total, p.row_groups_total);
+    EXPECT_EQ(f.row_groups_skipped, p.row_groups_skipped);
+    EXPECT_EQ(f.row_groups_lazy_skipped, p.row_groups_lazy_skipped);
+    EXPECT_EQ(f.rows_dict_filtered, p.rows_dict_filtered);
+    EXPECT_EQ(f.rows_late_materialized, p.rows_late_materialized);
+    EXPECT_EQ(f.bloom_rows_pruned, p.bloom_rows_pruned);
+  }
+  // The queries exercise the scan's pruning paths, so the equalities
+  // above compare real work, not zeros.
+  EXPECT_GT(pushed_sum.row_groups_skipped, 0u);
+  EXPECT_GT(pushed_sum.rows_dict_filtered, 0u);
+  EXPECT_GT(pushed_sum.rows_late_materialized, 0u);
+  EXPECT_GT(pushed_sum.bloom_rows_pruned, 0u);
 }
 
 TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {

@@ -3,11 +3,6 @@
 
 Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
 
-  ignored-status     A statement-level call to a function declared to return
-                     Status/Result<T> whose value is discarded. These are
-                     [[nodiscard]] so the compiler also warns, but the lint
-                     catches them even in code that is not compiled (e.g.
-                     cfg'd-out branches) and does not depend on warning flags.
   naked-new          `new` outside make_unique/make_shared/placement forms.
                      Ownership must be expressed with smart pointers.
   std-rand           std::rand/srand/rand(). Benchmarks and tests must use
@@ -71,7 +66,10 @@ Modes:
                                              that discards a Status and a
                                              Result and require the compiler
                                              to reject both (guards the
-                                             [[nodiscard]] annotations).
+                                             [[nodiscard]] annotations that
+                                             make a discarded Status a
+                                             build error under
+                                             -DPOCS_WERROR=ON).
   pocs_lint.py --root <repo> --thread-safety-check [--clang <clang++>]
                                              compile probe snippets with
                                              clang and require the thread
@@ -205,33 +203,6 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
-def collect_status_returning_names(root):
-    """Scan headers for functions declared to return Status or Result<T>.
-
-    Used by the ignored-status rule: only calls to *known* Status-returning
-    names are flagged, which keeps false positives near zero.
-    """
-    names = set()
-    decl_re = re.compile(
-        r"(?:^|[;{}]|\bvirtual\s+|\bstatic\s+)\s*"
-        r"(?:\[\[nodiscard\]\]\s*)?"
-        r"(?:::)?(?:\w+::)*(?:Status|Result<[^;{}()]*>)\s+"
-        r"(\w+)\s*\(",
-        re.M,
-    )
-    for dirpath, _, filenames in os.walk(os.path.join(root, "src")):
-        for fn in filenames:
-            if os.path.splitext(fn)[1] not in {".h", ".hpp"}:
-                continue
-            with open(os.path.join(dirpath, fn), encoding="utf-8") as f:
-                text = strip_comments_and_strings(f.read())
-            for m in decl_re.finditer(text):
-                names.add(m.group(1))
-    # Propagation macros already handle their own statuses.
-    names.discard("OK")
-    return names
-
-
 def line_allows(raw_line, rule):
     m = ALLOW_RE.search(raw_line)
     if not m:
@@ -248,7 +219,7 @@ def allows(raw_lines, line_no, rule):
     return False
 
 
-def lint_file(path, rel_path, status_names, findings):
+def lint_file(path, rel_path, findings):
     with open(path, encoding="utf-8") as f:
         raw = f.read()
     raw_lines = raw.splitlines()
@@ -338,34 +309,6 @@ def lint_file(path, rel_path, status_names, findings):
     check_planning_data_rpc(stripped, rel_path, report)
     check_row_loop_in_hot_path(stripped, rel_path, report)
     check_throwing_conversion(stripped, rel_path, report)
-
-    # ---- ignored-status (needs statement joining) --------------------------
-    joined = stripped
-    # Join continuation lines so a multi-line call reads as one statement.
-    statements = re.split(r"[;{}]", joined)
-    offset_line = 1
-    pos = 0
-    stmt_call_re = re.compile(
-        r"^\s*(?:[\w\]\)]+(?:\.|->))?(\w+)\s*\((?:[^()]|\([^()]*\))*\)\s*$"
-    )
-    consumed_re = re.compile(
-        r"(=|\breturn\b|POCS_RETURN_NOT_OK|POCS_ASSIGN_OR_RETURN|"
-        r"EXPECT|ASSERT|CHECK|\bco_return\b|\?|\bthrow\b)"
-    )
-    for stmt in statements:
-        stmt_line = offset_line + joined.count("\n", 0, pos)
-        pos += len(stmt) + 1
-        m = stmt_call_re.match(stmt.replace("\n", " ").rstrip())
-        if not m:
-            continue
-        name = m.group(1)
-        if name not in status_names:
-            continue
-        if consumed_re.search(stmt):
-            continue
-        first_line = stmt_line + stmt.lstrip("\n").count("", 0, 0)
-        report(first_line, "ignored-status",
-               f"result of Status/Result-returning '{name}(...)' is discarded")
 
 
 POCS_MUTEX_MEMBER_RE = re.compile(
@@ -758,8 +701,6 @@ def main():
     args = parser.parse_args()
     root = os.path.abspath(args.root)
 
-    status_names = collect_status_returning_names(root)
-
     files = []
     if args.paths:
         files = [os.path.abspath(p) for p in args.paths]
@@ -783,7 +724,7 @@ def main():
     for path in files:
         rel = os.path.relpath(path, root)
         try:
-            lint_file(path, rel, status_names, findings)
+            lint_file(path, rel, findings)
         except (OSError, UnicodeDecodeError) as e:
             print(f"pocs_lint: cannot read {rel}: {e}", file=sys.stderr)
             return 2

@@ -132,31 +132,6 @@ class ManualLockTest(LintRunner):
         self.assert_clean(self.run_lint())
 
 
-class IgnoredStatusTest(LintRunner):
-    HEADER = ("#pragma once\n"
-              "namespace pocs {\n"
-              "Status DoWork();\n"
-              "}\n")
-
-    def test_discarded_status_fires(self):
-        self.write("src/api.h", self.HEADER)
-        self.write("src/a.cpp", "void f() {\n  DoWork();\n}\n")
-        self.assert_finding(self.run_lint(), "ignored-status")
-
-    def test_consumed_status_is_clean(self):
-        self.write("src/api.h", self.HEADER)
-        self.write("src/a.cpp",
-                   "void f() {\n  Status s = DoWork();\n  (void)s;\n}\n")
-        self.assert_clean(self.run_lint())
-
-    def test_propagated_status_is_clean(self):
-        self.write("src/api.h", self.HEADER)
-        self.write("src/a.cpp",
-                   "Status f() {\n  POCS_RETURN_NOT_OK(DoWork());\n"
-                   "  return Status::OK();\n}\n")
-        self.assert_clean(self.run_lint())
-
-
 class UnannotatedMutexTest(LintRunner):
     def test_raw_std_mutex_member_fires(self):
         self.write("src/a.h",
