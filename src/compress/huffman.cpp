@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <numeric>
 #include <queue>
 #include <vector>
 
@@ -11,13 +12,18 @@ namespace pocs::compress {
 namespace {
 
 constexpr uint8_t kFlagRaw = 0;
-constexpr uint8_t kFlagHuffman = 1;
-constexpr int kMaxCodeLen = 32;
+constexpr uint8_t kFlagLanes = 2;
+// Longest code: every code resolves in one probe of a 2^kLutBits table.
+constexpr int kLutBits = 12;
+constexpr int kLanes = 4;
 
-// Build Huffman code lengths from symbol frequencies (heap method). If the
-// tree would exceed kMaxCodeLen, frequencies are flattened and rebuilt —
-// with a 64-bit accumulator and byte inputs this is effectively unreachable
-// but keeps the decoder's bounds honest.
+// Huffman code lengths from symbol frequencies (heap method), limited to
+// kLutBits. The tree's depth counts are adjusted as in JPEG Annex K.3 (and
+// zlib): two codes of the deepest length become one code a level up plus
+// one moved below a shorter code, which keeps the code complete. The
+// counts are then handed out shortest first to the most frequent symbols
+// (ties by symbol value), which for an unlimited tree costs exactly what
+// its own depths cost.
 std::array<uint8_t, 256> BuildCodeLengths(const std::array<uint64_t, 256>& freq) {
   struct Node {
     uint64_t weight;
@@ -25,61 +31,70 @@ std::array<uint8_t, 256> BuildCodeLengths(const std::array<uint64_t, 256>& freq)
   };
   auto cmp = [](const Node& a, const Node& b) { return a.weight > b.weight; };
 
-  std::array<uint64_t, 256> f = freq;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    std::priority_queue<Node, std::vector<Node>, decltype(cmp)> heap(cmp);
-    std::vector<std::pair<int, int>> children;  // internal node -> (l, r)
-    children.reserve(256);
-    int live = 0;
-    for (int s = 0; s < 256; ++s) {
-      if (f[s] > 0) {
-        heap.push({f[s], s});
-        ++live;
-      }
-    }
-    std::array<uint8_t, 256> lengths{};
-    if (live == 0) return lengths;
-    if (live == 1) {
-      lengths[heap.top().index] = 1;
-      return lengths;
-    }
-    while (heap.size() > 1) {
-      Node a = heap.top();
-      heap.pop();
-      Node b = heap.top();
-      heap.pop();
-      int id = 256 + static_cast<int>(children.size());
-      children.emplace_back(a.index, b.index);
-      heap.push({a.weight + b.weight, id});
-    }
-    // Depth-first assignment of depths.
-    struct Frame { int node; uint8_t depth; };
-    std::vector<Frame> stack{{heap.top().index, 0}};
-    bool too_deep = false;
-    while (!stack.empty()) {
-      Frame fr = stack.back();
-      stack.pop_back();
-      if (fr.node < 256) {
-        if (fr.depth > kMaxCodeLen) {
-          too_deep = true;
-          break;
-        }
-        lengths[fr.node] = std::max<uint8_t>(fr.depth, 1);
-      } else {
-        auto [l, r] = children[fr.node - 256];
-        stack.push_back({l, static_cast<uint8_t>(fr.depth + 1)});
-        stack.push_back({r, static_cast<uint8_t>(fr.depth + 1)});
-      }
-    }
-    if (!too_deep) return lengths;
-    for (auto& w : f) {
-      if (w > 0) w = (w >> 4) + 1;  // flatten and retry
+  std::priority_queue<Node, std::vector<Node>, decltype(cmp)> heap(cmp);
+  std::vector<std::pair<int, int>> children;  // internal node -> (l, r)
+  children.reserve(256);
+  std::vector<int> symbols;  // by descending frequency, then symbol
+  for (int s = 0; s < 256; ++s) {
+    if (freq[s] > 0) {
+      heap.push({freq[s], s});
+      symbols.push_back(s);
     }
   }
-  // Fallback: fixed 8-bit codes.
-  std::array<uint8_t, 256> flat{};
-  flat.fill(8);
-  return flat;
+  std::array<uint8_t, 256> lengths{};
+  if (symbols.empty()) return lengths;
+  if (symbols.size() == 1) {
+    lengths[symbols[0]] = 1;
+    return lengths;
+  }
+  while (heap.size() > 1) {
+    Node a = heap.top();
+    heap.pop();
+    Node b = heap.top();
+    heap.pop();
+    int id = 256 + static_cast<int>(children.size());
+    children.emplace_back(a.index, b.index);
+    heap.push({a.weight + b.weight, id});
+  }
+  // Codes per tree depth; 256 leaves are at most 255 deep.
+  std::array<uint32_t, 256> count{};
+  int max_len = 0;
+  struct Frame { int node; int depth; };
+  std::vector<Frame> stack{{heap.top().index, 0}};
+  while (!stack.empty()) {
+    Frame fr = stack.back();
+    stack.pop_back();
+    if (fr.node < 256) {
+      ++count[fr.depth];
+      max_len = std::max(max_len, fr.depth);
+    } else {
+      auto [l, r] = children[fr.node - 256];
+      stack.push_back({l, fr.depth + 1});
+      stack.push_back({r, fr.depth + 1});
+    }
+  }
+  // A complete code has an even count at its deepest length. A shorter
+  // code (j < l - 1) always exists: 256 codes of length >= kLutBits - 1
+  // cannot fill the code space.
+  for (int l = max_len; l > kLutBits; --l) {
+    while (count[l] > 0) {
+      int j = l - 2;
+      while (count[j] == 0) --j;
+      count[l] -= 2;
+      count[l - 1] += 1;
+      count[j + 1] += 2;
+      count[j] -= 1;
+    }
+  }
+  std::stable_sort(symbols.begin(), symbols.end(),
+                   [&](int a, int b) { return freq[a] > freq[b]; });
+  auto next = symbols.begin();
+  for (int l = 1; l <= kLutBits; ++l) {
+    for (uint32_t i = 0; i < count[l]; ++i) {
+      lengths[*next++] = static_cast<uint8_t>(l);
+    }
+  }
+  return lengths;
 }
 
 // Canonical code assignment: shorter codes first, ties by symbol value.
@@ -127,6 +142,18 @@ class BitWriter {
   int bits_ = 0;
 };
 
+// Lane i of an n-symbol block holds symbols [i*q, min((i+1)*q, n)) with
+// q = ceil(n / 4); trailing lanes of a short block are empty.
+struct LaneSpan {
+  uint64_t begin;
+  uint64_t size;
+};
+LaneSpan LaneOf(uint64_t n, int lane) {
+  const uint64_t q = n / kLanes + (n % kLanes != 0);
+  const uint64_t begin = std::min(q * static_cast<uint64_t>(lane), n);
+  return {begin, std::min(q, n - begin)};
+}
+
 }  // namespace
 
 Bytes HuffmanEncode(ByteSpan input) {
@@ -149,99 +176,125 @@ Bytes HuffmanEncode(ByteSpan input) {
   std::array<uint32_t, 256> codes{};
   AssignCanonicalCodes(lengths, &codes);
 
-  out.WriteU8(kFlagHuffman);
+  std::array<ByteSpan, kLanes> lanes;
+  for (int i = 0; i < kLanes; ++i) {
+    const LaneSpan span = LaneOf(input.size(), i);
+    lanes[i] = input.subspan(span.begin, span.size);
+  }
+  out.WriteU8(kFlagLanes);
   out.WriteVarint(input.size());
   out.WriteBytes(lengths.data(), 256);
+  for (int i = 0; i + 1 < kLanes; ++i) {
+    uint64_t lane_bits = 0;
+    for (uint8_t b : lanes[i]) lane_bits += lengths[b];
+    out.WriteVarint((lane_bits + 7) / 8);
+  }
   BitWriter bits(&out);
-  for (uint8_t b : input) bits.Write(codes[b], lengths[b]);
-  bits.Flush();
+  for (ByteSpan lane : lanes) {
+    for (uint8_t b : lane) bits.Write(codes[b], lengths[b]);
+    bits.Flush();
+  }
   return std::move(out).Take();
 }
 
 namespace {
 
-// Decoding tables for one coded stream, built in O(256 + 2^kLutBits).
-// Canonical codes of one length are consecutive integers, so a code of
-// length l decodes as symbols[first_index[l] + (code - first_code[l])].
-// Codes of length <= kLutBits also resolve in one probe of `lut`.
-constexpr int kLutBits = 12;
+// Decoding table for one coded block, built in O(256 + 2^kLutBits): for
+// every kLutBits-bit window, (symbol << 8) | kValid | length of the code
+// that starts it, or 0 where no code does (an incomplete code's tail).
+// kValid sits above the six bits a 64-bit shift reads, so the probe's
+// `entry & 63` is the length and costs no mask.
+constexpr uint16_t kValid = 0x40;
+using DecodeTable = std::array<uint16_t, size_t{1} << kLutBits>;
 
-struct DecodeTables {
-  // (symbol << 8) | length for every kLutBits-bit window that starts
-  // with a code of length <= kLutBits; 0 where a longer code or none
-  // starts.
-  std::array<uint16_t, size_t{1} << kLutBits> lut{};
-  std::array<uint32_t, kMaxCodeLen + 1> first_code{};
-  std::array<uint32_t, kMaxCodeLen + 1> count{};
-  std::array<uint32_t, kMaxCodeLen + 1> first_index{};
-  std::array<uint8_t, 256> symbols{};  // ordered by (length, symbol)
-  int max_len = 0;
-};
-
-Status BuildDecodeTables(ByteSpan lengths, DecodeTables* t) {
+// Returns the number of codes.
+Result<int> BuildDecodeTable(ByteSpan lengths, DecodeTable* lut) {
+  std::array<uint32_t, kLutBits + 1> count{};
   for (uint8_t len : lengths) {
-    if (len > kMaxCodeLen) return Status::Corruption("huffman: bad length");
-    ++t->count[len];
+    if (len > kLutBits) return Status::Corruption("huffman: bad length");
+    ++count[len];
   }
-  t->count[0] = 0;
+  count[0] = 0;
+  // Kraft: the length-l codes must fit in the 2^l code space. An
+  // over-subscribed table yields canonical codes wider than their
+  // length, which would index past the table below.
   uint64_t code = 0;
-  uint32_t index = 0;
-  for (int l = 1; l <= kMaxCodeLen; ++l) {
-    // Kraft: the length-l codes must fit in the 2^l code space. An
-    // over-subscribed table yields canonical codes wider than their
-    // length, which would index past the LUT below.
-    if (code + t->count[l] > (uint64_t{1} << l)) {
+  for (int l = 1; l <= kLutBits; ++l) {
+    if (code + count[l] > (uint64_t{1} << l)) {
       return Status::Corruption("huffman: over-subscribed code lengths");
     }
-    t->first_code[l] = static_cast<uint32_t>(code);
-    t->first_index[l] = index;
-    if (t->count[l] != 0) t->max_len = l;
-    code = (code + t->count[l]) << 1;
-    index += t->count[l];
+    code = (code + count[l]) << 1;
   }
-  // Counting sort by length; ties stay in symbol order.
-  std::array<uint32_t, kMaxCodeLen + 1> next = t->first_index;
+  // Counting sort by (length, symbol): canonical order.
+  std::array<uint32_t, kLutBits + 1> next{};
+  std::exclusive_scan(count.begin(), count.end(), next.begin(), 0u);
+  std::array<uint8_t, 256> symbols{};
   for (int s = 0; s < 256; ++s) {
     if (lengths[s] != 0) {
-      t->symbols[next[lengths[s]]++] = static_cast<uint8_t>(s);
+      symbols[next[lengths[s]]++] = static_cast<uint8_t>(s);
     }
   }
-  // Left-aligned to kLutBits, the canonical codes of length <= kLutBits
-  // tile a prefix of the window space in (length, symbol) order.
+  // Left-aligned to kLutBits, the canonical codes tile a prefix of the
+  // window space in (length, symbol) order.
+  const int codes = static_cast<int>(next[kLutBits]);
   size_t fill = 0;
-  for (int l = 1; l <= std::min(t->max_len, kLutBits); ++l) {
+  for (int i = 0; i < codes; ++i) {
+    const int l = lengths[symbols[i]];
     const size_t span = size_t{1} << (kLutBits - l);
-    for (uint32_t i = 0; i < t->count[l]; ++i) {
-      const auto entry =
-          static_cast<uint16_t>(t->symbols[t->first_index[l] + i] << 8 | l);
-      std::fill_n(t->lut.begin() + fill, span, entry);
-      fill += span;
-    }
+    const auto entry = static_cast<uint16_t>(symbols[i] << 8 | kValid | l);
+    std::fill_n(lut->begin() + fill, span, entry);
+    fill += span;
   }
-  return Status::OK();
-}
-
-// Resolves a code longer than kLutBits at the top of the left-aligned
-// window `w`, of which the top `valid` bits are stream bits. Returns the
-// code length, or 0 if no code of at most `valid` bits starts the window.
-inline int DecodeLong(const DecodeTables& t, uint64_t w, uint32_t valid,
-                      uint8_t* symbol) {
-  const int max_len = std::min(t.max_len, static_cast<int>(valid));
-  for (int l = kLutBits + 1; l <= max_len; ++l) {
-    const uint32_t offset =
-        static_cast<uint32_t>(w >> (64 - l)) - t.first_code[l];
-    if (offset < t.count[l]) {
-      *symbol = t.symbols[t.first_index[l] + offset];
-      return l;
-    }
-  }
-  return 0;
+  return codes;
 }
 
 inline uint64_t LoadBE64(const uint8_t* p) {
   uint64_t v;
   std::memcpy(&v, p, 8);
   return __builtin_bswap64(v);  // host is little-endian (see buffer.h)
+}
+
+// One table probe at the top of `window`: emits a symbol, consumes its
+// code and returns the entry. An invalid entry emits junk and consumes
+// nothing, so every later probe of the same window returns it too.
+inline uint32_t Probe(const DecodeTable& lut, uint64_t& window, uint8_t* dst) {
+  const uint32_t entry = lut[window >> (64 - kLutBits)];
+  *dst = static_cast<uint8_t>(entry >> 8);
+  window <<= entry & 63;
+  return entry;
+}
+
+// Decodes a lane's last symbols, [dst, dst_end), from bit `skip` of byte
+// `p` up to `end`, refilling one byte at a time, then checks that the
+// lane ends at its last code, padded to a byte with zero bits.
+Status DecodeLaneTail(const DecodeTable& lut, const uint8_t* p, uint32_t skip,
+                      const uint8_t* end, uint8_t* dst, uint8_t* dst_end) {
+  // The next `bits` lane bits sit at the top of `window`, zeros below;
+  // the bits that follow start at byte `p`.
+  uint64_t window = 0;
+  uint32_t bits = 0;
+  if (skip != 0) {
+    window = static_cast<uint64_t>(*p++) << (56 + skip);
+    bits = 8 - skip;
+  }
+  for (; dst < dst_end; ++dst) {
+    for (; bits <= 56 && p < end; bits += 8) {
+      window |= static_cast<uint64_t>(*p++) << (56 - bits);
+    }
+    const uint16_t entry = lut[window >> (64 - kLutBits)];
+    const uint32_t len = entry & 15;
+    if (entry == 0 || len > bits) {
+      return Status::Corruption("huffman: truncated or invalid code");
+    }
+    *dst = static_cast<uint8_t>(entry >> 8);
+    window <<= len;
+    bits -= len;
+  }
+  const uint64_t pad = static_cast<uint64_t>(end - p) * 8 + bits;
+  if (pad >= 8 || (pad > 0 && (end[-1] & ((1u << pad) - 1)) != 0)) {
+    return Status::Corruption("huffman: trailing bits");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -255,83 +308,98 @@ Result<Bytes> HuffmanDecode(ByteSpan input) {
     if (!in.exhausted()) return Status::Corruption("huffman: trailing bytes");
     return Bytes(raw.begin(), raw.end());
   }
-  if (flag != kFlagHuffman) return Status::Corruption("huffman: bad flag");
+  if (flag != kFlagLanes) return Status::Corruption("huffman: bad flag");
 
   POCS_ASSIGN_OR_RETURN(ByteSpan lengths, in.ReadSpan(256));
-  DecodeTables t;
-  POCS_RETURN_NOT_OK(BuildDecodeTables(lengths, &t));
-  if (t.max_len == 0 && orig_size != 0) {
+  DecodeTable lut{};
+  POCS_ASSIGN_OR_RETURN(int codes, BuildDecodeTable(lengths, &lut));
+  if (codes == 0 && orig_size != 0) {
     return Status::Corruption("huffman: no codes");
+  }
+  std::array<uint64_t, kLanes - 1> lane_bytes{};
+  for (uint64_t& bytes : lane_bytes) {
+    POCS_ASSIGN_OR_RETURN(bytes, in.ReadVarint());
   }
   POCS_ASSIGN_OR_RETURN(ByteSpan payload, in.ReadSpan(in.remaining()));
   // Every symbol costs at least one bit.
   if (orig_size > uint64_t{8} * payload.size()) {
     return Status::Corruption("huffman: size exceeds payload");
   }
+  // Lane i is payload bytes [edge[i], edge[i + 1]): lanes 0-2 as
+  // declared, lane 3 the rest.
+  std::array<uint64_t, kLanes + 1> edge{};
+  for (int i = 0; i + 1 < kLanes; ++i) {
+    if (lane_bytes[i] > payload.size() - edge[i]) {
+      return Status::Corruption("huffman: lane lengths exceed payload");
+    }
+    edge[i + 1] = edge[i] + lane_bytes[i];
+  }
+  edge[kLanes] = payload.size();
 
   // Sized once (orig_size is bounded by the payload above) and filled by
-  // index.
+  // index, each lane into its own range.
   Bytes out(orig_size);
-  uint8_t* dst = out.data();
-  size_t produced = 0;
-  const uint8_t* const data = payload.data();
-  const uint8_t* const end = data + payload.size();
-  // The next `bits` stream bits sit at the top of `window`; the stream
-  // bits that follow start at byte `p`. Bits below them are zero or are
-  // already the bits of `p` onward, so a refill may OR them in again.
-  const uint8_t* p = data;
-  uint64_t window = 0;
-  uint32_t bits = 0;
+  std::array<uint8_t*, kLanes> dst{};
+  for (int i = 0; i < kLanes; ++i) {
+    dst[i] = out.data() + LaneOf(orig_size, i).begin;
+  }
+  uint8_t *const d0 = dst[0], *const d1 = dst[1], *const d2 = dst[2],
+                 *const d3 = dst[3];
 
-  // Word loop: one 64-bit load tops the window up to at least 56 bits,
-  // enough for four LUT probes (<= 48 bits) or one code longer than the
-  // LUT (<= 32 bits), resolved in place. The load's address does not
-  // depend on the probes, so the refill stays off the decode's critical
-  // path.
-  while (produced + 4 <= orig_size && end - p >= 8) {
-    window |= LoadBE64(p) >> bits;
-    p += (63 - bits) >> 3;
-    bits |= 56;
-    int probes = 0;
-    for (; probes < 4; ++probes) {
-      const uint16_t entry = t.lut[window >> (64 - kLutBits)];
-      if (entry == 0) break;
-      dst[produced++] = static_cast<uint8_t>(entry >> 8);
-      window <<= entry & 63;
-      bits -= entry & 63;
+  // Four lanes side by side, each with its state in two scalars: its bit
+  // position in the payload and its window. A round reloads each window
+  // from its position (at least 57 valid bits) and takes four probes from
+  // it (at most 48 bits), so the four lanes' probe chains overlap. Bit 0
+  // of a window is never probed; set, it counts the bits a round consumed
+  // as the window's trailing zeros. A round needs an 8-byte load inside
+  // each lane and four symbols left in each (lane 3 has the fewest), and
+  // advances a lane at most 6 bytes, so the rounds are run in batches
+  // that cannot cross either limit.
+  const uint8_t* const data = payload.data();
+  const auto load_limit = [&edge](int i) -> uint64_t {
+    return edge[i + 1] - edge[i] >= 8 ? edge[i + 1] - 7 : 0;
+  };
+  const uint64_t lim0 = load_limit(0), lim1 = load_limit(1),
+                 lim2 = load_limit(2), lim3 = load_limit(3);
+  uint64_t pos0 = 0, pos1 = 8 * edge[1], pos2 = 8 * edge[2],
+           pos3 = 8 * edge[3];
+  const uint64_t lane3_size = LaneOf(orig_size, kLanes - 1).size;
+  uint64_t k = 0;  // symbols decoded per lane
+  for (;;) {
+    uint64_t rounds = (lane3_size - k) / 4;
+    for (const auto& [pos, lim] : {std::pair{pos0, lim0}, std::pair{pos1, lim1},
+                                   std::pair{pos2, lim2}, std::pair{pos3, lim3}}) {
+      const uint64_t byte = pos >> 3;
+      rounds = byte < lim ? std::min(rounds, (lim - byte + 5) / 6) : 0;
     }
-    if (probes == 0) {
-      const int len = DecodeLong(t, window, bits, dst + produced);
-      if (len == 0) return Status::Corruption("huffman: invalid code");
-      ++produced;
-      window <<= len;
-      bits -= static_cast<uint32_t>(len);
+    if (rounds == 0) break;
+    for (const uint64_t stop = k + 4 * rounds; k < stop; k += 4) {
+      uint64_t w0 = LoadBE64(data + (pos0 >> 3)) << (pos0 & 7) | 1;
+      uint64_t w1 = LoadBE64(data + (pos1 >> 3)) << (pos1 & 7) | 1;
+      uint64_t w2 = LoadBE64(data + (pos2 >> 3)) << (pos2 & 7) | 1;
+      uint64_t w3 = LoadBE64(data + (pos3 >> 3)) << (pos3 & 7) | 1;
+      uint32_t e0 = 0, e1 = 0, e2 = 0, e3 = 0;
+      for (int j = 0; j < 4; ++j) {
+        e0 = Probe(lut, w0, d0 + k + j);
+        e1 = Probe(lut, w1, d1 + k + j);
+        e2 = Probe(lut, w2, d2 + k + j);
+        e3 = Probe(lut, w3, d3 + k + j);
+      }
+      // An invalid entry repeats to its lane's last probe: one check.
+      if ((e0 & e1 & e2 & e3 & kValid) == 0) {
+        return Status::Corruption("huffman: invalid code");
+      }
+      pos0 += static_cast<uint64_t>(__builtin_ctzll(w0));
+      pos1 += static_cast<uint64_t>(__builtin_ctzll(w1));
+      pos2 += static_cast<uint64_t>(__builtin_ctzll(w2));
+      pos3 += static_cast<uint64_t>(__builtin_ctzll(w3));
     }
   }
-  // Tail: the last few symbols, and all within the final 8 input bytes,
-  // refilled one byte at a time.
-  while (produced < orig_size) {
-    for (; bits <= 56 && p < end; bits += 8) {
-      window |= static_cast<uint64_t>(*p++) << (56 - bits);
-    }
-    const uint16_t entry = t.lut[window >> (64 - kLutBits)];
-    int len = entry & 63;
-    if (entry != 0) {
-      dst[produced] = static_cast<uint8_t>(entry >> 8);
-    } else {
-      len = DecodeLong(t, window, bits, dst + produced);
-    }
-    if (len == 0 || static_cast<uint32_t>(len) > bits) {
-      return Status::Corruption("huffman: truncated or invalid code");
-    }
-    ++produced;
-    window <<= len;
-    bits -= static_cast<uint32_t>(len);
-  }
-  // The stream ends at its last code, padded to a byte with zero bits.
-  const uint64_t pad = static_cast<uint64_t>(end - p) * 8 + bits;
-  if (pad >= 8 || (pad > 0 && (end[-1] & ((1u << pad) - 1)) != 0)) {
-    return Status::Corruption("huffman: trailing bits");
+  const std::array<uint64_t, kLanes> pos{pos0, pos1, pos2, pos3};
+  for (int i = 0; i < kLanes; ++i) {
+    POCS_RETURN_NOT_OK(DecodeLaneTail(
+        lut, data + (pos[i] >> 3), static_cast<uint32_t>(pos[i] & 7),
+        data + edge[i + 1], dst[i] + k, dst[i] + LaneOf(orig_size, i).size));
   }
   return out;
 }

@@ -479,11 +479,13 @@ Result<std::unique_ptr<connector::PageSource>> MakePageSource(
       std::make_unique<OcsPageSource>(schema, std::move(decoded), stats));
 }
 
-// True when the plan's Read leaf carries a join-key bloom filter — the
-// fallback must then learn the object version to honour the pin.
-bool PlanHasBloom(const substrait::Plan& plan) {
+// True when the plan's Read leaf carries a version-pinned row-group hint
+// or join-key bloom filter — the fallback must then learn the object
+// version to honour the pin.
+bool PlanHasVersionPin(const substrait::Plan& plan) {
   for (const substrait::Rel* r = plan.root.get(); r; r = r->input.get()) {
-    if (r->kind == substrait::RelKind::kRead && !r->bloom_words.empty()) {
+    if (r->kind == substrait::RelKind::kRead &&
+        (!r->row_group_hint.empty() || !r->bloom_words.empty())) {
       return true;
     }
   }
@@ -515,9 +517,11 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
     info.AddTo(stats);
     fetched_bytes = object.size();
     if (info.retries > 0) stats->bytes_refetched_on_retry += info.bytes_received;
-    if (split_result_cache_ || PlanHasBloom(plan)) {
+    if (split_result_cache_ || PlanHasVersionPin(plan)) {
       // Learn the version so the result can enter the split cache and the
-      // bloom's version pin can be checked against the bytes just read.
+      // hint's and bloom's version pins can be checked against the bytes
+      // just read. Versions only grow, so one that matches a pin after
+      // the GET matched the bytes the GET returned.
       objectstore::TransferInfo stat_info;
       auto ostat = store.Stat(split.bucket, split.object, &stat_info,
                               config_.dispatch.fallback_call);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <optional>
 #include <random>
+#include <string>
 
 #include "compress/codec.h"
 #include "compress/huffman.h"
@@ -165,38 +166,45 @@ TEST(HuffmanTest, TruncatedStreamIsCorruption) {
   EXPECT_FALSE(dec.ok());
 }
 
-// A stream whose own orig_size declares 2^62 bytes: every symbol costs at
-// least one bit, so the size is rejected before any output is reserved.
+// A coded block whose own orig_size declares 2^62 bytes: every symbol
+// costs at least one bit, so the size is rejected before any output is
+// reserved.
 TEST(HuffmanTest, HugeOrigSizeIsCorruption) {
   std::mt19937 rng(4);
   Bytes input(5000);
   for (auto& b : input) b = static_cast<uint8_t>(rng() % 8);
   Bytes enc = HuffmanEncode(ByteSpan(input.data(), input.size()));
   BufferReader in(enc.data(), enc.size());
-  ASSERT_EQ(*in.ReadU8(), 1);  // Huffman-coded, not the raw fallback
+  ASSERT_EQ(*in.ReadU8(), 2);  // Huffman-coded, not the raw fallback
   ASSERT_TRUE(in.ReadVarint().ok());
   BufferWriter forged;
-  forged.WriteU8(1);
+  forged.WriteU8(2);
   forged.WriteVarint(uint64_t{1} << 62);
   forged.WriteBytes(*in.ReadSpan(in.remaining()));
   Bytes bytes = std::move(forged).Take();
   auto dec = HuffmanDecode(ByteSpan(bytes.data(), bytes.size()));
   ASSERT_FALSE(dec.ok());
   EXPECT_EQ(dec.status().code(), StatusCode::kCorruption) << dec.status();
+  EXPECT_NE(dec.status().message().find("size exceeds payload"),
+            std::string::npos)
+      << dec.status();
 }
 
 // 256 codes of length 1 violate Kraft's inequality: canonical assignment
 // would hand out codes wider than their length and overrun the decode LUT.
 TEST(HuffmanTest, OverSubscribedLengthsAreCorruption) {
   BufferWriter forged;
-  forged.WriteU8(1);
+  forged.WriteU8(2);
   forged.WriteVarint(100);
   for (int s = 0; s < 256; ++s) forged.WriteU8(1);
+  for (int lane = 0; lane < 3; ++lane) forged.WriteVarint(25);
   for (int i = 0; i < 100; ++i) forged.WriteU8(0x5a);
   Bytes bytes = std::move(forged).Take();
   auto dec = HuffmanDecode(ByteSpan(bytes.data(), bytes.size()));
   ASSERT_FALSE(dec.ok());
   EXPECT_EQ(dec.status().code(), StatusCode::kCorruption) << dec.status();
+  EXPECT_NE(dec.status().message().find("over-subscribed"), std::string::npos)
+      << dec.status();
 }
 
 TEST(CodecTest, NamesRoundtrip) {
@@ -318,8 +326,9 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, TrailingBytes,
                                            CodecType::kZsLite));
 
 // --- Reference decoder ---------------------------------------------------
-// Bit-serial canonical Huffman and a byte-loop LZ77 over BufferReader, with
-// the trailing-bytes rule. nullopt stands for Corruption.
+// Bit-serial canonical Huffman over the four lanes, one lane after the
+// other, and a byte-loop LZ77 over BufferReader, with the trailing-bytes
+// rule. nullopt stands for Corruption.
 
 std::optional<Bytes> RefHuffman(ByteSpan input) {
   BufferReader in(input);
@@ -332,11 +341,11 @@ std::optional<Bytes> RefHuffman(ByteSpan input) {
     return Bytes(raw->begin(), raw->end());
   }
   auto lengths = in.ReadSpan(256);
-  if (*flag != 1 || !lengths.ok()) return std::nullopt;
+  if (*flag != 2 || !lengths.ok()) return std::nullopt;
   std::vector<int> sorted;  // by (length, symbol)
-  uint64_t first_code[33] = {}, first_index[33] = {}, count[33] = {};
+  uint64_t first_code[13] = {}, first_index[13] = {}, count[13] = {};
   uint64_t code = 0;
-  for (uint64_t l = 1; l <= 32; ++l) {
+  for (uint64_t l = 1; l <= 12; ++l) {
     first_index[l] = sorted.size();
     for (int sym = 0; sym < 256; ++sym) {
       if ((*lengths)[sym] == l) sorted.push_back(sym);
@@ -347,30 +356,47 @@ std::optional<Bytes> RefHuffman(ByteSpan input) {
     code = (code + count[l]) << 1;
   }
   for (uint8_t len : *lengths) {
-    if (len > 32) return std::nullopt;
+    if (len > 12) return std::nullopt;
   }
-  if (sorted.empty() && *n != 0) return std::nullopt;
-  const ByteSpan bits = input.subspan(in.position());
-  if (*n > 8 * bits.size()) return std::nullopt;
-  auto bit_at = [&](size_t i) { return (bits[i >> 3] >> (7 - (i & 7))) & 1; };
-  size_t pos = 0;
+  // Lanes 0-2 carry their byte lengths; lane 3 is the rest. Lane i holds
+  // symbols [i*q, min((i+1)*q, n)) with q = ceil(n / 4).
+  ByteSpan lanes[4];
+  uint64_t declared[3];
+  for (uint64_t& d : declared) {
+    auto len = in.ReadVarint();
+    if (!len.ok()) return std::nullopt;
+    d = *len;
+  }
+  if (*n > 8 * in.remaining()) return std::nullopt;
+  for (int i = 0; i < 3; ++i) {
+    auto lane = in.ReadSpan(declared[i]);
+    if (!lane.ok()) return std::nullopt;
+    lanes[i] = *lane;
+  }
+  lanes[3] = input.subspan(in.position());
+  const uint64_t q = *n / 4 + (*n % 4 != 0);
   Bytes out;
-  while (out.size() < *n) {
-    uint64_t c = 0;
-    int sym = -1;
-    for (int l = 1; l <= 32 && sym < 0; ++l) {
-      if (pos == 8 * bits.size()) return std::nullopt;
-      c = c << 1 | bit_at(pos++);
-      if (c >= first_code[l] && c - first_code[l] < count[l]) {
-        sym = sorted[first_index[l] + (c - first_code[l])];
+  for (const ByteSpan bits : lanes) {
+    const uint64_t lane_end = std::min(out.size() + q, *n);
+    auto bit_at = [&](size_t i) { return (bits[i >> 3] >> (7 - (i & 7))) & 1; };
+    size_t pos = 0;
+    while (out.size() < lane_end) {
+      uint64_t c = 0;
+      int sym = -1;
+      for (int l = 1; l <= 12 && sym < 0; ++l) {
+        if (pos == 8 * bits.size()) return std::nullopt;
+        c = c << 1 | bit_at(pos++);
+        if (c >= first_code[l] && c - first_code[l] < count[l]) {
+          sym = sorted[first_index[l] + (c - first_code[l])];
+        }
       }
+      if (sym < 0) return std::nullopt;
+      out.push_back(static_cast<uint8_t>(sym));
     }
-    if (sym < 0) return std::nullopt;
-    out.push_back(static_cast<uint8_t>(sym));
-  }
-  if (8 * bits.size() - pos >= 8) return std::nullopt;
-  for (; pos < 8 * bits.size(); ++pos) {
-    if (bit_at(pos)) return std::nullopt;
+    if (8 * bits.size() - pos >= 8) return std::nullopt;
+    for (; pos < 8 * bits.size(); ++pos) {
+      if (bit_at(pos)) return std::nullopt;
+    }
   }
   return out;
 }
@@ -548,10 +574,11 @@ TEST(DifferentialSweep, MutantsAgreeWithReferenceDecoder) {
 
 // --- Fast-path edge cases ------------------------------------------------
 
-// A coded Huffman frame for `symbols` under the given code lengths, written
-// independently of HuffmanEncode (which stores short inputs raw).
-Bytes CodedHuffmanFrame(const std::array<uint8_t, 256>& lengths,
-                        const Bytes& symbols) {
+// The four lanes of `symbols` under the canonical codes for `lengths`,
+// each padded with zero bits to a byte, written independently of
+// HuffmanEncode (which stores short inputs raw).
+std::array<Bytes, 4> HuffmanLanes(const std::array<uint8_t, 256>& lengths,
+                                  const Bytes& symbols) {
   std::array<uint64_t, 256> codes{};
   uint64_t code = 0;
   for (int l = 1; l <= 32; ++l) {
@@ -560,32 +587,59 @@ Bytes CodedHuffmanFrame(const std::array<uint8_t, 256>& lengths,
     }
     code <<= 1;
   }
-  BufferWriter out;
-  out.WriteU8(1);
-  out.WriteVarint(symbols.size());
-  out.WriteBytes(lengths.data(), lengths.size());
-  uint64_t acc = 0;
-  int nbits = 0;
-  for (uint8_t s : symbols) {
-    for (int b = lengths[s] - 1; b >= 0; --b) {
-      acc = acc << 1 | ((codes[s] >> b) & 1);
-      if (++nbits == 8) {
-        out.WriteU8(static_cast<uint8_t>(acc));
-        acc = 0;
-        nbits = 0;
+  const size_t q = (symbols.size() + 3) / 4;
+  std::array<Bytes, 4> lanes;
+  for (size_t i = 0; i < symbols.size(); i += q) {
+    Bytes& lane = lanes[i / q];
+    uint64_t acc = 0;
+    int nbits = 0;
+    for (size_t j = i; j < std::min(i + q, symbols.size()); ++j) {
+      const uint8_t s = symbols[j];
+      for (int b = lengths[s] - 1; b >= 0; --b) {
+        acc = acc << 1 | ((codes[s] >> b) & 1);
+        if (++nbits == 8) {
+          lane.push_back(static_cast<uint8_t>(acc));
+          acc = 0;
+          nbits = 0;
+        }
       }
     }
+    if (nbits > 0) lane.push_back(static_cast<uint8_t>(acc << (8 - nbits)));
   }
-  if (nbits > 0) out.WriteU8(static_cast<uint8_t>(acc << (8 - nbits)));
+  return lanes;
+}
+
+// A coded frame: flag, symbol count, lengths, the byte lengths declared
+// for lanes 0-2, then the lanes.
+Bytes LaneFrame(const std::array<uint8_t, 256>& lengths, uint64_t n,
+                const std::array<Bytes, 4>& lanes,
+                const std::array<uint64_t, 3>& declared, uint8_t flag = 2) {
+  BufferWriter out;
+  out.WriteU8(flag);
+  out.WriteVarint(n);
+  out.WriteBytes(lengths.data(), lengths.size());
+  for (uint64_t d : declared) out.WriteVarint(d);
+  for (const Bytes& lane : lanes) out.WriteBytes(lane.data(), lane.size());
   return std::move(out).Take();
 }
 
-// Fibonacci-weighted frequencies give the encoder codes far longer than
-// the decoder's 12-bit lookup table.
-TEST(HuffmanTest, CodesLongerThanLookupTable) {
+std::array<uint64_t, 3> LaneSizes(const std::array<Bytes, 4>& lanes) {
+  return {lanes[0].size(), lanes[1].size(), lanes[2].size()};
+}
+
+Bytes CodedHuffmanFrame(const std::array<uint8_t, 256>& lengths,
+                        const Bytes& symbols) {
+  const auto lanes = HuffmanLanes(lengths, symbols);
+  return LaneFrame(lengths, symbols.size(), lanes, LaneSizes(lanes));
+}
+
+// Fibonacci-weighted frequencies would make an unlimited Huffman tree 19
+// codes deep. The encoder limits the lengths to the decoder's 12-bit
+// lookup table and keeps the code complete.
+TEST(HuffmanTest, CodeLengthsAreLimitedToLookupTable) {
   Bytes input;
   uint64_t a = 1, b = 1;
-  for (int s = 0; s < 22; ++s) {
+  for (int s = 0; s < 20; ++s) {
     input.insert(input.end(), a, static_cast<uint8_t>(s));
     const uint64_t next = a + b;
     a = b;
@@ -593,55 +647,133 @@ TEST(HuffmanTest, CodesLongerThanLookupTable) {
   }
   std::shuffle(input.begin(), input.end(), std::mt19937(5));
   const Bytes enc = HuffmanEncode(input);
-  ASSERT_EQ(enc[0], 1) << "expected a coded block";
+  ASSERT_EQ(enc[0], 2) << "expected a coded block";
   BufferReader in(enc);
   ASSERT_TRUE(in.ReadU8().ok());
   ASSERT_TRUE(in.ReadVarint().ok());
   auto lengths = in.ReadSpan(256);
   ASSERT_TRUE(lengths.ok());
-  EXPECT_GT(*std::max_element(lengths->begin(), lengths->end()), 12);
+  EXPECT_EQ(*std::max_element(lengths->begin(), lengths->end()), 12);
+  uint64_t kraft = 0;  // in units of 2^-12
+  for (uint8_t len : *lengths) {
+    if (len != 0) kraft += uint64_t{1} << (12 - len);
+  }
+  EXPECT_EQ(kraft, 4096u) << "the limited code must stay complete";
   auto dec = HuffmanDecode(enc);
   ASSERT_TRUE(dec.ok()) << dec.status();
   EXPECT_EQ(*dec, input);
-  // Every truncation cuts a code or the padding short.
-  for (size_t cut = enc.size() - 40; cut < enc.size(); ++cut) {
+  EXPECT_EQ(RefHuffman(enc), input);
+  // Every truncation cuts the header, a lane or the padding short.
+  for (size_t cut = 0; cut < enc.size(); ++cut) {
     EXPECT_FALSE(HuffmanDecode(ByteSpan(enc.data(), cut)).ok()) << cut;
   }
 }
 
 // Streams of 1-70 symbols: every code of the short ones, and the last
-// codes of the longer ones, decode from the final 8 input bytes. Lengths
-// 1..31 cover codes far past the lookup table; all-8 lengths keep the
-// word loop busy up to the tail.
+// codes of the longer ones, decode in the lanes' byte-refill tails, and
+// the short ones leave trailing lanes empty. Lengths 1..12 reach the
+// longest code the table holds; all-8 lengths keep the four-lane loop
+// busy up to the tails. Each lane must end exactly at its last code: a
+// lane one byte short or long, a set padding bit and declared lane
+// lengths past the payload are Corruption, for the decoder and the
+// reference alike.
 TEST(HuffmanTest, ShortStreamsDecodeInTheTail) {
   std::array<uint8_t, 256> deep{}, flat{};
-  for (int s = 0; s < 31; ++s) deep[s] = static_cast<uint8_t>(s + 1);
-  deep[31] = 31;
+  for (int s = 0; s < 12; ++s) deep[s] = static_cast<uint8_t>(s + 1);
+  deep[12] = 12;
   flat.fill(8);
+  // Decoded from an exactly sized copy, so a read past the frame is a
+  // heap overflow under ASan.
+  auto rejected = [](const Bytes& frame, const std::string& what,
+                     const std::string& message = "") {
+    const Bytes exact(frame.begin(), frame.end());
+    auto dec = HuffmanDecode(exact);
+    ASSERT_FALSE(dec.ok()) << what;
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption) << what;
+    EXPECT_NE(dec.status().message().find(message), std::string::npos)
+        << what << ": " << dec.status();
+    EXPECT_FALSE(RefHuffman(exact).has_value()) << what;
+  };
   std::mt19937 rng(70);
   for (const auto& [lengths, alphabet] :
-       {std::pair{deep, 32}, std::pair{flat, 256}}) {
+       {std::pair{deep, 13}, std::pair{flat, 256}}) {
     for (size_t n = 1; n <= 70; ++n) {
+      SCOPED_TRACE("n=" + std::to_string(n));
       Bytes symbols(n);
       for (auto& s : symbols) s = static_cast<uint8_t>(rng() % alphabet);
+      const auto lanes = HuffmanLanes(lengths, symbols);
       const Bytes frame = CodedHuffmanFrame(lengths, symbols);
       auto dec = HuffmanDecode(frame);
-      ASSERT_TRUE(dec.ok()) << "n=" << n << ": " << dec.status();
-      EXPECT_EQ(*dec, symbols) << "n=" << n;
-      EXPECT_EQ(RefHuffman(frame), symbols) << "n=" << n;
-      // One more byte is trailing junk, and a set padding bit is too.
-      Bytes longer = frame;
-      longer.push_back(0);
-      EXPECT_FALSE(HuffmanDecode(longer).ok()) << "n=" << n;
-      size_t code_bits = 0;
-      for (uint8_t s : symbols) code_bits += lengths[s];
-      if (code_bits % 8 != 0) {
-        Bytes padded = frame;
-        padded.back() |= 1;
-        EXPECT_FALSE(HuffmanDecode(padded).ok()) << "n=" << n;
+      ASSERT_TRUE(dec.ok()) << dec.status();
+      EXPECT_EQ(*dec, symbols);
+      EXPECT_EQ(RefHuffman(frame), symbols);
+      const size_t q = (n + 3) / 4;
+      size_t total = 0;
+      for (const Bytes& lane : lanes) total += lane.size();
+      for (size_t i = 0; i < 4; ++i) {
+        auto longer = lanes;
+        longer[i].push_back(0);
+        rejected(LaneFrame(lengths, n, longer, LaneSizes(longer)),
+                 "lane one byte long");
+        if (lanes[i].empty()) continue;
+        auto shorter = lanes;
+        shorter[i].pop_back();
+        rejected(LaneFrame(lengths, n, shorter, LaneSizes(shorter)),
+                 "lane one byte short");
+        size_t code_bits = 0;
+        for (size_t j = i * q; j < std::min((i + 1) * q, n); ++j) {
+          code_bits += lengths[symbols[j]];
+        }
+        if (code_bits % 8 != 0) {
+          auto padded = lanes;
+          padded[i].back() |= 1;
+          rejected(LaneFrame(lengths, n, padded, LaneSizes(padded)),
+                   "set padding bit");
+        }
+        if (i == 3) continue;
+        // Lanes 0..i declared to end one byte past the payload.
+        auto declared = LaneSizes(lanes);
+        declared[i] = total + 1;
+        for (size_t j = 0; j < i; ++j) declared[i] -= declared[j];
+        rejected(LaneFrame(lengths, n, lanes, declared),
+                 "lane lengths past the payload",
+                 "lane lengths exceed payload");
       }
     }
   }
+}
+
+// A length above the 12-bit lookup table is Corruption even when the code
+// satisfies Kraft's inequality, and so is the single-stream flag-1 block
+// that the four-lane layout replaced.
+TEST(HuffmanTest, LongCodesAndUnlanedBlocksAreCorruption) {
+  std::array<uint8_t, 256> lengths{};
+  for (int s = 0; s < 12; ++s) lengths[s] = static_cast<uint8_t>(s + 1);
+  lengths[12] = lengths[13] = 13;
+  Bytes symbols(200);
+  std::mt19937 rng(13);
+  for (auto& s : symbols) s = static_cast<uint8_t>(rng() % 14);
+  symbols[0] = 13;
+  const Bytes too_long = CodedHuffmanFrame(lengths, symbols);
+  auto dec = HuffmanDecode(too_long);
+  ASSERT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(dec.status().message().find("bad length"), std::string::npos)
+      << dec.status();
+  EXPECT_FALSE(RefHuffman(too_long).has_value());
+
+  lengths[12] = 12;
+  lengths[13] = 0;
+  for (auto& s : symbols) s %= 13;
+  Bytes unlaned = CodedHuffmanFrame(lengths, symbols);
+  ASSERT_TRUE(HuffmanDecode(unlaned).ok());
+  unlaned[0] = 1;
+  dec = HuffmanDecode(unlaned);
+  ASSERT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(dec.status().message().find("bad flag"), std::string::npos)
+      << dec.status();
+  EXPECT_FALSE(RefHuffman(unlaned).has_value());
 }
 
 // Hand-built sequences whose match overlaps its own output: a period of

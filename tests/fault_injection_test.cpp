@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 
 #include "netsim/fault_plan.h"
 #include "rpc/rpc.h"
@@ -259,65 +260,79 @@ TEST(FaultInjectionE2E, HiveSelectFallsBackToRawGet) {
 
 // The fallback runs the storage node's own scan over the fetched object,
 // so losing the exec engine moves the plan, not its answer: every query
-// returns the pushed run's rows and row counters — stats and lazy
+// returns the pushed run's rows and row counters — stats, hint and lazy
 // pruning, the code-domain filter, late materialization and the join
-// bloom included. The row-group cache is off so both runs decode alike.
+// bloom included. The row-group cache is off so both runs decode alike;
+// the planner's metadata cache is off, then on, which gives the splits
+// version-pinned row-group hints.
 TEST(FallbackParityTest, CrashedExecMatchesPushedRowsAndRowCounters) {
-  workloads::TestbedConfig config;
-  config.cluster.storage.rowgroup_cache_bytes = 0;
-  workloads::Testbed bed(config);
-  workloads::TpchConfig tpch;
-  tpch.num_files = 2;
-  tpch.rows_per_file = 8192;
-  tpch.rows_per_group = 2048;
-  auto fact = workloads::GenerateLineitem(tpch);
-  ASSERT_TRUE(fact.ok()) << fact.status();
-  ASSERT_TRUE(bed.Ingest(std::move(*fact)).ok());
-  auto dim = workloads::GenerateSupplier(workloads::SupplierConfig{});
-  ASSERT_TRUE(dim.ok()) << dim.status();
-  ASSERT_TRUE(bed.Ingest(std::move(*dim)).ok());
+  for (const uint64_t metadata_cache_bytes : {uint64_t{0}, uint64_t{1} << 20}) {
+    SCOPED_TRACE("metadata cache bytes " +
+                 std::to_string(metadata_cache_bytes));
+    workloads::TestbedConfig config;
+    config.cluster.storage.rowgroup_cache_bytes = 0;
+    config.ocs_connector.metadata_cache_bytes = metadata_cache_bytes;
+    workloads::Testbed bed(config);
+    workloads::TpchConfig tpch;
+    tpch.num_files = 2;
+    tpch.rows_per_file = 8192;
+    tpch.rows_per_group = 2048;
+    auto fact = workloads::GenerateLineitem(tpch);
+    ASSERT_TRUE(fact.ok()) << fact.status();
+    ASSERT_TRUE(bed.Ingest(std::move(*fact)).ok());
+    auto dim = workloads::GenerateSupplier(workloads::SupplierConfig{});
+    ASSERT_TRUE(dim.ok()) << dim.status();
+    ASSERT_TRUE(bed.Ingest(std::move(*dim)).ok());
 
-  auto crash_exec = [&bed](bool crashed) {
-    for (size_t i = 0; i < bed.cluster().num_storage_nodes(); ++i) {
-      bed.cluster().mutable_storage_node(i).faults().exec_crashed.store(
-          crashed);
+    auto crash_exec = [&bed](bool crashed) {
+      for (size_t i = 0; i < bed.cluster().num_storage_nodes(); ++i) {
+        bed.cluster().mutable_storage_node(i).faults().exec_crashed.store(
+            crashed);
+      }
+    };
+    connector::QueryStats pushed_sum;
+    for (const std::string& sql :
+         {workloads::TpchQ1(), workloads::TpchSelectiveQuery(),
+          workloads::TpchDictFilterQuery(), workloads::TpchJoinQuery()}) {
+      SCOPED_TRACE(sql);
+      crash_exec(false);
+      auto pushed = bed.Run(sql, "ocs");
+      ASSERT_TRUE(pushed.ok()) << pushed.status();
+      crash_exec(true);
+      auto fallback = bed.Run(sql, "ocs");
+      ASSERT_TRUE(fallback.ok()) << fallback.status();
+
+      const auto& p = pushed->metrics;
+      const auto& f = fallback->metrics;
+      pushed_sum += p;
+      EXPECT_GT(p.rows_output, 0u);
+      EXPECT_EQ(p.fallbacks, 0u);
+      EXPECT_GT(f.splits, 0u);
+      EXPECT_EQ(f.fallbacks, f.splits);
+      EXPECT_EQ(CanonicalRows(*fallback->table),
+                CanonicalRows(*pushed->table));
+      EXPECT_EQ(f.rows_scanned, p.rows_scanned);
+      EXPECT_EQ(f.rows_output, p.rows_output);
+      EXPECT_EQ(f.row_groups_total, p.row_groups_total);
+      EXPECT_EQ(f.row_groups_skipped, p.row_groups_skipped);
+      EXPECT_EQ(f.row_groups_hint_skipped, p.row_groups_hint_skipped);
+      EXPECT_EQ(f.row_groups_lazy_skipped, p.row_groups_lazy_skipped);
+      EXPECT_EQ(f.rows_dict_filtered, p.rows_dict_filtered);
+      EXPECT_EQ(f.rows_late_materialized, p.rows_late_materialized);
+      EXPECT_EQ(f.bloom_rows_pruned, p.bloom_rows_pruned);
     }
-  };
-  connector::QueryStats pushed_sum;
-  for (const std::string& sql :
-       {workloads::TpchQ1(), workloads::TpchSelectiveQuery(),
-        workloads::TpchDictFilterQuery(), workloads::TpchJoinQuery()}) {
-    SCOPED_TRACE(sql);
-    crash_exec(false);
-    auto pushed = bed.Run(sql, "ocs");
-    ASSERT_TRUE(pushed.ok()) << pushed.status();
-    crash_exec(true);
-    auto fallback = bed.Run(sql, "ocs");
-    ASSERT_TRUE(fallback.ok()) << fallback.status();
-
-    const auto& p = pushed->metrics;
-    const auto& f = fallback->metrics;
-    pushed_sum += p;
-    EXPECT_GT(p.rows_output, 0u);
-    EXPECT_EQ(p.fallbacks, 0u);
-    EXPECT_GT(f.splits, 0u);
-    EXPECT_EQ(f.fallbacks, f.splits);
-    EXPECT_EQ(CanonicalRows(*fallback->table), CanonicalRows(*pushed->table));
-    EXPECT_EQ(f.rows_scanned, p.rows_scanned);
-    EXPECT_EQ(f.rows_output, p.rows_output);
-    EXPECT_EQ(f.row_groups_total, p.row_groups_total);
-    EXPECT_EQ(f.row_groups_skipped, p.row_groups_skipped);
-    EXPECT_EQ(f.row_groups_lazy_skipped, p.row_groups_lazy_skipped);
-    EXPECT_EQ(f.rows_dict_filtered, p.rows_dict_filtered);
-    EXPECT_EQ(f.rows_late_materialized, p.rows_late_materialized);
-    EXPECT_EQ(f.bloom_rows_pruned, p.bloom_rows_pruned);
+    // The queries exercise the scan's pruning paths, so the equalities
+    // above compare real work, not zeros. Row groups are skipped on their
+    // stats without the metadata cache, and on the planner's hint with it.
+    if (metadata_cache_bytes == 0) {
+      EXPECT_GT(pushed_sum.row_groups_skipped, 0u);
+    } else {
+      EXPECT_GT(pushed_sum.row_groups_hint_skipped, 0u);
+    }
+    EXPECT_GT(pushed_sum.rows_dict_filtered, 0u);
+    EXPECT_GT(pushed_sum.rows_late_materialized, 0u);
+    EXPECT_GT(pushed_sum.bloom_rows_pruned, 0u);
   }
-  // The queries exercise the scan's pruning paths, so the equalities
-  // above compare real work, not zeros.
-  EXPECT_GT(pushed_sum.row_groups_skipped, 0u);
-  EXPECT_GT(pushed_sum.rows_dict_filtered, 0u);
-  EXPECT_GT(pushed_sum.rows_late_materialized, 0u);
-  EXPECT_GT(pushed_sum.bloom_rows_pruned, 0u);
 }
 
 TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {
