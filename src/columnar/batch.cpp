@@ -36,13 +36,15 @@ Status RecordBatch::Validate() const {
 }
 
 RecordBatchPtr Table::Combine() const {
+  // Columns are immutable once built, so one batch's are shared as they are.
+  if (batches_.size() == 1) return MakeBatch(schema_, batches_[0]->columns());
   std::vector<ColumnPtr> cols;
   cols.reserve(schema_->num_fields());
   for (size_t c = 0; c < schema_->num_fields(); ++c) {
     auto out = MakeColumn(schema_->field(c).type);
+    out->Reserve(num_rows());
     for (const auto& b : batches_) {
-      const auto& src = *b->column(c);
-      for (size_t i = 0; i < src.length(); ++i) out->AppendFrom(src, i);
+      out->AppendRange(*b->column(c), 0, b->num_rows());
     }
     cols.push_back(std::move(out));
   }

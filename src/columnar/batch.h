@@ -85,7 +85,7 @@ class Table {
     return n;
   }
 
-  // Concatenate all batches into one (copies).
+  // Concatenate all batches into one (copies, unless there is only one).
   RecordBatchPtr Combine() const;
 
  private:

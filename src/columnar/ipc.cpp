@@ -6,89 +6,69 @@ namespace pocs::columnar::ipc {
 
 void WriteColumn(const Column& col, BufferWriter* out) {
   out->WriteVarint(col.null_count());
-  if (col.null_count() > 0) {
-    out->WriteBytes(col.validity().data(), col.validity().size());
-  }
-  switch (col.type()) {
-    case TypeKind::kBool:
-      out->WriteBytes(col.bool_data().data(), col.bool_data().size());
-      break;
-    case TypeKind::kInt32:
-    case TypeKind::kDate32:
-      out->WriteBytes(col.i32_data().data(), col.i32_data().size() * 4);
-      break;
-    case TypeKind::kInt64:
-      out->WriteBytes(col.i64_data().data(), col.i64_data().size() * 8);
-      break;
-    case TypeKind::kFloat64:
-      out->WriteBytes(col.f64_data().data(), col.f64_data().size() * 8);
-      break;
-    case TypeKind::kString:
-      out->WriteBytes(col.offsets().data(), col.offsets().size() * 4);
-      out->WriteVarint(col.chars().size());
-      out->WriteBytes(col.chars().data(), col.chars().size());
-      break;
-  }
+  if (col.type() == TypeKind::kString) out->WriteVarint(col.chars().size());
+  auto write = [out](const Buffer& buffer) {
+    out->Align8();
+    out->WriteBytes(buffer.span());
+  };
+  if (col.null_count() > 0) write(col.validity_buffer());
+  write(col.values_buffer());
+  if (col.type() == TypeKind::kString) write(col.chars_buffer());
+  out->Align8();
 }
 
-Result<ColumnPtr> ReadColumn(TypeKind type, size_t nrows, BufferReader* in) {
-  auto col = std::make_shared<Column>(type);
+namespace {
+
+// The next `n` bytes of `in` after its padding, as a slice of `owner`,
+// whose bytes `in` reads.
+Result<Buffer> ReadBuffer(const Buffer& owner, size_t n, BufferReader* in) {
+  POCS_RETURN_NOT_OK(in->Align8());
+  POCS_ASSIGN_OR_RETURN(ByteSpan bytes, in->ReadSpan(n));
+  return owner.Slice(static_cast<size_t>(bytes.data() - owner.data()), n);
+}
+
+}  // namespace
+
+Result<ColumnPtr> ReadColumn(TypeKind type, size_t nrows, const Buffer& data,
+                             BufferReader* in) {
   POCS_ASSIGN_OR_RETURN(uint64_t null_count, in->ReadVarint());
   if (null_count > nrows) return Status::Corruption("null_count > nrows");
+  uint64_t char_len = 0;
+  if (type == TypeKind::kString) {
+    POCS_ASSIGN_OR_RETURN(char_len, in->ReadVarint());
+  }
   // Every row owns fixed-width bytes that must already be in the buffer
   // (its value or string offset, plus a validity byte when there are
-  // nulls): a crafted row count fails here instead of in a resize.
+  // nulls): a crafted row count fails here instead of in a slice.
   const size_t row_bytes = (type == TypeKind::kString ? 4 : TypeWidth(type)) +
                            (null_count > 0 ? 1 : 0);
   if (nrows > in->remaining() / row_bytes) {
     return Status::Corruption("row count exceeds column bytes");
   }
+  Buffer validity;
   if (null_count > 0) {
-    col->mutable_validity().resize(nrows);
-    POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_validity().data(), nrows));
+    POCS_ASSIGN_OR_RETURN(validity, ReadBuffer(data, nrows, in));
+    POCS_RETURN_NOT_OK(CheckValidity(validity.span(), null_count));
   }
-  switch (type) {
-    case TypeKind::kBool:
-      col->mutable_bool().resize(nrows);
-      POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_bool().data(), nrows));
-      break;
-    case TypeKind::kInt32:
-    case TypeKind::kDate32:
-      col->mutable_i32().resize(nrows);
-      POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_i32().data(), nrows * 4));
-      break;
-    case TypeKind::kInt64:
-      col->mutable_i64().resize(nrows);
-      POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_i64().data(), nrows * 8));
-      break;
-    case TypeKind::kFloat64:
-      col->mutable_f64().resize(nrows);
-      POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_f64().data(), nrows * 8));
-      break;
-    case TypeKind::kString: {
-      col->mutable_offsets().resize(nrows + 1);
-      POCS_RETURN_NOT_OK(
-          in->ReadBytes(col->mutable_offsets().data(), (nrows + 1) * 4));
-      POCS_ASSIGN_OR_RETURN(uint64_t char_len, in->ReadVarint());
-      if (char_len > in->remaining()) {
-        return Status::Corruption("truncated string payload");
+  const size_t values_bytes =
+      type == TypeKind::kString ? (nrows + 1) * 4 : nrows * TypeWidth(type);
+  POCS_ASSIGN_OR_RETURN(Buffer values, ReadBuffer(data, values_bytes, in));
+  Buffer chars;
+  if (type == TypeKind::kString) {
+    POCS_ASSIGN_OR_RETURN(chars, ReadBuffer(data, char_len, in));
+    // Offsets must be monotone and within chars.
+    int32_t prev = 0;
+    for (int32_t o : values.As<int32_t>()) {
+      if (o < prev || static_cast<uint64_t>(o) > char_len) {
+        return Status::Corruption("string offsets not monotone");
       }
-      col->mutable_chars().resize(char_len);
-      POCS_RETURN_NOT_OK(in->ReadBytes(col->mutable_chars().data(), char_len));
-      // offset sanity: monotone, within chars
-      const auto& off = col->offsets();
-      int32_t prev = 0;
-      for (int32_t o : off) {
-        if (o < prev || static_cast<size_t>(o) > char_len) {
-          return Status::Corruption("string offsets not monotone");
-        }
-        prev = o;
-      }
-      break;
+      prev = o;
     }
   }
-  col->FinishDeserialized(nrows, null_count);
-  return ColumnPtr(col);
+  POCS_RETURN_NOT_OK(in->Align8());
+  return std::make_shared<const Column>(type, nrows, null_count,
+                                        std::move(validity), std::move(values),
+                                        std::move(chars));
 }
 
 namespace {
@@ -103,21 +83,16 @@ void WriteBatchBody(const RecordBatch& batch, BufferWriter* out) {
 }
 
 Result<RecordBatchPtr> ReadBatchBody(const SchemaPtr& schema,
-                                     BufferReader* in) {
+                                     const Buffer& stream, BufferReader* in) {
   POCS_ASSIGN_OR_RETURN(uint64_t nrows, in->ReadVarint());
   std::vector<ColumnPtr> cols;
   cols.reserve(schema->num_fields());
   for (size_t c = 0; c < schema->num_fields(); ++c) {
     POCS_ASSIGN_OR_RETURN(ColumnPtr col,
-                          ReadColumn(schema->field(c).type, nrows, in));
+                          ReadColumn(schema->field(c).type, nrows, stream, in));
     cols.push_back(std::move(col));
   }
   return MakeBatch(schema, std::move(cols));
-}
-
-Bytes Finish(BufferWriter&& out) {
-  out.WriteLE<uint64_t>(Checksum64(out.span()));
-  return std::move(out).Take();
 }
 
 Result<BufferReader> OpenStream(ByteSpan data) {
@@ -215,34 +190,63 @@ Result<Datum> ReadDatum(BufferReader* in) {
   return Status::Corruption("datum: unreachable");
 }
 
+size_t MaxStreamBytes(const Table& table) {
+  // Magic, field and batch counts, padding and trailer; per field its
+  // schema entry; per column of a batch two varints and four paddings.
+  size_t n = 4 + 10 + 10 + 7 + 8 + table.ByteSize();
+  for (const Field& f : table.schema()->fields()) n += 12 + f.name.size();
+  n += table.batches().size() * (10 + table.schema()->num_fields() * 48);
+  return n;
+}
+
+void WriteTable(const Table& table, BufferWriter* out) {
+  // Buffers are aligned relative to the stream's start.
+  POCS_DCHECK_EQ(out->size() % 8, 0u);
+  const size_t start = out->size();
+  out->WriteLE<uint32_t>(kMagic);
+  WriteSchema(*table.schema(), out);
+  out->WriteVarint(table.batches().size());
+  out->Align8();
+  for (const auto& b : table.batches()) WriteBatchBody(*b, out);
+  out->WriteLE<uint64_t>(Checksum64(out->span().subspan(start)));
+}
+
 Bytes SerializeBatch(const RecordBatch& batch) {
-  BufferWriter out(batch.ByteSize() + 64);
-  out.WriteLE<uint32_t>(kMagic);
-  WriteSchema(*batch.schema(), &out);
-  out.WriteVarint(1);
-  WriteBatchBody(batch, &out);
-  return Finish(std::move(out));
+  // A one-batch table that borrows `batch` for the call.
+  return SerializeTable(
+      Table(batch.schema(), {RecordBatchPtr(RecordBatchPtr(), &batch)}));
 }
 
 Bytes SerializeTable(const Table& table) {
-  BufferWriter out(table.ByteSize() + 64);
-  out.WriteLE<uint32_t>(kMagic);
-  WriteSchema(*table.schema(), &out);
-  out.WriteVarint(table.batches().size());
-  for (const auto& b : table.batches()) WriteBatchBody(*b, &out);
-  return Finish(std::move(out));
+  BufferWriter out(MaxStreamBytes(table));
+  WriteTable(table, &out);
+  return std::move(out).Take();
+}
+
+Result<std::shared_ptr<Table>> DeserializeTable(const Buffer& stream) {
+  // Slices keep the stream's alignment: a stream that starts off an
+  // 8-byte boundary is decoded from an aligned copy.
+  if (reinterpret_cast<uintptr_t>(stream.data()) % 8 != 0) {
+    return DeserializeTable(Buffer::Copy(stream.span()));
+  }
+  POCS_ASSIGN_OR_RETURN(BufferReader in, OpenStream(stream.span()));
+  POCS_ASSIGN_OR_RETURN(SchemaPtr schema, ReadSchema(&in));
+  POCS_ASSIGN_OR_RETURN(uint64_t nbatches, in.ReadVarint());
+  POCS_RETURN_NOT_OK(in.Align8());
+  auto table = std::make_shared<Table>(schema);
+  for (uint64_t i = 0; i < nbatches; ++i) {
+    POCS_ASSIGN_OR_RETURN(RecordBatchPtr b, ReadBatchBody(schema, stream, &in));
+    table->AppendBatch(std::move(b));
+  }
+  if (!in.exhausted()) {
+    return Status::Corruption("IPC: " + std::to_string(in.remaining()) +
+                              " bytes between the last batch and the trailer");
+  }
+  return table;
 }
 
 Result<std::shared_ptr<Table>> DeserializeTable(ByteSpan data) {
-  POCS_ASSIGN_OR_RETURN(BufferReader in, OpenStream(data));
-  POCS_ASSIGN_OR_RETURN(SchemaPtr schema, ReadSchema(&in));
-  POCS_ASSIGN_OR_RETURN(uint64_t nbatches, in.ReadVarint());
-  auto table = std::make_shared<Table>(schema);
-  for (uint64_t i = 0; i < nbatches; ++i) {
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr b, ReadBatchBody(schema, &in));
-    table->AppendBatch(std::move(b));
-  }
-  return table;
+  return DeserializeTable(Buffer::Copy(data));
 }
 
 Result<RecordBatchPtr> DeserializeBatch(ByteSpan data) {

@@ -310,48 +310,45 @@ void GatherRuns(const T* src, const uint32_t* sel, size_t m, T* dst) {
 
 std::shared_ptr<Column> Take(const Column& col, const SelectionVector& sel) {
   const size_t m = sel.size();
-  auto out = MakeColumn(col.type());
-  switch (col.type()) {
+  const TypeKind type = col.type();
+  Bytes values;
+  Bytes chars;
+  switch (type) {
     case TypeKind::kBool:
-      out->mutable_bool().resize(m);
-      GatherRuns(col.bool_data().data(), sel.data(), m,
-                 out->mutable_bool().data());
-      break;
     case TypeKind::kInt32:
     case TypeKind::kDate32:
-      out->mutable_i32().resize(m);
-      GatherRuns(col.i32_data().data(), sel.data(), m,
-                 out->mutable_i32().data());
-      break;
     case TypeKind::kInt64:
-      out->mutable_i64().resize(m);
-      GatherRuns(col.i64_data().data(), sel.data(), m,
-                 out->mutable_i64().data());
+    case TypeKind::kFloat64: {
+      const size_t width = TypeWidth(type);
+      values.resize(m * width);
+      if (width == 1) {
+        GatherRuns(col.bool_data().data(), sel.data(), m, values.data());
+      } else if (width == 4) {
+        GatherRuns(col.i32_data().data(), sel.data(), m,
+                   reinterpret_cast<int32_t*>(values.data()));
+      } else {
+        GatherRuns(col.i64_data().data(), sel.data(), m,
+                   reinterpret_cast<int64_t*>(values.data()));
+      }
       break;
-    case TypeKind::kFloat64:
-      out->mutable_f64().resize(m);
-      GatherRuns(col.f64_data().data(), sel.data(), m,
-                 out->mutable_f64().data());
-      break;
+    }
     case TypeKind::kString: {
       const int32_t* soff = col.offsets().data();
-      const std::string& schars = col.chars();
-      std::vector<int32_t>& off = out->mutable_offsets();
-      off.resize(m + 1);
+      const char* schars = col.chars().data();
+      values.resize((m + 1) * 4);
+      auto* off = reinterpret_cast<int32_t*>(values.data());
       off[0] = 0;
       size_t total = 0;
       POCS_VEC_LOOP
       for (size_t j = 0; j < m; ++j) {
         total += static_cast<size_t>(soff[sel[j] + 1] - soff[sel[j]]);
       }
-      std::string& chars = out->mutable_chars();
       chars.resize(total);
       int32_t pos = 0;
       for (size_t j = 0; j < m; ++j) {
         const int32_t b = soff[sel[j]];
         const int32_t len = soff[sel[j] + 1] - b;
-        std::memcpy(chars.data() + pos, schars.data() + b,
-                    static_cast<size_t>(len));
+        std::memcpy(chars.data() + pos, schars + b, static_cast<size_t>(len));
         pos += len;
         off[j + 1] = pos;
       }
@@ -359,20 +356,22 @@ std::shared_ptr<Column> Take(const Column& col, const SelectionVector& sel) {
     }
   }
   size_t null_count = 0;
+  Bytes validity;
   if (col.has_nulls()) {
-    std::vector<uint8_t>& v = out->mutable_validity();
-    v.resize(m);
-    GatherRuns(col.validity().data(), sel.data(), m, v.data());
+    validity.resize(m);
+    GatherRuns(col.validity().data(), sel.data(), m, validity.data());
     size_t ones = 0;
     POCS_VEC_LOOP
-    for (size_t j = 0; j < m; ++j) ones += v[j];
+    for (size_t j = 0; j < m; ++j) ones += validity[j];
     null_count = m - ones;
     // Normalize so a null-free gather of a nullable column is
     // indistinguishable from a gather of a null-free column.
-    if (null_count == 0) v.clear();
+    if (null_count == 0) validity.clear();
   }
-  out->FinishDeserialized(m, null_count);
-  return out;
+  return std::make_shared<Column>(type, m, null_count,
+                                  Buffer::Adopt(std::move(validity)),
+                                  Buffer::Adopt(std::move(values)),
+                                  Buffer::Adopt(std::move(chars)));
 }
 
 RecordBatchPtr TakeBatch(const RecordBatch& batch, const SelectionVector& sel) {

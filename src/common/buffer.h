@@ -1,14 +1,18 @@
-// Byte-buffer primitives: an append-only ByteBuffer plus little-endian and
-// varint readers/writers. These underlie every serialization path in the
-// repo (columnar IPC, Parquet-lite pages, Substrait wire format, RPC
-// frames), so they are kept allocation-frugal and bounds-checked.
+// Byte-buffer primitives: a shared immutable Buffer, an append-only
+// BufferWriter, and little-endian and varint readers/writers. These
+// underlie every serialization path in the repo (columnar IPC,
+// Parquet-lite pages, Substrait wire format, RPC frames), so they are
+// kept allocation-frugal and bounds-checked.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -18,6 +22,96 @@ namespace pocs {
 
 using Bytes = std::vector<uint8_t>;
 using ByteSpan = std::span<const uint8_t>;
+
+// A read-only byte range that shares ownership of the bytes it views: a
+// slice of an RPC response frame or of a decoded page, or bytes a column
+// built for itself. Slices of one owner keep the whole owner alive, so
+// handing a slice on copies no bytes. Append grows the buffer in place
+// only while it alone holds bytes it built; otherwise it first copies the
+// view into bytes of its own (copy on write).
+class Buffer {
+ public:
+  Buffer() = default;
+  // A view of `size` bytes at `data`, which `owner` keeps alive.
+  Buffer(std::shared_ptr<const void> owner, const uint8_t* data, size_t size)
+      : owner_(std::move(owner)), data_(data), size_(size) {}
+  // Adopts a contiguous container (Bytes, a typed vector, a string)
+  // without copying its elements.
+  template <typename Container>
+  static Buffer Adopt(Container container) {
+    if (container.empty()) return Buffer();
+    auto owner = std::make_shared<const Container>(std::move(container));
+    const auto* data = reinterpret_cast<const uint8_t*>(owner->data());
+    const size_t size = owner->size() * sizeof(typename Container::value_type);
+    return Buffer(std::move(owner), data, size);
+  }
+  static Buffer Copy(ByteSpan bytes) {
+    if (bytes.empty()) return Buffer();
+    auto owner = std::make_shared<const Bytes>(bytes.begin(), bytes.end());
+    const uint8_t* data = owner->data();
+    return Buffer(std::move(owner), data, bytes.size());
+  }
+
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  ByteSpan span() const { return ByteSpan(data_, size_); }
+  // The bytes as `T`s; the caller guarantees the alignment of T.
+  template <typename T>
+  std::span<const T> As() const {
+    POCS_DCHECK_EQ(reinterpret_cast<uintptr_t>(data_) % alignof(T), 0u);
+    return std::span<const T>(reinterpret_cast<const T*>(data_),
+                              size_ / sizeof(T));
+  }
+  // `size` bytes from `offset`, sharing this buffer's owner.
+  Buffer Slice(size_t offset, size_t size) const {
+    POCS_DCHECK_LE(offset + size, size_);
+    return Buffer(owner_, data_ + offset, size);
+  }
+  const std::shared_ptr<const void>& owner() const { return owner_; }
+
+  // Appends `n` bytes and returns where they go; the bytes are the
+  // caller's to fill.
+  uint8_t* Append(size_t n) {
+    if (!Writable()) Own(std::max(size_ + n, 2 * size_));
+    growable_->resize(size_ + n);
+    data_ = growable_->data();
+    size_ += n;
+    return growable_->data() + size_ - n;
+  }
+  // Room for `n` bytes in all without reallocating.
+  void Reserve(size_t n) {
+    if (n > size_) Own(n);
+  }
+
+  bool operator==(const Buffer& other) const {
+    return std::ranges::equal(span(), other.span());
+  }
+
+ private:
+  bool Writable() const {
+    return growable_ != nullptr && owner_.use_count() == 1;
+  }
+  // Makes the bytes this buffer's own, with room for `capacity`.
+  void Own(size_t capacity) {
+    if (!Writable()) {
+      auto own = std::make_shared<Bytes>();
+      own->reserve(capacity);
+      own->assign(data_, data_ + size_);
+      growable_ = own.get();
+      owner_ = std::move(own);
+    }
+    growable_->reserve(capacity);
+    data_ = growable_->data();
+  }
+
+  std::shared_ptr<const void> owner_;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+  // The Bytes behind owner_ when this buffer built them; written in place
+  // only while owner_ has no other holder.
+  Bytes* growable_ = nullptr;
+};
 
 // Growable output buffer with typed little-endian appends.
 class BufferWriter {
@@ -57,6 +151,9 @@ class BufferWriter {
     WriteVarint(s.size());
     WriteBytes(s.data(), s.size());
   }
+
+  // Zero bytes up to the next multiple of 8 from the writer's start.
+  void Align8() { data_.resize((data_.size() + 7) & ~size_t{7}); }
 
   // Patch a previously written fixed-width little-endian value.
   template <typename T>
@@ -143,6 +240,17 @@ class BufferReader {
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
+  }
+
+  // Skips the zero bytes up to the next multiple of 8 from the start of
+  // the reader's span; a nonzero padding byte is Corruption.
+  Status Align8() {
+    const size_t to = (pos_ + 7) & ~size_t{7};
+    if (to > data_.size()) return Status::Corruption("truncated padding");
+    for (; pos_ < to; ++pos_) {
+      if (data_[pos_] != 0) return Status::Corruption("nonzero padding");
+    }
+    return Status::OK();
   }
 
   Status Skip(size_t n) {

@@ -93,6 +93,11 @@ Result<std::optional<DictionaryPage>> DecodeDictionaryPage(
   page.codes.resize(n_rows);
   POCS_RETURN_NOT_OK(in.ReadBytes(page.codes.data(), n_rows));
   if (!in.exhausted()) return Status::Corruption("page: trailing bytes");
+  if (null_count > 0) {
+    // The code-domain filter masks with these bytes and materialization
+    // tests them, so both must read the same rows as null.
+    POCS_RETURN_NOT_OK(columnar::CheckValidity(page.validity, null_count));
+  }
   for (uint64_t i = 0; i < n_rows; ++i) {
     if (!page.validity.empty() && page.validity[i] == 0) continue;
     if (page.codes[i] >= page.values.size()) {
@@ -165,75 +170,98 @@ columnar::SelectionVector FilterDictCodes(
   return out;
 }
 
-columnar::ColumnPtr MaterializeDictionary(const DictionaryPage& page) {
+namespace {
+
+// A string column of the page's rows; only the rows of `sel` (ascending;
+// every row when null) get their values. Validity is kept verbatim.
+ColumnPtr Materialize(const DictionaryPage& page,
+                      const columnar::SelectionVector* sel) {
   const size_t n = page.num_rows();
-  auto col = MakeColumn(TypeKind::kString);
-  std::vector<int32_t>& off = col->mutable_offsets();
-  off.resize(n + 1);
-  off[0] = 0;
-  std::string& chars = col->mutable_chars();
+  // Calls f(code) for each row that gets its value, f(-1) for the others.
+  auto for_each_row = [&](auto&& f) {
+    size_t s = 0;
+    for (size_t i = 0; i < n; ++i) {
+      bool keep = sel == nullptr;
+      if (!keep && s < sel->size() && (*sel)[s] == i) {
+        ++s;
+        keep = true;
+      }
+      const bool valid = page.validity.empty() || page.validity[i] != 0;
+      f(keep && valid ? page.codes[i] : -1);
+    }
+  };
   size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (page.validity.empty() || page.validity[i] != 0) {
-      total += page.values[page.codes[i]].size();
-    }
-  }
+  for_each_row([&](int code) {
+    if (code >= 0) total += page.values[code].size();
+  });
+  std::vector<int32_t> off(n + 1);
+  std::string chars;
   chars.reserve(total);
-  int32_t pos = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (page.validity.empty() || page.validity[i] != 0) {
-      const std::string& v = page.values[page.codes[i]];
-      chars.append(v);
-      pos += static_cast<int32_t>(v.size());
-    }
-    off[i + 1] = pos;
-  }
-  if (page.null_count > 0) col->mutable_validity() = page.validity;
-  col->FinishDeserialized(n, page.null_count);
-  return col;
+  size_t i = 0;
+  for_each_row([&](int code) {
+    if (code >= 0) chars.append(page.values[code]);
+    off[++i] = static_cast<int32_t>(chars.size());
+  });
+  return std::make_shared<Column>(TypeKind::kString, n, page.null_count,
+                                  Buffer::Adopt(page.validity),
+                                  Buffer::Adopt(std::move(off)),
+                                  Buffer::Adopt(std::move(chars)));
+}
+
+}  // namespace
+
+columnar::ColumnPtr MaterializeDictionary(const DictionaryPage& page) {
+  return Materialize(page, nullptr);
 }
 
 columnar::ColumnPtr MaterializeDictionarySelected(
     const DictionaryPage& page, const columnar::SelectionVector& sel) {
-  const size_t n = page.num_rows();
-  auto col = MakeColumn(TypeKind::kString);
-  std::vector<int32_t>& off = col->mutable_offsets();
-  off.resize(n + 1);
-  off[0] = 0;
-  std::string& chars = col->mutable_chars();
-  size_t s = 0;
-  int32_t pos = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (s < sel.size() && sel[s] == i) {
-      ++s;
-      if (page.validity.empty() || page.validity[i] != 0) {
-        const std::string& v = page.values[page.codes[i]];
-        chars.append(v);
-        pos += static_cast<int32_t>(v.size());
-      }
-    }
-    off[i + 1] = pos;
-  }
-  if (page.null_count > 0) col->mutable_validity() = page.validity;
-  col->FinishDeserialized(n, page.null_count);
-  return col;
+  return Materialize(page, &sel);
 }
 
-Result<ColumnPtr> DecodePage(ByteSpan payload, const columnar::Field& field,
-                             size_t expected_rows) {
-  BufferReader in(payload);
-  POCS_ASSIGN_OR_RETURN(uint8_t enc, in.ReadU8());
-  if (enc == static_cast<uint8_t>(PageEncoding::kPlain)) {
-    POCS_ASSIGN_OR_RETURN(ColumnPtr column,
-                          columnar::ipc::ReadColumn(field.type, expected_rows,
-                                                    &in));
-    if (!in.exhausted()) return Status::Corruption("page: trailing bytes");
-    return column;
-  }
+namespace {
+
+bool IsPlain(ByteSpan payload) {
+  return !payload.empty() &&
+         payload[0] == static_cast<uint8_t>(PageEncoding::kPlain);
+}
+
+Result<ColumnPtr> DecodeDictionary(ByteSpan payload,
+                                   const columnar::Field& field,
+                                   size_t expected_rows) {
   POCS_ASSIGN_OR_RETURN(std::optional<DictionaryPage> page,
                         DecodeDictionaryPage(payload, field, expected_rows));
   if (!page) return Status::Corruption("page: unknown encoding");
   return MaterializeDictionary(*page);
+}
+
+}  // namespace
+
+Result<ColumnPtr> DecodePage(const Buffer& payload,
+                             const columnar::Field& field,
+                             size_t expected_rows) {
+  if (!IsPlain(payload.span())) {
+    return DecodeDictionary(payload.span(), field, expected_rows);
+  }
+  // A plain page is sliced, so its buffers must keep their alignment.
+  if (reinterpret_cast<uintptr_t>(payload.data()) % 8 != 0) {
+    return DecodePage(Buffer::Copy(payload.span()), field, expected_rows);
+  }
+  BufferReader in(payload.span());
+  POCS_RETURN_NOT_OK(in.Skip(1));
+  POCS_ASSIGN_OR_RETURN(
+      ColumnPtr column,
+      columnar::ipc::ReadColumn(field.type, expected_rows, payload, &in));
+  if (!in.exhausted()) return Status::Corruption("page: trailing bytes");
+  return column;
+}
+
+Result<ColumnPtr> DecodePage(ByteSpan payload, const columnar::Field& field,
+                             size_t expected_rows) {
+  if (IsPlain(payload)) {
+    return DecodePage(Buffer::Copy(payload), field, expected_rows);
+  }
+  return DecodeDictionary(payload, field, expected_rows);
 }
 
 }  // namespace pocs::format

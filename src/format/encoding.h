@@ -1,8 +1,9 @@
 // Data-page encodings for Parquet-lite chunks. Mirrors Parquet's two
 // workhorse encodings:
 //   kPlain      — the raw column body: null count, validity and values
-//                 (offsets + chars for strings), written and read by the
-//                 IPC stream's own ipc::WriteColumn/ReadColumn pair;
+//                 (offsets + chars for strings), each buffer 8-aligned
+//                 from the page's start, written and read by the IPC
+//                 stream's own ipc::WriteColumn/ReadColumn pair;
 //   kDictionary — low-cardinality string columns stored as a distinct-
 //                 value dictionary plus one code byte per row (chosen
 //                 automatically when it is smaller).
@@ -47,7 +48,8 @@ struct DictionaryPage {
 // Decode a page produced by EncodePage into its dictionary form, or
 // nullopt when the page is plain-encoded (caller falls back to
 // DecodePage). Codes of non-null rows are validated against the
-// dictionary size.
+// dictionary size, and validity bytes must be 0 or 1 and agree with the
+// null count.
 Result<std::optional<DictionaryPage>> DecodeDictionaryPage(
     ByteSpan payload, const columnar::Field& field, size_t expected_rows);
 
@@ -83,7 +85,12 @@ columnar::ColumnPtr MaterializeDictionarySelected(
 Bytes EncodePage(const columnar::Column& col,
                  const columnar::Field& field);
 
-// Decode a page produced by EncodePage.
+// Decode a page produced by EncodePage. A plain page decodes to slices of
+// `payload` (copied first only if it does not start 8-aligned); the span
+// overload copies a plain page once into a buffer of its own.
+Result<columnar::ColumnPtr> DecodePage(const Buffer& payload,
+                                       const columnar::Field& field,
+                                       size_t expected_rows);
 Result<columnar::ColumnPtr> DecodePage(ByteSpan payload,
                                        const columnar::Field& field,
                                        size_t expected_rows);

@@ -34,7 +34,7 @@ Status FileWriter::WriteBatch(const RecordBatch& batch) {
   POCS_RETURN_NOT_OK(batch.Validate());
   for (size_t c = 0; c < batch.num_columns(); ++c) {
     const Column& src = *batch.column(c);
-    for (size_t i = 0; i < src.length(); ++i) pending_[c]->AppendFrom(src, i);
+    pending_[c]->AppendRange(src, 0, src.length());
   }
   pending_rows_ += batch.num_rows();
   while (pending_rows_ >= options_.rows_per_group) {
@@ -62,8 +62,8 @@ Status FileWriter::FlushGroup() {
     } else {
       head = MakeColumn(schema_->field(c).type);
       tail = MakeColumn(schema_->field(c).type);
-      for (size_t i = 0; i < take; ++i) head->AppendFrom(*col, i);
-      for (size_t i = take; i < col->length(); ++i) tail->AppendFrom(*col, i);
+      head->AppendRange(*col, 0, take);
+      tail->AppendRange(*col, take, col->length() - take);
     }
     rest.push_back(tail);
 
@@ -231,8 +231,8 @@ Result<RecordBatchPtr> FileReader::ReadRowGroup(
     POCS_ASSIGN_OR_RETURN(Bytes payload, codec.Decompress(raw));
     POCS_ASSIGN_OR_RETURN(
         ColumnPtr column,
-        DecodePage(ByteSpan(payload.data(), payload.size()),
-                   meta_.schema->field(c), g.num_rows));
+        DecodePage(Buffer::Adopt(std::move(payload)), meta_.schema->field(c),
+                   g.num_rows));
     fields.push_back(meta_.schema->field(c));
     columns.push_back(std::move(column));
   }

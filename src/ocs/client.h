@@ -32,8 +32,9 @@ class OcsClient {
       info->transfer_seconds += call.transfer_seconds;
     }
     POCS_RETURN_NOT_OK(status);
-    BufferReader in(call.response.data(), call.response.size());
-    return DecodeOcsResult(&in);
+    // The response becomes the shared owner of the payload and, once
+    // decoded, of every result column: no result byte is copied.
+    return DecodeOcsResult(Buffer::Adopt(std::move(call.response)));
   }
 
   // Placement probe: which storage node (index) serves bucket/key, plus
@@ -74,11 +75,11 @@ class OcsClient {
   // fallback builds a StorageClient on it to fetch raw objects.
   const rpc::Channel& channel() const { return channel_; }
 
-  // Decode the Arrow payload of a result.
+  // Decode the Arrow payload of a result into columns that are slices of
+  // it.
   static Result<std::shared_ptr<columnar::Table>> DecodeTable(
       const OcsResult& result) {
-    return columnar::ipc::DeserializeTable(
-        ByteSpan(result.arrow_ipc.data(), result.arrow_ipc.size()));
+    return columnar::ipc::DeserializeTable(result.arrow_ipc);
   }
 
  private:

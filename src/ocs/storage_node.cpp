@@ -9,6 +9,7 @@
 #include "columnar/ipc.h"
 #include "columnar/kernels.h"
 #include "common/bloom.h"
+#include "common/checksum.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "format/encoding.h"
@@ -212,11 +213,12 @@ class ParquetObjectSource : public exec::BatchSource {
               return static_cast<const format::DictionaryPage*>(nullptr);
             }
           }
-          POCS_ASSIGN_OR_RETURN(Bytes page, reader_->ReadChunkPage(g, c));
+          POCS_ASSIGN_OR_RETURN(Bytes bytes, reader_->ReadChunkPage(g, c));
+          const Buffer page = Buffer::Adopt(std::move(bytes));
           stats_->object_bytes_read += chunk_bytes;
           POCS_ASSIGN_OR_RETURN(
               std::optional<format::DictionaryPage> dict,
-              format::DecodeDictionaryPage(page, field, group_rows));
+              format::DecodeDictionaryPage(page.span(), field, group_rows));
           if (dict) {
             return &dict_pages.emplace(c, std::move(*dict)).first->second;
           }
@@ -457,7 +459,7 @@ Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
   return table;
 }
 
-Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
+Result<Bytes> StorageNode::Execute(const substrait::Plan& plan) const {
   if (faults_.exec_crashed.load(std::memory_order_relaxed)) {
     auto& reg = metrics::Registry::Default();
     static auto& rejected = reg.GetCounter("storage.exec_rejected");
@@ -466,7 +468,7 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   }
   POCS_RETURN_NOT_OK(substrait::ValidatePlan(plan));
   Stopwatch timer;
-  OcsResult result;
+  OcsExecStats stats;
 
   const Rel* read = plan.root.get();
   while (read->input) read = read->input.get();
@@ -476,17 +478,16 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
                         store_->GetVersioned(read->bucket, read->object));
   POCS_ASSIGN_OR_RETURN(
-      auto table,
-      ExecuteOnObject(plan, object, rowgroup_cache_.get(), &result.stats));
-  result.arrow_ipc = columnar::ipc::SerializeTable(*table);
-  result.stats.exec_delay_seconds =
+      auto table, ExecuteOnObject(plan, object, rowgroup_cache_.get(), &stats));
+  // The table is serialized once, into its place in the response frame.
+  OcsResultWriter frame(stats, columnar::ipc::MaxStreamBytes(*table));
+  columnar::ipc::WriteTable(*table, frame.payload());
+  stats.exec_delay_seconds =
       faults_.exec_delay_seconds.load(std::memory_order_relaxed);
-  result.stats.storage_compute_seconds =
-      timer.ElapsedSeconds() * config_.cpu_slowdown +
-      result.stats.exec_delay_seconds;
-  result.stats.media_read_seconds =
-      static_cast<double>(result.stats.object_bytes_read) /
-      config_.media_read_bandwidth;
+  stats.storage_compute_seconds =
+      timer.ElapsedSeconds() * config_.cpu_slowdown + stats.exec_delay_seconds;
+  stats.media_read_seconds = static_cast<double>(stats.object_bytes_read) /
+                             config_.media_read_bandwidth;
 
   {
     auto& reg = metrics::Registry::Default();
@@ -494,63 +495,107 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
     static auto& compute = reg.GetHistogram("storage.compute_seconds");
     static const CounterExporter<StorageCounters> exporter("storage");
     plans.Increment();
-    exporter.Add(result.stats);
-    compute.Record(result.stats.storage_compute_seconds);
+    exporter.Add(stats);
+    compute.Record(stats.storage_compute_seconds);
   }
-  return result;
+  return std::move(frame).Finish(stats);
 }
 
-void EncodeOcsResult(const OcsResult& result, BufferWriter* out) {
-  ForEachCounter(result.stats, [out](std::string_view, const auto& value) {
-    if constexpr (kIsCount<decltype(value)>) out->WriteVarint(value);
-  });
-  out->WriteVarint(result.stats.object_version);
-  ForEachCounter(result.stats, [out](std::string_view, const auto& value) {
-    if constexpr (!kIsCount<decltype(value)>) out->WriteLE<double>(value);
-  });
-  out->WriteVarint(result.arrow_ipc.size());
-  out->WriteBytes(result.arrow_ipc.data(), result.arrow_ipc.size());
+Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
+  POCS_ASSIGN_OR_RETURN(Bytes frame, Execute(plan));
+  return DecodeOcsResult(Buffer::Adopt(std::move(frame)));
 }
 
-Result<OcsResult> DecodeOcsResult(BufferReader* in) {
+OcsResultWriter::OcsResultWriter(const OcsExecStats& stats,
+                                 size_t payload_reserve)
+    : out_(payload_reserve + 256) {
+  ForEachCounter(stats, [this](std::string_view, const auto& value) {
+    if constexpr (kIsCount<decltype(value)>) out_.WriteVarint(value);
+  });
+  out_.WriteVarint(stats.object_version);
+  // The seconds and the payload length are fixed-width blanks until
+  // Finish, and so is the checksum behind the padding.
+  seconds_at_ = out_.size();
+  ForEachCounter(stats, [this](std::string_view, const auto& value) {
+    if constexpr (!kIsCount<decltype(value)>) out_.WriteLE<double>(0);
+  });
+  out_.WriteLE<uint64_t>(0);
+  out_.Align8();
+  checksum_at_ = out_.size();
+  out_.WriteLE<uint64_t>(0);
+  payload_at_ = out_.size();
+}
+
+Bytes OcsResultWriter::Finish(const OcsExecStats& stats) && {
+  size_t at = seconds_at_;
+  ForEachCounter(stats, [&](std::string_view, const auto& value) {
+    if constexpr (!kIsCount<decltype(value)>) {
+      out_.PatchLE<double>(at, value);
+      at += 8;
+    }
+  });
+  out_.PatchLE<uint64_t>(at, out_.size() - payload_at_);
+  out_.PatchLE<uint64_t>(checksum_at_,
+                         Checksum64(out_.span().first(checksum_at_)));
+  return std::move(out_).Take();
+}
+
+Result<OcsResult> DecodeOcsResult(const Buffer& frame) {
+  BufferReader in(frame.span());
   OcsResult result;
   // Reads the counts (varints) or the seconds (doubles) in list order.
   auto read = [&](bool counts) {
     Status status;
-    ForEachCounter(result.stats, [&](std::string_view name, auto& value) {
+    ForEachCounter(result.stats, [&](std::string_view, auto& value) {
       if (!status.ok() || kIsCount<decltype(value)> != counts) return;
       if constexpr (kIsCount<decltype(value)>) {
-        Result<uint64_t> count = in->ReadVarint();
+        Result<uint64_t> count = in.ReadVarint();
         status = count.status();
         if (count.ok()) value = *count;
       } else {
-        Result<double> seconds = in->ReadLE<double>();
+        Result<double> seconds = in.ReadLE<double>();
         status = seconds.status();
-        if (!seconds.ok()) return;
-        value = *seconds;
-        // The slow-node check and the modelled query time take these at
-        // face value: NaN or a negative figure would slip past the
-        // storage deadline and poison the query's total.
-        if (!std::isfinite(value) || value < 0) {
-          status = Status::Corruption("ocs: result reports " +
-                                      std::string(name) + " = " +
-                                      std::to_string(value));
-        }
+        if (seconds.ok()) value = *seconds;
       }
     });
     return status;
   };
   POCS_RETURN_NOT_OK(read(/*counts=*/true));
-  POCS_ASSIGN_OR_RETURN(result.stats.object_version, in->ReadVarint());
+  POCS_ASSIGN_OR_RETURN(result.stats.object_version, in.ReadVarint());
   POCS_RETURN_NOT_OK(read(/*counts=*/false));
-  POCS_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(ByteSpan ipc, in->ReadSpan(n));
-  if (!in->exhausted()) {
-    return Status::Corruption("ocs: " + std::to_string(in->remaining()) +
-                              " bytes after the result payload");
+  POCS_ASSIGN_OR_RETURN(uint64_t payload_bytes, in.ReadLE<uint64_t>());
+  POCS_RETURN_NOT_OK(in.Align8());
+  const size_t header_bytes = in.position();
+  POCS_ASSIGN_OR_RETURN(uint64_t checksum, in.ReadLE<uint64_t>());
+  if (Checksum64(frame.span().first(header_bytes)) != checksum) {
+    return Status::Corruption("ocs: result header checksum mismatch");
   }
-  result.arrow_ipc.assign(ipc.begin(), ipc.end());
+  // The slow-node check and the modelled query time take the seconds at
+  // face value: NaN or a negative figure would slip past the storage
+  // deadline and poison the query's total.
+  Status seconds_ok;
+  ForEachCounter(result.stats, [&](std::string_view name, const auto& value) {
+    if constexpr (!kIsCount<decltype(value)>) {
+      if (seconds_ok.ok() && (!std::isfinite(value) || value < 0)) {
+        seconds_ok = Status::Corruption("ocs: result reports " +
+                                        std::string(name) + " = " +
+                                        std::to_string(value));
+      }
+    }
+  });
+  POCS_RETURN_NOT_OK(seconds_ok);
+  if (payload_bytes != in.remaining()) {
+    return Status::Corruption("ocs: result payload of " +
+                              std::to_string(payload_bytes) + " bytes, frame holds " +
+                              std::to_string(in.remaining()));
+  }
+  result.arrow_ipc = frame.Slice(in.position(), payload_bytes);
   return result;
+}
+
+Result<OcsResult> DecodeOcsResult(BufferReader* in) {
+  POCS_ASSIGN_OR_RETURN(ByteSpan frame, in->ReadSpan(in->remaining()));
+  return DecodeOcsResult(Buffer::Copy(frame));
 }
 
 void StorageNode::RegisterService(rpc::Server* server) const {
@@ -563,10 +608,7 @@ void StorageNode::RegisterService(rpc::Server* server) const {
   server->RegisterMethod("ExecutePlan", [node](ByteSpan req) -> Result<Bytes> {
     POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
                           substrait::DeserializePlan(req));
-    POCS_ASSIGN_OR_RETURN(OcsResult result, node->ExecutePlan(plan));
-    BufferWriter out;
-    EncodeOcsResult(result, &out);
-    return std::move(out).Take();
+    return node->Execute(plan);
   });
 }
 

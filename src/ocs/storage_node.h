@@ -70,7 +70,9 @@ struct OcsExecStats : StorageCounters {
 };
 
 struct OcsResult {
-  Bytes arrow_ipc;  // columnar::ipc-serialized result table
+  // The result table's columnar::ipc stream: a slice of the response
+  // frame it arrived in, which it keeps alive.
+  Buffer arrow_ipc;
   OcsExecStats stats;
 };
 
@@ -115,6 +117,8 @@ class StorageNode {
 
   // Execute an IR plan whose Read targets an object on this node.
   Result<OcsResult> ExecutePlan(const substrait::Plan& plan) const;
+  // The same, as the response frame the "ExecutePlan" method returns.
+  Result<Bytes> Execute(const substrait::Plan& plan) const;
 
   // Register "ExecutePlan" (and the plain object-store methods) on an RPC
   // server living on this node.
@@ -136,11 +140,46 @@ class StorageNode {
   std::shared_ptr<RowGroupCache> rowgroup_cache_;
 };
 
-// Wire helpers for OcsResult (shared with the frontend, which forwards
-// responses verbatim). The counters travel in their POCS_STORAGE_COUNTERS
-// order, untagged. Decoding rejects seconds that are negative or not
-// finite, and bytes after the IPC payload, as Corruption.
-void EncodeOcsResult(const OcsResult& result, BufferWriter* out);
+// The OcsResult wire: the frame an ExecutePlan response carries (shared
+// with the frontend, which forwards responses verbatim).
+//   frame    := header pad checksum:u64 payload
+//   header   := count:varint* object_version:varint seconds:f64*
+//               payload_bytes:u64
+//   pad      := zero bytes up to the next multiple of 8
+//   checksum := Checksum64 (common/checksum.h) of header and pad
+//   payload  := the result's columnar::ipc stream, payload_bytes long,
+//               ending the frame
+// The counters travel in their POCS_STORAGE_COUNTERS order, untagged.
+// The payload starts 8-aligned, so a frame decodes to columns that are
+// slices of it, and its stream carries its own checksum.
+//
+// OcsResultWriter builds a frame in one buffer: the constructor writes
+// the header with the seconds and payload length left blank, the caller
+// appends the payload stream to payload(), and Finish fills in the
+// blanks and the checksum. The seconds are read only in Finish, so they
+// may time the payload's serialization.
+class OcsResultWriter {
+ public:
+  // Takes the counts and object version of `stats`; `payload_reserve`
+  // bounds the payload, so the frame is allocated once.
+  OcsResultWriter(const OcsExecStats& stats, size_t payload_reserve);
+  BufferWriter* payload() { return &out_; }
+  // Takes the seconds of `stats` and returns the frame.
+  Bytes Finish(const OcsExecStats& stats) &&;
+
+ private:
+  BufferWriter out_;
+  size_t seconds_at_ = 0;
+  size_t checksum_at_ = 0;
+  size_t payload_at_ = 0;
+};
+
+// Decoding checks the header checksum once, then rejects seconds that are
+// negative or not finite, and a payload length other than the bytes that
+// follow, as Corruption. The Buffer overload leaves arrow_ipc a slice of
+// `frame`; the reader overload copies the rest of `in` once into a buffer
+// of its own and consumes it.
+Result<OcsResult> DecodeOcsResult(const Buffer& frame);
 Result<OcsResult> DecodeOcsResult(BufferReader* in);
 
 // Run a plan over one object's bytes with the storage node's scan: the

@@ -165,19 +165,9 @@ ColumnPtr Finish(TypeKind type, std::vector<T> values,
     null_count = n - ones;
     if (null_count == 0) valid.clear();
   }
-  auto out = MakeColumn(type);
-  if constexpr (std::is_same_v<T, uint8_t>) {
-    out->mutable_bool() = std::move(values);
-  } else if constexpr (std::is_same_v<T, int32_t>) {
-    out->mutable_i32() = std::move(values);
-  } else if constexpr (std::is_same_v<T, int64_t>) {
-    out->mutable_i64() = std::move(values);
-  } else {
-    out->mutable_f64() = std::move(values);
-  }
-  out->mutable_validity() = std::move(valid);
-  out->FinishDeserialized(n, null_count);
-  return out;
+  return std::make_shared<Column>(type, n, null_count,
+                                  Buffer::Adopt(std::move(valid)),
+                                  Buffer::Adopt(std::move(values)));
 }
 
 // An int64 result stored as `type`: int64 as is, int32/date32 truncated.
@@ -196,39 +186,47 @@ ColumnPtr FinishInteger(TypeKind type, std::vector<int64_t> values,
 // `value` repeated n times, by typed fill: the column a scalar becomes when
 // a whole expression folds to one.
 ColumnPtr Broadcast(const Datum& value, size_t n) {
-  auto out = MakeColumn(value.type());
   const bool null = value.is_null();
-  switch (value.type()) {
+  const TypeKind type = value.type();
+  Buffer values;
+  Buffer chars;
+  switch (type) {
     case TypeKind::kBool:
-      out->mutable_bool().assign(n, null ? 0 : value.bool_value());
+      values = Buffer::Adopt(
+          std::vector<uint8_t>(n, null ? 0 : value.bool_value()));
       break;
     case TypeKind::kInt32:
     case TypeKind::kDate32:
-      out->mutable_i32().assign(n, null ? 0 : value.int32_value());
+      values = Buffer::Adopt(
+          std::vector<int32_t>(n, null ? 0 : value.int32_value()));
       break;
     case TypeKind::kInt64:
-      out->mutable_i64().assign(n, null ? 0 : value.int64_value());
+      values = Buffer::Adopt(
+          std::vector<int64_t>(n, null ? 0 : value.int64_value()));
       break;
     case TypeKind::kFloat64:
-      out->mutable_f64().assign(n, null ? 0.0 : value.float64_value());
+      values = Buffer::Adopt(
+          std::vector<double>(n, null ? 0.0 : value.float64_value()));
       break;
     case TypeKind::kString: {
       const std::string_view s =
           null ? std::string_view() : std::string_view(value.string_value());
-      std::vector<int32_t>& offsets = out->mutable_offsets();
-      offsets.resize(n + 1);
+      std::vector<int32_t> offsets(n + 1);
       for (size_t i = 0; i <= n; ++i) {
         offsets[i] = static_cast<int32_t>(i * s.size());
       }
-      std::string& chars = out->mutable_chars();
-      chars.reserve(n * s.size());
-      for (size_t i = 0; i < n; ++i) chars.append(s);
+      std::string repeated;
+      repeated.reserve(n * s.size());
+      for (size_t i = 0; i < n; ++i) repeated.append(s);
+      values = Buffer::Adopt(std::move(offsets));
+      chars = Buffer::Adopt(std::move(repeated));
       break;
     }
   }
-  if (null) out->mutable_validity().assign(n, 0);
-  out->FinishDeserialized(n, null ? n : 0);
-  return out;
+  return std::make_shared<Column>(
+      type, n, null ? n : 0,
+      Buffer::Adopt(null ? std::vector<uint8_t>(n, 0) : std::vector<uint8_t>()),
+      std::move(values), std::move(chars));
 }
 
 // ---- arithmetic ---------------------------------------------------------------

@@ -2,6 +2,10 @@
 // kernels, and IPC roundtrips (including corruption injection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
+
 #include <random>
 
 #include "columnar/batch.h"
@@ -411,6 +415,60 @@ TEST(IpcTest, DeclaredRowCountBeyondBytesIsCorruption) {
       EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
           << TypeName(type);
     }
+  }
+}
+
+// Bytes between the last batch and the trailer, under a recomputed
+// checksum, are Corruption: the stream must end where its batches do.
+TEST(IpcTest, BytesBeforeTrailerAreCorruption) {
+  Bytes data = ipc::SerializeBatch(*MakeTestBatch());
+  ASSERT_TRUE(ipc::DeserializeBatch(data).ok());
+  data.resize(data.size() - 8);
+  data.insert(data.end(), 5, 0);
+  BufferWriter out;
+  out.WriteBytes(data.data(), data.size());
+  out.WriteLE<uint64_t>(Checksum64(out.span()));
+  auto result = ipc::DeserializeTable(out.span());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+// A stream of one int64 column whose second of four rows is null, after
+// `edit` rewrote its validity bytes and the trailer was recomputed.
+Result<std::shared_ptr<Table>> DecodeEditedValidity(
+    const std::function<void(uint8_t* validity)>& edit) {
+  auto col = MakeColumn(TypeKind::kInt64);
+  col->AppendInt64(7);
+  col->AppendNull();
+  col->AppendInt64(9);
+  col->AppendInt64(11);
+  Bytes data = ipc::SerializeBatch(
+      *MakeBatch(MakeSchema({{"v", TypeKind::kInt64}}), {col}));
+  const uint8_t validity[] = {1, 0, 1, 1};
+  auto at = std::search(data.begin(), data.end(), std::begin(validity),
+                        std::end(validity));
+  if (at == data.end()) return Status::Internal("no validity bytes");
+  edit(&*at);
+  data.resize(data.size() - 8);
+  const uint64_t checksum = Checksum64(data);
+  data.insert(data.end(), reinterpret_cast<const uint8_t*>(&checksum),
+              reinterpret_cast<const uint8_t*>(&checksum) + 8);
+  return ipc::DeserializeTable(data);
+}
+
+// Kernels count and mask with validity bytes, so a byte other than 0 or 1,
+// or a null count the bytes disagree with, is Corruption.
+TEST(IpcTest, ValidityMustAgreeWithNullCount) {
+  auto intact = DecodeEditedValidity([](uint8_t*) {});
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  EXPECT_TRUE((*intact)->batches()[0]->column(0)->IsNull(1));
+  for (const auto& [row, byte] : {std::pair{0, uint8_t{2}},
+                                  std::pair{1, uint8_t{0xFF}},
+                                  std::pair{2, uint8_t{0}},
+                                  std::pair{1, uint8_t{1}}}) {
+    auto edited = DecodeEditedValidity([&](uint8_t* v) { v[row] = byte; });
+    ASSERT_FALSE(edited.ok()) << "row " << row << " = " << int{byte};
+    EXPECT_EQ(edited.status().code(), StatusCode::kCorruption);
   }
 }
 

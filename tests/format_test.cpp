@@ -3,8 +3,11 @@
 // corruption handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
 
+#include "columnar/ipc.h"
 #include "format/encoding.h"
 #include "format/parquet_lite.h"
 #include "format/stats.h"
@@ -414,13 +417,51 @@ TEST(EncodingTest, DeclaredRowCountBeyondPageBytesIsCorruption) {
   }
 }
 
+// ["a", NULL, "a", "b"] with row 0's validity byte set to 2 once made the
+// code-domain filter (`match & valid`) and materialization disagree about
+// row 0. Validity bytes other than 0 and 1, or a null count they
+// disagree with, are Corruption in dictionary and plain pages alike.
+TEST(EncodingTest, ValidityMustAgreeWithNullCount) {
+  auto col = MakeColumn(TypeKind::kString);
+  col->AppendString("a");
+  col->AppendNull();
+  col->AppendString("a");
+  col->AppendString("b");
+  const Field field{"s", TypeKind::kString};
+  auto dict = DictionaryEncodeString(*col);
+  ASSERT_TRUE(dict.has_value());
+  BufferWriter plain;
+  plain.WriteU8(static_cast<uint8_t>(PageEncoding::kPlain));
+  columnar::ipc::WriteColumn(*col, &plain);
+  const uint8_t validity[] = {1, 0, 1, 1};
+  for (const Bytes& page : {*dict, plain.data()}) {
+    ASSERT_TRUE(DecodePage(page, field, 4).ok());
+    const auto at = std::search(page.begin(), page.end(), std::begin(validity),
+                                std::end(validity)) - page.begin();
+    ASSERT_LT(static_cast<size_t>(at), page.size());
+    for (const auto& [row, byte] : {std::pair{0, uint8_t{2}},
+                                    std::pair{2, uint8_t{0}},
+                                    std::pair{1, uint8_t{1}}}) {
+      Bytes bad = page;
+      bad[at + row] = byte;
+      auto decoded = DecodePage(bad, field, 4);
+      ASSERT_FALSE(decoded.ok()) << "row " << row << " = " << int{byte};
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+      if (bad[0] == static_cast<uint8_t>(PageEncoding::kDictionary)) {
+        EXPECT_FALSE(DecodeDictionaryPage(bad, field, 4).ok());
+      }
+    }
+  }
+}
+
 TEST(EncodingTest, PlainPageIsRawColumnBody) {
   auto col = MakeColumn(TypeKind::kInt64);
   for (int i = 0; i < 100; ++i) col->AppendInt64(i);
   const Field field{"n", TypeKind::kInt64};
   Bytes page = EncodePage(*col, field);
-  // Encoding byte, a one-byte zero null count, then the raw values.
-  ASSERT_EQ(page.size(), 1u + 1u + 100u * 8u);
+  // Encoding byte, a one-byte zero null count, padding to the values'
+  // 8-byte boundary, then the raw values.
+  ASSERT_EQ(page.size(), 1u + 1u + 6u + 100u * 8u);
   auto decoded = DecodePage(page, field, 100);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ((*decoded)->GetInt64(99), 99);

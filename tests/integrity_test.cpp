@@ -6,6 +6,10 @@
 //
 // Shapes: Laghos (all float64/int64) and lineitem (dictionary strings,
 // dates), each uncompressed and zs-lite, 8,192 rows in four row groups.
+//
+// The same holds for a storage node's ExecutePlan response: every one-byte
+// mutant of a real one fails as Corruption when its counters or its
+// table are decoded.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +17,8 @@
 #include <string>
 
 #include "format/parquet_lite.h"
+#include "ocs/client.h"
+#include "ocs/storage_node.h"
 #include "workloads/laghos.h"
 #include "workloads/tpch.h"
 
@@ -119,6 +125,64 @@ TEST(IntegrityFooterTest, EveryFooterByteMutantIsCorruption) {
         ++escaped;
         ADD_FAILURE() << "footer byte " << pos << " ^ " << int{mask} << ": "
                       << status.ToString();
+      }
+    }
+  }
+  EXPECT_EQ(escaped, 0);
+}
+
+// A real ExecutePlan response: a selective scan of lineitem (int64,
+// int32, float64, date and string columns) as the storage node frames it.
+Result<Bytes> MakeResponse() {
+  POCS_ASSIGN_OR_RETURN(Bytes file,
+                        MakeFile("lineitem", compress::CodecType::kNone));
+  auto store = std::make_shared<objectstore::ObjectStore>();
+  POCS_RETURN_NOT_OK(store->CreateBucket("b"));
+  POCS_RETURN_NOT_OK(store->Put("b", "lineitem", std::move(file)));
+  ocs::StorageNode node(store, ocs::StorageNodeConfig{});
+  auto read = std::make_unique<substrait::Rel>();
+  read->kind = substrait::RelKind::kRead;
+  read->bucket = "b";
+  read->object = "lineitem";
+  read->base_schema = workloads::LineitemSchema();
+  auto filter = std::make_unique<substrait::Rel>();
+  filter->kind = substrait::RelKind::kFilter;
+  filter->input = std::move(read);
+  filter->predicate = substrait::Expression::Call(
+      substrait::ScalarFunc::kLt,
+      {substrait::Expression::FieldRef(4, columnar::TypeKind::kFloat64),
+       substrait::Expression::Literal(columnar::Datum::Float64(2))},
+      columnar::TypeKind::kBool);
+  substrait::Plan plan;
+  plan.root = std::move(filter);
+  return node.Execute(plan);
+}
+
+// Decodes a response as the connector does: the frame, then its table.
+Status DecodeResponse(const Bytes& response) {
+  POCS_ASSIGN_OR_RETURN(ocs::OcsResult result,
+                        ocs::DecodeOcsResult(Buffer::Copy(response)));
+  return ocs::OcsClient::DecodeTable(result).status();
+}
+
+// Every byte of the response, header and payload, each with two masks.
+TEST(IntegrityResponseTest, EveryResponseByteMutantIsCorruption) {
+  Result<Bytes> made = MakeResponse();
+  ASSERT_TRUE(made.ok()) << made.status();
+  const Bytes& response = *made;
+  ASSERT_TRUE(DecodeResponse(response).ok());
+  ASSERT_GT(response.size(), 1000u);
+  Bytes mutant = response;
+  int escaped = 0;
+  for (size_t pos = 0; pos < response.size(); ++pos) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xa5}}) {
+      mutant[pos] ^= mask;
+      const Status status = DecodeResponse(mutant);
+      mutant[pos] = response[pos];
+      if (status.code() != StatusCode::kCorruption) {
+        ++escaped;
+        ADD_FAILURE() << "response byte " << pos << " of " << response.size()
+                      << " ^ " << int{mask} << ": " << status.ToString();
       }
     }
   }

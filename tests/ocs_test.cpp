@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -220,7 +221,7 @@ OcsResult DistinctResult() {
     }
   });
   result.stats.object_version = 0x1234;
-  result.arrow_ipc = {0xA, 0xB, 0xC};
+  result.arrow_ipc = Buffer::Adopt(Bytes{0xA, 0xB, 0xC});
   return result;
 }
 
@@ -239,9 +240,9 @@ std::pair<std::vector<uint64_t>, std::vector<double>> Values(
 }
 
 Bytes Encode(const OcsResult& result) {
-  BufferWriter w;
-  EncodeOcsResult(result, &w);
-  return std::move(w).Take();
+  OcsResultWriter w(result.stats, result.arrow_ipc.size());
+  w.payload()->WriteBytes(result.arrow_ipc.span());
+  return std::move(w).Finish(result.stats);
 }
 
 Result<OcsResult> Decode(const Bytes& frame) {
@@ -251,7 +252,8 @@ Result<OcsResult> Decode(const Bytes& frame) {
 
 // The frame layout is pinned byte for byte: the counts as varints in
 // POCS_STORAGE_COUNTERS order, the object version, the seconds as
-// little-endian doubles, then the length-prefixed IPC payload. Compute and
+// little-endian doubles, the payload length as a u64, zero padding to a
+// multiple of 8, the header checksum, then the IPC payload. Compute and
 // storage nodes must agree on these bytes, so a change here (a new storage
 // counter included) has to be deliberate.
 TEST(OcsResultWireTest, EncodeDecode) {
@@ -262,8 +264,9 @@ TEST(OcsResultWireTest, EncodeDecode) {
       "\x80\x80\x80\x08\x8a\x80\x80\x80\x80\x80\x80\x02\x8b\x80\x80\x80\x80"
       "\x80\x80\x40\x8c\x80\x80\x80\x80\x80\x80\x80\x10\xb4\x24\x00\x00\x00"
       "\x00\x00\x00\xc0\x3f\x00\x00\x00\x00\x00\x00\xf4\x3f\x00\x00\x00\x00"
-      "\x00\x00\x03\x40\x03\x0a\x0b\x0c",
-      93);
+      "\x00\x00\x03\x40\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x5d\x60\xf1\xd2\x27\x3d\x19\x3f\x0a\x0b\x0c",
+      115);
   const Bytes frame = Encode(result);
   EXPECT_EQ(std::string(frame.begin(), frame.end()), golden);
 
@@ -320,6 +323,64 @@ TEST(OcsResultWireTest, NonFiniteOrNegativeSecondsAreCorruption) {
           << field << " = " << bad;
     }
   }
+}
+
+// Decoding a real response copies no column bytes: the payload and every
+// buffer of every decoded column lie inside the response frame, each
+// 8-aligned.
+TEST(OcsResultWireTest, DecodedColumnsAreSlicesOfTheResponseFrame) {
+  StorageNode node = MakeNode();
+  Plan plan;
+  auto filter = std::make_unique<Rel>();
+  filter->kind = RelKind::kFilter;
+  filter->input = ReadSim();
+  filter->predicate = XBetween(2.0, 3.0);
+  plan.root = std::move(filter);
+  auto frame = node.Execute(plan);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  const Buffer response = Buffer::Adopt(std::move(*frame));
+  auto result = DecodeOcsResult(response);
+  ASSERT_TRUE(result.ok()) << result.status();
+  auto inside = [&response](const Buffer& b) {
+    return b.data() >= response.data() &&
+           b.data() + b.size() <= response.data() + response.size() &&
+           reinterpret_cast<uintptr_t>(b.data()) % 8 == 0;
+  };
+  EXPECT_TRUE(inside(result->arrow_ipc));
+  auto table = OcsClient::DecodeTable(*result);
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ((*table)->num_rows(), 101u);
+  for (const auto& batch : (*table)->batches()) {
+    for (const auto& col : batch->columns()) {
+      for (const Buffer* b : {&col->validity_buffer(), &col->values_buffer(),
+                              &col->chars_buffer()}) {
+        if (!b->empty()) {
+          EXPECT_TRUE(inside(*b));
+        }
+      }
+      EXPECT_EQ(col->values_buffer().owner(), response.owner());
+    }
+  }
+}
+
+// A copied OcsResult shares ownership of its frame, so it still decodes
+// after the original and every other holder of the frame are gone.
+TEST(OcsResultWireTest, CopiedResultOutlivesItsFrame) {
+  StorageNode node = MakeNode();
+  Plan plan;
+  plan.root = ReadSim();
+  OcsResult copy;
+  {
+    auto result = node.ExecutePlan(plan);
+    ASSERT_TRUE(result.ok()) << result.status();
+    copy = *result;
+  }
+  auto table = OcsClient::DecodeTable(copy);
+  ASSERT_TRUE(table.ok()) << table.status();
+  auto combined = (*table)->Combine();
+  ASSERT_EQ(combined->num_rows(), 1000u);
+  EXPECT_EQ(combined->column(0)->GetInt64(999), 999);
+  EXPECT_DOUBLE_EQ(combined->column(2)->GetFloat64(0), 1000.0);
 }
 
 // ---- cluster --------------------------------------------------------------
