@@ -50,6 +50,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "compress/codec.h"
+#include "exec/hash_aggregator.h"
 #include "format/encoding.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
@@ -154,6 +155,116 @@ columnar::ColumnPtr NaiveGather(const columnar::Column& col,
   for (uint32_t i : sel) out->AppendFrom(col, i);
   return out;
 }
+
+// The per-row grouping that batch-at-a-time grouping replaced, copied
+// from it: one typed pass per key column folds each cell's HashValue or
+// HashString into its row's hash by HashCombine, then one GroupFor probe
+// per row compares the stored and incoming cells through the typed
+// accessors and appends a new group's keys cell by cell; then COUNT(*).
+class NaiveGroupCount {
+ public:
+  explicit NaiveGroupCount(const std::vector<columnar::TypeKind>& types) {
+    for (columnar::TypeKind type : types) {
+      stored_.push_back(columnar::MakeColumn(type));
+    }
+    slots_.assign(64, Slot{0, kEmpty});
+  }
+
+  void Consume(const std::vector<columnar::ColumnPtr>& keys) {
+    const size_t n = keys[0]->length();
+    hashes_.assign(n, 0x5bd1e995u);
+    for (const auto& key : keys) {
+      const columnar::Column& col = *key;
+      auto fold = [&](auto cell_hash) {
+        for (size_t i = 0; i < n; ++i) {
+          hashes_[i] = HashCombine(
+              hashes_[i], col.IsNull(i) ? 0x9ae16a3b2f90404fULL : cell_hash(i));
+        }
+      };
+      switch (col.type()) {
+        case columnar::TypeKind::kBool:
+          fold([&](size_t i) { return HashValue<uint8_t>(col.GetBool(i)); });
+          break;
+        case columnar::TypeKind::kInt32:
+        case columnar::TypeKind::kDate32:
+          fold([&](size_t i) { return HashValue(col.GetInt32(i)); });
+          break;
+        case columnar::TypeKind::kInt64:
+          fold([&](size_t i) { return HashValue(col.GetInt64(i)); });
+          break;
+        case columnar::TypeKind::kFloat64:
+          fold([&](size_t i) { return HashValue(col.GetFloat64(i)); });
+          break;
+        case columnar::TypeKind::kString:
+          fold([&](size_t i) { return HashString(col.GetString(i)); });
+          break;
+      }
+    }
+    for (size_t row = 0; row < n; ++row) ++counts_[GroupFor(keys, row)];
+  }
+
+  size_t num_groups() const { return counts_.size(); }
+
+ private:
+  struct Slot {
+    uint64_t hash;
+    uint32_t group;
+  };
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  static bool CellEqual(const columnar::Column& a, size_t i,
+                        const columnar::Column& b, size_t j) {
+    if (a.IsNull(i) || b.IsNull(j)) return a.IsNull(i) && b.IsNull(j);
+    switch (a.type()) {
+      case columnar::TypeKind::kBool: return a.GetBool(i) == b.GetBool(j);
+      case columnar::TypeKind::kInt32:
+      case columnar::TypeKind::kDate32: return a.GetInt32(i) == b.GetInt32(j);
+      case columnar::TypeKind::kInt64: return a.GetInt64(i) == b.GetInt64(j);
+      case columnar::TypeKind::kFloat64:
+        return a.GetFloat64(i) == b.GetFloat64(j);
+      case columnar::TypeKind::kString:
+        return a.GetString(i) == b.GetString(j);
+    }
+    return false;
+  }
+
+  uint32_t GroupFor(const std::vector<columnar::ColumnPtr>& keys,
+                    size_t row) {
+    const uint64_t hash = hashes_[row];
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    for (; slots_[i].group != kEmpty; i = (i + 1) & mask) {
+      if (slots_[i].hash != hash) continue;
+      bool equal = true;
+      for (size_t k = 0; k < keys.size() && equal; ++k) {
+        equal = CellEqual(*stored_[k], slots_[i].group, *keys[k], row);
+      }
+      if (equal) return slots_[i].group;
+    }
+    const auto group = static_cast<uint32_t>(counts_.size());
+    slots_[i] = Slot{hash, group};
+    for (size_t k = 0; k < keys.size(); ++k) {
+      stored_[k]->AppendFrom(*keys[k], row);
+    }
+    counts_.push_back(0);
+    if (2 * counts_.size() > slots_.size()) {
+      std::vector<Slot> old = std::move(slots_);
+      slots_.assign(2 * old.size(), Slot{0, kEmpty});
+      for (const Slot& slot : old) {
+        if (slot.group == kEmpty) continue;
+        size_t j = slot.hash & (slots_.size() - 1);
+        while (slots_[j].group != kEmpty) j = (j + 1) & (slots_.size() - 1);
+        slots_[j] = slot;
+      }
+    }
+    return group;
+  }
+
+  std::vector<std::shared_ptr<columnar::Column>> stored_;
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> hashes_;
+  std::vector<int64_t> counts_;
+};
 
 // Best wall time over `reps` runs of `fn` (returns a checksum folded
 // into *sink so the work cannot be optimized away).
@@ -890,9 +1001,10 @@ int main(int argc, char** argv) {
   // Seeded data, best-of-N wall time per variant. Per-variant seconds
   // and the naive/kernel speedup are recorded as timings (the 11x
   // baseline tolerance absorbs machine variance); the speedup floors
-  // (DESIGN.md §15: ≥2x int64 filter, ≥3x dictionary-string filter;
-  // §16: ≥4x checksum) are enforced here in optimized builds so a kernel
-  // regression fails the bench run itself, not just the baseline diff.
+  // (DESIGN.md §15: ≥2x int64 filter, ≥3x dictionary-string filter,
+  // ≥1.5x grouping; §16: ≥4x checksum) are enforced here in optimized
+  // builds so a kernel regression fails the bench run itself, not just
+  // the baseline diff.
   {
     const size_t n = args.smoke ? (1u << 19) : (1u << 21);
     const int reps = 5;
@@ -988,6 +1100,55 @@ int main(int argc, char** argv) {
       const double kernel =
           BestSeconds(reps, &sink, [&] { return Checksum64(buffer); });
       micro.push_back({"checksum", naive, kernel, 4.0, buffer.size(), "MB/s"});
+    }
+
+    // Grouping: the per-row hash-and-probe vs HashAggregator's batch
+    // passes, COUNT(*) over a Q1-shaped input — two 1-byte string keys
+    // in TPC-H Q1's four (returnflag, linestatus) pairs, in 4,096-row
+    // batches.
+    {
+      const char* pairs[][2] = {{"A", "F"}, {"N", "F"}, {"N", "O"}, {"R", "F"}};
+      constexpr size_t kBatch = 4096;
+      const auto schema =
+          columnar::MakeSchema({{"returnflag", columnar::TypeKind::kString},
+                                {"linestatus", columnar::TypeKind::kString}});
+      std::vector<columnar::RecordBatchPtr> batches;
+      for (size_t begin = 0; begin < n; begin += kBatch) {
+        auto flag = columnar::MakeColumn(columnar::TypeKind::kString);
+        auto status = columnar::MakeColumn(columnar::TypeKind::kString);
+        for (size_t i = begin; i < std::min(n, begin + kBatch); ++i) {
+          const auto& pair = pairs[rng() % 4];
+          flag->AppendString(pair[0]);
+          status->AppendString(pair[1]);
+        }
+        batches.push_back(columnar::MakeBatch(schema, {flag, status}));
+      }
+      auto naive_pass = [&] {
+        NaiveGroupCount groups(
+            {columnar::TypeKind::kString, columnar::TypeKind::kString});
+        for (const auto& batch : batches) groups.Consume(batch->columns());
+        return groups.num_groups();
+      };
+      substrait::AggregateSpec count_star;
+      count_star.func = substrait::AggFunc::kCountStar;
+      count_star.output_name = "count_order";
+      bool consumed = true;
+      auto kernel_pass = [&] {
+        exec::HashAggregator agg(schema, {0, 1}, {count_star});
+        for (const auto& batch : batches) consumed &= agg.Consume(*batch).ok();
+        return agg.num_groups();
+      };
+      // The two sides alternate, so a slow stretch of the machine slows
+      // both rather than only the side that ran during it; the margin
+      // over the floor is small, so each side gets three times the reps.
+      double naive = 1e300;
+      double kernel = 1e300;
+      for (int r = 0; r < 3 * reps; ++r) {
+        naive = std::min(naive, BestSeconds(1, &sink, naive_pass));
+        kernel = std::min(kernel, BestSeconds(1, &sink, kernel_pass));
+      }
+      Check(consumed, "micro_kernels.group_by: Consume failed");
+      micro.push_back({"group_by", naive, kernel, 1.5, n, "Mrows/s"});
     }
 
     // Row hashing has no pre-PR per-row counterpart to race (the old

@@ -1,6 +1,7 @@
 #include "columnar/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string_view>
 
@@ -385,21 +386,57 @@ RecordBatchPtr TakeBatch(const RecordBatch& batch, const SelectionVector& sel) {
 
 namespace {
 
-constexpr uint64_t kNullHash = 0x9ae16a3b2f90404fULL;
+constexpr uint64_t kRowSeed = 0x5bd1e995u;
+// The word a NULL key cell contributes in place of its value bits.
+constexpr uint64_t kNullWord = 0x9ae16a3b2f90404fULL;
 
-// One typed pass per key column: the type switch is hoisted out of the
-// row loop, and the null-free case drops the validity test entirely.
-template <typename V, typename F>
-void HashTypedLoop(const V* vals, const uint8_t* valid, size_t n, uint64_t* h,
-                   F&& one) {
+// One typed pass per key column, h[i] = Mix64(h[i] ^ word(i)): one mix per
+// key cell. The null-free case drops the validity test entirely.
+template <typename Word>
+void MixColumn(const uint8_t* valid, size_t n, uint64_t* h, Word&& word) {
   if (valid == nullptr) {
-    for (size_t i = 0; i < n; ++i) h[i] = HashCombine(h[i], one(vals[i]));
+    for (size_t i = 0; i < n; ++i) h[i] = Mix64(h[i] ^ word(i));
   } else {
     for (size_t i = 0; i < n; ++i) {
-      h[i] = HashCombine(h[i], valid[i] == 0 ? kNullHash : one(vals[i]));
+      h[i] = Mix64(h[i] ^ (valid[i] != 0 ? word(i) : kNullWord));
     }
   }
 }
+
+uint64_t Load64(const char* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+// kLowBytes[n] keeps the low n bytes of a word.
+constexpr uint64_t kLowBytes[9] = {
+    0, 0xff, 0xffff, 0xffffff, 0xffffffff, 0xffffffffffULL,
+    0xffffffffffffULL, 0xffffffffffffffULL, ~uint64_t{0}};
+
+// The word of each string of a column whose chars buffer holds at least 8
+// bytes (a shorter buffer is read from a padded copy). Up to 8 bytes come
+// from one masked 8-byte load that stays inside the buffer: at the
+// string's start, or at the buffer's last 8 bytes when the string starts
+// within them. Bytes around a string never reach its word, so a built
+// column and a slice of an IPC frame hash alike. The length sits in the
+// top byte, so "a" and "a\0" differ; longer strings take HashBytes.
+struct StringWords {
+  const int32_t* offsets;
+  const char* chars;
+  size_t last;  // the buffer's last 8-byte load position
+
+  uint64_t operator()(size_t i) const {
+    const auto start = static_cast<size_t>(offsets[i]);
+    const auto len = static_cast<size_t>(offsets[i + 1] - offsets[i]);
+    if (len == 0) return 0;  // may start just past the buffer's end
+    if (len > 8) return HashBytes(chars + start, len);
+    const uint64_t w = start <= last
+                           ? Load64(chars + start)
+                           : Load64(chars + last) >> (8 * (start - last));
+    return (w & kLowBytes[len]) ^ (uint64_t{len} << 56);
+  }
+};
 
 }  // namespace
 
@@ -409,42 +446,52 @@ void HashRows(const std::vector<ColumnPtr>& keys, std::vector<uint64_t>* out) {
     return;
   }
   const size_t n = keys[0]->length();
-  out->assign(n, 0x5bd1e995u);
+  out->assign(n, kRowSeed);
   uint64_t* h = out->data();
   for (const auto& key : keys) {
     const Column& col = *key;
     const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
     switch (col.type()) {
-      case TypeKind::kBool:
-        HashTypedLoop(col.bool_data().data(), valid, n, h, [](uint8_t v) {
-          return HashValue<uint8_t>(v != 0);
+      case TypeKind::kBool: {
+        const uint8_t* v = col.bool_data().data();
+        MixColumn(valid, n, h, [v](size_t i) { return uint64_t{v[i] != 0}; });
+        break;
+      }
+      case TypeKind::kInt32:
+      case TypeKind::kDate32: {
+        const int32_t* v = col.i32_data().data();
+        MixColumn(valid, n, h, [v](size_t i) {
+          return static_cast<uint64_t>(int64_t{v[i]});
         });
         break;
-      case TypeKind::kInt32:
-      case TypeKind::kDate32:
-        HashTypedLoop(col.i32_data().data(), valid, n, h,
-                      [](int32_t v) { return HashValue(v); });
+      }
+      case TypeKind::kInt64: {
+        const int64_t* v = col.i64_data().data();
+        MixColumn(valid, n, h,
+                  [v](size_t i) { return static_cast<uint64_t>(v[i]); });
         break;
-      case TypeKind::kInt64:
-        HashTypedLoop(col.i64_data().data(), valid, n, h,
-                      [](int64_t v) { return HashValue(v); });
+      }
+      case TypeKind::kFloat64: {
+        // By bits: -0.0 and 0.0 hash apart, and so form separate groups.
+        const double* v = col.f64_data().data();
+        MixColumn(valid, n, h, [v](size_t i) {
+          uint64_t bits = 0;
+          std::memcpy(&bits, &v[i], sizeof(bits));
+          return bits;
+        });
         break;
-      case TypeKind::kFloat64:
-        HashTypedLoop(col.f64_data().data(), valid, n, h,
-                      [](double v) { return HashValue(v); });
-        break;
+      }
       case TypeKind::kString: {
-        const StringSpan strings(col);
-        if (valid == nullptr) {
-          for (size_t i = 0; i < n; ++i) {
-            h[i] = HashCombine(h[i], HashString(strings[i]));
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            h[i] = HashCombine(
-                h[i], valid[i] == 0 ? kNullHash : HashString(strings[i]));
-          }
+        const std::string_view chars = col.chars();
+        char padded[8] = {};
+        const char* base = chars.data();
+        if (chars.size() < 8) {
+          std::copy(chars.begin(), chars.end(), padded);
+          base = padded;
         }
+        MixColumn(valid, n, h,
+                  StringWords{col.offsets().data(), base,
+                              std::max<size_t>(chars.size(), 8) - 8});
         break;
       }
     }
@@ -482,55 +529,97 @@ bool RowsEqual(const std::vector<ColumnPtr>& keys_a, size_t a,
   return true;
 }
 
-int CompareRows(const RecordBatch& batch, const std::vector<SortKey>& keys,
-                uint32_t a, uint32_t b) {
-  for (const SortKey& key : keys) {
-    const Column& col = *batch.column(key.column);
-    const bool na = col.IsNull(a);
-    const bool nb = col.IsNull(b);
-    int cmp = 0;
-    if (na || nb) {
-      if (na && nb) continue;
-      cmp = na ? (key.nulls_first ? -1 : 1) : (key.nulls_first ? 1 : -1);
-      return cmp;
-    }
-    switch (col.type()) {
-      case TypeKind::kBool:
-        cmp = int{col.GetBool(a)} - int{col.GetBool(b)};
-        break;
-      case TypeKind::kInt32:
-      case TypeKind::kDate32: {
-        int32_t va = col.GetInt32(a), vb = col.GetInt32(b);
-        cmp = (va < vb) ? -1 : (va > vb ? 1 : 0);
-        break;
-      }
-      case TypeKind::kInt64: {
-        int64_t va = col.GetInt64(a), vb = col.GetInt64(b);
-        cmp = (va < vb) ? -1 : (va > vb ? 1 : 0);
-        break;
-      }
-      case TypeKind::kFloat64: {
-        double va = col.GetFloat64(a), vb = col.GetFloat64(b);
-        cmp = (va < vb) ? -1 : (va > vb ? 1 : 0);
-        break;
-      }
-      case TypeKind::kString: {
-        auto va = col.GetString(a), vb = col.GetString(b);
-        cmp = (va < vb) ? -1 : (va > vb ? 1 : 0);
-        break;
-      }
-    }
-    if (cmp != 0) return key.ascending ? cmp : -cmp;
-  }
-  return 0;
+namespace {
+
+// Three-way order of two non-null sort values. Floats order NaN after
+// every number, as Presto does, which keeps the order strict and weak;
+// -0.0 and 0.0 tie.
+template <typename T>
+int Order(T a, T b) {
+  return static_cast<int>(b < a) - static_cast<int>(a < b);
 }
+int Order(double a, double b) {
+  const int c = static_cast<int>(b < a) - static_cast<int>(a < b);
+  if (c != 0) return c;
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
+int Order(std::string_view a, std::string_view b) {
+  const int c = a.compare(b);
+  return static_cast<int>(c > 0) - static_cast<int>(c < 0);
+}
+
+// One sort key resolved against its column once per sort: its buffers,
+// direction, NULL placement and a comparison typed for its column, so
+// comparing two rows does no column lookup or type switch.
+struct ResolvedKey {
+  int (*compare)(const ResolvedKey& key, uint32_t a, uint32_t b);
+  const void* values;    // value buffer, or string offsets
+  const char* chars;     // string bytes
+  const uint8_t* valid;  // null when the column has no NULLs
+  int direction;         // 1 ascending, -1 descending
+  int null_sign;         // -1 NULLs first, 1 NULLs last
+};
+
+// Value i of the key's column, read as V (bool from its 0/1 byte).
+template <typename V>
+V KeyValue(const ResolvedKey& key, uint32_t i) {
+  if constexpr (std::is_same_v<V, std::string_view>) {
+    const auto* off = static_cast<const int32_t*>(key.values);
+    return {key.chars + off[i], static_cast<size_t>(off[i + 1] - off[i])};
+  } else if constexpr (std::is_same_v<V, bool>) {
+    return static_cast<const uint8_t*>(key.values)[i] != 0;
+  } else {
+    return static_cast<const V*>(key.values)[i];
+  }
+}
+
+// NULLs sit first or last whatever the direction; values follow Order,
+// reversed when descending (so NaN leads a descending sort).
+template <typename V>
+int CompareKey(const ResolvedKey& key, uint32_t a, uint32_t b) {
+  if (key.valid != nullptr) {
+    const int na = key.valid[a] == 0 ? 1 : 0;
+    const int nb = key.valid[b] == 0 ? 1 : 0;
+    if ((na | nb) != 0) return (na - nb) * key.null_sign;
+  }
+  return key.direction * Order(KeyValue<V>(key, a), KeyValue<V>(key, b));
+}
+
+ResolvedKey Resolve(const Column& col, const SortKey& key) {
+  ResolvedKey out{nullptr,
+                  col.values_buffer().data(),
+                  col.chars().data(),
+                  col.has_nulls() ? col.validity().data() : nullptr,
+                  key.ascending ? 1 : -1,
+                  key.nulls_first ? -1 : 1};
+  switch (col.type()) {
+    case TypeKind::kBool: out.compare = CompareKey<bool>; break;
+    case TypeKind::kInt32:
+    case TypeKind::kDate32: out.compare = CompareKey<int32_t>; break;
+    case TypeKind::kInt64: out.compare = CompareKey<int64_t>; break;
+    case TypeKind::kFloat64: out.compare = CompareKey<double>; break;
+    case TypeKind::kString: out.compare = CompareKey<std::string_view>; break;
+  }
+  return out;
+}
+
+}  // namespace
 
 std::vector<uint32_t> SortIndices(const RecordBatch& batch,
                                   const std::vector<SortKey>& keys) {
+  std::vector<ResolvedKey> resolved;
+  resolved.reserve(keys.size());
+  for (const SortKey& key : keys) {
+    resolved.push_back(Resolve(*batch.column(key.column), key));
+  }
   std::vector<uint32_t> idx(batch.num_rows());
   for (uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
   std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-    return CompareRows(batch, keys, a, b) < 0;
+    for (const ResolvedKey& key : resolved) {
+      const int c = key.compare(key, a, b);
+      if (c != 0) return c < 0;
+    }
+    return false;
   });
   return idx;
 }

@@ -143,9 +143,15 @@ SelectionVector Between(const Column& col, const Datum& lo, const Datum& hi,
 std::shared_ptr<Column> Take(const Column& col, const SelectionVector& sel);
 RecordBatchPtr TakeBatch(const RecordBatch& batch, const SelectionVector& sel);
 
-// Row-wise hash of the given key columns; out has batch-length entries.
-// Type dispatch is hoisted out of the row loop (one typed pass per key
-// column, combined into the running hash).
+// Row-wise hash of the given key columns for hash grouping; out has
+// batch-length entries. One typed pass per key column mixes each cell
+// into its row's running hash once: integers and bools by value, floats
+// by their bits (so -0.0 and 0.0 hash apart), a NULL as a fixed word, a
+// string of up to 8 bytes from one masked load of its own bytes and its
+// length, a longer one by HashBytes. Equal keys hash equal whatever
+// surrounds them in their buffers. Unlike the pinned functions in
+// common/hash.h, these values stay in-process: nothing stores or ships
+// them, so the function may change.
 void HashRows(const std::vector<ColumnPtr>& keys, std::vector<uint64_t>* out);
 
 // True iff rows a and b are equal on every key column (null == null).
@@ -160,12 +166,10 @@ struct SortKey {
   bool nulls_first = true;
 };
 
-// Stable sort permutation of batch rows by the given keys.
+// Stable sort permutation of batch rows by the given keys. NULLs go first
+// or last by `nulls_first` in either direction; a float NaN sorts after
+// every number, so first when descending, as in Presto.
 std::vector<uint32_t> SortIndices(const RecordBatch& batch,
                                   const std::vector<SortKey>& keys);
-
-// Three-way comparison of row a vs row b under the sort keys.
-int CompareRows(const RecordBatch& batch, const std::vector<SortKey>& keys,
-                uint32_t a, uint32_t b);
 
 }  // namespace pocs::columnar

@@ -54,11 +54,11 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
   // Per-index tasks are right for coarse, uneven work (the engine's
-  // per-split fan-out), but for large n (the cache warmer's per-row-group
-  // fan-out) the per-task packaged_task/future/queue-mutex overhead
-  // dominates. Chunk into contiguous blocks once n clearly exceeds the
-  // pool; 4 blocks per thread keeps load balancing reasonable for mildly
-  // uneven work without reintroducing per-index overhead.
+  // per-split fan-out), but for large n (a query of many small splits)
+  // the per-task packaged_task/future/queue-mutex overhead dominates.
+  // Chunk into contiguous blocks once n clearly exceeds the pool; 4
+  // blocks per thread keeps load balancing reasonable for mildly uneven
+  // work without reintroducing per-index overhead.
   const size_t chunk_threshold = 4 * num_threads();
   const size_t num_blocks =
       n <= chunk_threshold ? n : std::min(n, chunk_threshold);

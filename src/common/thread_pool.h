@@ -1,7 +1,7 @@
-// A fixed-size work-stealing-free thread pool with a shared queue. Used by
-// the engine's worker task execution and by the OCS storage nodes. Shared
-// queue keeps it simple; tasks here are coarse (per-split), so contention
-// on the queue mutex is negligible relative to task cost.
+// A fixed-size work-stealing-free thread pool with a shared queue. The
+// engine creates one and runs each query's splits on it. Shared queue
+// keeps it simple; tasks here are coarse (per-split), so contention on
+// the queue mutex is negligible relative to task cost.
 //
 // Lifecycle: Submit/ParallelFor may be called from any thread until
 // Shutdown() (or the destructor) begins. Submitting after shutdown is a

@@ -118,6 +118,76 @@ Store StoreFor(const AggregateSpec& agg) {
   return agg.argument.type == TypeKind::kFloat64 ? Store::kF64 : Store::kI64;
 }
 
+// Calls f(j, row) for every live row j: row rows[j], or row j without a
+// selection.
+template <typename F>
+void ForEachRow(const uint32_t* rows, size_t live, F&& f) {
+  if (rows == nullptr) {
+    for (size_t j = 0; j < live; ++j) f(j, j);
+  } else {
+    for (size_t j = 0; j < live; ++j) f(j, size_t{rows[j]});
+  }
+}
+
+// True iff every live row's cell of `incoming` equals the cell of
+// `stored` at the row's group, groups[j] for live row j. NULL equals
+// NULL; NaN equals nothing, itself included.
+template <typename View>
+bool CellsMatch(View stored, const uint8_t* stored_valid, View incoming,
+                const uint8_t* valid, const uint32_t* rows,
+                const uint32_t* groups, size_t live) {
+  bool same = true;
+  if (stored_valid == nullptr && valid == nullptr) {
+    ForEachRow(rows, live, [&](size_t j, size_t row) {
+      same &= stored[groups[j]] == incoming[row];
+    });
+  } else {
+    ForEachRow(rows, live, [&](size_t j, size_t row) {
+      const uint32_t g = groups[j];
+      const bool stored_null = stored_valid != nullptr && stored_valid[g] == 0;
+      const bool null = valid != nullptr && valid[row] == 0;
+      same &= stored_null == null && (null || stored[g] == incoming[row]);
+    });
+  }
+  return same;
+}
+
+// CellsMatch over one key column, typed once for the whole batch.
+bool KeyColumnMatches(const Column& stored, const Column& incoming,
+                      const uint32_t* rows, const uint32_t* groups,
+                      size_t live) {
+  const uint8_t* stored_valid =
+      stored.has_nulls() ? stored.validity().data() : nullptr;
+  const uint8_t* valid =
+      incoming.has_nulls() ? incoming.validity().data() : nullptr;
+  // CellsMatch over the typed view `view_of` gives each side's values.
+  auto values = [&](auto view_of) {
+    return CellsMatch(view_of(stored), stored_valid, view_of(incoming), valid,
+                      rows, groups, live);
+  };
+  switch (stored.type()) {
+    case TypeKind::kBool:
+      return values(
+          [](const Column& c) { return BoolSpan<bool>{c.bool_data().data()}; });
+    case TypeKind::kInt32:
+    case TypeKind::kDate32:
+      return values([](const Column& c) {
+        return columnar::ValueSpan<int32_t, int32_t>{c.i32_data().data()};
+      });
+    case TypeKind::kInt64:
+      return values([](const Column& c) {
+        return columnar::ValueSpan<int64_t, int64_t>{c.i64_data().data()};
+      });
+    case TypeKind::kFloat64:
+      return values([](const Column& c) {
+        return columnar::ValueSpan<double, double>{c.f64_data().data()};
+      });
+    case TypeKind::kString:
+      return values([](const Column& c) { return columnar::StringSpan(c); });
+  }
+  return false;
+}
+
 }  // namespace
 
 HashAggregator::HashAggregator(columnar::SchemaPtr input_schema,
@@ -138,66 +208,99 @@ HashAggregator::HashAggregator(columnar::SchemaPtr input_schema,
   accumulators_.resize(aggregates_.size());
 }
 
-uint32_t HashAggregator::GroupFor(const std::vector<ColumnPtr>& keys,
+void HashAggregator::ProbeByHash(const std::vector<ColumnPtr>& keys,
+                                 const uint32_t* rows, size_t live) {
+  new_rows_.clear();
+  const uint64_t* hashes = hashes_.data();
+  uint32_t* groups = group_ids_.data();
+  // Unequal to the first row's hash, so the first row probes.
+  uint64_t last_hash = ~hashes[rows != nullptr ? rows[0] : 0];
+  uint32_t group = 0;
+  for (size_t j = 0; j < live; ++j) {
+    const size_t row = rows != nullptr ? rows[j] : j;
+    const uint64_t hash = hashes[row];
+    if (hash != last_hash) {
+      last_hash = hash;
+      // Most probes end at their home slot; the rest walk the chain.
+      const Slot home = slots_[hash & (slots_.size() - 1)];
+      group = home.hash == hash ? home.group : kEmptySlot;
+      if (group == kEmptySlot) group = FindOrAddGroup(hash, row);
+    }
+    groups[j] = group;
+  }
+  if (new_rows_.empty()) return;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    key_store_[k]->AppendRange(*columnar::Take(*keys[k], new_rows_), 0,
+                               new_rows_.size());
+  }
+}
+
+uint32_t HashAggregator::FindOrAddGroup(uint64_t hash, size_t row) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  while (slots_[i].group != kEmptySlot && slots_[i].hash != hash) {
+    i = (i + 1) & mask;
+  }
+  if (slots_[i].group != kEmptySlot) return slots_[i].group;
+  new_rows_.push_back(static_cast<uint32_t>(row));
+  return AddGroup(i, hash);
+}
+
+bool HashAggregator::KeysMatch(const std::vector<ColumnPtr>& keys,
+                               const uint32_t* rows, size_t live) const {
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (!KeyColumnMatches(*key_store_[k], *keys[k], rows, group_ids_.data(),
+                          live)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void HashAggregator::Renumber(const std::vector<ColumnPtr>& keys,
+                              const uint32_t* rows, size_t live,
+                              size_t first_new) {
+  for (auto& stored : key_store_) {
+    auto kept = MakeColumn(stored->type());
+    kept->AppendRange(*stored, 0, first_new);
+    stored = std::move(kept);
+  }
+  for (Slot& slot : slots_) {
+    if (slot.group != kEmptySlot && slot.group >= first_new) {
+      slot.group = kEmptySlot;
+    }
+  }
+  Rehash(slots_.size());
+  group_count_ = first_new;
+  const std::vector<ColumnPtr> stored(key_store_.begin(), key_store_.end());
+  ForEachRow(rows, live, [&](size_t j, size_t row) {
+    group_ids_[j] = GroupFor(stored, keys, row, hashes_[row]);
+  });
+}
+
+uint32_t HashAggregator::GroupFor(const std::vector<ColumnPtr>& stored,
+                                  const std::vector<ColumnPtr>& keys,
                                   size_t row, uint64_t hash) {
   const size_t mask = slots_.size() - 1;
   size_t i = hash & mask;
-  for (;; i = (i + 1) & mask) {
+  for (; slots_[i].group != kEmptySlot; i = (i + 1) & mask) {
     const Slot slot = slots_[i];
-    if (slot.group == kEmptySlot) break;
-    if (slot.hash != hash) continue;
-    const uint32_t group = slot.group;
-    bool equal = true;
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const Column& stored = *key_store_[k];
-      const Column& incoming = *keys[k];
-      const bool sn = stored.IsNull(group);
-      const bool in = incoming.IsNull(row);
-      if (sn != in) {
-        equal = false;
-        break;
-      }
-      if (sn) continue;
-      bool cell_equal = false;
-      // Hash-collision key-equality probes compare one stored row against
-      // one incoming row; there is no batch to vectorize over here.
-      switch (stored.type()) {
-        case TypeKind::kBool:
-          // pocs-lint: allow(row-loop-in-hot-path)
-          cell_equal = stored.GetBool(group) == incoming.GetBool(row);
-          break;
-        case TypeKind::kInt32:
-        case TypeKind::kDate32:
-          // pocs-lint: allow(row-loop-in-hot-path)
-          cell_equal = stored.GetInt32(group) == incoming.GetInt32(row);
-          break;
-        case TypeKind::kInt64:
-          // pocs-lint: allow(row-loop-in-hot-path)
-          cell_equal = stored.GetInt64(group) == incoming.GetInt64(row);
-          break;
-        case TypeKind::kFloat64:
-          // pocs-lint: allow(row-loop-in-hot-path)
-          cell_equal = stored.GetFloat64(group) == incoming.GetFloat64(row);
-          break;
-        case TypeKind::kString:
-          // pocs-lint: allow(row-loop-in-hot-path)
-          cell_equal = stored.GetString(group) == incoming.GetString(row);
-          break;
-      }
-      if (!cell_equal) {
-        equal = false;
-        break;
-      }
+    if (slot.hash == hash &&
+        columnar::RowsEqual(stored, slot.group, keys, row)) {
+      return slot.group;
     }
-    if (equal) return group;
   }
   // New group, numbered in first-appearance order, in the free slot the
   // probe stopped at.
-  const uint32_t group = static_cast<uint32_t>(group_count_++);
-  slots_[i] = Slot{hash, group};
   for (size_t k = 0; k < keys.size(); ++k) {
     key_store_[k]->AppendFrom(*keys[k], row);
   }
+  return AddGroup(i, hash);
+}
+
+uint32_t HashAggregator::AddGroup(size_t i, uint64_t hash) {
+  const auto group = static_cast<uint32_t>(group_count_++);
+  slots_[i] = Slot{hash, group};
   if (2 * group_count_ > slots_.size()) Rehash(2 * slots_.size());
   return group;
 }
@@ -265,10 +368,10 @@ Status HashAggregator::Consume(const RecordBatch& batch,
     for (int k : group_keys_) keys.push_back(batch.column(k));
     columnar::HashRows(keys, &hashes_);
     if (slots_.empty()) slots_.assign(kInitialSlots, Slot{0, kEmptySlot});
-    for (size_t j = 0; j < live; ++j) {
-      const size_t row = sel != nullptr ? (*sel)[j] : j;
-      group_ids_[j] = GroupFor(keys, row, hashes_[row]);
-    }
+    const uint32_t* rows = sel != nullptr ? sel->data() : nullptr;
+    const size_t first_new = group_count_;
+    ProbeByHash(keys, rows, live);
+    if (!KeysMatch(keys, rows, live)) Renumber(keys, rows, live, first_new);
   }
   GrowAccumulators();
 

@@ -24,10 +24,16 @@ class HashAggregator {
   Status Consume(const columnar::RecordBatch& batch);
   // Selection-aware variant: accumulate only the rows in `sel` (every
   // row when null). Aggregate arguments are evaluated and keys hashed over
-  // the whole batch; then one pass assigns each selected row its group id
-  // and one typed loop per aggregate folds the selected rows in, in row
-  // order (so float sums are reproducible). Placeholder rows under late
-  // materialization (DESIGN.md §15) never reach an accumulator.
+  // the whole batch. A probe pass in row order then gives each selected
+  // row the group of the previous one when their hashes are equal, else
+  // the group its hash finds in the slot table, creating it if missing;
+  // one typed loop per key column then checks every row's keys against
+  // its group's stored keys. A batch that fails a check (a NaN key, a
+  // hash collision) drops the groups it created and is renumbered row by
+  // row, so groups are numbered by first appearance on every input.
+  // Finally one typed loop per aggregate folds the selected rows in, in
+  // row order (so float sums are reproducible). Placeholder rows under
+  // late materialization (DESIGN.md §15) never reach an accumulator.
   Status Consume(const columnar::RecordBatch& batch,
                  const columnar::SelectionVector* sel);
 
@@ -60,9 +66,28 @@ class HashAggregator {
   };
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
-  // Index of the group for key-row `row` of `keys`, creating it if new.
-  uint32_t GroupFor(const std::vector<columnar::ColumnPtr>& keys, size_t row,
+  // Gives live row j (row rows[j], or j without a selection) the group
+  // of the previous live row when their hashes are equal, else the group
+  // its hash finds, creating missing groups and gathering their keys.
+  void ProbeByHash(const std::vector<columnar::ColumnPtr>& keys,
+                   const uint32_t* rows, size_t live);
+  // The first group whose hash is `hash`; a new one, whose keys are row
+  // `row`'s, when there is none.
+  uint32_t FindOrAddGroup(uint64_t hash, size_t row);
+  // True iff every live row's keys equal its group's stored keys.
+  bool KeysMatch(const std::vector<columnar::ColumnPtr>& keys,
+                 const uint32_t* rows, size_t live) const;
+  // The exact path: drops groups from `first_new` on, then numbers every
+  // live row through GroupFor.
+  void Renumber(const std::vector<columnar::ColumnPtr>& keys,
+                const uint32_t* rows, size_t live, size_t first_new);
+  // Index of the group whose stored keys equal row `row` of `keys`,
+  // creating it if there is none; `stored` views key_store_.
+  uint32_t GroupFor(const std::vector<columnar::ColumnPtr>& stored,
+                    const std::vector<columnar::ColumnPtr>& keys, size_t row,
                     uint64_t hash);
+  // Creates the next group in free slot `i`, for rows hashing to `hash`.
+  uint32_t AddGroup(size_t i, uint64_t hash);
   // Re-inserts every group into a table of `capacity` slots.
   void Rehash(size_t capacity);
   // Sizes every accumulator to group_count_ (new groups start empty).
@@ -78,13 +103,17 @@ class HashAggregator {
 
   // Accumulated distinct key tuples, one builder column per key.
   std::vector<std::shared_ptr<columnar::Column>> key_store_;
-  // Open-addressing table from a HashRows hash to a group id: linear
-  // probing, power-of-two capacity, at most half full.
+  // Open-addressing table from a key tuple's columnar::HashRows value to
+  // its group id: linear probing, power-of-two capacity, at most half
+  // full. Groups whose keys hash alike (a collision, NaN keys) share a
+  // hash in several slots.
   std::vector<Slot> slots_;
   std::vector<Accumulator> accumulators_;  // one per aggregate
-  // Per-batch scratch: row hashes, and the group id of each live row.
+  // Per-batch scratch: row hashes, the group id of each live row, and the
+  // rows whose keys created a group.
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> group_ids_;
+  columnar::SelectionVector new_rows_;
   size_t group_count_ = 0;
   bool finished_ = false;
 };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include <random>
@@ -327,6 +328,37 @@ TEST(KernelsTest, SortDescendingWithNulls) {
   EXPECT_EQ(idx, (std::vector<uint32_t>{2, 0, 1}));
   idx = SortIndices(*batch, {{0, false, true}});  // desc, nulls first
   EXPECT_EQ(idx, (std::vector<uint32_t>{1, 2, 0}));
+}
+
+TEST(KernelsTest, SortOrdersNaNAfterEveryNumber) {
+  // NaN sorts as the greatest float, as in Presto: last ascending, first
+  // descending; NULLs keep their own place, and equal keys their order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto a = MakeColumn(TypeKind::kFloat64);
+  a->AppendFloat64(3.0);   // 0
+  a->AppendFloat64(nan);   // 1
+  a->AppendFloat64(1.0);   // 2
+  a->AppendNull();         // 3
+  a->AppendFloat64(nan);   // 4
+  a->AppendFloat64(-0.0);  // 5
+  a->AppendFloat64(0.0);   // 6
+  auto schema = MakeSchema({{"a", TypeKind::kFloat64}});
+  auto batch = MakeBatch(schema, {a});
+  EXPECT_EQ(SortIndices(*batch, {{0, true, true}}),
+            (std::vector<uint32_t>{3, 5, 6, 2, 0, 1, 4}));
+  EXPECT_EQ(SortIndices(*batch, {{0, true, false}}),
+            (std::vector<uint32_t>{5, 6, 2, 0, 1, 4, 3}));
+  EXPECT_EQ(SortIndices(*batch, {{0, false, false}}),
+            (std::vector<uint32_t>{1, 4, 0, 2, 5, 6, 3}));
+
+  // The smallest case: [3, NaN, 1] ascending is [1, 3, NaN].
+  auto b = MakeColumn(TypeKind::kFloat64);
+  b->AppendFloat64(3.0);
+  b->AppendFloat64(nan);
+  b->AppendFloat64(1.0);
+  auto small = MakeBatch(schema, {b});
+  EXPECT_EQ(SortIndices(*small, {{0, true, true}}),
+            (std::vector<uint32_t>{2, 0, 1}));
 }
 
 // ---- IPC ----------------------------------------------------------------

@@ -376,6 +376,52 @@ TEST(HashRowsTest, EqualRowsHashEqual) {
   }
 }
 
+// Column of `strings` laid end to end in one chars buffer of exactly
+// their bytes, as an IPC frame's slice holds them.
+ColumnPtr StringSlice(const std::vector<std::string>& strings) {
+  std::vector<int32_t> offsets{0};
+  std::string chars;
+  for (const std::string& s : strings) {
+    chars += s;
+    offsets.push_back(static_cast<int32_t>(chars.size()));
+  }
+  return std::make_shared<Column>(TypeKind::kString, strings.size(), 0,
+                                  Buffer(), Buffer::Adopt(std::move(offsets)),
+                                  Buffer::Adopt(std::move(chars)));
+}
+
+TEST(HashRowsTest, StringsHashByTheirOwnBytes) {
+  // Equal strings hash equal whatever precedes or follows them in their
+  // chars buffer: ending on the buffer's last byte, in a buffer under 8
+  // bytes, or followed by different bytes (a built column against a slice
+  // of an IPC frame).
+  const std::string text = "abcdefghijkl";
+  for (size_t len = 0; len <= text.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    const std::string s = text.substr(0, len);
+    std::vector<uint64_t> alone, before_a, before_b, after_short, after_long;
+    HashRows({StringSlice({s})}, &alone);
+    HashRows({StringSlice({s, "PQRSTUVWXYZ"})}, &before_a);
+    HashRows({StringSlice({s, "0123456789"})}, &before_b);
+    HashRows({StringSlice({"#", s})}, &after_short);
+    HashRows({StringSlice({"###########", s})}, &after_long);
+    auto built = MakeColumn(TypeKind::kString);
+    built->AppendString(s);
+    built->AppendString("tail bytes");
+    std::vector<uint64_t> from_built;
+    HashRows({built}, &from_built);
+    EXPECT_EQ(alone[0], before_a[0]);
+    EXPECT_EQ(alone[0], before_b[0]);
+    EXPECT_EQ(alone[0], after_short[1]);
+    EXPECT_EQ(alone[0], after_long[1]);
+    EXPECT_EQ(alone[0], from_built[0]);
+  }
+  // Trailing zero bytes count: "a" and "a\0" hash apart.
+  std::vector<uint64_t> hashes;
+  HashRows({StringSlice({"a", std::string("a\0", 2), "b"})}, &hashes);
+  EXPECT_NE(hashes[0], hashes[1]);
+}
+
 TEST(HashRowsTest, Deterministic) {
   std::mt19937_64 rng(0xD0);
   auto k = RandomColumn(TypeKind::kInt32, 333, 0.15, &rng);
@@ -1110,6 +1156,60 @@ struct RefAggregate {
   std::vector<std::vector<State>> states;
 };
 
+// A grouping-key cell that may be new in batch `index`: small values
+// shifted by the batch, and strings of 0-12 bytes (8 and 9 straddle the
+// one-load string hash) whose last byte may name the batch.
+Datum BatchKey(TypeKind type, int index, std::mt19937_64* rng) {
+  const int v = std::uniform_int_distribution<int>(0, 3)(*rng) + 16 * index;
+  switch (type) {
+    case TypeKind::kBool: return Datum::Bool(v % 2 == 1);
+    case TypeKind::kInt32: return Datum::Int32(v);
+    case TypeKind::kDate32: return Datum::Date32(v);
+    case TypeKind::kInt64: return Datum::Int64(v);
+    case TypeKind::kFloat64: return Datum::Float64(v * 0.5);
+    case TypeKind::kString: {
+      std::string word = std::string("abcdefghijkl").substr(0, (*rng)() % 13);
+      if (!word.empty() && (*rng)() % 2 == 0) {
+        word.back() = static_cast<char>('A' + index);
+      }
+      return Datum::String(word);
+    }
+  }
+  return Datum::Null(type);
+}
+
+// DiffBatch's cells plus the inputs batch-at-a-time grouping treats
+// apart: BatchKey cells; runs of equal rows, as Laghos has 32 rows per
+// vertex; and, in some batches, NaN float keys in the second half, after
+// earlier rows created groups, which send the batch down the exact
+// renumbering path. A built column's last string ends on its chars
+// buffer's last byte.
+RecordBatchPtr GroupingBatch(size_t rows, int index, std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double repeat_prob = unit(*rng) < 0.3 ? 0.8 : 0.0;
+  const bool late_nans = unit(*rng) < 0.3;
+  std::vector<bool> repeat(rows);
+  for (size_t r = 1; r < rows; ++r) repeat[r] = unit(*rng) < repeat_prob;
+  std::vector<ColumnPtr> cols;
+  for (TypeKind type : kDiffTypes) {
+    const double null_prob = unit(*rng) < 0.5 ? 0.0 : 0.2;
+    std::vector<Datum> cells;
+    for (size_t r = 0; r < rows; ++r) {
+      Datum v = DiffValue(type, null_prob, rng);
+      if (!v.is_null() && unit(*rng) < 0.4) v = BatchKey(type, index, rng);
+      if (late_nans && type == TypeKind::kFloat64 && 2 * r >= rows &&
+          unit(*rng) < 0.3) {
+        v = Datum::Float64(std::numeric_limits<double>::quiet_NaN());
+      }
+      cells.push_back(repeat[r] ? cells.back() : v);
+    }
+    auto col = MakeColumn(type);
+    for (const Datum& cell : cells) col->AppendDatum(cell);
+    cols.push_back(std::move(col));
+  }
+  return MakeBatch(DiffSchema(), std::move(cols));
+}
+
 bool RefKeyEqual(const Datum& a, const Datum& b) {
   if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
   if (a.type() == TypeKind::kFloat64) {
@@ -1146,7 +1246,7 @@ TEST(AggregatorDifferentialTest, MatchesPerRowReference) {
     RefAggregate ref;
     const int batches = pick(4);
     for (int b = 0; b < batches; ++b) {
-      RecordBatchPtr batch = DiffBatch(40, &rng);
+      RecordBatchPtr batch = GroupingBatch(40, b, &rng);
       const int shape = pick(3);
       const SelectionVector sel =
           RandomSelection(40, shape == 0 ? 0.0 : 0.6, &rng);
