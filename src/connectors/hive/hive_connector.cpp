@@ -4,6 +4,7 @@
 #include "common/stopwatch.h"
 #include "connectors/ocs/translator.h"
 #include "format/parquet_lite.h"
+#include "objectstore/select.h"
 #include "ocs/storage_node.h"
 
 namespace pocs::connectors {
@@ -176,7 +177,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
   }
   // ...then the result-column projection (drops predicate-only columns;
   // in raw-GET mode this is decode-side projection, in Select mode it is
-  // the request's SELECT list).
+  // the plan's Project).
   SchemaPtr projected = scan_schema;
   if (!spec.result_columns.empty()) {
     std::vector<columnar::Field> fields;
@@ -197,121 +198,88 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     }
   }
 
-  if (!config_.select_pushdown || strict_blocks_select ||
-      spec.operators.empty()) {
-    if (config_.select_pushdown && !strict_blocks_select &&
-        !spec.columns.empty()) {
-      // Select path without a filter: projection-only Select.
-      // (Falls through to the Select request below with no predicates.)
-    } else if (!config_.select_pushdown || strict_blocks_select) {
-      // Raw GET: the entire object crosses the network.
-      PageSourceStats stats;
-      objectstore::TransferInfo info;
-      POCS_ASSIGN_OR_RETURN(
-          Bytes object,
-          client_.Get(split.bucket, split.object, &info, config_.call));
-      info.AddTo(&stats);
-      {
-        auto& reg = metrics::Registry::Default();
-        static auto& gets = reg.GetCounter("connector.hive.raw_gets");
-        static auto& bytes = reg.GetCounter("connector.hive.bytes_received");
-        gets.Increment();
-        bytes.Add(info.bytes_received);
-      }
-      // The GET reads the whole object off the storage node's media.
-      stats.media_read_seconds =
-          static_cast<double>(object.size()) / config_.media_read_bandwidth;
-      POCS_ASSIGN_OR_RETURN(auto reader,
-                            format::FileReader::Open(std::move(object)));
-      return std::unique_ptr<connector::PageSource>(
-          std::make_unique<RawGetPageSource>(std::move(reader), columns,
-                                             projected, stats));
+  // Raw GETs ride the Select client's channel to the frontend.
+  const objectstore::StorageClient store(client_.channel());
+  if (!config_.select_pushdown || strict_blocks_select) {
+    // Raw GET: the entire object crosses the network.
+    PageSourceStats stats;
+    objectstore::TransferInfo info;
+    POCS_ASSIGN_OR_RETURN(
+        Bytes object,
+        store.Get(split.bucket, split.object, &info, config_.call));
+    info.AddTo(&stats);
+    {
+      auto& reg = metrics::Registry::Default();
+      static auto& gets = reg.GetCounter("connector.hive.raw_gets");
+      static auto& bytes = reg.GetCounter("connector.hive.bytes_received");
+      gets.Increment();
+      bytes.Add(info.bytes_received);
     }
+    // The GET reads the whole object off the storage node's media.
+    stats.media_read_seconds =
+        static_cast<double>(object.size()) / ocs::kMediaReadBandwidth;
+    POCS_ASSIGN_OR_RETURN(auto reader,
+                          format::FileReader::Open(std::move(object)));
+    return std::unique_ptr<connector::PageSource>(
+        std::make_unique<RawGetPageSource>(std::move(reader), columns,
+                                           projected, stats));
   }
 
-  // Select path: filter (if pushed) + projection at storage, CSV back.
-  objectstore::SelectRequest request;
-  request.bucket = split.bucket;
-  request.key = split.object;
-  for (const columnar::Field& f : projected->fields()) {
-    request.columns.push_back(f.name);
-  }
-  for (const auto& op : spec.operators) {
-    if (op.kind != PushedOperator::Kind::kFilter) {
-      return Status::Internal("hive: unsupported pushed operator");
-    }
-    // Predicate field refs are relative to the scan schema (they may name
-    // columns dropped from the result projection).
-    if (!ocs::CollectPruningTerms(op.predicate, *scan_schema,
-                                  &request.predicates)) {
-      return Status::Internal("hive: accepted filter not expressible");
-    }
-  }
-
+  // Select path: the split's Read → [Filter] → [Project] plan runs at
+  // storage and comes back as CSV; its fallback runs the same plan.
+  POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
+                        TranslateScanSpec(table, split, spec));
   PageSourceStats stats;
   objectstore::TransferInfo info;
-  Stopwatch select_timer;
-  Result<objectstore::SelectResponse> select_or =
-      client_.Select(request, &info, config_.call);
-  if (!select_or.ok()) {
-    info.AddTo(&stats);
+  Result<ocs::OcsResult> result = client_.Select(plan, &info, config_.call);
+  info.AddTo(&stats);
+  if (!result.ok()) {
     stats.failed_splits = 1;
     {
       auto& reg = metrics::Registry::Default();
       static auto& failed = reg.GetCounter("connector.hive.failed_selects");
       failed.Increment();
     }
-    if (!rpc::IsRetryable(select_or.status())) return select_or.status();
-    // Degrade to a raw GET of the whole object and run the scan spec's
-    // plan (Read → Filter → Project) over it with the storage node's scan,
-    // so the rows still honour the pushdown contract.
+    if (!rpc::IsRetryable(result.status())) return result.status();
+    // Degrade to a raw GET of the whole object and run the plan over it
+    // with the storage node's scan, so the rows and row counters are the
+    // Select's own.
     objectstore::TransferInfo get_info;
     POCS_ASSIGN_OR_RETURN(
         Bytes object,
-        client_.Get(split.bucket, split.object, &get_info,
-                    config_.fallback_call));
+        store.Get(split.bucket, split.object, &get_info,
+                  config_.fallback_call));
     get_info.AddTo(&stats);
     stats.media_read_seconds +=
-        static_cast<double>(object.size()) / config_.media_read_bandwidth;
+        static_cast<double>(object.size()) / ocs::kMediaReadBandwidth;
     stats.fallbacks = 1;
     {
       auto& reg = metrics::Registry::Default();
       static auto& fallbacks = reg.GetCounter("connector.hive.fallbacks");
       fallbacks.Increment();
     }
-    POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
-                          TranslateScanSpec(table, split, spec));
     Stopwatch decode;
     ocs::OcsExecStats scan;
     POCS_ASSIGN_OR_RETURN(
-        auto result,
+        auto scanned,
         ocs::ExecuteOnObject(
             plan, {std::make_shared<const Bytes>(std::move(object)), 0},
             /*cache=*/nullptr, &scan));
     scan.object_bytes_read = 0;  // charged by the GET above
     stats += scan;
-    RecordBatchPtr batch = result->Combine();
+    RecordBatchPtr batch = scanned->Combine();
     stats.decode_seconds = decode.ElapsedSeconds();
     stats.rows_returned = batch->num_rows();
     return std::unique_ptr<connector::PageSource>(
         std::make_unique<SelectPageSource>(projected, std::move(batch), stats));
   }
-  objectstore::SelectResponse response = std::move(*select_or);
-  // The synchronous in-process Select call's wall time is storage-side
-  // work; scale it to the storage node's weaker CPU.
-  stats.storage_compute_seconds =
-      select_timer.ElapsedSeconds() * config_.storage_cpu_slowdown;
-  stats.media_read_seconds =
-      static_cast<double>(response.stats.object_bytes_read) /
-      config_.media_read_bandwidth;
-  stats.row_groups_total = response.stats.groups_total;
-  stats.row_groups_skipped = response.stats.groups_skipped;
-  stats.rows_scanned = response.stats.rows_scanned;
-  info.AddTo(&stats);
+  stats += result->stats;
 
   Stopwatch decode;
+  POCS_ASSIGN_OR_RETURN(std::string_view csv,
+                        objectstore::SelectCsvText(result->arrow_ipc.span()));
   POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
-                        objectstore::ParseSelectCsv(response.csv, projected));
+                        objectstore::ParseSelectCsv(csv, projected));
   stats.decode_seconds = decode.ElapsedSeconds();
   stats.rows_returned = batch->num_rows();
 
@@ -320,11 +288,12 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     static auto& selects = reg.GetCounter("connector.hive.select_requests");
     static auto& bytes = reg.GetCounter("connector.hive.bytes_received");
     static auto& rows = reg.GetCounter("connector.hive.rows_received");
-    static auto& csv = reg.GetHistogram("connector.hive.csv_decode_seconds");
+    static auto& csv_decode =
+        reg.GetHistogram("connector.hive.csv_decode_seconds");
     selects.Increment();
     bytes.Add(stats.bytes_from_storage);
     rows.Add(stats.rows_returned);
-    csv.Record(stats.decode_seconds);
+    csv_decode.Record(stats.decode_seconds);
   }
   return std::unique_ptr<connector::PageSource>(
       std::make_unique<SelectPageSource>(projected, std::move(batch), stats));

@@ -2,7 +2,7 @@
 // interface between distributed SQL engines and S3-compatible object
 // storage. Capabilities are deliberately limited to what the S3 Select
 // API offers:
-//   * column projection pushdown (ranged reads of needed columns),
+//   * column projection pushdown (the Select's column list),
 //   * WHERE-clause filter pushdown (simple conjunctive comparisons only),
 //   * row-oriented (CSV) result format — no columnar transfer.
 // Aggregation and top-N are never pushed; they run compute-side.
@@ -10,25 +10,24 @@
 // Two modes reproduce the paper's baselines:
 //   select_pushdown = false → "no pushdown": whole objects are GET-ed and
 //     decoded at the compute node (Fig. 5's leftmost bars);
-//   select_pushdown = true  → "filter-only pushdown" via the Select API.
+//   select_pushdown = true  → "filter-only pushdown" via the Select API:
+//     each split sends its Read → [Filter] → [Project] plan to the
+//     storage node's "Select" method, which runs it with the node's one
+//     scan and answers in the OcsResult frame with a CSV payload. The
+//     frame's counters and modelled seconds are the split's storage
+//     counters, as on the OCS path.
 #pragma once
 
 #include <memory>
 
 #include "connector/spi.h"
 #include "metastore/metastore.h"
-#include "objectstore/service.h"
+#include "ocs/client.h"
 
 namespace pocs::connectors {
 
 struct HiveConnectorConfig {
   bool select_pushdown = true;
-  // Storage-side Select executes on the storage node's weaker CPU; the
-  // measured in-storage time is scaled by this factor (see DESIGN.md §4).
-  double storage_cpu_slowdown = 2.5;
-  // Storage-media read bandwidth for bytes the Select (or raw GET) touches
-  // on the storage node's SSD (matches StorageNodeConfig's default).
-  double media_read_bandwidth = 80e6;
   // Model real S3 Select's lack of double-precision support (§2.2: "S3
   // Select lacks support for double-precision floating-point values,
   // making it unsuitable for scientific domains"). When set, filters
@@ -41,8 +40,8 @@ struct HiveConnectorConfig {
   rpc::CallOptions call;
   // Options for the degradation path's raw GET: a Select that exhausts
   // its retries with a retryable error re-plans the split as a raw GET
-  // and runs the accepted filter compute-side. Kept separate from `call`:
-  // the raw object is much larger than a Select result, so a Select-sized
+  // and runs the same plan compute-side. Kept separate from `call`: the
+  // raw object is much larger than a Select result, so a Select-sized
   // deadline would starve it.
   rpc::CallOptions fallback_call;
 };
@@ -51,7 +50,7 @@ class HiveConnector final : public connector::Connector {
  public:
   HiveConnector(std::string id,
                 std::shared_ptr<metastore::Metastore> metastore,
-                objectstore::StorageClient client, HiveConnectorConfig config)
+                ocs::OcsClient client, HiveConnectorConfig config)
       : id_(std::move(id)),
         metastore_(std::move(metastore)),
         client_(std::move(client)),
@@ -84,7 +83,7 @@ class HiveConnector final : public connector::Connector {
  private:
   std::string id_;
   std::shared_ptr<metastore::Metastore> metastore_;
-  objectstore::StorageClient client_;
+  ocs::OcsClient client_;
   HiveConnectorConfig config_;
 };
 

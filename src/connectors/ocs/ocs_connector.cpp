@@ -584,7 +584,7 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
     }
   }
   stats->media_read_seconds +=
-      static_cast<double>(fetched_bytes) / config_.dispatch.media_read_bandwidth;
+      static_cast<double>(fetched_bytes) / ocs::kMediaReadBandwidth;
 
   // The storage node's own scan over the fetched bytes, without its
   // row-group cache: same rows and row counters as a healthy dispatch. The

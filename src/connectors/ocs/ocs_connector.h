@@ -57,9 +57,6 @@ struct OcsDispatchPolicy {
   // while modelled time does not, and a detector on wall time turned
   // every debug-tsan run into a false slow-node trip.
   double storage_deadline_seconds = 0;
-  // Media bandwidth modelled for the fallback's whole-object read
-  // (matches StorageNodeConfig/HiveConnectorConfig defaults).
-  double media_read_bandwidth = 80e6;
   // Chunked fallback transfer: when > 0, the raw-object read is issued as
   // ranged GETs of this size instead of one whole-object GET, and every
   // received range is parked in the connector's range cache keyed by

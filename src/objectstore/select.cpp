@@ -4,9 +4,9 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
+#include <cstring>
 
-#include "common/metrics.h"
+#include "common/checksum.h"
 
 namespace pocs::objectstore {
 
@@ -14,7 +14,6 @@ using columnar::Column;
 using columnar::CompareOp;
 using columnar::Datum;
 using columnar::RecordBatchPtr;
-using columnar::SelectionVector;
 using columnar::TypeKind;
 
 bool ChunkMayMatch(const format::ColumnStats& stats,
@@ -114,126 +113,56 @@ Status AppendParsedCell(std::string_view cell, Column* col) {
 
 }  // namespace
 
-Result<SelectResponse> ExecuteSelect(const ObjectStore& store,
-                                     const SelectRequest& request) {
-  POCS_ASSIGN_OR_RETURN(ObjectData object,
-                        store.Get(request.bucket, request.key));
-  POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(object));
-  const auto& schema = reader->schema();
-
-  // Resolve projected columns (empty = all).
-  std::vector<int> proj;
-  if (request.columns.empty()) {
-    for (size_t c = 0; c < schema->num_fields(); ++c) {
-      proj.push_back(static_cast<int>(c));
-    }
-  } else {
-    for (const std::string& name : request.columns) {
-      int idx = schema->FieldIndex(name);
-      if (idx < 0) return Status::InvalidArgument("no column " + name);
-      proj.push_back(idx);
-    }
+void WriteSelectCsv(const columnar::Table& table, BufferWriter* out) {
+  std::string text;
+  const columnar::Schema& schema = *table.schema();
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    if (c) text += ',';
+    text += schema.field(c).name;
   }
-  // Resolve predicate columns.
-  std::vector<int> pred_cols;
-  for (const SelectPredicate& pred : request.predicates) {
-    int idx = schema->FieldIndex(pred.column);
-    if (idx < 0) return Status::InvalidArgument("no column " + pred.column);
-    pred_cols.push_back(idx);
-  }
-  // Columns that must be decoded: projection ∪ predicates.
-  std::vector<int> read_cols = proj;
-  for (int c : pred_cols) {
-    if (std::find(read_cols.begin(), read_cols.end(), c) == read_cols.end()) {
-      read_cols.push_back(c);
-    }
-  }
-
-  SelectResponse response;
-  response.stats.groups_total = reader->num_row_groups();
-
-  // Header line.
-  for (size_t i = 0; i < proj.size(); ++i) {
-    if (i) response.csv += ',';
-    response.csv += schema->field(proj[i]).name;
-  }
-  response.csv += '\n';
-
-  for (size_t g = 0; g < reader->num_row_groups(); ++g) {
-    // Statistics-based pruning before any decoding.
-    bool may_match = true;
-    for (size_t p = 0; p < request.predicates.size(); ++p) {
-      const auto& stats = reader->meta().row_groups[g].chunks[pred_cols[p]].stats;
-      if (!ChunkMayMatch(stats, request.predicates[p])) {
-        may_match = false;
-        break;
+  text += '\n';
+  for (const RecordBatchPtr& batch : table.batches()) {
+    for (size_t row = 0; row < batch->num_rows(); ++row) {
+      for (size_t c = 0; c < batch->num_columns(); ++c) {
+        if (c) text += ',';
+        AppendCell(*batch->column(c), row, &text);
       }
-    }
-    if (!may_match) {
-      ++response.stats.groups_skipped;
-      continue;
-    }
-    response.stats.object_bytes_read += reader->ChunkBytes(g, read_cols);
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, reader->ReadRowGroup(g, read_cols));
-    response.stats.rows_scanned += batch->num_rows();
-
-    // Conjunctive predicate evaluation via chained selection vectors.
-    SelectionVector sel;
-    bool have_sel = false;
-    for (const SelectPredicate& pred : request.predicates) {
-      auto col = batch->ColumnByName(pred.column);
-      sel = CompareScalar(*col, pred.op, pred.literal,
-                          have_sel ? &sel : nullptr);
-      have_sel = true;
-      if (sel.empty()) break;
-    }
-    if (!have_sel) {
-      sel.resize(batch->num_rows());
-      for (uint32_t i = 0; i < sel.size(); ++i) sel[i] = i;
-    }
-    response.stats.rows_returned += sel.size();
-
-    // Emit projected cells in row order.
-    std::vector<const Column*> out_cols;
-    for (int c : proj) {
-      out_cols.push_back(batch->ColumnByName(schema->field(c).name).get());
-    }
-    for (uint32_t row : sel) {
-      for (size_t i = 0; i < out_cols.size(); ++i) {
-        if (i) response.csv += ',';
-        AppendCell(*out_cols[i], row, &response.csv);
-      }
-      response.csv += '\n';
+      text += '\n';
     }
   }
-
-  {
-    auto& reg = metrics::Registry::Default();
-    static auto& requests = reg.GetCounter("select.requests");
-    static auto& rows_scanned = reg.GetCounter("select.rows_scanned");
-    static auto& rows_returned = reg.GetCounter("select.rows_returned");
-    static auto& skipped = reg.GetCounter("select.row_groups_skipped");
-    static auto& media = reg.GetCounter("select.object_bytes_read");
-    requests.Increment();
-    rows_scanned.Add(response.stats.rows_scanned);
-    rows_returned.Add(response.stats.rows_returned);
-    skipped.Add(response.stats.groups_skipped);
-    media.Add(response.stats.object_bytes_read);
-  }
-  return response;
+  const ByteSpan bytes(reinterpret_cast<const uint8_t*>(text.data()),
+                       text.size());
+  out->WriteBytes(bytes);
+  out->WriteLE<uint64_t>(Checksum64(bytes));
 }
 
-Result<RecordBatchPtr> ParseSelectCsv(const std::string& csv,
+Result<std::string_view> SelectCsvText(ByteSpan payload) {
+  if (payload.size() < sizeof(uint64_t)) {
+    return Status::Corruption("csv: payload shorter than its checksum");
+  }
+  const ByteSpan text = payload.first(payload.size() - sizeof(uint64_t));
+  uint64_t checksum;
+  std::memcpy(&checksum, text.data() + text.size(), sizeof(checksum));
+  if (Checksum64(text) != checksum) {
+    return Status::Corruption("csv: checksum mismatch");
+  }
+  return std::string_view(reinterpret_cast<const char*>(text.data()),
+                          text.size());
+}
+
+Result<RecordBatchPtr> ParseSelectCsv(std::string_view csv,
                                       const columnar::SchemaPtr& schema) {
   std::vector<std::shared_ptr<Column>> cols;
   for (size_t c = 0; c < schema->num_fields(); ++c) {
     cols.push_back(columnar::MakeColumn(schema->field(c).type));
   }
   size_t pos = csv.find('\n');
-  if (pos == std::string::npos) return Status::Corruption("csv: no header");
+  if (pos == std::string_view::npos) {
+    return Status::Corruption("csv: no header");
+  }
   // Header sanity: column count must match.
   {
-    std::string_view header(csv.data(), pos);
+    std::string_view header = csv.substr(0, pos);
     size_t commas = std::count(header.begin(), header.end(), ',');
     if (!header.empty() && commas + 1 != schema->num_fields()) {
       return Status::Corruption("csv: header column count mismatch");
@@ -242,8 +171,8 @@ Result<RecordBatchPtr> ParseSelectCsv(const std::string& csv,
   ++pos;
   while (pos < csv.size()) {
     size_t eol = csv.find('\n', pos);
-    if (eol == std::string::npos) eol = csv.size();
-    std::string_view line(csv.data() + pos, eol - pos);
+    if (eol == std::string_view::npos) eol = csv.size();
+    std::string_view line = csv.substr(pos, eol - pos);
     size_t field_start = 0;
     for (size_t c = 0; c < schema->num_fields(); ++c) {
       size_t comma = (c + 1 < schema->num_fields())

@@ -1,67 +1,53 @@
-// The S3-Select / MinIO-Select stand-in: storage-side evaluation of
-// WHERE-clause filters and column projection over a single Parquet-lite
-// object, with results returned in a ROW-ORIENTED CSV text format.
+// The S3-Select / MinIO-Select stand-in's two formats: its pruning terms
+// and its ROW-ORIENTED CSV results. A Select is a Read → [Filter] →
+// [Project] plan that the storage node runs with its one scan
+// (ocs::ExecuteOnObject) and returns as CSV text.
 //
 // The operator restriction (filter + projection only, nothing else) and
 // the row-format results are the two properties of S3 Select the paper's
 // baseline comparison hinges on (§2.2): aggregation/top-N cannot run
-// here, and results lose columnar-format efficiency. We intentionally
+// there, and results lose columnar-format efficiency. We intentionally
 // reproduce both. Unlike real S3 Select we do support float64 — the
 // paper notes S3 Select's lack of doubles as a flaw, not a feature.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
+#include "columnar/batch.h"
 #include "columnar/kernels.h"
 #include "columnar/types.h"
-#include "format/parquet_lite.h"
-#include "objectstore/object_store.h"
+#include "common/buffer.h"
+#include "format/stats.h"
 
 namespace pocs::objectstore {
 
+// One `column <op> literal` conjunct of a filter: the unit of chunk
+// statistics pruning.
 struct SelectPredicate {
   std::string column;
   columnar::CompareOp op;
   columnar::Datum literal;
 };
 
-struct SelectRequest {
-  std::string bucket;
-  std::string key;
-  // Projected column names; empty selects all columns.
-  std::vector<std::string> columns;
-  // Conjunctive (AND) predicates.
-  std::vector<SelectPredicate> predicates;
-};
-
-struct SelectStats {
-  uint64_t rows_scanned = 0;
-  uint64_t rows_returned = 0;
-  uint64_t groups_total = 0;
-  uint64_t groups_skipped = 0;  // pruned by chunk min/max statistics
-  uint64_t object_bytes_read = 0;
-};
-
-struct SelectResponse {
-  std::string csv;  // header line + one line per row
-  SelectStats stats;
-};
-
-// Execute a select against the local store. Row groups whose chunk
-// statistics prove no predicate match are skipped without decoding.
-Result<SelectResponse> ExecuteSelect(const ObjectStore& store,
-                                     const SelectRequest& request);
-
-// Parse a CSV result (as produced above) back into a record batch, given
-// the expected schema of the projected columns. Used by the compute-side
-// Hive connector to turn row-format results back into pages.
-Result<columnar::RecordBatchPtr> ParseSelectCsv(
-    const std::string& csv, const columnar::SchemaPtr& schema);
-
 // True if chunk statistics cannot rule out rows matching `pred`.
 bool ChunkMayMatch(const format::ColumnStats& stats,
                    const SelectPredicate& pred);
+
+// Appends `table` as a Select result payload: a header line of column
+// names, one line per row (an empty cell is NULL), then the Checksum64 of
+// that text as a little-endian u64.
+void WriteSelectCsv(const columnar::Table& table, BufferWriter* out);
+
+// The CSV text of a Select result payload, once its checksum matches;
+// Corruption otherwise. The view points into `payload`.
+Result<std::string_view> SelectCsvText(ByteSpan payload);
+
+// Parse CSV text (as written above, without its checksum) back into a
+// record batch, given the expected schema of the projected columns. Used
+// by the compute-side Hive connector to turn row-format results back
+// into pages.
+Result<columnar::RecordBatchPtr> ParseSelectCsv(
+    std::string_view csv, const columnar::SchemaPtr& schema);
 
 }  // namespace pocs::objectstore

@@ -1,67 +1,6 @@
 #include "objectstore/service.h"
 
-#include "columnar/ipc.h"
-
 namespace pocs::objectstore {
-
-void EncodeSelectRequest(const SelectRequest& request, BufferWriter* out) {
-  out->WriteString(request.bucket);
-  out->WriteString(request.key);
-  out->WriteVarint(request.columns.size());
-  for (const std::string& c : request.columns) out->WriteString(c);
-  out->WriteVarint(request.predicates.size());
-  for (const SelectPredicate& p : request.predicates) {
-    out->WriteString(p.column);
-    out->WriteU8(static_cast<uint8_t>(p.op));
-    columnar::ipc::WriteDatum(p.literal, out);
-  }
-}
-
-Result<SelectRequest> DecodeSelectRequest(BufferReader* in) {
-  SelectRequest request;
-  POCS_ASSIGN_OR_RETURN(request.bucket, in->ReadString());
-  POCS_ASSIGN_OR_RETURN(request.key, in->ReadString());
-  POCS_ASSIGN_OR_RETURN(uint64_t n_cols, in->ReadVarint());
-  for (uint64_t i = 0; i < n_cols; ++i) {
-    POCS_ASSIGN_OR_RETURN(std::string c, in->ReadString());
-    request.columns.push_back(std::move(c));
-  }
-  POCS_ASSIGN_OR_RETURN(uint64_t n_preds, in->ReadVarint());
-  for (uint64_t i = 0; i < n_preds; ++i) {
-    SelectPredicate p;
-    POCS_ASSIGN_OR_RETURN(p.column, in->ReadString());
-    POCS_ASSIGN_OR_RETURN(uint8_t op, in->ReadU8());
-    if (op > static_cast<uint8_t>(columnar::CompareOp::kGe)) {
-      return Status::Corruption("select: bad compare op");
-    }
-    p.op = static_cast<columnar::CompareOp>(op);
-    POCS_ASSIGN_OR_RETURN(p.literal, columnar::ipc::ReadDatum(in));
-    request.predicates.push_back(std::move(p));
-  }
-  return request;
-}
-
-namespace {
-
-void EncodeSelectStats(const SelectStats& stats, BufferWriter* out) {
-  out->WriteVarint(stats.rows_scanned);
-  out->WriteVarint(stats.rows_returned);
-  out->WriteVarint(stats.groups_total);
-  out->WriteVarint(stats.groups_skipped);
-  out->WriteVarint(stats.object_bytes_read);
-}
-
-Result<SelectStats> DecodeSelectStats(BufferReader* in) {
-  SelectStats stats;
-  POCS_ASSIGN_OR_RETURN(stats.rows_scanned, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(stats.rows_returned, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(stats.groups_total, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(stats.groups_skipped, in->ReadVarint());
-  POCS_ASSIGN_OR_RETURN(stats.object_bytes_read, in->ReadVarint());
-  return stats;
-}
-
-}  // namespace
 
 void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
                             rpc::Server* server) {
@@ -139,30 +78,7 @@ void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
     POCS_RETURN_NOT_OK(store->Put(bucket, key, Bytes(data.begin(), data.end())));
     return Bytes{};
   });
-
-  server->RegisterMethod("Select", [store](ByteSpan req) -> Result<Bytes> {
-    BufferReader in(req);
-    POCS_ASSIGN_OR_RETURN(SelectRequest request, DecodeSelectRequest(&in));
-    POCS_ASSIGN_OR_RETURN(SelectResponse response,
-                          ExecuteSelect(*store, request));
-    BufferWriter out;
-    EncodeSelectStats(response.stats, &out);
-    out.WriteString(response.csv);
-    return std::move(out).Take();
-  });
 }
-
-namespace {
-
-void FillInfo(const rpc::CallResult& call, TransferInfo* info) {
-  if (!info) return;
-  info->bytes_sent += call.request_bytes;
-  info->bytes_received += call.response_bytes;
-  info->retries += call.retries;
-  info->transfer_seconds += call.transfer_seconds;
-}
-
-}  // namespace
 
 Result<Bytes> StorageClient::Get(const std::string& bucket,
                                  const std::string& key, TransferInfo* info,
@@ -172,7 +88,7 @@ Result<Bytes> StorageClient::Get(const std::string& bucket,
   req.WriteString(key);
   rpc::CallResult call;
   Status status = channel_.CallInto("Get", req.span(), options, &call);
-  FillInfo(call, info);  // lost attempts still cost modelled time
+  if (info) info->Add(call);  // lost attempts still cost modelled time
   POCS_RETURN_NOT_OK(status);
   return std::move(call.response);
 }
@@ -188,7 +104,7 @@ Result<Bytes> StorageClient::GetRange(const std::string& bucket,
   req.WriteVarint(length);
   rpc::CallResult call;
   Status status = channel_.CallInto("GetRange", req.span(), options, &call);
-  FillInfo(call, info);
+  if (info) info->Add(call);
   POCS_RETURN_NOT_OK(status);
   return std::move(call.response);
 }
@@ -202,7 +118,7 @@ Result<ObjectStat> StorageClient::Stat(const std::string& bucket,
   req.WriteString(key);
   rpc::CallResult call;
   Status status = channel_.CallInto("Stat", req.span(), options, &call);
-  FillInfo(call, info);
+  if (info) info->Add(call);
   POCS_RETURN_NOT_OK(status);
   BufferReader in(call.response.data(), call.response.size());
   ObjectStat stat;
@@ -220,7 +136,7 @@ Result<ObjectDescriptor> StorageClient::DescribeObject(
   rpc::CallResult call;
   Status status = channel_.CallInto("DescribeObject", req.span(), options,
                                     &call);
-  FillInfo(call, info);
+  if (info) info->Add(call);
   POCS_RETURN_NOT_OK(status);
   BufferReader in(call.response.data(), call.response.size());
   return DecodeObjectDescriptor(&in);
@@ -262,22 +178,6 @@ Status StorageClient::Put(const std::string& bucket, const std::string& key,
   POCS_ASSIGN_OR_RETURN(rpc::CallResult call, channel_.Call("Put", req.span()));
   (void)call;
   return Status::OK();
-}
-
-Result<SelectResponse> StorageClient::Select(
-    const SelectRequest& request, TransferInfo* info,
-    const rpc::CallOptions& options) const {
-  BufferWriter req;
-  EncodeSelectRequest(request, &req);
-  rpc::CallResult call;
-  Status status = channel_.CallInto("Select", req.span(), options, &call);
-  FillInfo(call, info);
-  POCS_RETURN_NOT_OK(status);
-  BufferReader in(call.response.data(), call.response.size());
-  SelectResponse response;
-  POCS_ASSIGN_OR_RETURN(response.stats, DecodeSelectStats(&in));
-  POCS_ASSIGN_OR_RETURN(response.csv, in.ReadString());
-  return response;
 }
 
 }  // namespace pocs::objectstore

@@ -9,13 +9,12 @@
 #include "common/counters.h"
 #include "objectstore/describe.h"
 #include "objectstore/object_store.h"
-#include "objectstore/select.h"
 #include "rpc/rpc.h"
 
 namespace pocs::objectstore {
 
-// Registers Get/GetRange/Size/Stat/List/Put/Select methods on `server`,
-// backed by `store` (which must outlive the server).
+// Registers Get/GetRange/Size/Stat/DescribeObject/List/Put methods on
+// `server`, backed by `store` (which must outlive the server).
 void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
                             rpc::Server* server);
 
@@ -26,6 +25,14 @@ struct TransferInfo {
   uint64_t bytes_received = 0;
   uint64_t retries = 0;  // rpc attempts beyond the first
   double transfer_seconds = 0;
+
+  // Adds one call's traffic, lost attempts included.
+  void Add(const rpc::CallResult& call) {
+    bytes_sent += call.request_bytes;
+    bytes_received += call.response_bytes;
+    retries += call.retries;
+    transfer_seconds += call.transfer_seconds;
+  }
 
   // Charges this call's traffic to a split's counters.
   void AddTo(SplitCounters* split) const {
@@ -70,16 +77,9 @@ class StorageClient {
                                         const std::string& prefix = "") const;
   Status Put(const std::string& bucket, const std::string& key,
              ByteSpan data) const;
-  Result<SelectResponse> Select(const SelectRequest& request,
-                                TransferInfo* info = nullptr,
-                                const rpc::CallOptions& options = {}) const;
 
  private:
   rpc::Channel channel_;
 };
-
-// Wire helpers shared with tests.
-void EncodeSelectRequest(const SelectRequest& request, BufferWriter* out);
-Result<SelectRequest> DecodeSelectRequest(BufferReader* in);
 
 }  // namespace pocs::objectstore

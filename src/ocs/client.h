@@ -1,5 +1,6 @@
 // Compute-side client for OCS: serializes IR plans, calls the frontend's
-// ExecutePlan over the simulated network, and decodes Arrow results.
+// ExecutePlan (or Select) over the simulated network, and decodes the
+// result frames.
 #pragma once
 
 #include "columnar/ipc.h"
@@ -20,21 +21,15 @@ class OcsClient {
   Result<OcsResult> ExecutePlan(const substrait::Plan& plan,
                                 objectstore::TransferInfo* info = nullptr,
                                 const rpc::CallOptions& options = {}) const {
-    Bytes request = substrait::SerializePlan(plan);
-    rpc::CallResult call;
-    Status status = channel_.CallInto(
-        "ExecutePlan", ByteSpan(request.data(), request.size()), options,
-        &call);
-    if (info) {
-      info->bytes_sent += call.request_bytes;
-      info->bytes_received += call.response_bytes;
-      info->retries += call.retries;
-      info->transfer_seconds += call.transfer_seconds;
-    }
-    POCS_RETURN_NOT_OK(status);
-    // The response becomes the shared owner of the payload and, once
-    // decoded, of every result column: no result byte is copied.
-    return DecodeOcsResult(Buffer::Adopt(std::move(call.response)));
+    return CallPlan("ExecutePlan", plan, info, options);
+  }
+
+  // S3 Select: the same call for a Read → [Filter] → [Project] plan; the
+  // result's payload is CSV (objectstore::SelectCsvText).
+  Result<OcsResult> Select(const substrait::Plan& plan,
+                           objectstore::TransferInfo* info = nullptr,
+                           const rpc::CallOptions& options = {}) const {
+    return CallPlan("Select", plan, info, options);
   }
 
   // Placement probe: which storage node (index) serves bucket/key, plus
@@ -55,12 +50,7 @@ class OcsClient {
     rpc::CallResult call;
     Status status = channel_.CallInto(
         "Locate", ByteSpan(request.data(), request.size()), options, &call);
-    if (info) {
-      info->bytes_sent += call.request_bytes;
-      info->bytes_received += call.response_bytes;
-      info->retries += call.retries;
-      info->transfer_seconds += call.transfer_seconds;
-    }
+    if (info) info->Add(call);
     POCS_RETURN_NOT_OK(status);
     BufferReader in(call.response.data(), call.response.size());
     Placement placement;
@@ -71,8 +61,8 @@ class OcsClient {
     return placement;
   }
 
-  // The underlying channel to the frontend — the connector's engine-side
-  // fallback builds a StorageClient on it to fetch raw objects.
+  // The underlying channel to the frontend — the connectors' raw GETs and
+  // engine-side fallbacks build a StorageClient on it to fetch objects.
   const rpc::Channel& channel() const { return channel_; }
 
   // Decode the Arrow payload of a result into columns that are slices of
@@ -83,6 +73,20 @@ class OcsClient {
   }
 
  private:
+  Result<OcsResult> CallPlan(const char* method, const substrait::Plan& plan,
+                             objectstore::TransferInfo* info,
+                             const rpc::CallOptions& options) const {
+    Bytes request = substrait::SerializePlan(plan);
+    rpc::CallResult call;
+    Status status = channel_.CallInto(
+        method, ByteSpan(request.data(), request.size()), options, &call);
+    if (info) info->Add(call);
+    POCS_RETURN_NOT_OK(status);
+    // The response becomes the shared owner of the payload and, once
+    // decoded, of every result column: no result byte is copied.
+    return DecodeOcsResult(Buffer::Adopt(std::move(call.response)));
+  }
+
   rpc::Channel channel_;
 };
 

@@ -26,20 +26,22 @@ OcsCluster::OcsCluster(std::shared_ptr<netsim::Network> net,
         std::make_unique<rpc::Channel>(net_, frontend_node_, server));
   }
 
-  // Frontend methods: ExecutePlan routes by the plan's read target; the
-  // plain object-store methods route by the (bucket, key) prefix of their
-  // request encoding (all start with bucket/key strings).
-  frontend_server_->RegisterMethod(
-      "ExecutePlan", [this](ByteSpan req) -> Result<Bytes> {
-        POCS_RETURN_NOT_OK(CheckFrontendUp());
-        POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
-                              substrait::DeserializePlan(req));
-        const substrait::Rel* read = plan.root.get();
-        while (read->input) read = read->input.get();
-        return Forward("ExecutePlan", read->bucket, read->object, req);
-      });
+  // Frontend methods: ExecutePlan and Select route by the plan's read
+  // target; the plain object-store methods route by the (bucket, key)
+  // prefix of their request encoding (all start with bucket/key strings).
+  for (const char* method : {"ExecutePlan", "Select"}) {
+    frontend_server_->RegisterMethod(
+        method, [this, method](ByteSpan req) -> Result<Bytes> {
+          POCS_RETURN_NOT_OK(CheckFrontendUp());
+          POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
+                                substrait::DeserializePlan(req));
+          const substrait::Rel* read = plan.root.get();
+          while (read->input) read = read->input.get();
+          return Forward(method, read->bucket, read->object, req);
+        });
+  }
 
-  for (const char* method : {"Get", "GetRange", "Size", "Stat", "Select"}) {
+  for (const char* method : {"Get", "GetRange", "Size", "Stat"}) {
     frontend_server_->RegisterMethod(
         method, [this, method](ByteSpan req) -> Result<Bytes> {
           POCS_RETURN_NOT_OK(CheckFrontendUp());

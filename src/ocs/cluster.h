@@ -43,8 +43,8 @@ class OcsCluster {
                    Bytes data);
 
   // The frontend's RPC server — compute-side clients connect here for
-  // both "ExecutePlan" and object-store methods (which the frontend
-  // proxies to the owning storage node).
+  // "ExecutePlan", "Select" and the object-store methods (all of which
+  // the frontend proxies to the owning storage node).
   const std::shared_ptr<rpc::Server>& frontend_server() const {
     return frontend_server_;
   }
@@ -54,10 +54,11 @@ class OcsCluster {
   const StorageNode& storage_node(size_t i) const { return *storage_nodes_[i]; }
   StorageNode& mutable_storage_node(size_t i) { return *storage_nodes_[i]; }
 
-  // Crash the frontend process: every frontend method (ExecutePlan and
-  // the proxied object-store calls) rejects with kUnavailable until
-  // un-crashed. Unlike a storage-node exec crash there is no fallback
-  // path around a dead frontend — it is the cluster's single endpoint.
+  // Crash the frontend process: every frontend method (ExecutePlan,
+  // Select and the proxied object-store calls) rejects with kUnavailable
+  // until un-crashed. Unlike a storage-node exec crash there is no
+  // fallback path around a dead frontend — it is the cluster's single
+  // endpoint.
   void SetFrontendCrashed(bool crashed) {
     frontend_crashed_.store(crashed, std::memory_order_relaxed);
   }

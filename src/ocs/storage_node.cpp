@@ -459,7 +459,49 @@ Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
   return table;
 }
 
-Result<Bytes> StorageNode::Execute(const substrait::Plan& plan) const {
+namespace {
+
+// S3 Select's operator scope: Read → [Filter] → [Project of field refs],
+// the filter a conjunction of `field <cmp> literal` terms, and neither a
+// row-group hint nor a bloom on the Read.
+Status CheckSelectScope(const substrait::Plan& plan) {
+  const Rel* rel = plan.root.get();
+  if (rel->kind == RelKind::kProject) {
+    for (const Expression& expr : rel->expressions) {
+      if (expr.kind != ExprKind::kFieldRef) {
+        return Status::InvalidArgument("select: projects columns only");
+      }
+    }
+    rel = rel->input.get();
+  }
+  const Rel* filter = nullptr;
+  if (rel->kind == RelKind::kFilter) {
+    filter = rel;
+    rel = rel->input.get();
+  }
+  if (rel->kind != RelKind::kRead) {
+    return Status::InvalidArgument(
+        "select: only filter and projection, not " +
+        std::string(substrait::RelKindName(rel->kind)));
+  }
+  if (!rel->row_group_hint.empty() || !rel->bloom_words.empty()) {
+    return Status::InvalidArgument("select: no row-group hint or bloom");
+  }
+  if (filter) {
+    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr scan_schema,
+                          substrait::OutputSchema(*rel));
+    std::vector<objectstore::SelectPredicate> terms;
+    if (!CollectPruningTerms(filter->predicate, *scan_schema, &terms)) {
+      return Status::InvalidArgument(
+          "select: filter is not a conjunction of column comparisons");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Bytes> StorageNode::Run(const substrait::Plan& plan, bool select) const {
   if (faults_.exec_crashed.load(std::memory_order_relaxed)) {
     auto& reg = metrics::Registry::Default();
     static auto& rejected = reg.GetCounter("storage.exec_rejected");
@@ -467,6 +509,7 @@ Result<Bytes> StorageNode::Execute(const substrait::Plan& plan) const {
     return Status::Unavailable("ocs: storage execution engine is down");
   }
   POCS_RETURN_NOT_OK(substrait::ValidatePlan(plan));
+  if (select) POCS_RETURN_NOT_OK(CheckSelectScope(plan));
   Stopwatch timer;
   OcsExecStats stats;
 
@@ -477,24 +520,33 @@ Result<Bytes> StorageNode::Execute(const substrait::Plan& plan) const {
   }
   POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
                         store_->GetVersioned(read->bucket, read->object));
+  // S3 Select keeps no decoded chunks: it decodes on every request.
   POCS_ASSIGN_OR_RETURN(
-      auto table, ExecuteOnObject(plan, object, rowgroup_cache_.get(), &stats));
-  // The table is serialized once, into its place in the response frame.
-  OcsResultWriter frame(stats, columnar::ipc::MaxStreamBytes(*table));
-  columnar::ipc::WriteTable(*table, frame.payload());
+      auto table, ExecuteOnObject(plan, object,
+                                  select ? nullptr : rowgroup_cache_.get(),
+                                  &stats));
+  // The result is serialized once, into its place in the response frame.
+  OcsResultWriter frame(stats,
+                        select ? 0 : columnar::ipc::MaxStreamBytes(*table));
+  if (select) {
+    objectstore::WriteSelectCsv(*table, frame.payload());
+  } else {
+    columnar::ipc::WriteTable(*table, frame.payload());
+  }
   stats.exec_delay_seconds =
       faults_.exec_delay_seconds.load(std::memory_order_relaxed);
   stats.storage_compute_seconds =
       timer.ElapsedSeconds() * config_.cpu_slowdown + stats.exec_delay_seconds;
-  stats.media_read_seconds = static_cast<double>(stats.object_bytes_read) /
-                             config_.media_read_bandwidth;
+  stats.media_read_seconds =
+      static_cast<double>(stats.object_bytes_read) / kMediaReadBandwidth;
 
   {
     auto& reg = metrics::Registry::Default();
     static auto& plans = reg.GetCounter("storage.plans_executed");
+    static auto& selects = reg.GetCounter("select.requests");
     static auto& compute = reg.GetHistogram("storage.compute_seconds");
     static const CounterExporter<StorageCounters> exporter("storage");
-    plans.Increment();
+    (select ? selects : plans).Increment();
     exporter.Add(stats);
     compute.Record(stats.storage_compute_seconds);
   }
@@ -600,8 +652,8 @@ Result<OcsResult> DecodeOcsResult(BufferReader* in) {
 
 void StorageNode::RegisterService(rpc::Server* server) const {
   // OCS nodes also expose the plain object-store interface: the same data
-  // serves both the filter-only (S3 Select) path and the OCS path, as in
-  // the paper's comparison setup.
+  // serves the raw-GET baseline, the S3 Select path and the OCS path, as
+  // in the paper's comparison setup.
   objectstore::RegisterStorageService(store_, server);
 
   const StorageNode* node = this;
@@ -609,6 +661,11 @@ void StorageNode::RegisterService(rpc::Server* server) const {
     POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
                           substrait::DeserializePlan(req));
     return node->Execute(plan);
+  });
+  server->RegisterMethod("Select", [node](ByteSpan req) -> Result<Bytes> {
+    POCS_ASSIGN_OR_RETURN(substrait::Plan plan,
+                          substrait::DeserializePlan(req));
+    return node->Select(plan);
   });
 }
 

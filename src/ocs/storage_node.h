@@ -31,19 +31,21 @@
 
 namespace pocs::ocs {
 
+// Effective storage-media read bandwidth, bytes/s (Table 1: data on SATA
+// SSD). Object bytes a storage node touches are charged bytes/bandwidth
+// of modelled media time — this is what makes compression pay off in
+// Fig. 6 even for storage-side execution — and so are the whole objects
+// the connectors' raw GETs read. The 80 MB/s figure is derived from the
+// paper's own Fig. 6 arithmetic: Zstd saved filter-only ~198 s on
+// ~15.7 GB of avoided reads ≈ 80 MB/s effective.
+inline constexpr double kMediaReadBandwidth = 80e6;
+
 struct StorageNodeConfig {
   // Measured in-storage compute seconds are multiplied by this factor.
   // Default approximates the paper's per-node throughput gap:
   // (64 cores x 2.9 GHz) / (16 cores x 2.0 GHz) ≈ 5.8, discounted for
   // imperfect compute-side scaling to 2.5.
   double cpu_slowdown = 2.5;
-  // Effective storage-media read bandwidth (Table 1: data on SATA SSD).
-  // Object bytes touched by a plan are charged bytes/bandwidth of
-  // modelled media time — this is what makes compression pay off in
-  // Fig. 6 even for storage-side execution. The 80 MB/s default is
-  // derived from the paper's own Fig. 6 arithmetic: Zstd saved
-  // filter-only ~198 s on ~15.7 GB of avoided reads ≈ 80 MB/s effective.
-  double media_read_bandwidth = 80e6;
   // Byte budget for the node's decoded row-group cache (0 disables).
   // Cached chunks are charged at decoded size; hits skip both the media
   // read and the decode.
@@ -51,12 +53,13 @@ struct StorageNodeConfig {
 };
 
 // Injectable failure modes for one storage node. Crashing targets only
-// the node's *computational* service: ExecutePlan rejects with
-// kUnavailable while the plain object-store methods stay up — mirroring
-// the paper's framing (and PushdownDB's) of in-storage execution as an
-// optional accelerator the engine must survive without. `exec_delay`
-// models a slow node by inflating the reported storage compute time; the
-// connector's storage deadline turns that into an offload rejection.
+// the node's one executor: ExecutePlan and Select reject with
+// kUnavailable while the plain object-store methods (Get, GetRange, Stat,
+// DescribeObject) stay up — mirroring the paper's framing (and
+// PushdownDB's) of in-storage execution as an optional accelerator the
+// engine must survive without. `exec_delay` models a slow node by
+// inflating the reported storage compute time; the OCS connector's
+// storage deadline turns that into an offload rejection.
 struct StorageNodeFaults {
   std::atomic<bool> exec_crashed{false};
   std::atomic<double> exec_delay_seconds{0};
@@ -70,8 +73,9 @@ struct OcsExecStats : StorageCounters {
 };
 
 struct OcsResult {
-  // The result table's columnar::ipc stream: a slice of the response
-  // frame it arrived in, which it keeps alive.
+  // The payload: a slice of the response frame it arrived in, which it
+  // keeps alive. For ExecutePlan the result table's columnar::ipc stream;
+  // for Select its CSV text and checksum (objectstore::SelectCsvText).
   Buffer arrow_ipc;
   OcsExecStats stats;
 };
@@ -118,10 +122,21 @@ class StorageNode {
   // Execute an IR plan whose Read targets an object on this node.
   Result<OcsResult> ExecutePlan(const substrait::Plan& plan) const;
   // The same, as the response frame the "ExecutePlan" method returns.
-  Result<Bytes> Execute(const substrait::Plan& plan) const;
+  Result<Bytes> Execute(const substrait::Plan& plan) const {
+    return Run(plan, /*select=*/false);
+  }
+  // S3 Select (§2.2): the response frame of a Read → [Filter] → [Project]
+  // plan, run by the same executor without the row-group cache, with a
+  // CSV payload (objectstore::WriteSelectCsv). Any other plan is
+  // InvalidArgument: an Aggregate, Sort or Fetch; a Project expression
+  // that is not a field ref; a Filter that CollectPruningTerms does not
+  // state whole; a Read with a row-group hint or a bloom.
+  Result<Bytes> Select(const substrait::Plan& plan) const {
+    return Run(plan, /*select=*/true);
+  }
 
-  // Register "ExecutePlan" (and the plain object-store methods) on an RPC
-  // server living on this node.
+  // Register "ExecutePlan", "Select" and the plain object-store methods on
+  // an RPC server living on this node.
   void RegisterService(rpc::Server* server) const;
 
   // Mutable fault switches; flipped by chaos tests at runtime.
@@ -133,6 +148,8 @@ class StorageNode {
   }
 
  private:
+  Result<Bytes> Run(const substrait::Plan& plan, bool select) const;
+
   std::shared_ptr<objectstore::ObjectStore> store_;
   StorageNodeConfig config_;
   mutable StorageNodeFaults faults_;
@@ -140,18 +157,19 @@ class StorageNode {
   std::shared_ptr<RowGroupCache> rowgroup_cache_;
 };
 
-// The OcsResult wire: the frame an ExecutePlan response carries (shared
-// with the frontend, which forwards responses verbatim).
+// The OcsResult wire: the frame an ExecutePlan or Select response carries
+// (shared with the frontend, which forwards responses verbatim).
 //   frame    := header pad checksum:u64 payload
 //   header   := count:varint* object_version:varint seconds:f64*
 //               payload_bytes:u64
 //   pad      := zero bytes up to the next multiple of 8
 //   checksum := Checksum64 (common/checksum.h) of header and pad
-//   payload  := the result's columnar::ipc stream, payload_bytes long,
-//               ending the frame
+//   payload  := payload_bytes long, ending the frame: the result's
+//               columnar::ipc stream (ExecutePlan), or its CSV text
+//               followed by the text's Checksum64 as a u64 (Select)
 // The counters travel in their POCS_STORAGE_COUNTERS order, untagged.
 // The payload starts 8-aligned, so a frame decodes to columns that are
-// slices of it, and its stream carries its own checksum.
+// slices of it, and either payload carries its own checksum.
 //
 // OcsResultWriter builds a frame in one buffer: the constructor writes
 // the header with the seconds and payload length left blank, the caller
@@ -190,9 +208,10 @@ Result<OcsResult> DecodeOcsResult(BufferReader* in);
 // `object.version`; version 0 (unknown) applies neither. `cache` may be
 // null. Adds the plan's counts — rows, row groups, object_bytes_read,
 // cache outcomes, pruned rows — to `stats` and sets its object_version;
-// the seconds are the caller's. StorageNode::ExecutePlan and both
-// connectors' engine-side fallbacks run it, so a fallback returns the
-// rows and row counters the storage node would have (DESIGN.md §9.3).
+// the seconds are the caller's. The storage node's ExecutePlan and Select
+// and both connectors' engine-side fallbacks run it, so a fallback
+// returns the rows and row counters the storage node would have
+// (DESIGN.md §9.3).
 Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
     const substrait::Plan& plan, const objectstore::VersionedObject& object,
     RowGroupCache* cache, OcsExecStats* stats);

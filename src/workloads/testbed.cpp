@@ -32,15 +32,13 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   connectors::HiveConnectorConfig raw = config_.hive;
   raw.select_pushdown = false;
   engine_->RegisterConnector(std::make_shared<connectors::HiveConnector>(
-      "hive_raw", metastore_, objectstore::StorageClient(frontend_channel()),
-      raw));
+      "hive_raw", metastore_, ocs::OcsClient(frontend_channel()), raw));
 
   // Baseline: Hive connector with S3-Select-style pushdown.
   connectors::HiveConnectorConfig select = config_.hive;
   select.select_pushdown = true;
   engine_->RegisterConnector(std::make_shared<connectors::HiveConnector>(
-      "hive", metastore_, objectstore::StorageClient(frontend_channel()),
-      select));
+      "hive", metastore_, ocs::OcsClient(frontend_channel()), select));
 
   if (config_.load_aware_dispatch) {
     dispatcher_ = std::make_shared<connectors::SplitDispatcher>(

@@ -1,7 +1,8 @@
 // Fault injection and graceful degradation: rpc retry/deadline/backoff
 // semantics, and the end-to-end recovery paths — a crashed storage exec
 // engine degrades to the engine-side scan (queries still answer
-// correctly with the same row counters, listeners see the fallbacks), a
+// correctly with the same row counters, listeners see the fallbacks; a
+// Hive Select, which runs on the same engine, falls back the same way), a
 // dead frontend propagates cleanly, and a Hive Select that exhausts its
 // retries re-plans as a raw GET with the filter applied compute-side.
 #include <gtest/gtest.h>
@@ -333,6 +334,65 @@ TEST(FallbackParityTest, CrashedExecMatchesPushedRowsAndRowCounters) {
     EXPECT_GT(pushed_sum.rows_late_materialized, 0u);
     EXPECT_GT(pushed_sum.bloom_rows_pruned, 0u);
   }
+}
+
+// S3 Select runs on the same executor as ExecutePlan, so crashing it
+// takes Select down too, and the Hive connector's Select→GET fallback
+// runs the very plan the Select carried: every query returns the Select's
+// rows and row counters — stats and lazy pruning, the code-domain filter
+// and late materialization included.
+TEST(SelectParityTest, CrashedExecMatchesSelectRowsAndRowCounters) {
+  workloads::Testbed bed;
+  workloads::TpchConfig tpch;
+  tpch.num_files = 2;
+  tpch.rows_per_file = 8192;
+  tpch.rows_per_group = 2048;
+  auto fact = workloads::GenerateLineitem(tpch);
+  ASSERT_TRUE(fact.ok()) << fact.status();
+  ASSERT_TRUE(bed.Ingest(std::move(*fact)).ok());
+  auto laghos = workloads::GenerateLaghos(SmallLaghos());
+  ASSERT_TRUE(laghos.ok()) << laghos.status();
+  ASSERT_TRUE(bed.Ingest(std::move(*laghos)).ok());
+
+  auto crash_exec = [&bed](bool crashed) {
+    for (size_t i = 0; i < bed.cluster().num_storage_nodes(); ++i) {
+      bed.cluster().mutable_storage_node(i).faults().exec_crashed.store(
+          crashed);
+    }
+  };
+  connector::QueryStats selected_sum;
+  for (const std::string& sql :
+       {workloads::TpchQ1(), workloads::TpchQ6(),
+        workloads::TpchDictFilterQuery(), workloads::LaghosQuery()}) {
+    SCOPED_TRACE(sql);
+    crash_exec(false);
+    auto selected = bed.Run(sql, "hive");
+    ASSERT_TRUE(selected.ok()) << selected.status();
+    crash_exec(true);
+    auto fallback = bed.Run(sql, "hive");
+    crash_exec(false);
+    ASSERT_TRUE(fallback.ok()) << fallback.status();
+
+    const auto& p = selected->metrics;
+    const auto& f = fallback->metrics;
+    selected_sum += p;
+    EXPECT_EQ(p.fallbacks, 0u);
+    EXPECT_GT(f.splits, 0u);
+    EXPECT_EQ(f.fallbacks, f.splits);
+    EXPECT_EQ(CanonicalRows(*fallback->table),
+              CanonicalRows(*selected->table));
+    EXPECT_EQ(f.rows_scanned, p.rows_scanned);
+    EXPECT_EQ(f.rows_output, p.rows_output);
+    EXPECT_EQ(f.row_groups_total, p.row_groups_total);
+    EXPECT_EQ(f.row_groups_skipped, p.row_groups_skipped);
+    EXPECT_EQ(f.row_groups_lazy_skipped, p.row_groups_lazy_skipped);
+    EXPECT_EQ(f.rows_dict_filtered, p.rows_dict_filtered);
+    EXPECT_EQ(f.rows_late_materialized, p.rows_late_materialized);
+  }
+  // Every filter went to storage and the code-domain filter ran, so the
+  // equalities above compare real work, not zeros.
+  EXPECT_GT(selected_sum.pushdown_accepted, 0u);
+  EXPECT_GT(selected_sum.rows_dict_filtered, 0u);
 }
 
 TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {

@@ -7,9 +7,9 @@
 // Shapes: Laghos (all float64/int64) and lineitem (dictionary strings,
 // dates), each uncompressed and zs-lite, 8,192 rows in four row groups.
 //
-// The same holds for a storage node's ExecutePlan response: every one-byte
-// mutant of a real one fails as Corruption when its counters or its
-// table are decoded.
+// The same holds for a storage node's ExecutePlan and Select responses:
+// every one-byte mutant of a real one fails as Corruption when its
+// counters and its table or CSV rows are decoded.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +17,7 @@
 #include <string>
 
 #include "format/parquet_lite.h"
+#include "objectstore/select.h"
 #include "ocs/client.h"
 #include "ocs/storage_node.h"
 #include "workloads/laghos.h"
@@ -131,9 +132,11 @@ TEST(IntegrityFooterTest, EveryFooterByteMutantIsCorruption) {
   EXPECT_EQ(escaped, 0);
 }
 
-// A real ExecutePlan response: a selective scan of lineitem (int64,
-// int32, float64, date and string columns) as the storage node frames it.
-Result<Bytes> MakeResponse() {
+// A real response to a selective scan of lineitem (int64, int32,
+// float64, date and string columns) as the storage node frames it:
+// ExecutePlan's, whose payload is an IPC stream, or Select's, whose
+// payload is CSV text and its checksum.
+Result<Bytes> MakeResponse(bool select) {
   POCS_ASSIGN_OR_RETURN(Bytes file,
                         MakeFile("lineitem", compress::CodecType::kNone));
   auto store = std::make_shared<objectstore::ObjectStore>();
@@ -155,38 +158,47 @@ Result<Bytes> MakeResponse() {
       columnar::TypeKind::kBool);
   substrait::Plan plan;
   plan.root = std::move(filter);
-  return node.Execute(plan);
+  return select ? node.Select(plan) : node.Execute(plan);
 }
 
-// Decodes a response as the connector does: the frame, then its table.
-Status DecodeResponse(const Bytes& response) {
+// Decodes a response as the connectors do: the frame, then its table
+// (OCS) or its CSV (Hive).
+Status DecodeResponse(const Bytes& response, bool select) {
   POCS_ASSIGN_OR_RETURN(ocs::OcsResult result,
                         ocs::DecodeOcsResult(Buffer::Copy(response)));
-  return ocs::OcsClient::DecodeTable(result).status();
+  if (!select) return ocs::OcsClient::DecodeTable(result).status();
+  POCS_ASSIGN_OR_RETURN(std::string_view csv,
+                        objectstore::SelectCsvText(result.arrow_ipc.span()));
+  return objectstore::ParseSelectCsv(csv, workloads::LineitemSchema())
+      .status();
 }
 
-// Every byte of the response, header and payload, each with two masks.
+// Every byte of each response, header and payload, each with two masks.
 TEST(IntegrityResponseTest, EveryResponseByteMutantIsCorruption) {
-  Result<Bytes> made = MakeResponse();
-  ASSERT_TRUE(made.ok()) << made.status();
-  const Bytes& response = *made;
-  ASSERT_TRUE(DecodeResponse(response).ok());
-  ASSERT_GT(response.size(), 1000u);
-  Bytes mutant = response;
-  int escaped = 0;
-  for (size_t pos = 0; pos < response.size(); ++pos) {
-    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xa5}}) {
-      mutant[pos] ^= mask;
-      const Status status = DecodeResponse(mutant);
-      mutant[pos] = response[pos];
-      if (status.code() != StatusCode::kCorruption) {
-        ++escaped;
-        ADD_FAILURE() << "response byte " << pos << " of " << response.size()
-                      << " ^ " << int{mask} << ": " << status.ToString();
+  for (const bool select : {false, true}) {
+    SCOPED_TRACE(select ? "Select" : "ExecutePlan");
+    Result<Bytes> made = MakeResponse(select);
+    ASSERT_TRUE(made.ok()) << made.status();
+    const Bytes& response = *made;
+    ASSERT_TRUE(DecodeResponse(response, select).ok());
+    ASSERT_GT(response.size(), 1000u);
+    Bytes mutant = response;
+    int escaped = 0;
+    for (size_t pos = 0; pos < response.size(); ++pos) {
+      for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xa5}}) {
+        mutant[pos] ^= mask;
+        const Status status = DecodeResponse(mutant, select);
+        mutant[pos] = response[pos];
+        if (status.code() != StatusCode::kCorruption) {
+          ++escaped;
+          ADD_FAILURE() << "response byte " << pos << " of "
+                        << response.size() << " ^ " << int{mask} << ": "
+                        << status.ToString();
+        }
       }
     }
+    EXPECT_EQ(escaped, 0);
   }
-  EXPECT_EQ(escaped, 0);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// Tests for the object store, the S3-Select-style storage-side select
-// (operator scope, CSV roundtrip, chunk pruning), and the RPC service.
+// Tests for the object store, the S3-Select-style formats (CSV parsing
+// and its checksum, chunk pruning), and the RPC service. Selects
+// themselves run on the storage node (ocs_test).
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "format/parquet_lite.h"
 #include "objectstore/object_store.h"
 #include "objectstore/select.h"
@@ -69,8 +71,6 @@ TEST(ObjectStoreTest, ListWithPrefix) {
   EXPECT_EQ(store.ObjectCount(), 3u);
 }
 
-// ---- Select -------------------------------------------------------------
-
 // Writes a parquet-lite object with columns (x float64, grp string, n int64)
 // and 2 row groups of 100 rows each: x = row * 0.1, grp cycles a..d.
 void PutTestObject(ObjectStore* store) {
@@ -111,77 +111,7 @@ TEST(ObjectStoreTest, ReaderSharesAndPinsTheVersionItOpened) {
   EXPECT_EQ((*table)->num_rows(), 200u);
 }
 
-TEST(SelectTest, FilterAndProject) {
-  ObjectStore store;
-  PutTestObject(&store);
-  SelectRequest request;
-  request.bucket = "data";
-  request.key = "obj";
-  request.columns = {"n", "grp"};
-  request.predicates = {{"x", CompareOp::kLt, Datum::Float64(0.35)}};
-  auto response = ExecuteSelect(store, request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  // Rows 0..3 match (x = 0.0, 0.1, 0.2, 0.3).
-  EXPECT_EQ(response->stats.rows_returned, 4u);
-  EXPECT_EQ(response->csv,
-            "n,grp\n0,a\n1,b\n2,c\n3,d\n");
-  // Second row group (x >= 10.0) must be pruned by statistics.
-  EXPECT_EQ(response->stats.groups_skipped, 1u);
-  EXPECT_EQ(response->stats.rows_scanned, 100u);
-}
-
-TEST(SelectTest, NoPredicatesReturnsEverything) {
-  ObjectStore store;
-  PutTestObject(&store);
-  SelectRequest request{.bucket = "data", .key = "obj", .columns = {"n"},
-                        .predicates = {}};
-  auto response = ExecuteSelect(store, request);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->stats.rows_returned, 200u);
-}
-
-TEST(SelectTest, ConjunctivePredicates) {
-  ObjectStore store;
-  PutTestObject(&store);
-  SelectRequest request;
-  request.bucket = "data";
-  request.key = "obj";
-  request.columns = {"n"};
-  request.predicates = {{"x", CompareOp::kGe, Datum::Float64(0.95)},
-                        {"grp", CompareOp::kEq, Datum::String("b")}};
-  auto response = ExecuteSelect(store, request);
-  ASSERT_TRUE(response.ok());
-  // x >= 0.95 → rows 10..199; grp == "b" → n % 4 == 1 → 13, 17, ..., 197.
-  EXPECT_EQ(response->stats.rows_returned, 47u);
-}
-
-TEST(SelectTest, UnknownColumnRejected) {
-  ObjectStore store;
-  PutTestObject(&store);
-  SelectRequest request{.bucket = "data", .key = "obj",
-                        .columns = {"nope"}, .predicates = {}};
-  EXPECT_FALSE(ExecuteSelect(store, request).ok());
-  request.columns = {};
-  request.predicates = {{"nope", CompareOp::kEq, Datum::Int64(0)}};
-  EXPECT_FALSE(ExecuteSelect(store, request).ok());
-}
-
-TEST(SelectTest, CsvRoundtripPreservesDoubles) {
-  ObjectStore store;
-  PutTestObject(&store);
-  SelectRequest request{.bucket = "data", .key = "obj",
-                        .columns = {"x", "n"}, .predicates = {}};
-  auto response = ExecuteSelect(store, request);
-  ASSERT_TRUE(response.ok());
-  auto schema = MakeSchema({{"x", TypeKind::kFloat64}, {"n", TypeKind::kInt64}});
-  auto batch = ParseSelectCsv(response->csv, schema);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ((*batch)->num_rows(), 200u);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_DOUBLE_EQ((*batch)->column(0)->GetFloat64(i), i * 0.1);
-    EXPECT_EQ((*batch)->column(1)->GetInt64(i), i);
-  }
-}
+// ---- Select formats -----------------------------------------------------
 
 TEST(SelectTest, CsvParserRejectsGarbage) {
   auto schema = MakeSchema({{"x", TypeKind::kFloat64}});
@@ -191,28 +121,33 @@ TEST(SelectTest, CsvParserRejectsGarbage) {
   EXPECT_FALSE(ParseSelectCsv("a,b\n1,2\n", schema).ok());
 }
 
-TEST(SelectTest, NullCellsRoundtrip) {
-  ObjectStore store;
-  ASSERT_TRUE(store.CreateBucket("b").ok());
-  auto schema = MakeSchema({{"v", TypeKind::kFloat64}});
-  format::FileWriter writer(schema, {});
-  auto v = MakeColumn(TypeKind::kFloat64);
-  v->AppendFloat64(1.5);
-  v->AppendNull();
-  v->AppendFloat64(2.5);
-  ASSERT_TRUE(writer.WriteBatch(*MakeBatch(schema, {v})).ok());
-  auto file = writer.Finish();
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(store.Put("b", "k", *file).ok());
-  SelectRequest request{.bucket = "b", .key = "k", .columns = {},
-                        .predicates = {}};
-  auto response = ExecuteSelect(store, request);
-  ASSERT_TRUE(response.ok());
-  auto batch = ParseSelectCsv(response->csv, schema);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_FALSE((*batch)->column(0)->IsNull(0));
-  EXPECT_TRUE((*batch)->column(0)->IsNull(1));
-  EXPECT_DOUBLE_EQ((*batch)->column(0)->GetFloat64(2), 2.5);
+// A payload's checksum guards every byte of its text: any flipped byte,
+// a truncation, or a payload too short to hold a checksum is Corruption.
+TEST(SelectTest, CsvChecksumMismatchIsCorruption) {
+  const std::string text = "x\n1.5\n\n2.5\n";
+  BufferWriter w;
+  w.WriteBytes(text.data(), text.size());
+  w.WriteLE<uint64_t>(Checksum64(ByteSpan(
+      reinterpret_cast<const uint8_t*>(text.data()), text.size())));
+  const Bytes payload = w.data();
+  auto ok = SelectCsvText(ByteSpan(payload.data(), payload.size()));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(*ok, text);
+  Bytes mutant = payload;
+  for (size_t pos = 0; pos < payload.size(); ++pos) {
+    mutant[pos] ^= 0x01;
+    EXPECT_EQ(SelectCsvText(ByteSpan(mutant.data(), mutant.size()))
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << "byte " << pos;
+    mutant[pos] = payload[pos];
+  }
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_EQ(SelectCsvText(ByteSpan(payload.data(), len)).status().code(),
+              StatusCode::kCorruption)
+        << "prefix " << len;
+  }
 }
 
 TEST(ChunkMayMatchTest, PruningLogic) {
@@ -272,49 +207,8 @@ TEST_F(ServiceFixture, ListAndSizeThroughRpc) {
   EXPECT_EQ(*client->Size("b", "a1"), 0u);
 }
 
-TEST_F(ServiceFixture, SelectThroughRpcChargesOnlyResults) {
-  PutTestObject(store.get());
-  net->ResetCounters();
-
-  SelectRequest request;
-  request.bucket = "data";
-  request.key = "obj";
-  request.columns = {"n"};
-  request.predicates = {{"x", CompareOp::kLt, Datum::Float64(0.15)}};
-  TransferInfo info;
-  auto response = client->Select(request, &info);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->stats.rows_returned, 2u);
-  // Only the tiny CSV crossed the network, not the object.
-  uint64_t object_size = *store->Size("data", "obj");
-  EXPECT_LT(net->Total().bytes, object_size / 10);
-  EXPECT_GT(info.bytes_received, 0u);
-  EXPECT_GT(info.transfer_seconds, 0.0);
-}
-
 TEST_F(ServiceFixture, GetMissingObjectErrors) {
   EXPECT_FALSE(client->Get("nope", "k").ok());
-}
-
-TEST(SelectWireTest, RequestEncodeDecode) {
-  SelectRequest request;
-  request.bucket = "data";
-  request.key = "obj/part-7";
-  request.columns = {"a", "b"};
-  request.predicates = {{"x", CompareOp::kLe, Datum::Float64(3.2)},
-                        {"s", CompareOp::kEq, Datum::String("N")}};
-  BufferWriter w;
-  EncodeSelectRequest(request, &w);
-  BufferReader r(w.span());
-  auto rt = DecodeSelectRequest(&r);
-  ASSERT_TRUE(rt.ok());
-  EXPECT_EQ(rt->bucket, "data");
-  EXPECT_EQ(rt->key, "obj/part-7");
-  EXPECT_EQ(rt->columns, request.columns);
-  ASSERT_EQ(rt->predicates.size(), 2u);
-  EXPECT_EQ(rt->predicates[0].op, CompareOp::kLe);
-  EXPECT_DOUBLE_EQ(rt->predicates[0].literal.float64_value(), 3.2);
-  EXPECT_EQ(rt->predicates[1].literal.string_value(), "N");
 }
 
 }  // namespace

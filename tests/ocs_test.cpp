@@ -1,11 +1,13 @@
 // Tests for OCS: storage-node plan execution over Parquet-lite objects
-// (with pruning and CPU-slowdown accounting), the frontend's routing, and
+// (with pruning and CPU-slowdown accounting), S3 Select on the same
+// executor (operator scope, CSV results), the frontend's routing, and
 // end-to-end client → frontend → storage round trips with byte accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "common/counters.h"
 #include "format/parquet_lite.h"
 #include "metastore/metastore.h"
+#include "objectstore/select.h"
 #include "ocs/client.h"
 #include "ocs/cluster.h"
 #include "ocs/storage_node.h"
@@ -203,6 +206,237 @@ TEST(StorageNodeTest, SchemaMismatchRejected) {
   plan.root = ReadSim();
   plan.root->base_schema = MakeSchema({{"wrong", TypeKind::kInt64}});
   EXPECT_FALSE(node.ExecutePlan(plan).ok());
+}
+
+// ---- S3 Select ------------------------------------------------------------
+
+// The Select test object data/obj: columns (x float64, grp string,
+// n int64) in 2 row groups of 100 rows each: x = row * 0.1, grp cycles
+// a..d, n = row.
+columnar::SchemaPtr SelectSchema() {
+  return MakeSchema({{"x", TypeKind::kFloat64},
+                     {"grp", TypeKind::kString},
+                     {"n", TypeKind::kInt64}});
+}
+
+void PutSelectObject(objectstore::ObjectStore* store) {
+  ASSERT_TRUE(store->CreateBucket("data").ok());
+  format::WriterOptions options;
+  options.rows_per_group = 100;
+  format::FileWriter writer(SelectSchema(), options);
+  auto x = MakeColumn(TypeKind::kFloat64);
+  auto grp = MakeColumn(TypeKind::kString);
+  auto n = MakeColumn(TypeKind::kInt64);
+  for (int i = 0; i < 200; ++i) {
+    x->AppendFloat64(i * 0.1);
+    grp->AppendString(std::string(1, static_cast<char>('a' + i % 4)));
+    n->AppendInt64(i);
+  }
+  ASSERT_TRUE(writer.WriteBatch(*MakeBatch(SelectSchema(), {x, grp, n})).ok());
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(store->Put("data", "obj", *file).ok());
+}
+
+// `column <func> literal` over SelectSchema().
+Expression SelectCmp(ScalarFunc func, const std::string& column,
+                     Datum literal) {
+  const int index = SelectSchema()->FieldIndex(column);
+  return Expression::Call(
+      func,
+      {Expression::FieldRef(index, SelectSchema()->field(index).type),
+       Expression::Literal(std::move(literal))},
+      TypeKind::kBool);
+}
+
+// Read data/obj → [Filter] → Project of `columns`, by name.
+Plan SelectPlan(const std::vector<std::string>& columns,
+                std::optional<Expression> predicate = std::nullopt) {
+  auto rel = std::make_unique<Rel>();
+  rel->kind = RelKind::kRead;
+  rel->bucket = "data";
+  rel->object = "obj";
+  rel->base_schema = SelectSchema();
+  if (predicate) {
+    auto filter = std::make_unique<Rel>();
+    filter->kind = RelKind::kFilter;
+    filter->predicate = std::move(*predicate);
+    filter->input = std::move(rel);
+    rel = std::move(filter);
+  }
+  auto project = std::make_unique<Rel>();
+  project->kind = RelKind::kProject;
+  for (const std::string& column : columns) {
+    const int index = SelectSchema()->FieldIndex(column);
+    project->expressions.push_back(
+        Expression::FieldRef(index, SelectSchema()->field(index).type));
+    project->output_names.push_back(column);
+  }
+  project->input = std::move(rel);
+  Plan plan;
+  plan.root = std::move(project);
+  return plan;
+}
+
+struct SelectOutput {
+  OcsExecStats stats;
+  std::string csv;  // the payload's text, its checksum verified
+};
+
+// A Select response frame, unwrapped as the Hive connector does.
+Result<SelectOutput> UnwrapSelect(Bytes frame) {
+  POCS_ASSIGN_OR_RETURN(OcsResult result,
+                        DecodeOcsResult(Buffer::Adopt(std::move(frame))));
+  POCS_ASSIGN_OR_RETURN(std::string_view csv,
+                        objectstore::SelectCsvText(result.arrow_ipc.span()));
+  return SelectOutput{result.stats, std::string(csv)};
+}
+
+Result<SelectOutput> RunSelect(const StorageNode& node, const Plan& plan) {
+  POCS_ASSIGN_OR_RETURN(Bytes frame, node.Select(plan));
+  return UnwrapSelect(std::move(frame));
+}
+
+StorageNode MakeSelectNode() {
+  auto store = std::make_shared<objectstore::ObjectStore>();
+  PutSelectObject(store.get());
+  return StorageNode(store, StorageNodeConfig{});
+}
+
+TEST(SelectTest, FilterAndProject) {
+  StorageNode node = MakeSelectNode();
+  auto out = RunSelect(node, SelectPlan({"n", "grp"},
+                                        SelectCmp(ScalarFunc::kLt, "x",
+                                                  Datum::Float64(0.35))));
+  ASSERT_TRUE(out.ok()) << out.status();
+  // Rows 0..3 match (x = 0.0, 0.1, 0.2, 0.3).
+  EXPECT_EQ(out->stats.rows_output, 4u);
+  EXPECT_EQ(out->csv, "n,grp\n0,a\n1,b\n2,c\n3,d\n");
+  // Second row group (x >= 10.0) must be pruned by statistics.
+  EXPECT_EQ(out->stats.row_groups_total, 2u);
+  EXPECT_EQ(out->stats.row_groups_skipped, 1u);
+  EXPECT_EQ(out->stats.rows_scanned, 100u);
+  EXPECT_GT(out->stats.object_bytes_read, 0u);
+  EXPECT_GT(out->stats.media_read_seconds, 0.0);
+}
+
+TEST(SelectTest, NoPredicatesReturnsEverything) {
+  StorageNode node = MakeSelectNode();
+  auto out = RunSelect(node, SelectPlan({"n"}));
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->stats.rows_output, 200u);
+  EXPECT_EQ(std::count(out->csv.begin(), out->csv.end(), '\n'), 201);
+}
+
+TEST(SelectTest, ConjunctivePredicates) {
+  StorageNode node = MakeSelectNode();
+  auto predicate = Expression::Call(
+      ScalarFunc::kAnd,
+      {SelectCmp(ScalarFunc::kGe, "x", Datum::Float64(0.95)),
+       SelectCmp(ScalarFunc::kEq, "grp", Datum::String("b"))},
+      TypeKind::kBool);
+  auto out = RunSelect(node, SelectPlan({"n"}, std::move(predicate)));
+  ASSERT_TRUE(out.ok()) << out.status();
+  // x >= 0.95 → rows 10..199; grp == "b" → n % 4 == 1 → 13, 17, ..., 197.
+  EXPECT_EQ(out->stats.rows_output, 47u);
+}
+
+TEST(SelectTest, UnknownColumnRejected) {
+  StorageNode node = MakeSelectNode();
+  // A column the object lacks: the plan's schema is not the object's.
+  Plan plan = SelectPlan({"n"});
+  auto schema = MakeSchema({{"x", TypeKind::kFloat64},
+                            {"grp", TypeKind::kString},
+                            {"nope", TypeKind::kInt64}});
+  plan.root->input->base_schema = schema;
+  EXPECT_EQ(node.Select(plan).status().code(), StatusCode::kInvalidArgument);
+  // A column past the scan's last.
+  plan = SelectPlan({"n"});
+  plan.root->expressions[0] = Expression::FieldRef(3, TypeKind::kInt64);
+  EXPECT_EQ(node.Select(plan).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SelectTest, CsvRoundtripPreservesDoubles) {
+  StorageNode node = MakeSelectNode();
+  auto out = RunSelect(node, SelectPlan({"x", "n"}));
+  ASSERT_TRUE(out.ok()) << out.status();
+  auto schema = MakeSchema({{"x", TypeKind::kFloat64}, {"n", TypeKind::kInt64}});
+  auto batch = objectstore::ParseSelectCsv(out->csv, schema);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ((*batch)->num_rows(), 200u);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_DOUBLE_EQ((*batch)->column(0)->GetFloat64(i), i * 0.1);
+    EXPECT_EQ((*batch)->column(1)->GetInt64(i), i);
+  }
+}
+
+TEST(SelectTest, NullCellsRoundtrip) {
+  auto store = std::make_shared<objectstore::ObjectStore>();
+  ASSERT_TRUE(store->CreateBucket("b").ok());
+  auto schema = MakeSchema({{"v", TypeKind::kFloat64}});
+  format::FileWriter writer(schema, {});
+  auto v = MakeColumn(TypeKind::kFloat64);
+  v->AppendFloat64(1.5);
+  v->AppendNull();
+  v->AppendFloat64(2.5);
+  ASSERT_TRUE(writer.WriteBatch(*MakeBatch(schema, {v})).ok());
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(store->Put("b", "k", *file).ok());
+  StorageNode node(store, StorageNodeConfig{});
+  Plan plan;  // a bare Read: every column
+  plan.root = std::make_unique<Rel>();
+  plan.root->bucket = "b";
+  plan.root->object = "k";
+  plan.root->base_schema = schema;
+  auto out = RunSelect(node, plan);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->csv, "v\n1.5\n\n2.5\n");
+  auto batch = objectstore::ParseSelectCsv(out->csv, schema);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_FALSE((*batch)->column(0)->IsNull(0));
+  EXPECT_TRUE((*batch)->column(0)->IsNull(1));
+  EXPECT_DOUBLE_EQ((*batch)->column(0)->GetFloat64(2), 2.5);
+}
+
+// A storage node's service on its own server: Select over the simulated
+// network from a compute node.
+struct ServiceFixture : ::testing::Test {
+  void SetUp() override {
+    net = std::make_shared<netsim::Network>(netsim::LinkConfig{1e9, 1e-4});
+    auto compute = net->AddNode("compute");
+    auto storage = net->AddNode("storage");
+    store = std::make_shared<objectstore::ObjectStore>();
+    node = std::make_unique<StorageNode>(store, StorageNodeConfig{});
+    server = std::make_shared<rpc::Server>(storage, "storage");
+    node->RegisterService(server.get());
+    client = std::make_unique<OcsClient>(rpc::Channel(net, compute, server));
+  }
+  std::shared_ptr<netsim::Network> net;
+  std::shared_ptr<objectstore::ObjectStore> store;
+  std::unique_ptr<StorageNode> node;
+  std::shared_ptr<rpc::Server> server;
+  std::unique_ptr<OcsClient> client;
+};
+
+TEST_F(ServiceFixture, SelectThroughRpcChargesOnlyResults) {
+  PutSelectObject(store.get());
+  net->ResetCounters();
+
+  objectstore::TransferInfo info;
+  auto result = client->Select(
+      SelectPlan({"n"}, SelectCmp(ScalarFunc::kLt, "x", Datum::Float64(0.15))),
+      &info);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->stats.rows_output, 2u);
+  auto csv = objectstore::SelectCsvText(result->arrow_ipc.span());
+  ASSERT_TRUE(csv.ok()) << csv.status();
+  EXPECT_EQ(*csv, "n\n0\n1\n");
+  // Only the tiny CSV crossed the network, not the object.
+  uint64_t object_size = *store->Size("data", "obj");
+  EXPECT_LT(net->Total().bytes, object_size / 10);
+  EXPECT_GT(info.bytes_received, 0u);
+  EXPECT_GT(info.transfer_seconds, 0.0);
 }
 
 // Every storage counter set to a distinct value through the list: count
@@ -497,15 +731,137 @@ TEST_F(ClusterFixture, FrontendProxiesObjectStoreMethods) {
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 6u);  // merged across storage nodes
   // Select through the frontend (filter-only path on the same data).
-  objectstore::SelectRequest request;
-  request.bucket = "sim";
-  request.key = "f1";
-  request.columns = {"vertex_id"};
-  request.predicates = {
-      {"x", columnar::CompareOp::kLt, Datum::Float64(0.05)}};
-  auto response = store_client.Select(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->stats.rows_returned, 5u);
+  Plan plan;
+  auto filter = std::make_unique<Rel>();
+  filter->kind = RelKind::kFilter;
+  filter->input = ReadSim();
+  filter->input->object = "f1";
+  filter->predicate = Expression::Call(
+      ScalarFunc::kLt,
+      {Expression::FieldRef(1, TypeKind::kFloat64),
+       Expression::Literal(Datum::Float64(0.05))},
+      TypeKind::kBool);
+  auto project = std::make_unique<Rel>();
+  project->kind = RelKind::kProject;
+  project->expressions = {Expression::FieldRef(0, TypeKind::kInt64)};
+  project->output_names = {"vertex_id"};
+  project->input = std::move(filter);
+  plan.root = std::move(project);
+  auto result = client->Select(plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->stats.rows_output, 5u);
+  auto csv = objectstore::SelectCsvText(result->arrow_ipc.span());
+  ASSERT_TRUE(csv.ok()) << csv.status();
+  EXPECT_EQ(*csv, "vertex_id\n0\n1\n2\n3\n4\n");
+}
+
+// S3 Select runs filter and projection only (§2.2). Every plan outside
+// Read → [Filter of column comparisons] → [Project of columns], sent to
+// the frontend's "Select" as bytes, is InvalidArgument; the same plans
+// run as ExecutePlan.
+TEST_F(ClusterFixture, SelectRejectsPlansBeyondFilterAndProject) {
+  const rpc::Channel channel(net, compute, cluster->frontend_server());
+  auto call = [&](const char* method, const Plan& plan) {
+    const Bytes request = substrait::SerializePlan(plan);
+    return channel.Call(method, ByteSpan(request.data(), request.size()))
+        .status();
+  };
+  auto over = [](std::unique_ptr<Rel> input, RelKind kind) {
+    auto rel = std::make_unique<Rel>();
+    rel->kind = kind;
+    rel->input = std::move(input);
+    return rel;
+  };
+  auto x_below = [](double v) {
+    return Expression::Call(ScalarFunc::kLt,
+                            {Expression::FieldRef(1, TypeKind::kFloat64),
+                             Expression::Literal(Datum::Float64(v))},
+                            TypeKind::kBool);
+  };
+  std::vector<std::pair<std::string, Plan>> plans;
+  auto add = [&plans](std::string name, std::unique_ptr<Rel> root) {
+    Plan plan;
+    plan.root = std::move(root);
+    plans.emplace_back(std::move(name), std::move(plan));
+  };
+  {
+    auto agg = over(ReadSim(), RelKind::kAggregate);
+    agg->aggregates = {{AggFunc::kCountStar, {}, "cnt"}};
+    add("aggregate", std::move(agg));
+  }
+  {
+    auto sort = over(ReadSim(), RelKind::kSort);
+    sort->sort_fields = {{0, true, true}};
+    add("sort", std::move(sort));
+  }
+  {
+    auto fetch = over(ReadSim(), RelKind::kFetch);
+    fetch->count = 5;
+    add("fetch", std::move(fetch));
+  }
+  {
+    auto project = over(ReadSim(), RelKind::kProject);
+    project->expressions = {Expression::Call(
+        ScalarFunc::kMultiply,
+        {Expression::FieldRef(1, TypeKind::kFloat64),
+         Expression::Literal(Datum::Float64(2))},
+        TypeKind::kFloat64)};
+    project->output_names = {"x2"};
+    add("computed projection", std::move(project));
+  }
+  {
+    auto filter = over(ReadSim(), RelKind::kFilter);
+    filter->predicate = Expression::Call(
+        ScalarFunc::kOr, {x_below(0.5), x_below(0.7)}, TypeKind::kBool);
+    add("disjunction", std::move(filter));
+  }
+  {
+    auto filter = over(ReadSim(), RelKind::kFilter);
+    filter->predicate = Expression::Call(
+        ScalarFunc::kLt,
+        {Expression::FieldRef(1, TypeKind::kFloat64),
+         Expression::FieldRef(2, TypeKind::kFloat64)},
+        TypeKind::kBool);
+    add("column against column", std::move(filter));
+  }
+  {
+    auto project = over(ReadSim(), RelKind::kProject);
+    project->expressions = {Expression::FieldRef(1, TypeKind::kFloat64)};
+    project->output_names = {"x"};
+    auto filter = over(std::move(project), RelKind::kFilter);
+    filter->predicate = Expression::Call(
+        ScalarFunc::kLt,
+        {Expression::FieldRef(0, TypeKind::kFloat64),
+         Expression::Literal(Datum::Float64(0.5))},
+        TypeKind::kBool);
+    add("filter above projection", std::move(filter));
+  }
+  {
+    auto read = ReadSim();
+    read->row_group_hint = {0};
+    read->hint_version = 1;
+    add("row-group hint", std::move(read));
+  }
+  {
+    auto read = ReadSim();
+    read->bloom_words = {~uint64_t{0}};
+    read->bloom_hashes = 1;
+    read->bloom_column = 0;
+    read->bloom_version = 1;
+    add("bloom", std::move(read));
+  }
+  for (const auto& [name, plan] : plans) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(call("Select", plan).code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(call("ExecutePlan", plan).ok());
+  }
+  // The scope's own shape passes.
+  Plan select;
+  select.root = over(over(ReadSim(), RelKind::kFilter), RelKind::kProject);
+  select.root->input->predicate = x_below(0.5);
+  select.root->expressions = {Expression::FieldRef(0, TypeKind::kInt64)};
+  select.root->output_names = {"vertex_id"};
+  EXPECT_TRUE(call("Select", select).ok());
 }
 
 TEST_F(ClusterFixture, UnknownObjectNotFound) {

@@ -32,13 +32,13 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      POCS_PT_GUARDED_BY (atomics, condition variables,
                      const and static members are exempt — they need no
                      guard).
-  planning-data-rpc  A data-path StorageClient call (.Get/.GetRange/
-                     .GetVersioned/.Select) inside split-planning code:
-                     a connector's GetSplits body or a metadata_cache.*
-                     file. Planning is metadata-only by contract
-                     (Stat/DescribeObject/LocateObject) — a data RPC
-                     there silently re-moves the bytes pruning exists
-                     to avoid (DESIGN.md §13).
+  planning-data-rpc  A data-path client call (StorageClient .Get/
+                     .GetRange/.GetVersioned, OcsClient .Select) inside
+                     split-planning code: a connector's GetSplits body
+                     or a metadata_cache.* file. Planning is
+                     metadata-only by contract (Stat/DescribeObject/
+                     LocateObject) — a data RPC there silently re-moves
+                     the bytes pruning exists to avoid (DESIGN.md §13).
   row-loop-in-hot-path
                      A per-row accessor (Get{Bool,Int32,Int64,Float64,
                      String,Datum}, AsDouble) called inside a for/while
@@ -406,7 +406,7 @@ PLANNING_DATA_RPC_RE = re.compile(
 
 
 def check_planning_data_rpc(stripped, rel_path, report):
-    """planning-data-rpc: flag data-path StorageClient calls inside
+    """planning-data-rpc: flag data-path client calls inside
     split-planning code (GetSplits bodies, metadata_cache.* files)."""
     regions = []
     if PLANNING_FILE_RE.search(rel_path.replace(os.sep, "/")):
