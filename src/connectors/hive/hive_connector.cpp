@@ -198,15 +198,15 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     }
   }
 
-  // Raw GETs ride the Select client's channel to the frontend.
-  const objectstore::StorageClient store(client_.channel());
   if (!config_.select_pushdown || strict_blocks_select) {
-    // Raw GET: the entire object crosses the network.
+    // Raw GET: the entire object crosses the network, on the Select
+    // client's channel to the frontend.
     PageSourceStats stats;
     objectstore::TransferInfo info;
     POCS_ASSIGN_OR_RETURN(
-        Bytes object,
-        store.Get(split.bucket, split.object, &info, config_.call));
+        objectstore::ObjectRead object,
+        objectstore::StorageClient(client_.channel())
+            .Get(split.bucket, split.object, &info, config_.call));
     info.AddTo(&stats);
     {
       auto& reg = metrics::Registry::Default();
@@ -217,9 +217,9 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     }
     // The GET reads the whole object off the storage node's media.
     stats.media_read_seconds =
-        static_cast<double>(object.size()) / ocs::kMediaReadBandwidth;
+        static_cast<double>(object.data.size()) / ocs::kMediaReadBandwidth;
     POCS_ASSIGN_OR_RETURN(auto reader,
-                          format::FileReader::Open(std::move(object)));
+                          format::FileReader::Open(std::move(object.data)));
     return std::unique_ptr<connector::PageSource>(
         std::make_unique<RawGetPageSource>(std::move(reader), columns,
                                            projected, stats));
@@ -244,31 +244,18 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     // Degrade to a raw GET of the whole object and run the plan over it
     // with the storage node's scan, so the rows and row counters are the
     // Select's own.
-    objectstore::TransferInfo get_info;
-    POCS_ASSIGN_OR_RETURN(
-        Bytes object,
-        store.Get(split.bucket, split.object, &get_info,
-                  config_.fallback_call));
-    get_info.AddTo(&stats);
-    stats.media_read_seconds +=
-        static_cast<double>(object.size()) / ocs::kMediaReadBandwidth;
+    POCS_ASSIGN_OR_RETURN(auto scanned,
+                          client_.FetchAndScan(plan, /*chunk_bytes=*/0,
+                                               config_.fallback_call, &stats));
     stats.fallbacks = 1;
     {
       auto& reg = metrics::Registry::Default();
       static auto& fallbacks = reg.GetCounter("connector.hive.fallbacks");
       fallbacks.Increment();
     }
-    Stopwatch decode;
-    ocs::OcsExecStats scan;
-    POCS_ASSIGN_OR_RETURN(
-        auto scanned,
-        ocs::ExecuteOnObject(
-            plan, {std::make_shared<const Bytes>(std::move(object)), 0},
-            /*cache=*/nullptr, &scan));
-    scan.object_bytes_read = 0;  // charged by the GET above
-    stats += scan;
+    Stopwatch combine;
     RecordBatchPtr batch = scanned->Combine();
-    stats.decode_seconds = decode.ElapsedSeconds();
+    stats.decode_seconds += combine.ElapsedSeconds();
     stats.rows_returned = batch->num_rows();
     return std::unique_ptr<connector::PageSource>(
         std::make_unique<SelectPageSource>(projected, std::move(batch), stats));

@@ -479,131 +479,7 @@ Result<std::unique_ptr<connector::PageSource>> MakePageSource(
       std::make_unique<OcsPageSource>(schema, std::move(decoded), stats));
 }
 
-// True when the plan's Read leaf carries a version-pinned row-group hint
-// or join-key bloom filter — the fallback must then learn the object
-// version to honour the pin.
-bool PlanHasVersionPin(const substrait::Plan& plan) {
-  for (const substrait::Rel* r = plan.root.get(); r; r = r->input.get()) {
-    if (r->kind == substrait::RelKind::kRead &&
-        (!r->row_group_hint.empty() || !r->bloom_words.empty())) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
-
-Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
-    const substrait::Plan& plan, const Split& split,
-    PageSourceStats* stats, uint64_t* object_version) {
-  // Fetch the raw object through the frontend — the plain object-store
-  // methods survive an exec-engine crash — then run the *identical* plan
-  // through the storage node's scan, so the result schema, rows and row
-  // counters match what the storage node would have returned.
-  objectstore::StorageClient store(client_.channel());
-  const std::string object_id = split.bucket + "/" + split.object;
-  const uint64_t chunk = config_.dispatch.fallback_chunk_bytes;
-
-  Bytes object;
-  uint64_t fetched_bytes = 0;  // bytes that crossed the network this call
-  if (chunk == 0) {
-    // Legacy path: one whole-object GET. An rpc-level retry re-sends the
-    // entire object, so all of it counts as refetched.
-    objectstore::TransferInfo info;
-    POCS_ASSIGN_OR_RETURN(object,
-                          store.Get(split.bucket, split.object, &info,
-                                    config_.dispatch.fallback_call));
-    info.AddTo(stats);
-    fetched_bytes = object.size();
-    if (info.retries > 0) stats->bytes_refetched_on_retry += info.bytes_received;
-    if (split_result_cache_ || PlanHasVersionPin(plan)) {
-      // Learn the version so the result can enter the split cache and the
-      // hint's and bloom's version pins can be checked against the bytes
-      // just read. Versions only grow, so one that matches a pin after
-      // the GET matched the bytes the GET returned.
-      objectstore::TransferInfo stat_info;
-      auto ostat = store.Stat(split.bucket, split.object, &stat_info,
-                              config_.dispatch.fallback_call);
-      stat_info.AddTo(stats);
-      if (ostat.ok()) *object_version = ostat->version;
-    }
-  } else {
-    // Chunked path: Stat pins (size, version), then ranged GETs fill the
-    // buffer. Every received range is parked in the range cache before the
-    // next one is requested, so a transfer that dies mid-split leaves its
-    // prefix behind and the next attempt re-requests only the missing
-    // tail.
-    objectstore::TransferInfo stat_info;
-    POCS_ASSIGN_OR_RETURN(objectstore::ObjectStat ostat,
-                          store.Stat(split.bucket, split.object, &stat_info,
-                                     config_.dispatch.fallback_call));
-    stat_info.AddTo(stats);
-    *object_version = ostat.version;
-    object.resize(ostat.size);
-    for (uint64_t offset = 0; offset < ostat.size; offset += chunk) {
-      const uint64_t len = std::min<uint64_t>(chunk, ostat.size - offset);
-      const FallbackRangeKey range_key{object_id, ostat.version, offset};
-      if (fallback_range_cache_) {
-        if (auto cached = fallback_range_cache_->Lookup(range_key)) {
-          std::copy(cached->begin(), cached->end(),
-                    object.begin() + static_cast<ptrdiff_t>(offset));
-          stats->cache_hits += 1;
-          stats->cache_bytes_saved += cached->size();
-          continue;
-        }
-      }
-      objectstore::TransferInfo range_info;
-      auto range = store.GetRange(split.bucket, split.object, offset, len,
-                                  &range_info, config_.dispatch.fallback_call);
-      range_info.AddTo(stats);
-      if (!range.ok()) {
-        // Ranges already received stay cached for the next attempt.
-        return range.status();
-      }
-      fetched_bytes += range->size();
-      if (range_info.retries > 0) {
-        stats->bytes_refetched_on_retry += range_info.bytes_received;
-      }
-      if (fallback_range_cache_) {
-        stats->cache_misses += 1;
-        fallback_range_cache_->Insert(range_key,
-                                      std::make_shared<const Bytes>(*range),
-                                      range->size());
-      }
-      std::copy(range->begin(), range->end(),
-                object.begin() + static_cast<ptrdiff_t>(offset));
-    }
-    // Transfer complete: retention has served its purpose — release the
-    // budget (the decoded result lives in the split cache, if enabled).
-    if (fallback_range_cache_) {
-      for (uint64_t offset = 0; offset < ostat.size; offset += chunk) {
-        fallback_range_cache_->Erase(
-            FallbackRangeKey{object_id, ostat.version, offset});
-      }
-    }
-  }
-  stats->media_read_seconds +=
-      static_cast<double>(fetched_bytes) / ocs::kMediaReadBandwidth;
-
-  // The storage node's own scan over the fetched bytes, without its
-  // row-group cache: same rows and row counters as a healthy dispatch. The
-  // transfer above already charged the media read, so the scan's
-  // object_bytes_read is dropped.
-  Stopwatch exec_timer;
-  ocs::OcsExecStats scan;
-  POCS_ASSIGN_OR_RETURN(
-      auto table,
-      ocs::ExecuteOnObject(
-          plan, {std::make_shared<const Bytes>(std::move(object)),
-                 *object_version},
-          /*cache=*/nullptr, &scan));
-  scan.object_bytes_read = 0;
-  *stats += scan;
-  // Fallback execution is compute-side work, like decode.
-  stats->decode_seconds += exec_timer.ElapsedSeconds();
-  return table;
-}
 
 Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
     const TableHandle& table, const Split& split, const ScanSpec& spec) {
@@ -717,17 +593,20 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
     }
     if (!rpc::IsRetryable(dispatch_status)) return dispatch_status;
     const uint64_t bytes_before_fallback = stats.bytes_from_storage;
-    POCS_ASSIGN_OR_RETURN(decoded,
-                          ExecuteFallback(plan, split, &stats, &object_version));
+    POCS_ASSIGN_OR_RETURN(
+        decoded, client_.FetchAndScan(plan,
+                                      config_.dispatch.fallback_chunk_bytes,
+                                      config_.dispatch.fallback_call, &stats,
+                                      &object_version));
     data_bytes_received = stats.bytes_from_storage - bytes_before_fallback;
     stats.fallbacks = 1;
     fallbacks.Increment();
   }
 
-  // A successful split with a known object version enters the
-  // split-result cache; a later identical (object, plan) scan is then
-  // served without moving the data again.
-  if (split_result_cache_ && object_version != 0) {
+  // A successful split enters the split-result cache under the version
+  // its rows were computed from; a later identical (object, plan) scan
+  // is then served without moving the data again.
+  if (split_result_cache_) {
     auto value = std::make_shared<CachedSplitResult>();
     value->version = object_version;
     value->table = decoded;

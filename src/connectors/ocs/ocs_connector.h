@@ -42,13 +42,16 @@ namespace pocs::connectors {
 // budget for ExecutePlan and a deadline on the *storage-reported* time
 // (catches slow/degraded nodes the transport deadline cannot see). A
 // dispatch that exhausts them with a retryable error always falls back to
-// the engine-side scan (raw GET + the storage node's scan of the same
-// plan, run locally) instead of failing the query.
+// the engine-side scan (OcsClient::FetchAndScan: raw GET + the storage
+// node's scan of the same plan, run locally) instead of failing the
+// query.
 struct OcsDispatchPolicy {
   rpc::CallOptions call{.max_attempts = 3};
-  // Options for the fallback's raw GET. Kept separate from `call`: a
-  // deadline tuned for small pushdown results would starve the (much
-  // larger, but unavoidable) raw-object transfer.
+  // Options for each of the fallback's raw GETs; max_attempts also
+  // bounds how often the fallback restarts a read during which the
+  // object changed. Kept separate from `call`: a deadline tuned for
+  // small pushdown results would starve the (much larger, but
+  // unavoidable) raw-object transfer.
   rpc::CallOptions fallback_call{.max_attempts = 3};
   // Reject dispatches whose storage-reported *modelled* time (media read
   // + injected exec delay) exceeds this (0 disables) — the "slow node"
@@ -57,19 +60,11 @@ struct OcsDispatchPolicy {
   // while modelled time does not, and a detector on wall time turned
   // every debug-tsan run into a false slow-node trip.
   double storage_deadline_seconds = 0;
-  // Chunked fallback transfer: when > 0, the raw-object read is issued as
-  // ranged GETs of this size instead of one whole-object GET, and every
-  // received range is parked in the connector's range cache keyed by
-  // (object, version, offset). A transfer that dies mid-split therefore
-  // re-requests only the missing tail on the next attempt — and an
-  // rpc-level retry re-sends one range, not the whole object. 0 keeps the
-  // legacy single-GET behaviour.
+  // The size of the ranges the fallback reads the object in; 0 reads it
+  // in one GET. Smaller ranges bound what an rpc-level retry re-sends:
+  // one lost range, not the whole object.
   uint64_t fallback_chunk_bytes = 0;
 };
-
-// Byte budget of the fallback range cache (partial-result retention;
-// only allocated when dispatch.fallback_chunk_bytes > 0).
-inline constexpr uint64_t kFallbackRangeCacheBytes = 32ull << 20;
 
 struct OcsConnectorConfig {
   OcsDispatchPolicy dispatch;
@@ -132,24 +127,8 @@ struct SplitResultKeyHash {
   }
 };
 
-struct FallbackRangeKey {
-  std::string object;  // "bucket/key"
-  uint64_t version = 0;
-  uint64_t offset = 0;
-  bool operator==(const FallbackRangeKey&) const = default;
-};
-
-struct FallbackRangeKeyHash {
-  size_t operator()(const FallbackRangeKey& k) const {
-    return static_cast<size_t>(
-        HashCombine(HashCombine(HashString(k.object), k.version), k.offset));
-  }
-};
-
 using SplitResultCache =
     ShardedLruCache<SplitResultKey, CachedSplitResult, SplitResultKeyHash>;
-using FallbackRangeCache =
-    ShardedLruCache<FallbackRangeKey, Bytes, FallbackRangeKeyHash>;
 
 class OcsConnector final : public connector::Connector {
  public:
@@ -175,13 +154,6 @@ class OcsConnector final : public connector::Connector {
           .byte_budget = config_.split_result_cache_bytes,
           .shards = 8,
           .metric_prefix = "ocs.splitresult_cache"});
-    }
-    if (config_.dispatch.fallback_chunk_bytes > 0) {
-      fallback_range_cache_ =
-          std::make_shared<FallbackRangeCache>(LruCacheConfig{
-              .byte_budget = kFallbackRangeCacheBytes,
-              .shards = 8,
-              .metric_prefix = "ocs.fallback_range_cache"});
     }
     if (config_.metadata_cache_bytes > 0) {
       metadata_cache_ =
@@ -224,12 +196,9 @@ class OcsConnector final : public connector::Connector {
     return dispatcher_;
   }
 
-  // The split-result / fallback-range caches (nullptr when disabled).
+  // The split-result cache (nullptr when disabled).
   const std::shared_ptr<SplitResultCache>& split_result_cache() const {
     return split_result_cache_;
-  }
-  const std::shared_ptr<FallbackRangeCache>& fallback_range_cache() const {
-    return fallback_range_cache_;
   }
 
   // The split-planning metadata cache (nullptr when disabled).
@@ -238,16 +207,6 @@ class OcsConnector final : public connector::Connector {
   }
 
  private:
-  // Engine-side degradation path: fetch the raw object through the
-  // frontend (chunked when fallback_chunk_bytes > 0, with received ranges
-  // retained across attempts in the range cache) and run the identical
-  // plan over it with ocs::ExecuteOnObject, the storage node's scan. On
-  // success, `*object_version` is the version of the object that was
-  // read (0 when unknown).
-  Result<std::shared_ptr<columnar::Table>> ExecuteFallback(
-      const substrait::Plan& plan, const connector::Split& split,
-      connector::PageSourceStats* stats, uint64_t* object_version);
-
   std::string id_;
   std::shared_ptr<metastore::Metastore> metastore_;
   ocs::OcsClient client_;
@@ -258,7 +217,6 @@ class OcsConnector final : public connector::Connector {
   // Internally synchronized; shared across concurrent CreatePageSource
   // calls on worker threads.
   std::shared_ptr<SplitResultCache> split_result_cache_;
-  std::shared_ptr<FallbackRangeCache> fallback_range_cache_;
   std::shared_ptr<MetadataCache> metadata_cache_;
 };
 

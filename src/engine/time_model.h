@@ -1,14 +1,18 @@
 // Simulated end-to-end timing (DESIGN.md §4).
 //
-// Compute is measured (real wall time of real work); network transfer and
-// storage-side compute are aggregated per stage and combined with a
-// bottleneck ("roofline") model: a pipelined scan stage takes
-//   max( bytes / shared link bandwidth,
-//        Σ storage-compute / storage parallelism,
-//        Σ compute-side split work / worker threads )
+// Compute is measured (real wall time of real work); network transfer,
+// media reads and storage-side compute are aggregated per stage. A scan
+// stage takes the sum
+//     bytes / shared link bandwidth
+//   + Σ storage compute / (storage parallelism × storage nodes)
+//   + Σ media reads / storage nodes
+//   + Σ compute-side split work / worker threads
 //   + per-split latency amortized over parallel workers.
-// This reproduces the paper's regimes: transfer-bound when raw data moves
-// (no pushdown), storage-compute-bound under full pushdown.
+// Summing matches the paper's own end-to-end arithmetic: Fig. 6's
+// compression savings equal the avoided media time and Fig. 5's pushdown
+// savings the avoided transfer time. It reproduces the paper's regimes:
+// transfer-bound when raw data moves (no pushdown), storage-compute-bound
+// under full pushdown.
 #pragma once
 
 #include <algorithm>
@@ -22,12 +26,6 @@ struct TimeModelConfig {
   size_t worker_threads = 8;       // compute-node parallel split workers
   size_t storage_parallelism = 16;  // concurrent requests (storage node has 16 cores)
   size_t storage_nodes = 1;        // OCS backend nodes (media/CPU scale out)
-  // Stage combination: sequential (sum of media/storage/transfer/compute —
-  // matches the paper's observed end-to-end arithmetic, where e.g. Fig. 6's
-  // compression savings equal the avoided media time and Fig. 5's pushdown
-  // savings equal the avoided transfer time) vs perfectly pipelined (max
-  // of the terms). Default sequential.
-  bool pipelined = false;
 };
 
 struct SplitStageTotals {
@@ -60,9 +58,6 @@ inline double SplitStageSeconds(const SplitStageTotals& totals,
   // Media reads serialize per storage node's SSD; objects are spread
   // round-robin, so N nodes read in parallel.
   double media = totals.media_read_seconds / nodes;
-  if (config.pipelined) {
-    return std::max({transfer, storage, compute, media}) + latency;
-  }
   return transfer + storage + compute + media + latency;
 }
 

@@ -61,34 +61,10 @@ Result<ObjectStore::Stored> ObjectStore::Find(const std::string& bucket,
   return oit->second;
 }
 
-Result<ObjectData> ObjectStore::Get(const std::string& bucket,
-                                    const std::string& key) const {
-  POCS_ASSIGN_OR_RETURN(Stored stored, Find(bucket, key));
-  return std::move(stored.data);
-}
-
 Result<VersionedObject> ObjectStore::GetVersioned(const std::string& bucket,
                                                   const std::string& key) const {
   POCS_ASSIGN_OR_RETURN(Stored stored, Find(bucket, key));
   return VersionedObject{std::move(stored.data), stored.version};
-}
-
-Result<Bytes> ObjectStore::GetRange(const std::string& bucket,
-                                    const std::string& key, uint64_t offset,
-                                    uint64_t length) const {
-  POCS_ASSIGN_OR_RETURN(ObjectData data, Get(bucket, key));
-  if (offset > data->size() || offset + length > data->size()) {
-    return Status::OutOfRange("range [" + std::to_string(offset) + ", +" +
-                              std::to_string(length) + ") beyond object of " +
-                              std::to_string(data->size()) + " bytes");
-  }
-  return Bytes(data->begin() + offset, data->begin() + offset + length);
-}
-
-Result<uint64_t> ObjectStore::Size(const std::string& bucket,
-                                   const std::string& key) const {
-  POCS_ASSIGN_OR_RETURN(ObjectData data, Get(bucket, key));
-  return data->size();
 }
 
 Result<ObjectStat> ObjectStore::Stat(const std::string& bucket,

@@ -1,7 +1,7 @@
 // In-memory bucket/object store — the S3/MinIO stand-in. Flat
-// bucket/key namespace, whole-object and range GETs, immutable objects
-// (PUT replaces). Data lives on the storage node that owns the store;
-// remote access goes through the RPC service in service.h.
+// bucket/key namespace, immutable objects (PUT replaces). Data lives on
+// the storage node that owns the store; remote access, whole-object and
+// range GETs among it, goes through the RPC service in service.h.
 //
 // Every successful Put stamps the object with a store-wide monotonic
 // version number — the etag equivalent that the decoded row-group and
@@ -45,14 +45,8 @@ class ObjectStore {
   Status Put(const std::string& bucket, const std::string& key, Bytes data);
   Status Delete(const std::string& bucket, const std::string& key);
 
-  Result<ObjectData> Get(const std::string& bucket,
-                         const std::string& key) const;
   Result<VersionedObject> GetVersioned(const std::string& bucket,
                                        const std::string& key) const;
-  Result<Bytes> GetRange(const std::string& bucket, const std::string& key,
-                         uint64_t offset, uint64_t length) const;
-  Result<uint64_t> Size(const std::string& bucket,
-                        const std::string& key) const;
   Result<ObjectStat> Stat(const std::string& bucket,
                           const std::string& key) const;
 

@@ -39,8 +39,24 @@ bool ChunkMayMatch(const format::ColumnStats& stats,
 
 namespace {
 
+// A string cell is quoted (RFC 4180) when it is empty, so that it is not
+// read back as NULL, or holds a delimiter or a quote; a quote inside is
+// doubled.
+void AppendString(std::string_view value, std::string* out) {
+  if (!value.empty() && value.find_first_of(",\"\n\r") == std::string::npos) {
+    out->append(value);
+    return;
+  }
+  out->push_back('"');
+  for (char ch : value) {
+    if (ch == '"') out->push_back('"');
+    out->push_back(ch);
+  }
+  out->push_back('"');
+}
+
 void AppendCell(const Column& col, size_t row, std::string* out) {
-  if (col.IsNull(row)) return;  // empty cell encodes NULL
+  if (col.IsNull(row)) return;  // an unquoted empty cell encodes NULL
   char buf[40];
   switch (col.type()) {
     case TypeKind::kBool:
@@ -61,18 +77,54 @@ void AppendCell(const Column& col, size_t row, std::string* out) {
       out->append(buf);
       break;
     case TypeKind::kString:
-      out->append(col.GetString(row));  // values in this repo are CSV-safe
+      AppendString(col.GetString(row), out);
       break;
   }
 }
 
-Status AppendParsedCell(std::string_view cell, Column* col) {
-  if (cell.empty()) {
+// Reads the cell at `*pos` of `csv` and moves `*pos` past the ',' or '\n'
+// that ends it; `*row_end` tells whether the row ended there ('\n' or the
+// end of the text). A quoted cell comes back in `*unquoted`, without its
+// quotes and with each doubled quote halved.
+Status ReadCell(std::string_view csv, size_t* pos, std::string* unquoted,
+                std::string_view* cell, bool* quoted, bool* row_end) {
+  size_t p = *pos;
+  *quoted = p < csv.size() && csv[p] == '"';
+  if (*quoted) {
+    unquoted->clear();
+    for (++p;; ++p) {
+      if (p == csv.size()) return Status::Corruption("csv: unclosed quote");
+      if (csv[p] == '"') {
+        if (p + 1 == csv.size() || csv[p + 1] != '"') break;
+        ++p;  // a doubled quote is one quote
+      }
+      unquoted->push_back(csv[p]);
+    }
+    ++p;  // past the closing quote
+    if (p < csv.size() && csv[p] != ',' && csv[p] != '\n') {
+      return Status::Corruption("csv: text after a closing quote");
+    }
+    *cell = *unquoted;
+  } else {
+    const size_t end = std::min(csv.find_first_of(",\n", p), csv.size());
+    *cell = csv.substr(p, end - p);
+    p = end;
+  }
+  *row_end = p == csv.size() || csv[p] == '\n';
+  *pos = p + 1;
+  return Status::OK();
+}
+
+Status AppendParsedCell(std::string_view cell, bool quoted, Column* col) {
+  if (cell.empty() && !quoted) {
     col->AppendNull();
     return Status::OK();
   }
   switch (col->type()) {
     case TypeKind::kBool:
+      if (cell != "true" && cell != "false") {
+        return Status::Corruption("csv: bad bool '" + std::string(cell) + "'");
+      }
       col->AppendBool(cell == "true");
       return Status::OK();
     case TypeKind::kInt32:
@@ -169,23 +221,19 @@ Result<RecordBatchPtr> ParseSelectCsv(std::string_view csv,
     }
   }
   ++pos;
-  while (pos < csv.size()) {
-    size_t eol = csv.find('\n', pos);
-    if (eol == std::string_view::npos) eol = csv.size();
-    std::string_view line = csv.substr(pos, eol - pos);
-    size_t field_start = 0;
-    for (size_t c = 0; c < schema->num_fields(); ++c) {
-      size_t comma = (c + 1 < schema->num_fields())
-                         ? line.find(',', field_start)
-                         : line.size();
-      if (comma == std::string_view::npos) {
-        return Status::Corruption("csv: short row");
+  std::string unquoted;
+  while (!cols.empty() && pos < csv.size()) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      std::string_view cell;
+      bool quoted = false;
+      bool row_end = false;
+      POCS_RETURN_NOT_OK(
+          ReadCell(csv, &pos, &unquoted, &cell, &quoted, &row_end));
+      if (row_end != (c + 1 == cols.size())) {
+        return Status::Corruption(row_end ? "csv: short row" : "csv: long row");
       }
-      POCS_RETURN_NOT_OK(AppendParsedCell(
-          line.substr(field_start, comma - field_start), cols[c].get()));
-      field_start = comma + 1;
+      POCS_RETURN_NOT_OK(AppendParsedCell(cell, quoted, cols[c].get()));
     }
-    pos = eol + 1;
   }
   std::vector<columnar::ColumnPtr> const_cols(cols.begin(), cols.end());
   return columnar::MakeBatch(schema, std::move(const_cols));

@@ -35,8 +35,10 @@ bool ChunkMayMatch(const format::ColumnStats& stats,
                    const SelectPredicate& pred);
 
 // Appends `table` as a Select result payload: a header line of column
-// names, one line per row (an empty cell is NULL), then the Checksum64 of
-// that text as a little-endian u64.
+// names, one line per row, then the Checksum64 of that text as a
+// little-endian u64. An unquoted empty cell is NULL; a string cell that
+// is empty or holds ',', '"', '\n' or '\r' is quoted as in RFC 4180, a
+// quote inside doubled.
 void WriteSelectCsv(const columnar::Table& table, BufferWriter* out);
 
 // The CSV text of a Select result payload, once its checksum matches;
@@ -46,7 +48,9 @@ Result<std::string_view> SelectCsvText(ByteSpan payload);
 // Parse CSV text (as written above, without its checksum) back into a
 // record batch, given the expected schema of the projected columns. Used
 // by the compute-side Hive connector to turn row-format results back
-// into pages.
+// into pages. A cell its column's type cannot hold (a bool other than
+// true or false, a malformed number), a row of the wrong cell count or
+// an unclosed quote is Corruption.
 Result<columnar::RecordBatchPtr> ParseSelectCsv(
     std::string_view csv, const columnar::SchemaPtr& schema);
 

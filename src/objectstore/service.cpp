@@ -1,6 +1,15 @@
 #include "objectstore/service.h"
 
+#include <cstring>
+
 namespace pocs::objectstore {
+
+namespace {
+
+// The Get response's trailer: the object's version and size, u64 each.
+constexpr size_t kGetTrailerBytes = 2 * sizeof(uint64_t);
+
+}  // namespace
 
 void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
                             rpc::Server* server) {
@@ -8,26 +17,27 @@ void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
     BufferReader in(req);
     POCS_ASSIGN_OR_RETURN(std::string bucket, in.ReadString());
     POCS_ASSIGN_OR_RETURN(std::string key, in.ReadString());
-    POCS_ASSIGN_OR_RETURN(ObjectData data, store->Get(bucket, key));
-    return *data;  // copy: the response crosses the "network"
-  });
-
-  server->RegisterMethod("GetRange", [store](ByteSpan req) -> Result<Bytes> {
-    BufferReader in(req);
-    POCS_ASSIGN_OR_RETURN(std::string bucket, in.ReadString());
-    POCS_ASSIGN_OR_RETURN(std::string key, in.ReadString());
-    POCS_ASSIGN_OR_RETURN(uint64_t offset, in.ReadVarint());
-    POCS_ASSIGN_OR_RETURN(uint64_t length, in.ReadVarint());
-    return store->GetRange(bucket, key, offset, length);
-  });
-
-  server->RegisterMethod("Size", [store](ByteSpan req) -> Result<Bytes> {
-    BufferReader in(req);
-    POCS_ASSIGN_OR_RETURN(std::string bucket, in.ReadString());
-    POCS_ASSIGN_OR_RETURN(std::string key, in.ReadString());
-    POCS_ASSIGN_OR_RETURN(uint64_t size, store->Size(bucket, key));
-    BufferWriter out;
-    out.WriteVarint(size);
+    POCS_ASSIGN_OR_RETURN(VersionedObject object,
+                          store->GetVersioned(bucket, key));
+    const uint64_t size = object.data->size();
+    uint64_t offset = 0;
+    uint64_t length = size;
+    if (!in.exhausted()) {
+      POCS_ASSIGN_OR_RETURN(offset, in.ReadVarint());
+      POCS_ASSIGN_OR_RETURN(length, in.ReadVarint());
+      // offset + length can wrap; these two tests cannot.
+      if (offset > size || length > size - offset) {
+        return Status::OutOfRange(
+            "range [" + std::to_string(offset) + ", +" +
+            std::to_string(length) + ") beyond object of " +
+            std::to_string(size) + " bytes");
+      }
+    }
+    // The copy is the response crossing the "network".
+    BufferWriter out(length + kGetTrailerBytes);
+    out.WriteBytes(object.data->data() + offset, length);
+    out.WriteLE<uint64_t>(object.version);
+    out.WriteLE<uint64_t>(size);
     return std::move(out).Take();
   });
 
@@ -80,33 +90,40 @@ void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
   });
 }
 
-Result<Bytes> StorageClient::Get(const std::string& bucket,
-                                 const std::string& key, TransferInfo* info,
-                                 const rpc::CallOptions& options) const {
+Result<ObjectRead> StorageClient::CallGet(
+    const std::string& bucket, const std::string& key,
+    std::optional<std::pair<uint64_t, uint64_t>> range, TransferInfo* info,
+    const rpc::CallOptions& options) const {
   BufferWriter req;
   req.WriteString(bucket);
   req.WriteString(key);
+  if (range) {
+    req.WriteVarint(range->first);
+    req.WriteVarint(range->second);
+  }
   rpc::CallResult call;
   Status status = channel_.CallInto("Get", req.span(), options, &call);
   if (info) info->Add(call);  // lost attempts still cost modelled time
   POCS_RETURN_NOT_OK(status);
-  return std::move(call.response);
-}
-
-Result<Bytes> StorageClient::GetRange(const std::string& bucket,
-                                      const std::string& key, uint64_t offset,
-                                      uint64_t length, TransferInfo* info,
-                                      const rpc::CallOptions& options) const {
-  BufferWriter req;
-  req.WriteString(bucket);
-  req.WriteString(key);
-  req.WriteVarint(offset);
-  req.WriteVarint(length);
-  rpc::CallResult call;
-  Status status = channel_.CallInto("GetRange", req.span(), options, &call);
-  if (info) info->Add(call);
-  POCS_RETURN_NOT_OK(status);
-  return std::move(call.response);
+  Bytes& response = call.response;
+  if (response.size() < kGetTrailerBytes) {
+    return Status::Corruption("get: response shorter than its trailer");
+  }
+  ObjectRead read;
+  const uint8_t* trailer = response.data() + response.size() - kGetTrailerBytes;
+  std::memcpy(&read.version, trailer, sizeof(uint64_t));
+  std::memcpy(&read.object_size, trailer + sizeof(uint64_t), sizeof(uint64_t));
+  response.resize(response.size() - kGetTrailerBytes);
+  const auto [offset, length] = range.value_or(std::pair<uint64_t, uint64_t>{0, read.object_size});
+  if (response.size() != length || offset > read.object_size ||
+      length > read.object_size - offset) {
+    return Status::Corruption(
+        "get: " + std::to_string(response.size()) + " bytes for range [" +
+        std::to_string(offset) + ", +" + std::to_string(length) +
+        ") of an object of " + std::to_string(read.object_size));
+  }
+  read.data = std::move(response);
+  return read;
 }
 
 Result<ObjectStat> StorageClient::Stat(const std::string& bucket,
@@ -140,16 +157,6 @@ Result<ObjectDescriptor> StorageClient::DescribeObject(
   POCS_RETURN_NOT_OK(status);
   BufferReader in(call.response.data(), call.response.size());
   return DecodeObjectDescriptor(&in);
-}
-
-Result<uint64_t> StorageClient::Size(const std::string& bucket,
-                                     const std::string& key) const {
-  BufferWriter req;
-  req.WriteString(bucket);
-  req.WriteString(key);
-  POCS_ASSIGN_OR_RETURN(rpc::CallResult call, channel_.Call("Size", req.span()));
-  BufferReader in(call.response.data(), call.response.size());
-  return in.ReadVarint();
 }
 
 Result<std::vector<std::string>> StorageClient::List(

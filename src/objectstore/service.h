@@ -5,6 +5,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "common/counters.h"
 #include "objectstore/describe.h"
@@ -13,10 +15,26 @@
 
 namespace pocs::objectstore {
 
-// Registers Get/GetRange/Size/Stat/DescribeObject/List/Put methods on
-// `server`, backed by `store` (which must outlive the server).
+// Registers Get/Stat/DescribeObject/List/Put methods on `server`, backed
+// by `store` (which must outlive the server).
+//
+// The Get wire, one S3-style GET answered from one GetVersioned:
+//   request  := bucket:string key:string [offset:varint length:varint]
+//   response := bytes version:u64 object_size:u64
+// A request without the range reads the whole object; a range that does
+// not lie within the object is OutOfRange. The version and size trail
+// the bytes, so the client drops them in place and keeps the bytes
+// without copying them.
 void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
                             rpc::Server* server);
+
+// What one Get returns: the bytes read, and the size and version of the
+// object they were read from (S3's Content-Range total and ETag).
+struct ObjectRead {
+  Bytes data;
+  uint64_t object_size = 0;
+  uint64_t version = 0;
+};
 
 // Typed client over an rpc::Channel. Each call reports the bytes moved
 // and modelled transfer time via the returned TransferInfo.
@@ -50,15 +68,22 @@ class StorageClient {
   // Data-path methods take per-call rpc options (retry budget, deadline);
   // the defaults preserve single-attempt behaviour. On failure, `info`
   // still accumulates the modelled cost of the lost attempts.
-  Result<Bytes> Get(const std::string& bucket, const std::string& key,
-                    TransferInfo* info = nullptr,
-                    const rpc::CallOptions& options = {}) const;
-  Result<Bytes> GetRange(const std::string& bucket, const std::string& key,
+  //
+  // Get reads the whole object, or `length` bytes from `offset`, with the
+  // size and version of the object they came from. A response whose byte
+  // count disagrees with the requested range and the reported size is
+  // Corruption.
+  Result<ObjectRead> Get(const std::string& bucket, const std::string& key,
+                         TransferInfo* info = nullptr,
+                         const rpc::CallOptions& options = {}) const {
+    return CallGet(bucket, key, std::nullopt, info, options);
+  }
+  Result<ObjectRead> Get(const std::string& bucket, const std::string& key,
                          uint64_t offset, uint64_t length,
                          TransferInfo* info = nullptr,
-                         const rpc::CallOptions& options = {}) const;
-  Result<uint64_t> Size(const std::string& bucket,
-                        const std::string& key) const;
+                         const rpc::CallOptions& options = {}) const {
+    return CallGet(bucket, key, std::pair{offset, length}, info, options);
+  }
   // Metadata-only freshness probe (HEAD): size + version, no data bytes.
   // Cache validation rides on this, so it takes the data-path call
   // options and charges its (tiny) transfer like any other call.
@@ -68,7 +93,7 @@ class StorageClient {
   // Per-object statistics descriptor (footer min/max/NDV at file and
   // row-group granularity, plus the version). Metadata-only like Stat:
   // split planners feed their metadata cache from this and never touch
-  // data-path Get* during planning (DESIGN.md §13).
+  // data-path Get during planning (DESIGN.md §13).
   Result<ObjectDescriptor> DescribeObject(
       const std::string& bucket, const std::string& key,
       TransferInfo* info = nullptr,
@@ -79,6 +104,12 @@ class StorageClient {
              ByteSpan data) const;
 
  private:
+  // `range` is {offset, length}, or none for the whole object.
+  Result<ObjectRead> CallGet(
+      const std::string& bucket, const std::string& key,
+      std::optional<std::pair<uint64_t, uint64_t>> range, TransferInfo* info,
+      const rpc::CallOptions& options) const;
+
   rpc::Channel channel_;
 };
 

@@ -1,6 +1,7 @@
 // Compute-side client for OCS: serializes IR plans, calls the frontend's
 // ExecutePlan (or Select) over the simulated network, and decodes the
-// result frames.
+// result frames; when neither can run, it fetches the object and runs
+// the plan compute-side.
 #pragma once
 
 #include "columnar/ipc.h"
@@ -61,8 +62,29 @@ class OcsClient {
     return placement;
   }
 
-  // The underlying channel to the frontend — the connectors' raw GETs and
-  // engine-side fallbacks build a StorageClient on it to fetch objects.
+  // The engine-side degradation path (DESIGN.md §9.3), shared by both
+  // connectors: reads the object of the plan's Read through the
+  // frontend's plain Get, which survives an exec-engine crash, and runs
+  // the plan over its bytes with ExecuteOnObject, the storage node's scan
+  // without its row-group cache, so the rows and row counters are the
+  // ones the storage node would have returned.
+  //
+  // `chunk_bytes` sizes the ranges the object is read in; 0 reads it in
+  // one Get. The first response fixes the object's version and size (a
+  // chunked read opens with an empty range for them); a later range of
+  // another version restarts the read from offset 0, and after
+  // options.max_attempts reads that each saw the object change the result
+  // is Unavailable. Adds every Get's traffic, the media read of the bytes
+  // received and the scan's counters to `stats`, and the scan's time to
+  // its decode_seconds. Sets `*version` (if not null) to the version the
+  // rows were computed from.
+  Result<std::shared_ptr<columnar::Table>> FetchAndScan(
+      const substrait::Plan& plan, uint64_t chunk_bytes,
+      const rpc::CallOptions& options, SplitCounters* stats,
+      uint64_t* version = nullptr) const;
+
+  // The underlying channel to the frontend — the Hive connector's raw
+  // GETs and the split-result cache's Stat build a StorageClient on it.
   const rpc::Channel& channel() const { return channel_; }
 
   // Decode the Arrow payload of a result into columns that are slices of

@@ -41,7 +41,7 @@ OcsCluster::OcsCluster(std::shared_ptr<netsim::Network> net,
         });
   }
 
-  for (const char* method : {"Get", "GetRange", "Size", "Stat"}) {
+  for (const char* method : {"Get", "Stat"}) {
     frontend_server_->RegisterMethod(
         method, [this, method](ByteSpan req) -> Result<Bytes> {
           POCS_RETURN_NOT_OK(CheckFrontendUp());

@@ -414,16 +414,6 @@ Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
   for (const Rel* r = plan.root.get(); r->input; r = r->input.get()) {
     above_read = r;
   }
-  // The planner's row-group hint and the pushed bloom filter are each
-  // pinned to the object version they were computed from; bytes of
-  // another version, or of an unknown one (0), get neither. A dropped
-  // hint or bloom costs work, never rows: the stats check and the
-  // filter above still run, and the engine's exact join probe keeps a
-  // bloom-less answer correct.
-  auto pinned = [&object](uint64_t version) {
-    return object.version != 0 && version == object.version;
-  };
-
   exec::ScanFactory factory =
       [&](const Rel& r) -> Result<std::unique_ptr<exec::BatchSource>> {
     POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(object.data));
@@ -436,10 +426,15 @@ Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
     if (above_read && above_read->kind == RelKind::kFilter) {
       CollectPruningTerms(above_read->predicate, *scan_schema, &pruning);
     }
+    // The planner's row-group hint and the pushed bloom filter are each
+    // pinned to the object version they were computed from; bytes of
+    // another version get neither. A dropped hint or bloom costs work,
+    // never rows: the stats check and the filter above still run, and the
+    // engine's exact join probe keeps a bloom-less answer correct.
     std::vector<uint32_t> hint;
-    if (pinned(r.hint_version)) hint = r.row_group_hint;
+    if (r.hint_version == object.version) hint = r.row_group_hint;
     std::unique_ptr<BloomFilter> bloom;
-    if (!r.bloom_words.empty() && pinned(r.bloom_version)) {
+    if (!r.bloom_words.empty() && r.bloom_version == object.version) {
       bloom = std::make_unique<BloomFilter>(r.bloom_words, r.bloom_hashes,
                                             r.bloom_seed);
     }

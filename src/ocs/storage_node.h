@@ -54,7 +54,7 @@ struct StorageNodeConfig {
 
 // Injectable failure modes for one storage node. Crashing targets only
 // the node's one executor: ExecutePlan and Select reject with
-// kUnavailable while the plain object-store methods (Get, GetRange, Stat,
+// kUnavailable while the plain object-store methods (Get, Stat,
 // DescribeObject) stay up — mirroring the paper's framing (and
 // PushdownDB's) of in-storage execution as an optional accelerator the
 // engine must survive without. `exec_delay` models a slow node by
@@ -66,8 +66,7 @@ struct StorageNodeFaults {
 };
 
 // One storage plan's counters (common/counters.h), plus the version of
-// the object it scanned (0 if unknown) — the connector's split-result
-// cache keys on it.
+// the object it scanned — the connector's split-result cache keys on it.
 struct OcsExecStats : StorageCounters {
   uint64_t object_version = 0;
 };
@@ -205,13 +204,13 @@ Result<OcsResult> DecodeOcsResult(BufferReader* in);
 // filter directly above it, the code-domain filter, late materialization
 // and the pushed join-key bloom, under exec::ExecuteRel. The row-group
 // hint and the bloom apply only when their version pin equals
-// `object.version`; version 0 (unknown) applies neither. `cache` may be
+// `object.version`, the version the bytes were read with. `cache` may be
 // null. Adds the plan's counts — rows, row groups, object_bytes_read,
 // cache outcomes, pruned rows — to `stats` and sets its object_version;
 // the seconds are the caller's. The storage node's ExecutePlan and Select
-// and both connectors' engine-side fallbacks run it, so a fallback
-// returns the rows and row counters the storage node would have
-// (DESIGN.md §9.3).
+// run it, and so does OcsClient::FetchAndScan, both connectors'
+// engine-side fallback, so a fallback returns the rows and row counters
+// the storage node would have (DESIGN.md §9.3).
 Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
     const substrait::Plan& plan, const objectstore::VersionedObject& object,
     RowGroupCache* cache, OcsExecStats* stats);

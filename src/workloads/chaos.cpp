@@ -105,7 +105,7 @@ Status ApplyChaos(Testbed* bed, const ChaosConfig& config) {
   }
   if (config.profile == "flaky-rpc-cached") {
     // Storage-side execution down AND a lossy link: the query must heal
-    // through the chunked, cache-retained fallback alone.
+    // through the chunked fallback alone.
     for (size_t i = 0; i < bed->cluster().num_storage_nodes(); ++i) {
       bed->cluster().mutable_storage_node(i).faults().exec_crashed.store(true);
     }

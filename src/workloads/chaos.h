@@ -33,8 +33,8 @@ std::vector<std::string> ChaosProfiles();
 struct ChaosExpectation {
   bool expect_fallbacks = false;  // QueryStats.fallbacks > 0
   bool expect_retries = false;    // QueryStats.retries > 0
-  // Connector caches are enabled under this profile: partial-result
-  // retention must keep bytes_refetched_on_retry strictly below the
+  // The chunked fallback and the split cache are on under this profile:
+  // chunked reads must keep bytes_refetched_on_retry strictly below the
   // bytes moved, and a repeat scan must be served from the split cache.
   bool expect_cache_effects = false;
   // The planner metadata cache is enabled but the stats RPC is down:

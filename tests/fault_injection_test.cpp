@@ -3,15 +3,20 @@
 // engine degrades to the engine-side scan (queries still answer
 // correctly with the same row counters, listeners see the fallbacks; a
 // Hive Select, which runs on the same engine, falls back the same way), a
-// dead frontend propagates cleanly, and a Hive Select that exhausts its
-// retries re-plans as a raw GET with the filter applied compute-side.
+// dead frontend propagates cleanly, a Hive Select that exhausts its
+// retries re-plans as a raw GET with the filter applied compute-side, and
+// a Put that lands while the fallback reads the object neither stitches
+// two versions nor gets old rows cached as new.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
 
+#include "connectors/ocs/ocs_connector.h"
+#include "engine/engine.h"
 #include "netsim/fault_plan.h"
+#include "ocs/cluster.h"
 #include "rpc/rpc.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
@@ -393,6 +398,122 @@ TEST(SelectParityTest, CrashedExecMatchesSelectRowsAndRowCounters) {
   // equalities above compare real work, not zeros.
   EXPECT_GT(selected_sum.pushdown_accepted, 0u);
   EXPECT_GT(selected_sum.rows_dict_filtered, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A Put that lands while the fallback reads the object (DESIGN.md §9.3)
+// ---------------------------------------------------------------------------
+
+// One Laghos object of `rows` rows; the same key for every row count.
+Result<workloads::GeneratedDataset> LaghosObject(size_t rows) {
+  workloads::LaghosConfig config = SmallLaghos();
+  config.num_files = 1;
+  config.rows_per_file = rows;
+  return workloads::GenerateLaghos(config);
+}
+
+// An OCS cluster whose exec engine is down, so every split takes the
+// fallback, reached only through a test-side frontend. Its handlers
+// forward each call to the cluster's frontend and, once the first Get
+// has been answered, Put a new version of the object: 2048 rows where
+// the first had 1024. The "ocs" catalog has the split-result cache on.
+class PutAfterFirstGet {
+ public:
+  explicit PutAfterFirstGet(uint64_t fallback_chunk_bytes)
+      : net_(std::make_shared<netsim::Network>(netsim::EffectiveS3())),
+        cluster_(net_, ocs::ClusterConfig{}),
+        metastore_(std::make_shared<metastore::Metastore>()),
+        engine_(engine::EngineConfig{}) {
+    auto first = LaghosObject(1024);
+    auto second = LaghosObject(2048);
+    POCS_CHECK(first.ok() && second.ok());
+    POCS_CHECK(first->files.size() == 1 &&
+               first->files[0].first == second->files[0].first);
+    bucket_ = first->info.bucket;
+    key_ = first->files[0].first;
+    next_ = std::move(second->files[0].second);
+    POCS_CHECK(cluster_.PutObject(bucket_, key_, first->files[0].second).ok());
+    POCS_CHECK(metastore_->CreateSchema("default").ok());
+    POCS_CHECK(metastore_->RegisterTable(first->info).ok());
+    cluster_.mutable_storage_node(0).faults().exec_crashed.store(true);
+
+    auto frontend = std::make_shared<rpc::Server>(net_->AddNode("test-frontend"),
+                                                  "test-frontend");
+    for (const char* method : {"ExecutePlan", "Stat", "Get"}) {
+      frontend->RegisterMethod(
+          method, [this, method](ByteSpan req) -> Result<Bytes> {
+            Result<Bytes> response =
+                cluster_.frontend_server()->Dispatch(method, req);
+            if (std::string_view(method) == "Get" && !put_.exchange(true)) {
+              POCS_RETURN_NOT_OK(
+                  cluster_.PutObject(bucket_, key_, std::move(next_)));
+            }
+            return response;
+          });
+    }
+    connectors::OcsConnectorConfig config;
+    config.split_result_cache_bytes = 8 << 20;
+    config.dispatch.fallback_chunk_bytes = fallback_chunk_bytes;
+    engine_.RegisterConnector(std::make_shared<connectors::OcsConnector>(
+        "ocs", metastore_,
+        ocs::OcsClient(
+            rpc::Channel(net_, net_->AddNode("compute"), frontend)),
+        config));
+  }
+
+  // One scan of the table; its one cell is the table's row count.
+  Result<engine::QueryResult> Scan() {
+    return engine_.Execute("SELECT COUNT(*) FROM laghos", "ocs");
+  }
+  bool put() const { return put_.load(); }
+
+ private:
+  std::shared_ptr<netsim::Network> net_;
+  ocs::OcsCluster cluster_;
+  std::shared_ptr<metastore::Metastore> metastore_;
+  engine::QueryEngine engine_;
+  std::string bucket_;
+  std::string key_;
+  Bytes next_;
+  std::atomic<bool> put_{false};
+};
+
+int64_t RowCount(const engine::QueryResult& result) {
+  return result.table->column(0)->GetInt64(0);
+}
+
+// One whole-object Get: its rows are cached under the version they were
+// read from, so after the Put the next scan misses and reads the new
+// version.
+TEST(FallbackVersionTest, PutAfterTheGetIsNotServedFromTheSplitCache) {
+  PutAfterFirstGet bed(/*fallback_chunk_bytes=*/0);
+  auto before = bed.Scan();
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_TRUE(bed.put());
+  EXPECT_EQ(RowCount(*before), 1024);
+  EXPECT_EQ(before->metrics.fallbacks, 1u);
+
+  auto after = bed.Scan();
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(RowCount(*after), 2048);
+  EXPECT_EQ(after->metrics.cache_hits, 0u);
+  EXPECT_EQ(after->metrics.fallbacks, 1u);
+}
+
+// 4 KiB ranges: the range after the Put reports the new version, so the
+// read restarts and the scan sees the new object whole.
+TEST(FallbackVersionTest, PutBetweenRangesRestartsTheRead) {
+  PutAfterFirstGet bed(/*fallback_chunk_bytes=*/4096);
+  auto scan = bed.Scan();
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_TRUE(bed.put());
+  EXPECT_EQ(RowCount(*scan), 2048);
+  EXPECT_EQ(scan->metrics.fallbacks, 1u);
+
+  auto again = bed.Scan();
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(RowCount(*again), 2048);
+  EXPECT_EQ(again->metrics.cache_hits, 1u);
 }
 
 TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {

@@ -29,7 +29,7 @@ TEST(TimeModelTest, TransferTermScalesWithBytes) {
   EXPECT_NEAR(SplitStageSeconds(totals, config), 4.0, 1e-9);
 }
 
-TEST(TimeModelTest, SequentialSumsPipelinedMaxes) {
+TEST(TimeModelTest, StageSumsTransferStorageComputeAndMedia) {
   TimeModelConfig config;
   config.network_bandwidth_bytes_per_sec = 100e6;
   config.network_latency_sec = 0;
@@ -40,10 +40,7 @@ TEST(TimeModelTest, SequentialSumsPipelinedMaxes) {
   totals.storage_compute_seconds = 2;  // 2 s
   totals.compute_seconds = 3;          // 3 s
   totals.media_read_seconds = 4;       // 4 s
-  config.pipelined = false;
   EXPECT_NEAR(SplitStageSeconds(totals, config), 10.0, 1e-9);
-  config.pipelined = true;
-  EXPECT_NEAR(SplitStageSeconds(totals, config), 4.0, 1e-9);
 }
 
 TEST(TimeModelTest, ParallelismDividesComputeTerms) {

@@ -3,6 +3,9 @@
 // themselves run on the storage node (ocs_test).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "common/checksum.h"
 #include "format/parquet_lite.h"
 #include "objectstore/object_store.h"
@@ -33,12 +36,14 @@ TEST(ObjectStoreTest, PutGetDelete) {
   ObjectStore store;
   ASSERT_TRUE(store.CreateBucket("b").ok());
   ASSERT_TRUE(store.Put("b", "k", Bytes{1, 2, 3}).ok());
-  auto data = store.Get("b", "k");
-  ASSERT_TRUE(data.ok());
-  EXPECT_EQ(**data, (Bytes{1, 2, 3}));
-  EXPECT_EQ(*store.Size("b", "k"), 3u);
+  auto object = store.GetVersioned("b", "k");
+  ASSERT_TRUE(object.ok());
+  EXPECT_EQ(*object->data, (Bytes{1, 2, 3}));
+  EXPECT_EQ(store.Stat("b", "k")->size, 3u);
+  EXPECT_EQ(store.Stat("b", "k")->version, object->version);
   EXPECT_TRUE(store.Delete("b", "k").ok());
-  EXPECT_EQ(store.Get("b", "k").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.GetVersioned("b", "k").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(ObjectStoreTest, NonEmptyBucketNotDeletable) {
@@ -46,16 +51,6 @@ TEST(ObjectStoreTest, NonEmptyBucketNotDeletable) {
   ASSERT_TRUE(store.CreateBucket("b").ok());
   ASSERT_TRUE(store.Put("b", "k", Bytes{1}).ok());
   EXPECT_FALSE(store.DeleteBucket("b").ok());
-}
-
-TEST(ObjectStoreTest, RangeReads) {
-  ObjectStore store;
-  ASSERT_TRUE(store.CreateBucket("b").ok());
-  ASSERT_TRUE(store.Put("b", "k", Bytes{0, 1, 2, 3, 4, 5}).ok());
-  EXPECT_EQ(*store.GetRange("b", "k", 2, 3), (Bytes{2, 3, 4}));
-  EXPECT_EQ(*store.GetRange("b", "k", 0, 0), Bytes{});
-  EXPECT_FALSE(store.GetRange("b", "k", 4, 3).ok());
-  EXPECT_FALSE(store.GetRange("b", "k", 7, 0).ok());
 }
 
 TEST(ObjectStoreTest, ListWithPrefix) {
@@ -100,12 +95,12 @@ void PutTestObject(ObjectStore* store) {
 TEST(ObjectStoreTest, ReaderSharesAndPinsTheVersionItOpened) {
   ObjectStore store;
   PutTestObject(&store);
-  auto data = store.Get("data", "obj");
-  ASSERT_TRUE(data.ok());
-  auto reader = format::FileReader::Open(*data);
+  auto object = store.GetVersioned("data", "obj");
+  ASSERT_TRUE(object.ok());
+  auto reader = format::FileReader::Open(object->data);
   ASSERT_TRUE(reader.ok()) << reader.status();
   ASSERT_TRUE(store.Put("data", "obj", Bytes{1, 2, 3}).ok());
-  EXPECT_EQ(data->use_count(), 2);  // this test's handle and the reader's
+  EXPECT_EQ(object->data.use_count(), 2);  // this test's and the reader's
   auto table = (*reader)->ReadAll();
   ASSERT_TRUE(table.ok()) << table.status();
   EXPECT_EQ((*table)->num_rows(), 200u);
@@ -119,6 +114,57 @@ TEST(SelectTest, CsvParserRejectsGarbage) {
   EXPECT_FALSE(ParseSelectCsv("", schema).ok());
   // Wrong column count in header.
   EXPECT_FALSE(ParseSelectCsv("a,b\n1,2\n", schema).ok());
+  // A boolean is true or false, nothing else.
+  auto flags = MakeSchema({{"b", TypeKind::kBool}});
+  EXPECT_TRUE(ParseSelectCsv("b\ntrue\nfalse\n", flags).ok());
+  for (const char* cell : {"yes", "1", "TRUE", "\"\""}) {
+    EXPECT_EQ(ParseSelectCsv("b\n" + std::string(cell) + "\n", flags)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << cell;
+  }
+  // An unclosed quote, text after a closing quote, a missing or an extra
+  // cell.
+  auto pair = MakeSchema({{"s", TypeKind::kString}, {"n", TypeKind::kInt64}});
+  for (const char* text :
+       {"s,n\n\"ab,1\n", "s,n\n\"ab\"c,1\n", "s,n\nab\n", "s,n\nab,1,2\n"}) {
+    EXPECT_EQ(ParseSelectCsv(text, pair).status().code(),
+              StatusCode::kCorruption)
+        << text;
+  }
+}
+
+// Every string comes back as written — one holding a delimiter or a
+// quote, and the empty string, which stays apart from NULL.
+TEST(SelectTest, CsvRoundtripPreservesEveryString) {
+  auto schema = MakeSchema({{"s", TypeKind::kString}, {"t", TypeKind::kString}});
+  const std::vector<std::string> values = {"x,y", "say \"hi\"", "a\nb",
+                                           "c\rd", "", "plain"};
+  auto s = MakeColumn(TypeKind::kString);
+  auto t = MakeColumn(TypeKind::kString);
+  for (const std::string& v : values) {
+    s->AppendString(v);
+    t->AppendString("z");
+  }
+  s->AppendNull();
+  t->AppendString("");
+  columnar::Table table(schema, {MakeBatch(schema, {s, t})});
+  BufferWriter out;
+  WriteSelectCsv(table, &out);
+  auto text = SelectCsvText(out.span());
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto parsed = ParseSelectCsv(*text, schema);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ((*parsed)->num_rows(), values.size() + 1);
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_FALSE((*parsed)->column(0)->IsNull(i)) << i;
+    EXPECT_EQ((*parsed)->column(0)->GetString(i), values[i]) << i;
+    EXPECT_EQ((*parsed)->column(1)->GetString(i), "z") << i;
+  }
+  EXPECT_TRUE((*parsed)->column(0)->IsNull(values.size()));
+  ASSERT_FALSE((*parsed)->column(1)->IsNull(values.size()));
+  EXPECT_EQ((*parsed)->column(1)->GetString(values.size()), "");
 }
 
 // A payload's checksum guards every byte of its text: any flipped byte,
@@ -192,9 +238,11 @@ struct ServiceFixture : ::testing::Test {
 TEST_F(ServiceFixture, PutGetThroughRpc) {
   Bytes payload = {9, 8, 7};
   ASSERT_TRUE(client->Put("b", "k", ByteSpan(payload.data(), payload.size())).ok());
-  auto data = client->Get("b", "k");
-  ASSERT_TRUE(data.ok()) << data.status();
-  EXPECT_EQ(*data, payload);
+  auto read = client->Get("b", "k");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->data, payload);
+  EXPECT_EQ(read->object_size, 3u);
+  EXPECT_EQ(read->version, store->Stat("b", "k")->version);
   EXPECT_GT(net->Total().bytes, 6u);  // request + response framing
 }
 
@@ -204,7 +252,60 @@ TEST_F(ServiceFixture, ListAndSizeThroughRpc) {
   auto keys = client->List("b", "a");
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 2u);
-  EXPECT_EQ(*client->Size("b", "a1"), 0u);
+  EXPECT_EQ(client->Get("b", "a1")->object_size, 0u);
+}
+
+// A ranged Get returns the bytes of the range, with the size and version
+// of the whole object. A range that does not lie within the object is
+// OutOfRange, also where offset + length wraps around 2^64.
+TEST_F(ServiceFixture, RangeGetReadsWithinTheObjectOnly) {
+  const Bytes payload = {0, 1, 2, 3, 4, 5, 6, 7};
+  ASSERT_TRUE(client->Put("b", "k", ByteSpan(payload.data(), payload.size())).ok());
+  const uint64_t version = store->Stat("b", "k")->version;
+  struct InRange {
+    uint64_t offset, length;
+    Bytes want;
+  };
+  for (const InRange& c : {InRange{2, 3, {2, 3, 4}}, InRange{0, 0, {}},
+                           InRange{8, 0, {}}, InRange{0, 8, payload}}) {
+    auto read = client->Get("b", "k", c.offset, c.length);
+    ASSERT_TRUE(read.ok()) << c.offset << "+" << c.length << ": "
+                           << read.status();
+    EXPECT_EQ(read->data, c.want);
+    EXPECT_EQ(read->object_size, payload.size());
+    EXPECT_EQ(read->version, version);
+  }
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const std::vector<std::pair<uint64_t, uint64_t>> beyond = {
+      {6, 3}, {9, 0}, {1, kMax}, {kMax, 2}};
+  for (const auto& [offset, length] : beyond) {
+    EXPECT_EQ(client->Get("b", "k", offset, length).status().code(),
+              StatusCode::kOutOfRange)
+        << offset << "+" << length;
+  }
+}
+
+// The client checks a response's byte count against the range it asked
+// for and the size the response reports.
+TEST_F(ServiceFixture, GetResponseOfTheWrongLengthIsCorruption) {
+  const Bytes payload = {0, 1, 2, 3, 4, 5, 6, 7};
+  ASSERT_TRUE(client->Put("b", "k", ByteSpan(payload.data(), payload.size())).ok());
+  // A server that answers every Get with the whole object.
+  auto whole = std::make_shared<rpc::Server>(server->node(), "whole");
+  RegisterStorageService(store, whole.get());
+  whole->RegisterMethod("Get", [this](ByteSpan req) -> Result<Bytes> {
+    BufferReader in(req);
+    POCS_ASSIGN_OR_RETURN(std::string bucket, in.ReadString());
+    POCS_ASSIGN_OR_RETURN(std::string key, in.ReadString());
+    BufferWriter whole_object;
+    whole_object.WriteString(bucket);
+    whole_object.WriteString(key);
+    return server->Dispatch("Get", whole_object.span());
+  });
+  StorageClient lying(rpc::Channel(net, net->AddNode("reader"), whole));
+  ASSERT_TRUE(lying.Get("b", "k").ok());
+  EXPECT_EQ(lying.Get("b", "k", 2, 3).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(lying.Get("b", "k", 0, 0).status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(ServiceFixture, GetMissingObjectErrors) {

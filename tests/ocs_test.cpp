@@ -433,7 +433,7 @@ TEST_F(ServiceFixture, SelectThroughRpcChargesOnlyResults) {
   ASSERT_TRUE(csv.ok()) << csv.status();
   EXPECT_EQ(*csv, "n\n0\n1\n");
   // Only the tiny CSV crossed the network, not the object.
-  uint64_t object_size = *store->Size("data", "obj");
+  uint64_t object_size = store->Stat("data", "obj")->size;
   EXPECT_LT(net->Total().bytes, object_size / 10);
   EXPECT_GT(info.bytes_received, 0u);
   EXPECT_GT(info.transfer_seconds, 0.0);
@@ -716,17 +716,17 @@ TEST_F(ClusterFixture, AggregationPushdownMovesAlmostNothing) {
   ASSERT_EQ(combined->num_rows(), 1u);
   EXPECT_EQ(combined->column(1)->GetInt64(0), 1000);
   // The aggregate result crossing the wire is tiny vs the object.
-  EXPECT_LT(net->Total().bytes, uint64_t{*cluster->storage_node(0).store()
-                                               ->Size("sim", "f0")} /
-                                    4);
+  EXPECT_LT(net->Total().bytes,
+            cluster->storage_node(0).store()->Stat("sim", "f0")->size / 4);
 }
 
 TEST_F(ClusterFixture, FrontendProxiesObjectStoreMethods) {
   objectstore::StorageClient store_client(
       rpc::Channel(net, compute, cluster->frontend_server()));
-  auto size = store_client.Size("sim", "f2");
-  ASSERT_TRUE(size.ok()) << size.status();
-  EXPECT_GT(*size, 0u);
+  auto read = store_client.Get("sim", "f2");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_GT(read->object_size, 0u);
+  EXPECT_EQ(read->data.size(), read->object_size);
   auto keys = store_client.List("sim", "f");
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 6u);  // merged across storage nodes
