@@ -15,9 +15,7 @@ Column::Column(TypeKind type, size_t length, size_t null_count,
       values_(std::move(values)),
       chars_(std::move(chars)) {
   POCS_DCHECK_EQ(validity_.size(), null_count > 0 ? length : 0);
-  POCS_DCHECK_EQ(values_.size(), type == TypeKind::kString
-                                     ? (length + 1) * 4
-                                     : length * TypeWidth(type));
+  POCS_DCHECK_EQ(values_.size(), ValuesBytes(type, length));
 }
 
 Datum Column::GetDatum(size_t i) const {

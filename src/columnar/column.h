@@ -159,6 +159,13 @@ class Column {
 
 using ColumnBuilder = Column;  // building and reading share one class
 
+// Bytes of a values buffer: `length` fixed-width values, or length + 1
+// int32 offsets for strings.
+inline size_t ValuesBytes(TypeKind type, size_t length) {
+  return type == TypeKind::kString ? (length + 1) * 4
+                                   : length * TypeWidth(type);
+}
+
 // Decoders' check of decoded validity bytes: each is 0 or 1, and
 // `null_count` of them are 0. Kernels count and mask with these bytes
 // (`ones += v[i]`, `match & v[i]`), so any other byte would read as

@@ -214,17 +214,18 @@ void HashAggregator::ProbeByHash(const std::vector<ColumnPtr>& keys,
   const uint64_t* hashes = hashes_.data();
   uint32_t* groups = group_ids_.data();
   // Unequal to the first row's hash, so the first row probes.
-  uint64_t last_hash = ~hashes[rows != nullptr ? rows[0] : 0];
+  uint64_t last_hash = ~hashes[0];
   uint32_t group = 0;
   for (size_t j = 0; j < live; ++j) {
-    const size_t row = rows != nullptr ? rows[j] : j;
-    const uint64_t hash = hashes[row];
+    const uint64_t hash = hashes[j];
     if (hash != last_hash) {
       last_hash = hash;
       // Most probes end at their home slot; the rest walk the chain.
       const Slot home = slots_[hash & (slots_.size() - 1)];
       group = home.hash == hash ? home.group : kEmptySlot;
-      if (group == kEmptySlot) group = FindOrAddGroup(hash, row);
+      if (group == kEmptySlot) {
+        group = FindOrAddGroup(hash, rows != nullptr ? rows[j] : j);
+      }
     }
     groups[j] = group;
   }
@@ -274,7 +275,7 @@ void HashAggregator::Renumber(const std::vector<ColumnPtr>& keys,
   group_count_ = first_new;
   const std::vector<ColumnPtr> stored(key_store_.begin(), key_store_.end());
   ForEachRow(rows, live, [&](size_t j, size_t row) {
-    group_ids_[j] = GroupFor(stored, keys, row, hashes_[row]);
+    group_ids_[j] = GroupFor(stored, keys, row, hashes_[j]);
   });
 }
 
@@ -366,7 +367,7 @@ Status HashAggregator::Consume(const RecordBatch& batch,
   } else {
     std::vector<ColumnPtr> keys;
     for (int k : group_keys_) keys.push_back(batch.column(k));
-    columnar::HashRows(keys, &hashes_);
+    columnar::HashRows(keys, &hashes_, sel);
     if (slots_.empty()) slots_.assign(kInitialSlots, Slot{0, kEmptySlot});
     const uint32_t* rows = sel != nullptr ? sel->data() : nullptr;
     const size_t first_new = group_count_;

@@ -23,14 +23,15 @@ class HashAggregator {
 
   Status Consume(const columnar::RecordBatch& batch);
   // Selection-aware variant: accumulate only the rows in `sel` (every
-  // row when null). Aggregate arguments are evaluated and keys hashed over
-  // the whole batch. A probe pass in row order then gives each selected
-  // row the group of the previous one when their hashes are equal, else
-  // the group its hash finds in the slot table, creating it if missing;
-  // one typed loop per key column then checks every row's keys against
-  // its group's stored keys. A batch that fails a check (a NaN key, a
-  // hash collision) drops the groups it created and is renumbered row by
-  // row, so groups are numbered by first appearance on every input.
+  // row when null). Aggregate arguments are evaluated over the whole
+  // batch, and keys hashed for the selected rows only. A probe pass in
+  // row order then gives each selected row the group of the previous one
+  // when their hashes are equal, else the group its hash finds in the
+  // slot table, creating it if missing; one typed loop per key column
+  // then checks every row's keys against its group's stored keys. A
+  // batch that fails a check (a NaN key, a hash collision) drops the
+  // groups it created and is renumbered row by row, so groups are
+  // numbered by first appearance on every input.
   // Finally one typed loop per aggregate folds the selected rows in, in
   // row order (so float sums are reproducible). Placeholder rows under
   // late materialization (DESIGN.md §15) never reach an accumulator.
@@ -109,8 +110,8 @@ class HashAggregator {
   // hash in several slots.
   std::vector<Slot> slots_;
   std::vector<Accumulator> accumulators_;  // one per aggregate
-  // Per-batch scratch: row hashes, the group id of each live row, and the
-  // rows whose keys created a group.
+  // Per-batch scratch: the hash and the group id of each live row, and
+  // the rows whose keys created a group.
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> group_ids_;
   columnar::SelectionVector new_rows_;

@@ -100,8 +100,9 @@ TEST(ChaosMatrix, FaultedQueriesMatchReferenceWithExpectedSignature) {
                                      << "heal via retries, not fallbacks";
     }
     if (expectation->expect_cache_effects) {
-      // Partial-result retention: retried range fetches re-request only
-      // the ranges they lost, never the whole split.
+      // A retried rpc re-sends the one chunked range it carried, so the
+      // bytes fetched again on retry stay below the split's whole
+      // transfer; no fetched range is kept across attempts.
       EXPECT_GT(dirty.bytes_refetched_on_retry, 0u) << name;
       EXPECT_LT(dirty.bytes_refetched_on_retry, dirty.bytes_from_storage)
           << name;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "columnar/ipc.h"
 #include "columnar/kernels.h"
 #include "common/bloom.h"
 #include "exec/hash_aggregator.h"
@@ -307,16 +308,113 @@ TEST(BetweenTest, RandomizedEquivalence) {
 
 // ---- Take / TakeBatch ------------------------------------------------------
 
+// A string column of random bytes, 0–40 per string. The last row is a
+// non-null string of 5 bytes, so it ends on its chars buffer's last byte.
+ColumnPtr RandomStrings(size_t n, double null_prob, std::mt19937_64* rng) {
+  auto col = MakeColumn(TypeKind::kString);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<size_t> len(0, 40);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    if (unit(*rng) < null_prob) {
+      col->AppendNull();
+      continue;
+    }
+    std::string s(len(*rng), '\0');
+    for (char& c : s) c = static_cast<char>('a' + (*rng)() % 26);
+    col->AppendString(s);
+  }
+  col->AppendString("tail!");
+  return col;
+}
+
+// The same column over buffers that are slices of one larger owner, each
+// ending where the owner's next buffer starts, and the chars ending at
+// the owner's last byte: a read past a buffer's view is a read into
+// another buffer, or off the end of the allocation.
+ColumnPtr SlicedCopy(const Column& col) {
+  const std::vector<ByteSpan> parts = {col.validity_buffer().span(),
+                                       col.values_buffer().span(),
+                                       col.chars_buffer().span()};
+  auto owner = std::make_shared<Bytes>();
+  std::vector<size_t> at;
+  for (ByteSpan part : parts) {
+    owner->resize((owner->size() + 7) & ~size_t{7}, 0xAB);  // keep alignment
+    at.push_back(owner->size());
+    owner->insert(owner->end(), part.begin(), part.end());
+  }
+  owner->shrink_to_fit();  // the allocation ends where the chars do
+  const Buffer whole(owner, owner->data(), owner->size());
+  return std::make_shared<Column>(
+      col.type(), col.length(), col.null_count(),
+      whole.Slice(at[0], parts[0].size()), whole.Slice(at[1], parts[1].size()),
+      whole.Slice(at[2], parts[2].size()));
+}
+
+// The same column decoded from an IPC stream: slices of the stream.
+ColumnPtr FromStream(const ColumnPtr& col) {
+  auto schema = MakeSchema({{"c", col->type()}});
+  auto table =
+      ipc::DeserializeTable(ipc::SerializeBatch(*MakeBatch(schema, {col})));
+  EXPECT_TRUE(table.ok()) << table.status();
+  return (*table)->batches()[0]->column(0);
+}
+
+void ExpectSameBuffers(const Column& want, const Column& got) {
+  EXPECT_EQ(want.null_count(), got.null_count());
+  EXPECT_EQ(want.validity_buffer(), got.validity_buffer());
+  EXPECT_EQ(want.values_buffer(), got.values_buffer());
+  EXPECT_EQ(want.chars_buffer(), got.chars_buffer());
+}
+
+// Take against AppendFrom row by row, bit for bit, over every type and
+// three validity shapes (null-free, mixed, all NULL), with strings of 0–40
+// bytes; from built columns, from buffers sliced out of a larger owner
+// and from an IPC stream; under empty, single-row, one-run, sparse, dense
+// and full selections, and under row lists in other orders (a sort
+// permutation, a join's repeated rows).
 TEST(TakeTest, RandomizedEquivalence) {
   std::mt19937_64 rng(0xACE);
+  constexpr size_t kRows = 401;
   for (TypeKind type : kAllTypes) {
-    for (double null_prob : {0.0, 0.3}) {
-      ColumnPtr col = RandomColumn(type, 401, null_prob, &rng);
-      for (double keep : {0.0, 0.1, 0.6, 1.0}) {
-        SelectionVector sel = RandomSelection(col->length(), keep, &rng);
-        ColumnPtr got = Take(*col, sel);
-        ColumnPtr want = NaiveTake(*col, sel);
-        ExpectColumnsEqual(*want, *got);
+    for (double null_prob : {0.0, 0.3, 1.0}) {
+      const ColumnPtr built = type == TypeKind::kString
+                                  ? RandomStrings(kRows, null_prob, &rng)
+                                  : RandomColumn(type, kRows, null_prob, &rng);
+      std::vector<SelectionVector> lists = {
+          {}, {0}, {kRows - 1}, {kRows / 2}, {kRows - 2, kRows - 1}};
+      for (double keep : {0.05, 0.1, 0.6, 0.95}) {
+        lists.push_back(RandomSelection(kRows, keep, &rng));
+      }
+      SelectionVector all(kRows);
+      for (uint32_t i = 0; i < kRows; ++i) all[i] = i;
+      lists.push_back(all);
+      const size_t begin = rng() % kRows;
+      const size_t end = begin + 1 + rng() % (kRows - begin);
+      lists.emplace_back(all.begin() + begin, all.begin() + end);  // one run
+      SelectionVector shuffled = all;
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      lists.push_back(shuffled);
+      // A permutation that starts and ends like one run.
+      SelectionVector swapped = all;
+      std::swap(swapped[1], swapped[2]);
+      lists.push_back(swapped);
+      SelectionVector repeated;
+      for (uint32_t i : RandomSelection(kRows, 0.3, &rng)) {
+        repeated.insert(repeated.end(), {i, i, i});
+      }
+      lists.push_back(repeated);
+      const ColumnPtr layouts[] = {built, SlicedCopy(*built),
+                                   FromStream(built)};
+      for (const ColumnPtr& col : layouts) {
+        for (const SelectionVector& sel : lists) {
+          SCOPED_TRACE(std::string(TypeName(type)) + " nulls " +
+                       std::to_string(null_prob) + " rows " +
+                       std::to_string(sel.size()));
+          ColumnPtr got = Take(*col, sel);
+          ColumnPtr want = NaiveTake(*col, sel);
+          ExpectColumnsEqual(*want, *got);
+          ExpectSameBuffers(*want, *got);
+        }
       }
     }
   }
@@ -1333,6 +1431,105 @@ TEST(AggregatorDifferentialTest, MatchesPerRowReference) {
         ASSERT_TRUE(SameCell(*got.column(keys.size() + a), g, want))
             << substrait::AggFuncName(specs[a].func) << " group " << g;
       }
+    }
+  }
+}
+
+// ---- grouping under a selection -------------------------------------------
+
+// The selections a filter hands the aggregator: none, one row, one run,
+// a sparse pick and every row.
+std::vector<SelectionVector> SelectionShapes(size_t n, std::mt19937_64* rng) {
+  SelectionVector all(n);
+  for (uint32_t i = 0; i < n; ++i) all[i] = i;
+  const size_t begin = (*rng)() % n;
+  return {{},
+          {static_cast<uint32_t>((*rng)() % n)},
+          SelectionVector(all.begin() + begin,
+                          all.begin() + begin + 1 + (*rng)() % (n - begin)),
+          RandomSelection(n, 0.05, rng),
+          all};
+}
+
+TEST(HashRowsTest, SelectedRowsHashAsTheirRows) {
+  std::mt19937_64 rng(0x5E1);
+  const size_t n = 300;
+  const std::vector<ColumnPtr> keys = {
+      RandomColumn(TypeKind::kInt64, n, 0.2, &rng), RandomStrings(n, 0.2, &rng),
+      RandomColumn(TypeKind::kFloat64, n, 0.1, &rng)};
+  std::vector<uint64_t> whole;
+  HashRows(keys, &whole);
+  for (const SelectionVector& sel : SelectionShapes(n, &rng)) {
+    std::vector<uint64_t> live;
+    HashRows(keys, &live, &sel);
+    ASSERT_EQ(live.size(), sel.size());
+    for (size_t j = 0; j < sel.size(); ++j) {
+      EXPECT_EQ(live[j], whole[sel[j]]) << "row " << sel[j];
+    }
+  }
+}
+
+// Consume(batch, &sel) groups exactly as Consume(TakeBatch(batch, sel)):
+// the same groups in the same order with bit-identical results, over
+// int64, float (NaN keys take the exact renumbering path, -0.0 and 0.0
+// group apart) and string keys.
+TEST(HashAggregatorSelectionTest, SelectedRowsGroupAsTheirCompaction) {
+  std::mt19937_64 rng(0x6A7);
+  const auto schema = MakeSchema({{"k", TypeKind::kInt64},
+                                  {"f", TypeKind::kFloat64},
+                                  {"s", TypeKind::kString},
+                                  {"v", TypeKind::kFloat64}});
+  const double floats[] = {0.5, -0.0, 0.0, std::nan(""), 2.25, 1e300};
+  const char* strings[] = {"", "a", "abcdefghij", "abcdefghijklmnopqrstu"};
+  auto make_batch = [&](size_t n) {
+    auto k = MakeColumn(TypeKind::kInt64);
+    auto f = MakeColumn(TypeKind::kFloat64);
+    auto str = MakeColumn(TypeKind::kString);
+    auto v = MakeColumn(TypeKind::kFloat64);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng() % 10 == 0) {
+        k->AppendNull();
+      } else {
+        k->AppendInt64(static_cast<int64_t>(rng() % 5) - 2);
+      }
+      f->AppendFloat64(floats[rng() % 6]);
+      if (rng() % 10 == 0) {
+        str->AppendNull();
+      } else {
+        str->AppendString(strings[rng() % 4]);
+      }
+      v->AppendFloat64(static_cast<double>(rng() % 1000) * 0.125 - 7.0);
+    }
+    return MakeBatch(schema, {k, f, str, v});
+  };
+  std::vector<AggregateSpec> specs(4);
+  specs[0].func = AggFunc::kCountStar;
+  specs[1].func = AggFunc::kSum;
+  specs[1].argument = Expression::FieldRef(3, TypeKind::kFloat64);
+  specs[2].func = AggFunc::kMin;
+  specs[2].argument = Expression::FieldRef(2, TypeKind::kString);
+  specs[3].func = AggFunc::kAvg;
+  specs[3].argument = Expression::FieldRef(1, TypeKind::kFloat64);
+  for (size_t a = 0; a < specs.size(); ++a) {
+    specs[a].output_name = "a" + std::to_string(a);
+  }
+  const std::vector<std::vector<int>> key_sets = {{0}, {1}, {2}, {0, 1, 2}};
+  for (const std::vector<int>& keys : key_sets) {
+    for (int trial = 0; trial < 5; ++trial) {
+      exec::HashAggregator selected(schema, keys, specs);
+      exec::HashAggregator compacted(schema, keys, specs);
+      for (int b = 0; b < 3; ++b) {
+        const RecordBatchPtr batch = make_batch(200);
+        const std::vector<SelectionVector> shapes = SelectionShapes(200, &rng);
+        const SelectionVector& sel = shapes[(trial + b) % shapes.size()];
+        ASSERT_TRUE(selected.Consume(*batch, &sel).ok());
+        ASSERT_TRUE(compacted.Consume(*TakeBatch(*batch, sel)).ok());
+      }
+      auto got = selected.Finish();
+      auto want = compacted.Finish();
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(ipc::SerializeBatch(**got), ipc::SerializeBatch(**want))
+          << "keys " << keys.size() << " trial " << trial;
     }
   }
 }
