@@ -1320,18 +1320,13 @@ int main(int argc, char** argv) {
   // exact; means are reported as timings.
   for (const metrics::MetricSample& s :
        metrics::Registry::Default().Snapshot()) {
-    switch (s.kind) {
-      case metrics::MetricKind::kCounter:
-        report.AddExact("process." + s.name, s.value);
-        break;
-      case metrics::MetricKind::kGauge:
-        break;  // gauges are instantaneous, not comparable across runs
-      case metrics::MetricKind::kHistogram:
-        report.AddExact("process." + s.name + ".count", s.value);
-        if (s.value > 0) {
-          report.AddTiming("process." + s.name + ".mean_seconds", s.mean);
-        }
-        break;
+    if (s.kind == metrics::MetricKind::kCounter) {
+      report.AddExact("process." + s.name, s.value);
+      continue;
+    }
+    report.AddExact("process." + s.name + ".count", s.value);
+    if (s.value > 0) {
+      report.AddTiming("process." + s.name + ".mean_seconds", s.mean);
     }
   }
 

@@ -16,10 +16,9 @@
 //     eviction never invalidates data a reader already holds.
 //   - Metrics: when constructed with a metric prefix, hits / misses /
 //     evictions / inserts are mirrored into the process registry as
-//     `<prefix>.hit` etc. and resident bytes as the gauge
-//     `<prefix>.bytes` (Add/Sub deltas, so several cache instances with
-//     the same prefix sum naturally). Per-instance totals are also kept
-//     in relaxed atomics for deterministic tests.
+//     `<prefix>.hit` etc. (several cache instances with the same prefix
+//     sum naturally). Per-instance totals, resident bytes included, are
+//     kept in relaxed atomics for deterministic tests.
 #pragma once
 
 #include <atomic>
@@ -67,7 +66,6 @@ class ShardedLruCache {
       miss_metric_ = &reg.GetCounter(config_.metric_prefix + ".miss");
       eviction_metric_ = &reg.GetCounter(config_.metric_prefix + ".eviction");
       insert_metric_ = &reg.GetCounter(config_.metric_prefix + ".insert");
-      bytes_metric_ = &reg.GetGauge(config_.metric_prefix + ".bytes");
     }
   }
 
@@ -145,7 +143,6 @@ class ShardedLruCache {
                      std::memory_order_relaxed);
     if (insert_metric_) insert_metric_->Increment();
     if (eviction_metric_ && evicted) eviction_metric_->Add(evicted);
-    if (bytes_metric_) bytes_metric_->Add(byte_delta);
   }
 
   // Removes `key` if present; returns whether anything was erased.
@@ -164,7 +161,6 @@ class ShardedLruCache {
     }
     entries_.fetch_sub(1, std::memory_order_relaxed);
     bytes_.fetch_sub(charge, std::memory_order_relaxed);
-    if (bytes_metric_) bytes_metric_->Add(-static_cast<int64_t>(charge));
     return true;
   }
 
@@ -181,7 +177,6 @@ class ShardedLruCache {
     }
     entries_.fetch_sub(dropped_entries, std::memory_order_relaxed);
     bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed);
-    if (bytes_metric_) bytes_metric_->Add(-static_cast<int64_t>(dropped_bytes));
   }
 
   Stats stats() const {
@@ -230,7 +225,6 @@ class ShardedLruCache {
   metrics::Counter* miss_metric_ = nullptr;
   metrics::Counter* eviction_metric_ = nullptr;
   metrics::Counter* insert_metric_ = nullptr;
-  metrics::Gauge* bytes_metric_ = nullptr;
 };
 
 }  // namespace pocs

@@ -1,139 +1,44 @@
 #include "common/metrics.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstdio>
-
 #include "common/check.h"
 
 namespace pocs::metrics {
 
-namespace {
-
-size_t BucketFor(uint64_t nanos) {
-  return std::min<size_t>(std::bit_width(nanos), Histogram::kBuckets - 1);
-}
-
-// Representative value (nanoseconds) for samples landing in bucket i:
-// bucket 0 holds {0}, bucket i>=1 holds [2^(i-1), 2^i); report the
-// arithmetic midpoint of the range.
-double BucketMidNanos(size_t i) {
-  if (i == 0) return 0.0;
-  double lo = std::ldexp(1.0, static_cast<int>(i) - 1);
-  return lo * 1.5;
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  // JSON has no inf/nan literals; clamp to null.
-  *out += std::isfinite(v) ? buf : "null";
-}
-
-}  // namespace
-
 void Histogram::Record(double seconds) {
-  if (!(seconds > 0)) {  // negative/NaN clamp to the zero bucket
-    RecordNanos(0);
-    return;
+  uint64_t nanos = 0;  // negative/NaN clamp to zero
+  if (seconds > 0) {
+    const double n = seconds * 1e9;
+    nanos = n >= 9.2e18 ? UINT64_MAX : static_cast<uint64_t>(n);
   }
-  double nanos = seconds * 1e9;
-  RecordNanos(nanos >= 9.2e18 ? UINT64_MAX : static_cast<uint64_t>(nanos));
-}
-
-void Histogram::RecordNanos(uint64_t nanos) {
-  buckets_[BucketFor(nanos)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-  uint64_t observed = min_nanos_.load(std::memory_order_relaxed);
-  while (nanos < observed &&
-         !min_nanos_.compare_exchange_weak(observed, nanos,
-                                           std::memory_order_relaxed)) {
-  }
-  observed = max_nanos_.load(std::memory_order_relaxed);
-  while (nanos > observed &&
-         !max_nanos_.compare_exchange_weak(observed, nanos,
-                                           std::memory_order_relaxed)) {
-  }
 }
 
 double Histogram::mean_seconds() const {
-  uint64_t n = count();
-  return n == 0 ? 0.0 : total_seconds() / static_cast<double>(n);
-}
-
-double Histogram::min_seconds() const {
-  uint64_t v = min_nanos_.load(std::memory_order_relaxed);
-  return v == UINT64_MAX ? 0.0 : static_cast<double>(v) * 1e-9;
-}
-
-double Histogram::max_seconds() const {
-  return static_cast<double>(max_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-}
-
-double Histogram::QuantileSeconds(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  std::array<uint64_t, kBuckets> counts;
-  uint64_t total = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0.0;
-  uint64_t target = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-  if (target == 0) target = 1;
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    cumulative += counts[i];
-    if (cumulative >= target) {
-      // Clamp the bucket midpoint to the observed extrema so tiny sample
-      // sets report values that were actually seen.
-      double mid = BucketMidNanos(i) * 1e-9;
-      return std::clamp(mid, min_seconds(), max_seconds());
-    }
-  }
-  return max_seconds();
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_nanos_.store(0, std::memory_order_relaxed);
-  min_nanos_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_nanos_.store(0, std::memory_order_relaxed);
+  const uint64_t n = count();
+  if (n == 0) return 0.0;
+  return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) *
+         1e-9 / static_cast<double>(n);
 }
 
 Counter& Registry::GetCounter(const std::string& name) {
   MutexLock lock(mu_);
   Entry& e = entries_[name];
   if (!e.counter) {
-    POCS_CHECK(!e.gauge && !e.histogram)
-        << "metric '" << name << "' already registered with another kind";
+    POCS_CHECK(!e.histogram)
+        << "metric '" << name << "' already registered as a histogram";
     e.kind = MetricKind::kCounter;
     e.counter = std::make_unique<Counter>();
   }
   return *e.counter;
 }
 
-Gauge& Registry::GetGauge(const std::string& name) {
-  MutexLock lock(mu_);
-  Entry& e = entries_[name];
-  if (!e.gauge) {
-    POCS_CHECK(!e.counter && !e.histogram)
-        << "metric '" << name << "' already registered with another kind";
-    e.kind = MetricKind::kGauge;
-    e.gauge = std::make_unique<Gauge>();
-  }
-  return *e.gauge;
-}
-
 Histogram& Registry::GetHistogram(const std::string& name) {
   MutexLock lock(mu_);
   Entry& e = entries_[name];
   if (!e.histogram) {
-    POCS_CHECK(!e.counter && !e.gauge)
-        << "metric '" << name << "' already registered with another kind";
+    POCS_CHECK(!e.counter)
+        << "metric '" << name << "' already registered as a counter";
     e.kind = MetricKind::kHistogram;
     e.histogram = std::make_unique<Histogram>();
   }
@@ -148,75 +53,15 @@ std::vector<MetricSample> Registry::Snapshot() const {
     MetricSample s;
     s.name = name;
     s.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        s.value = static_cast<int64_t>(e.counter->value());
-        break;
-      case MetricKind::kGauge:
-        s.value = e.gauge->value();
-        break;
-      case MetricKind::kHistogram:
-        s.value = static_cast<int64_t>(e.histogram->count());
-        s.sum = e.histogram->total_seconds();
-        s.mean = e.histogram->mean_seconds();
-        s.min = e.histogram->min_seconds();
-        s.max = e.histogram->max_seconds();
-        s.p50 = e.histogram->QuantileSeconds(0.50);
-        s.p95 = e.histogram->QuantileSeconds(0.95);
-        s.p99 = e.histogram->QuantileSeconds(0.99);
-        break;
+    if (e.kind == MetricKind::kCounter) {
+      s.value = e.counter->value();
+    } else {
+      s.value = e.histogram->count();
+      s.mean = e.histogram->mean_seconds();
     }
     out.push_back(std::move(s));
   }
   return out;  // std::map iteration is already name-sorted
-}
-
-std::string Registry::ToJson() const {
-  std::vector<MetricSample> snapshot = Snapshot();
-  std::string out = "{";
-  bool first = true;
-  for (const MetricSample& s : snapshot) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + s.name + "\":";
-    switch (s.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        out += std::to_string(s.value);
-        break;
-      case MetricKind::kHistogram:
-        out += "{\"count\":" + std::to_string(s.value);
-        out += ",\"sum_s\":";
-        AppendDouble(&out, s.sum);
-        out += ",\"mean_s\":";
-        AppendDouble(&out, s.mean);
-        out += ",\"min_s\":";
-        AppendDouble(&out, s.min);
-        out += ",\"max_s\":";
-        AppendDouble(&out, s.max);
-        out += ",\"p50_s\":";
-        AppendDouble(&out, s.p50);
-        out += ",\"p95_s\":";
-        AppendDouble(&out, s.p95);
-        out += ",\"p99_s\":";
-        AppendDouble(&out, s.p99);
-        out += "}";
-        break;
-    }
-  }
-  out += "}";
-  return out;
-}
-
-void Registry::ResetAll() {
-  MutexLock lock(mu_);
-  for (auto& [name, e] : entries_) {
-    switch (e.kind) {
-      case MetricKind::kCounter: e.counter->Reset(); break;
-      case MetricKind::kGauge: e.gauge->Reset(); break;
-      case MetricKind::kHistogram: e.histogram->Reset(); break;
-    }
-  }
 }
 
 Registry& Registry::Default() {

@@ -1,12 +1,13 @@
-// Query-level observability: a process-wide, thread-safe registry of
-// named counters, gauges, and latency histograms.
+// Process-wide, thread-safe registry of named counters and duration
+// histograms (DESIGN.md §8.1).
 //
-// The paper's evaluation is built on runtime telemetry — pushdown hit
-// rates via the EventListener, per-query stage breakdowns (Table 3), and
-// bytes-moved reductions (Fig. 5). This registry is the substrate those
-// numbers flow through: every layer (exec, connectors, object store,
-// OCS storage nodes, netsim/rpc) records into it, and the bench harness
-// snapshots it into BENCH_*.json reports.
+// Each fact is counted once. Per-query counts reach the registry only
+// through the engine's fold: QueryStatsCollector adds every completed
+// query's QueryCounters as `engine.<counter>` (CounterExporter in
+// common/counters.h). The other names hold what no per-query record
+// owns — rpc and netsim wire totals, storage-side exec.* work, admission,
+// dispatch routing and cache hit/miss/insert/eviction counts — and the
+// bench harness snapshots them all into BENCH_*.json as `process.*`.
 //
 // Concurrency contract: all metric updates are lock-free atomic ops, so
 // hot paths (per-batch, per-transfer) pay one relaxed RMW. Registry
@@ -15,7 +16,6 @@
 // only non-atomic state is the name map, which is mutex-protected.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -33,65 +33,36 @@ class Counter {
   void Add(uint64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
 };
 
-// Last-written instantaneous value (queue depths, active workers).
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
-// Latency histogram over log2 buckets of nanoseconds: bucket i holds
-// samples with bit_width(nanos) == i, covering <1ns .. >9 seconds in 64
-// buckets. Quantiles are estimated at each bucket's geometric midpoint —
-// coarse (±~41%) but stable, allocation-free, and lock-free to record.
+// Durations: a sample count and their sum in nanoseconds — the count and
+// mean the bench reports.
 class Histogram {
  public:
-  static constexpr size_t kBuckets = 64;
-
+  // Negative or NaN seconds count as zero; huge values saturate.
   void Record(double seconds);
-  void RecordNanos(uint64_t nanos);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double total_seconds() const {
-    return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) *
-           1e-9;
-  }
   double mean_seconds() const;
-  double min_seconds() const;
-  double max_seconds() const;
-  // q in [0,1]; returns an estimate of the q-quantile in seconds.
-  double QuantileSeconds(double q) const;
-  void Reset();
 
  private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_nanos_{0};
-  std::atomic<uint64_t> min_nanos_{UINT64_MAX};
-  std::atomic<uint64_t> max_nanos_{0};
 };
 
-enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : uint8_t { kCounter, kHistogram };
 
 // Point-in-time view of one metric, for reports.
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  // Counter/gauge value (histograms: sample count).
-  int64_t value = 0;
-  // Histogram-only summary, in seconds.
-  double sum = 0, mean = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
+  // Counter value (histograms: sample count).
+  uint64_t value = 0;
+  // Histogram-only mean, in seconds.
+  double mean = 0;
 };
 
 // Named metric registry. Get-or-create returns stable references: metrics
@@ -100,16 +71,10 @@ struct MetricSample {
 class Registry {
  public:
   Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
   // All metrics, sorted by name.
   std::vector<MetricSample> Snapshot() const;
-  // Snapshot rendered as a JSON object keyed by metric name.
-  std::string ToJson() const;
-  // Zero every registered metric (names and references stay valid).
-  // Bench/test hook — not for concurrent use with active recorders.
-  void ResetAll();
 
   // The process-wide registry every built-in instrument records into.
   static Registry& Default();
@@ -118,7 +83,6 @@ class Registry {
   struct Entry {
     MetricKind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

@@ -1,9 +1,9 @@
 // EventListener that aggregates QueryStats across queries — the
 // engine-side sink behind the paper's "Pushdown Monitoring" telemetry.
 // Totals are kept overall and per connector id, and every completion is
-// mirrored into the process metrics registry as engine.<counter>, so
-// bench reports and dashboards see engine-level counters without
-// touching the engine.
+// folded into the process metrics registry as engine.<counter>: the one
+// path by which per-query counts reach it (DESIGN.md §8.1), so bench
+// reports see engine-level counters without touching the engine.
 //
 // Thread-safe: QueryCompleted may fire from any thread.
 #pragma once

@@ -39,21 +39,6 @@ Result<connector::SplitPlan> HiveConnector::GetSplits(const TableHandle& table,
   return plan;
 }
 
-namespace {
-
-// Mirrors every OfferPushdown outcome into the registry.
-bool RecordHivePushdownDecision(bool accepted) {
-  auto& reg = metrics::Registry::Default();
-  static auto& offered = reg.GetCounter("connector.hive.pushdown_offered");
-  static auto& ok = reg.GetCounter("connector.hive.pushdown_accepted");
-  static auto& rejected = reg.GetCounter("connector.hive.pushdown_rejected");
-  offered.Increment();
-  (accepted ? ok : rejected).Increment();
-  return accepted;
-}
-
-}  // namespace
-
 Result<bool> HiveConnector::OfferPushdown(
     const TableHandle& table, const PushedOperator& op, ScanSpec* spec,
     connector::PushdownDecision* decision) {
@@ -62,23 +47,23 @@ Result<bool> HiveConnector::OfferPushdown(
   if (!config_.select_pushdown) {
     decision->accepted = false;
     decision->reason = "select pushdown disabled (raw GET mode)";
-    return RecordHivePushdownDecision(false);
+    return false;
   }
   if (op.kind != PushedOperator::Kind::kFilter) {
     decision->accepted = false;
     decision->reason = "S3 Select API supports only filter and projection";
-    return RecordHivePushdownDecision(false);
+    return false;
   }
   if (spec->HasOperator(PushedOperator::Kind::kFilter)) {
     decision->accepted = false;
     decision->reason = "one Select filter per scan";
-    return RecordHivePushdownDecision(false);
+    return false;
   }
   std::vector<objectstore::SelectPredicate> terms;
   if (!ocs::CollectPruningTerms(op.predicate, *spec->output_schema, &terms)) {
     decision->accepted = false;
     decision->reason = "predicate not expressible in the Select API";
-    return RecordHivePushdownDecision(false);
+    return false;
   }
   if (config_.s3_strict_types) {
     // Strict S3 Select cannot process or return doubles: any float64 in
@@ -89,14 +74,14 @@ Result<bool> HiveConnector::OfferPushdown(
         decision->reason =
             "S3 Select (strict mode) does not support float64 column '" +
             f.name + "'";
-        return RecordHivePushdownDecision(false);
+        return false;
       }
     }
   }
   spec->operators.push_back(op);  // filter preserves the schema
   decision->accepted = true;
   decision->reason = "conjunctive comparison filter via S3 Select";
-  return RecordHivePushdownDecision(true);
+  return true;
 }
 
 namespace {
@@ -208,13 +193,9 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
         objectstore::StorageClient(client_.channel())
             .Get(split.bucket, split.object, &info, config_.call));
     info.AddTo(&stats);
-    {
-      auto& reg = metrics::Registry::Default();
-      static auto& gets = reg.GetCounter("connector.hive.raw_gets");
-      static auto& bytes = reg.GetCounter("connector.hive.bytes_received");
-      gets.Increment();
-      bytes.Add(info.bytes_received);
-    }
+    static auto& raw_gets =
+        metrics::Registry::Default().GetCounter("connector.hive.raw_gets");
+    raw_gets.Increment();
     // The GET reads the whole object off the storage node's media.
     stats.media_read_seconds =
         static_cast<double>(object.data.size()) / ocs::kMediaReadBandwidth;
@@ -235,11 +216,6 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
   info.AddTo(&stats);
   if (!result.ok()) {
     stats.failed_splits = 1;
-    {
-      auto& reg = metrics::Registry::Default();
-      static auto& failed = reg.GetCounter("connector.hive.failed_selects");
-      failed.Increment();
-    }
     if (!rpc::IsRetryable(result.status())) return result.status();
     // Degrade to a raw GET of the whole object and run the plan over it
     // with the storage node's scan, so the rows and row counters are the
@@ -248,11 +224,6 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
                           client_.FetchAndScan(plan, /*chunk_bytes=*/0,
                                                config_.fallback_call, &stats));
     stats.fallbacks = 1;
-    {
-      auto& reg = metrics::Registry::Default();
-      static auto& fallbacks = reg.GetCounter("connector.hive.fallbacks");
-      fallbacks.Increment();
-    }
     Stopwatch combine;
     RecordBatchPtr batch = scanned->Combine();
     stats.decode_seconds += combine.ElapsedSeconds();
@@ -269,19 +240,6 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
                         objectstore::ParseSelectCsv(csv, projected));
   stats.decode_seconds = decode.ElapsedSeconds();
   stats.rows_returned = batch->num_rows();
-
-  {
-    auto& reg = metrics::Registry::Default();
-    static auto& selects = reg.GetCounter("connector.hive.select_requests");
-    static auto& bytes = reg.GetCounter("connector.hive.bytes_received");
-    static auto& rows = reg.GetCounter("connector.hive.rows_received");
-    static auto& csv_decode =
-        reg.GetHistogram("connector.hive.csv_decode_seconds");
-    selects.Increment();
-    bytes.Add(stats.bytes_from_storage);
-    rows.Add(stats.rows_returned);
-    csv_decode.Record(stats.decode_seconds);
-  }
   return std::unique_ptr<connector::PageSource>(
       std::make_unique<SelectPageSource>(projected, std::move(batch), stats));
 }

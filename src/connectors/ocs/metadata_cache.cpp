@@ -1,30 +1,6 @@
 #include "connectors/ocs/metadata_cache.h"
 
-#include "common/metrics.h"
-
 namespace pocs::connectors {
-
-namespace {
-
-struct CacheCounters {
-  metrics::Counter* hit;
-  metrics::Counter* miss;
-  metrics::Counter* stale;
-  metrics::Counter* error;
-};
-
-CacheCounters& Counters() {
-  static CacheCounters counters = [] {
-    auto& reg = metrics::Registry::Default();
-    return CacheCounters{&reg.GetCounter("connector.metadata_cache.hit"),
-                         &reg.GetCounter("connector.metadata_cache.miss"),
-                         &reg.GetCounter("connector.metadata_cache.stale"),
-                         &reg.GetCounter("connector.metadata_cache.error")};
-  }();
-  return counters;
-}
-
-}  // namespace
 
 MetadataCache::MetadataCache(uint64_t byte_budget)
     : cache_(std::make_unique<Cache>(
@@ -42,30 +18,25 @@ MetadataCache::DescriptorPtr MetadataCache::GetDescriptor(
     auto stat = client.Stat(bucket, key);
     if (stat.ok() && stat->version == cached->version) {
       ++outcomes->hits;
-      Counters().hit->Increment();
       return cached;
     }
     if (!stat.ok()) {
       // Freshness unknowable — treat like any other stats-path failure
       // so the caller degrades to an unpruned split.
       ++outcomes->errors;
-      Counters().error->Increment();
       return nullptr;
     }
     // Version moved on: drop the stale entry and refetch below.
     cache_->Erase(cache_key);
     ++outcomes->stale;
-    Counters().stale->Increment();
   }
   auto desc = client.DescribeObject(bucket, key);
   if (!desc.ok()) {
     ++outcomes->errors;
-    Counters().error->Increment();
     return nullptr;
   }
   if (!was_cached) {
     ++outcomes->misses;
-    Counters().miss->Increment();
   }
   auto value = std::make_shared<const objectstore::ObjectDescriptor>(
       std::move(*desc));

@@ -5,8 +5,9 @@
 //
 // Outcome semantics are validated-freshness, not raw LRU residency —
 // which is why the underlying ShardedLruCache runs without a
-// metric_prefix and this class owns the connector.metadata_cache.*
-// registry counters:
+// metric_prefix. The outcomes ride on connector::SplitPlan into the
+// query's metadata_cache_* counters (folded into the registry as
+// engine.metadata_cache_*):
 //   hit    cached descriptor whose version still matches the object
 //   miss   not cached; fetched via the stats RPC
 //   stale  cached but the object moved on (overwrite); refetched

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "connectors/ocs/sql_reconstruction.h"
 #include "connectors/ocs/translator.h"
@@ -92,18 +91,6 @@ bool GroupsStayInOneSplit(const TableHandle& table, const ScanSpec& spec) {
     }
   }
   return false;
-}
-
-// Mirrors every OfferPushdown outcome into the registry (the runtime
-// counters behind the EventListener's per-query pushdown stats).
-bool RecordPushdownDecision(bool accepted) {
-  auto& reg = metrics::Registry::Default();
-  static auto& offered = reg.GetCounter("connector.ocs.pushdown_offered");
-  static auto& ok = reg.GetCounter("connector.ocs.pushdown_accepted");
-  static auto& rejected = reg.GetCounter("connector.ocs.pushdown_rejected");
-  offered.Increment();
-  (accepted ? ok : rejected).Increment();
-  return accepted;
 }
 
 // Evaluate the pruning terms against a version-validated descriptor.
@@ -254,13 +241,6 @@ Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
   plan.metadata_cache_misses = outcomes.misses;
   plan.metadata_cache_stale = outcomes.stale;
   plan.metadata_cache_errors = outcomes.errors;
-  {
-    auto& reg = metrics::Registry::Default();
-    static auto& planned = reg.GetCounter("connector.splits_planned");
-    static auto& pruned = reg.GetCounter("connector.splits_pruned");
-    planned.Add(plan.splits_planned);
-    pruned.Add(plan.splits_pruned);
-  }
   plan.splits = std::move(splits);
   return plan;
 }
@@ -376,7 +356,7 @@ Result<bool> OcsConnector::OfferPushdown(
   if (!capable) {
     decision->accepted = false;
     decision->reason = incapable_reason;
-    return RecordPushdownDecision(false);
+    return false;
   }
   const double reduction = 1.0 - selectivity;
   if (reduction < config_.min_reduction) {
@@ -384,7 +364,7 @@ Result<bool> OcsConnector::OfferPushdown(
     decision->reason =
         "estimated reduction " + std::to_string(reduction) +
         " below threshold " + std::to_string(config_.min_reduction);
-    return RecordPushdownDecision(false);
+    return false;
   }
 
   // Operator Extractor: record the operator (with its conditions) in the
@@ -418,7 +398,7 @@ Result<bool> OcsConnector::OfferPushdown(
   }
   decision->accepted = true;
   decision->reason = "estimated selectivity " + std::to_string(selectivity);
-  return RecordPushdownDecision(true);
+  return true;
 }
 
 namespace {
@@ -443,31 +423,12 @@ class OcsPageSource final : public connector::PageSource {
   size_t next_ = 0;
 };
 
-// Common tail for the cold and cache-hit paths: per-split registry
-// counters, result-schema check, page source construction.
+// Common tail for the cold and cache-hit paths: rows returned,
+// result-schema check, page source construction.
 Result<std::unique_ptr<connector::PageSource>> MakePageSource(
     const connector::ScanSpec& spec, std::shared_ptr<columnar::Table> decoded,
     PageSourceStats stats) {
   stats.rows_returned = decoded->num_rows();
-  {
-    auto& reg = metrics::Registry::Default();
-    static auto& splits = reg.GetCounter("connector.ocs.splits");
-    static auto& bytes_rx = reg.GetCounter("connector.ocs.bytes_received");
-    static auto& bytes_tx = reg.GetCounter("connector.ocs.bytes_sent");
-    static auto& rows = reg.GetCounter("connector.ocs.rows_received");
-    static auto& refetched =
-        reg.GetCounter("connector.ocs.bytes_refetched_on_retry");
-    static auto& ir = reg.GetHistogram("connector.ocs.ir_gen_seconds");
-    static auto& decode = reg.GetHistogram("connector.ocs.decode_seconds");
-    splits.Increment();
-    bytes_rx.Add(stats.bytes_from_storage);
-    bytes_tx.Add(stats.bytes_to_storage);
-    rows.Add(stats.rows_returned);
-    refetched.Add(stats.bytes_refetched_on_retry);
-    ir.Record(stats.ir_generation_seconds);
-    decode.Record(stats.decode_seconds);
-  }
-
   SchemaPtr schema = spec.output_schema ? spec.output_schema
                                         : decoded->schema();
   if (!decoded->schema()->Equals(*schema)) {
@@ -582,10 +543,6 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
   }
 
   if (!dispatch_status.ok()) {
-    auto& reg = metrics::Registry::Default();
-    static auto& failed = reg.GetCounter("connector.ocs.failed_dispatches");
-    static auto& fallbacks = reg.GetCounter("connector.ocs.fallbacks");
-    failed.Increment();
     stats.failed_splits = 1;
     if (history_) {
       history_->RecordOffloadRejection(
@@ -600,7 +557,6 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
                                       &object_version));
     data_bytes_received = stats.bytes_from_storage - bytes_before_fallback;
     stats.fallbacks = 1;
-    fallbacks.Increment();
   }
 
   // A successful split enters the split-result cache under the version

@@ -14,15 +14,13 @@ SplitDispatcher::SplitDispatcher(SplitDispatcherConfig config,
                                  size_t num_nodes)
     : config_(config), num_nodes_(num_nodes == 0 ? 1 : num_nodes) {
   auto& reg = metrics::Registry::Default();
-  inflight_plans_.reserve(num_nodes_);
-  inflight_bytes_.reserve(num_nodes_);
   node_plans_.reserve(num_nodes_);
   for (size_t i = 0; i < num_nodes_; ++i) {
-    inflight_plans_.push_back(&reg.GetGauge(NodeMetric(i, "inflight_plans")));
-    inflight_bytes_.push_back(&reg.GetGauge(NodeMetric(i, "inflight_bytes")));
     node_plans_.push_back(&reg.GetCounter(NodeMetric(i, "plans")));
   }
   MutexLock lock(mu_);
+  inflight_plans_.assign(num_nodes_, 0);
+  inflight_bytes_.assign(num_nodes_, 0);
   local_plans_.assign(num_nodes_, 0);
 }
 
@@ -30,7 +28,6 @@ SplitDispatcher::Lease SplitDispatcher::Dispatch(int node) {
   auto& reg = metrics::Registry::Default();
   static auto& routed = reg.GetCounter("dispatch.plans_routed");
   static auto& unrouted = reg.GetCounter("dispatch.plans_unrouted");
-  static auto& waits = reg.GetGauge("dispatch.throttle_waits");
   if (node < 0 || static_cast<size_t>(node) >= num_nodes_) {
     // Placement unknown (Locate failed / degraded) — dispatch untracked
     // rather than charge the wrong node.
@@ -40,23 +37,14 @@ SplitDispatcher::Lease SplitDispatcher::Dispatch(int node) {
   const size_t n = static_cast<size_t>(node);
   {
     MutexLock lock(mu_);
-    bool waited = false;
-    // The load signal is read back from the registry gauges (written
-    // only under mu_, so the wait is coherent).
     while ((config_.max_inflight_per_node > 0 &&
-            inflight_plans(n).value() >=
-                static_cast<int64_t>(config_.max_inflight_per_node)) ||
+            inflight_plans_[n] >= config_.max_inflight_per_node) ||
            (config_.max_inflight_bytes_per_node > 0 &&
-            inflight_bytes(n).value() >=
-                static_cast<int64_t>(config_.max_inflight_bytes_per_node))) {
-      waited = true;
+            inflight_bytes_[n] >= config_.max_inflight_bytes_per_node)) {
       cv_.wait(lock.native());
     }
-    inflight_plans(n).Add(1);
+    inflight_plans_[n] += 1;
     local_plans_[n] += 1;
-    // Gauge, not counter: whether a dispatch had to wait depends on
-    // worker interleaving, and the bench gate treats counters as exact.
-    if (waited) waits.Add(1);
   }
   node_plans_[n]->Increment();
   routed.Increment();
@@ -67,8 +55,7 @@ void SplitDispatcher::Lease::AddBytes(uint64_t bytes) {
   if (dispatcher_ == nullptr || node_ < 0) return;
   bytes_ += bytes;
   MutexLock lock(dispatcher_->mu_);
-  dispatcher_->inflight_bytes(static_cast<size_t>(node_))
-      .Add(static_cast<int64_t>(bytes));
+  dispatcher_->inflight_bytes_[static_cast<size_t>(node_)] += bytes;
 }
 
 void SplitDispatcher::Lease::Reset() {
@@ -83,8 +70,8 @@ void SplitDispatcher::Release(int node, uint64_t bytes) {
   const size_t n = static_cast<size_t>(node);
   {
     MutexLock lock(mu_);
-    inflight_plans(n).Add(-1);
-    if (bytes > 0) inflight_bytes(n).Add(-static_cast<int64_t>(bytes));
+    inflight_plans_[n] -= 1;
+    inflight_bytes_[n] -= bytes;
   }
   cv_.notify_all();
 }

@@ -13,11 +13,9 @@
 //     node's in-flight cap the acquire blocks (backpressure), bounding
 //     the queue depth any single storage node sees.
 //
-// The live load signal is the metrics registry itself: the per-node
-// `dispatch.node<i>.inflight_plans` / `.inflight_bytes` gauges are the
-// authoritative in-flight state (written under the dispatcher's mutex,
-// readable lock-free by dashboards), and the throttle decision reads
-// them back. Cumulative `dispatch.node<i>.plans` counters are
+// The in-flight plans and bytes per node are this instance's own state,
+// under its mutex, and a release wakes only this instance's waiters.
+// The cumulative `dispatch.node<i>.plans` registry counters are
 // schedule-deterministic — placement is deterministic and every split
 // dispatches exactly once — so the bench gate treats them as exact.
 //
@@ -50,7 +48,7 @@ class SplitDispatcher {
   SplitDispatcher(SplitDispatcherConfig config, size_t num_nodes);
 
   // RAII per-node in-flight slot. AddBytes charges result payload to the
-  // node's in-flight-bytes gauge for the lease's remaining lifetime
+  // node's in-flight bytes for the lease's remaining lifetime
   // (call once the response size is known, while decoding/merging).
   class Lease {
    public:
@@ -102,23 +100,14 @@ class SplitDispatcher {
  private:
   void Release(int node, uint64_t bytes);
 
-  // The registry gauges ARE the in-flight state; updated only under mu_
-  // so condition-variable waits stay coherent.
-  metrics::Gauge& inflight_plans(size_t node) const {
-    return *inflight_plans_[node];
-  }
-  metrics::Gauge& inflight_bytes(size_t node) const {
-    return *inflight_bytes_[node];
-  }
-
   const SplitDispatcherConfig config_;
   const size_t num_nodes_;
-  std::vector<metrics::Gauge*> inflight_plans_;
-  std::vector<metrics::Gauge*> inflight_bytes_;
   std::vector<metrics::Counter*> node_plans_;
 
   mutable Mutex mu_;
   std::condition_variable cv_;
+  std::vector<uint64_t> inflight_plans_ POCS_GUARDED_BY(mu_);
+  std::vector<uint64_t> inflight_bytes_ POCS_GUARDED_BY(mu_);
   std::vector<uint64_t> local_plans_ POCS_GUARDED_BY(mu_);
 };
 

@@ -74,7 +74,6 @@ Result<std::shared_ptr<AdmissionTicket>> AdmissionController::Enqueue(
     ++waiting_total_;
     Reg().GetCounter("admission.queued").Increment();
     BumpTenantCounter(tenant, "queued");
-    Reg().GetGauge("admission.queue_depth").Set(waiting_total_);
     GrantEligibleLocked(&deferred);
   }
   return ticket;
@@ -133,8 +132,6 @@ void AdmissionController::GrantEligibleLocked(
         .Record(waited);
     ticket->granted_cv_.notify_all();
   }
-  Reg().GetGauge("admission.running").Set(running_total_);
-  Reg().GetGauge("admission.queue_depth").Set(waiting_total_);
 }
 
 void AdmissionController::WaitForGrant(AdmissionTicket* ticket) {
@@ -203,29 +200,17 @@ AdmissionController::Snapshot AdmissionController::snapshot() const {
 
 SplitThrottle::Permit SplitThrottle::Acquire() {
   if (max_inflight_ == 0) return Permit(nullptr);
-  static auto& inflight_gauge = Reg().GetGauge("engine.splits_inflight");
-  static auto& waits_gauge = Reg().GetGauge("engine.split_throttle_waits");
   MutexLock lock(mu_);
-  bool waited = false;
-  while (inflight_ >= max_inflight_) {
-    waited = true;
-    cv_.wait(lock.native());
-  }
+  while (inflight_ >= max_inflight_) cv_.wait(lock.native());
   ++inflight_;
-  inflight_gauge.Add(1);
-  // Gauge, not counter: whether an acquire had to wait depends on worker
-  // interleaving, and the bench gate treats counters as exact.
-  if (waited) waits_gauge.Add(1);
   return Permit(this);
 }
 
 void SplitThrottle::Release() {
-  static auto& inflight_gauge = Reg().GetGauge("engine.splits_inflight");
   {
     MutexLock lock(mu_);
     --inflight_;
   }
-  inflight_gauge.Add(-1);
   cv_.notify_one();
 }
 

@@ -539,11 +539,7 @@ Result<Bytes> StorageNode::Run(const substrait::Plan& plan, bool select) const {
     auto& reg = metrics::Registry::Default();
     static auto& plans = reg.GetCounter("storage.plans_executed");
     static auto& selects = reg.GetCounter("select.requests");
-    static auto& compute = reg.GetHistogram("storage.compute_seconds");
-    static const CounterExporter<StorageCounters> exporter("storage");
     (select ? selects : plans).Increment();
-    exporter.Add(stats);
-    compute.Record(stats.storage_compute_seconds);
   }
   return std::move(frame).Finish(stats);
 }

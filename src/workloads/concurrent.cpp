@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
 #include <utility>
 
 #include "common/hash.h"
-#include "common/metrics.h"
 #include "workloads/chaos.h"
 
 namespace pocs::workloads {
@@ -188,12 +188,11 @@ Result<ConcurrentWorkloadReport> RunConcurrentWorkload(
   for (const Status& s : statuses) POCS_RETURN_NOT_OK(s);
 
   // 4. Aggregate. Exact quantities come from the controller/dispatcher
-  //    (pure functions of the schedule); timing quantiles come from the
-  //    registry histograms the driver feeds here.
+  //    (pure functions of the schedule); timing quantiles come from this
+  //    run's outcomes.
   ConcurrentWorkloadReport report;
   report.outcomes = std::move(outcomes);
 
-  auto& reg = metrics::Registry::Default();
   std::map<std::string, std::vector<double>> tenant_seconds;
   std::map<std::string, std::vector<double>> tenant_waits;
   for (const QueryOutcome& out : report.outcomes) {
@@ -206,10 +205,6 @@ Result<ConcurrentWorkloadReport> RunConcurrentWorkload(
         HashCombine(out.rows, out.row_fingerprint));
     if (out.rejected) continue;
     report.rows_total += out.rows;
-    reg.GetHistogram("workload.concurrent." + out.tenant + ".sim_seconds")
-        .Record(out.sim_seconds);
-    reg.GetHistogram("workload.concurrent." + out.tenant + ".queue_wait")
-        .Record(out.queue_wait_seconds);
     tenant_seconds[out.tenant].push_back(out.sim_seconds);
     tenant_waits[out.tenant].push_back(out.queue_wait_seconds);
   }
@@ -224,9 +219,6 @@ Result<ConcurrentWorkloadReport> RunConcurrentWorkload(
     t.queries = group.queued + group.rejected;
     t.admitted = group.admitted;
     t.rejected = group.rejected;
-    // Quantiles over this run's samples (the registry histograms carry
-    // the same data for the bench exporter, but accumulate across runs
-    // within a process; the report is per-run).
     t.p50_seconds = Quantile(tenant_seconds[t.tenant], 0.50);
     t.p95_seconds = Quantile(tenant_seconds[t.tenant], 0.95);
     t.p99_seconds = Quantile(tenant_seconds[t.tenant], 0.99);

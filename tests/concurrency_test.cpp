@@ -3,13 +3,20 @@
 // (same seed → bit-identical per-query results AND identical exact
 // admission/dispatch counters across two fresh testbeds), correctness
 // under throttling against a serial reference, deterministic rejection,
-// least-loaded placement spread, and engine-internal admission.
+// least-loaded placement spread, engine-internal admission, and split
+// dispatchers that keep their in-flight state to themselves.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "connectors/ocs/split_dispatcher.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
 #include "workloads/tpch.h"
@@ -158,6 +165,50 @@ TEST(ConcurrentWorkload, EngineInternalAdmission) {
   EXPECT_EQ(snap.queued, 1u);
   EXPECT_EQ(snap.admitted, 1u);
   EXPECT_EQ(snap.running, 0u);  // released when Execute returned
+}
+
+using connectors::SplitDispatcher;
+
+// Dispatch(0) on a detached thread; the future holds the granted lease.
+// A dispatch that never returns keeps the thread, and the dispatcher it
+// shares, alive: the test then fails on its bounded wait instead of
+// hanging.
+std::future<SplitDispatcher::Lease> DispatchAsync(
+    std::shared_ptr<SplitDispatcher> dispatcher) {
+  std::promise<SplitDispatcher::Lease> granted;
+  std::future<SplitDispatcher::Lease> lease = granted.get_future();
+  std::thread([dispatcher = std::move(dispatcher),
+               granted = std::move(granted)]() mutable {
+    granted.set_value(dispatcher->Dispatch(0));
+  }).detach();
+  return lease;
+}
+
+// Two dispatchers over one node each, one plan in flight per node: each
+// throttles only its own leases, and a release wakes its own waiters.
+TEST(SplitDispatcherTest, InstancesShareNoInFlightState) {
+  using std::chrono::milliseconds;
+  connectors::SplitDispatcherConfig config;
+  config.max_inflight_per_node = 1;
+  auto a = std::make_shared<SplitDispatcher>(config, 1);
+  auto b = std::make_shared<SplitDispatcher>(config, 1);
+
+  SplitDispatcher::Lease a_first = a->Dispatch(0);
+  auto b_first = DispatchAsync(b);
+  ASSERT_EQ(b_first.wait_for(milliseconds(5000)), std::future_status::ready)
+      << "B waited on a lease held by A";
+  SplitDispatcher::Lease b_lease = b_first.get();
+
+  auto a_second = DispatchAsync(a);
+  EXPECT_EQ(a_second.wait_for(milliseconds(100)), std::future_status::timeout)
+      << "A dispatched past its own in-flight cap";
+  a_first = SplitDispatcher::Lease();  // release A's first lease
+  ASSERT_EQ(a_second.wait_for(milliseconds(5000)), std::future_status::ready)
+      << "releasing A's lease did not wake A's waiter";
+  SplitDispatcher::Lease a_lease = a_second.get();
+
+  EXPECT_EQ(a->NodePlanCounts(), std::vector<uint64_t>{2});
+  EXPECT_EQ(b->NodePlanCounts(), std::vector<uint64_t>{1});
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Metrics registry: correctness of counters/gauges/histograms, registry
-// get-or-create semantics, JSON rendering, and — the part that matters
-// under debug-tsan — concurrent updates from many threads, both through
-// cached references and through fresh registry lookups.
+// Metrics registry: correctness of counters and histograms, registry
+// get-or-create semantics, and — the part that matters under debug-tsan —
+// concurrent updates from many threads, both through cached references
+// and through fresh registry lookups.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,21 +15,12 @@
 namespace pocs::metrics {
 namespace {
 
-TEST(Counter, AddAndReset) {
+TEST(Counter, AddAndIncrement) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   c.Add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Gauge, SetAddNegative) {
-  Gauge g;
-  g.Set(10);
-  g.Add(-25);
-  EXPECT_EQ(g.value(), -15);
 }
 
 TEST(Histogram, SummaryStats) {
@@ -38,31 +29,18 @@ TEST(Histogram, SummaryStats) {
   EXPECT_EQ(h.mean_seconds(), 0.0);
   for (double s : {0.001, 0.002, 0.004, 0.008}) h.Record(s);
   EXPECT_EQ(h.count(), 4u);
-  EXPECT_NEAR(h.total_seconds(), 0.015, 1e-9);
   EXPECT_NEAR(h.mean_seconds(), 0.015 / 4, 1e-9);
-  EXPECT_NEAR(h.min_seconds(), 0.001, 1e-9);
-  EXPECT_NEAR(h.max_seconds(), 0.008, 1e-9);
-  // Quantiles are log2-bucket estimates (±~41%), and clamped to the
-  // observed range.
-  double p50 = h.QuantileSeconds(0.5);
-  EXPECT_GE(p50, 0.001);
-  EXPECT_LE(p50, 0.008);
-  EXPECT_LE(h.QuantileSeconds(0.0), h.QuantileSeconds(1.0));
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max_seconds(), 0.0);
-}
-
-TEST(Histogram, QuantileAccuracyWithinBucketError) {
-  Histogram h;
-  // 1000 samples at exactly 1ms: every quantile must estimate 1ms within
-  // one log2 bucket (x in [lo, 2*lo) → midpoint 1.5*lo → ±50% worst case).
-  for (int i = 0; i < 1000; ++i) h.Record(1e-3);
-  for (double q : {0.5, 0.95, 0.99}) {
-    double est = h.QuantileSeconds(q);
-    EXPECT_GE(est, 0.5e-3) << "q=" << q;
-    EXPECT_LE(est, 2e-3) << "q=" << q;
-  }
+  // Negative and NaN samples count, as zero.
+  Histogram clamped;
+  clamped.Record(-1.0);
+  clamped.Record(std::nan(""));
+  clamped.Record(0.003);
+  EXPECT_EQ(clamped.count(), 3u);
+  EXPECT_NEAR(clamped.mean_seconds(), 0.001, 1e-9);
+  // A sample too large for nanoseconds saturates instead of wrapping.
+  Histogram huge;
+  huge.Record(1e300);
+  EXPECT_GT(huge.mean_seconds(), 1e9);
 }
 
 TEST(Registry, GetOrCreateReturnsStableReferences) {
@@ -79,43 +57,20 @@ TEST(Registry, GetOrCreateReturnsStableReferences) {
 TEST(Registry, SnapshotSortedAndTyped) {
   Registry reg;
   reg.GetCounter("b.count").Add(3);
-  reg.GetGauge("a.depth").Set(-2);
+  reg.GetCounter("a.rows").Add(2);
   reg.GetHistogram("c.lat").Record(0.5);
   auto samples = reg.Snapshot();
   ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[0].name, "a.depth");
-  EXPECT_EQ(samples[0].kind, MetricKind::kGauge);
-  EXPECT_EQ(samples[0].value, -2);
+  EXPECT_EQ(samples[0].name, "a.rows");
+  EXPECT_EQ(samples[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(samples[0].value, 2u);
   EXPECT_EQ(samples[1].name, "b.count");
   EXPECT_EQ(samples[1].kind, MetricKind::kCounter);
-  EXPECT_EQ(samples[1].value, 3);
+  EXPECT_EQ(samples[1].value, 3u);
   EXPECT_EQ(samples[2].name, "c.lat");
   EXPECT_EQ(samples[2].kind, MetricKind::kHistogram);
-  EXPECT_EQ(samples[2].value, 1);  // histogram sample count
-  EXPECT_NEAR(samples[2].sum, 0.5, 1e-9);
-}
-
-TEST(Registry, ToJsonContainsMetrics) {
-  Registry reg;
-  reg.GetCounter("rows").Add(12);
-  reg.GetHistogram("lat").Record(0.25);
-  std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
-  EXPECT_NE(json.find("12"), std::string::npos);
-  EXPECT_NE(json.find("\"lat\""), std::string::npos);
-}
-
-TEST(Registry, ResetAllZeroesButKeepsReferences) {
-  Registry reg;
-  Counter& c = reg.GetCounter("n");
-  c.Add(5);
-  Histogram& h = reg.GetHistogram("t");
-  h.Record(1.0);
-  reg.ResetAll();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  c.Increment();  // references stay live after reset
-  EXPECT_EQ(reg.GetCounter("n").value(), 1u);
+  EXPECT_EQ(samples[2].value, 1u);  // histogram sample count
+  EXPECT_NEAR(samples[2].mean, 0.5, 1e-9);
 }
 
 TEST(Registry, DefaultIsProcessWide) {
@@ -165,8 +120,8 @@ TEST(RpcMetrics, FailedCallsStillCountRequestSideMetrics) {
   EXPECT_EQ(reg.GetCounter("rpc.response_bytes").value() - resp0, 0u);
 }
 
-// The TSan target: hammer one counter, one gauge, and one histogram from
-// many threads, half through cached references and half through fresh
+// The TSan target: hammer one counter and one histogram from many
+// threads, half through cached references and half through fresh
 // name lookups (exercising the registry mutex against the lock-free
 // updates).
 TEST(MetricsConcurrency, ParallelUpdatesAreExact) {
@@ -182,21 +137,19 @@ TEST(MetricsConcurrency, ParallelUpdatesAreExact) {
       for (int i = 0; i < kIters; ++i) {
         if (t % 2 == 0) {
           counter.Increment();
-          hist.RecordNanos(static_cast<uint64_t>(i % 1000) + 1);
+          hist.Record(1e-6);
         } else {
           reg.GetCounter("stress.counter").Increment();
           reg.GetHistogram("stress.hist").Record(1e-6);
         }
-        reg.GetGauge("stress.gauge").Set(i);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(counter.value(), static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(hist.count(), static_cast<uint64_t>(kThreads) * kIters);
-  // Min/max survive the CAS races.
-  EXPECT_GT(hist.max_seconds(), 0.0);
-  EXPECT_GT(hist.min_seconds(), 0.0);
+  // The nanosecond sum is exact too: every sample is 1000 ns.
+  EXPECT_NEAR(hist.mean_seconds(), 1e-6, 1e-12);
 }
 
 // Snapshots taken while writers are active must be internally sane
@@ -219,7 +172,7 @@ TEST(MetricsConcurrency, SnapshotDuringWrites) {
   for (int i = 0; i < 50; ++i) {
     for (const MetricSample& s : reg.Snapshot()) {
       if (s.name == "live.rows") {
-        auto v = static_cast<uint64_t>(s.value);
+        const uint64_t v = s.value;
         EXPECT_GE(v, last);  // counters are monotone
         EXPECT_LE(v, static_cast<uint64_t>(kWriters) * kIters * 2);
         last = v;

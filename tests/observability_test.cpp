@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <regex>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/counters.h"
@@ -18,6 +20,7 @@
 #include "connector/query_stats_collector.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
+#include "workloads/tpch.h"
 
 namespace pocs::workloads {
 namespace {
@@ -27,6 +30,8 @@ using connector::QueryStatsCollector;
 
 constexpr size_t kFiles = 2;
 constexpr size_t kRowsPerFile = 1 << 12;
+// An OCS catalog with the planner's metadata cache on.
+constexpr const char* kMetadataCatalog = "ocs_metadata";
 
 struct ObservabilityFixture : ::testing::Test {
   static void SetUpTestSuite() {
@@ -38,6 +43,20 @@ struct ObservabilityFixture : ::testing::Test {
     auto data = GenerateLaghos(config);
     ASSERT_TRUE(data.ok()) << data.status().ToString();
     ASSERT_TRUE(testbed->Ingest(std::move(*data)).ok());
+    // lineitem and supplier, for the join and the metadata-cache catalog.
+    TpchConfig tpch;
+    tpch.num_files = 2;
+    tpch.rows_per_file = 4096;
+    tpch.rows_per_group = 1024;
+    auto fact = GenerateLineitem(tpch);
+    ASSERT_TRUE(fact.ok()) << fact.status().ToString();
+    ASSERT_TRUE(testbed->Ingest(std::move(*fact)).ok());
+    auto dim = GenerateSupplier(SupplierConfig{});
+    ASSERT_TRUE(dim.ok()) << dim.status().ToString();
+    ASSERT_TRUE(testbed->Ingest(std::move(*dim)).ok());
+    connectors::OcsConnectorConfig cached = testbed->config().ocs_connector;
+    cached.metadata_cache_bytes = 1 << 20;
+    testbed->RegisterOcsCatalog(kMetadataCatalog, cached);
   }
   static void TearDownTestSuite() { testbed.reset(); }
 
@@ -146,10 +165,24 @@ FlatCounters Flatten(const QueryCounters& counters) {
   return flat;
 }
 
+// Registry names that no per-query record owns (DESIGN.md §8.1).
+bool HasNoPerQueryOwner(const std::string& name) {
+  static const std::regex kFamilies(
+      R"((rpc|netsim|exec|admission)\..+)"
+      R"(|dispatch\.(node\d+\.plans|plans_routed|plans_unrouted))"
+      R"(|ocs\.(rowgroup|splitresult)_cache\.(hit|miss|insert|eviction))"
+      R"(|storage\.(plans_executed|exec_rejected)|select\.requests)"
+      R"(|connector\.hive\.raw_gets)");
+  return std::regex_match(name, kFamilies);
+}
+
 // Generated from the counter list, so a new counter is covered without
 // editing this test: for every count, the engine.<name> registry delta
 // equals the collector's totals() delta, which equals the sum of the
-// queries' result->metrics; every seconds field sums the same way.
+// queries' result->metrics; every seconds field sums the same way. The
+// queries cover every scan path — pushdown, S3 Select, raw GET, a join
+// with its key bloom and the metadata cache — and afterwards the
+// registry holds only the engine's fold and names no query owns.
 TEST_F(ObservabilityFixture, EngineCountersMirrorIntoProcessRegistry) {
   auto& reg = metrics::Registry::Default();
   auto registry_counts = [&reg] {
@@ -163,17 +196,26 @@ TEST_F(ObservabilityFixture, EngineCountersMirrorIntoProcessRegistry) {
   const std::vector<uint64_t> registry_before = registry_counts();
   const QueryStatsCollector::Totals totals_before = testbed->stats().totals();
 
+  const std::vector<std::pair<std::string, std::string>> runs = {
+      {LaghosQuery(), "ocs"},
+      {LaghosQuery(), "hive"},
+      {LaghosQuery(), "hive_raw"},
+      {TpchJoinQuery("lineitem", "supplier"), "ocs"},
+      {TpchSelectiveQuery(), kMetadataCatalog},
+      {TpchSelectiveQuery(), kMetadataCatalog},
+  };
   QueryCounters sum;
-  for (const char* catalog : {"ocs", "hive_raw"}) {
-    auto result = testbed->Run(LaghosQuery(), catalog);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  for (const auto& [sql, catalog] : runs) {
+    auto result = testbed->Run(sql, catalog);
+    ASSERT_TRUE(result.ok()) << catalog << ": " << result.status().ToString();
     sum += result->metrics;
   }
 
   const std::vector<uint64_t> registry_after = registry_counts();
   const QueryStatsCollector::Totals totals_after = testbed->stats().totals();
-  EXPECT_EQ(reg.GetCounter("engine.queries").value(), queries_before + 2);
-  EXPECT_EQ(totals_after.queries, totals_before.queries + 2);
+  EXPECT_EQ(reg.GetCounter("engine.queries").value(),
+            queries_before + runs.size());
+  EXPECT_EQ(totals_after.queries, totals_before.queries + runs.size());
   EXPECT_GT(reg.GetHistogram("engine.query_wall_seconds").count(), 0u);
 
   const FlatCounters before = Flatten(totals_before);
@@ -194,6 +236,20 @@ TEST_F(ObservabilityFixture, EngineCountersMirrorIntoProcessRegistry) {
   }
   EXPECT_GT(sum.rows_scanned, 0u);
   EXPECT_GT(sum.pushdown_accepted, 0u);
+  EXPECT_GT(sum.bloom_pushed, 0u);
+  EXPECT_GT(sum.metadata_cache_misses, 0u);
+  EXPECT_GT(sum.metadata_cache_hits, 0u);
+
+  // One sink: each registry name is the engine's fold of these counts or
+  // a fact no per-query record owns.
+  std::set<std::string> fold = {"engine.queries", "engine.query_wall_seconds"};
+  for (const std::string& name : before.count_names) {
+    fold.insert("engine." + name);
+  }
+  for (const metrics::MetricSample& s : reg.Snapshot()) {
+    EXPECT_TRUE(fold.count(s.name) > 0 || HasNoPerQueryOwner(s.name))
+        << s.name << " counts what a query record already holds";
+  }
 }
 
 TEST_F(ObservabilityFixture, LegacyEventFieldsStayPopulated) {
