@@ -17,8 +17,9 @@
 //   Table 3    the stage breakdown of one query on one Laghos file;
 //   ablations  storage-node scale-out and row-group size;
 // then the concurrent multi-tenant workload, the micro_kernels
-// naive-vs-vectorized comparisons, and each LZ codec's frame size,
-// decoded-output hash and decode time.
+// naive-vs-vectorized comparisons and the storage scan without and with
+// read-ahead, and each LZ codec's frame size, decoded-output hash and
+// decode time.
 //
 // Every step starts cold: the storage nodes' row-group caches are
 // cleared before it, and each step runs through its own catalog, so
@@ -42,6 +43,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1039,14 +1041,21 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The registry rollup at the end reports the workloads above. The
+  // micro benchmarks' storage scans (scan_readahead) run the executor,
+  // which counts into the registry too, so it is read here.
+  const std::vector<metrics::MetricSample> process =
+      metrics::Registry::Default().Snapshot();
+
   // --- micro_kernels: vectorized kernels vs the pre-PR scalar loops ------
   // Seeded data, best-of-N wall time per variant. Per-variant seconds
   // and the naive/kernel speedup are recorded as timings (the 11x
   // baseline tolerance absorbs machine variance); the speedup floors
   // (DESIGN.md §15: ≥2x int64 filter, ≥3x dictionary-string filter,
   // ≥4.5x string gather, ≥2x int64 gather, ≥1.5x grouping; §16: ≥4x
-  // checksum) are enforced here in optimized builds so a kernel
-  // regression fails the bench run itself, not just the baseline diff.
+  // checksum; §10.6: ≥1.5x scan read-ahead on four or more cores) are
+  // enforced here in optimized builds so a kernel regression fails the
+  // bench run itself, not just the baseline diff.
   {
     const size_t n = args.smoke ? (1u << 19) : (1u << 21);
     const int reps = 5;
@@ -1229,6 +1238,53 @@ int main(int argc, char** argv) {
       micro.push_back({"group_by", naive, kernel, 1.5, n, "Mrows/s"});
     }
 
+    // Scan read-ahead: one zs-lite Laghos object of many row groups read
+    // whole by ExecuteOnObject, decoding each chunk itself ("naive")
+    // against decoding ahead on a storage node's pool (DESIGN.md §10.6).
+    // The pool has one thread fewer than the machine has cores, so the
+    // floor applies only with three or more pool threads.
+    {
+      workloads::LaghosConfig laghos;
+      laghos.num_files = 1;
+      laghos.rows_per_file = args.smoke ? (1u << 16) : (1u << 18);
+      laghos.rows_per_group = 1u << 12;
+      laghos.codec = compress::CodecType::kZsLite;
+      laghos.seed = args.SeedOr(laghos.seed);
+      auto dataset = workloads::GenerateLaghos(laghos);
+      if (!dataset.ok()) {
+        std::fprintf(stderr, "bench_report: scan_readahead: %s\n",
+                     dataset.status().ToString().c_str());
+        return 1;
+      }
+      const objectstore::VersionedObject object{
+          std::make_shared<const Bytes>(std::move(dataset->files[0].second)),
+          1};
+      substrait::Plan plan;
+      plan.root = std::make_unique<substrait::Rel>();
+      plan.root->kind = substrait::RelKind::kRead;
+      plan.root->bucket = dataset->info.bucket;
+      plan.root->object = dataset->files[0].first;
+      plan.root->base_schema = workloads::LaghosSchema();
+      const ocs::StorageNode node(std::make_shared<objectstore::ObjectStore>(),
+                                  ocs::StorageNodeConfig{});
+      bool scanned = true;
+      auto scan = [&](ThreadPool* pool) {
+        ocs::OcsExecStats stats;
+        ocs::ReadAhead read_ahead{pool};
+        auto table =
+            ocs::ExecuteOnObject(plan, object, nullptr, &stats, &read_ahead);
+        scanned &= table.ok();
+        return table.ok() ? (*table)->num_rows() : 0;
+      };
+      const auto [sequential, read_ahead] = BestAlternating(
+          reps, &sink, [&] { return scan(nullptr); },
+          [&] { return scan(node.decode_pool()); });
+      Check(scanned, "micro_kernels.scan_readahead: the scan failed");
+      const double floor = std::thread::hardware_concurrency() >= 4 ? 1.5 : 0;
+      micro.push_back({"scan_readahead", sequential, read_ahead, floor,
+                       laghos.rows_per_file, "Mrows/s"});
+    }
+
     // Row hashing has no pre-PR per-row counterpart to race (the old
     // code hashed Datum copies inside the aggregator); record absolute
     // throughput only.
@@ -1318,8 +1374,7 @@ int main(int argc, char** argv) {
   // Counters are order-independent sums over fixed-seed workloads →
   // exact. Histograms carry wall time → only their populations are
   // exact; means are reported as timings.
-  for (const metrics::MetricSample& s :
-       metrics::Registry::Default().Snapshot()) {
+  for (const metrics::MetricSample& s : process) {
     if (s.kind == metrics::MetricKind::kCounter) {
       report.AddExact("process." + s.name, s.value);
       continue;

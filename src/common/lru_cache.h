@@ -104,6 +104,15 @@ class ShardedLruCache {
     return value;
   }
 
+  // Whether `key` is cached, without touching it: the entry keeps its LRU
+  // position and neither a hit nor a miss is counted.
+  bool Contains(const Key& key) {
+    if (!enabled()) return false;
+    Shard& shard = ShardFor(key);
+    MutexLock lock(shard.mu);
+    return shard.index.count(key) != 0;
+  }
+
   // Inserts (or replaces) `key`, charging `charge` bytes against the
   // shard's budget slice and evicting LRU entries to make room. Oversized
   // entries (charge > budget/shards) are not admitted.

@@ -26,7 +26,6 @@ SplitDispatcher::SplitDispatcher(SplitDispatcherConfig config,
 
 SplitDispatcher::Lease SplitDispatcher::Dispatch(int node) {
   auto& reg = metrics::Registry::Default();
-  static auto& routed = reg.GetCounter("dispatch.plans_routed");
   static auto& unrouted = reg.GetCounter("dispatch.plans_unrouted");
   if (node < 0 || static_cast<size_t>(node) >= num_nodes_) {
     // Placement unknown (Locate failed / degraded) — dispatch untracked
@@ -47,7 +46,6 @@ SplitDispatcher::Lease SplitDispatcher::Dispatch(int node) {
     local_plans_[n] += 1;
   }
   node_plans_[n]->Increment();
-  routed.Increment();
   return Lease(this, node);
 }
 

@@ -59,7 +59,6 @@ Result<std::shared_ptr<AdmissionTicket>> AdmissionController::Enqueue(
     if (group.config.max_queued > 0 &&
         group.waiting.size() >= group.config.max_queued) {
       ++group.rejected_total;
-      Reg().GetCounter("admission.rejected").Increment();
       BumpTenantCounter(tenant, "rejected");
       return Status::Unavailable("admission queue full for tenant '" + tenant +
                                  "' (max_queued=" +
@@ -72,7 +71,6 @@ Result<std::shared_ptr<AdmissionTicket>> AdmissionController::Enqueue(
     group.waiting.push_back(ticket);
     ++group.queued_total;
     ++waiting_total_;
-    Reg().GetCounter("admission.queued").Increment();
     BumpTenantCounter(tenant, "queued");
     GrantEligibleLocked(&deferred);
   }
@@ -123,9 +121,7 @@ void AdmissionController::GrantEligibleLocked(
     const double waited = ticket->wait_timer_.ElapsedSeconds();
     granted_[ticket.get()] = true;
     ticket->queue_wait_seconds_.store(waited, std::memory_order_relaxed);
-    Reg().GetCounter("admission.admitted").Increment();
     BumpTenantCounter(ticket->tenant_, "admitted");
-    Reg().GetHistogram("admission.queue_wait_seconds").Record(waited);
     Reg()
         .GetHistogram("admission.tenant." + ticket->tenant_ +
                       ".queue_wait_seconds")

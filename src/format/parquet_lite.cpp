@@ -218,26 +218,22 @@ Result<RecordBatchPtr> FileReader::ReadRowGroup(
       cols.push_back(static_cast<int>(c));
     }
   }
-  const RowGroupMeta& g = meta_.row_groups[group];
-  const auto& codec = compress::GetCodec(meta_.codec);
-
   std::vector<columnar::Field> fields;
   std::vector<ColumnPtr> columns;
   for (int c : cols) {
-    if (c < 0 || static_cast<size_t>(c) >= meta_.schema->num_fields()) {
-      return Status::InvalidArgument("bad column index");
-    }
-    POCS_ASSIGN_OR_RETURN(ByteSpan raw, ChunkData(group, c));
-    POCS_ASSIGN_OR_RETURN(Bytes payload, codec.Decompress(raw));
-    POCS_ASSIGN_OR_RETURN(
-        ColumnPtr column,
-        DecodePage(Buffer::Adopt(std::move(payload)), meta_.schema->field(c),
-                   g.num_rows));
+    POCS_ASSIGN_OR_RETURN(ColumnPtr column, ReadChunk(group, c));
     fields.push_back(meta_.schema->field(c));
     columns.push_back(std::move(column));
   }
   return MakeBatch(columnar::MakeSchema(std::move(fields)),
                    std::move(columns));
+}
+
+Result<ColumnPtr> FileReader::ReadChunk(size_t group, int column) const {
+  POCS_ASSIGN_OR_RETURN(Bytes payload, ReadChunkPage(group, column));
+  return DecodePage(Buffer::Adopt(std::move(payload)),
+                    meta_.schema->field(column),
+                    meta_.row_groups[group].num_rows);
 }
 
 Result<std::shared_ptr<columnar::Table>> FileReader::ReadAll(

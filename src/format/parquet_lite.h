@@ -114,6 +114,11 @@ class FileReader {
   // fetch — used for transfer accounting in filter-only pushdown paths.
   uint64_t ChunkBytes(size_t group, const std::vector<int>& columns) const;
 
+  // One column chunk of one row group, decoded: checksum, decompression
+  // and page decode. ReadRowGroup is this per projected column; the
+  // storage node's scan and its read-ahead tasks call it per chunk.
+  Result<columnar::ColumnPtr> ReadChunk(size_t group, int column) const;
+
   // Decompressed encoded page bytes (leading encoding byte) of one
   // column chunk, without materializing the column. The dictionary-aware
   // scan path uses this to evaluate predicates in the code domain and

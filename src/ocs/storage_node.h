@@ -3,9 +3,11 @@
 // returns results in the Arrow-like IPC format (§2.3/§3.4 of the paper).
 //
 // The node's weaker CPU (Table 1: 16 cores @ 2.0 GHz vs the compute
-// node's 64 @ 2.9) is modelled by scaling measured execution wall time by
-// `cpu_slowdown`; the scaled figure is reported to callers, who fold it
-// into query timing. Byte movement is never scaled — it is exact.
+// node's 64 @ 2.9) is modelled by scaling the measured work of a request
+// by `cpu_slowdown`; the scaled figure is reported to callers, who fold
+// it into query timing. The work is summed over threads, not read off the
+// wall clock: the time model divides it by the node's 16-way parallelism
+// (DESIGN.md §4). Byte movement is never scaled — it is exact.
 //
 // Decoded row-group cache (DESIGN.md §10): each node keeps a sharded,
 // byte-budgeted LRU of decoded column chunks keyed by (object, object
@@ -13,6 +15,15 @@
 // over the same objects skip media reads, decompression, and page
 // decoding; a PUT overwrite bumps the object version so stale entries
 // can never be served.
+//
+// Read-ahead (DESIGN.md §10.6): each node also keeps a pool of decode
+// threads, one fewer than the machine's cores (1 to 15). A scan of a
+// compressed object queues the chunks of the next row groups it will
+// read, and the pool verifies, decompresses and decodes them while the
+// scan's own thread works through the current group. The scan takes each
+// chunk from its slot in the order it always did, so every cache lookup
+// and insert, every counter and every answer is the sequential scan's;
+// it decodes a chunk itself when no pool thread has started it yet.
 #pragma once
 
 #include <atomic>
@@ -23,6 +34,7 @@
 #include "common/counters.h"
 #include "common/hash.h"
 #include "common/lru_cache.h"
+#include "common/thread_pool.h"
 #include "exec/plan_executor.h"
 #include "objectstore/object_store.h"
 #include "objectstore/select.h"
@@ -101,18 +113,19 @@ struct RowGroupCacheKeyHash {
 using RowGroupCache =
     ShardedLruCache<RowGroupCacheKey, columnar::Column, RowGroupCacheKeyHash>;
 
+// A scan's read-ahead: the pool that decodes its chunks ahead of it, and
+// what that cost. The scan's work is its own thread's elapsed time, less
+// `waited_seconds`, plus `pool_seconds`.
+struct ReadAhead {
+  ThreadPool* pool = nullptr;
+  double pool_seconds = 0;    // the pool's decode tasks for this scan
+  double waited_seconds = 0;  // the scan's thread waiting on those tasks
+};
+
 class StorageNode {
  public:
   StorageNode(std::shared_ptr<objectstore::ObjectStore> store,
-              StorageNodeConfig config)
-      : store_(std::move(store)), config_(config) {
-    if (config_.rowgroup_cache_bytes > 0) {
-      rowgroup_cache_ = std::make_shared<RowGroupCache>(LruCacheConfig{
-          .byte_budget = config_.rowgroup_cache_bytes,
-          .shards = 8,
-          .metric_prefix = "ocs.rowgroup_cache"});
-    }
-  }
+              StorageNodeConfig config);
 
   const std::shared_ptr<objectstore::ObjectStore>& store() const {
     return store_;
@@ -146,6 +159,9 @@ class StorageNode {
     return rowgroup_cache_;
   }
 
+  // The node's decode threads, which its scans read ahead on.
+  ThreadPool* decode_pool() const { return decode_pool_.get(); }
+
  private:
   Result<Bytes> Run(const substrait::Plan& plan, bool select) const;
 
@@ -154,6 +170,7 @@ class StorageNode {
   mutable StorageNodeFaults faults_;
   // Internally synchronized; shared across concurrent ExecutePlan calls.
   std::shared_ptr<RowGroupCache> rowgroup_cache_;
+  std::unique_ptr<ThreadPool> decode_pool_;
 };
 
 // The OcsResult wire: the frame an ExecutePlan or Select response carries
@@ -211,9 +228,15 @@ Result<OcsResult> DecodeOcsResult(BufferReader* in);
 // run it, and so does OcsClient::FetchAndScan, both connectors'
 // engine-side fallback, so a fallback returns the rows and row counters
 // the storage node would have (DESIGN.md §9.3).
+//
+// With a `read_ahead` pool, a compressed object's chunks are decoded
+// ahead on it (the header comment), and the pool's and the waits' seconds
+// are added to `read_ahead`; the result, the counts and the cache
+// outcomes are those of the scan without one, which the fallback runs.
 Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
     const substrait::Plan& plan, const objectstore::VersionedObject& object,
-    RowGroupCache* cache, OcsExecStats* stats);
+    RowGroupCache* cache, OcsExecStats* stats,
+    ReadAhead* read_ahead = nullptr);
 
 // Collect conjunctive `field <cmp> literal` terms from a predicate, for
 // statistics-based pruning against `scan_schema`. Returns true when every

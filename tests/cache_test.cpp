@@ -75,6 +75,27 @@ TEST(LruCacheTest, HitMissAndLruEviction) {
   EXPECT_EQ(stats.bytes, 80u);
 }
 
+TEST(LruCacheTest, ContainsTouchesNeitherOrderNorCounts) {
+  StringCache cache(Cfg(100, 1));
+  cache.Insert("a", Val("va"), 40);
+  cache.Insert("b", Val("vb"), 40);
+  const auto before = cache.stats();
+  // "a" is the LRU entry; a peek must leave it so.
+  EXPECT_TRUE(cache.Contains("a"));
+  EXPECT_TRUE(cache.Contains("b"));
+  EXPECT_FALSE(cache.Contains("z"));
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+
+  cache.Insert("c", Val("vc"), 40);  // evicts "a", still the LRU entry
+  EXPECT_FALSE(cache.Contains("a"));
+  EXPECT_TRUE(cache.Contains("b"));
+  EXPECT_TRUE(cache.Contains("c"));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+}
+
 TEST(LruCacheTest, OversizedEntryNotAdmitted) {
   StringCache cache(Cfg(100, 1));
   cache.Insert("big", Val("x"), 101);

@@ -3,10 +3,13 @@
 // (same seed → bit-identical per-query results AND identical exact
 // admission/dispatch counters across two fresh testbeds), correctness
 // under throttling against a serial reference, deterministic rejection,
-// least-loaded placement spread, engine-internal admission, and split
-// dispatchers that keep their in-flight state to themselves.
+// least-loaded placement spread, engine-internal admission, split
+// dispatchers that keep their in-flight state to themselves, and scans
+// that decode ahead on a storage node's pool while the object changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
@@ -16,7 +19,10 @@
 #include <utility>
 #include <vector>
 
+#include "columnar/ipc.h"
 #include "connectors/ocs/split_dispatcher.h"
+#include "format/parquet_lite.h"
+#include "ocs/storage_node.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
 #include "workloads/tpch.h"
@@ -209,6 +215,108 @@ TEST(SplitDispatcherTest, InstancesShareNoInFlightState) {
 
   EXPECT_EQ(a->NodePlanCounts(), std::vector<uint64_t>{2});
   EXPECT_EQ(b->NodePlanCounts(), std::vector<uint64_t>{1});
+}
+
+columnar::SchemaPtr VersionSchema() {
+  return columnar::MakeSchema({{"id", columnar::TypeKind::kInt64},
+                               {"x", columnar::TypeKind::kFloat64},
+                               {"tag", columnar::TypeKind::kString}});
+}
+
+// Version `v` of one object: 8 zs-lite row groups of 256 rows, whose
+// values all depend on `v`.
+Bytes VersionFile(int v) {
+  format::WriterOptions options;
+  options.codec = compress::CodecType::kZsLite;
+  options.rows_per_group = 256;
+  format::FileWriter writer(VersionSchema(), options);
+  auto id = columnar::MakeColumn(columnar::TypeKind::kInt64);
+  auto x = columnar::MakeColumn(columnar::TypeKind::kFloat64);
+  auto tag = columnar::MakeColumn(columnar::TypeKind::kString);
+  for (int i = 0; i < 8 * 256; ++i) {
+    id->AppendInt64(i * (v + 1));
+    x->AppendFloat64(((i * (7 + v)) % 100) / 10.0);
+    tag->AppendString("v" + std::to_string(v) + "/" + std::to_string(i % 3));
+  }
+  EXPECT_TRUE(
+      writer.WriteBatch(*columnar::MakeBatch(VersionSchema(), {id, x, tag}))
+          .ok());
+  auto file = writer.Finish();
+  EXPECT_TRUE(file.ok()) << file.status();
+  return *file;
+}
+
+// Four threads run a filter plan against one storage node — its scans
+// decode ahead on the node's pool and share its row-group cache — while a
+// writer keeps overwriting the object: every answer is the answer over
+// one of the object's versions.
+TEST(ReadAheadConcurrencyTest, EachAnswerIsOneVersionsAnswer) {
+  constexpr int kVersions = 3;
+  substrait::Plan plan;
+  auto read = std::make_unique<substrait::Rel>();
+  read->kind = substrait::RelKind::kRead;
+  read->bucket = "data";
+  read->object = "obj";
+  read->base_schema = VersionSchema();
+  plan.root = std::make_unique<substrait::Rel>();
+  plan.root->kind = substrait::RelKind::kFilter;
+  plan.root->input = std::move(read);
+  plan.root->predicate = substrait::Expression::Call(
+      substrait::ScalarFunc::kLt,
+      {substrait::Expression::FieldRef(1, columnar::TypeKind::kFloat64),
+       substrait::Expression::Literal(columnar::Datum::Float64(2.5))},
+      columnar::TypeKind::kBool);
+
+  std::vector<Bytes> files;
+  std::vector<Bytes> answers;
+  for (int v = 0; v < kVersions; ++v) {
+    files.push_back(VersionFile(v));
+    ocs::OcsExecStats stats;
+    auto table = ocs::ExecuteOnObject(
+        plan, {std::make_shared<const Bytes>(files.back()), 1}, nullptr,
+        &stats);
+    ASSERT_TRUE(table.ok()) << table.status();
+    answers.push_back(columnar::ipc::SerializeTable(**table));
+  }
+
+  auto store = std::make_shared<objectstore::ObjectStore>();
+  ASSERT_TRUE(store->CreateBucket("data").ok());
+  ASSERT_TRUE(store->Put("data", "obj", files[0]).ok());
+  const ocs::StorageNode node(store, ocs::StorageNodeConfig{});
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 1; !done.load(); ++i) {
+      EXPECT_TRUE(store->Put("data", "obj", files[i % kVersions]).ok());
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 20; ++i) {
+        auto result = node.ExecutePlan(plan);
+        if (!result.ok()) {
+          ++failures;
+          continue;
+        }
+        const ByteSpan got = result->arrow_ipc.span();
+        const bool known = std::any_of(
+            answers.begin(), answers.end(), [&](const Bytes& answer) {
+              return std::equal(answer.begin(), answer.end(), got.begin(),
+                                got.end());
+            });
+        if (!known) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  done = true;
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

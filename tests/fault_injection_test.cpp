@@ -6,13 +6,19 @@
 // dead frontend propagates cleanly, a Hive Select that exhausts its
 // retries re-plans as a raw GET with the filter applied compute-side, and
 // a Put that lands while the fallback reads the object neither stitches
-// two versions nor gets old rows cached as new.
+// two versions nor gets old rows cached as new. A corrupt chunk fails a
+// scan that decodes ahead exactly where, and as, the sequential scan
+// fails.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "columnar/ipc.h"
+#include "common/counters.h"
 #include "connectors/ocs/ocs_connector.h"
 #include "engine/engine.h"
 #include "netsim/fault_plan.h"
@@ -540,6 +546,178 @@ TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {
                        result->metrics.failed_splits};
   };
   EXPECT_TRUE(run(3) == run(3));
+}
+
+// ---------------------------------------------------------------------------
+// read-ahead over corrupt chunks
+// ---------------------------------------------------------------------------
+
+columnar::SchemaPtr ReadAheadSchema() {
+  return columnar::MakeSchema({{"id", columnar::TypeKind::kInt64},
+                               {"x", columnar::TypeKind::kFloat64},
+                               {"tag", columnar::TypeKind::kString}});
+}
+
+// 16 zs-lite row groups of 256 rows: id = i; x = g + (i % 256) / 512, so
+// group g's x lies in [g, g + 0.5); tag cycles through five strings.
+Bytes ReadAheadFile() {
+  format::WriterOptions options;
+  options.codec = compress::CodecType::kZsLite;
+  options.rows_per_group = 256;
+  format::FileWriter writer(ReadAheadSchema(), options);
+  auto id = columnar::MakeColumn(columnar::TypeKind::kInt64);
+  auto x = columnar::MakeColumn(columnar::TypeKind::kFloat64);
+  auto tag = columnar::MakeColumn(columnar::TypeKind::kString);
+  for (int i = 0; i < 16 * 256; ++i) {
+    id->AppendInt64(i);
+    x->AppendFloat64(i / 256 + (i % 256) / 512.0);
+    tag->AppendString("tag" + std::to_string(i % 5));
+  }
+  EXPECT_TRUE(
+      writer.WriteBatch(*columnar::MakeBatch(ReadAheadSchema(), {id, x, tag}))
+          .ok());
+  auto file = writer.Finish();
+  EXPECT_TRUE(file.ok()) << file.status();
+  return *file;
+}
+
+// `file` with one byte of group `g`'s chunk of column `c` flipped.
+Bytes FlipChunkByte(Bytes file, size_t g, int c) {
+  auto meta = format::ReadFooter(file);
+  EXPECT_TRUE(meta.ok()) << meta.status();
+  const format::ChunkMeta& chunk = meta->row_groups[g].chunks[c];
+  file[chunk.offset + chunk.length / 2] ^= 0x40;
+  return file;
+}
+
+std::unique_ptr<substrait::Rel> ReadAheadRead() {
+  auto read = std::make_unique<substrait::Rel>();
+  read->kind = substrait::RelKind::kRead;
+  read->bucket = "data";
+  read->object = "obj";
+  read->base_schema = ReadAheadSchema();
+  return read;
+}
+
+substrait::Plan FilterOnX(substrait::ScalarFunc op, double value) {
+  substrait::Plan plan;
+  auto filter = std::make_unique<substrait::Rel>();
+  filter->kind = substrait::RelKind::kFilter;
+  filter->input = ReadAheadRead();
+  filter->predicate = substrait::Expression::Call(
+      op,
+      {substrait::Expression::FieldRef(1, columnar::TypeKind::kFloat64),
+       substrait::Expression::Literal(columnar::Datum::Float64(value))},
+      columnar::TypeKind::kBool);
+  plan.root = std::move(filter);
+  return plan;
+}
+
+std::vector<uint64_t> Counts(const ocs::OcsExecStats& stats) {
+  std::vector<uint64_t> counts;
+  ForEachCounter(stats, [&](std::string_view, const auto& value) {
+    if constexpr (kIsCount<decltype(value)>) counts.push_back(value);
+  });
+  return counts;
+}
+
+// A node (row-group cache off, so every chunk decodes) holding `file`,
+// whose scans decode ahead on its pool.
+struct CorruptObjectNode {
+  explicit CorruptObjectNode(Bytes file)
+      : store(std::make_shared<objectstore::ObjectStore>()) {
+    EXPECT_TRUE(store->CreateBucket("data").ok());
+    EXPECT_TRUE(store->Put("data", "obj", std::move(file)).ok());
+    ocs::StorageNodeConfig config;
+    config.rowgroup_cache_bytes = 0;
+    node = std::make_unique<ocs::StorageNode>(store, config);
+  }
+
+  uint64_t version() const {
+    auto object = store->GetVersioned("data", "obj");
+    EXPECT_TRUE(object.ok());
+    return object.ok() ? object->version : 0;
+  }
+
+  // The node's answer equals the sequential scan's over the same bytes:
+  // the same rows and counts, or the same error.
+  void ExpectSequentialOutcome(const substrait::Plan& plan) const {
+    auto object = store->GetVersioned("data", "obj");
+    ASSERT_TRUE(object.ok()) << object.status();
+    ocs::OcsExecStats counts;
+    auto expected = ocs::ExecuteOnObject(plan, *object, nullptr, &counts);
+    auto got = node->ExecutePlan(plan);
+    if (!expected.ok()) {
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), expected.status().code());
+      EXPECT_EQ(got.status().message(), expected.status().message());
+      return;
+    }
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(Counts(got->stats), Counts(counts));
+    const Bytes ipc = columnar::ipc::SerializeTable(**expected);
+    EXPECT_EQ(got->arrow_ipc.span().size(), ipc.size());
+    EXPECT_TRUE(std::equal(ipc.begin(), ipc.end(), got->arrow_ipc.data()));
+  }
+
+  std::shared_ptr<objectstore::ObjectStore> store;
+  std::unique_ptr<ocs::StorageNode> node;
+};
+
+// A corrupt chunk in a group the scan skips — on the planner's hint, on
+// the chunk statistics, or after the lazy predicate check — fails
+// nothing, although the read-ahead may have decoded it; the scan's answer
+// is the sequential scan's. In a chunk the scan reads, it fails the plan
+// with the sequential scan's Corruption.
+TEST(ReadAheadCorruptionTest, FailsOnlyWhereTheSequentialScanFails) {
+  const Bytes clean = ReadAheadFile();
+  for (int column : {0, 2}) {
+    SCOPED_TRACE("corrupt column " + std::to_string(column));
+    CorruptObjectNode fx(FlipChunkByte(clean, 5, column));
+
+    substrait::Plan hinted;
+    hinted.root = ReadAheadRead();
+    for (uint32_t g = 0; g < 16; ++g) {
+      if (g != 5) hinted.root->row_group_hint.push_back(g);
+    }
+    hinted.root->hint_version = fx.version();
+    // Stats keep groups 0-4; the lazy check drops group 5, whose x range
+    // holds 5.2509765625 but no row equals it.
+    substrait::Plan stats_pruned = FilterOnX(substrait::ScalarFunc::kLt, 4.9);
+    substrait::Plan lazy_skipped =
+        FilterOnX(substrait::ScalarFunc::kEq, 5.2509765625);
+    substrait::Plan full;
+    full.root = ReadAheadRead();
+
+    for (const substrait::Plan* plan : {&hinted, &stats_pruned, &lazy_skipped}) {
+      auto got = fx.node->ExecutePlan(*plan);
+      ASSERT_TRUE(got.ok()) << got.status();
+      fx.ExpectSequentialOutcome(*plan);
+    }
+    auto lazy = fx.node->ExecutePlan(lazy_skipped);
+    ASSERT_TRUE(lazy.ok());
+    EXPECT_EQ(lazy->stats.row_groups_lazy_skipped, 1u);
+
+    auto failed = fx.node->ExecutePlan(full);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kCorruption);
+    fx.ExpectSequentialOutcome(full);
+  }
+}
+
+// A scan that fails on its very first chunk returns while the chunks of
+// the next groups are still queued or being decoded; the source cancels
+// or waits for each of them (the sanitizer jobs run this).
+TEST(ReadAheadCorruptionTest, FirstChunkFailsWhileLaterChunksAreInFlight) {
+  CorruptObjectNode fx(FlipChunkByte(ReadAheadFile(), 0, 0));
+  substrait::Plan full;
+  full.root = ReadAheadRead();
+  for (int i = 0; i < 20; ++i) {
+    auto got = fx.node->ExecutePlan(full);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().message(), "parquet-lite: chunk checksum mismatch");
+  }
+  fx.ExpectSequentialOutcome(full);
 }
 
 }  // namespace

@@ -168,8 +168,8 @@ FlatCounters Flatten(const QueryCounters& counters) {
 // Registry names that no per-query record owns (DESIGN.md §8.1).
 bool HasNoPerQueryOwner(const std::string& name) {
   static const std::regex kFamilies(
-      R"((rpc|netsim|exec|admission)\..+)"
-      R"(|dispatch\.(node\d+\.plans|plans_routed|plans_unrouted))"
+      R"((rpc|netsim|exec|admission\.tenant)\..+)"
+      R"(|dispatch\.(node\d+\.plans|plans_unrouted))"
       R"(|ocs\.(rowgroup|splitresult)_cache\.(hit|miss|insert|eviction))"
       R"(|storage\.(plans_executed|exec_rejected)|select\.requests)"
       R"(|connector\.hive\.raw_gets)");

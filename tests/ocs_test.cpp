@@ -1,7 +1,8 @@
 // Tests for OCS: storage-node plan execution over Parquet-lite objects
 // (with pruning and CPU-slowdown accounting), S3 Select on the same
-// executor (operator scope, CSV results), the frontend's routing, and
-// end-to-end client → frontend → storage round trips with byte accounting.
+// executor (operator scope, CSV results), the frontend's routing,
+// end-to-end client → frontend → storage round trips with byte
+// accounting, and the read-ahead's frames against the sequential scan's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,13 +14,20 @@
 #include <utility>
 #include <vector>
 
+#include "columnar/ipc.h"
 #include "common/counters.h"
+#include "common/thread_annotations.h"
 #include "format/parquet_lite.h"
 #include "metastore/metastore.h"
 #include "objectstore/select.h"
 #include "ocs/client.h"
 #include "ocs/cluster.h"
 #include "ocs/storage_node.h"
+#include "substrait/serialize.h"
+#include "workloads/deepwater.h"
+#include "workloads/laghos.h"
+#include "workloads/testbed.h"
+#include "workloads/tpch.h"
 
 namespace pocs::ocs {
 namespace {
@@ -963,6 +971,152 @@ TEST_F(ClusterFixture, UnknownObjectNotFound) {
   plan.root = ReadSim();
   plan.root->object = "missing";
   EXPECT_FALSE(client->ExecutePlan(plan).ok());
+}
+
+// ---- read-ahead -------------------------------------------------------------
+
+// The storage plans of the paper's queries, the dictionary filter and the
+// bloom join, as the OCS connector sends them: a one-node testbed over
+// objects of four row groups runs each query once while its frontend's
+// "ExecutePlan" records every plan. `store` is the node's object store.
+struct CapturedPlans {
+  std::shared_ptr<objectstore::ObjectStore> store;
+  std::vector<Plan> plans;
+};
+
+Result<CapturedPlans> CaptureWorkloadPlans(compress::CodecType codec) {
+  auto bed = std::make_unique<workloads::Testbed>();
+  workloads::LaghosConfig laghos;
+  laghos.num_files = 1;
+  laghos.rows_per_file = 4096;
+  laghos.rows_per_group = 1024;
+  laghos.codec = codec;
+  workloads::DeepWaterConfig deepwater;
+  deepwater.num_files = 1;
+  deepwater.rows_per_file = 4096;
+  deepwater.rows_per_group = 1024;
+  deepwater.codec = codec;
+  workloads::TpchConfig lineitem;
+  lineitem.num_files = 1;
+  lineitem.rows_per_file = 4096;
+  lineitem.rows_per_group = 1024;
+  lineitem.codec = codec;
+  workloads::SupplierConfig supplier;
+  supplier.rows_per_group = 256;
+  supplier.codec = codec;
+  POCS_ASSIGN_OR_RETURN(auto laghos_data, workloads::GenerateLaghos(laghos));
+  POCS_RETURN_NOT_OK(bed->Ingest(std::move(laghos_data)));
+  POCS_ASSIGN_OR_RETURN(auto deepwater_data,
+                        workloads::GenerateDeepWater(deepwater));
+  POCS_RETURN_NOT_OK(bed->Ingest(std::move(deepwater_data)));
+  POCS_ASSIGN_OR_RETURN(auto lineitem_data,
+                        workloads::GenerateLineitem(lineitem));
+  POCS_RETURN_NOT_OK(bed->Ingest(std::move(lineitem_data)));
+  POCS_ASSIGN_OR_RETURN(auto supplier_data,
+                        workloads::GenerateSupplier(supplier));
+  POCS_RETURN_NOT_OK(bed->Ingest(std::move(supplier_data)));
+
+  const StorageNode& node = bed->cluster().storage_node(0);
+  Mutex mu;
+  std::vector<Bytes> requests;
+  bed->cluster().frontend_server()->RegisterMethod(
+      "ExecutePlan", [&](ByteSpan request) -> Result<Bytes> {
+        {
+          MutexLock lock(mu);
+          requests.emplace_back(request.begin(), request.end());
+        }
+        POCS_ASSIGN_OR_RETURN(Plan plan, substrait::DeserializePlan(request));
+        return node.Execute(plan);
+      });
+  for (const std::string& sql :
+       {workloads::LaghosQuery(), workloads::DeepWaterQuery(),
+        workloads::TpchQ1(), workloads::TpchQ6(),
+        workloads::TpchDictFilterQuery(), workloads::TpchJoinQuery()}) {
+    POCS_RETURN_NOT_OK(bed->Run(sql, "ocs").status());
+  }
+  CapturedPlans captured{node.store(), {}};
+  MutexLock lock(mu);
+  for (const Bytes& request : requests) {
+    POCS_ASSIGN_OR_RETURN(Plan plan, substrait::DeserializePlan(request));
+    captured.plans.push_back(std::move(plan));
+  }
+  return captured;
+}
+
+const Rel& ReadOf(const Plan& plan) {
+  const Rel* read = plan.root.get();
+  while (read->input) read = read->input.get();
+  return *read;
+}
+
+// The frame the node would send for `table` and the counts in `counts`,
+// with the seconds of the node's own frame `timed` (those are measured).
+Result<Bytes> FrameWithSecondsOf(const Bytes& timed, OcsExecStats counts,
+                                 const columnar::Table& table) {
+  POCS_ASSIGN_OR_RETURN(OcsResult decoded, Decode(timed));
+  counts.storage_compute_seconds = decoded.stats.storage_compute_seconds;
+  counts.media_read_seconds = decoded.stats.media_read_seconds;
+  counts.exec_delay_seconds = decoded.stats.exec_delay_seconds;
+  OcsResultWriter writer(counts, columnar::ipc::MaxStreamBytes(table));
+  columnar::ipc::WriteTable(table, writer.payload());
+  return std::move(writer).Finish(counts);
+}
+
+// A node that decodes ahead on its pool answers every workload plan with
+// the frame, counters included, of the sequential scan with no pool over
+// a cache of the same budget — cache off, at 1 MiB and at 64 MiB, each
+// run cold and then warm — for both LZ codecs.
+TEST(ReadAheadTest, FramesMatchTheSequentialScan) {
+  for (compress::CodecType codec :
+       {compress::CodecType::kZsLite, compress::CodecType::kDeflateLite}) {
+    SCOPED_TRACE(compress::CodecName(codec));
+    auto captured = CaptureWorkloadPlans(codec);
+    ASSERT_TRUE(captured.ok()) << captured.status();
+    ASSERT_GE(captured->plans.size(), 6u);
+    EXPECT_TRUE(std::any_of(
+        captured->plans.begin(), captured->plans.end(),
+        [](const Plan& plan) { return !ReadOf(plan).bloom_words.empty(); }))
+        << "the join pushed no bloom";
+
+    for (uint64_t budget : {uint64_t{0}, uint64_t{1} << 20, uint64_t{64} << 20}) {
+      SCOPED_TRACE("cache bytes " + std::to_string(budget));
+      StorageNodeConfig config;
+      config.cpu_slowdown = 1.0;
+      config.rowgroup_cache_bytes = budget;
+      StorageNode node(captured->store, config);
+      ASSERT_GE(node.decode_pool()->num_threads(), 1u);
+      // The sequential scan's cache: the node's budget and shard count.
+      std::unique_ptr<RowGroupCache> cache;
+      if (budget > 0) {
+        cache = std::make_unique<RowGroupCache>(
+            LruCacheConfig{.byte_budget = budget, .shards = 8});
+      }
+      uint64_t warm_hits = 0;
+      for (const char* pass : {"cold", "warm"}) {
+        SCOPED_TRACE(pass);
+        for (size_t i = 0; i < captured->plans.size(); ++i) {
+          SCOPED_TRACE("plan " + std::to_string(i));
+          const Plan& plan = captured->plans[i];
+          auto frame = node.Execute(plan);
+          ASSERT_TRUE(frame.ok()) << frame.status();
+
+          const Rel& read = ReadOf(plan);
+          auto object = captured->store->GetVersioned(read.bucket, read.object);
+          ASSERT_TRUE(object.ok()) << object.status();
+          OcsExecStats counts;
+          auto table = ExecuteOnObject(plan, *object, cache.get(), &counts);
+          ASSERT_TRUE(table.ok()) << table.status();
+          auto expected = FrameWithSecondsOf(*frame, counts, **table);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          EXPECT_EQ(*frame, *expected);
+          if (std::string_view(pass) == "warm") warm_hits += counts.cache_hits;
+        }
+      }
+      if (budget > 0) {
+        EXPECT_GT(warm_hits, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
