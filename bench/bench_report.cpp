@@ -771,7 +771,7 @@ int main(int argc, char** argv) {
     // proves trailing files empty from cached footer stats: the cold run
     // pays one DescribeObject per object and prunes their splits before
     // any data RPC (splits_pruned > 0); the warm repeat revalidates each
-    // descriptor with a metadata-only Stat (metadata_cache.hit > 0).
+    // footer with a metadata-only Stat (metadata_cache.hit > 0).
     connectors::OcsConnectorConfig pruning;
     pruning.metadata_cache_bytes = 8ull << 20;
     testbed.RegisterOcsCatalog("ocs_pruned", pruning);

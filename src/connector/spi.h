@@ -136,16 +136,6 @@ class PageSource {
   virtual const PageSourceStats& stats() const = 0;
 };
 
-// What a connector is allowed to absorb into the scan. The engine's local
-// optimizer pass asks before offering each node.
-struct PushdownCapabilities {
-  bool filter = false;
-  bool projection = false;       // expression projection
-  bool aggregation = false;
-  bool topn = false;
-  bool join_bloom = false;       // join-key bloom semi-join reduction
-};
-
 // Decision record for one offered operator (feeds the EventListener and
 // the pushdown history; see §4 "Pushdown Monitoring").
 struct PushdownDecision {
@@ -173,10 +163,10 @@ class Connector {
 
   // -- ConnectorPlanOptimizer -------------------------------------------------
   // Operator pushdown is negotiated node by node: the engine walks the
-  // plan bottom-up and offers each candidate; the connector accepts by
-  // appending to the ScanSpec. `decisions` records accept/reject with the
-  // estimated selectivity (monitoring).
-  virtual PushdownCapabilities capabilities() const = 0;
+  // plan bottom-up and offers every candidate; the connector accepts by
+  // appending to the ScanSpec and refuses the kinds it does not push.
+  // `decision` records accept/reject with the estimated selectivity
+  // (monitoring).
   virtual Result<bool> OfferPushdown(const TableHandle& table,
                                      const PushedOperator& op,
                                      ScanSpec* spec,

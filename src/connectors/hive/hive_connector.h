@@ -65,12 +65,6 @@ class HiveConnector final : public connector::Connector {
       const connector::TableHandle& table,
       const connector::ScanSpec& spec) override;
 
-  connector::PushdownCapabilities capabilities() const override {
-    connector::PushdownCapabilities caps;
-    caps.filter = config_.select_pushdown;
-    return caps;
-  }
-
   Result<bool> OfferPushdown(const connector::TableHandle& table,
                              const connector::PushedOperator& op,
                              connector::ScanSpec* spec,

@@ -6,12 +6,12 @@ MetadataCache::MetadataCache(uint64_t byte_budget)
     : cache_(std::make_unique<Cache>(
           LruCacheConfig{.byte_budget = byte_budget, .shards = 8})) {}
 
-MetadataCache::DescriptorPtr MetadataCache::GetDescriptor(
-    const objectstore::StorageClient& client, const std::string& bucket,
+MetadataCache::FooterPtr MetadataCache::GetDescriptor(
+    const ocs::PlanningClient& client, const std::string& bucket,
     const std::string& key, MetadataCacheOutcomes* outcomes) const {
   const std::string cache_key = bucket + "/" + key;
   bool was_cached = false;
-  if (DescriptorPtr cached = cache_->Lookup(cache_key)) {
+  if (FooterPtr cached = cache_->Lookup(cache_key)) {
     was_cached = true;
     // Revalidate with a metadata-only Stat (same idiom as the
     // split-result cache, DESIGN.md §10): serve only on version match.
@@ -30,17 +30,18 @@ MetadataCache::DescriptorPtr MetadataCache::GetDescriptor(
     cache_->Erase(cache_key);
     ++outcomes->stale;
   }
-  auto desc = client.DescribeObject(bucket, key);
-  if (!desc.ok()) {
+  objectstore::TransferInfo info;
+  auto footer = client.DescribeObject(bucket, key, &info);
+  if (!footer.ok()) {
     ++outcomes->errors;
     return nullptr;
   }
   if (!was_cached) {
     ++outcomes->misses;
   }
-  auto value = std::make_shared<const objectstore::ObjectDescriptor>(
-      std::move(*desc));
-  cache_->Insert(cache_key, value, value->ByteSize());
+  auto value = std::make_shared<const ocs::ObjectFooter>(std::move(*footer));
+  // Charged the bytes its footer took on the wire.
+  cache_->Insert(cache_key, value, info.bytes_received);
   return value;
 }
 

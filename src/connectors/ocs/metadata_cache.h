@@ -1,14 +1,15 @@
-// Coordinator-side metadata cache: per-object statistics descriptors
-// (file- and row-group-level min/max/NDV, from DescribeObject) behind a
-// byte-budgeted LRU, revalidated against the object's current version
-// with a metadata-only Stat before every use (DESIGN.md §13).
+// Coordinator-side metadata cache: each object's own footer (schema,
+// chunk table and file- and row-group-level min/max/NDV, from
+// DescribeObject) behind a byte-budgeted LRU, revalidated against the
+// object's current version with a metadata-only Stat before every use
+// (DESIGN.md §13).
 //
 // Outcome semantics are validated-freshness, not raw LRU residency —
 // which is why the underlying ShardedLruCache runs without a
 // metric_prefix. The outcomes ride on connector::SplitPlan into the
 // query's metadata_cache_* counters (folded into the registry as
 // engine.metadata_cache_*):
-//   hit    cached descriptor whose version still matches the object
+//   hit    cached footer whose version still matches the object
 //   miss   not cached; fetched via the stats RPC
 //   stale  cached but the object moved on (overwrite); refetched
 //   error  stats path (Stat or DescribeObject) failed; caller must
@@ -20,8 +21,7 @@
 
 #include "common/hash.h"
 #include "common/lru_cache.h"
-#include "objectstore/describe.h"
-#include "objectstore/service.h"
+#include "ocs/client.h"
 
 namespace pocs::connectors {
 
@@ -41,23 +41,21 @@ struct MetadataCacheOutcomes {
 
 class MetadataCache {
  public:
-  using DescriptorPtr = std::shared_ptr<const objectstore::ObjectDescriptor>;
+  using FooterPtr = std::shared_ptr<const ocs::ObjectFooter>;
 
   explicit MetadataCache(uint64_t byte_budget);
 
-  // Returns a version-validated descriptor for bucket/key, consulting the
+  // Returns a version-validated footer for bucket/key, consulting the
   // cache first and the DescribeObject RPC on miss/staleness. Returns
   // nullptr when the stats path fails (outcomes->errors is bumped) —
   // the caller plans the split unpruned. Thread-safe.
-  DescriptorPtr GetDescriptor(const objectstore::StorageClient& client,
-                              const std::string& bucket,
-                              const std::string& key,
-                              MetadataCacheOutcomes* outcomes) const;
+  FooterPtr GetDescriptor(const ocs::PlanningClient& client,
+                          const std::string& bucket, const std::string& key,
+                          MetadataCacheOutcomes* outcomes) const;
 
  private:
   using Cache =
-      ShardedLruCache<std::string, objectstore::ObjectDescriptor,
-                      MetadataCacheKeyHash>;
+      ShardedLruCache<std::string, ocs::ObjectFooter, MetadataCacheKeyHash>;
 
   // Internally synchronized (sharded pocs::Mutex).
   std::unique_ptr<Cache> cache_;

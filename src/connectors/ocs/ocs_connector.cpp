@@ -93,63 +93,13 @@ bool GroupsStayInOneSplit(const TableHandle& table, const ScanSpec& spec) {
   return false;
 }
 
-// Evaluate the pruning terms against a version-validated descriptor.
-// Returns false when the statistics PROVE the object contributes no rows
-// (the whole split is pruned); otherwise true, filling the split's
-// row-group hint when only some groups can match. Uses the identical
-// ChunkMayMatch primitive as storage-side pruning, so a hint can never
-// drop a group the storage scan would have kept.
-bool DescriptorMayMatch(const objectstore::ObjectDescriptor& desc,
-                        const std::vector<objectstore::SelectPredicate>& terms,
-                        Split* split) {
-  auto col_index = [&desc](const std::string& name) -> int {
-    for (size_t i = 0; i < desc.columns.size(); ++i) {
-      if (desc.columns[i] == name) return static_cast<int>(i);
-    }
-    return -1;
-  };
-  // File-level stats: any term proven unsatisfiable kills the split.
-  for (const auto& term : terms) {
-    const int idx = col_index(term.column);
-    if (idx < 0 || static_cast<size_t>(idx) >= desc.column_stats.size()) {
-      continue;
-    }
-    if (!objectstore::ChunkMayMatch(desc.column_stats[idx], term)) {
-      return false;
-    }
-  }
-  // Row-group survival set for the hint.
-  std::vector<uint32_t> survivors;
-  for (size_t g = 0; g < desc.row_groups.size(); ++g) {
-    bool may_match = true;
-    for (const auto& term : terms) {
-      const int idx = col_index(term.column);
-      if (idx < 0 ||
-          static_cast<size_t>(idx) >= desc.row_groups[g].column_stats.size()) {
-        continue;
-      }
-      if (!objectstore::ChunkMayMatch(desc.row_groups[g].column_stats[idx],
-                                      term)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (may_match) survivors.push_back(static_cast<uint32_t>(g));
-  }
-  if (survivors.empty() && !desc.row_groups.empty()) return false;
-  if (survivors.size() < desc.row_groups.size()) {
-    // Partial survival: hint the keepers, pinned to the stats version so
-    // storage discards the hint if the object moves on before dispatch.
-    split->row_groups = std::move(survivors);
-    split->stats_version = desc.version;
-  }
-  return true;
-}
-
 }  // namespace
 
-Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
-                                                     const ScanSpec& spec) {
+Result<connector::SplitPlan> PlanSplits(const ocs::PlanningClient& client,
+                                        const MetadataCache* metadata_cache,
+                                        const rpc::CallOptions& call,
+                                        bool locate, const TableHandle& table,
+                                        const ScanSpec& spec) {
   connector::SplitPlan plan;
   plan.splits_planned = table.info.objects.size();
 
@@ -159,7 +109,7 @@ Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
   // scan schema. Exactly the terms the storage node's own pruning
   // evaluates, so plan-time and storage-time decisions agree.
   std::vector<objectstore::SelectPredicate> terms;
-  if (metadata_cache_ && !spec.operators.empty() &&
+  if (metadata_cache && !spec.operators.empty() &&
       spec.operators.front().kind == PushedOperator::Kind::kFilter) {
     SchemaPtr scan_schema = ProjectedSchema(table, spec);
     ocs::CollectPruningTerms(spec.operators.front().predicate, *scan_schema,
@@ -175,41 +125,55 @@ Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
     if (op.kind == PushedOperator::Kind::kJoinKeyBloom) has_bloom = true;
   }
 
-  // Planning is metadata-only by contract (enforced by pocs_lint's
-  // planning-data-rpc rule): Stat/DescribeObject/Locate, never Get*.
-  objectstore::StorageClient store(client_.channel());
   MetadataCacheOutcomes outcomes;
   std::vector<Split> splits;
   for (const std::string& object : table.info.objects) {
     Split split{table.info.bucket, object};
+    MetadataCache::FooterPtr footer;
     if (!terms.empty()) {
-      MetadataCache::DescriptorPtr desc = metadata_cache_->GetDescriptor(
-          store, table.info.bucket, object, &outcomes);
-      // A stats-path failure leaves `desc` null: plan the split unpruned.
-      if (desc && !DescriptorMayMatch(*desc, terms, &split)) {
+      footer = metadata_cache->GetDescriptor(client, table.info.bucket, object,
+                                             &outcomes);
+    }
+    // A stats-path failure leaves `footer` null: plan the split unpruned.
+    if (footer) {
+      // The groups the storage scan's own test keeps.
+      const std::vector<format::RowGroupMeta>& groups = footer->meta.row_groups;
+      std::vector<uint32_t> survivors;
+      for (size_t g = 0; g < groups.size(); ++g) {
+        if (ocs::RowGroupMayMatch(footer->meta, g, terms)) {
+          survivors.push_back(static_cast<uint32_t>(g));
+        }
+      }
+      if (survivors.empty()) {
         ++plan.splits_pruned;
         continue;  // proven empty — no data RPC is ever issued for it
       }
-      if (desc) split.bloom_version = desc->version;
+      if (survivors.size() < groups.size()) {
+        // Partial survival: hint the keepers, pinned to the footer's
+        // version so storage discards the hint if the object moves on
+        // before dispatch.
+        split.row_groups = std::move(survivors);
+        split.stats_version = footer->version;
+      }
+      split.bloom_version = footer->version;
     }
     if (has_bloom && split.bloom_version == 0) {
       // Pin via a metadata-only Stat. On failure the pin stays 0 and
       // storage ignores the bloom wholesale — the safe direction.
-      auto ostat = store.Stat(table.info.bucket, object, nullptr,
-                              config_.dispatch.call);
+      auto ostat = client.Stat(table.info.bucket, object, nullptr, call);
       if (ostat.ok()) split.bloom_version = ostat->version;
     }
-    if (dispatcher_) {
+    if (locate) {
       // Resolve placement up front (metadata-only Locate on the
       // frontend). Failure degrades to an unhinted split — dispatched
       // unthrottled rather than failing the query.
-      auto placement = client_.LocateObject(table.info.bucket, object,
-                                            nullptr, config_.dispatch.call);
+      auto placement =
+          client.LocateObject(table.info.bucket, object, nullptr, call);
       if (placement.ok()) split.node_hint = static_cast<int>(placement->node);
     }
     splits.push_back(std::move(split));
   }
-  if (dispatcher_) {
+  if (locate) {
     // Load-aware ordering: interleave the split list round-robin across
     // nodes (unhinted splits last), so the engine's in-order fan-out
     // touches every node early instead of draining one node's objects
@@ -243,6 +207,12 @@ Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
   plan.metadata_cache_errors = outcomes.errors;
   plan.splits = std::move(splits);
   return plan;
+}
+
+Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
+                                                     const ScanSpec& spec) {
+  return PlanSplits(planner_, metadata_cache_.get(), config_.dispatch.call,
+                    dispatcher_ != nullptr, table, spec);
 }
 
 Result<bool> OcsConnector::OfferPushdown(

@@ -95,11 +95,11 @@ struct OcsConnectorConfig {
   // against the object's current version with a metadata-only Stat and
   // then served without any data RPC.
   uint64_t split_result_cache_bytes = 0;
-  // Byte budget of the split-planning metadata cache (0 disables): per-
-  // object statistics descriptors fetched via the DescribeObject RPC and
-  // revalidated against object versions. When enabled, GetSplits prunes
-  // splits whose stats prove the pushed filter unsatisfiable before any
-  // data RPC is issued, and hints surviving row groups (DESIGN.md §13).
+  // Byte budget of the split-planning metadata cache (0 disables): each
+  // object's footer, fetched via the DescribeObject RPC and revalidated
+  // against object versions. When enabled, GetSplits prunes splits whose
+  // stats prove the pushed filter unsatisfiable before any data RPC is
+  // issued, and hints surviving row groups (DESIGN.md §13).
   uint64_t metadata_cache_bytes = 0;
 };
 
@@ -130,6 +130,21 @@ struct SplitResultKeyHash {
 using SplitResultCache =
     ShardedLruCache<SplitResultKey, CachedSplitResult, SplitResultKeyHash>;
 
+// Split planning (DESIGN.md §13): one split per object of `table`, less
+// the objects whose footers prove that the spec's leading pushed filter
+// matches no row, with row-group hints and bloom version pins. With
+// `locate`, each split gets its storage node as a hint and the splits
+// are interleaved by node. A null `metadata_cache` turns pruning off.
+// `call` carries the Stat and Locate calls; a failed one degrades the
+// split (unpruned, unpinned or unhinted), never the plan. Planning sees
+// the frontend only through `client`, which has no data calls.
+Result<connector::SplitPlan> PlanSplits(const ocs::PlanningClient& client,
+                                        const MetadataCache* metadata_cache,
+                                        const rpc::CallOptions& call,
+                                        bool locate,
+                                        const connector::TableHandle& table,
+                                        const connector::ScanSpec& spec);
+
 class OcsConnector final : public connector::Connector {
  public:
   // `history` is optional; when present, offload rejections (exhausted
@@ -146,6 +161,7 @@ class OcsConnector final : public connector::Connector {
       : id_(std::move(id)),
         metastore_(std::move(metastore)),
         client_(std::move(client)),
+        planner_(client_.channel()),
         config_(config),
         history_(std::move(history)),
         dispatcher_(std::move(dispatcher)) {
@@ -169,16 +185,6 @@ class OcsConnector final : public connector::Connector {
   Result<connector::SplitPlan> GetSplits(
       const connector::TableHandle& table,
       const connector::ScanSpec& spec) override;
-
-  connector::PushdownCapabilities capabilities() const override {
-    connector::PushdownCapabilities caps;
-    caps.filter = config_.pushdown_filter;
-    caps.projection = config_.pushdown_projection;
-    caps.aggregation = config_.pushdown_aggregation;
-    caps.topn = config_.pushdown_topn;
-    caps.join_bloom = config_.pushdown_join_bloom;
-    return caps;
-  }
 
   Result<bool> OfferPushdown(const connector::TableHandle& table,
                              const connector::PushedOperator& op,
@@ -210,6 +216,7 @@ class OcsConnector final : public connector::Connector {
   std::string id_;
   std::shared_ptr<metastore::Metastore> metastore_;
   ocs::OcsClient client_;
+  ocs::PlanningClient planner_;  // GetSplits' only way to the frontend
   OcsConnectorConfig config_;
   std::shared_ptr<PushdownHistory> history_;
   // Internally synchronized; shared across connectors and worker threads.

@@ -120,22 +120,42 @@ Result<Bytes> FileWriter::Finish() {
   return std::move(out_).Take();
 }
 
-Result<FileMeta> ReadFooter(ByteSpan file) {
+Result<ByteSpan> FooterTail(ByteSpan file) {
   if (file.size() < 16) return Status::Corruption("parquet-lite: too short");
-  uint32_t head_magic, tail_magic, footer_len;
-  std::memcpy(&head_magic, file.data(), 4);
-  std::memcpy(&tail_magic, file.data() + file.size() - 4, 4);
+  uint32_t footer_len;
   std::memcpy(&footer_len, file.data() + file.size() - 8, 4);
-  if (head_magic != kParquetLiteMagic || tail_magic != kParquetLiteMagic) {
-    return Status::Corruption("parquet-lite: bad magic");
-  }
   // footer_len is attacker-controlled; the widened compare avoids the
   // uint32 overflow a crafted footer_len near UINT32_MAX would cause.
   if (footer_len < 8 || uint64_t{footer_len} + 8 > file.size()) {
     return Status::Corruption("parquet-lite: bad footer length");
   }
-  const ByteSpan footer =
-      file.subspan(file.size() - 8 - footer_len, footer_len - 8);
+  return file.last(footer_len + 8);
+}
+
+Result<FileMeta> ReadFooter(ByteSpan file) {
+  uint32_t head_magic = 0;
+  if (file.size() >= 4) std::memcpy(&head_magic, file.data(), 4);
+  if (head_magic != kParquetLiteMagic) {
+    return Status::Corruption("parquet-lite: bad magic");
+  }
+  POCS_ASSIGN_OR_RETURN(ByteSpan tail, FooterTail(file));
+  return ReadFooterTail(tail, file.size());
+}
+
+Result<FileMeta> ReadFooterTail(ByteSpan tail, uint64_t file_size) {
+  if (tail.size() < 16 || tail.size() > file_size) {
+    return Status::Corruption("parquet-lite: bad footer tail");
+  }
+  uint32_t footer_len, tail_magic;
+  std::memcpy(&footer_len, tail.data() + tail.size() - 8, 4);
+  std::memcpy(&tail_magic, tail.data() + tail.size() - 4, 4);
+  if (tail_magic != kParquetLiteMagic) {
+    return Status::Corruption("parquet-lite: bad magic");
+  }
+  if (uint64_t{footer_len} + 8 != tail.size()) {
+    return Status::Corruption("parquet-lite: bad footer length");
+  }
+  const ByteSpan footer = tail.first(footer_len - 8);
   uint64_t stored;
   std::memcpy(&stored, footer.data() + footer.size(), 8);
   if (Checksum64(footer) != stored) {
@@ -161,8 +181,8 @@ Result<FileMeta> ReadFooter(ByteSpan file) {
       POCS_ASSIGN_OR_RETURN(chunk.length, in.ReadVarint());
       POCS_ASSIGN_OR_RETURN(chunk.checksum, in.ReadLE<uint64_t>());
       // Overflow-safe bounds check on untrusted offsets.
-      if (chunk.offset > file.size() ||
-          chunk.length > file.size() - chunk.offset) {
+      if (chunk.offset > file_size ||
+          chunk.length > file_size - chunk.offset) {
         return Status::Corruption("parquet-lite: chunk out of bounds");
       }
       POCS_ASSIGN_OR_RETURN(chunk.stats, ColumnStats::Deserialize(&in));

@@ -20,10 +20,10 @@
 // Integrity: each chunk's bytes are covered by its Checksum64
 // (common/checksum.h), verified when the chunk is read from the file,
 // before decompression; the footer's bytes by the footer's own, verified
-// by ReadFooter (so at Open). The magics and footer_len are checked by
-// value: a wrong footer_len frames the wrong bytes as the footer, which
-// fails its checksum. Decoded columns served from a cache are not
-// re-verified.
+// by ReadFooterTail (so at Open and at the planner's DescribeObject).
+// The magics and footer_len are checked by value: a wrong footer_len
+// frames the wrong bytes as the footer, which fails its checksum.
+// Decoded columns served from a cache are not re-verified.
 #pragma once
 
 #include <memory>
@@ -136,8 +136,19 @@ class FileReader {
   FileMeta meta_;
 };
 
-// Parse only the footer of a file (cheap metadata access for planners),
-// after verifying the footer checksum.
+// Parse only the footer of a file (cheap metadata access), after
+// checking the head magic: ReadFooterTail over the file's FooterTail.
 Result<FileMeta> ReadFooter(ByteSpan file);
+
+// The file's footer tail: footer, footer checksum, footer_len and tail
+// magic, located by footer_len. The storage node answers DescribeObject
+// with these bytes (DESIGN.md §13); only footer_len is checked here.
+Result<ByteSpan> FooterTail(ByteSpan file);
+
+// Parses exactly one footer tail of a file of `file_size` bytes, after
+// checking its magic and footer_len by value and verifying the footer
+// checksum; chunk ranges must lie within `file_size`. The one footer
+// parser: ReadFooter and the planner's DescribeObject both run it.
+Result<FileMeta> ReadFooterTail(ByteSpan tail, uint64_t file_size);
 
 }  // namespace pocs::format

@@ -1,13 +1,27 @@
 #include "objectstore/service.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "format/parquet_lite.h"
 
 namespace pocs::objectstore {
 
 namespace {
 
-// The Get response's trailer: the object's version and size, u64 each.
-constexpr size_t kGetTrailerBytes = 2 * sizeof(uint64_t);
+// The trailer of a Get or DescribeObject response: the object's version
+// and size, u64 each.
+constexpr size_t kTrailerBytes = 2 * sizeof(uint64_t);
+
+// `bytes` of `object` followed by the trailer. The copy is the response
+// crossing the "network".
+Bytes Respond(ByteSpan bytes, const VersionedObject& object) {
+  BufferWriter out(bytes.size() + kTrailerBytes);
+  out.WriteBytes(bytes);
+  out.WriteLE<uint64_t>(object.version);
+  out.WriteLE<uint64_t>(object.data->size());
+  return std::move(out).Take();
+}
 
 }  // namespace
 
@@ -25,20 +39,15 @@ void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
     if (!in.exhausted()) {
       POCS_ASSIGN_OR_RETURN(offset, in.ReadVarint());
       POCS_ASSIGN_OR_RETURN(length, in.ReadVarint());
-      // offset + length can wrap; these two tests cannot.
-      if (offset > size || length > size - offset) {
-        return Status::OutOfRange(
-            "range [" + std::to_string(offset) + ", +" +
-            std::to_string(length) + ") beyond object of " +
-            std::to_string(size) + " bytes");
+      if (offset > size) {
+        return Status::OutOfRange("offset " + std::to_string(offset) +
+                                  " beyond object of " +
+                                  std::to_string(size) + " bytes");
       }
+      // offset + length can wrap; size - offset cannot.
+      length = std::min(length, size - offset);
     }
-    // The copy is the response crossing the "network".
-    BufferWriter out(length + kGetTrailerBytes);
-    out.WriteBytes(object.data->data() + offset, length);
-    out.WriteLE<uint64_t>(object.version);
-    out.WriteLE<uint64_t>(size);
-    return std::move(out).Take();
+    return Respond(ByteSpan(*object.data).subspan(offset, length), object);
   });
 
   server->RegisterMethod("Stat", [store](ByteSpan req) -> Result<Bytes> {
@@ -57,11 +66,10 @@ void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
     BufferReader in(req);
     POCS_ASSIGN_OR_RETURN(std::string bucket, in.ReadString());
     POCS_ASSIGN_OR_RETURN(std::string key, in.ReadString());
-    POCS_ASSIGN_OR_RETURN(ObjectDescriptor desc,
-                          BuildObjectDescriptor(*store, bucket, key));
-    BufferWriter out;
-    EncodeObjectDescriptor(desc, &out);
-    return std::move(out).Take();
+    POCS_ASSIGN_OR_RETURN(VersionedObject object,
+                          store->GetVersioned(bucket, key));
+    POCS_ASSIGN_OR_RETURN(ByteSpan tail, format::FooterTail(*object.data));
+    return Respond(tail, object);
   });
 
   server->RegisterMethod("List", [store](ByteSpan req) -> Result<Bytes> {
@@ -90,6 +98,19 @@ void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
   });
 }
 
+Result<ObjectRead> TakeObjectRead(Bytes response) {
+  if (response.size() < kTrailerBytes) {
+    return Status::Corruption("object read: response shorter than its trailer");
+  }
+  ObjectRead read;
+  const uint8_t* trailer = response.data() + response.size() - kTrailerBytes;
+  std::memcpy(&read.version, trailer, sizeof(uint64_t));
+  std::memcpy(&read.object_size, trailer + sizeof(uint64_t), sizeof(uint64_t));
+  response.resize(response.size() - kTrailerBytes);
+  read.data = std::move(response);
+  return read;
+}
+
 Result<ObjectRead> StorageClient::CallGet(
     const std::string& bucket, const std::string& key,
     std::optional<std::pair<uint64_t, uint64_t>> range, TransferInfo* info,
@@ -105,24 +126,16 @@ Result<ObjectRead> StorageClient::CallGet(
   Status status = channel_.CallInto("Get", req.span(), options, &call);
   if (info) info->Add(call);  // lost attempts still cost modelled time
   POCS_RETURN_NOT_OK(status);
-  Bytes& response = call.response;
-  if (response.size() < kGetTrailerBytes) {
-    return Status::Corruption("get: response shorter than its trailer");
-  }
-  ObjectRead read;
-  const uint8_t* trailer = response.data() + response.size() - kGetTrailerBytes;
-  std::memcpy(&read.version, trailer, sizeof(uint64_t));
-  std::memcpy(&read.object_size, trailer + sizeof(uint64_t), sizeof(uint64_t));
-  response.resize(response.size() - kGetTrailerBytes);
+  POCS_ASSIGN_OR_RETURN(ObjectRead read,
+                        TakeObjectRead(std::move(call.response)));
   const auto [offset, length] = range.value_or(std::pair<uint64_t, uint64_t>{0, read.object_size});
-  if (response.size() != length || offset > read.object_size ||
-      length > read.object_size - offset) {
+  if (offset > read.object_size ||
+      read.data.size() != std::min(length, read.object_size - offset)) {
     return Status::Corruption(
-        "get: " + std::to_string(response.size()) + " bytes for range [" +
+        "get: " + std::to_string(read.data.size()) + " bytes for range [" +
         std::to_string(offset) + ", +" + std::to_string(length) +
         ") of an object of " + std::to_string(read.object_size));
   }
-  read.data = std::move(response);
   return read;
 }
 
@@ -142,21 +155,6 @@ Result<ObjectStat> StorageClient::Stat(const std::string& bucket,
   POCS_ASSIGN_OR_RETURN(stat.size, in.ReadVarint());
   POCS_ASSIGN_OR_RETURN(stat.version, in.ReadVarint());
   return stat;
-}
-
-Result<ObjectDescriptor> StorageClient::DescribeObject(
-    const std::string& bucket, const std::string& key, TransferInfo* info,
-    const rpc::CallOptions& options) const {
-  BufferWriter req;
-  req.WriteString(bucket);
-  req.WriteString(key);
-  rpc::CallResult call;
-  Status status = channel_.CallInto("DescribeObject", req.span(), options,
-                                    &call);
-  if (info) info->Add(call);
-  POCS_RETURN_NOT_OK(status);
-  BufferReader in(call.response.data(), call.response.size());
-  return DecodeObjectDescriptor(&in);
 }
 
 Result<std::vector<std::string>> StorageClient::List(

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/counters.h"
-#include "objectstore/describe.h"
 #include "objectstore/object_store.h"
 #include "rpc/rpc.h"
 
@@ -21,10 +20,17 @@ namespace pocs::objectstore {
 // The Get wire, one S3-style GET answered from one GetVersioned:
 //   request  := bucket:string key:string [offset:varint length:varint]
 //   response := bytes version:u64 object_size:u64
-// A request without the range reads the whole object; a range that does
-// not lie within the object is OutOfRange. The version and size trail
-// the bytes, so the client drops them in place and keeps the bytes
-// without copying them.
+// A request without the range reads the whole object. A range that runs
+// past the object's end reads up to the end, as S3's Range does; an
+// offset past the end is OutOfRange. The version and size trail the
+// bytes, so the client drops them in place and keeps the bytes without
+// copying them.
+//
+// DescribeObject answers the same request without the range with the
+// object's footer tail (format::FooterTail: footer, footer checksum,
+// footer_len and tail magic) under the same trailer. The planner parses
+// it with the file reader's own footer parser, which verifies the
+// checksum (DESIGN.md §13).
 void RegisterStorageService(const std::shared_ptr<ObjectStore>& store,
                             rpc::Server* server);
 
@@ -35,6 +41,10 @@ struct ObjectRead {
   uint64_t object_size = 0;
   uint64_t version = 0;
 };
+
+// Splits the version and size trailer off a Get or DescribeObject
+// response; the bytes before it become `data`, without a copy.
+Result<ObjectRead> TakeObjectRead(Bytes response);
 
 // Typed client over an rpc::Channel. Each call reports the bytes moved
 // and modelled transfer time via the returned TransferInfo.
@@ -69,10 +79,10 @@ class StorageClient {
   // the defaults preserve single-attempt behaviour. On failure, `info`
   // still accumulates the modelled cost of the lost attempts.
   //
-  // Get reads the whole object, or `length` bytes from `offset`, with the
-  // size and version of the object they came from. A response whose byte
-  // count disagrees with the requested range and the reported size is
-  // Corruption.
+  // Get reads the whole object, or up to `length` bytes from `offset`,
+  // with the size and version of the object they came from. A response
+  // whose byte count is not the requested range clamped at the reported
+  // size is Corruption.
   Result<ObjectRead> Get(const std::string& bucket, const std::string& key,
                          TransferInfo* info = nullptr,
                          const rpc::CallOptions& options = {}) const {
@@ -90,14 +100,6 @@ class StorageClient {
   Result<ObjectStat> Stat(const std::string& bucket, const std::string& key,
                           TransferInfo* info = nullptr,
                           const rpc::CallOptions& options = {}) const;
-  // Per-object statistics descriptor (footer min/max/NDV at file and
-  // row-group granularity, plus the version). Metadata-only like Stat:
-  // split planners feed their metadata cache from this and never touch
-  // data-path Get during planning (DESIGN.md §13).
-  Result<ObjectDescriptor> DescribeObject(
-      const std::string& bucket, const std::string& key,
-      TransferInfo* info = nullptr,
-      const rpc::CallOptions& options = {}) const;
   Result<std::vector<std::string>> List(const std::string& bucket,
                                         const std::string& prefix = "") const;
   Status Put(const std::string& bucket, const std::string& key,

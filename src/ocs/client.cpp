@@ -33,7 +33,7 @@ Result<std::shared_ptr<columnar::Table>> OcsClient::FetchAndScan(
   for (uint32_t reads = 1;; ++reads) {
     POCS_ASSIGN_OR_RETURN(
         objectstore::ObjectRead first,
-        chunk_bytes == 0 ? get() : get(uint64_t{0}, uint64_t{0}));
+        chunk_bytes == 0 ? get() : get(uint64_t{0}, chunk_bytes));
     object = std::move(first.data);
     object.reserve(first.object_size);
     object_version = first.version;
@@ -71,6 +71,44 @@ Result<std::shared_ptr<columnar::Table>> OcsClient::FetchAndScan(
   stats->decode_seconds += exec_timer.ElapsedSeconds();
   if (version) *version = object_version;
   return table;
+}
+
+Result<Bytes> PlanningClient::Call(const char* method,
+                                   const std::string& bucket,
+                                   const std::string& key,
+                                   objectstore::TransferInfo* info,
+                                   const rpc::CallOptions& options) const {
+  BufferWriter req;
+  req.WriteString(bucket);
+  req.WriteString(key);
+  rpc::CallResult call;
+  Status status = channel_.CallInto(method, req.span(), options, &call);
+  if (info) info->Add(call);
+  POCS_RETURN_NOT_OK(status);
+  return std::move(call.response);
+}
+
+Result<ObjectFooter> PlanningClient::DescribeObject(
+    const std::string& bucket, const std::string& key,
+    objectstore::TransferInfo* info, const rpc::CallOptions& options) const {
+  POCS_ASSIGN_OR_RETURN(Bytes response,
+                        Call("DescribeObject", bucket, key, info, options));
+  POCS_ASSIGN_OR_RETURN(objectstore::ObjectRead tail,
+                        objectstore::TakeObjectRead(std::move(response)));
+  POCS_ASSIGN_OR_RETURN(format::FileMeta meta,
+                        format::ReadFooterTail(tail.data, tail.object_size));
+  return ObjectFooter{tail.version, std::move(meta)};
+}
+
+Result<PlanningClient::Placement> PlanningClient::LocateObject(
+    const std::string& bucket, const std::string& key,
+    objectstore::TransferInfo* info, const rpc::CallOptions& options) const {
+  POCS_ASSIGN_OR_RETURN(Bytes response,
+                        Call("Locate", bucket, key, info, options));
+  BufferReader in(response.data(), response.size());
+  POCS_ASSIGN_OR_RETURN(uint64_t node, in.ReadVarint());
+  POCS_ASSIGN_OR_RETURN(uint64_t num_nodes, in.ReadVarint());
+  return Placement{static_cast<size_t>(node), static_cast<size_t>(num_nodes)};
 }
 
 }  // namespace pocs::ocs

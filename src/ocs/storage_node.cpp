@@ -73,6 +73,19 @@ bool CollectPruningTerms(const Expression& expr,
   return true;
 }
 
+bool RowGroupMayMatch(const format::FileMeta& meta, size_t group,
+                      const std::vector<objectstore::SelectPredicate>& terms) {
+  for (const objectstore::SelectPredicate& term : terms) {
+    const int idx = meta.schema->FieldIndex(term.column);
+    if (idx < 0) continue;
+    if (!objectstore::ChunkMayMatch(meta.row_groups[group].chunks[idx].stats,
+                                    term)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 namespace {
 
 // Intersection of two ascending, duplicate-free selections.
@@ -483,15 +496,8 @@ class ParquetObjectSource : public exec::BatchSource {
 
   bool HintKeeps(size_t g) const { return hinted_.empty() || hinted_[g]; }
 
-  // Whether group `g`'s chunk statistics admit every pruning term.
   bool StatsMayMatch(size_t g) const {
-    for (const auto& pred : pruning_) {
-      int idx = reader_->schema()->FieldIndex(pred.column);
-      if (idx < 0) continue;
-      const auto& chunk_stats = reader_->meta().row_groups[g].chunks[idx].stats;
-      if (!objectstore::ChunkMayMatch(chunk_stats, pred)) return false;
-    }
-    return true;
+    return RowGroupMayMatch(reader_->meta(), g, pruning_);
   }
 
   // The scan has reached kept group `g`: retire the slots of the groups

@@ -36,6 +36,7 @@
 #include "common/lru_cache.h"
 #include "common/thread_pool.h"
 #include "exec/plan_executor.h"
+#include "format/parquet_lite.h"
 #include "objectstore/object_store.h"
 #include "objectstore/select.h"
 #include "rpc/rpc.h"
@@ -249,5 +250,14 @@ Result<std::shared_ptr<columnar::Table>> ExecuteOnObject(
 bool CollectPruningTerms(const substrait::Expression& expr,
                          const columnar::Schema& scan_schema,
                          std::vector<objectstore::SelectPredicate>* out);
+
+// Whether row group `group`'s chunk statistics in `meta` admit every
+// pruning term (ChunkMayMatch; a term on a column the file lacks admits).
+// The one row-group test of both prunings: the storage scan skips a
+// group it rejects, and the split planner prunes an object none of whose
+// groups it admits and hints the groups it does (DESIGN.md §13), so a
+// hint never drops a group the scan would keep.
+bool RowGroupMayMatch(const format::FileMeta& meta, size_t group,
+                      const std::vector<objectstore::SelectPredicate>& terms);
 
 }  // namespace pocs::ocs

@@ -244,7 +244,6 @@ class MockConnector final : public connector::Connector {
                                          const connector::ScanSpec&) override {
     return Status::Unimplemented("mock");
   }
-  connector::PushdownCapabilities capabilities() const override { return {}; }
   Result<bool> OfferPushdown(const connector::TableHandle&,
                              const PushedOperator& op,
                              connector::ScanSpec* spec,

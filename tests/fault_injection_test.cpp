@@ -420,9 +420,10 @@ Result<workloads::GeneratedDataset> LaghosObject(size_t rows) {
 
 // An OCS cluster whose exec engine is down, so every split takes the
 // fallback, reached only through a test-side frontend. Its handlers
-// forward each call to the cluster's frontend and, once the first Get
-// has been answered, Put a new version of the object: 2048 rows where
-// the first had 1024. The "ocs" catalog has the split-result cache on.
+// forward each call to the cluster's frontend, counting the Gets, and,
+// once the first Get has been answered, Put a new version of the object:
+// 2048 rows where the first had 1024. The "ocs" catalog has the
+// split-result cache on.
 class PutAfterFirstGet {
  public:
   explicit PutAfterFirstGet(uint64_t fallback_chunk_bytes)
@@ -438,6 +439,7 @@ class PutAfterFirstGet {
     bucket_ = first->info.bucket;
     key_ = first->files[0].first;
     next_ = std::move(second->files[0].second);
+    next_size_ = next_.size();
     POCS_CHECK(cluster_.PutObject(bucket_, key_, first->files[0].second).ok());
     POCS_CHECK(metastore_->CreateSchema("default").ok());
     POCS_CHECK(metastore_->RegisterTable(first->info).ok());
@@ -450,7 +452,9 @@ class PutAfterFirstGet {
           method, [this, method](ByteSpan req) -> Result<Bytes> {
             Result<Bytes> response =
                 cluster_.frontend_server()->Dispatch(method, req);
-            if (std::string_view(method) == "Get" && !put_.exchange(true)) {
+            if (std::string_view(method) != "Get") return response;
+            ++gets_;
+            if (!put_.exchange(true)) {
               POCS_RETURN_NOT_OK(
                   cluster_.PutObject(bucket_, key_, std::move(next_)));
             }
@@ -472,6 +476,8 @@ class PutAfterFirstGet {
     return engine_.Execute("SELECT COUNT(*) FROM laghos", "ocs");
   }
   bool put() const { return put_.load(); }
+  uint64_t gets() const { return gets_.load(); }
+  uint64_t next_size() const { return next_size_; }
 
  private:
   std::shared_ptr<netsim::Network> net_;
@@ -481,7 +487,9 @@ class PutAfterFirstGet {
   std::string bucket_;
   std::string key_;
   Bytes next_;
+  uint64_t next_size_ = 0;
   std::atomic<bool> put_{false};
+  std::atomic<uint64_t> gets_{0};
 };
 
 int64_t RowCount(const engine::QueryResult& result) {
@@ -507,7 +515,9 @@ TEST(FallbackVersionTest, PutAfterTheGetIsNotServedFromTheSplitCache) {
 }
 
 // 4 KiB ranges: the range after the Put reports the new version, so the
-// read restarts and the scan sees the new object whole.
+// read restarts and the scan sees the new object whole. Each Get reads
+// one range: the first version's first range, the range that saw the
+// second version, then every range of the second.
 TEST(FallbackVersionTest, PutBetweenRangesRestartsTheRead) {
   PutAfterFirstGet bed(/*fallback_chunk_bytes=*/4096);
   auto scan = bed.Scan();
@@ -515,6 +525,7 @@ TEST(FallbackVersionTest, PutBetweenRangesRestartsTheRead) {
   ASSERT_TRUE(bed.put());
   EXPECT_EQ(RowCount(*scan), 2048);
   EXPECT_EQ(scan->metrics.fallbacks, 1u);
+  EXPECT_EQ(bed.gets(), 2 + (bed.next_size() + 4095) / 4096);
 
   auto again = bed.Scan();
   ASSERT_TRUE(again.ok()) << again.status();

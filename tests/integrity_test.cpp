@@ -9,13 +9,16 @@
 //
 // The same holds for a storage node's ExecutePlan and Select responses:
 // every one-byte mutant of a real one fails as Corruption when its
-// counters and its table or CSV rows are decoded.
+// counters and its table or CSV rows are decoded. And for the planner's
+// DescribeObject responses: every mutant of the footer tail fails, and a
+// mutant of the version/size trailer fails or yields the true footer.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
 #include <string>
 
+#include "columnar/ipc.h"
 #include "format/parquet_lite.h"
 #include "objectstore/select.h"
 #include "ocs/client.h"
@@ -199,6 +202,83 @@ TEST(IntegrityResponseTest, EveryResponseByteMutantIsCorruption) {
     }
     EXPECT_EQ(escaped, 0);
   }
+}
+
+// Every field of `meta`, in one byte string: two footers parse to the
+// same metadata exactly when these are equal.
+Bytes MetaBytes(const format::FileMeta& meta) {
+  BufferWriter out;
+  columnar::ipc::WriteSchema(*meta.schema, &out);
+  out.WriteU8(static_cast<uint8_t>(meta.codec));
+  out.WriteVarint(meta.num_rows);
+  for (const format::RowGroupMeta& group : meta.row_groups) {
+    out.WriteVarint(group.num_rows);
+    for (const format::ChunkMeta& chunk : group.chunks) {
+      out.WriteVarint(chunk.offset);
+      out.WriteVarint(chunk.length);
+      out.WriteLE<uint64_t>(chunk.checksum);
+      chunk.stats.Serialize(&out);
+    }
+  }
+  for (const format::ColumnStats& stats : meta.column_stats) {
+    stats.Serialize(&out);
+  }
+  return std::move(out).Take();
+}
+
+// Every byte of a Laghos object's DescribeObject response, each with two
+// masks, decoded as the planner decodes it: by PlanningClient through a
+// server that answers with the mutant.
+TEST(IntegrityDescribeTest, EveryFooterTailMutantIsCorruption) {
+  Result<Bytes> made = MakeFile("laghos", compress::CodecType::kNone);
+  ASSERT_TRUE(made.ok()) << made.status();
+  Result<format::FileMeta> truth = format::ReadFooter(*made);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  const Bytes want = MetaBytes(*truth);
+
+  auto net = std::make_shared<netsim::Network>();
+  auto storage = std::make_shared<rpc::Server>(net->AddNode("storage"),
+                                               "storage");
+  auto store = std::make_shared<objectstore::ObjectStore>();
+  ASSERT_TRUE(store->CreateBucket("b").ok());
+  ASSERT_TRUE(store->Put("b", "laghos", std::move(*made)).ok());
+  objectstore::RegisterStorageService(store, storage.get());
+  BufferWriter request;
+  request.WriteString("b");
+  request.WriteString("laghos");
+  Result<Bytes> answered = storage->Dispatch("DescribeObject", request.span());
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  const Bytes& response = *answered;
+
+  Bytes mutant = response;
+  auto lying = std::make_shared<rpc::Server>(net->AddNode("lying"), "lying");
+  lying->RegisterMethod("DescribeObject",
+                        [&mutant](ByteSpan) -> Result<Bytes> { return mutant; });
+  const ocs::PlanningClient planner(
+      rpc::Channel(net, net->AddNode("planner"), lying));
+  Result<ocs::ObjectFooter> footer = planner.DescribeObject("b", "laghos");
+  ASSERT_TRUE(footer.ok()) << footer.status();
+  ASSERT_EQ(MetaBytes(footer->meta), want);
+  ASSERT_GT(response.size(), 1000u);
+
+  const size_t trailer = response.size() - 2 * sizeof(uint64_t);
+  int escaped = 0;
+  for (size_t pos = 0; pos < response.size(); ++pos) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0xa5}}) {
+      mutant[pos] ^= mask;
+      footer = planner.DescribeObject("b", "laghos");
+      mutant[pos] = response[pos];
+      const bool caught = footer.status().code() == StatusCode::kCorruption;
+      const bool harmless = pos >= trailer && footer.ok() &&
+                            MetaBytes(footer->meta) == want;
+      if (!caught && !harmless) {
+        ++escaped;
+        ADD_FAILURE() << "response byte " << pos << " of " << response.size()
+                      << " ^ " << int{mask} << ": " << footer.status();
+      }
+    }
+  }
+  EXPECT_EQ(escaped, 0);
 }
 
 }  // namespace

@@ -11,13 +11,17 @@
 //   * results are bit-identical to the unpruned path — including after
 //     object overwrites (stale cache → revalidation) and when the stats
 //     RPC is down entirely (errors → plan everything unpruned),
-//   * the cache's hit/miss/stale/error accounting is exact.
+//   * the cache's hit/miss/stale/error accounting is exact,
+//   * planning cannot reach object data: the client it runs on has no
+//     data call, which the compiler checks.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/metrics.h"
+#include "connectors/ocs/ocs_connector.h"
 #include "workloads/concurrent.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
@@ -63,6 +67,47 @@ uint64_t PlansExecuted() {
 
 // Two of six files can possibly hold vertex_id < 256; the other four are
 // proven empty from cached stats and must never reach the data path.
+// Whether `Client` declares a member of any of these names, of any
+// signature or access: each of them then names two members of
+// Probe<Client>, and taking its address is ill-formed.
+struct DataCalls {
+  int Get, GetVersioned, Select, ExecutePlan, FetchAndScan, channel;
+};
+template <typename Client>
+struct Probe : Client, DataCalls {};
+
+template <typename Client>
+concept ReachesObjectData = !requires { &Probe<Client>::Get; } ||
+                            !requires { &Probe<Client>::GetVersioned; } ||
+                            !requires { &Probe<Client>::Select; } ||
+                            !requires { &Probe<Client>::ExecutePlan; } ||
+                            !requires { &Probe<Client>::FetchAndScan; } ||
+                            !requires { &Probe<Client>::channel; };
+
+// Split planning is metadata-only by type: the planning function and the
+// metadata cache take a PlanningClient, which has no data call and no
+// channel to build one from. The data clients show that the probe bites.
+TEST(PlanningClientTest, PlanningCannotReachObjectData) {
+  static_assert(!ReachesObjectData<ocs::PlanningClient>);
+  static_assert(ReachesObjectData<ocs::OcsClient>);
+  static_assert(ReachesObjectData<objectstore::StorageClient>);
+  static_assert(
+      std::is_same_v<decltype(&connectors::PlanSplits),
+                     Result<connector::SplitPlan> (*)(
+                         const ocs::PlanningClient&,
+                         const connectors::MetadataCache*,
+                         const rpc::CallOptions&, bool,
+                         const connector::TableHandle&,
+                         const connector::ScanSpec&)>);
+  static_assert(
+      std::is_same_v<decltype(&connectors::MetadataCache::GetDescriptor),
+                     connectors::MetadataCache::FooterPtr (
+                         connectors::MetadataCache::*)(
+                         const ocs::PlanningClient&, const std::string&,
+                         const std::string&,
+                         connectors::MetadataCacheOutcomes*) const>);
+}
+
 TEST(SplitPruningTest, SelectiveQueryPrunesSplitsWithoutDataRpcs) {
   PruningBedFixture fx;
   const std::string sql =
@@ -91,7 +136,7 @@ TEST(SplitPruningTest, SelectiveQueryPrunesSplitsWithoutDataRpcs) {
   // Pruning must be invisible in the answer.
   EXPECT_EQ(CanonicalRows(*pruned->table), CanonicalRows(*reference->table));
 
-  // Warm cache: every descriptor revalidates via a metadata-only Stat.
+  // Warm cache: every cached footer revalidates via a metadata-only Stat.
   auto warm = fx.bed->Run(sql, "ocs_pruned");
   ASSERT_TRUE(warm.ok()) << warm.status();
   EXPECT_EQ(warm->metrics.metadata_cache_hits, 6u);
@@ -146,7 +191,7 @@ TEST(SplitPruningTest, OverwriteInvalidatesCachedStats) {
 
   auto after = fx.bed->Run(sql, "ocs_pruned");
   ASSERT_TRUE(after.ok()) << after.status();
-  // Every cached descriptor failed version validation and was refetched.
+  // Every cached footer failed version validation and was refetched.
   EXPECT_EQ(after->metrics.metadata_cache_stale, 6u);
   EXPECT_EQ(after->metrics.metadata_cache_hits, 0u);
   EXPECT_EQ(after->metrics.splits_pruned, 4u);

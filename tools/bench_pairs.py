@@ -7,9 +7,11 @@
 Exports the base (default HEAD) and the change (default: the working
 tree's tracked and untracked, not ignored, files) into DIR/base/tree and
 DIR/change/tree, and builds each through its own perfbench/run.py with
-its own CARGO_TARGET_DIR, DIR/<side>/target, which a later call reuses
-(exported files keep their modification times, so only what changed is
-rebuilt). It then runs N pairs of the
+its own CARGO_TARGET_DIR, DIR/<side>/target, which a later call reuses.
+An export rewrites only the files whose bytes differ from the tree's,
+stamped with the current time, and deletes the files the revision
+lacks, so a reused target rebuilds exactly what changed, whichever way
+the revision moved. It then runs N pairs of the
 workload, each run for BENCHMARK.json's run_seconds (or --seconds),
 swapping which side runs first every pair, and prints for each metric:
 both sides' median and quartiles, the pairs the change won in the
@@ -29,6 +31,7 @@ writes every run's metrics.
 """
 
 import argparse
+import filecmp
 import json
 import os
 import shutil
@@ -123,7 +126,34 @@ def run_ok(code, result):
 
 
 def export(rev, dest):
-    """Writes the files of `rev` (or of the working tree) to `dest`."""
+    """Makes `dest` hold exactly the files of `rev` (or of the working
+    tree). They are written to a staging dir first; a file whose bytes
+    differ from `dest`'s copy is copied in with the current time, an
+    unchanged file keeps its time, and a file `rev` lacks is deleted."""
+    staging = dest + ".staging"
+    write_files(rev, staging)
+    wanted = set()
+    for parent, _, files in os.walk(staging):
+        for name in files:
+            rel = os.path.relpath(os.path.join(parent, name), staging)
+            wanted.add(rel)
+            src, dst = os.path.join(staging, rel), os.path.join(dest, rel)
+            if not (os.path.isfile(dst) and
+                    filecmp.cmp(src, dst, shallow=False)):
+                os.makedirs(os.path.dirname(dst), exist_ok=True)
+                shutil.copyfile(src, dst)
+            shutil.copymode(src, dst)
+    for parent, _, files in os.walk(dest):
+        for name in files:
+            path = os.path.join(parent, name)
+            if os.path.relpath(path, dest) not in wanted:
+                os.remove(path)
+    shutil.rmtree(staging)
+
+
+def write_files(rev, dest):
+    """Writes the files of `rev` (or of the working tree) to a fresh
+    `dest`."""
     if os.path.exists(dest):
         shutil.rmtree(dest)
     os.makedirs(dest)

@@ -32,13 +32,6 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      POCS_PT_GUARDED_BY (atomics, condition variables,
                      const and static members are exempt — they need no
                      guard).
-  planning-data-rpc  A data-path client call (StorageClient .Get/
-                     .GetRange/.GetVersioned, OcsClient .Select) inside
-                     split-planning code: a connector's GetSplits body
-                     or a metadata_cache.* file. Planning is
-                     metadata-only by contract (Stat/DescribeObject/
-                     LocateObject) — a data RPC there silently re-moves
-                     the bytes pruning exists to avoid (DESIGN.md §13).
   row-loop-in-hot-path
                      A per-row accessor (Get{Bool,Int32,Int64,Float64,
                      String,Datum}, AsDouble) called inside a for/while
@@ -306,7 +299,6 @@ def lint_file(path, rel_path, findings):
                    "(see engine/admission.h for the pattern)")
 
     check_unannotated_members(stripped, report)
-    check_planning_data_rpc(stripped, rel_path, report)
     check_row_loop_in_hot_path(stripped, rel_path, report)
     check_throwing_conversion(stripped, rel_path, report)
 
@@ -395,58 +387,6 @@ def check_unannotated_members(stripped, report):
                    f"member '{member}' follows a pocs::Mutex in this class "
                    "but has no POCS_GUARDED_BY; annotate it (or suppress "
                    "with a comment explaining why it needs no guard)")
-
-
-# Split-planning code paths: whole metadata-cache translation units plus
-# every GetSplits body. Planning may Stat/DescribeObject/LocateObject —
-# metadata-only — but never fetch or scan object data.
-PLANNING_FILE_RE = re.compile(r"(?:^|/)metadata_cache\.(?:h|hpp|cpp|cc)$")
-PLANNING_DATA_RPC_RE = re.compile(
-    r"(?:\.|->)\s*(Get|GetRange|GetVersioned|Select)\s*\(")
-
-
-def check_planning_data_rpc(stripped, rel_path, report):
-    """planning-data-rpc: flag data-path client calls inside
-    split-planning code (GetSplits bodies, metadata_cache.* files)."""
-    regions = []
-    if PLANNING_FILE_RE.search(rel_path.replace(os.sep, "/")):
-        regions.append((0, len(stripped)))
-    else:
-        for m in re.finditer(r"\bGetSplits\s*\(", stripped):
-            # Walk past the parameter list, then decide declaration (';'
-            # first) vs definition ('{' first); brace-match the body.
-            i, depth = m.end() - 1, 0
-            while i < len(stripped):
-                if stripped[i] == "(":
-                    depth += 1
-                elif stripped[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            j = i + 1
-            while j < len(stripped) and stripped[j] not in "{;":
-                j += 1
-            if j >= len(stripped) or stripped[j] == ";":
-                continue
-            k, depth = j, 0
-            while k < len(stripped):
-                if stripped[k] == "{":
-                    depth += 1
-                elif stripped[k] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k += 1
-            regions.append((j, k))
-    for start, end in regions:
-        for m in PLANNING_DATA_RPC_RE.finditer(stripped, start, end):
-            line_no = 1 + stripped.count("\n", 0, m.start())
-            report(line_no, "planning-data-rpc",
-                   f"data RPC '{m.group(1)}()' in split-planning code; "
-                   "planning is metadata-only — use Stat/DescribeObject/"
-                   "LocateObject, or move the data access to the page "
-                   "source")
 
 
 THROWING_CONVERSION_RE = re.compile(

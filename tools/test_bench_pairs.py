@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Self-checks for the statistics of tools/bench_pairs.py.
+"""Self-checks for tools/bench_pairs.py.
 
 The script decides whether a change may claim a gain and whether it
 stays within BENCHMARK.json's bounds, so its medians, quartiles, win
-counts, bound check and gain rule get their own tests. Run directly:
+counts, bound check and gain rule get their own tests, and so does the
+export that decides what a reused build dir rebuilds. Run directly:
 
     python3 tools/test_bench_pairs.py
 """
 
 import os
+import subprocess
 import sys
+import tempfile
+import time
 import unittest
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pairs  # noqa: E402
@@ -100,6 +105,60 @@ class RunResultTest(unittest.TestCase):
         self.assertIsNone(bench_pairs.parse_result(""))
         self.assertIsNone(bench_pairs.parse_result("perfbench: build failed\n"))
         self.assertIsNone(bench_pairs.parse_result('{"correct": true}\n'))
+
+
+class ExportTest(unittest.TestCase):
+    """Two revisions exported into one dir, the second older than the
+    first, as when a work dir's base moves back: only the files whose
+    bytes differ get a new time, so the build redoes exactly those."""
+
+    def git(self, repo, *args):
+        env = dict(os.environ, GIT_AUTHOR_DATE="2001-01-01T00:00:00Z",
+                   GIT_COMMITTER_DATE="2001-01-01T00:00:00Z")
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             *args], cwd=repo, env=env, check=True,
+            capture_output=True).stdout.decode().strip()
+
+    def commit(self, repo, files):
+        for name, text in files.items():
+            path = os.path.join(repo, name)
+            if text is None:
+                os.remove(path)
+            else:
+                with open(path, "w") as f:
+                    f.write(text)
+        self.git(repo, "add", "-A")
+        self.git(repo, "commit", "-q", "-m", "step")
+        return self.git(repo, "rev-parse", "HEAD")
+
+    def test_only_changed_files_move_forward(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            repo = os.path.join(tmp, "repo")
+            os.makedirs(repo)
+            self.git(repo, "init", "-q")
+            old = self.commit(repo, {"same.c": "1", "changed.c": "old",
+                                     "gone.c": "x"})
+            new = self.commit(repo, {"changed.c": "new", "gone.c": None})
+            tree = os.path.join(tmp, "tree")
+            path = lambda name: os.path.join(tree, name)  # noqa: E731
+            with mock.patch.object(bench_pairs, "ROOT", repo):
+                bench_pairs.export(new, tree)
+                # The objects built from this export are newer than it.
+                built = time.time() - 3600
+                for name in ("same.c", "changed.c"):
+                    os.utime(path(name), (built, built))
+                bench_pairs.export(old, tree)
+                self.assertEqual(os.path.getmtime(path("same.c")), built)
+                self.assertGreater(os.path.getmtime(path("changed.c")),
+                                   built)
+                with open(path("changed.c")) as f:
+                    self.assertEqual(f.read(), "old")
+                self.assertTrue(os.path.isfile(path("gone.c")))
+                bench_pairs.export(new, tree)
+                self.assertFalse(os.path.exists(path("gone.c")))
+                self.assertEqual(sorted(os.listdir(tree)),
+                                 ["changed.c", "same.c"])
 
 
 if __name__ == "__main__":

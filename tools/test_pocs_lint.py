@@ -283,71 +283,6 @@ class UnannotatedMutexTest(LintRunner):
         self.assert_clean(self.run_lint())
 
 
-class PlanningDataRpcTest(LintRunner):
-    def test_get_in_getsplits_body_fires(self):
-        self.write("src/conn.cpp",
-                   "Result<SplitPlan> C::GetSplits(const TableHandle& t,\n"
-                   "                               const ScanSpec& s) {\n"
-                   "  auto obj = client_.Get(t.bucket, key);\n"
-                   "  return plan;\n"
-                   "}\n")
-        self.assert_finding(self.run_lint(), "planning-data-rpc", "conn.cpp")
-
-    def test_select_in_getsplits_body_fires(self):
-        self.write("src/conn.cpp",
-                   "Result<SplitPlan> C::GetSplits(const TableHandle& t,\n"
-                   "                               const ScanSpec& s) {\n"
-                   "  auto rows = store->Select(req);\n"
-                   "  return plan;\n"
-                   "}\n")
-        self.assert_finding(self.run_lint(), "planning-data-rpc")
-
-    def test_data_rpc_in_metadata_cache_file_fires(self):
-        self.write("src/connectors/ocs/metadata_cache.cpp",
-                   "int f(Client& c) { return c.GetRange(k, 0, 10); }\n")
-        self.assert_finding(self.run_lint(), "planning-data-rpc",
-                            "metadata_cache.cpp")
-
-    def test_metadata_only_planning_is_clean(self):
-        self.write("src/conn.cpp",
-                   "Result<SplitPlan> C::GetSplits(const TableHandle& t,\n"
-                   "                               const ScanSpec& s) {\n"
-                   "  auto desc = cache_->GetDescriptor(store, t.bucket, k);\n"
-                   "  auto info = store.Stat(t.bucket, k);\n"
-                   "  auto d = store.DescribeObject(t.bucket, k);\n"
-                   "  auto where = client_.LocateObject(t.bucket, k);\n"
-                   "  return plan;\n"
-                   "}\n")
-        self.assert_clean(self.run_lint())
-
-    def test_get_outside_planning_code_is_clean(self):
-        self.write("src/conn.cpp",
-                   "Result<Page> C::CreatePageSource(const Split& split) {\n"
-                   "  auto obj = client_.Get(split.bucket, split.object);\n"
-                   "  return page;\n"
-                   "}\n")
-        self.assert_clean(self.run_lint())
-
-    def test_getsplits_declaration_is_clean(self):
-        self.write("src/conn.h",
-                   "#pragma once\n"
-                   "class C {\n"
-                   "  Result<SplitPlan> GetSplits(const TableHandle& t,\n"
-                   "                              const ScanSpec& s);\n"
-                   "};\n")
-        self.assert_clean(self.run_lint())
-
-    def test_suppression_is_honored(self):
-        self.write("src/conn.cpp",
-                   "Result<SplitPlan> C::GetSplits(const TableHandle& t,\n"
-                   "                               const ScanSpec& s) {\n"
-                   "  // pocs-lint: allow(planning-data-rpc)\n"
-                   "  auto obj = client_.Get(t.bucket, key);\n"
-                   "  return plan;\n"
-                   "}\n")
-        self.assert_clean(self.run_lint())
-
-
 class RowLoopInHotPathTest(LintRunner):
     """row-loop-in-hot-path: per-row Get*()/AsDouble() loops in src/exec/
     and src/ocs/ TUs and in the evaluator must use the vectorized kernels
