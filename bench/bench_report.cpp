@@ -44,6 +44,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,7 @@
 #include "compress/codec.h"
 #include "exec/hash_aggregator.h"
 #include "format/encoding.h"
+#include "format/stats.h"
 #include "workloads/chaos.h"
 #include "workloads/concurrent.h"
 #include "workloads/deepwater.h"
@@ -293,6 +295,54 @@ class NaiveGroupCount {
   std::vector<Slot> slots_;
   std::vector<uint64_t> hashes_;
   std::vector<int64_t> counts_;
+};
+
+// The per-row statistics collector the typed pass replaced, copied from
+// it: a Datum per row, Datum::Compare for min and max, and a node-based
+// set of value hashes for NDV.
+class NaiveStatsCollector {
+ public:
+  explicit NaiveStatsCollector(columnar::TypeKind type) : type_(type) {
+    stats_.min = columnar::Datum::Null(type);
+    stats_.max = columnar::Datum::Null(type);
+  }
+
+  void Update(const columnar::Column& col) {
+    stats_.row_count += col.length();
+    for (size_t i = 0; i < col.length(); ++i) {
+      if (col.IsNull(i)) {
+        ++stats_.null_count;
+        continue;
+      }
+      columnar::Datum v = col.GetDatum(i);
+      if (stats_.min.is_null() || v.Compare(stats_.min) < 0) stats_.min = v;
+      if (stats_.max.is_null() || v.Compare(stats_.max) > 0) stats_.max = v;
+      if (!stats_.ndv_capped) {
+        uint64_t h;
+        switch (type_) {
+          case columnar::TypeKind::kString:
+            h = HashString(col.GetString(i));
+            break;
+          case columnar::TypeKind::kFloat64:
+            h = HashValue(col.GetFloat64(i));
+            break;
+          default: h = HashValue(v.AsInt64()); break;
+        }
+        distinct_.insert(h);
+        if (distinct_.size() >= format::StatsCollector::kNdvCap) {
+          stats_.ndv_capped = true;
+        }
+      }
+    }
+    stats_.ndv = distinct_.size();
+  }
+
+  const format::ColumnStats& stats() const { return stats_; }
+
+ private:
+  columnar::TypeKind type_;
+  format::ColumnStats stats_;
+  std::unordered_set<uint64_t> distinct_;
 };
 
 // Best wall time over `reps` runs of `fn` (returns a checksum folded
@@ -1051,11 +1101,12 @@ int main(int argc, char** argv) {
   // Seeded data, best-of-N wall time per variant. Per-variant seconds
   // and the naive/kernel speedup are recorded as timings (the 11x
   // baseline tolerance absorbs machine variance); the speedup floors
-  // (DESIGN.md §15: ≥2x int64 filter, ≥3x dictionary-string filter,
-  // ≥4.5x string gather, ≥2x int64 gather, ≥1.5x grouping; §16: ≥4x
-  // checksum; §10.6: ≥1.5x scan read-ahead on four or more cores) are
-  // enforced here in optimized builds so a kernel regression fails the
-  // bench run itself, not just the baseline diff.
+  // (DESIGN.md §15 lists all eight: ≥2x int64 filter, ≥3x
+  // dictionary-string filter, ≥4.5x string gather, ≥2x int64 gather,
+  // ≥4x checksum, ≥1.5x grouping, ≥1.5x scan read-ahead on four or more
+  // cores, ≥4x column statistics) are enforced here in optimized builds
+  // so a kernel regression fails the bench run itself, not just the
+  // baseline diff.
   {
     const size_t n = args.smoke ? (1u << 19) : (1u << 21);
     const int reps = 5;
@@ -1236,6 +1287,62 @@ int main(int argc, char** argv) {
           BestAlternating(3 * reps, &sink, naive_pass, kernel_pass);
       Check(consumed, "micro_kernels.group_by: Consume failed");
       micro.push_back({"group_by", naive, kernel, 1.5, n, "Mrows/s"});
+    }
+
+    // Column statistics: the per-row Datum collector vs the typed pass,
+    // over int64, float64 and 3-value string columns in 4,096-row chunks.
+    // Each chunk runs a chunk collector and the file's collector, as
+    // FileWriter::FlushGroup does: the naive side updates both row by
+    // row, the typed side resets one chunk collector and merges it into
+    // the file's.
+    {
+      constexpr size_t kChunk = 4096;
+      auto doubles = columnar::MakeColumn(columnar::TypeKind::kFloat64);
+      doubles->Reserve(n);
+      std::uniform_real_distribution<double> real_dist(-1000.0, 1000.0);
+      for (size_t i = 0; i < n; ++i) doubles->AppendFloat64(real_dist(rng));
+      std::vector<std::vector<columnar::ColumnPtr>> chunks;
+      for (const auto& col : {ints, doubles, strs}) {
+        std::vector<columnar::ColumnPtr> pieces;
+        for (size_t begin = 0; begin < n; begin += kChunk) {
+          auto piece = columnar::MakeColumn(col->type());
+          piece->AppendRange(*col, begin, std::min(kChunk, n - begin));
+          pieces.push_back(std::move(piece));
+        }
+        chunks.push_back(std::move(pieces));
+      }
+      auto naive_pass = [&] {
+        uint64_t ndv = 0;
+        for (const auto& pieces : chunks) {
+          NaiveStatsCollector file(pieces[0]->type());
+          for (const auto& piece : pieces) {
+            NaiveStatsCollector chunk(piece->type());
+            chunk.Update(*piece);
+            file.Update(*piece);
+            ndv += chunk.stats().ndv;
+          }
+          ndv += file.stats().ndv;
+        }
+        return ndv;
+      };
+      auto kernel_pass = [&] {
+        uint64_t ndv = 0;
+        format::StatsCollector chunk(columnar::TypeKind::kInt64);
+        for (const auto& pieces : chunks) {
+          format::StatsCollector file(pieces[0]->type());
+          for (const auto& piece : pieces) {
+            chunk.Reset(piece->type());
+            chunk.Update(*piece);
+            file.Merge(chunk);
+            ndv += chunk.stats().ndv;
+          }
+          ndv += file.stats().ndv;
+        }
+        return ndv;
+      };
+      const auto [naive, kernel] =
+          BestAlternating(reps, &sink, naive_pass, kernel_pass);
+      micro.push_back({"column_stats", naive, kernel, 4.0, 3 * n, "Mrows/s"});
     }
 
     // Scan read-ahead: one zs-lite Laghos object of many row groups read

@@ -1,8 +1,12 @@
 #include "format/encoding.h"
 
-#include <map>
+#include <array>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "columnar/ipc.h"
+#include "common/hash.h"
 
 namespace pocs::format {
 
@@ -13,29 +17,42 @@ using columnar::TypeKind;
 
 std::optional<Bytes> DictionaryEncodeString(const Column& col) {
   if (col.type() != TypeKind::kString) return std::nullopt;
-  // Build the dictionary (insertion order = code order).
-  std::map<std::string_view, uint8_t> dict;
+  const size_t n = col.length();
+  const int32_t* off = col.offsets().data();
+  const char* chars = col.chars().data();
+  const std::span<const uint8_t> validity = col.validity();
+  const uint8_t* valid = validity.empty() ? nullptr : validity.data();
+  // Each row's code, in first-appearance order; null rows keep code 0.
+  // The values are found through an open-addressing table of 512 slots,
+  // at most half full at 255 values, each holding its value's code + 1
+  // (0 when empty).
+  constexpr size_t kSlots = 512;
+  std::array<uint8_t, kSlots> slots{};
   std::vector<std::string_view> values;
-  for (size_t i = 0; i < col.length(); ++i) {
-    if (col.IsNull(i)) continue;
-    std::string_view v = col.GetString(i);
-    if (dict.contains(v)) continue;
-    if (values.size() >= 255) return std::nullopt;  // too many distincts
-    dict.emplace(v, static_cast<uint8_t>(values.size()));
-    values.push_back(v);
+  std::vector<uint8_t> codes(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (valid != nullptr && valid[i] == 0) continue;
+    const std::string_view v(chars + off[i],
+                             static_cast<size_t>(off[i + 1] - off[i]));
+    size_t s = HashString(v) & (kSlots - 1);
+    while (slots[s] != 0 && values[slots[s] - 1] != v) {
+      s = (s + 1) & (kSlots - 1);
+    }
+    if (slots[s] == 0) {
+      if (values.size() >= 255) return std::nullopt;  // too many distincts
+      values.push_back(v);
+      slots[s] = static_cast<uint8_t>(values.size());
+    }
+    codes[i] = slots[s] - 1;
   }
-  BufferWriter out(col.length() + 64);
+  BufferWriter out(n + 64);
   out.WriteU8(static_cast<uint8_t>(PageEncoding::kDictionary));
   out.WriteVarint(values.size());
   for (std::string_view v : values) out.WriteString(v);
-  out.WriteVarint(col.length());
+  out.WriteVarint(n);
   out.WriteVarint(col.null_count());
-  if (col.null_count() > 0) {
-    out.WriteBytes(col.validity().data(), col.validity().size());
-  }
-  for (size_t i = 0; i < col.length(); ++i) {
-    out.WriteU8(col.IsNull(i) ? 0 : dict.at(col.GetString(i)));
-  }
+  if (col.null_count() > 0) out.WriteBytes(validity.data(), validity.size());
+  out.WriteBytes(codes.data(), codes.size());
   return std::move(out).Take();
 }
 

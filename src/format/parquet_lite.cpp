@@ -67,9 +67,9 @@ Status FileWriter::FlushGroup() {
     }
     rest.push_back(tail);
 
-    StatsCollector chunk_stats(schema_->field(c).type);
-    chunk_stats.Update(*head);
-    file_stats_[c].Update(*head);
+    chunk_stats_.Reset(schema_->field(c).type);
+    chunk_stats_.Update(*head);
+    file_stats_[c].Merge(chunk_stats_);
 
     Bytes payload = EncodePage(*head, schema_->field(c));
     Bytes compressed =
@@ -79,7 +79,7 @@ Status FileWriter::FlushGroup() {
     chunk.offset = out_.size();
     chunk.length = compressed.size();
     chunk.checksum = Checksum64(compressed);
-    chunk.stats = chunk_stats.stats();
+    chunk.stats = chunk_stats_.stats();
     out_.WriteBytes(compressed.data(), compressed.size());
     group.chunks.push_back(std::move(chunk));
   }

@@ -80,6 +80,9 @@ class FileWriter {
   FileMeta meta_;
   std::vector<std::shared_ptr<columnar::Column>> pending_;
   std::vector<StatsCollector> file_stats_;
+  // Each chunk's collector, reset per chunk so its distinct set keeps
+  // its allocations; the file's collectors merge it.
+  StatsCollector chunk_stats_{columnar::TypeKind::kInt64};
   size_t pending_rows_ = 0;
   bool finished_ = false;
 };

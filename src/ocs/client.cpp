@@ -40,12 +40,16 @@ Result<std::shared_ptr<columnar::Table>> OcsClient::FetchAndScan(
     bool changed = false;
     for (uint64_t offset = object.size(); offset < first.object_size;
          offset += chunk_bytes) {
-      POCS_ASSIGN_OR_RETURN(
-          objectstore::ObjectRead range,
-          get(offset, std::min(chunk_bytes, first.object_size - offset)));
-      changed = range.version != object_version;
+      auto range =
+          get(offset, std::min(chunk_bytes, first.object_size - offset));
+      // Every offset lies within the first response's object size, so
+      // one past the object's end means a Put shrank it: a new version.
+      changed = range.status().code() == StatusCode::kOutOfRange;
       if (changed) break;
-      object.insert(object.end(), range.data.begin(), range.data.end());
+      POCS_RETURN_NOT_OK(range.status());
+      changed = range->version != object_version;
+      if (changed) break;
+      object.insert(object.end(), range->data.begin(), range->data.end());
     }
     if (!changed) break;
     if (reads >= options.max_attempts) {

@@ -422,17 +422,19 @@ Result<workloads::GeneratedDataset> LaghosObject(size_t rows) {
 // fallback, reached only through a test-side frontend. Its handlers
 // forward each call to the cluster's frontend, counting the Gets, and,
 // once the first Get has been answered, Put a new version of the object:
-// 2048 rows where the first had 1024. The "ocs" catalog has the
-// split-result cache on.
+// `second_rows` rows where the first had `first_rows`. The "ocs" catalog
+// has the split-result cache on.
 class PutAfterFirstGet {
  public:
-  explicit PutAfterFirstGet(uint64_t fallback_chunk_bytes)
+  explicit PutAfterFirstGet(uint64_t fallback_chunk_bytes,
+                            size_t first_rows = 1024,
+                            size_t second_rows = 2048)
       : net_(std::make_shared<netsim::Network>(netsim::EffectiveS3())),
         cluster_(net_, ocs::ClusterConfig{}),
         metastore_(std::make_shared<metastore::Metastore>()),
         engine_(engine::EngineConfig{}) {
-    auto first = LaghosObject(1024);
-    auto second = LaghosObject(2048);
+    auto first = LaghosObject(first_rows);
+    auto second = LaghosObject(second_rows);
     POCS_CHECK(first.ok() && second.ok());
     POCS_CHECK(first->files.size() == 1 &&
                first->files[0].first == second->files[0].first);
@@ -531,6 +533,23 @@ TEST(FallbackVersionTest, PutBetweenRangesRestartsTheRead) {
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(RowCount(*again), 2048);
   EXPECT_EQ(again->metrics.cache_hits, 1u);
+}
+
+// 4 KiB ranges over an object that a Put shrinks to 16 rows (2,029
+// bytes) after the first range: the second range's offset lies past the
+// new object's end, which can only mean a new version, so the read
+// restarts and reads the 16-row object in one range. Gets: the first
+// version's first range, the range past the end, the new object whole.
+TEST(FallbackVersionTest, PutThatShrinksTheObjectRestartsTheRead) {
+  PutAfterFirstGet bed(/*fallback_chunk_bytes=*/4096, /*first_rows=*/2048,
+                       /*second_rows=*/16);
+  ASSERT_LE(bed.next_size(), 4096u);
+  auto scan = bed.Scan();
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_TRUE(bed.put());
+  EXPECT_EQ(RowCount(*scan), 16);
+  EXPECT_EQ(scan->metrics.fallbacks, 1u);
+  EXPECT_EQ(bed.gets(), 3u);
 }
 
 TEST(FaultInjectionE2E, DeterministicReplaySameSeedSamePlan) {

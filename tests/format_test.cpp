@@ -4,10 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <random>
+#include <string>
+#include <type_traits>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "columnar/ipc.h"
+#include "common/checksum.h"
+#include "common/hash.h"
 #include "format/encoding.h"
 #include "format/parquet_lite.h"
 #include "format/stats.h"
@@ -120,6 +128,387 @@ TEST(StatsTest, NdvCapSaturates) {
   for (int64_t i = 0; i < (1 << 16) + 100; ++i) col->AppendInt64(i);
   collector.Update(*col);
   EXPECT_TRUE(collector.stats().ndv_capped);
+}
+
+// The per-row collector StatsCollector replaced, copied in as the
+// reference and kept apart from src/format/: a Datum per row, compared by
+// Datum::Compare for min and max, and a node-based set of value hashes for
+// NDV, capped at 2^16 distinct hashes.
+class RefStatsCollector {
+ public:
+  static constexpr size_t kNdvCap = 1 << 16;
+
+  explicit RefStatsCollector(TypeKind type) : type_(type) {
+    stats_.min = Datum::Null(type);
+    stats_.max = Datum::Null(type);
+  }
+
+  void Update(const columnar::Column& col) {
+    stats_.row_count += col.length();
+    for (size_t i = 0; i < col.length(); ++i) {
+      if (col.IsNull(i)) {
+        ++stats_.null_count;
+        continue;
+      }
+      Datum v = col.GetDatum(i);
+      if (stats_.min.is_null() || v.Compare(stats_.min) < 0) stats_.min = v;
+      if (stats_.max.is_null() || v.Compare(stats_.max) > 0) stats_.max = v;
+      if (!stats_.ndv_capped) {
+        uint64_t h;
+        switch (type_) {
+          case TypeKind::kString: h = HashString(col.GetString(i)); break;
+          case TypeKind::kFloat64: h = HashValue(col.GetFloat64(i)); break;
+          default: h = HashValue(v.AsInt64()); break;
+        }
+        distinct_.insert(h);
+        if (distinct_.size() >= kNdvCap) stats_.ndv_capped = true;
+      }
+    }
+    stats_.ndv = distinct_.size();
+  }
+
+  const ColumnStats& stats() const { return stats_; }
+
+ private:
+  TypeKind type_;
+  ColumnStats stats_;
+  std::unordered_set<uint64_t> distinct_;
+};
+static_assert(RefStatsCollector::kNdvCap == StatsCollector::kNdvCap);
+
+Bytes StatsBytes(const ColumnStats& stats) {
+  BufferWriter out;
+  stats.Serialize(&out);
+  return std::move(out).Take();
+}
+
+// A column of `type` from optional values; std::nullopt is a null row.
+template <typename T>
+columnar::ColumnPtr Col(TypeKind type,
+                        const std::vector<std::optional<T>>& values) {
+  auto col = MakeColumn(type);
+  for (const auto& v : values) {
+    if (v) {
+      col->AppendDatum([&] {
+        if constexpr (std::is_same_v<T, std::string>) {
+          return Datum::String(*v);
+        } else if constexpr (std::is_same_v<T, double>) {
+          return Datum::Float64(*v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          return Datum::Bool(*v);
+        } else {
+          switch (type) {
+            case TypeKind::kInt32: return Datum::Int32(static_cast<int32_t>(*v));
+            case TypeKind::kDate32:
+              return Datum::Date32(static_cast<int32_t>(*v));
+            default: return Datum::Int64(static_cast<int64_t>(*v));
+          }
+        }
+      }());
+    } else {
+      col->AppendNull();
+    }
+  }
+  return col;
+}
+
+// Feeds `calls` to the reference, to one StatsCollector through Update,
+// and to the writer's pair — a chunk collector reset per call, merged
+// into a file collector — and expects the same serialized stats from all
+// three, and from each chunk its reference's.
+void ExpectSameStats(TypeKind type,
+                     const std::vector<columnar::ColumnPtr>& calls,
+                     const std::string& what) {
+  RefStatsCollector ref(type);
+  StatsCollector updated(type);
+  StatsCollector file(type);
+  StatsCollector chunk(TypeKind::kInt64);
+  for (size_t k = 0; k < calls.size(); ++k) {
+    ref.Update(*calls[k]);
+    updated.Update(*calls[k]);
+    chunk.Reset(type);
+    chunk.Update(*calls[k]);
+    RefStatsCollector chunk_ref(type);
+    chunk_ref.Update(*calls[k]);
+    EXPECT_EQ(StatsBytes(chunk.stats()), StatsBytes(chunk_ref.stats()))
+        << what << ": call " << k << " alone";
+    file.Merge(chunk);
+  }
+  const Bytes want = StatsBytes(ref.stats());
+  EXPECT_EQ(StatsBytes(updated.stats()), want) << what << ": Update";
+  EXPECT_EQ(StatsBytes(file.stats()), want) << what << ": Merge";
+}
+
+using F = std::optional<double>;
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(StatsDifferentialTest, NaNKeepsItsPlace) {
+  const double neg_nan = -kNaN;
+  const std::vector<std::pair<std::string, std::vector<std::vector<F>>>>
+      cases = {
+          {"NaN first", {{kNaN, 1.0, -3.0}}},
+          {"NaN middle", {{1.0, kNaN, -3.0, 7.5}}},
+          {"NaN last", {{1.0, -3.0, kNaN}}},
+          {"NaN first in a later call", {{2.0, 4.0}, {kNaN, 5.0, -1.0}}},
+          {"NaN after null rows", {{std::nullopt, kNaN, 4.0, -4.0}}},
+          {"NaN first after an all-null call",
+           {{std::nullopt, std::nullopt}, {kNaN, 3.0}, {-9.0}}},
+          {"negative NaN first", {{neg_nan, kNaN, 0.5}, {-0.5}}},
+          {"only NaNs", {{kNaN, neg_nan}, {kNaN}}},
+          {"NaN then values then NaN",
+           {{kNaN}, {1.0, 2.0}, {kNaN, -8.0}, {9.0}}},
+          {"infinities", {{kInf, -kInf, kNaN}, {kInf}}},
+          {"only +inf", {{kInf, kInf}}},
+          {"only -inf", {{-kInf}, {-kInf}}},
+      };
+  for (const auto& [what, calls] : cases) {
+    std::vector<columnar::ColumnPtr> cols;
+    for (const auto& values : calls) cols.push_back(Col(TypeKind::kFloat64, values));
+    ExpectSameStats(TypeKind::kFloat64, cols, what);
+  }
+}
+
+TEST(StatsDifferentialTest, SignedZerosKeepTheirOrderOfArrival) {
+  const std::vector<std::pair<std::string, std::vector<std::vector<F>>>>
+      cases = {
+          {"-0.0 before 0.0", {{-0.0, 0.0}}},
+          {"0.0 before -0.0", {{0.0, -0.0}}},
+          {"-0.0 before 0.0 across calls", {{-0.0}, {0.0, 1.0}}},
+          {"0.0 before -0.0 across calls", {{0.0, -1.0}, {-0.0, 1.0}, {0.0}}},
+          {"zeros as max", {{-5.0, 0.0, -0.0}, {-0.0}}},
+          {"zeros as min", {{5.0, -0.0}, {0.0, 3.0}}},
+      };
+  for (const auto& [what, calls] : cases) {
+    std::vector<columnar::ColumnPtr> cols;
+    for (const auto& values : calls) cols.push_back(Col(TypeKind::kFloat64, values));
+    ExpectSameStats(TypeKind::kFloat64, cols, what);
+  }
+}
+
+TEST(StatsDifferentialTest, NullsAndEmptyColumns) {
+  for (TypeKind type : {TypeKind::kBool, TypeKind::kInt32, TypeKind::kInt64,
+                        TypeKind::kFloat64, TypeKind::kString,
+                        TypeKind::kDate32}) {
+    const std::string what = std::string(columnar::TypeName(type));
+    auto empty = MakeColumn(type);
+    auto all_null = MakeColumn(type);
+    for (int i = 0; i < 5; ++i) all_null->AppendNull();
+    auto some = MakeColumn(type);
+    for (int i = 0; i < 9; ++i) {
+      if (i % 3 == 1) {
+        some->AppendNull();
+        continue;
+      }
+      switch (type) {
+        case TypeKind::kBool: some->AppendBool(i % 2 == 0); break;
+        case TypeKind::kInt32:
+        case TypeKind::kDate32: some->AppendInt32(7 - i); break;
+        case TypeKind::kInt64: some->AppendInt64(7 - i); break;
+        case TypeKind::kFloat64: some->AppendFloat64(0.5 * (7 - i)); break;
+        case TypeKind::kString: some->AppendString(std::string(i, 'q')); break;
+      }
+    }
+    ExpectSameStats(type, {empty}, what + " empty");
+    ExpectSameStats(type, {all_null}, what + " all null");
+    ExpectSameStats(type, {empty, all_null, empty}, what + " no values");
+    ExpectSameStats(type, {all_null, some, empty, some}, what + " nulls");
+    ExpectSameStats(type, {some, all_null}, what + " trailing nulls");
+  }
+}
+
+TEST(StatsDifferentialTest, StringsOrderAsUnsignedBytes) {
+  using S = std::optional<std::string>;
+  const std::string long_a(5000, 'a');
+  const std::string long_b = long_a + "b";
+  const std::vector<std::pair<std::string, std::vector<std::vector<S>>>>
+      cases = {
+          {"empty string", {{"b", "", "a"}, {""}}},
+          {"only empty strings", {{"", ""}, {std::nullopt, ""}}},
+          {"long strings", {{long_b, long_a}, {long_a + "a", "a"}}},
+          {"high bytes", {{"a", "\x80", "\xff"}, {"\x7f", "\xc3\xa9"}}},
+          {"high byte prefixes",
+           {{std::string("\xff\x00", 2), "\xff"}, {"\xfe\xff\xff", "\x80"}}},
+          {"embedded zero bytes",
+           {{std::string("a\0b", 3), std::string("a\0", 2), "a"}}},
+          {"nulls between", {{std::nullopt, "m"}, {std::nullopt}, {"c", "x"}}},
+      };
+  for (const auto& [what, calls] : cases) {
+    std::vector<columnar::ColumnPtr> cols;
+    for (const auto& values : calls) cols.push_back(Col(TypeKind::kString, values));
+    ExpectSameStats(TypeKind::kString, cols, what);
+  }
+}
+
+TEST(StatsDifferentialTest, IntegerExtremes) {
+  using I = std::optional<int64_t>;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  ExpectSameStats(TypeKind::kInt64,
+                  {Col<int64_t>(TypeKind::kInt64, {I{0}, I{kMax}, I{-1}}),
+                   Col<int64_t>(TypeKind::kInt64, {I{kMin}, std::nullopt})},
+                  "int64 extremes");
+  ExpectSameStats(TypeKind::kInt64,
+                  {Col<int64_t>(TypeKind::kInt64, {I{kMax}, I{kMax}}),
+                   Col<int64_t>(TypeKind::kInt64, {I{kMax}})},
+                  "only INT64_MAX");
+  ExpectSameStats(TypeKind::kInt64,
+                  {Col<int64_t>(TypeKind::kInt64, {I{kMin}}),
+                   Col<int64_t>(TypeKind::kInt64, {I{kMin}, I{kMin}})},
+                  "only INT64_MIN");
+  constexpr int64_t kMin32 = std::numeric_limits<int32_t>::min();
+  constexpr int64_t kMax32 = std::numeric_limits<int32_t>::max();
+  for (TypeKind type : {TypeKind::kInt32, TypeKind::kDate32}) {
+    ExpectSameStats(type,
+                    {Col<int64_t>(type, {I{kMax32}, I{0}}),
+                     Col<int64_t>(type, {std::nullopt, I{kMin32}, I{-1}})},
+                    std::string(columnar::TypeName(type)) + " extremes");
+  }
+  using B = std::optional<bool>;
+  ExpectSameStats(TypeKind::kBool,
+                  {Col<bool>(TypeKind::kBool, {B{true}, B{true}}),
+                   Col<bool>(TypeKind::kBool, {std::nullopt, B{false}})},
+                  "bool");
+}
+
+// NDV is exact below the cap, saturates at it, and is flagged once the
+// distinct values reach it, whichever call they arrive in.
+TEST(StatsDifferentialTest, NdvAroundTheCap) {
+  constexpr int64_t kCap = StatsCollector::kNdvCap;
+  for (int64_t distinct : {kCap - 1, kCap, kCap + 1}) {
+    // Three calls: a third of the values, all of them again (duplicates),
+    // then the rest with some nulls.
+    auto first = MakeColumn(TypeKind::kInt64);
+    auto again = MakeColumn(TypeKind::kInt64);
+    auto rest = MakeColumn(TypeKind::kInt64);
+    for (int64_t v = 0; v < distinct / 3; ++v) first->AppendInt64(v * 7919);
+    for (int64_t v = 0; v < distinct; v += 2) again->AppendInt64(v * 7919);
+    for (int64_t v = distinct - 1; v >= 0; --v) {
+      if (v % 1000 == 0) rest->AppendNull();
+      rest->AppendInt64(v * 7919);
+    }
+    const std::string what = "ndv " + std::to_string(distinct);
+    ExpectSameStats(TypeKind::kInt64, {first, again, rest}, what);
+    StatsCollector collector(TypeKind::kInt64);
+    for (const auto& col : {first, again, rest}) collector.Update(*col);
+    EXPECT_EQ(collector.stats().ndv,
+              static_cast<uint64_t>(std::min(distinct, kCap)))
+        << what;
+    EXPECT_EQ(collector.stats().ndv_capped, distinct >= kCap) << what;
+
+    auto strings = MakeColumn(TypeKind::kString);
+    auto doubles = MakeColumn(TypeKind::kFloat64);
+    for (int64_t v = 0; v < distinct; ++v) {
+      strings->AppendString("s" + std::to_string(v));
+      doubles->AppendFloat64(static_cast<double>(v) * 0.25);
+    }
+    ExpectSameStats(TypeKind::kString, {strings, strings}, what + " strings");
+    ExpectSameStats(TypeKind::kFloat64, {doubles}, what + " doubles");
+  }
+}
+
+// Seeded random calls over small value domains, so duplicates, ties and
+// special values meet in every order.
+TEST(StatsDifferentialTest, RandomCallsMatchTheReference) {
+  std::mt19937_64 rng(20261020);
+  const double doubles[] = {kNaN, -kNaN, 0.0, -0.0, 1.5, -1.5, kInf, -kInf};
+  const std::string strings[] = {"", "a", "ab", "\x80", "\xff", "b", "aa"};
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(), -1, 0, 1, 42,
+                          std::numeric_limits<int64_t>::max()};
+  for (TypeKind type : {TypeKind::kBool, TypeKind::kInt32, TypeKind::kInt64,
+                        TypeKind::kFloat64, TypeKind::kString,
+                        TypeKind::kDate32}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<columnar::ColumnPtr> calls;
+      const size_t num_calls = 1 + rng() % 4;
+      const unsigned null_pct = static_cast<unsigned>(rng() % 4) * 30;
+      for (size_t k = 0; k < num_calls; ++k) {
+        auto col = MakeColumn(type);
+        for (size_t n = rng() % 12; n > 0; --n) {
+          if (rng() % 100 < null_pct) {
+            col->AppendNull();
+            continue;
+          }
+          switch (type) {
+            case TypeKind::kBool: col->AppendBool(rng() % 2 == 0); break;
+            case TypeKind::kInt32:
+            case TypeKind::kDate32:
+              col->AppendInt32(static_cast<int32_t>(rng() % 7) - 3);
+              break;
+            case TypeKind::kInt64: col->AppendInt64(ints[rng() % 6]); break;
+            case TypeKind::kFloat64:
+              col->AppendFloat64(doubles[rng() % 8]);
+              break;
+            case TypeKind::kString: col->AppendString(strings[rng() % 7]); break;
+          }
+        }
+        calls.push_back(std::move(col));
+      }
+      ExpectSameStats(type, calls,
+                      std::string(columnar::TypeName(type)) + " trial " +
+                          std::to_string(trial));
+    }
+  }
+}
+
+// The bytes of a multi-group file with every type, nulls, NaN and signed
+// zeros, dictionary and plain string pages: pinned to the checksum the
+// per-row collector and the map-based dictionary encoder wrote, so every
+// chunk's stats, the file's stats and each page stay as they were.
+TEST(ParquetLiteTest, MultiGroupFileBytesArePinned) {
+  const auto schema = MakeSchema({{"b", TypeKind::kBool},
+                                  {"i", TypeKind::kInt32},
+                                  {"l", TypeKind::kInt64},
+                                  {"d", TypeKind::kFloat64},
+                                  {"flag", TypeKind::kString},
+                                  {"name", TypeKind::kString},
+                                  {"day", TypeKind::kDate32}});
+  std::mt19937_64 rng(7);
+  const char* flags[] = {"R", "A", "N", "\xc3\xa9"};
+  std::vector<std::shared_ptr<columnar::Column>> built;
+  for (const auto& field : schema->fields()) {
+    built.push_back(MakeColumn(field.type));
+  }
+  auto col = [&](size_t c) { return built[c]; };
+  for (int64_t r = 0; r < 1000; ++r) {
+    const bool null = rng() % 11 == 0;
+    col(0)->AppendBool(rng() % 2 == 0);
+    if (null) {
+      col(1)->AppendNull();
+    } else {
+      col(1)->AppendInt32(static_cast<int32_t>(rng() % 2000) - 1000);
+    }
+    col(2)->AppendInt64(static_cast<int64_t>(rng()));
+    if (r % 97 == 5) {
+      col(3)->AppendFloat64(kNaN);
+    } else if (r % 89 == 1) {
+      col(3)->AppendFloat64(r % 2 == 0 ? 0.0 : -0.0);
+    } else if (null) {
+      col(3)->AppendNull();
+    } else {
+      col(3)->AppendFloat64(static_cast<double>(rng() % 10000) / 8.0 - 600.0);
+    }
+    if (null) {
+      col(4)->AppendNull();
+    } else {
+      col(4)->AppendString(flags[rng() % 4]);
+    }
+    col(5)->AppendString("name-" + std::to_string(rng() % 700));
+    col(6)->AppendInt32(columnar::DaysFromCivil(1992, 1, 1) +
+                        static_cast<int32_t>(r));
+  }
+  const std::vector<columnar::ColumnPtr> cols(built.begin(), built.end());
+  WriterOptions options;
+  options.rows_per_group = 128;
+  FileWriter writer(schema, options);
+  ASSERT_TRUE(writer.WriteBatch(*MakeBatch(schema, cols)).ok());
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok()) << file.status();
+  auto meta = ReadFooter(*file);
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  EXPECT_EQ(meta->row_groups.size(), 8u);
+  EXPECT_EQ(file->size(), 40784u);
+  EXPECT_EQ(Checksum64(*file), 0xf715a9b8d1b94244ULL);
 }
 
 class WriterCodecSweep

@@ -36,11 +36,14 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      A per-row accessor (Get{Bool,Int32,Int64,Float64,
                      String,Datum}, AsDouble) called inside a for/while
                      body in a hot-path TU (src/exec/*.cpp,
-                     src/ocs/*.cpp, src/substrait/eval.cpp). Row loops
-                     over per-element getters are exactly what the
+                     src/ocs/*.cpp, src/substrait/eval.cpp, and the
+                     write path's src/format/*.cpp). Row loops over
+                     per-element getters are exactly what the
                      vectorized kernels (columnar/kernels.h, DESIGN.md
                      §15) replace: batch operators should go through
-                     CompareScalar/Take/HashRows or typed spans.
+                     CompareScalar/Take/HashRows or typed spans, and
+                     the Parquet-lite writer's statistics and page
+                     encoders read typed spans.
                      Suppress with the allow comment where per-row access
                      is genuinely required (e.g. key equality probes on
                      hash collisions).
@@ -406,11 +409,13 @@ def check_throwing_conversion(stripped, rel_path, report):
 
 
 # TUs on the batch-execution hot path: the engine's operators, the
-# storage node's embedded engine and the expression evaluator. Headers are
-# exempt (inline helpers like Column::GetInt64 itself live there), as are
-# tests/benches (naive reference loops are the point there).
+# storage node's embedded engine and the expression evaluator, plus the
+# write path every ingested object crosses: the Parquet-lite writer, its
+# statistics and its page encoders. Headers are exempt (inline helpers
+# like Column::GetInt64 itself live there), as are tests/benches (naive
+# reference loops are the point there).
 HOT_PATH_FILE_RE = re.compile(
-    r"^src/(?:(?:exec|ocs)/[^/]+\.(?:cpp|cc)|substrait/eval\.cpp)$")
+    r"^src/(?:(?:exec|ocs|format)/[^/]+\.(?:cpp|cc)|substrait/eval\.cpp)$")
 ROW_GET_RE = re.compile(
     r"(?:\.|->)\s*(Get(?:Bool|Int32|Int64|Float64|String|Datum)|AsDouble)"
     r"\s*\(")
@@ -418,8 +423,9 @@ ROW_GET_RE = re.compile(
 
 def check_row_loop_in_hot_path(stripped, rel_path, report):
     """row-loop-in-hot-path: flag per-row typed accessors inside loop
-    bodies in hot-path TUs; batch work belongs in the vectorized kernels
-    (DESIGN.md §15)."""
+    bodies in hot-path TUs, the write path's src/format/ included; batch
+    work belongs in the vectorized kernels or typed spans (DESIGN.md
+    §15)."""
     if not HOT_PATH_FILE_RE.match(rel_path.replace(os.sep, "/")):
         return
     reported = set()
@@ -463,7 +469,7 @@ def check_row_loop_in_hot_path(stripped, rel_path, report):
             reported.add(line_no)
             report(line_no, "row-loop-in-hot-path",
                    f"per-row {g.group(1)}() in a loop on the execution "
-                   "hot path; use the vectorized kernels "
+                   "or write hot path; use the vectorized kernels "
                    "(columnar/kernels.h) or typed spans instead")
 
 

@@ -284,9 +284,9 @@ class UnannotatedMutexTest(LintRunner):
 
 
 class RowLoopInHotPathTest(LintRunner):
-    """row-loop-in-hot-path: per-row Get*()/AsDouble() loops in src/exec/
-    and src/ocs/ TUs and in the evaluator must use the vectorized kernels
-    instead."""
+    """row-loop-in-hot-path: per-row Get*()/AsDouble() loops in src/exec/,
+    src/ocs/ and src/format/ TUs and in the evaluator must use the
+    vectorized kernels or typed spans instead."""
 
     def test_get_in_for_body_in_exec_fires(self):
         self.write("src/exec/op.cpp",
@@ -327,6 +327,29 @@ class RowLoopInHotPathTest(LintRunner):
                    "}\n")
         self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
                             "eval.cpp")
+
+    def test_get_in_loop_in_format_fires(self):
+        # The Parquet-lite writer's statistics and page encoders run over
+        # every row of every ingested object.
+        self.write("src/format/stats.cpp",
+                   "void f(const Column& c) {\n"
+                   "  for (size_t i = 0; i < c.length(); ++i) {\n"
+                   "    Use(c.GetDatum(i));\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
+                            "stats.cpp")
+
+    def test_workloads_dir_is_clean(self):
+        # Data generators build their columns row by row on purpose; only
+        # the writer they feed is on the write path.
+        self.write("src/workloads/gen.cpp",
+                   "void f(const Column& c) {\n"
+                   "  for (size_t i = 0; i < c.length(); ++i) {\n"
+                   "    Use(c.GetInt64(i));\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_clean(self.run_lint())
 
     def test_other_substrait_file_is_clean(self):
         # Only the evaluator is on the hot path; plan validation and the
